@@ -28,6 +28,7 @@ harness exercises each one mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.errors import RottnestIndexError
 from repro.core.client import RottnestClient, _iter_page_values
@@ -182,9 +183,9 @@ def _compact_indices(
         "compact.merge", phase="merge", groups=len(mergeable)
     ) as merge_span:
         if not mergeable:
-            merged_records = []
+            outcomes = []
         elif pool is not None:
-            merge_trace, merged_records = pool.run(
+            merge_trace, outcomes = pool.run(
                 [
                     lambda g=group: _merge_group(client, column, index_type, g)
                     for group in mergeable
@@ -199,7 +200,7 @@ def _compact_indices(
                 thread_name_prefix="compactor",
                 span_name="compactor:task",
             ) as scratch:
-                merge_trace, merged_records = scratch.run(
+                merge_trace, outcomes = scratch.run(
                     [
                         lambda g=group: _merge_group(
                             client, column, index_type, g
@@ -213,16 +214,25 @@ def _compact_indices(
             # traces compose sequentially — the same shape a one-worker
             # pool records.
             merge_trace = RequestTrace()
-            merged_records = []
+            outcomes = []
             for group in mergeable:
                 client.store.start_trace()
                 try:
-                    merged_records.append(
+                    outcomes.append(
                         _merge_group(client, column, index_type, group)
                     )
                 finally:
                     merge_trace = merge_trace.then(client.store.stop_trace())
             merge_span.trace = merge_trace
+        merged_records = [record for record, _ in outcomes]
+        # What the merges themselves counted (the FM interleave's passes
+        # and sorted rows), summed over the groups.
+        totals: dict[str, int] = {}
+        for _, stats in outcomes:
+            for name, value in stats.items():
+                totals[name] = totals.get(name, 0) + value
+        for name, value in totals.items():
+            merge_span.set(name, value)
     if merged_records:
         # Idempotent commit: a resumed run (or a concurrent compactor
         # that built the identical merge) may find some records already
@@ -249,8 +259,10 @@ def _merge_group(
     column: str,
     index_type: str,
     group: list[IndexRecord],
-) -> IndexRecord:
-    """Merge one bin-packed group into a single uploaded index file.
+) -> tuple[IndexRecord, Mapping[str, int]]:
+    """Merge one bin-packed group into a single uploaded index file;
+    returns its record and the merge's work counters
+    (:attr:`IndexBuilder.merge_stats`).
 
     The upload key is content-addressed (deterministic), which is the
     keystone of compaction resumability: every re-run of the same plan
@@ -317,7 +329,7 @@ def _merge_group(
     blob = writer.finish()
     key = client.new_index_key(blob, deterministic=True)
     client.store.put(key, blob)
-    return IndexRecord(
+    record = IndexRecord(
         index_key=key,
         index_type=index_type,
         column=column,
@@ -326,6 +338,7 @@ def _merge_group(
         size=len(blob),
         created_at=client.store.clock.now(),
     )
+    return record, merged.merge_stats
 
 
 def vacuum_indices(client: RottnestClient, *, snapshot_id: int) -> VacuumReport:

@@ -35,7 +35,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-from repro.errors import RottnestIndexError
+from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.indices.base import ExactQuerier, IndexBuilder
 from repro.indices.fm.bwt import (
@@ -48,9 +48,9 @@ from repro.indices.fm.merge import (
     MergeDidNotConverge,
     apply_interleave,
     merge_bwts,
-    merged_bwt_and_sentinels,
 )
 from repro.util.binio import BinaryReader, BinaryWriter
+from repro.util.varint import decode_uvarints, encode_uvarints
 
 TYPE_NAME = "fm"
 DEFAULT_BLOCK_SIZE = 32 * 1024
@@ -81,7 +81,8 @@ class FmBuilder(IndexBuilder):
         bwt: bytes,
         sentinels: list[int],
         pagemap: np.ndarray,
-        samples: list[tuple[int, int]],
+        sample_rows: np.ndarray,
+        sample_positions: np.ndarray,
         page_lens: list[int],
         page_gids: list[int],
         block_size: int,
@@ -91,7 +92,10 @@ class FmBuilder(IndexBuilder):
         self.bwt = bwt
         self.sentinels = sorted(int(s) for s in sentinels)
         self.pagemap = pagemap
-        self.samples = samples
+        # Sampled suffix array as two parallel int64 arrays: the BWT
+        # rows that carry a sample (ascending) and their text positions.
+        self.sample_rows = sample_rows
+        self.sample_positions = sample_positions
         self.page_lens = page_lens
         self.page_gids = page_gids
         self.block_size = block_size
@@ -174,13 +178,13 @@ class FmBuilder(IndexBuilder):
         page_index = np.searchsorted(starts, sa, side="right") - 1
         page_index = np.minimum(page_index, len(page_lens) - 1)
         pagemap = np.asarray(page_gids, dtype=np.uint32)[page_index]
-        sampled = np.nonzero(sa % sample_rate == 0)[0]
-        samples = [(int(i), int(sa[i])) for i in sampled]
+        sample_rows = np.flatnonzero(sa % sample_rate == 0)
         return cls(
             bwt=bwt,
             sentinels=[sentinel_index],
             pagemap=pagemap,
-            samples=samples,
+            sample_rows=sample_rows,
+            sample_positions=sa[sample_rows],
             page_lens=list(page_lens),
             page_gids=list(page_gids),
             block_size=block_size,
@@ -202,7 +206,10 @@ class FmBuilder(IndexBuilder):
         # counted as raw 0x00 here; queriers correct using the sentinel
         # list in params).
         counts = np.zeros(256, dtype=np.uint32)
-        sample_cursor = 0
+        # Samples of block b are sample_*[cuts[b]:cuts[b + 1]].
+        cuts = np.searchsorted(
+            self.sample_rows, np.arange(num_blocks + 1) * block
+        )
         for b in range(num_blocks):
             lo, hi = b * block, min((b + 1) * block, self.n)
             payload = BinaryWriter()
@@ -216,20 +223,14 @@ class FmBuilder(IndexBuilder):
                     f"pg{b}", self.pagemap[lo:hi].astype(pg_dtype).tobytes()
                 )
 
+            # (row delta, text position) varint pairs behind a count.
+            in_block = slice(cuts[b], cuts[b + 1])
+            pairs = np.empty(2 * (cuts[b + 1] - cuts[b]), dtype=np.int64)
+            pairs[0::2] = np.diff(self.sample_rows[in_block], prepend=lo)
+            pairs[1::2] = self.sample_positions[in_block]
             sa_payload = BinaryWriter()
-            in_block = []
-            while (
-                sample_cursor < len(self.samples)
-                and self.samples[sample_cursor][0] < hi
-            ):
-                in_block.append(self.samples[sample_cursor])
-                sample_cursor += 1
-            sa_payload.write_uvarint(len(in_block))
-            prev = lo
-            for bwt_index, text_pos in in_block:
-                sa_payload.write_uvarint(bwt_index - prev)
-                prev = bwt_index
-                sa_payload.write_uvarint(text_pos)
+            sa_payload.write_uvarint(len(pairs) // 2)
+            sa_payload.write_bytes(encode_uvarints(pairs))
             writer.add_component(f"sa{b}", sa_payload.getvalue())
 
         lens_payload = BinaryWriter()
@@ -259,17 +260,19 @@ class FmBuilder(IndexBuilder):
         bwt = b"".join(blob[1024:] for blob in blk_blobs)
         pg_dtype = params.get("pg_dtype", "<u4")
         has_pagemap = params.get("has_pagemap", True)
-        samples: list[tuple[int, int]] = []
+        sample_rows, sample_positions = [], []
         block = params["block_size"]
         for b, blob in enumerate(
             reader.components([f"sa{b}" for b in range(num_blocks)])
         ):
             r = BinaryReader(blob)
             count = r.read_uvarint()
-            cursor = b * block
-            for _ in range(count):
-                cursor += r.read_uvarint()
-                samples.append((cursor, r.read_uvarint()))
+            try:
+                pairs, _ = decode_uvarints(blob, 2 * count, r.pos)
+            except ValueError as exc:
+                raise FormatError(f"sa{b}: {exc}") from exc
+            sample_rows.append(b * block + np.cumsum(pairs[0::2]))
+            sample_positions.append(pairs[1::2])
         lens_reader = BinaryReader(reader.component("pagelens"))
         num_pages = lens_reader.read_uvarint()
         page_lens, page_gids = [], []
@@ -292,7 +295,8 @@ class FmBuilder(IndexBuilder):
             bwt=bwt,
             sentinels=params["sentinels"],
             pagemap=pagemap,
-            samples=samples,
+            sample_rows=np.concatenate(sample_rows),
+            sample_positions=np.concatenate(sample_positions),
             page_lens=page_lens,
             page_gids=page_gids,
             block_size=block,
@@ -429,52 +433,65 @@ class FmBuilder(IndexBuilder):
         pagemap = self.pagemap
         if len(pagemap):
             pagemap = pagemap + np.uint32(offset)
-        return FmBuilder(
+        shifted = FmBuilder(
             bwt=self.bwt,
             sentinels=self.sentinels,
             pagemap=pagemap,
-            samples=self.samples,
+            sample_rows=self.sample_rows,
+            sample_positions=self.sample_positions,
             page_lens=self.page_lens,
             page_gids=[g + offset for g in self.page_gids],
             block_size=self.block_size,
             sample_rate=self.sample_rate,
             store_pagemap=self.store_pagemap,
         )
+        shifted.merge_stats = self.merge_stats
+        return shifted
 
     @classmethod
     def _merge_two(cls, a: "FmBuilder", b: "FmBuilder") -> "FmBuilder":
-        interleave, _iterations = merge_bwts(
-            a.bwt, a.sentinels, b.bwt, b.sentinels
-        )
-        bwt, sentinels = merged_bwt_and_sentinels(
-            interleave, a.bwt, a.sentinels, b.bwt, b.sentinels
-        )
+        merge = merge_bwts(a.bwt, a.sentinels, b.bwt, b.sentinels)
+        bwt, sentinels = merge.bwt_and_sentinels()
         both_pagemaps = a.store_pagemap and b.store_pagemap
         if both_pagemaps and len(a.pagemap) and len(b.pagemap):
-            pagemap = apply_interleave(interleave, a.pagemap, b.pagemap)
+            pagemap = apply_interleave(merge.interleave, a.pagemap, b.pagemap)
         else:
             pagemap = np.empty(0, dtype=np.uint32)
             both_pagemaps = False
         # Satellite samples: remap BWT rows through the interleave and
-        # shift B's text positions past A's total text length.
-        rows_a = np.nonzero(~interleave)[0]
-        rows_b = np.nonzero(interleave)[0]
-        shift = a.text_length
-        samples = sorted(
-            [(int(rows_a[i]), pos) for i, pos in a.samples]
-            + [(int(rows_b[i]), pos + shift) for i, pos in b.samples]
+        # shift B's text positions past A's total text length. Merged
+        # rows are distinct, so sorting them orders the pairs.
+        rows = np.concatenate(
+            (
+                np.flatnonzero(~merge.interleave)[a.sample_rows],
+                np.flatnonzero(merge.interleave)[b.sample_rows],
+            )
         )
-        return cls(
+        positions = np.concatenate(
+            (a.sample_positions, b.sample_positions + a.text_length)
+        )
+        order = np.argsort(rows)
+        merged = cls(
             bwt=bwt,
             sentinels=sentinels,
             pagemap=pagemap,
-            samples=samples,
+            sample_rows=rows[order],
+            sample_positions=positions[order],
             page_lens=a.page_lens + b.page_lens,
             page_gids=a.page_gids + b.page_gids,
             block_size=max(a.block_size, b.block_size),
             sample_rate=max(a.sample_rate, b.sample_rate),
             store_pagemap=both_pagemaps,
         )
+        # This interleave's work on top of whatever built the operands.
+        merged.merge_stats = {
+            name: count + a.merge_stats.get(name, 0) + b.merge_stats.get(name, 0)
+            for name, count in (
+                ("interleave_iterations", merge.iterations),
+                ("rows_sorted", merge.rows_sorted),
+            )
+        }
+        return merged
 
 
 class FmQuerier(ExactQuerier):

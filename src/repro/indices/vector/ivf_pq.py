@@ -127,12 +127,17 @@ class IvfPqBuilder(IndexBuilder):
         if n > train_sample:
             sample = vectors[rng.choice(n, size=train_sample, replace=False)]
         nlist = max(1, min(nlist, n))
-        centroids, _ = kmeans(sample, nlist, seed=seed)
-        labels = assign(vectors, centroids)
-        residuals = vectors - centroids[labels]
-        pq = ProductQuantizer.train(
-            sample - centroids[assign(sample, centroids)], m, seed=seed
-        )
+        # kmeans returns the sample's labels under the final centroids;
+        # below ``train_sample`` rows the sample is the data itself.
+        centroids, sample_labels = kmeans(sample, nlist, seed=seed)
+        if sample is vectors:
+            labels = sample_labels
+            residuals = sample_residuals = vectors - centroids[labels]
+        else:
+            labels = assign(vectors, centroids)
+            residuals = vectors - centroids[labels]
+            sample_residuals = sample - centroids[sample_labels]
+        pq = ProductQuantizer.train(sample_residuals, m, seed=seed)
         codes = pq.encode(residuals)
         lists: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for c in range(len(centroids)):

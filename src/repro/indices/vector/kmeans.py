@@ -1,15 +1,33 @@
-"""Minimal k-means (kmeans++ init, Lloyd iterations) on numpy.
+"""Batched k-means (k-means++ seeding, Lloyd iterations) on numpy.
 
-Used twice by the IVF-PQ index: for the coarse inverted-list centroids
-and per-subspace for the product-quantizer codebooks. Deterministic
-given a seed.
+Used twice by the IVF-PQ index: once for the coarse inverted-list
+centroids and once for the product-quantizer codebooks, whose ``m``
+sub-quantizers are ``m`` independent problems of identical shape. The
+kernel therefore clusters a ``(b, n, d)`` stack in one go — the
+sequential part of k-means++ (one draw per centre) runs ``k`` times for
+the whole stack instead of ``b * k`` — and :func:`kmeans` is its
+``b = 1`` case. No step loops over clusters or points in Python:
+
+* a seeding draw is a ``cumsum`` over the closest-centre distances and a
+  rank count against ``u * total`` (inverse-CDF sampling), and the
+  distance to the one new centre is a direct difference, not a matmul;
+* a Lloyd update is ``bincount`` segment sums over the flattened
+  ``problem * k + label`` ids.
+
+Every problem draws from its own ``default_rng(seed)`` and stops on its
+own convergence, so a stacked run returns exactly what separate runs
+with the same seeds return. Deterministic given the seeds.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-ASSIGN_CHUNK = 16_384
+#: Entries of the (b, rows, k) score block :func:`assign_batched` holds
+#: at once (2 MB of float32).
+SCORE_BLOCK = 1 << 19
 
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -21,37 +39,115 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d
 
 
-def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center for every point (chunked)."""
-    out = np.empty(len(points), dtype=np.int64)
-    for start in range(0, len(points), ASSIGN_CHUNK):
-        chunk = points[start : start + ASSIGN_CHUNK]
-        out[start : start + ASSIGN_CHUNK] = np.argmin(
-            squared_distances(chunk, centers), axis=1
-        )
+def assign_batched(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest-centre index per point for a ``(b, n, d)`` stack of
+    points against a ``(b, k, d)`` stack of centres; ``(b, n)`` int64.
+
+    Ranks by ``|c|^2 - 2 p.c`` (the point's own norm does not move its
+    argmin), chunked over points so the score block stays bounded.
+    """
+    b, n, _ = points.shape
+    c2 = np.einsum("bkd,bkd->bk", centers, centers)[:, None, :]
+    centers_t = centers.transpose(0, 2, 1)
+    out = np.empty((b, n), dtype=np.int64)
+    chunk = max(1, SCORE_BLOCK // (b * centers.shape[1]))
+    for start in range(0, n, chunk):
+        scores = points[:, start : start + chunk] @ centers_t
+        scores *= -2.0
+        scores += c2
+        out[:, start : start + chunk] = np.argmin(scores, axis=2)
     return out
 
 
+def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center for every point."""
+    return assign_batched(points[None], centers[None])[0]
+
+
 def _kmeans_pp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray, k: int, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    n = len(points)
-    centers = np.empty((k, points.shape[1]), dtype=points.dtype)
-    centers[0] = points[rng.integers(n)]
-    closest = squared_distances(points, centers[:1]).ravel()
+    """k-means++ centres for every problem of a ``(b, n, d)`` stack."""
+    b, n, d = points.shape
+    problems = np.arange(b)
+    centers = np.empty((b, k, d), dtype=points.dtype)
+    first = np.array([rng.integers(n) for rng in rngs])
+    centers[:, 0] = points[problems, first]
+    uniforms = np.stack([rng.random(k - 1) for rng in rngs])
+    diff = points - centers[:, :1]
+    closest = np.einsum("bnd,bnd->bn", diff, diff)
+    live = np.ones(b, dtype=bool)
     for i in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            # All points coincide with chosen centers; fill randomly.
-            centers[i:] = points[rng.integers(n, size=k - i)]
+        cdf = np.cumsum(closest, axis=1, dtype=np.float64)
+        total = cdf[:, -1]
+        for j in np.flatnonzero(live & (total <= 0)):
+            # All of this problem's points coincide with chosen
+            # centres; fill the rest randomly and stop drawing for it.
+            centers[j, i:] = points[j, rngs[j].integers(n, size=k - i)]
+            live[j] = False
+        if not live.any():
             break
-        probs = closest / total
-        idx = rng.choice(n, p=probs)
-        centers[i] = points[idx]
-        np.minimum(
-            closest, squared_distances(points, centers[i : i + 1]).ravel(), out=closest
-        )
+        target = uniforms[:, i - 1] * total
+        # First index whose cumulative weight exceeds the target: never
+        # a zero-weight (already chosen) point.
+        idx = np.minimum((cdf <= target[:, None]).sum(axis=1), n - 1)
+        centers[live, i] = points[problems[live], idx[live]]
+        np.subtract(points, centers[:, i : i + 1], out=diff)
+        np.minimum(closest, np.einsum("bnd,bnd->bn", diff, diff), out=closest)
     return centers
+
+
+def kmeans_batched(
+    points: np.ndarray, k: int, *, iters: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster each ``(n, d)`` slice of a ``(b, n, d)`` stack into ``k``
+    groups, problem ``j`` seeded by ``seeds[j]``.
+
+    Returns ``(centers (b, k, d), labels (b, n))`` with ``labels`` the
+    nearest-centre assignment under the returned centres. ``k`` is
+    clamped to ``n``.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float32)
+    if points.ndim != 3 or points.shape[1] == 0 or len(seeds) != len(points):
+        raise ValueError(
+            f"need a (b, n > 0, d) stack with one seed per problem, got "
+            f"shape {points.shape} and {len(seeds)} seeds"
+        )
+    b, n, d = points.shape
+    k = max(1, min(k, n))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    centers = _kmeans_pp_init(points, k, rngs)
+    labels = assign_batched(points, centers)
+    live = np.arange(b)  # problems whose labels still move
+    for _ in range(iters):
+        if not len(live):
+            break
+        pts, lab = points[live], labels[live]
+        flat = (lab + np.arange(len(live))[:, None] * k).ravel()
+        counts = np.bincount(flat, minlength=len(live) * k)
+        columns = pts.transpose(2, 0, 1).reshape(d, -1).astype(np.float64)
+        sums = np.stack(
+            [
+                np.bincount(flat, weights=column, minlength=len(counts))
+                for column in columns
+            ],
+            axis=1,
+        )
+        means = (sums / np.maximum(counts, 1)[:, None]).astype(np.float32)
+        updated = means.reshape(len(live), k, d)
+        empty = (counts == 0).reshape(len(live), k)
+        for row in np.flatnonzero(empty.any(axis=1)):
+            # Re-seed empty clusters from random points.
+            holes = np.flatnonzero(empty[row])
+            updated[row, holes] = pts[
+                row, rngs[live[row]].integers(n, size=len(holes))
+            ]
+        centers[live] = updated
+        new_labels = assign_batched(pts, updated)
+        moved = (new_labels != lab).any(axis=1)
+        labels[live] = new_labels
+        live = live[moved]
+    return centers, labels
 
 
 def kmeans(
@@ -68,20 +164,5 @@ def kmeans(
     points = np.asarray(points, dtype=np.float32)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"need a non-empty 2-D array, got shape {points.shape}")
-    k = max(1, min(k, len(points)))
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng).astype(np.float32)
-    labels = assign(points, centers)
-    for _ in range(iters):
-        for c in range(k):
-            members = points[labels == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
-            else:
-                # Re-seed empty clusters from a random point.
-                centers[c] = points[rng.integers(len(points))]
-        new_labels = assign(points, centers)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return centers, labels
+    centers, labels = kmeans_batched(points[None], k, iters=iters, seeds=[seed])
+    return centers[0], labels[0]

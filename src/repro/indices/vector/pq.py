@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import RottnestIndexError
-from repro.indices.vector.kmeans import assign, kmeans
+from repro.indices.vector.kmeans import assign_batched, kmeans_batched
 
 CODEBOOK_SIZE = 256
 
@@ -48,16 +48,17 @@ class ProductQuantizer:
         n, d = vectors.shape
         if d % m != 0:
             raise RottnestIndexError(f"dim {d} not divisible by m={m}")
-        sub = d // m
         k = min(CODEBOOK_SIZE, n)
-        codebooks = np.empty((m, CODEBOOK_SIZE, sub), dtype=np.float32)
-        for j in range(m):
-            centers, _ = kmeans(
-                vectors[:, j * sub : (j + 1) * sub], k, iters=iters, seed=seed + j
-            )
-            codebooks[j, :k] = centers
-            if k < CODEBOOK_SIZE:
-                codebooks[j, k:] = centers[0]
+        # One stacked problem: sub-quantizer j is slice j, seeded seed+j.
+        centers, _ = kmeans_batched(
+            _subspaces(vectors, m),
+            k,
+            iters=iters,
+            seeds=[seed + j for j in range(m)],
+        )
+        codebooks = np.empty((m, CODEBOOK_SIZE, d // m), dtype=np.float32)
+        codebooks[:, :k] = centers
+        codebooks[:, k:] = centers[:, :1]
         return cls(codebooks)
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
@@ -67,13 +68,9 @@ class ProductQuantizer:
             raise RottnestIndexError(
                 f"vector dim {vectors.shape[1]} != trained dim {self.dim}"
             )
-        codes = np.empty((len(vectors), self.m), dtype=np.uint8)
-        sub = self.sub_dim
-        for j in range(self.m):
-            codes[:, j] = assign(
-                vectors[:, j * sub : (j + 1) * sub], self.codebooks[j]
-            )
-        return codes
+        return assign_batched(
+            _subspaces(vectors, self.m), self.codebooks
+        ).T.astype(np.uint8, order="C")
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Approximate reconstruction from codes, (n, dim)."""
@@ -116,3 +113,9 @@ class ProductQuantizer:
             int(m), int(k), int(sub)
         )
         return cls(books.copy())
+
+
+def _subspaces(vectors: np.ndarray, m: int) -> np.ndarray:
+    """``(n, m * sub)`` vectors as the ``(m, n, sub)`` stack of subvectors."""
+    n, d = vectors.shape
+    return np.ascontiguousarray(vectors.reshape(n, m, d // m).transpose(1, 0, 2))

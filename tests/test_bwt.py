@@ -51,6 +51,24 @@ class TestSuffixArray:
     def test_matches_naive_property(self, text):
         assert list(suffix_array(text)) == naive_suffix_array(text)
 
+    @given(
+        st.one_of(
+            # Random bytes almost never share 7 characters, and then the
+            # packed first key settles every suffix. These do: small
+            # alphabets, NUL-heavy rows, periodic texts (several
+            # doublings), and the empty / 1-byte edge.
+            st.text(alphabet="ab", max_size=200).map(str.encode),
+            st.lists(st.sampled_from([0, 0, 0, 1]), max_size=200).map(bytes),
+            st.tuples(
+                st.binary(min_size=1, max_size=6), st.integers(1, 40)
+            ).map(lambda unit_times: unit_times[0] * unit_times[1]),
+            st.binary(max_size=1),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_on_repetitive_texts(self, text):
+        assert list(suffix_array(text)) == naive_suffix_array(text)
+
 
 class TestBwt:
     def test_banana(self):

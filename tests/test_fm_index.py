@@ -141,7 +141,10 @@ class TestSerialization:
         assert loaded.bwt == builder.bwt
         assert loaded.sentinel_index == builder.sentinel_index
         assert np.array_equal(loaded.pagemap, builder.pagemap)
-        assert loaded.samples == builder.samples
+        assert np.array_equal(loaded.sample_rows, builder.sample_rows)
+        assert np.array_equal(
+            loaded.sample_positions, builder.sample_positions
+        )
         assert loaded.page_lens == builder.page_lens
         assert loaded.page_gids == builder.page_gids
 

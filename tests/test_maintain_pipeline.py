@@ -158,6 +158,48 @@ class TestCompactAndVacuumReports:
         assert report.worker_tasks == 1
         _assert_reconciles(report.bill(latency=LAT, costs=COSTS), delta)
 
+    def test_fm_compact_reports_interleave_work(self):
+        """An FM compaction's interleave passes and sorted rows land on
+        the ``compact.merge`` span and the report; the active set keeps
+        ``rows_sorted`` well under ``passes * n``. A trie compaction
+        counts nothing."""
+        store = InMemoryObjectStore(clock=SimClock(start=1_000_000.0))
+        lake = LakeTable.create(
+            store,
+            "lake/events",
+            EVENT_SCHEMA,
+            TableConfig(row_group_rows=64, page_target_bytes=8192),
+        )
+        client = _client(store, lake)
+        for i in range(3):
+            lake.append(event_batch(120, seed=i + 1))
+            client.index("text", "fm", params={"block_size": 4096})
+            client.index("uuid", "uuid_trie")
+        with use_tracer(Tracer(clock=store.clock)), MaintenancePipeline(
+            client, workers=2
+        ) as pipe:
+            report = pipe.compact("text", "fm")
+            trie_report = pipe.compact("uuid", "uuid_trie")
+        assert len(report.records) == 1
+        merge_span = next(
+            s for s in report.root.walk() if s.name == "compact.merge"
+        )
+        assert merge_span.attributes["interleave_iterations"] == (
+            report.interleave_iterations
+        )
+        assert merge_span.attributes["rows_sorted"] == report.rows_sorted
+        # Two folds of >= 2 passes each over ~15k-22k merged rows.
+        assert report.interleave_iterations >= 4
+        merged_rows = sum(
+            len(row) + 1
+            for i in range(3)
+            for row in event_batch(120, seed=i + 1)["text"]
+        )
+        assert merged_rows < report.rows_sorted
+        assert report.rows_sorted < 0.5 * report.interleave_iterations * merged_rows
+        assert trie_report.records
+        assert trie_report.interleave_iterations == trie_report.rows_sorted == 0
+
     def test_vacuum_is_a_serial_passthrough(self):
         store, client = self._compactable_client()
         with MaintenancePipeline(client, workers=2) as pipe:

@@ -1,5 +1,6 @@
 """Unit tests for varints, binary IO, and the simulated clock."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 from repro.errors import FormatError
 from repro.util.binio import BinaryReader, BinaryWriter
 from repro.util.clock import SimClock, SystemClock
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import (
+    decode_uvarint,
+    decode_uvarints,
+    encode_uvarint,
+    encode_uvarints,
+)
 
 
 class TestVarint:
@@ -60,6 +66,27 @@ class TestVarint:
             v, pos = decode_uvarint(blob, pos)
             out.append(v)
         assert out == values
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=40),
+        st.binary(max_size=3),
+    )
+    def test_array_codec_matches_scalar(self, values, junk):
+        """The vectorised array codec writes the scalar codec's bytes
+        and reads them back, from any offset, ignoring what follows."""
+        blob = encode_uvarints(np.asarray(values, dtype=np.int64))
+        assert blob == b"".join(encode_uvarint(v) for v in values)
+        decoded, pos = decode_uvarints(junk + blob + junk, len(values), len(junk))
+        assert decoded.tolist() == values
+        assert pos == len(junk) + len(blob)
+
+    def test_array_codec_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            encode_uvarints(np.array([3, -1]))
+        with pytest.raises(ValueError):
+            decode_uvarints(b"\x01\x80", 2)  # second value truncated
+        with pytest.raises(ValueError):
+            decode_uvarints(b"\x01" + b"\xff" * 10 + b"\x01", 2)  # > 63 bits
 
 
 class TestBinaryIO:

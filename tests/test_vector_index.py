@@ -7,7 +7,13 @@ from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.vector.ivf_pq import IvfPqBuilder, IvfPqQuerier
-from repro.indices.vector.kmeans import assign, kmeans, squared_distances
+from repro.indices.vector.kmeans import (
+    _kmeans_pp_init,
+    assign,
+    kmeans,
+    kmeans_batched,
+    squared_distances,
+)
 from repro.indices.vector.pq import ProductQuantizer
 from repro.workloads.vectors import VectorWorkload, exact_knn, recall_at_k
 
@@ -56,9 +62,85 @@ class TestKmeans:
             kmeans(np.zeros((0, 3), dtype=np.float32), 2)
 
     def test_deterministic_per_seed(self, clustered):
-        c1, _ = kmeans(clustered, 8, seed=3)
-        c2, _ = kmeans(clustered, 8, seed=3)
-        assert np.array_equal(c1, c2)
+        c1, l1 = kmeans(clustered, 8, seed=3)
+        c2, l2 = kmeans(clustered, 8, seed=3)
+        assert np.array_equal(c1, c2) and np.array_equal(l1, l2)
+        c3, _ = kmeans(clustered, 8, seed=4)
+        assert not np.array_equal(c1, c3)
+
+    def test_labels_are_nearest_under_returned_centers(self, clustered):
+        for iters in (0, 2, 15):
+            centers, labels = kmeans(clustered, 8, iters=iters, seed=3)
+            assert np.array_equal(labels, assign(clustered, centers))
+
+    @pytest.mark.parametrize(
+        "k,seed,parent_inertia", [(8, 3, 210267.58), (64, 0, 39435.375)]
+    )
+    def test_inertia_no_worse_than_per_cluster_loop(
+        self, clustered, k, seed, parent_inertia
+    ):
+        """``parent_inertia`` is what the per-cluster ``.mean()`` loop
+        with ``rng.choice(p=...)`` seeding reached on the same input."""
+        centers, _ = kmeans(clustered, k, seed=seed)
+        inertia = float(squared_distances(clustered, centers).min(axis=1).sum())
+        assert inertia <= parent_inertia * 1.02
+
+    def test_duplicate_points_get_distinct_centers_first(self):
+        """Seeding never draws a zero-weight (already chosen) point
+        while a different one is left: 3 distinct values, k=3."""
+        values = np.array([[0.0], [5.0], [9.0]], dtype=np.float32)
+        points = np.repeat(values, 40, axis=0)
+        for seed in range(5):
+            centers, labels = kmeans(points, 3, seed=seed)
+            assert sorted(centers.ravel().tolist()) == [0.0, 5.0, 9.0]
+            assert np.array_equal(centers[labels], points)
+
+    def test_seeding_fills_randomly_once_all_points_are_chosen(self):
+        """The ``total <= 0`` branch: two distinct values, k=5. After
+        both are centres every closest-distance is zero; the remaining
+        centres are random points and that problem stops drawing —
+        without disturbing a healthy problem stacked beside it."""
+        two = np.repeat(
+            np.array([[1.0, 1.0], [4.0, 4.0]], dtype=np.float32), 10, axis=0
+        )
+        healthy = np.random.default_rng(0).normal(size=(20, 2)).astype(np.float32)
+        stack = np.stack([two, healthy])
+        rngs = [np.random.default_rng(s) for s in (7, 8)]
+        centers = _kmeans_pp_init(stack, 5, rngs)
+        assert {tuple(c) for c in centers[0].tolist()} == {(1.0, 1.0), (4.0, 4.0)}
+        alone = _kmeans_pp_init(healthy[None], 5, [np.random.default_rng(8)])
+        assert np.array_equal(centers[1], alone[0])
+        assert len({tuple(c) for c in centers[1].tolist()}) == 5
+
+    def test_empty_cluster_is_reseeded_from_a_point(self):
+        """k=4 over two distinct values leaves two clusters empty after
+        the first assignment; each is re-seeded from a data point (not
+        left at a stale or NaN mean) and the run still converges."""
+        points = np.repeat(
+            np.array([[0.0, 0.0], [8.0, 8.0]], dtype=np.float32), 25, axis=0
+        )
+        centers, labels = kmeans(points, 4, seed=1)
+        assert np.isfinite(centers).all()
+        assert {tuple(c) for c in centers.tolist()} == {(0.0, 0.0), (8.0, 8.0)}
+        assert np.array_equal(centers[labels], points)
+
+    def test_stacked_problems_equal_separate_runs(self, clustered):
+        """Problems converge at different passes; a stack must freeze
+        each one exactly where its own run stops."""
+        stack = np.stack(
+            [clustered[:500, :4], clustered[500:1000, 4:8], clustered[:500, 8:12]]
+        )
+        centers, labels = kmeans_batched(stack, 12, iters=15, seeds=[5, 6, 7])
+        for j, seed in enumerate((5, 6, 7)):
+            c, lab = kmeans(stack[j], 12, seed=seed)
+            assert np.array_equal(centers[j], c)
+            assert np.array_equal(labels[j], lab)
+
+    def test_stack_shape_and_seed_count_checked(self):
+        with pytest.raises(ValueError):
+            kmeans_batched(np.zeros((2, 5, 3), np.float32), 2, iters=1, seeds=[0])
+        with pytest.raises(ValueError):
+            kmeans_batched(np.zeros((5, 3), np.float32), 2, iters=1, seeds=[0])
 
 
 class TestProductQuantizer:
@@ -102,6 +184,18 @@ class TestProductQuantizer:
             pq.adc_table(np.zeros(7, dtype=np.float32))
         with pytest.raises(RottnestIndexError):
             pq.encode(np.zeros((2, 7), dtype=np.float32))
+
+    def test_batched_training_equals_per_subspace_training(self, clustered):
+        """One stacked (m, n, sub) problem == m separate k-means runs
+        seeded ``seed + j``, codebook for codebook."""
+        m, seed = 4, 9
+        pq = ProductQuantizer.train(clustered[:800], m=m, seed=seed)
+        sub = clustered.shape[1] // m
+        for j in range(m):
+            centers, _ = kmeans(
+                clustered[:800, j * sub : (j + 1) * sub], 256, iters=12, seed=seed + j
+            )
+            assert np.array_equal(pq.codebooks[j], centers)
 
     def test_small_training_set(self):
         tiny = np.random.default_rng(0).normal(size=(20, 8)).astype(np.float32)
@@ -153,6 +247,36 @@ class TestIvfPq:
             hits += len(set(true_top.tolist()) & cand_rows)
             total += 10
         assert hits / total > 0.8
+
+    def test_recall_at_10_not_below_parent(self, index, clustered):
+        """recall@10 after exact re-ranking of 20 candidates from 2
+        probed lists; the per-cluster-loop k-means measured 0.94 on
+        this workload."""
+        _, _, querier = index
+        gen = VectorWorkload(dim=16, n_clusters=10, seed=5)
+        gen.batch(3000)  # the fixture's draw; queries continue the stream
+        total = 0.0
+        queries = gen.queries(60)
+        for query in queries:
+            cands = querier.candidates(query, nprobe=2, limit=20)
+            rows = np.array([c.gid * self.ROWS_PER_PAGE + c.offset for c in cands])
+            exact = ((clustered[rows] - query) ** 2).sum(axis=1)
+            found = rows[np.argsort(exact)[:10]]
+            total += recall_at_k(found, exact_knn(clustered, query, 10))
+        assert total / len(queries) >= 0.94 - 0.01
+
+    def test_sample_labels_reused_when_sample_is_the_data(self, clustered):
+        """Below ``train_sample`` rows the builder keeps k-means' own
+        labels; above it, it assigns the full set. Either way every row
+        sits in the list of its nearest centroid."""
+        for train_sample in (20_000, 1_000):
+            builder = IvfPqBuilder.build(
+                [(0, clustered)], nlist=12, m=4, seed=0, train_sample=train_sample
+            )
+            nearest = assign(clustered, builder.centroids)
+            for c, (_, offsets, _) in enumerate(builder.lists):
+                assert (nearest[offsets] == c).all()
+            assert sum(len(g) for g, _, _ in builder.lists) == len(clustered)
 
     def test_nprobe_increases_recall(self, index, clustered):
         _, _, querier = index
