@@ -11,116 +11,35 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.errors import (
-    IndexAborted,
-    ObjectStoreError,
-    RottnestIndexError,
-    SnapshotNotFound,
-)
+from repro.errors import IndexAborted, ObjectStoreError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
-from repro.core.queries import Query, VectorQuery
-from repro.formats.page_reader import (
-    PageEntry,
-    PageTable,
-    build_page_table,
-    fetch_pages,
-)
+from repro.core.queries import Query
+from repro.core.results import SearchMatch, SearchPlan, SearchResult, SearchStats
+from repro.core.search import live_rows, plan, run_search, scope
+from repro.formats.page_reader import PageTable, build_page_table
 from repro.formats.reader import ParquetFile
-from repro.indices.base import (
-    ExactQuerier,
-    ScoringQuerier,
-    builder_for,
-    querier_for,
-)
+from repro.indices.base import builder_for
 from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
 from repro.meta.metadata_table import IndexRecord, MetadataTable
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.storage.latency import LatencyModel
 from repro.storage.object_store import ObjectStore
-from repro.storage.pool import TracedPool
-from repro.storage.stats import RequestTrace
+from repro.storage.pool import TracedPool, run_inline
+
+__all__ = ["RottnestClient", "SearchMatch", "SearchPlan", "SearchResult", "SearchStats"]
 
 INDEX_FILES_DIR = "files"
 DEFAULT_INDEX_TIMEOUT_S = 3600.0
 
-_SEARCHES = get_registry().counter(
-    "searches_total", "Search calls by query kind", ("kind",)
-)
 _INDEX_BUILDS = get_registry().counter(
     "index_builds_total", "Index build attempts by outcome", ("outcome",)
 )
-
-
-@dataclass(frozen=True)
-class SearchMatch:
-    """One verified result row."""
-
-    file: str
-    row: int  # file-global row index
-    value: object  # the matched column value
-    score: float | None = None  # distance for scoring queries
-
-
-@dataclass
-class SearchStats:
-    """Accounting for one search call."""
-
-    trace: RequestTrace
-    index_files_queried: int = 0
-    files_brute_forced: int = 0
-    pages_probed: int = 0
-    candidates: int = 0
-    false_positives: int = 0
-
-    def estimated_latency(self, model: LatencyModel | None = None) -> float:
-        """Wall-clock estimate under the store's latency model."""
-        return (model or LatencyModel()).trace_latency(self.trace)
-
-
-@dataclass
-class SearchResult:
-    matches: list[SearchMatch]
-    stats: SearchStats
-
-
-@dataclass(frozen=True)
-class SearchPlan:
-    """What a search would do, without doing it (``explain``)."""
-
-    column: str
-    snapshot_version: int
-    candidate_files: tuple[str, ...]  # files in scope after filtering
-    index_files: tuple[tuple[str, str, int], ...]  # (key, type, files covered)
-    uncovered_files: tuple[str, ...]  # would be brute-force scanned
-
-    @property
-    def fully_covered(self) -> bool:
-        return not self.uncovered_files
-
-    def describe(self) -> str:
-        lines = [
-            f"search plan for column {self.column!r} "
-            f"@ snapshot v{self.snapshot_version}",
-            f"  files in scope: {len(self.candidate_files)}",
-        ]
-        for key, index_type, covered in self.index_files:
-            lines.append(
-                f"  index {key} ({index_type}) -> {covered} file(s)"
-            )
-        if self.uncovered_files:
-            lines.append(
-                f"  brute-force scan: {len(self.uncovered_files)} file(s)"
-            )
-        else:
-            lines.append("  brute-force scan: none (fully covered)")
-        return "\n".join(lines)
 
 
 class RottnestClient:
@@ -262,13 +181,10 @@ class RottnestClient:
         with tracer.span(
             "index.extract", phase="extract", files=len(new_files)
         ) as extract_span:
+            tasks = [partial(self._extract_file, e, column) for e in new_files]
             if pool is not None:
                 extract_trace, extracted = pool.run(
-                    [
-                        lambda e=entry: self._extract_file(e, column)
-                        for entry in new_files
-                    ],
-                    span_name="indexer:task",
+                    tasks, span_name="indexer:task"
                 )
             elif workers > 1:
                 with TracedPool(
@@ -277,26 +193,11 @@ class RottnestClient:
                     thread_name_prefix="indexer",
                     span_name="indexer:task",
                 ) as scratch:
-                    extract_trace, extracted = scratch.run(
-                        [
-                            lambda e=entry: self._extract_file(e, column)
-                            for entry in new_files
-                        ]
-                    )
+                    extract_trace, extracted = scratch.run(tasks)
             else:
-                # Serial loop: one blocking extraction at a time, so
-                # per-file traces compose sequentially — the same shape
-                # a one-worker pool records.
-                extract_trace = RequestTrace()
-                extracted = []
-                for entry in new_files:
-                    self.store.start_trace()
-                    try:
-                        extracted.append(self._extract_file(entry, column))
-                    finally:
-                        extract_trace = extract_trace.then(
-                            self.store.stop_trace()
-                        )
+                # One blocking extraction at a time — the same trace
+                # shape a one-worker pool records.
+                extract_trace, extracted = run_inline(self.store, tasks)
             extract_span.trace = extract_trace
 
         tables: list[PageTable] = []
@@ -391,15 +292,6 @@ class RottnestClient:
             f"{digest[:10]}-{self._key_entropy().hex()}.index"
         )
 
-    def _open_data_file(self, snap: Snapshot, path: str) -> ParquetFile:
-        """Open a snapshot data file, translating a missing object into
-        an actionable error: old snapshots stop being searchable once
-        the lake's vacuum physically drops their files."""
-        try:
-            return ParquetFile(self.store, path)
-        except ObjectStoreError as exc:
-            _raise_unmaterialized(snap, path, exc)
-
     def _check_timeout(self, started: float, stage: str) -> None:
         elapsed = self.store.clock.now() - started
         if elapsed > self.index_timeout_s:
@@ -409,7 +301,7 @@ class RottnestClient:
             )
 
     # ------------------------------------------------------------------
-    # search (§IV-B): plan -> query indices -> in-situ probe -> brute fill
+    # search (§IV-B): repro.core.search's plan, run inline
     # ------------------------------------------------------------------
     def search(
         self,
@@ -439,78 +331,17 @@ class RottnestClient:
         back to when an index component read fails mid-query. Results
         are identical (indices only accelerate), just slower.
         """
-        if k < 1:
-            raise RottnestIndexError(f"k must be >= 1, got {k}")
-        tracer = get_tracer()
-        with tracer.span(
-            "search",
-            column=column,
+        return run_search(
+            self,
+            None,  # no pool: tasks run inline on the calling thread
+            column,
+            query,
             k=k,
-            engine="client",
-            # Query kind rides on the root so the cracking heat map can
-            # weigh workloads (a brute-forced vector scan costs far more
-            # than a brute-forced UUID probe).
-            kind=type(query).__name__,
-        ) as root:
-            # Plan phase is part of the query's latency: reading the
-            # metadata table (and the snapshot manifest when not pinned)
-            # costs real object-store round trips.
-            with tracer.span("plan", phase="plan") as plan_span:
-                self.store.start_trace()
-                snap = snapshot or self.lake.snapshot()
-                snap_paths = self._scope(snap, partition, file_predicate)
-                if use_indices:
-                    chosen, uncovered = self._plan(column, query, snap_paths)
-                else:
-                    chosen, uncovered = [], set(snap_paths)
-                plan_trace = self.store.stop_trace()
-                plan_trace.barrier()  # index queries depend on the plan
-                plan_span.trace = plan_trace
-
-            stats = SearchStats(trace=plan_trace)
-            stats.index_files_queried = len(chosen)
-
-            # Fresh tier first: memtable probes are in-memory, so they
-            # cost nothing in the trace but count toward K. Structured
-            # scoping (partition / file predicate) addresses lake files
-            # only, so scoped queries stay lazy-tier-only.
-            fresh: list[SearchMatch] = []
-            if (
-                self.fresh_tier is not None
-                and partition is None
-                and file_predicate is None
-            ):
-                with tracer.span("probe:fresh", phase="fresh") as fresh_span:
-                    fresh = self.fresh_tier.search_fresh(
-                        column, query, k=k, snapshot=snap
-                    )
-                    fresh_span.set("matches", len(fresh))
-
-            if query.scoring:
-                lazy = self._search_scoring(
-                    column, query, k, snap, snap_paths, chosen, uncovered, stats
-                )
-                matches = sorted(fresh + lazy, key=lambda m: m.score)[:k]
-            elif len(fresh) >= k:
-                matches = fresh[:k]
-            else:
-                matches = fresh + self._search_exact(
-                    column,
-                    query,
-                    k - len(fresh),
-                    snap,
-                    snap_paths,
-                    chosen,
-                    uncovered,
-                    stats,
-                )
-            _SEARCHES.inc(kind="scoring" if query.scoring else "exact")
-            root.set("matches", len(matches))
-            root.set("fresh_matches", len(fresh))
-            root.set("index_files_queried", stats.index_files_queried)
-            root.set("pages_probed", stats.pages_probed)
-            root.set("files_brute_forced", stats.files_brute_forced)
-            return SearchResult(matches=matches, stats=stats)
+            snapshot=snapshot,
+            partition=partition,
+            file_predicate=file_predicate,
+            use_indices=use_indices,
+        )
 
     def count(
         self,
@@ -539,8 +370,8 @@ class RottnestClient:
             )
         with get_tracer().span("count", column=column) as span:
             snap = snapshot or self.lake.snapshot()
-            snap_paths = self._scope(snap, partition, None)
-            chosen, uncovered = self._plan(column, query, snap_paths)
+            snap_paths = scope(snap, partition, None)
+            chosen, uncovered = plan(self.meta, column, query, snap_paths)
             total = 0
             for record in chosen:
                 reader = IndexFileReader.open(self.store, record.index_key)
@@ -562,29 +393,9 @@ class RottnestClient:
     def _count_via_scan(self, column, query, snap, paths) -> int:
         total = 0
         for path in sorted(paths):
-            dv = self.lake.deletion_vector(snap, path)
-            reader = self._open_data_file(snap, path)
-            for row, value in reader.scan_column(column):
-                if row in dv:
-                    continue
+            for _, value in live_rows(self.store, self.lake, snap, column, path):
                 total += _count_overlapping(value, query.needle)
         return total
-
-    def _scope(
-        self,
-        snap: Snapshot,
-        partition: str | None,
-        file_predicate,
-    ) -> set[str]:
-        """Snapshot files in scope for this query."""
-        paths = set(snap.file_paths)
-        if partition is not None:
-            paths = {
-                p for p in paths if LakeTable.partition_of(p) == partition
-            }
-        if file_predicate is not None:
-            paths = {p for p in paths if file_predicate(p)}
-        return paths
 
     def explain(
         self,
@@ -597,8 +408,8 @@ class RottnestClient:
     ) -> SearchPlan:
         """The plan :meth:`search` would execute, without executing it."""
         snap = snapshot or self.lake.snapshot()
-        snap_paths = self._scope(snap, partition, file_predicate)
-        chosen, uncovered = self._plan(column, query, snap_paths)
+        snap_paths = scope(snap, partition, file_predicate)
+        chosen, uncovered = plan(self.meta, column, query, snap_paths)
         return SearchPlan(
             column=column,
             snapshot_version=snap.version,
@@ -614,300 +425,6 @@ class RottnestClient:
             uncovered_files=tuple(sorted(uncovered)),
         )
 
-    def _plan(
-        self, column: str, query: Query, snap_paths: set[str]
-    ) -> tuple[list[IndexRecord], set[str]]:
-        """Pick index files to query and files left to brute-force.
-
-        Newest-first greedy cover: later index files (e.g. produced by
-        index compaction) win over the older ones they subsume; index
-        files covering no file of the snapshot are skipped entirely.
-        Any index type the query declares compatible can serve it, with
-        earlier types in ``query.index_types`` preferred on timestamp
-        ties (e.g. a trie over a bloom filter for the same files).
-        """
-        if not query.index_types:
-            return [], set(snap_paths)
-        type_rank = {t: i for i, t in enumerate(query.index_types)}
-        records = [
-            r
-            for r in self.meta.records()
-            if r.column == column and r.index_type in type_rank
-        ]
-        # Newest first; ties (same store-clock second) broken by query
-        # type preference, then metadata insertion order so compaction
-        # products win over the files they subsume.
-        ordered = [
-            records[i]
-            for i in sorted(
-                range(len(records)),
-                key=lambda i: (
-                    -records[i].created_at,
-                    type_rank[records[i].index_type],
-                    -i,
-                ),
-            )
-        ]
-        chosen: list[IndexRecord] = []
-        covered: set[str] = set()
-        for record in ordered:
-            useful = (set(record.covered_files) & snap_paths) - covered
-            if useful:
-                chosen.append(record)
-                covered |= useful
-        return chosen, snap_paths - covered
-
-    # -- exact (UUID / substring / regex) ------------------------------
-    def _search_exact(
-        self,
-        column: str,
-        query: Query,
-        k: int,
-        snap: Snapshot,
-        snap_paths: set[str],
-        chosen: list[IndexRecord],
-        uncovered: set[str],
-        stats: SearchStats,
-    ) -> list[SearchMatch]:
-        tracer = get_tracer()
-        # Candidate pages are kept per record (first probe to claim a
-        # page wins, via the shared `seen_pages` set) so page reads can
-        # be issued as one coalesced batch per claiming record — the
-        # same partition the pipelined executor produces.
-        per_record_pages: list[list[PageEntry]] = []
-        seen_pages: set[tuple[str, int]] = set()
-        with tracer.span("probe:index", phase="index_probe") as index_span:
-            index_trace = RequestTrace()
-            for record in chosen:
-                claimed: list[PageEntry] = []
-                trace = self._query_one_exact(
-                    record, query, snap_paths, claimed, seen_pages
-                )
-                per_record_pages.append(claimed)
-                # Index files are queried in parallel with each other...
-                index_trace = index_trace.merge_parallel(trace)
-            index_span.trace = index_trace
-        # ...but strictly after the plan phase.
-        stats.trace = stats.trace.then(index_trace)
-        stats.candidates = sum(len(c) for c in per_record_pages)
-
-        # In-situ probing: each record's claimed pages go out as one
-        # coalesced batch (`get_many`), then the real predicate is
-        # verified row by row with deletion vectors applied. Early-K
-        # termination skips whole later batches.
-        with tracer.span("probe:pages", phase="page_read") as page_span:
-            self.store.start_trace()
-            field = snap.schema.field(column)
-            matches: list[SearchMatch] = []
-            probed_files: set[str] = set()
-            for claimed in per_record_pages:
-                if len(matches) >= k or not claimed:
-                    continue
-                try:
-                    payloads = fetch_pages(self.store, field, claimed)
-                except ObjectStoreError as exc:
-                    _raise_unmaterialized(snap, _failed_key(exc, claimed), exc)
-                stats.pages_probed += len(claimed)
-                probed_files.update(entry.file_key for entry in claimed)
-                for entry, (row_start, values) in zip(claimed, payloads):
-                    dv = self.lake.deletion_vector(snap, entry.file_key)
-                    page_hit = False
-                    for i, value in enumerate(values):
-                        row = row_start + i
-                        if row in dv or not query.matches(value):
-                            continue
-                        page_hit = True
-                        matches.append(
-                            SearchMatch(file=entry.file_key, row=row, value=value)
-                        )
-                    if not page_hit:
-                        stats.false_positives += 1
-                    if len(matches) >= k:
-                        break
-            # Probing depends on index results; sequential after them.
-            page_span.trace = self.store.stop_trace()
-            page_span.set("probed_files", tuple(sorted(probed_files)))
-            stats.trace = stats.trace.then(page_span.trace)
-
-        # Brute-force the uncovered files only if K is not yet satisfied
-        # (paper §IV-B step 3).
-        if len(matches) < k and uncovered:
-            with tracer.span("brute_force", phase="brute_force") as brute_span:
-                self.store.start_trace()
-                scanned: list[str] = []
-                for path in sorted(uncovered):
-                    stats.files_brute_forced += 1
-                    scanned.append(path)
-                    matches.extend(
-                        self._brute_force_exact(
-                            column, query, snap, path, k - len(matches)
-                        )
-                    )
-                    if len(matches) >= k:
-                        break
-                brute_span.trace = self.store.stop_trace()
-                brute_span.set("scanned_files", tuple(scanned))
-                stats.trace = stats.trace.then(brute_span.trace)
-        return matches[:k]
-
-    def _query_one_exact(
-        self,
-        record: IndexRecord,
-        query: Query,
-        snap_paths: set[str],
-        candidate_pages: list[PageEntry],
-        seen_pages: set[tuple[str, int]],
-    ) -> RequestTrace:
-        """Query one index file; traces are kept separate so parallel
-        index queries do not serialize in the latency estimate."""
-        self.store.start_trace()
-        try:
-            reader = IndexFileReader.open(self.store, record.index_key)
-            querier = querier_for(record.index_type)(reader)
-            assert isinstance(querier, ExactQuerier)
-            key = _exact_key(query)
-            gids = querier.candidate_pages(key)
-            directory = reader.directory
-            for gid in gids:
-                entry = directory.locate(gid)
-                if entry.file_key not in snap_paths:
-                    continue  # stale location (file compacted away)
-                page_key = (entry.file_key, entry.page_id)
-                if page_key not in seen_pages:
-                    seen_pages.add(page_key)
-                    candidate_pages.append(entry)
-        finally:
-            trace = self.store.stop_trace()
-        return trace
-
-    def _brute_force_exact(
-        self,
-        column: str,
-        query: Query,
-        snap: Snapshot,
-        path: str,
-        needed: int,
-    ) -> list[SearchMatch]:
-        dv = self.lake.deletion_vector(snap, path)
-        reader = self._open_data_file(snap, path)
-        out: list[SearchMatch] = []
-        for row, value in reader.scan_column(column):
-            if row in dv or not query.matches(value):
-                continue
-            out.append(SearchMatch(file=path, row=row, value=value))
-            if len(out) >= needed:
-                break
-        return out
-
-    # -- scoring (vector) ------------------------------------------------
-    def _search_scoring(
-        self,
-        column: str,
-        query: VectorQuery,
-        k: int,
-        snap: Snapshot,
-        snap_paths: set[str],
-        chosen: list[IndexRecord],
-        uncovered: set[str],
-        stats: SearchStats,
-    ) -> list[SearchMatch]:
-        tracer = get_tracer()
-        candidates: list[tuple[PageEntry, int, float]] = []
-        with tracer.span("probe:index", phase="index_probe") as index_span:
-            index_trace = RequestTrace()
-            cell_probes: list[tuple[str, tuple[int, ...]]] = []
-            for record in chosen:
-                self.store.start_trace()
-                try:
-                    reader = IndexFileReader.open(self.store, record.index_key)
-                    querier = querier_for(record.index_type)(reader)
-                    assert isinstance(querier, ScoringQuerier)
-                    found = querier.candidates(
-                        query.vector, nprobe=query.nprobe, limit=query.refine
-                    )
-                    probed = getattr(querier, "last_probed_cells", ())
-                    if probed:
-                        cell_probes.append((record.index_key, tuple(probed)))
-                    directory = reader.directory
-                    for cand in found:
-                        entry = directory.locate(cand.gid)
-                        if entry.file_key in snap_paths:
-                            candidates.append((entry, cand.offset, cand.score))
-                finally:
-                    trace = self.store.stop_trace()
-                index_trace = index_trace.merge_parallel(trace)
-            index_span.trace = index_trace
-            index_span.set("cell_probes", tuple(cell_probes))
-        stats.trace = stats.trace.then(index_trace)
-        # Keep the globally best `refine` PQ candidates across indices.
-        candidates.sort(key=lambda c: c[2])
-        candidates = candidates[: query.refine]
-        stats.candidates = len(candidates)
-
-        # Refine: read candidate pages as one coalesced batch, compute
-        # exact distances.
-        with tracer.span("probe:pages", phase="page_read") as page_span:
-            self.store.start_trace()
-            field = snap.schema.field(column)
-            by_page: dict[tuple[str, int], list[int]] = {}
-            entries: dict[tuple[str, int], PageEntry] = {}
-            for entry, offset, _ in candidates:
-                page_key = (entry.file_key, entry.page_id)
-                by_page.setdefault(page_key, []).append(offset)
-                entries[page_key] = entry
-            scored: list[SearchMatch] = []
-            page_entries = [entries[page_key] for page_key in by_page]
-            try:
-                payloads = fetch_pages(self.store, field, page_entries)
-            except ObjectStoreError as exc:
-                _raise_unmaterialized(snap, _failed_key(exc, page_entries), exc)
-            stats.pages_probed += len(page_entries)
-            for entry, offsets, (row_start, values) in zip(
-                page_entries, by_page.values(), payloads
-            ):
-                dv = self.lake.deletion_vector(snap, entry.file_key)
-                for offset in set(offsets):
-                    row = row_start + offset
-                    if row in dv:
-                        continue
-                    value = values[offset]
-                    scored.append(
-                        SearchMatch(
-                            file=entry.file_key,
-                            row=row,
-                            value=value,
-                            score=query.distance(value),
-                        )
-                    )
-            page_span.trace = self.store.stop_trace()
-            page_span.set(
-                "probed_files", tuple(sorted({e.file_key for e in page_entries}))
-            )
-            stats.trace = stats.trace.then(page_span.trace)
-        # Scoring queries must rank *all* data: unindexed files are
-        # scanned exhaustively (paper §IV-B step 3).
-        if uncovered:
-            with tracer.span("brute_force", phase="brute_force") as brute_span:
-                self.store.start_trace()
-                brute_span.set("scanned_files", tuple(sorted(uncovered)))
-                for path in sorted(uncovered):
-                    stats.files_brute_forced += 1
-                    dv = self.lake.deletion_vector(snap, path)
-                    reader = self._open_data_file(snap, path)
-                    for row, value in reader.scan_column(column):
-                        if row in dv:
-                            continue
-                        scored.append(
-                            SearchMatch(
-                                file=path, row=row, value=value,
-                                score=query.distance(value),
-                            )
-                        )
-                brute_span.trace = self.store.stop_trace()
-                stats.trace = stats.trace.then(brute_span.trace)
-        scored.sort(key=lambda m: m.score)
-        return scored[:k]
-
 
 def _count_overlapping(haystack: str, needle: str) -> int:
     count = start = 0
@@ -917,29 +434,6 @@ def _count_overlapping(haystack: str, needle: str) -> int:
             return count
         count += 1
         start += 1
-
-
-def _failed_key(exc: Exception, entries: list[PageEntry]) -> str:
-    """The data-file key behind a failed batched page read.
-
-    Store errors that know their key (``ObjectNotFound``) report it;
-    otherwise the batch's first file stands in for the error message.
-    """
-    key = getattr(exc, "key", None)
-    return key if isinstance(key, str) else entries[0].file_key
-
-
-def _raise_unmaterialized(snap: Snapshot, path: str, exc: Exception):
-    raise SnapshotNotFound(
-        f"data file {path!r} of snapshot v{snap.version} is no longer "
-        f"materialized (removed by a lake vacuum); search a newer snapshot"
-    ) from exc
-
-
-def _exact_key(query: Query):
-    if hasattr(query, "index_probe"):
-        return query.index_probe()
-    raise RottnestIndexError(f"query {query!r} cannot probe an index")
 
 
 def _iter_page_values(reader: ParquetFile, table: PageTable, column: str):

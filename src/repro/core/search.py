@@ -1,0 +1,438 @@
+"""The search plan (paper §IV-B), written once.
+
+plan → fresh probe → one task per chosen index record → verification in
+submission order → brute-force fill → fresh/lazy merge. Exact queries
+run *probe → claim → coalesced page read → deletion vectors* as one
+task per record (a record's page reads depend on its own probe only);
+scoring queries keep ``index_probe`` → ``page_read`` as separate phases
+because their global candidate sort is a real cross-record barrier.
+
+The plan is parameterised by one thing — how tasks are run: inline on
+the calling thread (:meth:`RottnestClient.search
+<repro.core.client.RottnestClient.search>`) or in waves on a
+:class:`~repro.storage.pool.TracedPool` (:meth:`SearchExecutor.search
+<repro.serve.executor.SearchExecutor.search>`). Results are the same;
+only the :class:`~repro.storage.stats.RequestTrace`, hence modeled
+latency and cost, differs. **Stop-at-K:** waves are consumed in
+submission order and no further wave — index record or brute-force
+file — is launched once an exact query has K verified rows.
+
+The span vocabulary is emitted here and nowhere else: a ``search`` root
+(``engine``, ``searchers``, ``kind``), phase spans named in
+:data:`repro.obs.attribution.PHASE_ORDER`, and the heat attributes
+``probed_files`` / ``scanned_files`` / ``cell_probes`` that
+:mod:`repro.crack.heat` reads.
+"""
+
+from __future__ import annotations
+
+import threading
+from functools import partial
+from typing import Iterator
+
+from repro.core.index_file import IndexFileReader
+from repro.core.queries import Query
+from repro.core.results import (
+    SearchMatch,
+    SearchResult,
+    SearchStats,
+    merge_exact,
+    merge_topk,
+)
+from repro.errors import ObjectStoreError, RottnestIndexError, SnapshotNotFound
+from repro.formats.page_reader import PageEntry, fetch_pages
+from repro.formats.reader import ParquetFile
+from repro.indices.base import ExactQuerier, ScoringQuerier, querier_for
+from repro.lake.snapshot import Snapshot
+from repro.lake.table import LakeTable
+from repro.meta.metadata_table import IndexRecord, MetadataTable
+from repro.obs.metrics import get_registry
+from repro.obs.trace import Span, get_tracer
+from repro.storage.object_store import ObjectStore
+from repro.storage.pool import TracedPool, run_inline
+from repro.storage.stats import RequestTrace
+
+_SEARCHES = get_registry().counter(
+    "searches_total", "Search calls by query kind", ("kind",)
+)
+
+
+def probe_fresh(
+    tier, column: str, query: Query, k: int, snapshot: Snapshot | None
+) -> list[SearchMatch]:
+    """The ingest tier's fresh view of ``snapshot`` as one more run for
+    the merge: memtable probes are in-memory, so they cost nothing in
+    the trace, and WAL-segment file identities never collide with lake
+    ``(file, row)`` ones."""
+    with get_tracer().span("probe:fresh", phase="fresh") as span:
+        fresh = tier.search_fresh(column, query, k=k, snapshot=snapshot)
+        span.set("matches", len(fresh))
+    return fresh
+
+
+# -- planning ------------------------------------------------------------
+def scope(snap: Snapshot, partition: str | None, file_predicate) -> set[str]:
+    """Snapshot files in scope for this query."""
+    paths = set(snap.file_paths)
+    if partition is not None:
+        paths = {p for p in paths if LakeTable.partition_of(p) == partition}
+    if file_predicate is not None:
+        paths = {p for p in paths if file_predicate(p)}
+    return paths
+
+
+def plan(
+    meta: MetadataTable, column: str, query: Query, snap_paths: set[str]
+) -> tuple[list[IndexRecord], set[str]]:
+    """Pick index files to query and files left to brute-force.
+
+    Newest-first greedy cover: later index files (e.g. produced by
+    index compaction) win over the older ones they subsume; index
+    files covering no file of the snapshot are skipped entirely.
+    Any index type the query declares compatible can serve it, with
+    earlier types in ``query.index_types`` preferred on timestamp
+    ties (e.g. a trie over a bloom filter for the same files).
+    """
+    if not query.index_types:
+        return [], set(snap_paths)
+    type_rank = {t: i for i, t in enumerate(query.index_types)}
+    records = [
+        r
+        for r in meta.records()
+        if r.column == column and r.index_type in type_rank
+    ]
+    # Newest first; ties (same store-clock second) broken by query
+    # type preference, then metadata insertion order so compaction
+    # products win over the files they subsume.
+    ordered = sorted(
+        range(len(records)),
+        key=lambda i: (
+            -records[i].created_at,
+            type_rank[records[i].index_type],
+            -i,
+        ),
+    )
+    chosen: list[IndexRecord] = []
+    covered: set[str] = set()
+    for record in (records[i] for i in ordered):
+        useful = (set(record.covered_files) & snap_paths) - covered
+        if useful:
+            chosen.append(record)
+            covered |= useful
+    return chosen, snap_paths - covered
+
+
+def _unmaterialized(snap: Snapshot, path: str) -> SnapshotNotFound:
+    """Old snapshots stop being searchable once the lake's vacuum
+    physically drops their files; say so instead of 'object not found'."""
+    return SnapshotNotFound(
+        f"data file {path!r} of snapshot v{snap.version} is no longer "
+        f"materialized (removed by a lake vacuum); search a newer snapshot"
+    )
+
+
+def live_rows(
+    store: ObjectStore, lake: LakeTable, snap: Snapshot, column: str, path: str
+):
+    """Yield ``(row, value)`` for every non-deleted row of one data file."""
+    dv = lake.deletion_vector(snap, path)
+    try:
+        reader = ParquetFile(store, path)
+    except ObjectStoreError as exc:
+        raise _unmaterialized(snap, path) from exc
+    for row, value in reader.scan_column(column):
+        if row not in dv:
+            yield row, value
+
+
+# -- the plan ------------------------------------------------------------
+def run_search(
+    client,
+    pool: TracedPool | None,
+    column: str,
+    query: Query,
+    *,
+    k: int = 10,
+    snapshot: Snapshot | None = None,
+    partition: str | None = None,
+    file_predicate=None,
+    use_indices: bool = True,
+) -> SearchResult:
+    """Top-K search of ``snapshot`` (defaults to latest) over ``client``'s
+    lake, index directory and optional fresh tier; tasks run on ``pool``,
+    or inline on the calling thread when it is ``None``."""
+    if k < 1:
+        raise RottnestIndexError(f"k must be >= 1, got {k}")
+    tracer = get_tracer()
+    store = client.store
+    with tracer.span(
+        "search",
+        column=column,
+        k=k,
+        engine="client" if pool is None else "executor",
+        searchers=1 if pool is None else pool.workers,
+        # Query kind rides on the root so the cracking heat map can
+        # weigh workloads (a brute-forced vector scan costs far more
+        # than a brute-forced UUID probe).
+        kind=type(query).__name__,
+    ) as root:
+        # Plan phase is part of the query's latency: reading the
+        # metadata table (and the snapshot manifest when not pinned)
+        # costs real, inherently sequential object-store round trips.
+        with tracer.span("plan", phase="plan") as plan_span:
+            store.start_trace()
+            snap = snapshot or client.lake.snapshot()
+            paths = scope(snap, partition, file_predicate)
+            if use_indices:
+                chosen, uncovered = plan(client.meta, column, query, paths)
+            else:
+                chosen, uncovered = [], set(paths)
+            plan_trace = store.stop_trace()
+            plan_trace.barrier()  # index queries depend on the plan
+            plan_span.trace = plan_trace
+
+        # Fresh rows count toward K for exact queries and join the
+        # global sort for scoring ones. Structured scoping (partition /
+        # file predicate) addresses lake files only, so scoped queries
+        # stay lazy-tier-only.
+        fresh: list[SearchMatch] = []
+        tier = client.fresh_tier
+        if tier is not None and partition is None and file_predicate is None:
+            fresh = probe_fresh(tier, column, query, k, snap)
+
+        lazy = _LazySearch(client, pool, column, query, snap, paths, plan_trace)
+        if query.scoring:
+            lazy.scoring(chosen, uncovered)
+            matches = merge_topk([fresh, lazy.found], k)
+        else:
+            lazy.want = k - len(fresh)
+            if lazy.want > 0:
+                lazy.exact(chosen, uncovered)
+            matches = merge_exact([fresh, lazy.found[: lazy.want]], k)
+        stats = lazy.stats
+        _SEARCHES.inc(kind="scoring" if query.scoring else "exact")
+        root.set("matches", len(matches))
+        root.set("fresh_matches", len(fresh))
+        root.set("index_files_queried", stats.index_files_queried)
+        root.set("pages_probed", stats.pages_probed)
+        root.set("files_brute_forced", stats.files_brute_forced)
+    return SearchResult(matches=matches, stats=stats)
+
+
+class _LazySearch:
+    """One query's pass over the lazy tier (index files + lake files)."""
+
+    def __init__(self, client, pool, column, query, snap, paths, plan_trace):
+        self.store = client.store
+        self.lake = client.lake
+        self.pool = pool
+        self.column = column
+        self.query = query
+        self.snap = snap
+        self.paths = paths
+        self.field = snap.schema.field(column)
+        self.stats = SearchStats(trace=plan_trace)
+        self.found: list[SearchMatch] = []
+        self.want = 0  # exact queries: verified rows still needed
+
+    def _enough(self) -> bool:
+        """Exact queries want *any* K verified rows; scoring queries
+        must rank everything and never stop early."""
+        return not self.query.scoring and len(self.found) >= self.want
+
+    def _waves(self, span: Span, tasks: list) -> Iterator:
+        """Run ``tasks`` wave by wave as the phase ``span`` stands for,
+        yielding payloads in submission order; no further wave is
+        launched once :meth:`_enough`. The phase's trace starts after
+        the previous phase's ends."""
+        pool = self.pool
+        if pool is None:
+            # Inline: no thread, no future, one task per wave — and the
+            # traces ``merge_parallel``: independent index files (and
+            # uncovered data files) are modeled as queried in parallel,
+            # which is what a fleet of stateless searchers does.
+            width, run = 1, partial(run_inline, self.store)
+            compose = RequestTrace.merge_parallel
+        else:
+            # Only ``pool.workers`` requests can be outstanding at
+            # once: a wave merges in parallel (inside ``pool.run``),
+            # waves compose sequentially.
+            width, run, compose = pool.workers, pool.run, RequestTrace.then
+        trace = RequestTrace()
+        for start in range(0, len(tasks), width):
+            if self._enough():
+                break
+            wave_trace, payloads = run(tasks[start : start + width])
+            trace = compose(trace, wave_trace)
+            yield from payloads
+        span.trace = trace
+        self.stats.trace = self.stats.trace.then(trace)
+
+    def _read_pages(self, entries: list[PageEntry]):
+        """In-situ read of ``entries`` as one coalesced batch, plus the
+        deletion vector of each entry's file."""
+        if not entries:
+            return [], []
+        try:
+            payloads = fetch_pages(self.store, self.field, entries)
+        except ObjectStoreError as exc:
+            # Store errors that know their key (``ObjectNotFound``)
+            # report it; otherwise the batch's first file stands in.
+            key = getattr(exc, "key", None)
+            failed = key if isinstance(key, str) else entries[0].file_key
+            raise _unmaterialized(self.snap, failed) from exc
+        dvs = [self.lake.deletion_vector(self.snap, e.file_key) for e in entries]
+        return payloads, dvs
+
+    def _brute_force(self, uncovered: set[str]) -> None:
+        """Scan the files no chosen index covers (paper §IV-B step 3):
+        exact queries only until K is satisfied, scoring queries
+        exhaustively — they must rank *all* data."""
+        if not uncovered or self._enough():
+            return
+        query, scoring = self.query, self.query.scoring
+
+        def scan_file(path: str):
+            needed = self.want - len(self.found)  # fixed within a wave
+            out: list[SearchMatch] = []
+            for row, value in live_rows(
+                self.store, self.lake, self.snap, self.column, path
+            ):
+                if scoring:
+                    score = query.distance(value)
+                    out.append(SearchMatch(path, row, value, score))
+                elif query.matches(value):
+                    out.append(SearchMatch(path, row, value))
+                    if len(out) >= needed:
+                        break
+            return path, out
+
+        scanned: list[str] = []
+        with get_tracer().span("brute_force", phase="brute_force") as span:
+            tasks = [partial(scan_file, path) for path in sorted(uncovered)]
+            for path, matches in self._waves(span, tasks):
+                scanned.append(path)
+                self.found.extend(matches)
+            span.set("scanned_files", tuple(scanned))
+        self.stats.files_brute_forced = len(scanned)
+
+    # -- exact (UUID / substring / range) --------------------------------
+    def exact(self, chosen: list[IndexRecord], uncovered: set[str]) -> None:
+        """Fill :attr:`found` with up to :attr:`want` verified rows."""
+        store, query, stats = self.store, self.query, self.stats
+        # First probe to claim a page wins, so index files that overlap
+        # never read a page twice; the lock only matters on a pool.
+        seen_pages: set[tuple[str, int]] = set()
+        claim_lock = threading.Lock()
+
+        def search_record(record: IndexRecord):
+            reader = IndexFileReader.open(store, record.index_key)
+            querier = querier_for(record.index_type)(reader)
+            assert isinstance(querier, ExactQuerier)
+            gids = querier.candidate_pages(query.index_probe())
+            directory = reader.directory
+            located = [
+                entry
+                for entry in map(directory.locate, gids)
+                # Out-of-scope locations are stale (file compacted away).
+                if entry.file_key in self.paths
+            ]
+            claimed: list[PageEntry] = []
+            with claim_lock:
+                for entry in located:
+                    page_key = (entry.file_key, entry.page_id)
+                    if page_key not in seen_pages:
+                        seen_pages.add(page_key)
+                        claimed.append(entry)
+            # Page reads depend on this record's probe — and only on
+            # it, not on every other record's.
+            store.barrier()
+            return claimed, *self._read_pages(claimed)
+
+        probed_files: set[str] = set()
+        with get_tracer().span("probe", phase="probe") as span:
+            tasks = [partial(search_record, record) for record in chosen]
+            for claimed, payloads, dvs in self._waves(span, tasks):
+                stats.index_files_queried += 1
+                stats.candidates += len(claimed)
+                stats.pages_probed += len(claimed)
+                probed_files.update(entry.file_key for entry in claimed)
+                for entry, (row_start, values), dv in zip(claimed, payloads, dvs):
+                    if self._enough():
+                        break
+                    page_hit = False
+                    for row, value in enumerate(values, row_start):
+                        if row in dv or not query.matches(value):
+                            continue
+                        page_hit = True
+                        self.found.append(SearchMatch(entry.file_key, row, value))
+                    if not page_hit:
+                        stats.false_positives += 1
+            span.set("probed_files", tuple(sorted(probed_files)))
+        self._brute_force(uncovered)
+
+    # -- scoring (vector) ------------------------------------------------
+    def scoring(self, chosen: list[IndexRecord], uncovered: set[str]) -> None:
+        """Fill :attr:`found` with every refined or brute-scored row."""
+        store, query, stats = self.store, self.query, self.stats
+        tracer = get_tracer()
+
+        def probe_record(record: IndexRecord):
+            reader = IndexFileReader.open(store, record.index_key)
+            querier = querier_for(record.index_type)(reader)
+            assert isinstance(querier, ScoringQuerier)
+            hits = querier.candidates(
+                query.vector, nprobe=query.nprobe, limit=query.refine
+            )
+            cells = tuple(getattr(querier, "last_probed_cells", ()))
+            directory = reader.directory
+            located = [
+                (entry, hit.offset, hit.score)
+                for hit in hits
+                for entry in (directory.locate(hit.gid),)
+                if entry.file_key in self.paths
+            ]
+            return record.index_key, cells, located
+
+        candidates: list[tuple[PageEntry, int, float]] = []
+        cell_probes: list[tuple[str, tuple[int, ...]]] = []
+        with tracer.span("probe:index", phase="index_probe") as span:
+            tasks = [partial(probe_record, record) for record in chosen]
+            for index_key, cells, located in self._waves(span, tasks):
+                stats.index_files_queried += 1
+                if cells:
+                    cell_probes.append((index_key, cells))
+                candidates.extend(located)
+            span.set("cell_probes", tuple(cell_probes))
+        # Keep the globally best `refine` PQ candidates across indices:
+        # a real cross-record barrier, so the page reads are a phase of
+        # their own.
+        candidates.sort(key=lambda c: c[2])
+        del candidates[query.refine :]
+        stats.candidates = len(candidates)
+
+        pages: dict[tuple[str, int], tuple[PageEntry, set[int]]] = {}
+        for entry, offset, _ in candidates:
+            page_key = (entry.file_key, entry.page_id)
+            pages.setdefault(page_key, (entry, set()))[1].add(offset)
+        page_entries = [entry for entry, _ in pages.values()]
+        stats.pages_probed = len(page_entries)
+        with tracer.span("probe:pages", phase="page_read") as span:
+            # One coalesced batch; nothing to launch without candidates.
+            tasks = [partial(self._read_pages, page_entries)] if pages else []
+            for payloads, dvs in self._waves(span, tasks):
+                # Refine: exact distances of the full-precision rows.
+                for (entry, offsets), (row_start, values), dv in zip(
+                    pages.values(), payloads, dvs
+                ):
+                    for offset in offsets:
+                        row, value = row_start + offset, values[offset]
+                        if row not in dv:
+                            score = query.distance(value)
+                            self.found.append(
+                                SearchMatch(entry.file_key, row, value, score)
+                            )
+            span.set(
+                "probed_files", tuple(sorted({e.file_key for e in page_entries}))
+            )
+        self._brute_force(uncovered)

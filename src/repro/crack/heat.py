@@ -5,11 +5,12 @@ how many there are. This module keeps one exponentially-decayed counter
 per :class:`HeatKey` — a (scope, column, query kind) triple where the
 scope is either a lake file path or an IVF-PQ cell address
 (``"{index_key}#cell={i}"``). The counters are fed from the span trees
-the search client already emits (``repro.obs.trace``): the brute-force
-span records which files it scanned, the page-probe span which files it
-touched, and the vector index-probe span which inverted lists each
-probe actually hit. No new instrumentation path exists just for
-cracking — if tracing is on, the heat map can be fed.
+the one search plan (:mod:`repro.core.search`) already emits, whoever
+runs it: the brute-force span records which files it scanned, the
+page-reading span which files it touched, and the vector index-probe
+span which inverted lists each probe actually hit. No new
+instrumentation path exists just for cracking — if tracing is on, the
+heat map can be fed.
 
 Decay is exact, not tick-based: a cell stores ``(value, stamp)`` and
 its heat at time ``t`` is ``value * 2**(-(t - stamp) / half_life_s)``.
@@ -215,57 +216,44 @@ class HeatMap:
 
     # -- span ingestion ------------------------------------------------
     def observe_spans(self, spans: list[Span], *, at_s: float | None = None) -> int:
-        """Feed finished ``search`` span trees into the map.
+        """Feed finished span trees into the map.
 
-        Reads the attributes the client already records: the query
-        kind on the root, the files the brute-force phase scanned, the
-        files whose pages were probed, and the IVF-PQ cells each
-        vector probe landed in. Non-search roots (daemon ticks, index
-        runs) are ignored. Returns the number of observations made.
-        ``at_s`` defaults to each root span's end time — correct when
-        the tracer runs on the store's sim clock.
+        Every ``search`` span in a tree counts — a root when the client
+        or an executor was called directly, a child of ``serve.query``
+        when a server answered. Reads the attributes
+        :mod:`repro.core.search` records, on whichever phase span
+        carries them: the query kind on the ``search`` span,
+        ``scanned_files`` (brute-force phase), ``probed_files`` (the
+        phase that read pages) and ``cell_probes`` (the IVF-PQ cells
+        each vector probe landed in). Trees without a search (daemon
+        ticks, index runs) are ignored. Returns the number of
+        observations made. ``at_s`` defaults to each search span's end
+        time — correct when the tracer runs on the store's sim clock.
         """
         observed = 0
-        for root in spans:
-            if root.name != "search":
-                continue
-            column = str(root.attributes.get("column", ""))
-            kind = str(root.attributes.get("kind", "?"))
-            when = at_s if at_s is not None else float(root.end_s or root.start_s)
-            for span in root.walk():
-                if span.name == "brute_force":
-                    paths = span.attributes.get("scanned_files", ())
-                    # Brute-scanned files are the expensive ones — they
-                    # pay a full-file read per query until indexed.
-                    weight = 1.0
-                elif span.name == "probe:pages":
-                    paths = span.attributes.get("probed_files", ())
-                    weight = 1.0
-                else:
-                    paths = ()
-                    weight = 0.0
-                for path in paths:
+        for search in (s for root in spans for s in root.find_all("search")):
+            column = str(search.attributes.get("column", ""))
+            kind = str(search.attributes.get("kind", "?"))
+            when = at_s if at_s is not None else float(search.end_s or search.start_s)
+            for span in search.walk():
+                attrs = span.attributes
+                # Brute-scanned files are the expensive ones (a full-
+                # file read per query until indexed); probed files are
+                # where indexed queries land; cells are the inverted
+                # lists a vector probe actually hit.
+                scopes = [
+                    *attrs.get("scanned_files", ()),
+                    *attrs.get("probed_files", ()),
+                ]
+                for index_key, probed in attrs.get("cell_probes", ()):
+                    scopes.extend(cell_scope(str(index_key), int(c)) for c in probed)
+                for scope in scopes:
                     self.observe(
-                        HeatKey(scope=str(path), column=column, kind=kind),
-                        weight,
+                        HeatKey(scope=str(scope), column=column, kind=kind),
+                        1.0,
                         at_s=when,
                     )
-                    observed += 1
-                if span.name == "probe:index":
-                    for index_key, probed in span.attributes.get(
-                        "cell_probes", ()
-                    ):
-                        for cell in probed:
-                            self.observe(
-                                HeatKey(
-                                    scope=cell_scope(str(index_key), int(cell)),
-                                    column=column,
-                                    kind=kind,
-                                ),
-                                1.0,
-                                at_s=when,
-                            )
-                            observed += 1
+                observed += len(scopes)
         return observed
 
     # -- serialization -------------------------------------------------

@@ -28,8 +28,8 @@ from repro.storage.stats import IOStats, RequestTrace
 
 #: Canonical phase order for bills (spans tag themselves via the
 #: ``phase`` attribute; unknown phases are appended after these).
-#: ``probe`` is the pipelined executor's fused index-probe + page-read
-#: continuation phase; the sequential client keeps the split phases.
+#: ``probe`` is an exact query's index probe + page read, fused per index
+#: record; scoring queries keep the two apart (their sort is a barrier).
 PHASE_ORDER = ("plan", "fresh", "probe", "index_probe", "page_read", "brute_force")
 
 #: The searcher instance the paper prices queries against (§VII).

@@ -64,14 +64,6 @@ _DEGRADED = get_registry().counter(
 )
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
-
 @dataclass
 class ServeStats:
     """Aggregate serving report for one :class:`SearchServer`.

@@ -25,13 +25,8 @@ from repro.shard.plan import (
     ShardSpec,
     hash_shard,
 )
-from repro.shard.router import (
-    QueryRouter,
-    RoutedResult,
-    ShardOutcome,
-    merge_exact,
-    merge_topk,
-)
+from repro.core.results import merge_exact, merge_topk
+from repro.shard.router import QueryRouter, RoutedResult, ShardOutcome
 from repro.shard.slo import router_slo, shard_latency_series
 
 __all__ = [

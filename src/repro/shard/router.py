@@ -24,12 +24,12 @@ per-shard SLOs (:func:`repro.shard.slo.router_slo`) read.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
 
-from repro.core.client import SearchMatch
 from repro.core.queries import Query
+from repro.core.results import SearchMatch, merge_exact, merge_topk
+from repro.core.search import probe_fresh
 from repro.errors import ShardError, ShardUnavailable
 from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_hub
@@ -64,36 +64,6 @@ _SHARD_FAILURES = get_registry().counter(
     "Shard queries that failed even after brute-force fallback",
     ("shard",),
 )
-
-
-def _rank_key(match: SearchMatch):
-    return (match.score, match.file, match.row)
-
-
-def _exact_key(match: SearchMatch):
-    return (match.file, match.row)
-
-
-def merge_topk(ranked: Sequence[Sequence[SearchMatch]], k: int) -> list[SearchMatch]:
-    """Global top-k heap merge of per-shard scored result lists.
-
-    Equivalent to sorting the union by ``(score, file, row)`` and
-    taking the first ``k`` (the property test pins this), but does the
-    k-way merge with a heap over per-shard sorted runs. Ties on score
-    break deterministically on ``(file, row)``.
-    """
-    runs = [sorted(matches, key=_rank_key) for matches in ranked]
-    merged = heapq.merge(*runs, key=_rank_key)
-    return [match for _, match in zip(range(k), merged)]
-
-
-def merge_exact(
-    lists: Sequence[Sequence[SearchMatch]], k: int
-) -> list[SearchMatch]:
-    """Deterministic union of per-shard exact matches, truncated to k."""
-    runs = [sorted(matches, key=_exact_key) for matches in lists]
-    merged = heapq.merge(*runs, key=_exact_key)
-    return [match for _, match in zip(range(k), merged)]
 
 
 def _trace_request_usd(trace: RequestTrace, costs: CostModel) -> float:
@@ -272,7 +242,7 @@ class QueryRouter:
             _PRUNED.inc(pruned)
         with get_tracer().span("router.query", column=column, k=k):
             tasks = [
-                self._shard_task(group, column, query, k, partition, hub)
+                partial(self._query_shard, group, column, query, k, partition, hub)
                 for group in groups
             ]
             outcomes: list[ShardOutcome] = []
@@ -293,17 +263,14 @@ class QueryRouter:
         per_shard = [o.matches for o in answered]
         if self.fresh_tier is not None and partition is None:
             # The fresh tier is one more sorted run in the global
-            # merge: an in-memory probe of the WAL segments beyond the
-            # *materialization* snapshot's floor (not the lake's
-            # current one — rows drained since then are on no shard),
-            # identified by WAL-segment keys so it can never collide
-            # with a shard's (file, row) identities.
-            with get_tracer().span("router.fresh", column=column):
-                per_shard.append(
-                    self.fresh_tier.search_fresh(
-                        column, query, k=k, snapshot=self._fresh_snapshot
-                    )
+            # merge, probed at the *materialization* snapshot's floor
+            # (not the lake's current one — rows drained since then are
+            # on no shard).
+            per_shard.append(
+                probe_fresh(
+                    self.fresh_tier, column, query, k, self._fresh_snapshot
                 )
+            )
         if query.scoring:
             matches = merge_topk(per_shard, k)
         else:
@@ -338,20 +305,6 @@ class QueryRouter:
         )
 
     # -- per-shard execution -------------------------------------------
-    def _shard_task(
-        self,
-        group: ShardGroup,
-        column: str,
-        query: Query,
-        k: int,
-        partition: str | None,
-        hub,
-    ):
-        def run() -> ShardOutcome:
-            return self._query_shard(group, column, query, k, partition, hub)
-
-        return run
-
     def _query_shard(
         self,
         group: ShardGroup,

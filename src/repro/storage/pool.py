@@ -98,6 +98,26 @@ class IOBudget:
             self._sem.release()
 
 
+def run_inline(
+    store: ObjectStore, tasks: list[Callable[[], T]]
+) -> tuple[RequestTrace, list[T]]:
+    """:meth:`TracedPool.run` without the pool: no thread, no future.
+
+    Tasks run one at a time on the calling thread, each under its own
+    trace, composed with ``then`` — one blocking task after another,
+    the shape a one-worker pool records.
+    """
+    combined = RequestTrace()
+    payloads: list[T] = []
+    for fn in tasks:
+        store.start_trace()
+        try:
+            payloads.append(fn())
+        finally:
+            combined = combined.then(store.stop_trace())
+    return combined, payloads
+
+
 class TracedPool:
     """Runs tasks in bounded waves, recording per-worker traces.
 

@@ -12,7 +12,8 @@ The controller's correctness story leans on three algebraic facts:
   could still act on (heat at or above the floor survives).
 
 Plus the plumbing: span ingestion reads exactly the attributes the
-search client records, and serialization round-trips.
+one search plan records — the same ones whether the client, an
+executor or a server ran it — and serialization round-trips.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.core.queries import SubstringQuery, UuidQuery, VectorQuery
 from repro.errors import CrackError
 from repro.crack.heat import (
     DEFAULT_HALF_LIFE_S,
@@ -28,7 +32,11 @@ from repro.crack.heat import (
     HeatMap,
     cell_scope,
 )
-from repro.obs.trace import Tracer
+from repro.obs.metrics import get_registry
+from repro.obs.trace import Tracer, use_tracer
+from repro.serve import SearchExecutor, SearchServer
+
+from tests.conftest import event_batch, event_uuid
 
 KEYS = st.sampled_from(
     [
@@ -196,16 +204,18 @@ class TestSpanIngestion:
             root.set("kind", "UuidQuery")
             with tracer.span("brute_force") as brute:
                 brute.set("scanned_files", ("lake/a", "lake/b"))
-            with tracer.span("probe:pages") as probe:
-                probe.set("probed_files", ("lake/c",))
+            with tracer.span("probe") as fused:  # exact queries
+                fused.set("probed_files", ("lake/c",))
+            with tracer.span("probe:pages") as pages:  # scoring queries
+                pages.set("probed_files", ("lake/d",))
             with tracer.span("probe:index") as idx:
                 idx.set("cell_probes", (("idx/v-1.bin", (0, 2)),))
         hm = HeatMap()
         observed = hm.observe_spans(tracer.pop_finished())
-        assert observed == 5
+        assert observed == 6
         at_s = 10.0
         files = hm.file_heat(at_s=at_s, column="uuid")
-        assert set(files) == {"lake/a", "lake/b", "lake/c"}
+        assert set(files) == {"lake/a", "lake/b", "lake/c", "lake/d"}
         cells = hm.cell_heat(at_s=at_s)
         assert set(cells) == {("idx/v-1.bin", 0), ("idx/v-1.bin", 2)}
 
@@ -224,3 +234,73 @@ class TestSpanIngestion:
             hm.observe(HeatKey(scope, "uuid", "q"), 1.0, at_s=0.0)
         ranked = [key.scope for key, _ in hm.hottest(at_s=0.0)]
         assert ranked == ["lake/a", "lake/b"]
+
+
+class TestRunnerParity:
+    """``repro.crack`` must see a query whoever answered it: the client,
+    an executor of any width, or a server (whose ``search`` span hangs
+    under a ``serve.query`` root)."""
+
+    QUERIES = [
+        ("uuid", UuidQuery(event_uuid(1, 5))),  # indexed file
+        ("uuid", UuidQuery(event_uuid(3, 7))),  # only in the unindexed file
+        ("text", SubstringQuery(event_batch(300, seed=1)["text"][10][:8])),
+        (
+            "emb",
+            VectorQuery(
+                np.random.default_rng(0).normal(size=16).astype(np.float32),
+                nprobe=4,
+                refine=32,
+            ),
+        ),
+    ]
+
+    def _observe(self, store, search):
+        """(heat keys + observation count, search spans, searches_total
+        delta) of one pass over QUERIES."""
+        searches = get_registry().counter(
+            "searches_total", "Search calls by query kind", ("kind",)
+        )
+        before = {kind: searches.value(kind=kind) for kind in ("exact", "scoring")}
+        tracer = Tracer(clock=store.clock)
+        with use_tracer(tracer):
+            for column, query in self.QUERIES:
+                search(column, query)
+        roots = tracer.pop_finished()
+        heat = HeatMap()
+        observed = heat.observe_spans(roots)
+        delta = {kind: searches.value(kind=kind) - n for kind, n in before.items()}
+        spans = [s for root in roots for s in root.find_all("search")]
+        return (heat.keys(), observed), spans, delta
+
+    def test_every_runner_feeds_the_same_heat(self, indexed_client):
+        indexed_client.lake.append(event_batch(300, seed=3))  # unindexed
+        store = indexed_client.store
+        seen = {
+            "client": self._observe(
+                store, lambda c, q: indexed_client.search(c, q, k=5)
+            )
+        }
+        for width in (1, 4):
+            with SearchExecutor(indexed_client, max_searchers=width) as ex:
+                seen[f"executor{width}"] = self._observe(
+                    store, lambda c, q: ex.search(c, q, k=5)
+                )
+        with SearchServer(indexed_client) as server:
+            seen["server"] = self._observe(
+                store, lambda c, q: server.query(c, q, k=5)
+            )
+
+        (keys, observed), _, _ = seen["client"]
+        assert observed >= len(keys) > 0
+        # File heat from the fused probe and the brute-force fill, cell
+        # heat from the vector probe: all three attribute kinds present.
+        assert {k.kind for k in keys} == {
+            "UuidQuery", "SubstringQuery", "VectorQuery"
+        }
+        assert any(k.is_cell for k in keys)
+        for runner, (runner_keys, spans, delta) in seen.items():
+            assert runner_keys == (keys, observed), runner
+            assert len(spans) == len(self.QUERIES), runner
+            assert all("kind" in s.attributes for s in spans), runner
+            assert delta == {"exact": 3, "scoring": 1}, runner

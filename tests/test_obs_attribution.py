@@ -60,8 +60,9 @@ class TestClientPathReconciliation:
         assert result.matches
         _assert_exact(bill, delta)
         phases = [p.phase for p in bill.phases]
-        assert phases[0] == "plan"
-        assert "index_probe" in phases
+        # One vocabulary for both runners: exact queries bill the fused
+        # per-record "probe" phase, never the split scoring phases.
+        assert phases == ["plan", "probe"]
         assert phases == [p for p in PHASE_ORDER if p in phases]
 
     def test_substring_search(self, indexed_client):
@@ -76,6 +77,9 @@ class TestClientPathReconciliation:
         )
         bill, delta, _, _ = _profiled_search(indexed_client, "emb", query)
         _assert_exact(bill, delta)
+        # Scoring keeps index_probe -> page_read: the global candidate
+        # sort between them is a real barrier.
+        assert [p.phase for p in bill.phases] == ["plan", "index_probe", "page_read"]
 
     def test_unindexed_brute_force(self, client):
         """No index: everything lands in plan + brute_force."""
@@ -84,10 +88,10 @@ class TestClientPathReconciliation:
         )
         assert result.matches
         _assert_exact(bill, delta)
-        # Probe phases exist (spans open either way) but issue nothing.
-        for phase in bill.phases:
-            if phase.phase in ("index_probe", "page_read"):
-                assert phase.requests == 0
+        # The probe phase exists (its span opens either way) but, with
+        # no index record to run a task for, issues nothing.
+        probe = next(p for p in bill.phases if p.phase == "probe")
+        assert probe.requests == 0
         brute = next(p for p in bill.phases if p.phase == "brute_force")
         assert brute.gets > 0
 
@@ -101,6 +105,7 @@ class TestExecutorPathReconciliation:
         )
         assert result.matches
         _assert_exact(bill, delta)
+        assert [p.phase for p in bill.phases] == ["plan", "probe"]
         # Worker task spans carry traces but no phase attribute, so the
         # fan-out must not double-count: checked by _assert_exact above,
         # and directly here.

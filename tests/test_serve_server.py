@@ -14,7 +14,6 @@ from repro.storage.faults import FaultyObjectStore
 from repro.errors import ServeError, ServerOverloaded
 from repro.lake.table import LakeTable
 from repro.serve import CachingObjectStore, SearchServer, ServeStats, SingleFlight
-from repro.serve.server import _percentile
 from repro.storage.retry import RetryingObjectStore
 from repro.tco.throughput import ThroughputModel
 
@@ -104,8 +103,6 @@ class TestSingleFlight:
 
 class TestServeStats:
     def test_percentiles_nearest_rank(self):
-        assert _percentile([], 0.5) == 0.0
-        assert _percentile([0.4, 0.1, 0.3, 0.2, 0.5], 0.5) == 0.3
         stats = ServeStats()
         for latency in (0.4, 0.1, 0.3, 0.2, 0.5):
             stats.observe_latency(latency)
