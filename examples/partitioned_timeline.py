@@ -22,7 +22,7 @@ from repro import (
     TableConfig,
     UuidQuery,
 )
-from repro.core import MaintenanceDaemon, MaintenancePolicy
+from repro.core.daemon import MaintenanceDaemon, MaintenancePolicy
 from repro.workloads.uuids import UuidWorkload
 
 

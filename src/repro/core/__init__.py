@@ -9,7 +9,6 @@ from repro.core.client import (
 )
 from repro.core.componentize import ComponentFileReader, ComponentFileWriter
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
-from repro.core.daemon import MaintenanceDaemon, MaintenancePolicy, TickReport
 from repro.core.fsck import FsckReport, fsck
 from repro.core.maintenance import (
     VacuumReport,
@@ -39,9 +38,6 @@ __all__ = [
     "PageDirectory",
     "FsckReport",
     "fsck",
-    "MaintenanceDaemon",
-    "MaintenancePolicy",
-    "TickReport",
     "VacuumReport",
     "covering_records",
     "compact_indices",

@@ -1,46 +1,62 @@
-"""Maintenance daemon: policy-driven index / compact / vacuum.
+"""Maintenance daemon: one tick that runs what a policy says is due.
 
 The paper's APIs are deliberately manual — "can be called from any VM
 instance or serverless function" — and in production someone schedules
-them. This module is that someone: a :class:`MaintenancePolicy` says
-*when* each operation is due, and :class:`MaintenanceDaemon.tick` runs
-whatever is due against the store's clock. Driving ticks from a cron
-job (or, in tests, from a :class:`~repro.util.clock.SimClock`) yields
-the paper's deployment story without any resident process state — the
-daemon can crash and restart anywhere, because all its inputs come from
-the metadata table and the lake log.
+them. This module is that someone. A *policy* is anything with a
+``name`` and a ``plan(daemon)`` that yields :class:`Work` — one call on
+the daemon's :class:`~repro.maintain.pipeline.MaintenancePipeline` per
+item — and :meth:`MaintenanceDaemon.tick` is the only scheduler loop:
+ask the policy for the next item (a billed ``plan`` phase), run it
+through the pipeline (which bills and reports it), repeat.
+
+:class:`MaintenancePolicy` is the schedule-driven policy (thresholds on
+uncovered files and small index files, a vacuum interval);
+:class:`~repro.crack.controller.CrackController` is the query-driven
+one. Driving ticks from a cron job (or, in tests, from a
+:class:`~repro.util.clock.SimClock`) yields the paper's deployment story
+without any resident process state — the daemon can crash and restart
+anywhere, because all a policy's inputs come from the metadata table
+and the lake log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 from repro.errors import IndexAborted
 from repro.core.client import RottnestClient
-from repro.core.maintenance import (
-    VacuumReport,
-    compact_indices,
-    covering_records,
-    vacuum_indices,
-)
+from repro.core.maintenance import VacuumReport, covering_records
+from repro.maintain.pipeline import MaintainReport, MaintenancePipeline
 from repro.meta.metadata_table import IndexRecord
-from repro.obs.attribution import attribute
 from repro.obs.metrics import get_registry
-from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
-from repro.storage.pool import IOBudget, TracedPool
+from repro.storage.pool import IOBudget
 
 _TICKS = get_registry().counter(
-    "daemon_ticks_total", "Maintenance daemon ticks by outcome", ("outcome",)
-)
-_ACTIONS = get_registry().counter(
-    "daemon_actions_total", "Maintenance operations run by ticks", ("action",)
+    "maintenance_ticks_total",
+    "Maintenance daemon ticks by policy and outcome (idle/acted).",
+    ("policy", "outcome"),
 )
 
 
 @dataclass(frozen=True)
+class Work:
+    """One unit of work a policy proposes: the pipeline call
+    ``pipeline.<op>(*args, **kwargs)`` (``op`` ∈ index / compact /
+    vacuum / refine)."""
+
+    op: str
+    args: tuple = ()
+    kwargs: Mapping[str, object] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class MaintenancePolicy:
-    """When is each maintenance operation worth running?"""
+    """When is each maintenance operation worth running? The
+    schedule-driven producer of a tick's :class:`Work`."""
+
+    name = "schedule"
 
     index_min_new_files: int = 1
     """Run ``index`` when at least this many uncovered files exist."""
@@ -59,18 +75,66 @@ class MaintenancePolicy:
     retain_snapshots: int = 1
     """Vacuum keeps indices for the last N lake snapshots."""
 
+    # -- due? ---------------------------------------------------------
+    def index_due(
+        self, client: RottnestClient, column: str, index_type: str
+    ) -> bool:
+        snap = client.lake.snapshot()
+        covered = client.meta.indexed_files(column, index_type)
+        new = [f for f in snap.files if f.path not in covered]
+        if len(new) < self.index_min_new_files:
+            return False
+        return sum(f.size for f in new) >= self.index_min_new_bytes
+
+    def compact_due(
+        self, client: RottnestClient, column: str, index_type: str
+    ) -> bool:
+        small = [
+            r
+            for r in covering_records(client, column, index_type)
+            if r.size < self.compact_threshold_bytes
+        ]
+        return len(small) >= self.compact_min_small_files
+
+    def vacuum_due(self, now: float, last_vacuum: float | None) -> bool:
+        return last_vacuum is None or now - last_vacuum >= self.vacuum_interval_s
+
+    # -- plan ---------------------------------------------------------
+    def plan(self, daemon: "MaintenanceDaemon") -> Iterator[Work]:
+        """Everything currently due, one item at a time.
+
+        Lazy on purpose: each due-check runs when the tick asks for the
+        next item — after the previous one ran — so the index that
+        lands the Nth small file trips its compaction in the same tick.
+        """
+        client = daemon.client
+        for column, index_type in daemon.targets:
+            if self.index_due(client, column, index_type):
+                params = daemon.index_params.get((column, index_type))
+                yield Work("index", (column, index_type), {"params": params})
+            if self.compact_due(client, column, index_type):
+                yield Work(
+                    "compact",
+                    (column, index_type),
+                    {"threshold_bytes": self.compact_threshold_bytes},
+                )
+        if self.vacuum_due(client.store.clock.now(), daemon.last_vacuum):
+            latest = client.lake.latest_version()
+            snapshot_id = max(0, latest - self.retain_snapshots + 1)
+            yield Work("vacuum", (), {"snapshot_id": snapshot_id})
+
 
 @dataclass
 class TickReport:
-    """What one daemon tick did."""
+    """What one daemon tick did, assembled from its pipeline runs."""
 
     indexed: list[IndexRecord] = field(default_factory=list)
     index_aborts: list[str] = field(default_factory=list)
     compacted: list[IndexRecord] = field(default_factory=list)
     vacuum: VacuumReport | None = None
     refined: list[IndexRecord] = field(default_factory=list)
-    """Index files rewritten in place by cell refinement (the cracking
-    controller's verb; always empty for the schedule-driven daemon)."""
+    """Index files rewritten in place by cell refinement (only the
+    cracking policy proposes it)."""
 
     @property
     def idle(self) -> bool:
@@ -82,16 +146,29 @@ class TickReport:
             and self.vacuum is None
         )
 
+    def absorb(self, run: MaintainReport) -> None:
+        """Fold one finished pipeline run in."""
+        if run.op == "vacuum":
+            self.vacuum = run.vacuum
+        else:
+            published = {
+                "index": self.indexed,
+                "compact": self.compacted,
+                "refine": self.refined,
+            }
+            published[run.op].extend(run.records)
+
 
 class MaintenanceDaemon:
-    """Runs due maintenance for a set of (column, index type) targets."""
+    """Runs a policy's maintenance for a set of (column, index type)
+    targets through one :class:`MaintenancePipeline`."""
 
     def __init__(
         self,
         client: RottnestClient,
         targets: list[tuple[str, str]],
         *,
-        policy: MaintenancePolicy | None = None,
+        policy=None,
         index_params: dict[tuple[str, str], dict] | None = None,
         workers: int = 1,
         budget: "IOBudget | None" = None,
@@ -100,27 +177,19 @@ class MaintenanceDaemon:
         self.targets = list(targets)
         self.policy = policy or MaintenancePolicy()
         self.index_params = dict(index_params or {})
-        self._last_vacuum: float | None = None
-        # ``workers > 1`` (or a shared IO budget) routes index/compact
-        # through a TracedPool so maintenance ticks can overlap live
-        # serving: the budget caps the combined in-flight store tasks
-        # of this pool and any query executor sharing it.
-        self.workers = workers
-        self.budget = budget
-        self._pool: "TracedPool | None" = None
-        if workers > 1 or budget is not None:
-            self._pool = TracedPool(
-                client.store,
-                workers=workers,
-                thread_name_prefix="maintainer",
-                span_name="maintainer:task",
-                budget=budget,
-            )
+        #: Store-clock time of this daemon's last vacuum (process state:
+        #: a restarted daemon vacuums on its first tick).
+        self.last_vacuum: float | None = None
+        # A shared IO budget caps the combined in-flight store tasks of
+        # this pipeline's pool and any query executor sharing it, so
+        # maintenance ticks can overlap live serving.
+        self.pipeline = MaintenancePipeline(
+            client, workers=workers, budget=budget
+        )
 
     def close(self) -> None:
-        """Shut down the worker pool (no-op for serial daemons)."""
-        if self._pool is not None:
-            self._pool.close()
+        """Shut down the pipeline's worker pool."""
+        self.pipeline.close()
 
     def __enter__(self) -> "MaintenanceDaemon":
         return self
@@ -128,118 +197,36 @@ class MaintenanceDaemon:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- due? ---------------------------------------------------------
-    def index_due(self, column: str, index_type: str) -> bool:
-        snap = self.client.lake.snapshot()
-        covered = self.client.meta.indexed_files(column, index_type)
-        new = [f for f in snap.files if f.path not in covered]
-        if len(new) < self.policy.index_min_new_files:
-            return False
-        return sum(f.size for f in new) >= self.policy.index_min_new_bytes
-
-    def compact_due(self, column: str, index_type: str) -> bool:
-        small = [
-            r
-            for r in covering_records(self.client, column, index_type)
-            if r.size < self.policy.compact_threshold_bytes
-        ]
-        return len(small) >= self.policy.compact_min_small_files
-
-    def vacuum_due(self) -> bool:
-        now = self.client.store.clock.now()
-        if self._last_vacuum is None:
-            return True
-        return now - self._last_vacuum >= self.policy.vacuum_interval_s
-
-    # -- act ------------------------------------------------------------
-    def run_index(
-        self, column: str, index_type: str, *, snapshot=None, report: TickReport
-    ) -> IndexRecord | None:
-        """One guarded index run, folded into ``report``.
-
-        The extension point subclass controllers drive: passing a
-        ``snapshot`` restricted to a subset of the lake's files turns
-        the run into *targeted* indexing (only those files get covered;
-        the rest stay on the brute-force path). Aborts (e.g. too few
-        rows for a vector index yet) are recorded, not raised — the
-        data stays brute-force searchable and a later tick retries.
-        """
-        try:
-            record = self.client.index(
-                column,
-                index_type,
-                snapshot=snapshot,
-                params=self.index_params.get((column, index_type)),
-                pool=self._pool,
-            )
-        except IndexAborted as exc:
-            report.index_aborts.append(f"{column}/{index_type}: {exc}")
-            _ACTIONS.inc(action="index_abort")
-            return None
-        if record is not None:
-            report.indexed.append(record)
-            _ACTIONS.inc(action="index")
-        return record
-
     def tick(self) -> TickReport:
-        """Run everything currently due; returns what happened."""
+        """Run everything the policy proposes; returns what happened.
+
+        Each run bills itself through the pipeline, so a tick that
+        indexes, compacts and vacuums lands its spend in the right
+        ledger buckets; the policy's own reads are billed as ``plan``.
+        ``index`` aborts (e.g. too few rows for a vector index yet) are
+        recorded, not raised — the data stays brute-force searchable
+        and a later tick retries.
+        """
         report = TickReport()
-        with get_tracer().span("daemon.tick") as span:
-            for column, index_type in self.targets:
-                if self.index_due(column, index_type):
-                    self.run_index(column, index_type, report=report)
-                if self.compact_due(column, index_type):
-                    compacted = compact_indices(
-                        self.client,
-                        column,
-                        index_type,
-                        threshold_bytes=self.policy.compact_threshold_bytes,
-                        pool=self._pool,
+        pipeline = self.pipeline
+        with get_tracer().span("maintain.tick", policy=self.policy.name) as span:
+            works = iter(self.policy.plan(self))
+            while (work := pipeline.plan(lambda: next(works, None))) is not None:
+                try:
+                    run = getattr(pipeline, work.op)(*work.args, **work.kwargs)
+                except IndexAborted as exc:
+                    report.index_aborts.append(
+                        f"{work.args[0]}/{work.args[1]}: {exc}"
                     )
-                    report.compacted.extend(compacted)
-                    if compacted:
-                        _ACTIONS.inc(action="compact")
-            if self.vacuum_due():
-                latest = self.client.lake.latest_version()
-                snapshot_id = max(0, latest - self.policy.retain_snapshots + 1)
-                report.vacuum = vacuum_indices(self.client, snapshot_id=snapshot_id)
-                self._last_vacuum = self.client.store.clock.now()
-                _ACTIONS.inc(action="vacuum")
+                    continue
+                report.absorb(run)
+                if run.op == "vacuum":
+                    self.last_vacuum = self.client.store.clock.now()
             span.set("idle", report.idle)
             span.set("indexed", len(report.indexed))
             span.set("compacted", len(report.compacted))
-        _TICKS.inc(outcome="idle" if report.idle else "acted")
-        self._record_telemetry(span, report)
+            span.set("refined", len(report.refined))
+        _TICKS.inc(
+            policy=self.policy.name, outcome="idle" if report.idle else "acted"
+        )
         return report
-
-    def _record_telemetry(self, span, report: TickReport) -> None:
-        """Feed tick outcomes and maintenance spend into the hub.
-
-        A tick that indexed anything is billed to the ledger's one-time
-        index-build bucket (the TCO model's ``ic``); any other non-idle
-        tick bills to ongoing maintenance. Mixed ticks land entirely in
-        the index bucket — the build dominates and the split is not
-        recoverable from a single tick-level span tree.
-        """
-        hub = get_hub()
-        at_s = self.client.store.clock.now()
-        actions = (
-            len(report.indexed)
-            + len(report.index_aborts)
-            + len(report.compacted)
-            + len(report.refined)
-            + (1 if report.vacuum is not None else 0)
-        )
-        hub.series("daemon.ticks").observe(1.0, at_s=at_s)
-        if actions:
-            hub.series("daemon.actions").observe(float(actions), at_s=at_s)
-        if report.idle:
-            return
-        bill = attribute(span)
-        request_usd = bill.total_request_cost_usd()
-        compute_usd = bill.compute_cost_usd
-        op = "index" if (report.indexed or report.refined) else "maintain"
-        hub.ledger.record_maintain(op, request_usd, compute_usd, at_s=at_s)
-        hub.series("maintain.cost_usd").observe(
-            request_usd + compute_usd, at_s=at_s
-        )

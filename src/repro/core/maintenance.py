@@ -1,4 +1,17 @@
-"""Index maintenance: ``compact`` and ``vacuum`` (paper §IV-C).
+"""The write protocol, written once: ``index`` (paper §IV-A), ``compact``
+and ``vacuum`` (§IV-C), plus this repo's ``refine``.
+
+Each verb is one function parameterised by ``pool`` — ``None`` runs its
+fan-out tasks inline on the calling thread, a
+:class:`~repro.storage.pool.TracedPool` runs them in waves — as
+:mod:`repro.core.search` is for reads. Workers only read (or upload
+content-addressed blobs), results are reassembled in plan order and
+every metadata commit is one insert on the calling thread, so the
+PUT-by-PUT order of a verb — every crash point in ``docs/protocol.md``,
+every committed byte — is the same for any pool. Every request is
+issued under a ``phase``-tagged span that owns its trace, so a run's
+bill equals its ``IOStats`` delta (:mod:`repro.maintain.pipeline` runs
+a verb *and* reports it).
 
 Compaction merges many small index files into fewer large ones —
 Rottnest's LSM-style answer to search latency growing with the number
@@ -6,15 +19,16 @@ of index files (Fig. 13). It never deletes anything; vacuum does, and
 only after its commit, keeping the Existence invariant: everything the
 metadata table references must be physically present.
 
-Both passes are **idempotent and resumable**: a maintenance client may
-die after any single PUT or DELETE, and a fresh client simply re-runs
-the same command to converge on the uninterrupted outcome.
+``compact``, ``refine`` and ``vacuum`` are **idempotent and resumable**:
+a maintenance client may die after any single PUT or DELETE, and a
+fresh client simply re-runs the same command to converge on the
+uninterrupted outcome.
 
-* ``compact`` uploads merged index files under *content-addressed*
-  keys, so a re-run after a mid-upload crash overwrites the same bytes
-  at the same keys instead of accreting orphans, and its final commit
-  skips records the metadata table already holds (a crash between the
-  commit and the caller observing it is therefore harmless too).
+* ``compact`` and ``refine`` upload under *content-addressed* keys, so
+  a re-run after a mid-upload crash overwrites the same bytes at the
+  same keys instead of accreting orphans, and their commit skips
+  records the metadata table already holds (a crash between the commit
+  and the caller observing it is therefore harmless too).
 * ``vacuum`` commits the metadata deletes first, then physically
   removes files one by one; a crash anywhere leaves ``M ⊆ B``
   (references ⊆ bucket), and a re-run recomputes the remaining
@@ -28,26 +42,30 @@ harness exercises each one mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
 
-from repro.errors import RottnestIndexError
-from repro.core.client import RottnestClient, _iter_page_values
+import numpy as np
+
+from repro.errors import IndexAborted, ObjectStoreError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
-from repro.formats.page_reader import build_page_table
+from repro.core.search import plan
+from repro.formats.page_reader import PageTable, build_page_table
 from repro.formats.reader import ParquetFile
 from repro.indices.base import builder_for
+from repro.lake.snapshot import Snapshot
 from repro.meta.metadata_table import IndexRecord
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.storage.pool import TracedPool
-from repro.storage.stats import RequestTrace
+from repro.storage.object_store import ObjectStore
+from repro.storage.pool import TracedPool, phase, run_inline
+
+if TYPE_CHECKING:  # the client's ``index`` calls into this module
+    from repro.core.client import RottnestClient
+
+T = TypeVar("T")
 
 DEFAULT_COMPACT_THRESHOLD_BYTES = 16 * 1024 * 1024
 DEFAULT_COMPACT_TARGET_BYTES = 256 * 1024 * 1024
-
-_MAINTENANCE = get_registry().counter(
-    "maintenance_runs_total", "compact/vacuum passes completed", ("op",)
-)
 
 
 @dataclass
@@ -59,32 +77,222 @@ class VacuumReport:
     deleted_objects: list[str]
 
 
+def _fan_out(
+    store: ObjectStore,
+    pool: TracedPool | None,
+    name: str,
+    tag: str,
+    tasks: list[Callable[[], T]],
+    task_span: str,
+    **attributes: object,
+):
+    """Run a phase's independent tasks under a span that owns their
+    composed trace: one blocking task after another inline, or in waves
+    on ``pool``. Returns ``(span, payloads in task order)``."""
+    with get_tracer().span(name, phase=tag, **attributes) as span:
+        if pool is None:
+            span.trace, payloads = run_inline(store, tasks)
+        else:
+            span.trace, payloads = pool.run(tasks, span_name=task_span)
+    return span, payloads
+
+
+# ---------------------------------------------------------------------
+# shared step: page stream from raw files
+# ---------------------------------------------------------------------
+def _extract_file(
+    store: ObjectStore, path: str, column: str
+) -> tuple[PageTable, list]:
+    """Read one Parquet file's page table + each page's values, in
+    page-table order.
+
+    Pure read work — safe to run on a pool thread. Raises
+    :class:`IndexAborted` when the input vanished mid-build (e.g. a
+    concurrent lake vacuum). Builds stream whole files, so
+    chunk-granularity reads are the right access width; the chunks are
+    then re-sliced along the page boundaries the index will point at.
+    """
+    try:
+        reader = ParquetFile(store, path)
+    except ObjectStoreError as exc:
+        raise IndexAborted(
+            f"input file {path!r} disappeared during indexing; "
+            f"retry against a newer snapshot"
+        ) from exc
+    table = build_page_table(reader.metadata, path, column)
+    all_values: list = []
+    vector_chunks: list[np.ndarray] = []
+    # Chunk reads depend on the footer fetched at open: a dependent
+    # round in the trace (chunks themselves fan out within the round).
+    store.barrier()
+    for rg_index in range(len(reader.metadata.row_groups)):
+        values = reader.read_column_chunk(rg_index, column)
+        if isinstance(values, np.ndarray):
+            vector_chunks.append(values)
+        else:
+            all_values.extend(values)
+    column_values = (
+        np.concatenate(vector_chunks) if vector_chunks else all_values
+    )
+    return table, [
+        column_values[entry.row_start : entry.row_start + entry.num_values]
+        for entry in table.entries
+    ]
+
+
+def _page_stream(
+    extracted: list[tuple[PageTable, list]],
+) -> tuple[PageDirectory, list[tuple[int, list]]]:
+    """Per-file extractions, in file order, as one page directory and a
+    page stream with sequentially renumbered gids — so the built index
+    is byte-identical however the extraction tasks interleaved."""
+    stream: list[tuple[int, list]] = []
+    for _, page_values in extracted:
+        for values in page_values:
+            stream.append((len(stream), values))
+    return PageDirectory([table for table, _ in extracted]), stream
+
+
+# ---------------------------------------------------------------------
+# shared step: publish = upload, then commit
+# ---------------------------------------------------------------------
+def _upload(
+    client: RottnestClient,
+    built,
+    directory: PageDirectory,
+    params: dict,
+    *,
+    index_type: str,
+    column: str,
+    covered: tuple[str, ...],
+    num_rows: int,
+    deterministic: bool,
+) -> IndexRecord:
+    """Serialize ``built`` and PUT it; returns the record to commit.
+
+    ``deterministic`` keys are content-addressed — the keystone of
+    ``compact``/``refine`` resumability: every re-run of the same plan
+    produces the same blob at the same key, so crashed prefixes of a
+    run converge to the uninterrupted state byte-for-byte. ``index``
+    keys are salted (:meth:`RottnestClient.new_index_key`). A crash
+    after the PUT leaves an orphan index file, cleaned up by vacuum
+    once it is older than the index timeout.
+    """
+    writer = IndexFileWriter(
+        index_type, column, directory, params=params, codec=client.codec
+    )
+    built.write(writer)
+    blob = writer.finish()
+    key = client.new_index_key(blob, deterministic=deterministic)
+    client.store.put(key, blob)
+    return IndexRecord(
+        index_key=key,
+        index_type=index_type,
+        column=column,
+        covered_files=tuple(covered),
+        num_rows=num_rows,
+        size=len(blob),
+        created_at=client.store.clock.now(),
+    )
+
+
+def _commit(
+    client: RottnestClient, records: list[IndexRecord], *, idempotent: bool
+) -> None:
+    """Insert uploaded records: one transactional insert on the calling
+    thread whatever the pool — the Existence invariant needs every
+    index-file PUT durable before its record, and the metadata log is
+    one conditional-PUT stream anyway.
+
+    ``idempotent``: a resumed run (or a concurrent maintainer that
+    built the identical blob) may find some records already live under
+    their content-addressed keys. Re-inserting them would poison the
+    metadata log, so only the missing ones go in.
+    """
+    if idempotent:
+        live = {r.index_key for r in client.meta.records()}
+        records = [r for r in records if r.index_key not in live]
+    if records:
+        client.meta.insert(records)
+
+
+# ---------------------------------------------------------------------
+# index (§IV-A): plan -> extract -> build -> upload -> commit
+# ---------------------------------------------------------------------
+def build_index(
+    client: RottnestClient,
+    column: str,
+    index_type: str,
+    *,
+    snapshot: Snapshot | None = None,
+    params: dict | None = None,
+    pool: TracedPool | None = None,
+) -> IndexRecord | None:
+    """:meth:`RottnestClient.index` (which documents the contract)."""
+    store = client.store
+    with get_tracer().span("index", column=column, index_type=index_type):
+        started = store.clock.now()
+        builder_cls = builder_for(index_type)
+
+        # Plan: new data files only (deletion vectors are never
+        # indexed); coverage is per (column, index type).
+        with phase(store, "index.plan", "plan"):
+            snap = snapshot or client.lake.snapshot()
+            already = client.meta.indexed_files(column, index_type)
+        new_files = [f for f in snap.files if f.path not in already]
+        if not new_files:
+            return None
+        total_rows = sum(f.num_rows for f in new_files)
+        if total_rows < builder_cls.min_rows:
+            raise IndexAborted(
+                f"{total_rows} new rows < minimum {builder_cls.min_rows} for "
+                f"{index_type!r}; leave them to brute-force scanning"
+            )
+
+        # Extract: one read-only task per input file.
+        _, extracted = _fan_out(
+            store,
+            pool,
+            "index.extract",
+            "extract",
+            [partial(_extract_file, store, f.path, column) for f in new_files],
+            "indexer:task",
+            files=len(new_files),
+        )
+        directory, page_stream = _page_stream(extracted)
+        built = builder_cls.build(page_stream, **(params or {}))
+
+        # Timeout check before any externally visible effect: an indexer
+        # that overruns must abort so vacuum's age-based GC stays sound.
+        client._check_timeout(started, "before upload")
+        with phase(store, "index.commit", "commit"):
+            record = _upload(
+                client,
+                built,
+                directory,
+                dict(params or {}),
+                index_type=index_type,
+                column=column,
+                covered=tuple(f.path for f in new_files),
+                num_rows=total_rows,
+                deterministic=False,
+            )
+            client._check_timeout(started, "before commit")
+            _commit(client, [record], idempotent=False)
+        return record
+
+
+# ---------------------------------------------------------------------
+# compact (§IV-C): plan -> merge groups -> commit
+# ---------------------------------------------------------------------
 def covering_records(
     client: RottnestClient, column: str, index_type: str
 ) -> list[IndexRecord]:
-    """The index records a search of the latest snapshot would use:
-    newest-first greedy cover over the snapshot's files."""
-    all_records = [
-        r
-        for r in client.meta.records()
-        if r.column == column and r.index_type == index_type
-    ]
+    """The index records a search of the latest snapshot would use —
+    literally: :func:`repro.core.search.plan`'s newest-first greedy
+    cover over the snapshot's files."""
     snap_paths = set(client.lake.snapshot().file_paths)
-    ordered = [
-        all_records[i]
-        for i in sorted(
-            range(len(all_records)),
-            key=lambda i: (-all_records[i].created_at, -i),
-        )
-    ]
-    covering: list[IndexRecord] = []
-    covered: set[str] = set()
-    for record in ordered:
-        useful = (set(record.covered_files) & snap_paths) - covered
-        if useful:
-            covering.append(record)
-            covered |= useful
-    return covering
+    return plan(client.meta, column, (index_type,), snap_paths)[0]
 
 
 def compact_indices(
@@ -94,7 +302,6 @@ def compact_indices(
     *,
     threshold_bytes: int = DEFAULT_COMPACT_THRESHOLD_BYTES,
     target_bytes: int = DEFAULT_COMPACT_TARGET_BYTES,
-    workers: int = 1,
     pool: TracedPool | None = None,
 ) -> list[IndexRecord]:
     """Merge small index files on ``column`` into larger ones.
@@ -107,151 +314,69 @@ def compact_indices(
     records/files stay until :func:`vacuum_indices`, exactly like data
     lake compaction.
 
-    ``workers > 1`` (or an injected ``pool``) merges independent
-    bin-packed groups concurrently. Groups never overlap (each covers a
-    disjoint record set), merged uploads are content-addressed, and the
-    final metadata commit is a single insert on the calling thread, so
-    the committed state is byte-identical to the serial pass for any
-    worker count.
+    A ``pool`` merges independent bin-packed groups concurrently.
+    Groups never overlap (each covers a disjoint record set), merged
+    uploads are content-addressed, and the final metadata commit is a
+    single insert on the calling thread, so the committed state is
+    byte-identical for any pool.
 
     Idempotent and crash-resumable: uploads are content-addressed and
     the commit skips already-live records, so re-running after a crash
     at any mutation boundary converges on the uninterrupted outcome
     (the ``repro chaos`` matrix proves this byte-for-byte).
     """
+    store = client.store
     with get_tracer().span(
         "compact", column=column, index_type=index_type
     ) as span:
-        merged_records = _compact_indices(
-            client,
-            column,
-            index_type,
-            threshold_bytes=threshold_bytes,
-            target_bytes=target_bytes,
-            workers=workers,
-            pool=pool,
-        )
-        span.set("merged_files", len(merged_records))
-        _MAINTENANCE.inc(op="compact")
-    return merged_records
-
-
-def _compact_indices(
-    client: RottnestClient,
-    column: str,
-    index_type: str,
-    *,
-    threshold_bytes: int,
-    target_bytes: int,
-    workers: int = 1,
-    pool: TracedPool | None = None,
-) -> list[IndexRecord]:
-    """Plan, merge, and commit one compaction pass (see
-    :func:`compact_indices` for the public contract)."""
-    tracer = get_tracer()
-    # Plan over the *covering set* only — the same newest-first greedy
-    # search uses. Records subsumed by a newer (e.g. already-compacted)
-    # index, or covering no file of the current snapshot, are vacuum
-    # fodder and must not be re-merged: that would produce an index
-    # covering the same Parquet file twice.
-    with tracer.span("compact.plan", phase="plan") as plan_span:
-        client.store.start_trace()
-        try:
+        # Plan over the *covering set* only — the same newest-first
+        # greedy search uses. Records subsumed by a newer (e.g. already-
+        # compacted) index, or covering no file of the current snapshot,
+        # are vacuum fodder and must not be re-merged: that would
+        # produce an index covering the same Parquet file twice.
+        with phase(store, "compact.plan", "plan"):
             covering = covering_records(client, column, index_type)
-        finally:
-            plan_trace = client.store.stop_trace()
-        plan_trace.barrier()
-        plan_span.trace = plan_trace
-    records = [r for r in covering if r.size < threshold_bytes]
-    if len(records) < 2:
-        return []
-    records.sort(key=lambda r: r.created_at)
-    groups: list[list[IndexRecord]] = [[]]
-    group_bytes = 0
-    for record in records:
-        if groups[-1] and group_bytes + record.size > target_bytes:
-            groups.append([])
-            group_bytes = 0
-        groups[-1].append(record)
-        group_bytes += record.size
-    mergeable = [group for group in groups if len(group) >= 2]
+        records = [r for r in covering if r.size < threshold_bytes]
+        if len(records) < 2:
+            return []
+        records.sort(key=lambda r: r.created_at)
+        groups: list[list[IndexRecord]] = [[]]
+        group_bytes = 0
+        for record in records:
+            if groups[-1] and group_bytes + record.size > target_bytes:
+                groups.append([])
+                group_bytes = 0
+            groups[-1].append(record)
+            group_bytes += record.size
+        mergeable = [group for group in groups if len(group) >= 2]
 
-    # Merge: groups are independent (disjoint records, disjoint covered
-    # files), so they fan across workers; uploads inside are content-
-    # addressed, making completion order irrelevant to the final state.
-    with tracer.span(
-        "compact.merge", phase="merge", groups=len(mergeable)
-    ) as merge_span:
-        if not mergeable:
-            outcomes = []
-        elif pool is not None:
-            merge_trace, outcomes = pool.run(
-                [
-                    lambda g=group: _merge_group(client, column, index_type, g)
-                    for group in mergeable
-                ],
-                span_name="compactor:task",
-            )
-            merge_span.trace = merge_trace
-        elif workers > 1:
-            with TracedPool(
-                client.store,
-                workers=workers,
-                thread_name_prefix="compactor",
-                span_name="compactor:task",
-            ) as scratch:
-                merge_trace, outcomes = scratch.run(
-                    [
-                        lambda g=group: _merge_group(
-                            client, column, index_type, g
-                        )
-                        for group in mergeable
-                    ]
-                )
-            merge_span.trace = merge_trace
-        else:
-            # Serial loop: one blocking merge at a time, so per-group
-            # traces compose sequentially — the same shape a one-worker
-            # pool records.
-            merge_trace = RequestTrace()
-            outcomes = []
-            for group in mergeable:
-                client.store.start_trace()
-                try:
-                    outcomes.append(
-                        _merge_group(client, column, index_type, group)
-                    )
-                finally:
-                    merge_trace = merge_trace.then(client.store.stop_trace())
-            merge_span.trace = merge_trace
-        merged_records = [record for record, _ in outcomes]
-        # What the merges themselves counted (the FM interleave's passes
-        # and sorted rows), summed over the groups.
-        totals: dict[str, int] = {}
+        # Merge: groups are independent (disjoint records, disjoint
+        # covered files), so they fan out; uploads inside are content-
+        # addressed, making completion order irrelevant to the final
+        # state.
+        merge_span, outcomes = _fan_out(
+            store,
+            pool,
+            "compact.merge",
+            "merge",
+            [
+                partial(_merge_group, client, column, index_type, group)
+                for group in mergeable
+            ],
+            "compactor:task",
+            groups=len(mergeable),
+        )
+        # What the merges themselves counted (the FM interleave's
+        # passes and sorted rows), summed over the groups.
         for _, stats in outcomes:
             for name, value in stats.items():
-                totals[name] = totals.get(name, 0) + value
-        for name, value in totals.items():
-            merge_span.set(name, value)
-    if merged_records:
-        # Idempotent commit: a resumed run (or a concurrent compactor
-        # that built the identical merge) may find some records already
-        # live under their content-addressed keys. Re-inserting them
-        # would poison the metadata log, so only the missing ones go in.
-        # Single-threaded whatever the worker count — the metadata log
-        # is one conditional-PUT stream.
-        with tracer.span("compact.commit", phase="commit") as commit_span:
-            client.store.start_trace()
-            try:
-                live = {r.index_key for r in client.meta.records()}
-                fresh = [
-                    r for r in merged_records if r.index_key not in live
-                ]
-                if fresh:
-                    client.meta.insert(fresh)
-            finally:
-                commit_span.trace = client.store.stop_trace()
-    return merged_records
+                merge_span.set(name, merge_span.attributes.get(name, 0) + value)
+        merged_records = [record for record, _ in outcomes]
+        if merged_records:
+            with phase(store, "compact.commit", "commit"):
+                _commit(client, merged_records, idempotent=True)
+        span.set("merged_files", len(merged_records))
+        return merged_records
 
 
 def _merge_group(
@@ -262,13 +387,7 @@ def _merge_group(
 ) -> tuple[IndexRecord, Mapping[str, int]]:
     """Merge one bin-packed group into a single uploaded index file;
     returns its record and the merge's work counters
-    (:attr:`IndexBuilder.merge_stats`).
-
-    The upload key is content-addressed (deterministic), which is the
-    keystone of compaction resumability: every re-run of the same plan
-    produces the same blob at the same key, so crashed prefixes of a
-    run converge to the uninterrupted state byte-for-byte.
-    """
+    (:attr:`IndexBuilder.merge_stats`)."""
     builder_cls = builder_for(index_type)
     covered: list[str] = []
     for record in group:
@@ -289,18 +408,10 @@ def _merge_group(
     )
     if raw_ok:
         # Rebuild from raw pages: read every covered file again.
-        tables = []
-        page_stream = []
-        gid = 0
-        for path in covered:
-            reader = ParquetFile(client.store, path)
-            table = build_page_table(reader.metadata, path, column)
-            tables.append(table)
-            for values in _iter_page_values(reader, table, column):
-                page_stream.append((gid, values))
-                gid += 1
+        directory, page_stream = _page_stream(
+            [_extract_file(client.store, path, column) for path in covered]
+        )
         merged = builder_cls.build(page_stream, **params)
-        directory = PageDirectory(tables)
     else:
         # Native merge from the index files alone. Opening a reader
         # fetches only the footer (directory + params); the heavy
@@ -314,33 +425,91 @@ def _merge_group(
         directories = [reader.directory for reader in readers]
         offsets = []
         base = 0
-        for directory in directories:
+        for part in directories:
             offsets.append(base)
-            base += directory.num_pages
+            base += part.num_pages
         merged = builder_cls.merge_streaming(
             (builder_cls.load(reader) for reader in readers), offsets
         )
         directory = PageDirectory.concat(directories)
 
-    writer = IndexFileWriter(
-        index_type, column, directory, params=params, codec=client.codec
-    )
-    merged.write(writer)
-    blob = writer.finish()
-    key = client.new_index_key(blob, deterministic=True)
-    client.store.put(key, blob)
-    record = IndexRecord(
-        index_key=key,
+    record = _upload(
+        client,
+        merged,
+        directory,
+        params,
         index_type=index_type,
         column=column,
-        covered_files=tuple(covered),
+        covered=tuple(covered),
         num_rows=sum(r.num_rows for r in group),
-        size=len(blob),
-        created_at=client.store.clock.now(),
+        deterministic=True,
     )
     return record, merged.merge_stats
 
 
+# ---------------------------------------------------------------------
+# refine: rewrite one IVF-PQ file with its hot cells split
+# ---------------------------------------------------------------------
+def refine_index(
+    client: RottnestClient,
+    record: IndexRecord,
+    cells,
+    *,
+    min_cell_rows: int = 32,
+    max_nlist: int = 64,
+    seed: int = 0,
+) -> IndexRecord | None:
+    """Split ``cells`` of one committed IVF-PQ file; commit the rewrite.
+
+    Returns the new record, or ``None`` if nothing was worth splitting
+    (cells too small, all members coincide, or the file already reached
+    ``max_nlist``). Publishes exactly like compaction: the rewritten
+    file goes to a content-addressed key and the commit skips
+    already-live keys, so a re-run after a crash at either boundary
+    converges; the old record is left for :func:`vacuum_indices` —
+    newest-first planning prefers the refined file immediately.
+
+    Deterministic for a given (source bytes, cells, seed): the split is
+    2-means over decoded vectors with a seed derived from the cell
+    ordinal, and untouched lists keep their exact bytes.
+    """
+    store = client.store
+    with get_tracer().span(
+        "refine", column=record.column, index_type=record.index_type
+    ):
+        with phase(store, "refine.load", "extract"):
+            reader = IndexFileReader.open(store, record.index_key)
+            if reader.params.get("nlist", 0) >= max_nlist:
+                return None
+            builder = builder_for(record.index_type).load(reader)
+        room = max_nlist - builder.nlist
+        wanted = sorted({int(c) for c in cells})[:room]
+        if not wanted:
+            return None
+        splits = builder.refine_cells(
+            wanted, min_cell_rows=min_cell_rows, seed=seed
+        )
+        if not splits:
+            return None
+        with phase(store, "refine.commit", "commit"):
+            new_record = _upload(
+                client,
+                builder,
+                reader.directory,
+                dict(reader.params),
+                index_type=record.index_type,
+                column=record.column,
+                covered=record.covered_files,
+                num_rows=record.num_rows,
+                deterministic=True,
+            )
+            _commit(client, [new_record], idempotent=True)
+        return new_record
+
+
+# ---------------------------------------------------------------------
+# vacuum (§IV-C): plan -> commit metadata deletes -> remove objects
+# ---------------------------------------------------------------------
 def vacuum_indices(client: RottnestClient, *, snapshot_id: int) -> VacuumReport:
     """Garbage-collect index files (paper §IV-C ``vacuum``).
 
@@ -352,73 +521,72 @@ def vacuum_indices(client: RottnestClient, *, snapshot_id: int) -> VacuumReport:
     unreferenced files may belong to an in-flight indexer, which is
     guaranteed to either commit or abort within the timeout.
 
-    Crash-resumable: every intermediate state satisfies ``M ⊆ B``
+    Sequential whatever the caller: the commit-then-delete ordering
+    *is* the crash-safety argument, so there is nothing safe to fan
+    out. Crash-resumable: every intermediate state satisfies ``M ⊆ B``
     (metadata references a subset of the bucket), and a re-run from a
     fresh client finishes whatever physical deletions remain.
     """
+    store = client.store
     with get_tracer().span("vacuum", snapshot_id=snapshot_id) as span:
-        report = _vacuum_indices(client, snapshot_id=snapshot_id)
-        span.set("kept", len(report.kept))
-        span.set("deleted_records", len(report.deleted_records))
-        span.set("deleted_objects", len(report.deleted_objects))
-        _MAINTENANCE.inc(op="vacuum")
-    return report
+        with phase(store, "vacuum.plan", "plan"):
+            active = client.lake.files_since(snapshot_id)
+            records = client.meta.records()
 
-
-def _vacuum_indices(client: RottnestClient, *, snapshot_id: int) -> VacuumReport:
-    """Plan, commit, and physically apply one vacuum pass (see
-    :func:`vacuum_indices` for the public contract)."""
-    active = client.lake.files_since(snapshot_id)
-    records = client.meta.records()
-
-    # Coverage is per logical index: an FM index on "text" covering a
-    # file says nothing about the trie on "uuid".
-    groups: dict[tuple[str, str], list[IndexRecord]] = {}
-    for record in records:
-        groups.setdefault((record.column, record.index_type), []).append(record)
-
-    kept: list[IndexRecord] = []
-    for group in groups.values():
-        # Enumerate so equal-gain ties prefer newer records (higher
-        # insertion index): compaction products over their inputs.
-        remaining = list(enumerate(group))
-        covered: set[str] = set()
-        while remaining:
-            position, best = max(
-                remaining,
-                key=lambda item: (
-                    len((set(item[1].covered_files) & active) - covered),
-                    item[1].created_at,
-                    item[0],
-                ),
+        # Coverage is per logical index: an FM index on "text" covering
+        # a file says nothing about the trie on "uuid".
+        groups: dict[tuple[str, str], list[IndexRecord]] = {}
+        for record in records:
+            groups.setdefault((record.column, record.index_type), []).append(
+                record
             )
-            gain = len((set(best.covered_files) & active) - covered)
-            if gain == 0:
-                break
-            kept.append(best)
-            covered |= set(best.covered_files) & active
-            remaining.remove((position, best))
 
-    kept_keys = {r.index_key for r in kept}
-    to_delete = [r.index_key for r in records if r.index_key not in kept_keys]
-    if to_delete:
-        client.meta.delete(to_delete)
+        kept: list[IndexRecord] = []
+        for group in groups.values():
+            # Enumerate so equal-gain ties prefer newer records (higher
+            # insertion index): compaction products over their inputs.
+            remaining = list(enumerate(group))
+            covered: set[str] = set()
+            while remaining:
+                position, best = max(
+                    remaining,
+                    key=lambda item: (
+                        len((set(item[1].covered_files) & active) - covered),
+                        item[1].created_at,
+                        item[0],
+                    ),
+                )
+                gain = len((set(best.covered_files) & active) - covered)
+                if gain == 0:
+                    break
+                kept.append(best)
+                covered |= set(best.covered_files) & active
+                remaining.remove((position, best))
 
-    # Physical removal comes strictly after the metadata commit so the
-    # Existence invariant never observes a dangling reference.
-    live = {r.index_key for r in client.meta.records()}
-    cutoff = client.store.clock.now() - client.index_timeout_s
-    deleted_objects: list[str] = []
-    prefix = f"{client.index_dir}/files/"
-    for info in client.store.list(prefix):
-        if info.key in live:
-            continue
-        if info.mtime > cutoff:
-            continue  # possibly an in-flight indexer's upload
-        client.store.delete(info.key)
-        deleted_objects.append(info.key)
-    return VacuumReport(
-        kept=[r.index_key for r in kept],
-        deleted_records=to_delete,
-        deleted_objects=deleted_objects,
-    )
+        kept_keys = {r.index_key for r in kept}
+        to_delete = [r.index_key for r in records if r.index_key not in kept_keys]
+        if to_delete:
+            with phase(store, "vacuum.commit", "commit"):
+                client.meta.delete(to_delete)
+
+        # Physical removal comes strictly after the metadata commit so
+        # the Existence invariant never observes a dangling reference.
+        deleted_objects: list[str] = []
+        with phase(store, "vacuum.remove", "remove"):
+            live = {r.index_key for r in client.meta.records()}
+            cutoff = store.clock.now() - client.index_timeout_s
+            for info in store.list(f"{client.index_dir}/files/"):
+                if info.key in live:
+                    continue
+                if info.mtime > cutoff:
+                    continue  # possibly an in-flight indexer's upload
+                store.delete(info.key)
+                deleted_objects.append(info.key)
+        span.set("kept", len(kept))
+        span.set("deleted_records", len(to_delete))
+        span.set("deleted_objects", len(deleted_objects))
+        return VacuumReport(
+            kept=[r.index_key for r in kept],
+            deleted_records=to_delete,
+            deleted_objects=deleted_objects,
+        )

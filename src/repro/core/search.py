@@ -49,7 +49,7 @@ from repro.meta.metadata_table import IndexRecord, MetadataTable
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Span, get_tracer
 from repro.storage.object_store import ObjectStore
-from repro.storage.pool import TracedPool, run_inline
+from repro.storage.pool import TracedPool, phase, run_inline
 from repro.storage.stats import RequestTrace
 
 _SEARCHES = get_registry().counter(
@@ -82,20 +82,23 @@ def scope(snap: Snapshot, partition: str | None, file_predicate) -> set[str]:
 
 
 def plan(
-    meta: MetadataTable, column: str, query: Query, snap_paths: set[str]
+    meta: MetadataTable,
+    column: str,
+    index_types: tuple[str, ...],
+    snap_paths: set[str],
 ) -> tuple[list[IndexRecord], set[str]]:
     """Pick index files to query and files left to brute-force.
 
     Newest-first greedy cover: later index files (e.g. produced by
     index compaction) win over the older ones they subsume; index
     files covering no file of the snapshot are skipped entirely.
-    Any index type the query declares compatible can serve it, with
-    earlier types in ``query.index_types`` preferred on timestamp
+    Any of ``index_types`` (a query's compatible types; maintenance
+    asks for one) can serve, with earlier types preferred on timestamp
     ties (e.g. a trie over a bloom filter for the same files).
     """
-    if not query.index_types:
+    if not index_types:
         return [], set(snap_paths)
-    type_rank = {t: i for i, t in enumerate(query.index_types)}
+    type_rank = {t: i for i, t in enumerate(index_types)}
     records = [
         r
         for r in meta.records()
@@ -179,17 +182,17 @@ def run_search(
         # Plan phase is part of the query's latency: reading the
         # metadata table (and the snapshot manifest when not pinned)
         # costs real, inherently sequential object-store round trips.
-        with tracer.span("plan", phase="plan") as plan_span:
-            store.start_trace()
+        with phase(store, "plan", "plan") as plan_span:
             snap = snapshot or client.lake.snapshot()
             paths = scope(snap, partition, file_predicate)
             if use_indices:
-                chosen, uncovered = plan(client.meta, column, query, paths)
+                chosen, uncovered = plan(
+                    client.meta, column, query.index_types, paths
+                )
             else:
                 chosen, uncovered = [], set(paths)
-            plan_trace = store.stop_trace()
-            plan_trace.barrier()  # index queries depend on the plan
-            plan_span.trace = plan_trace
+        plan_trace = plan_span.trace
+        plan_trace.barrier()  # index queries depend on the plan
 
         # Fresh rows count toward K for exact queries and join the
         # global sort for scoring ones. Structured scoping (partition /

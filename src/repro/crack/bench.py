@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.client import RottnestClient
+from repro.core.daemon import MaintenanceDaemon
 from repro.core.queries import UuidQuery
 from repro.crack.controller import CrackController
 from repro.crack.heat import HeatMap
@@ -238,18 +239,19 @@ def run_crack_bench(
     }
     controller = CrackController(
         client,
-        [(COLUMN, INDEX_TYPE)],
         cracking=CrackingPolicy(hotness_floor=hotness_floor),
         heat=HeatMap(half_life_s=tick_interval_s),
     )
     tracer = Tracer(clock=clock)
-    with use_tracer(tracer):
+    with use_tracer(tracer), MaintenanceDaemon(
+        client, [(COLUMN, INDEX_TYPE)], policy=controller
+    ) as daemon:
         for tick_no, tick in enumerate(trace):
             for fi, ri in tick:
                 client.search(COLUMN, UuidQuery(batches[fi][ri]), k=1)
             controller.observe_tracer(tracer)
             before = store.stats.snapshot()
-            controller.tick()
+            daemon.tick()
             result.cracked_index_io += _io_bytes(store, before)
             if result.ticks_to_cover < 0:
                 covered = client.meta.indexed_files(COLUMN, INDEX_TYPE)

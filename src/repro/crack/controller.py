@@ -1,147 +1,69 @@
-"""The cracking controller: heat map -> ranked work -> targeted commits.
+"""The cracking controller: heat map -> ranked work for the daemon's tick.
 
-:class:`CrackController` is a :class:`~repro.core.daemon.MaintenanceDaemon`
-whose tick is driven by *observed queries* instead of a schedule. Each
+:class:`CrackController` is a *policy* of
+:class:`~repro.core.daemon.MaintenanceDaemon` — there is one tick, and
+cracking drives it from *observed queries* instead of a schedule. The
+controller keeps the heat map (fed with search span trees), and each
 tick it asks the :class:`~repro.crack.policy.CrackingPolicy` to rank
-work by expected benefit per IO, then runs the top few items:
+work by expected benefit per IO, then proposes the top few items as
+ordinary pipeline runs:
 
-* **targeted indexing** — the inherited
-  :meth:`~repro.core.daemon.MaintenanceDaemon.run_index` with a
-  snapshot restricted to the currently-hot uncovered files, so only
-  they get indexed and cold files stay on the brute-force path;
-* **cell refinement** — :func:`refine_index` rewrites one IVF-PQ file
-  with its hottest inverted lists split in two, committing the result
-  exactly like compaction does (content-addressed upload, idempotent
-  metadata insert), so the old file becomes vacuum fodder.
+* **targeted indexing** — ``index`` with a snapshot restricted to the
+  currently-hot uncovered files, so only they get indexed and cold
+  files stay on the brute-force path;
+* **cell refinement** — ``refine``
+  (:func:`~repro.core.maintenance.refine_index`) rewrites one IVF-PQ
+  file with its hottest inverted lists split in two, publishing exactly
+  like compaction does (content-addressed upload, idempotent metadata
+  insert), so the old file becomes vacuum fodder.
 
-The tick itself never vacuums and never compacts: both mutate state
-from *wall-clock* inputs (``_last_vacuum`` lives on the daemon object,
-not in the store), which would make a crash-recovered controller
-diverge from an uninterrupted one. Cracking commits only through the
-two idempotent verbs above, which is what lets the ``repro chaos``
-matrix prove byte-identical convergence after a crash at every PUT
-(see ``crack:*`` rows in ``docs/protocol.md``).
+It never proposes ``compact`` or ``vacuum``: the schedule policy's
+vacuum runs off *wall-clock* state that lives on the daemon object, not
+in the store, which would make a crash-recovered tick diverge from an
+uninterrupted one. Cracking commits only through the two idempotent
+verbs above, which is what lets the ``repro chaos`` matrix prove
+byte-identical convergence after a crash at every PUT (see ``crack:*``
+rows in ``docs/protocol.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator
 
-from repro.core.daemon import MaintenanceDaemon, TickReport
-from repro.core.index_file import IndexFileReader, IndexFileWriter
+from repro.core.daemon import MaintenanceDaemon, Work
 from repro.core.maintenance import covering_records
 from repro.crack.heat import HeatMap
 from repro.crack.policy import CrackingPolicy
-from repro.indices.vector.ivf_pq import IvfPqBuilder
-from repro.meta.metadata_table import IndexRecord
-from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 
-_TICKS = get_registry().counter(
-    "crack_ticks_total", "Cracking controller ticks by outcome", ("outcome",)
-)
-_ACTIONS = get_registry().counter(
-    "crack_actions_total", "Cracking work items run by ticks", ("action",)
-)
 
-
-def refine_index(
-    client,
-    record: IndexRecord,
-    cells,
-    *,
-    min_cell_rows: int = 32,
-    max_nlist: int = 64,
-    seed: int = 0,
-) -> IndexRecord | None:
-    """Split ``cells`` of one committed IVF-PQ file; commit the rewrite.
-
-    Returns the new record, or ``None`` if nothing was worth splitting
-    (cells too small, all members coincide, or the file already reached
-    ``max_nlist``). Mirrors the compaction commit protocol exactly:
-
-    * the rewritten file goes to a **content-addressed** key, so a
-      re-run after a crash mid-upload overwrites the same bytes at the
-      same key instead of accreting orphans;
-    * the metadata insert **skips already-live keys**, so a re-run
-      after a crash between commit and checkpoint is a no-op;
-    * the old record is left for :func:`~repro.core.maintenance.vacuum_indices`
-      — newest-first planning prefers the refined file immediately.
-
-    Deterministic for a given (source bytes, cells, seed): the split is
-    2-means over decoded vectors with a seed derived from the cell
-    ordinal, and untouched lists keep their exact bytes.
-    """
-    reader = IndexFileReader.open(client.store, record.index_key)
-    if reader.params.get("nlist", 0) >= max_nlist:
-        return None
-    builder = IvfPqBuilder.load(reader)
-    room = max_nlist - builder.nlist
-    wanted = sorted({int(c) for c in cells})[:room]
-    if not wanted:
-        return None
-    splits = builder.refine_cells(
-        wanted, min_cell_rows=min_cell_rows, seed=seed
-    )
-    if not splits:
-        return None
-    writer = IndexFileWriter(
-        record.index_type,
-        record.column,
-        reader.directory,
-        params=dict(reader.params),
-        codec=client.codec,
-    )
-    builder.write(writer)
-    blob = writer.finish()
-    key = client.new_index_key(blob, deterministic=True)
-    client.store.put(key, blob)
-    new_record = IndexRecord(
-        index_key=key,
-        index_type=record.index_type,
-        column=record.column,
-        covered_files=tuple(record.covered_files),
-        num_rows=record.num_rows,
-        size=len(blob),
-        created_at=client.store.clock.now(),
-    )
-    if key not in {r.index_key for r in client.meta.records()}:
-        client.meta.insert([new_record])
-    return new_record
-
-
-class CrackController(MaintenanceDaemon):
-    """Query-adaptive maintenance: index what is hot, leave the rest.
+class CrackController:
+    """Query-adaptive maintenance policy: index what is hot, leave the
+    rest.
 
     Feed it span trees with :meth:`observe` (or let it drain the
-    ambient tracer with :meth:`observe_tracer`), then :meth:`tick`. All
+    ambient tracer with :meth:`observe_tracer`), hand it to a
+    ``MaintenanceDaemon(..., policy=controller)`` and tick that. All
     durable inputs live in the store — the heat map is a *hint*, not
     state the protocol depends on: a controller restarted with an empty
     map simply re-learns the workload and converges to the same
     coverage, which is what the simulation harness's restart leg pins.
     """
 
+    name = "cracking"
+
     def __init__(
         self,
         client,
-        targets,
         *,
         cracking: CrackingPolicy | None = None,
         heat: HeatMap | None = None,
-        index_params=None,
-        workers: int = 1,
-        budget=None,
         refine_seed: int = 0,
         snapshots=None,
     ) -> None:
-        super().__init__(
-            client,
-            targets,
-            index_params=index_params,
-            workers=workers,
-            budget=budget,
-        )
+        self.client = client
         self.cracking = cracking or CrackingPolicy()
         self.heat = heat if heat is not None else HeatMap()
         self.refine_seed = refine_seed
@@ -185,78 +107,50 @@ class CrackController(MaintenanceDaemon):
         covered = self.client.meta.indexed_files(column, index_type)
         return sum(1 for path in hot if path in covered) / len(hot)
 
-    # -- act -----------------------------------------------------------
-    def tick(self) -> TickReport:
-        """Plan against the heat map and run the top-ranked work."""
-        report = TickReport()
-        at_s = self.client.store.clock.now()
+    # -- plan ----------------------------------------------------------
+    def plan(self, daemon: MaintenanceDaemon) -> Iterator[Work]:
+        """The tick's top-ranked work against the heat map.
+
+        Lazy like every policy: an item is resolved against live state
+        when the tick asks for it, after the previous one ran. What
+        follows the last item runs once the tick has run them all — the
+        per-tick heat snapshot spill.
+        """
+        client, cracking = self.client, self.cracking
+        at_s = client.store.clock.now()
         # Bound heat-map memory. The eviction floor is far below the
         # action floor so forgetting a key can never change a decision
         # (the evict_cold invariant the hypothesis suite pins).
-        self.heat.evict_cold(self.cracking.hotness_floor / 1e3, at_s=at_s)
-        with get_tracer().span("crack.tick") as span:
-            works = self.cracking.plan(
-                self.client, self.heat, self.targets, at_s=at_s
-            )
-            acted = 0
-            for work in works:
-                if acted >= self.cracking.max_actions_per_tick:
-                    break
-                acted += 1  # attempts count: aborts still spent the slot
-                if work.action == "index":
-                    self._run_targeted_index(work, report)
-                else:
-                    self._run_refine(work, report)
-            span.set("planned", len(works))
-            span.set("acted", acted)
-            span.set("indexed", len(report.indexed))
-            span.set("refined", len(report.refined))
-            span.set("idle", report.idle)
-        _TICKS.inc(outcome="idle" if report.idle else "acted")
-        get_hub().series("crack.heat_keys").observe(
-            float(len(self.heat)), at_s=at_s
-        )
-        self._record_telemetry(span, report)
+        self.heat.evict_cold(cracking.hotness_floor / 1e3, at_s=at_s)
+        ranked = cracking.plan(client, self.heat, daemon.targets, at_s=at_s)
+        # Attempts count: an item that resolves to nothing (or aborts)
+        # still spent its slot, which bounds a tick's IO.
+        for work in ranked[: cracking.max_actions_per_tick]:
+            target = (work.column, work.index_type)
+            if work.action == "index":
+                snap = client.lake.snapshot()
+                keep = set(work.files)
+                sub = dataclasses.replace(
+                    snap, files=tuple(f for f in snap.files if f.path in keep)
+                )
+                if sub.files:
+                    params = daemon.index_params.get(target)
+                    yield Work("index", target, {"snapshot": sub, "params": params})
+                continue
+            # Re-resolve the record against live metadata: the planned
+            # key may have been superseded (e.g. by a recovery re-run).
+            live = {r.index_key: r for r in covering_records(client, *target)}
+            if work.index_key in live:
+                yield Work(
+                    "refine",
+                    (live[work.index_key], work.cells),
+                    {
+                        "min_cell_rows": cracking.refine_min_cell_rows,
+                        "max_nlist": cracking.max_nlist,
+                        "seed": self.refine_seed,
+                    },
+                )
+        hub = get_hub()
+        hub.series("crack.heat_keys").observe(float(len(self.heat)), at_s=at_s)
         if self.snapshots is not None:
-            self.snapshots.commit(
-                get_hub(), heat=self.heat, source="crack", at_s=at_s
-            )
-        return report
-
-    def _run_targeted_index(self, work, report: TickReport) -> None:
-        snap = self.client.lake.snapshot()
-        keep = set(work.files)
-        sub = dataclasses.replace(
-            snap, files=tuple(f for f in snap.files if f.path in keep)
-        )
-        if not sub.files:
-            return
-        record = self.run_index(
-            work.column, work.index_type, snapshot=sub, report=report
-        )
-        if record is not None:
-            _ACTIONS.inc(action="index")
-
-    def _run_refine(self, work, report: TickReport) -> None:
-        # Re-resolve the record against live metadata: the planned key
-        # may have been superseded (e.g. by a recovery re-run) since.
-        live = {
-            r.index_key: r
-            for r in covering_records(
-                self.client, work.column, work.index_type
-            )
-        }
-        record = live.get(work.index_key)
-        if record is None:
-            return
-        new_record = refine_index(
-            self.client,
-            record,
-            work.cells,
-            min_cell_rows=self.cracking.refine_min_cell_rows,
-            max_nlist=self.cracking.max_nlist,
-            seed=self.refine_seed,
-        )
-        if new_record is not None:
-            report.refined.append(new_record)
-            _ACTIONS.inc(action="refine")
+            self.snapshots.commit(hub, heat=self.heat, source="crack", at_s=at_s)

@@ -1,24 +1,23 @@
-"""The parallel maintenance pipeline (write-path twin of ``repro.serve``).
+"""The maintenance pipeline: the one place a maintenance verb is *run and
+reported* (write-path twin of ``repro.serve``).
 
-The paper's lazy maintenance protocol (§IV) is cheap because its three
-verbs are rare and coarse — but our serial ``index`` loop extracted one
-Parquet file at a time and ``compact`` merged one group at a time, so
-wall-clock grew linearly with lake size while the read path (the query
-executor) already fanned out. :class:`MaintenancePipeline` closes that
-gap:
-
-* ``index`` fans per-file page-value extraction across a bounded
-  worker pool; the index structure is still built and committed on the
-  calling thread, so the committed bytes and metadata are identical to
-  the serial run for any worker count.
-* ``compact`` merges independent bin-packed groups concurrently;
-  uploads are content-addressed, the commit is one single-threaded
-  metadata insert, and a streaming merge bounds per-worker memory.
-* Every worker records a per-thread request trace under a phase-tagged
-  span, so one finished pipeline run attributes to dollars and modeled
-  seconds with :func:`repro.obs.attribution.attribute` — reconciling
-  against the store's :class:`~repro.storage.stats.IOStats` delta
-  exactly as query bills do.
+The verbs — ``index``, ``compact``, ``vacuum``, ``refine`` — are written
+once in :mod:`repro.core.maintenance`, parameterised by a worker pool.
+:class:`MaintenancePipeline` owns that pool (the only ``TracedPool``
+maintenance ever constructs: ``index`` fans per-file extraction across
+it, ``compact`` its independent merge groups; committed bytes are
+identical for any worker count) and the one reporter. Every run — and
+every planning read a scheduler makes through
+:meth:`MaintenancePipeline.plan` — happens under phase-tagged spans
+that own their request traces, and
+:meth:`MaintenancePipeline._report` turns the finished span tree into a
+:class:`MaintainReport` whose bill reconciles with the store's
+:class:`~repro.storage.stats.IOStats` delta exactly as query bills do,
+one ``maintenance_runs_total{op, outcome}`` bump, the ``maintain.*``
+hub series and the cost-ledger bucket of the verb (``index`` is the
+one-time build cost, everything else ongoing maintenance) — whoever
+asked for the run: a caller, the drain, or a
+:class:`~repro.core.daemon.MaintenanceDaemon` tick under any policy.
 
 Sharing an :class:`~repro.storage.pool.IOBudget` between a pipeline and
 a query executor caps their *combined* in-flight store tasks: the
@@ -29,13 +28,16 @@ live serving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
+from repro.errors import IndexAborted
 from repro.core.client import RottnestClient
 from repro.core.maintenance import (
     DEFAULT_COMPACT_TARGET_BYTES,
     DEFAULT_COMPACT_THRESHOLD_BYTES,
     VacuumReport,
     compact_indices,
+    refine_index,
     vacuum_indices,
 )
 from repro.meta.metadata_table import IndexRecord
@@ -45,13 +47,15 @@ from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
-from repro.storage.pool import IOBudget, TracedPool
+from repro.storage.pool import IOBudget, TracedPool, phase
 from repro.storage.stats import RequestTrace
 
+T = TypeVar("T")
+
 _RUNS = get_registry().counter(
-    "maintain_runs_total",
-    "Pipeline maintenance runs by verb.",
-    ("op",),
+    "maintenance_runs_total",
+    "Maintenance verb runs by verb and outcome (committed/noop/aborted).",
+    ("op", "outcome"),
 )
 _TASKS = get_registry().counter(
     "maintain_worker_tasks_total",
@@ -69,6 +73,11 @@ _MODELED_SECONDS = get_registry().counter(
 class MaintainReport:
     """One pipeline run: what was committed and what it cost.
 
+    ``outcome`` is ``committed`` (the run changed the store), ``noop``
+    (nothing was due) or ``aborted`` (``index`` raised
+    :class:`~repro.errors.IndexAborted`; the caller sees the exception,
+    the report only feeds telemetry). ``records`` are the index records
+    the run published; ``vacuum`` is what a vacuum pass removed.
     ``trace`` is the phase traces composed sequentially (plan →
     extract/merge waves → commit), so
     ``LatencyModel().trace_latency(report.trace)`` is the modeled
@@ -82,7 +91,9 @@ class MaintainReport:
 
     op: str
     workers: int
+    outcome: str = "noop"
     records: list[IndexRecord] = field(default_factory=list)
+    vacuum: VacuumReport | None = None
     trace: RequestTrace = field(default_factory=RequestTrace)
     root: Span | None = None
     worker_tasks: int = 0
@@ -109,10 +120,11 @@ class MaintainReport:
 
 
 class MaintenancePipeline:
-    """Runs maintenance verbs for one client over a bounded worker pool.
+    """Runs and reports maintenance verbs for one client over a bounded
+    worker pool.
 
     Usable as a context manager; :meth:`close` shuts the pool down.
-    Committed state is byte-identical to the serial client calls — the
+    Committed state is byte-identical for any worker count — the
     pipeline only changes *when* the reads happen, never what gets
     written (a hypothesis property test pins this).
     """
@@ -154,22 +166,16 @@ class MaintenancePipeline:
         snapshot=None,
         params: dict | None = None,
     ) -> MaintainReport:
-        """Parallel :meth:`RottnestClient.index`; returns a report."""
-        with get_tracer().span(
-            "maintain.index",
-            column=column,
-            index_type=index_type,
-            workers=self.workers,
-        ) as root:
-            record = self.client.index(
-                column,
-                index_type,
-                snapshot=snapshot,
-                params=params,
-                pool=self._pool,
-            )
-        return self._report(
-            "index", root, [record] if record is not None else []
+        """:meth:`RottnestClient.index` on the pool; returns a report.
+        :class:`~repro.errors.IndexAborted` is reported, then raised."""
+        return self._run(
+            "index",
+            self.client.index,
+            column,
+            index_type,
+            snapshot=snapshot,
+            params=params,
+            pool=self._pool,
         )
 
     def compact(
@@ -180,41 +186,91 @@ class MaintenancePipeline:
         threshold_bytes: int = DEFAULT_COMPACT_THRESHOLD_BYTES,
         target_bytes: int = DEFAULT_COMPACT_TARGET_BYTES,
     ) -> MaintainReport:
-        """Parallel :func:`compact_indices`; returns a report."""
-        with get_tracer().span(
-            "maintain.compact",
-            column=column,
-            index_type=index_type,
-            workers=self.workers,
-        ) as root:
-            records = compact_indices(
-                self.client,
-                column,
-                index_type,
-                threshold_bytes=threshold_bytes,
-                target_bytes=target_bytes,
-                pool=self._pool,
-            )
-        return self._report("compact", root, records)
-
-    def vacuum(self, *, snapshot_id: int) -> VacuumReport:
-        """Serial :func:`vacuum_indices` passthrough.
-
-        Vacuum is a metadata commit plus one-by-one physical deletes
-        whose ordering *is* its crash-safety argument — there is
-        nothing safe to fan out, so the pipeline keeps it sequential.
-        """
-        report = vacuum_indices(self.client, snapshot_id=snapshot_id)
-        _RUNS.inc(op="vacuum")
-        get_hub().series("maintain.vacuum.runs").observe(
-            1.0, at_s=self.client.store.clock.now()
+        """:func:`compact_indices` on the pool; returns a report."""
+        return self._run(
+            "compact",
+            compact_indices,
+            self.client,
+            column,
+            index_type,
+            threshold_bytes=threshold_bytes,
+            target_bytes=target_bytes,
+            pool=self._pool,
         )
-        return report
+
+    def vacuum(self, *, snapshot_id: int) -> MaintainReport:
+        """:func:`vacuum_indices` (sequential: its commit-then-delete
+        ordering is its crash-safety argument); ``report.vacuum`` is
+        what it removed."""
+        return self._run(
+            "vacuum", vacuum_indices, self.client, snapshot_id=snapshot_id
+        )
+
+    def refine(
+        self,
+        record: IndexRecord,
+        cells,
+        *,
+        min_cell_rows: int = 32,
+        max_nlist: int = 64,
+        seed: int = 0,
+    ) -> MaintainReport:
+        """:func:`refine_index` (one file in, one file out — nothing to
+        fan out); returns a report."""
+        return self._run(
+            "refine",
+            refine_index,
+            self.client,
+            record,
+            cells,
+            min_cell_rows=min_cell_rows,
+            max_nlist=max_nlist,
+            seed=seed,
+        )
+
+    def plan(self, step: Callable[[], T]) -> T:
+        """Run a scheduler's planning reads as a billed ``plan`` phase.
+
+        A daemon deciding what is due reads the lake log and the
+        metadata table before (and between) verb runs; routing those
+        reads through here is what makes a tick's bills add up to its
+        ``IOStats`` delta. Planning is ongoing maintenance spend, not a
+        verb run: it moves the ledger and the hub, not
+        ``maintenance_runs_total``.
+        """
+        with phase(self.client.store, "maintain.plan", "plan") as root:
+            planned = step()
+        self._bill("plan", root)
+        return planned
 
     # -- internals -----------------------------------------------------
+    def _run(self, op: str, verb: Callable, *args, **kwargs) -> MaintainReport:
+        with get_tracer().span(f"maintain.{op}", workers=self.workers) as root:
+            try:
+                result = verb(*args, **kwargs)
+            except IndexAborted:
+                # Too few rows yet, an input vanished, a timeout: the
+                # reads still happened, so the run is billed and counted
+                # before the caller sees the abort.
+                self._report(op, root, None, aborted=True)
+                raise
+        return self._report(op, root, result)
+
     def _report(
-        self, op: str, root: Span, records: list[IndexRecord]
+        self, op: str, root: Span, result: object, *, aborted: bool = False
     ) -> MaintainReport:
+        """Span root → report → counters → hub series → ledger bucket."""
+        vacuum = result if isinstance(result, VacuumReport) else None
+        if isinstance(result, IndexRecord):
+            records = [result]
+        else:
+            records = result if isinstance(result, list) else []
+        removed = vacuum and (vacuum.deleted_records or vacuum.deleted_objects)
+        if aborted:
+            outcome = "aborted"
+        else:
+            outcome = "committed" if records or removed else "noop"
+
         trace = RequestTrace()
         tasks = 0
         merge_stats = {"interleave_iterations": 0, "rows_sorted": 0}
@@ -227,29 +283,35 @@ class MaintenancePipeline:
                 continue  # task traces are owned by their phase span
             if span.attributes.get("phase") and span.trace is not None:
                 trace = trace.then(span.trace)
-        report = MaintainReport(
+        _RUNS.inc(op=op, outcome=outcome)
+        if tasks:
+            _TASKS.inc(tasks, op=op)
+        self._bill(op, root)
+        return MaintainReport(
             op=op,
             workers=self.workers,
+            outcome=outcome,
             records=records,
+            vacuum=vacuum,
             trace=trace,
             root=root,
             worker_tasks=tasks,
             **merge_stats,
         )
-        _RUNS.inc(op=op)
-        if tasks:
-            _TASKS.inc(tasks, op=op)
-        modeled_s = report.modeled_latency()
-        _MODELED_SECONDS.inc(modeled_s, op=op)
 
-        hub = get_hub()
-        at_s = self.client.store.clock.now()
-        bill = report.bill()
+    def _bill(self, op: str, root: Span) -> None:
+        """One run's (or planning step's) spend → hub series + ledger."""
+        bill = attribute(root)
         request_usd = bill.total_request_cost_usd()
         compute_usd = bill.compute_cost_usd
+        _MODELED_SECONDS.inc(bill.est_latency_s, op=op)
+        hub = get_hub()
+        at_s = self.client.store.clock.now()
         hub.ledger.record_maintain(op, request_usd, compute_usd, at_s=at_s)
-        hub.series(f"maintain.{op}.modeled_s").observe(modeled_s, at_s=at_s)
+        hub.series(f"maintain.{op}.runs").observe(1.0, at_s=at_s)
+        hub.series(f"maintain.{op}.modeled_s").observe(
+            bill.est_latency_s, at_s=at_s
+        )
         hub.series("maintain.cost_usd").observe(
             request_usd + compute_usd, at_s=at_s
         )
-        return report

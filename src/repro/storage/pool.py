@@ -118,6 +118,22 @@ def run_inline(
     return combined, payloads
 
 
+@contextmanager
+def phase(
+    store: ObjectStore, name: str, tag: str, **attributes: object
+) -> Iterator[Span]:
+    """A span tagged ``phase=tag`` that owns the calling thread's
+    request trace — how sequential round trips (planning reads,
+    commits) get attributed: every request inside lands in exactly one
+    phase's trace, so bills add up to the ``IOStats`` delta."""
+    with get_tracer().span(name, phase=tag, **attributes) as span:
+        store.start_trace()
+        try:
+            yield span
+        finally:
+            span.trace = store.stop_trace()
+
+
 class TracedPool:
     """Runs tasks in bounded waves, recording per-worker traces.
 

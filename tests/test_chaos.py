@@ -30,6 +30,7 @@ from repro.core.client import RottnestClient
 from repro.core.maintenance import compact_indices, vacuum_indices
 from repro.errors import InjectedFault, SimulatedCrash
 from repro.lake.table import LakeTable, TableConfig
+from repro.maintain import MaintenancePipeline
 from repro.storage.faults import FaultRule, FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
 from repro.util.clock import SimClock
@@ -277,6 +278,12 @@ class TestCrashMatrices:
 # ---------------------------------------------------------------------
 # parallel maintenance: same crash points, same recoveries
 # ---------------------------------------------------------------------
+def _parallel(client, verb, *args, **kwargs):
+    """One pipeline verb at four workers."""
+    with MaintenancePipeline(client, workers=4) as pipe:
+        return getattr(pipe, verb)(*args, **kwargs)
+
+
 class TestParallelCrashMatrices:
     """The worker-pool paths must be crash-safe at every boundary the
     serial paths have — and at no boundary the registry doesn't know
@@ -290,7 +297,7 @@ class TestParallelCrashMatrices:
             store,
             _make_client,
             "index",
-            lambda c: c.index("uuid", "uuid_trie", workers=4),
+            lambda c: _parallel(c, "index", "uuid", "uuid_trie"),
             compare="coverage",
         )
         assert matrix.mutations >= 2
@@ -312,8 +319,8 @@ class TestParallelCrashMatrices:
             store,
             _make_client,
             "compact",
-            lambda c: compact_indices(
-                c, "uuid", "uuid_trie", target_bytes=target, workers=4
+            lambda c: _parallel(
+                c, "compact", "uuid", "uuid_trie", target_bytes=target
             ),
             compare="bytes",
         )
@@ -343,12 +350,12 @@ class TestParallelCrashMatrices:
         faulty = FaultyObjectStore(wrecked)
         faulty.crash_after("PUT", "/files/")  # first merged-index upload
         with pytest.raises(SimulatedCrash):
-            compact_indices(
+            _parallel(
                 _make_client(faulty),
+                "compact",
                 "uuid",
                 "uuid_trie",
                 target_bytes=target,
-                workers=4,
             )
         # No commit happened: searches still plan the small indices.
         crashed_meta = _make_client(wrecked).meta.records()

@@ -32,6 +32,7 @@ from repro.formats.schema import ColumnType, Field, Schema
 from repro.lake.table import LakeTable, TableConfig
 from repro.storage.faults import FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.pool import TracedPool
 from repro.util.clock import SimClock
 
 SCHEMA = Schema.of(Field("uuid", ColumnType.BINARY))
@@ -111,9 +112,9 @@ def _deterministic_client(store) -> RottnestClient:
     return client
 
 
-def _maintain_history(store, workers: int, batches: int) -> None:
-    """Index each lake version in turn at ``workers`` width, then
-    compact — the canonical maintenance history of one lake. (Appends
+def _maintain_history(store, pool, batches: int) -> None:
+    """Index each lake version in turn on ``pool`` (``None`` = inline
+    on the calling thread), then compact — the canonical maintenance history of one lake. (Appends
     happen on the *base* store before cloning: lake data-file names
     are salted with no injection hook, so the appended bytes must be
     shared for two histories to be comparable.)"""
@@ -123,9 +124,9 @@ def _maintain_history(store, workers: int, batches: int) -> None:
             "uuid",
             "uuid_trie",
             snapshot=client.lake.snapshot(version),
-            workers=workers,
+            pool=pool,
         )
-    compact_indices(client, "uuid", "uuid_trie", workers=workers)
+    compact_indices(client, "uuid", "uuid_trie", pool=pool)
 
 
 @settings(max_examples=10, deadline=None)
@@ -152,8 +153,9 @@ def test_parallel_maintenance_is_byte_identical_to_serial(data):
 
     serial = base.clone()
     parallel = base.clone()
-    _maintain_history(serial, 1, batches)
-    _maintain_history(parallel, workers, batches)
+    _maintain_history(serial, None, batches)
+    with TracedPool(parallel, workers=workers) as pool:
+        _maintain_history(parallel, pool, batches)
 
     # Byte-identical objects at identical keys (checkpoints excluded).
     assert _logical_state(parallel) == _logical_state(serial)

@@ -21,6 +21,7 @@ import dataclasses
 
 from repro.chaos import CRASH_POINTS, crash_matrix
 from repro.core.client import RottnestClient
+from repro.core.daemon import MaintenanceDaemon
 from repro.core.maintenance import covering_records
 from repro.crack import (
     CrackController,
@@ -89,14 +90,13 @@ def _cell_heat(client: RottnestClient, index_key: str) -> HeatMap:
 
 
 def _tick(client: RottnestClient, targets, heat: HeatMap) -> None:
-    with use_hub(TelemetryHub()):
-        CrackController(
-            client,
-            targets,
-            cracking=POLICY,
-            heat=heat,
-            index_params={("emb", "ivf_pq"): {"nlist": 4, "m": 8}},
-        ).tick()
+    with use_hub(TelemetryHub()), MaintenanceDaemon(
+        client,
+        targets,
+        policy=CrackController(client, cracking=POLICY, heat=heat),
+        index_params={("emb", "ivf_pq"): {"nlist": 4, "m": 8}},
+    ) as daemon:
+        daemon.tick()
 
 
 # ---------------------------------------------------------------------

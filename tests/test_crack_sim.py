@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.client import RottnestClient
+from repro.core.daemon import MaintenanceDaemon
 from repro.core.maintenance import covering_records
 from repro.core.queries import UuidQuery, VectorQuery
 from repro.crack import (
@@ -86,12 +87,16 @@ def _trace(seed: int) -> list[list[tuple[int, int]]]:
     ]
 
 
-def _controller(client: RottnestClient) -> CrackController:
-    return CrackController(
+def _controller(
+    client: RottnestClient,
+) -> tuple[CrackController, MaintenanceDaemon]:
+    controller = CrackController(
         client,
-        [(COLUMN, INDEX_TYPE)],
         cracking=CrackingPolicy(hotness_floor=6.0),
         heat=HeatMap(half_life_s=TICK_INTERVAL_S),
+    )
+    return controller, MaintenanceDaemon(
+        client, [(COLUMN, INDEX_TYPE)], policy=controller
     )
 
 
@@ -108,7 +113,7 @@ def _rowset(matches):
 def _run(seed: int, *, restart_at: int | None = None):
     """One closed-loop run; returns (client, covered_by_tick list)."""
     clock, store, client, batches = _deployment(seed)
-    controller = _controller(client)
+    controller, daemon = _controller(client)
     tracer = Tracer(clock=clock)
     hot_k = max(1, FILES // 4)
     hot_paths = {
@@ -118,7 +123,7 @@ def _run(seed: int, *, restart_at: int | None = None):
     for tick_no, tick in enumerate(_trace(seed)):
         if restart_at is not None and tick_no == restart_at:
             # Process death: the heat map is gone, the store is not.
-            controller = _controller(client)
+            controller, daemon = _controller(client)
         asked = []
         with use_tracer(tracer):
             for fi, ri in tick:
@@ -126,7 +131,7 @@ def _run(seed: int, *, restart_at: int | None = None):
                 res = client.search(COLUMN, UuidQuery(key), k=1)
                 asked.append((key, _rowset(res.matches)))
         controller.observe(tracer.pop_finished())
-        controller.tick()
+        daemon.tick()
         # Oracle check mid-crack: the lake's index state just changed
         # under the workload's feet; both the answers captured before
         # the tick and the answers through the fresh indices must equal
@@ -226,7 +231,6 @@ class TestCrackSimulationVectors:
 
         controller = CrackController(
             client,
-            [("emb", "ivf_pq")],
             cracking=CrackingPolicy(
                 hotness_floor=0.5,
                 refine_min_cell_heat=4.0,
@@ -249,7 +253,10 @@ class TestCrackSimulationVectors:
             for q in queries:
                 client.search("emb", q, k=5)
         controller.observe(tracer.pop_finished())
-        report = controller.tick()
+        daemon = MaintenanceDaemon(
+            client, [("emb", "ivf_pq")], policy=controller
+        )
+        report = daemon.tick()
         assert report.refined, "hot probes should trigger a cell split"
 
         after = covering_records(client, "emb", "ivf_pq")

@@ -47,9 +47,9 @@ class TestTriggers:
         daemon.tick()
         daemon.policy = MaintenancePolicy(index_min_new_files=2)
         event_lake.append(event_batch(50, seed=9))
-        assert not daemon.index_due("uuid", "uuid_trie")
+        assert not daemon.policy.index_due(daemon.client, "uuid", "uuid_trie")
         event_lake.append(event_batch(50, seed=10))
-        assert daemon.index_due("uuid", "uuid_trie")
+        assert daemon.policy.index_due(daemon.client, "uuid", "uuid_trie")
 
     def test_index_due_respects_min_bytes(self, daemon, event_lake):
         daemon.tick()
@@ -57,20 +57,20 @@ class TestTriggers:
             index_min_new_files=1, index_min_new_bytes=10**9
         )
         event_lake.append(event_batch(50, seed=9))
-        assert not daemon.index_due("uuid", "uuid_trie")
+        assert not daemon.policy.index_due(daemon.client, "uuid", "uuid_trie")
 
     def test_compact_triggers_at_threshold(self, daemon, event_lake, clock):
         daemon.tick()
         event_lake.append(event_batch(60, seed=11))
         daemon.tick()
         # Two covering trie files: below the threshold of 3.
-        assert not daemon.compact_due("uuid", "uuid_trie")
+        assert not daemon.policy.compact_due(daemon.client, "uuid", "uuid_trie")
         event_lake.append(event_batch(60, seed=12))
         # The third index lands and compaction fires in the same tick.
         report = daemon.tick()
         assert len(report.compacted) >= 1
         # Post-compaction the covering set is a single merged file.
-        assert not daemon.compact_due("uuid", "uuid_trie")
+        assert not daemon.policy.compact_due(daemon.client, "uuid", "uuid_trie")
 
     def test_abort_is_recorded_not_raised(self, store, event_lake):
         client = RottnestClient(store, "idx/events", event_lake)

@@ -17,14 +17,19 @@ import time
 import pytest
 
 from repro.core.client import RottnestClient
+from repro.core.daemon import MaintenanceDaemon, MaintenancePolicy
 from repro.core.index_file import IndexFileWriter, PageDirectory
+from repro.core.maintenance import compact_indices, covering_records
 from repro.core.queries import UuidQuery
-from repro.errors import RottnestIndexError
+from repro.crack import CrackController, CrackingPolicy, HeatKey, HeatMap, cell_scope
+from repro.errors import IndexAborted, RottnestIndexError
 from repro.indices.fm.fm_index import FmBuilder
 from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import IOBudget, MaintainReport, MaintenancePipeline
-from repro.obs.attribution import price_iostats
+from repro.obs.attribution import attribute, price_iostats
+from repro.obs.metrics import get_registry
+from repro.obs.timeseries import TelemetryHub, use_hub
 from repro.obs.trace import Tracer, use_tracer
 from repro.serve.executor import SearchExecutor
 from repro.storage.costs import CostModel
@@ -65,6 +70,7 @@ def _assert_reconciles(bill, delta) -> None:
     assert bill.heads == delta.heads
     assert bill.deletes == delta.deletes
     assert bill.bytes_read == delta.bytes_read
+    assert bill.bytes_written == delta.bytes_written
     assert bill.total_request_cost_usd(COSTS) == price_iostats(delta, COSTS)
 
 
@@ -206,12 +212,212 @@ class TestCompactAndVacuumReports:
             pipe.compact("uuid", "uuid_trie")
             store.clock.advance(7200.0)
             report = pipe.vacuum(snapshot_id=client.lake.latest_version())
-        assert report.deleted_objects  # superseded per-file indices removed
+        assert report.worker_tasks == 0  # nothing safe to fan out
+        # superseded per-file indices removed
+        assert report.vacuum.deleted_objects
 
     def test_bill_requires_a_span_tree(self):
         report = MaintainReport(op="index", workers=1)
         with pytest.raises(ValueError):
             report.bill()
+
+
+# ---------------------------------------------------------------------
+# every runner reconciles: verb, daemon tick, cracking tick
+# ---------------------------------------------------------------------
+VECTOR_PARAMS = {"nlist": 4, "m": 8}
+
+
+def _small_indices(n: int = 4):
+    """A lake with one small trie file per append (compactable)."""
+    store, lake = _lake_store(files=0)
+    client = _client(store, lake)
+    for i in range(n):
+        lake.append(event_batch(24, seed=i + 1))
+        client.index("uuid", "uuid_trie")
+    return store, client
+
+
+def _vector_index(client) -> None:
+    client.lake.append(event_batch(260, seed=7))
+    client.index("emb", "ivf_pq", params=VECTOR_PARAMS)
+
+
+def _case_index():
+    store, lake = _lake_store(files=4)
+    client = _client(store, lake)
+    pipe = MaintenancePipeline(client, workers=3)
+    return store, pipe, lambda: pipe.index("uuid", "uuid_trie").root
+
+
+def _case_compact():
+    store, client = _small_indices()
+    pipe = MaintenancePipeline(client, workers=2)
+    return store, pipe, lambda: pipe.compact("uuid", "uuid_trie").root
+
+
+def _case_vacuum():
+    store, client = _small_indices()
+    compact_indices(client, "uuid", "uuid_trie")
+    store.clock.advance(7200.0)
+    pipe = MaintenancePipeline(client, workers=2)
+    latest = client.lake.latest_version()
+    return store, pipe, lambda: pipe.vacuum(snapshot_id=latest).root
+
+
+def _case_refine():
+    store, lake = _lake_store(files=0)
+    client = _client(store, lake)
+    _vector_index(client)
+    (record,) = covering_records(client, "emb", "ivf_pq")
+    pipe = MaintenancePipeline(client, workers=2)
+    return (
+        store,
+        pipe,
+        lambda: pipe.refine(record, range(4), min_cell_rows=2).root,
+    )
+
+
+def _tick_root(daemon):
+    """Tick under a private tracer; the tick's finished span tree."""
+    tracer = Tracer(clock=daemon.client.store.clock)
+    with use_tracer(tracer):
+        daemon.tick()
+    return tracer.last_root("maintain.tick")
+
+
+def _case_daemon_tick():
+    """One tick that indexes the newest file, compacts the four small
+    trie files that makes, and vacuums the three it superseded."""
+    store, client = _small_indices(n=3)
+    client.lake.append(event_batch(24, seed=9))
+    store.clock.advance(7200.0)
+    daemon = MaintenanceDaemon(
+        client,
+        [("uuid", "uuid_trie")],
+        policy=MaintenancePolicy(compact_min_small_files=4),
+        workers=2,
+    )
+    return store, daemon, lambda: _tick_root(daemon)
+
+
+def _case_cracking_tick():
+    """One tick with a hot uncovered file (targeted index) and a
+    probe-hot IVF-PQ file (cell refinement)."""
+    store, lake = _lake_store(files=2)
+    client = _client(store, lake)
+    _vector_index(client)
+    (record,) = covering_records(client, "emb", "ivf_pq")
+    now = store.clock.now()
+    heat = HeatMap()
+    heat.observe(
+        HeatKey(lake.snapshot().files[0].path, "uuid", "UuidQuery"), 10.0, at_s=now
+    )
+    for cell in range(4):
+        heat.observe(
+            HeatKey(cell_scope(record.index_key, cell), "emb", "VectorQuery"),
+            10.0,
+            at_s=now,
+        )
+    controller = CrackController(
+        client,
+        cracking=CrackingPolicy(refine_min_cell_rows=2, max_actions_per_tick=4),
+        heat=heat,
+    )
+    daemon = MaintenanceDaemon(
+        client,
+        [("uuid", "uuid_trie"), ("emb", "ivf_pq")],
+        policy=controller,
+        index_params={("emb", "ivf_pq"): VECTOR_PARAMS},
+    )
+    return store, daemon, lambda: _tick_root(daemon)
+
+
+RUNNERS = {
+    # case -> (builder, the verbs it runs, once each, to a commit,
+    #          the policy whose tick ran them)
+    "pipe.index": (_case_index, ("index",), None),
+    "pipe.compact": (_case_compact, ("compact",), None),
+    "pipe.vacuum": (_case_vacuum, ("vacuum",), None),
+    "pipe.refine": (_case_refine, ("refine",), None),
+    "daemon.tick": (
+        _case_daemon_tick, ("index", "compact", "vacuum"), "schedule"
+    ),
+    "cracking.tick": (_case_cracking_tick, ("index", "refine"), "cracking"),
+}
+
+
+def _bumps(counter, before: dict) -> dict:
+    """Label key -> how far ``counter`` moved since ``before``."""
+    return {
+        key: value - before.get(key, 0)
+        for key, value in counter.series().items()
+        if value != before.get(key, 0)
+    }
+
+
+@pytest.mark.parametrize("case", RUNNERS)
+def test_every_runner_reconciles_and_bills_once(case):
+    """Whoever runs a verb — a pipeline caller, a daemon tick, a
+    cracking tick — its bill equals the IOStats delta, each run bumps
+    ``maintenance_runs_total`` once, feeds the hub, and lands in the
+    ledger bucket of its verb."""
+    build, verbs, policy = RUNNERS[case]
+    store, runner, run = build()
+    runs = get_registry().get("maintenance_runs_total")
+    ticks = get_registry().get("maintenance_ticks_total")
+    runs_before, ticks_before = runs.series(), ticks.series()
+    with use_hub(TelemetryHub()) as hub, runner:
+        before = store.stats.snapshot()
+        root = run()
+        delta = store.stats.snapshot().delta(before)
+
+    bill = attribute(root, latency=LAT, costs=COSTS)
+    _assert_reconciles(bill, delta)
+    assert delta.puts > 0 or delta.deletes > 0  # the run did something
+
+    assert _bumps(runs, runs_before) == {
+        (verb, "committed"): 1 for verb in verbs
+    }
+    assert _bumps(ticks, ticks_before) == (
+        {(policy, "acted"): 1} if policy else {}
+    )
+
+    for verb in verbs:
+        assert hub.series(f"maintain.{verb}.runs").count() == 1
+        assert hub.series(f"maintain.{verb}.modeled_s").count() == 1
+    assert "maintain.cost_usd" in hub.series_names()
+
+    ledger = hub.ledger
+    assert (ledger.index_build_usd > 0) == ("index" in verbs)
+    assert (ledger.maintain_usd > 0) == (verbs != ("index",))
+    assert ledger.index_build_usd + ledger.maintain_usd == pytest.approx(
+        bill.total_cost_usd(COSTS)
+    )
+    # Every upload and metadata commit is in a ``commit`` phase, except
+    # compaction's content-addressed uploads (its ``merge`` tasks).
+    phases = {p.phase: p for p in bill.phases}
+    merge_puts = phases["merge"].puts if "merge" in phases else 0
+    assert phases["commit"].puts + merge_puts == delta.puts
+
+
+def test_aborted_index_is_billed_and_counted():
+    """An index run that aborts (too few rows for a vector index) still
+    read the lake: the reads are billed and the run counted, then the
+    abort reaches the caller."""
+    store, lake = _lake_store(files=1)
+    client = _client(store, lake)
+    runs = get_registry().get("maintenance_runs_total")
+    aborted_before = runs.value(op="index", outcome="aborted")
+    with use_hub(TelemetryHub()) as hub, MaintenancePipeline(client) as pipe:
+        before = store.stats.snapshot()
+        with pytest.raises(IndexAborted):
+            pipe.index("emb", "ivf_pq")
+        delta = store.stats.snapshot().delta(before)
+    assert delta.gets + delta.lists > 0
+    assert runs.value(op="index", outcome="aborted") == aborted_before + 1
+    # Request dollars plus the modeled compute of waiting on them.
+    assert hub.ledger.index_build_usd > price_iostats(delta, COSTS) > 0
 
 
 # ---------------------------------------------------------------------

@@ -239,19 +239,20 @@ class TestCrossProcessStore:
         assert SnapshotStore(_store()).folded_hub() is None
 
     def test_crack_controller_spills_heat(self, indexed_client):
+        from repro.core.daemon import MaintenanceDaemon
         from repro.crack import CrackController
 
         store = indexed_client.store
         snaps = SnapshotStore(store)
-        controller = CrackController(
-            indexed_client, [("uuid", "uuid_trie")], snapshots=snaps
-        )
+        controller = CrackController(indexed_client, snapshots=snaps)
         controller.heat.observe(
             HeatKey("lake/f0.bin", "uuid", "UuidQuery"),
             5.0,
             at_s=store.clock.now(),
         )
-        controller.tick()
+        MaintenanceDaemon(
+            indexed_client, [("uuid", "uuid_trie")], policy=controller
+        ).tick()
         payloads = snaps.snapshots()
         assert len(payloads) == 1
         assert payloads[0]["sources"] == ["crack"]
