@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.schema import ColumnType, Field
-from repro.util.binio import BinaryReader, BinaryWriter
+from repro.util.binio import BinaryWriter
+from repro.util.varint import decode_uvarint
 
 
 def encode_values(field: Field, values) -> bytes:
@@ -57,16 +58,39 @@ def decode_values(field: Field, data: bytes, count: int):
         _expect(data, count * 8)
         return np.frombuffer(data, dtype="<f8", count=count).tolist()
     if type_ is ColumnType.STRING:
-        reader = BinaryReader(data)
-        return [reader.read_len_bytes().decode("utf-8") for _ in range(count)]
+        return [v.decode("utf-8") for v in _split_len_prefixed(data, count)]
     if type_ is ColumnType.BINARY:
-        reader = BinaryReader(data)
-        return [reader.read_len_bytes() for _ in range(count)]
+        return _split_len_prefixed(data, count)
     if type_ is ColumnType.VECTOR:
         _expect(data, count * field.vector_dim * 4)
         arr = np.frombuffer(data, dtype="<f4", count=count * field.vector_dim)
         return arr.reshape(count, field.vector_dim).copy()
     raise FormatError(f"unknown column type {type_}")  # pragma: no cover
+
+
+def _split_len_prefixed(data: bytes, count: int) -> list[bytes]:
+    """``count`` uvarint-length-prefixed byte strings from ``data``, in
+    one loop with no reader object per value: a length under 128 is its
+    own single byte, only longer ones go through ``decode_uvarint``."""
+    out = []
+    pos, end = 0, len(data)
+    try:
+        for _ in range(count):
+            n = data[pos]
+            if n < 0x80:
+                pos += 1
+            else:
+                n, pos = decode_uvarint(data, pos)
+            if pos + n > end:
+                raise FormatError(
+                    f"truncated page: wanted {n} bytes at offset {pos}, "
+                    f"only {end - pos} remain"
+                )
+            out.append(data[pos : pos + n])
+            pos += n
+    except (IndexError, ValueError) as exc:  # no / bad length prefix
+        raise FormatError(f"bad value length at offset {pos}: {exc}") from exc
+    return out
 
 
 def value_nbytes(field: Field, value) -> int:

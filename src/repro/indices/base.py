@@ -101,6 +101,13 @@ class IndexQuerier(ABC):
     def directory(self) -> PageDirectory:
         return self.reader.directory
 
+    @classmethod
+    def warm(cls, reader: IndexFileReader) -> None:
+        """Read what every probe of this type reads before its first
+        dependent round, so a caching store serves it from memory: the
+        page directory, plus whatever a subclass adds."""
+        reader.directory
+
 
 class ExactQuerier(IndexQuerier):
     """Exact-match indices return candidate pages (may include false

@@ -12,14 +12,25 @@ them).
 Layout, per the componentization principle of Fig. 6:
 
 * the first 8 trie levels are replaced by a 256-entry **lookup table**
-  (component ``lut``, written last so it lands in the cached tail of the
-  file — reading it costs no extra request), and
+  (component ``lutb``, written last so it lands in the cached tail of
+  the file — reading it costs no extra request): per first-byte bucket
+  the varints ``(leaf_id, bucket_byte_len, count)``. A bucket starts at
+  the summed byte lengths of the earlier buckets of its leaf, so the
+  table is *looked up, never walked* — one vectorized decode, one seek;
 * entries live in **leaf components** (``leaf0``, ``leaf1``, ...), each
   holding a contiguous range of the sorted entries, bin-packed to a
   target raw size.
 
 A lookup therefore costs: open (tail fetch, includes the LUT) → one
-dependent round fetching exactly one leaf component.
+dependent round fetching exactly one leaf component → parsing only the
+key's own bucket (its ``count`` entries), whatever else the leaf holds.
+
+Files written before ``lutb`` carry a ``lut`` of ``(leaf_id,
+entries_to_skip, count)`` rows instead; the one legacy branch of
+:meth:`UuidTrieQuerier.candidate_pages` still walks it, an older reader
+fails loudly on a new file (no component ``lut``), and since
+``UuidTrieBuilder.load`` reads leaves only, every compaction rewrites
+old files into the new layout.
 """
 
 from __future__ import annotations
@@ -27,16 +38,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
-from repro.errors import RottnestIndexError
+from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.indices.base import ExactQuerier, IndexBuilder
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
 from repro.util.binio import BinaryReader, BinaryWriter
+from repro.util.varint import decode_uvarints
 
 TYPE_NAME = "uuid_trie"
 DEFAULT_EXTRA_BITS = 8
 DEFAULT_COMPONENT_TARGET_BYTES = 256 * 1024
 LUT_SIZE = 256
+LUT, LEGACY_LUT = "lutb", "lut"  # component names; see the module docstring
 
 
 @dataclass
@@ -116,58 +129,31 @@ class UuidTrieBuilder(IndexBuilder):
         component_target_bytes: int = DEFAULT_COMPONENT_TARGET_BYTES,
     ) -> None:
         # Bucket = first byte of the prefix (the 8 LUT levels).
-        bucket_ranges: list[tuple[int, int]] = []  # per bucket: (start, count)
         starts = [0] * (LUT_SIZE + 1)
         for e in self.entries:
             starts[e.prefix[0] + 1] += 1
         for b in range(LUT_SIZE):
             starts[b + 1] += starts[b]
-        for b in range(LUT_SIZE):
-            bucket_ranges.append((starts[b], starts[b + 1] - starts[b]))
 
-        # Bin-pack consecutive buckets into leaf components.
-        leaf_of_bucket = [0] * LUT_SIZE
-        leaf_payloads: list[BinaryWriter] = []
-        leaf_entry_start: list[int] = []  # global entry index of leaf start
-        current = BinaryWriter()
-        current_start = 0
-        current_buckets: list[int] = []
-        cursor = 0
-
-        def flush() -> None:
-            nonlocal current, current_start
-            if current_buckets:
-                for b in current_buckets:
-                    leaf_of_bucket[b] = len(leaf_payloads)
-                leaf_payloads.append(current)
-                leaf_entry_start.append(current_start)
-            current = BinaryWriter()
-            current_buckets.clear()
-
-        for b in range(LUT_SIZE):
-            start, count = bucket_ranges[b]
-            if not current_buckets:
-                current_start = start
-            current_buckets.append(b)
-            for e in self.entries[start : start + count]:
-                _write_entry(current, e)
-            cursor = start + count
-            if len(current) >= component_target_bytes:
-                flush()
-        flush()
-
-        for i, payload in enumerate(leaf_payloads):
-            writer.add_component(f"leaf{i}", payload.getvalue())
-
-        # LUT last: lands in the file tail, so reading it is free.
+        # Bin-pack consecutive buckets into leaf components. A bucket's
+        # LUT row is (leaf, byte length, entry count); the LUT goes last
+        # so it lands in the file tail and reading it is free.
         lut = BinaryWriter()
+        leaf = BinaryWriter()
+        num_leaves = 0
         for b in range(LUT_SIZE):
-            start, count = bucket_ranges[b]
-            lut.write_uvarint(leaf_of_bucket[b])
-            lut.write_uvarint(start - leaf_entry_start[leaf_of_bucket[b]])
-            lut.write_uvarint(count)
-        writer.add_component("lut", lut.getvalue())
-        writer.params["num_leaves"] = len(leaf_payloads)
+            before = len(leaf)
+            for e in self.entries[starts[b] : starts[b + 1]]:
+                _write_entry(leaf, e)
+            lut.write_uvarint(num_leaves)
+            lut.write_uvarint(len(leaf) - before)
+            lut.write_uvarint(starts[b + 1] - starts[b])
+            if len(leaf) >= component_target_bytes or b == LUT_SIZE - 1:
+                writer.add_component(f"leaf{num_leaves}", leaf.getvalue())
+                num_leaves += 1
+                leaf = BinaryWriter()
+        writer.add_component(LUT, lut.getvalue())
+        writer.params["num_leaves"] = num_leaves
         writer.params["extra_bits"] = self.extra_bits
 
     @classmethod
@@ -245,23 +231,41 @@ class UuidTrieQuerier(ExactQuerier):
 
     type_name: ClassVar[str] = TYPE_NAME
 
+    @classmethod
+    def warm(cls, reader: IndexFileReader) -> None:
+        super().warm(reader)
+        reader.component(LUT if reader.has_component(LUT) else LEGACY_LUT)
+
     def candidate_pages(self, query) -> list[int]:
         key = bytes(query)
         if not key:
             raise RottnestIndexError("cannot search for an empty key")
-        lut = BinaryReader(self.reader.component("lut"))
         bucket = key[0]
-        leaf_id = skip_in_leaf = count = 0
-        for b in range(bucket + 1):
-            leaf_id = lut.read_uvarint()
-            skip_in_leaf = lut.read_uvarint()
-            count = lut.read_uvarint()
+        if self.reader.has_component(LUT):
+            try:
+                rows, _ = decode_uvarints(self.reader.component(LUT), 3 * LUT_SIZE)
+            except ValueError as exc:
+                raise FormatError(f"{self.reader.key!r}: bad {LUT}: {exc}") from exc
+            leaf_ids, byte_lens, counts = rows.reshape(LUT_SIZE, 3).T
+            leaf_id, count = int(leaf_ids[bucket]), int(counts[bucket])
+            # The bucket starts where the earlier buckets of its leaf end.
+            same_leaf = leaf_ids[:bucket] == leaf_id
+            start = int(byte_lens[:bucket][same_leaf].sum())
+            skip = 0
+        else:  # legacy layout: walk the table, then the leaf's entries
+            lut = BinaryReader(self.reader.component(LEGACY_LUT))
+            leaf_id = skip = count = 0
+            for _ in range(bucket + 1):
+                leaf_id = lut.read_uvarint()
+                skip = lut.read_uvarint()
+                count = lut.read_uvarint()
+            start = 0
         if count == 0:
             return []
         self.reader.barrier()  # leaf fetch depends on the LUT
-        blob = BinaryReader(self.reader.component(f"leaf{leaf_id}"))
-        for _ in range(skip_in_leaf):
-            _read_entry(blob)  # skip entries of earlier buckets
+        blob = BinaryReader(self.reader.component(f"leaf{leaf_id}"), start)
+        for _ in range(skip):
+            _read_entry(blob)  # legacy only: entries of earlier buckets
         gids: list[int] = []
         for _ in range(count):
             entry = _read_entry(blob)

@@ -1,11 +1,17 @@
-"""In-memory search structures over one WAL segment's rows.
+"""In-memory image of one WAL segment's rows: the unindexed fresh segment.
 
-Per-workload structures mirror the lazy tier's index types at memtable
-scale: a bounded-depth suffix trie for substring search, an inverted
-map for exact/UUID lookups, and a flat float32 buffer for brute-force
-vector scoring. Every candidate is verified against the query predicate
-(``matches`` / ``distance``) before it is returned, so the structures
-only ever prune — they can't produce false positives.
+The fresh tier needs correctness, not an index (the write-read
+decoupling survey in PAPERS.md: a small segment, unindexed or lightly
+indexed). A memtable is therefore just the batch's append-only columns,
+plus the two structures that cost nothing per character to keep: a
+``bytes -> rows`` dict per BINARY column for exact/UUID lookups and a
+flat float32 buffer per VECTOR column for brute-force scoring.
+
+Every other query is answered by the query's own predicate
+(``matches`` / ``distance``) over the rows, so the fresh tier equals
+the lake's brute-force path by construction. ``needle in value`` is a C
+``memmem``; a few hundred pending rows cost microseconds, where an ack
+that indexed every character cost milliseconds.
 """
 
 from __future__ import annotations
@@ -13,42 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.client import SearchMatch
-from repro.core.queries import Query, SubstringQuery, UuidQuery
+from repro.core.queries import Query, UuidQuery
 from repro.formats.schema import ColumnType, Schema
-
-#: Suffix-trie depth: longer needles fall back to verified candidates.
-TRIE_DEPTH = 8
-
-
-class _SuffixTrie:
-    """Bounded-depth suffix trie; nodes hold row-id sets.
-
-    A row sits at every node on the path of every suffix (truncated to
-    :data:`TRIE_DEPTH`), so the rows at the node reached by walking
-    ``needle[:TRIE_DEPTH]`` are exactly the rows whose value contains
-    that prefix of the needle — a superset of the true matches that the
-    caller then verifies with ``needle in value``.
-    """
-
-    def __init__(self) -> None:
-        self._root: dict = {}
-
-    def insert(self, row: int, value: str) -> None:
-        for start in range(len(value)):
-            node = self._root
-            for ch in value[start : start + TRIE_DEPTH]:
-                node = node.setdefault(ch, {})
-                node.setdefault(None, set()).add(row)
-
-    def candidates(self, needle: str) -> set[int]:
-        if not needle:
-            return set()
-        node = self._root
-        for ch in needle[:TRIE_DEPTH]:
-            if ch not in node:
-                return set()
-            node = node[ch]
-        return node.get(None, set())
 
 
 class Memtable:
@@ -60,29 +32,22 @@ class Memtable:
         self.schema = schema
         self.columns: dict[str, list] = {name: [] for name in schema.names}
         self.num_rows = 0
-        self._tries: dict[str, _SuffixTrie] = {}
         self._inverted: dict[str, dict[bytes, list[int]]] = {}
         self._vectors: dict[str, np.ndarray | None] = {}
         for f in schema.fields:
-            if f.type is ColumnType.STRING:
-                self._tries[f.name] = _SuffixTrie()
-            elif f.type is ColumnType.BINARY:
+            if f.type is ColumnType.BINARY:
                 self._inverted[f.name] = {}
             elif f.type is ColumnType.VECTOR:
                 self._vectors[f.name] = None
 
     def insert(self, columns: dict[str, list]) -> int:
-        """Index one canonical batch; returns rows inserted."""
+        """Append one canonical batch; returns rows inserted."""
         n = len(next(iter(columns.values()), []))
         base = self.num_rows
         for f in self.schema.fields:
             values = columns[f.name]
             self.columns[f.name].extend(values)
-            if f.type is ColumnType.STRING:
-                trie = self._tries[f.name]
-                for i, value in enumerate(values):
-                    trie.insert(base + i, value)
-            elif f.type is ColumnType.BINARY:
+            if f.type is ColumnType.BINARY:
                 inv = self._inverted[f.name]
                 for i, value in enumerate(values):
                     inv.setdefault(bytes(value), []).append(base + i)
@@ -111,7 +76,10 @@ class Memtable:
                 )
                 for row in range(self.num_rows)
             ]
-        rows = self._candidate_rows(column, query)
+        if isinstance(query, UuidQuery) and column in self._inverted:
+            rows = self._inverted[column].get(bytes(query.key), ())
+        else:
+            rows = range(self.num_rows)
         return [
             SearchMatch(file=self.wal_key, row=row, value=values[row])
             for row in rows
@@ -126,10 +94,3 @@ class Memtable:
             # the last bit (merge order must not depend on the tier).
             return [query.distance(buffer[row]) for row in range(len(buffer))]
         return [query.distance(v) for v in self.columns[column]]
-
-    def _candidate_rows(self, column: str, query: Query) -> list[int]:
-        if isinstance(query, UuidQuery) and column in self._inverted:
-            return list(self._inverted[column].get(bytes(query.key), []))
-        if isinstance(query, SubstringQuery) and column in self._tries:
-            return sorted(self._tries[column].candidates(query.needle))
-        return list(range(self.num_rows))

@@ -32,6 +32,7 @@ from repro.errors import (
     ServeError,
     ServerOverloaded,
 )
+from repro.indices.base import querier_for
 from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
 from repro.obs.attribution import attribute
@@ -259,17 +260,16 @@ class SearchServer:
     def warmup(self) -> int:
         """Pre-load the hot read path into the cache.
 
-        Reads the metadata-table state, then every index file's tail,
-        page directory, and — for componentized tries — the root lookup
-        table. Returns the number of index files warmed. Without a
-        caching store this still works; it just warms nothing.
+        Reads the metadata-table state, then every index file's tail
+        and whatever its index type's ``warm`` hook names (the page
+        directory; for tries also the root lookup table). Returns the
+        number of index files warmed. Without a caching store this
+        still works; it just warms nothing.
         """
         warmed = 0
         for record in self.client.meta.records():
             reader = IndexFileReader.open(self.client.store, record.index_key)
-            reader.directory  # page directory (component 0)
-            if reader.has_component("lut"):
-                reader.component("lut")  # trie root levels
+            querier_for(reader.index_type).warm(reader)
             warmed += 1
         return warmed
 

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import dataclasses
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.client import RottnestClient
+from repro.core.index_file import IndexFileReader
+from repro.core.maintenance import covering_records
 from repro.core.queries import Query, SubstringQuery, UuidQuery, VectorQuery
+from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import MaintenancePipeline
 from repro.serve.executor import SearchExecutor
@@ -27,6 +31,7 @@ from repro.storage.object_store import InMemoryObjectStore
 from repro.util.clock import SimClock
 
 from tests.conftest import EVENT_SCHEMA, event_batch, event_uuid
+from tests.test_uuid_trie import write_legacy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,6 +174,20 @@ def state_cracked(w, store, lake, pipe):
     )
 
 
+def state_mixed_layout(w, store, lake, pipe):
+    """A lake that outlived a layout change: the two older per-file
+    trie indices carry the legacy ``lut``, the two newer ones ``lutb``.
+    Only the trie has two layouts, so this state has its own test below
+    instead of a row in ``STATES``."""
+    for i in range(w.files):
+        lake.append(event_batch(w.rows, seed=i + 1))
+        if i < 2:
+            with mock.patch.object(UuidTrieBuilder, "write", write_legacy):
+                _index(pipe, w)
+        else:
+            _index(pipe, w)
+
+
 STATES = {
     "unindexed": state_unindexed,
     "indexed": state_indexed,
@@ -206,6 +225,39 @@ def test_indexed_search_matches_bruteforce_oracle(workload, state, workers):
                     assert a.score == pytest.approx(b.score)
             if state != "unindexed":
                 assert indexed.stats.index_files_queried > 0
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_mixed_layout_lake_compacts_into_the_new_layout(workers):
+    """Old- and new-layout trie files answer side by side, and one
+    ``compact`` leaves no live index file with a legacy ``lut``
+    (``UuidTrieBuilder.load`` reads leaves only)."""
+    w = WORKLOADS[0]
+    store, lake, client = _fresh(w)
+
+    def live_luts():
+        return sorted(
+            name
+            for record in covering_records(client, w.column, w.index_type)
+            for name in IndexFileReader.open(store, record.index_key).component_names()
+            if name.startswith("lut")
+        )
+
+    def assert_oracle():
+        with SearchExecutor(client, max_searchers=workers) as ex:
+            for query, k in w.queries(lake):
+                indexed = ex.search(w.column, query, k=k)
+                oracle = ex.search(w.column, query, k=k, use_indices=False)
+                assert _rowset(indexed.matches) == _rowset(oracle.matches), query
+                assert indexed.stats.index_files_queried > 0
+
+    with MaintenancePipeline(client, workers=workers) as pipe:
+        state_mixed_layout(w, store, lake, pipe)
+        assert live_luts() == ["lut", "lut", "lutb", "lutb"]
+        assert_oracle()
+        pipe.compact(w.column, w.index_type)
+    assert live_luts() == ["lutb"]
+    assert_oracle()
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])

@@ -138,6 +138,34 @@ class TestEncoding:
         data = encode_values(f, values)
         assert decode_values(f, data, len(values)) == values
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.binary(max_size=3), st.binary(min_size=128, max_size=200)),
+            max_size=5,
+        ),
+        st.sampled_from([ColumnType.BINARY, ColumnType.STRING]),
+    )
+    def test_length_prefixed_roundtrip_and_truncation_property(self, raw, type_):
+        """Empty values, values whose length takes a two-byte varint and
+        ``count=0`` round-trip; every proper prefix of the page is a
+        ``FormatError`` that names the offset it stopped at."""
+        f = Field("c", type_)
+        values = raw if type_ is ColumnType.BINARY else [v.hex() for v in raw]
+        data = encode_values(f, values)
+        assert decode_values(f, data, len(values)) == values
+        assert decode_values(f, data, 0) == []
+        for cut in range(len(data)):
+            with pytest.raises(FormatError, match="offset"):
+                decode_values(f, data[:cut], len(values))
+
+    def test_overlong_length_prefix_rejected(self):
+        f = Field("b", ColumnType.BINARY)
+        with pytest.raises(FormatError, match="wanted 5 bytes at offset 1"):
+            decode_values(f, b"\x05abc", 1)
+        with pytest.raises(FormatError, match="offset 2.*too long"):
+            decode_values(f, b"\x01a" + b"\xff" * 11, 2)
+
 
 class TestPages:
     def test_split_respects_target(self):

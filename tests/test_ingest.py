@@ -11,13 +11,16 @@ dropped, none double-counted, byte-identical re-runs).
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.client import RottnestClient
-from repro.core.queries import SubstringQuery, UuidQuery, VectorQuery
+from repro.core.queries import RegexQuery, SubstringQuery, UuidQuery, VectorQuery
 from repro.errors import IngestError, WalCorruption
 from repro.ingest import IngestDrainer, IngestTier, Memtable, WriteAheadLog
 from repro.lake.table import LakeTable, TableConfig
@@ -144,7 +147,7 @@ class TestMemtable:
         table = self._table()
         docs = table.columns["text"]
         for doc in docs[:3]:
-            # Needles crossing the trie depth still verify exactly.
+            # Short and long needles alike are the query's own predicate.
             for needle in (doc[:4], doc[2:14], doc[len(doc) // 2 :][:12]):
                 rows = {
                     m.row for m in table.search("text", SubstringQuery(needle))
@@ -182,6 +185,46 @@ class TestMemtable:
             assert m.score == query.distance(buffer_row)
 
 
+    # -- an ack appends; it does no work per character -------------------
+    @staticmethod
+    def _canonical(rows: int, chars: int) -> dict:
+        batch = event_batch(rows, seed=11)
+        letters = np.random.default_rng(11).integers(97, 123, (rows, chars))
+        batch["text"] = [row.astype(np.uint8).tobytes().decode() for row in letters]
+        wal = WriteAheadLog(InMemoryObjectStore(), "ingest/events", EVENT_SCHEMA)
+        return wal.append(0, batch)
+
+    def test_insert_peak_memory_is_bounded_by_the_payload(self):
+        """1,000 rows x 200 chars: the parent's suffix trie allocated
+        >100x the payload; an append-only segment stays under 3x."""
+        columns = self._canonical(1000, 200)
+        payload = sum(
+            len(t.encode()) + len(u) + e.nbytes
+            for t, u, e in zip(columns["text"], columns["uuid"], columns["emb"])
+        )
+        table = Memtable(0, "ingest/events/wal/0.seg", EVENT_SCHEMA)
+        tracemalloc.start()
+        try:
+            table.insert(columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.num_rows == 1000
+        assert peak < 3 * payload, (peak, payload)
+
+    def test_insert_allocations_do_not_scale_with_text_length(self):
+        def blocks(chars: int) -> int:
+            columns = self._canonical(200, chars)
+            table = Memtable(0, "ingest/events/wal/0.seg", EVENT_SCHEMA)
+            gc.collect()
+            before = sys.getallocatedblocks()
+            table.insert(columns)
+            return sys.getallocatedblocks() - before
+
+        short, long = blocks(200), blocks(2000)
+        assert 0 < long < 3 * short, (short, long)
+
+
 # ---------------------------------------------------------------------
 # the ack contract: acked == searchable, before any maintenance
 # ---------------------------------------------------------------------
@@ -214,6 +257,46 @@ class TestFreshnessInvariant:
         assert [m.score for m in merged.matches] == [
             m.score for m in oracle.matches
         ]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            SubstringQuery(""),  # every row, on both tiers
+            SubstringQuery("a needle much longer than eight chars"),
+            SubstringQuery("\U0001f600"),  # non-BMP
+            SubstringQuery("e\u0301"),  # combining acute, not precomposed é
+            RegexQuery(r"caf(e\u0301|\u00e9)\s+\S+$"),
+        ],
+        ids=["empty", "long", "non_bmp", "combining", "regex"],
+    )
+    def test_fresh_tier_equals_brute_force_for_any_needle(self, query):
+        """The fresh tier *is* ``query.matches`` over its rows, so a tier
+        holding drained and undrained batches answers exactly what the
+        lake's brute-force path answers once the same rows are drained."""
+        store, lake, client, tier = _setup(warm_files=1)
+        odd = [
+            "a needle much longer than eight chars, verbatim",
+            "a needle much longer than eight chars",
+            "grin \U0001f600 and cafe\u0301 noir",
+            "precomposed caf\u00e9 au lait",
+            "",
+        ]
+        for seed in (9, 10):
+            batch = event_batch(12, seed=seed)
+            batch["text"][: len(odd)] = odd
+            tier.ingest(batch)
+            if seed == 9:
+                IngestDrainer(tier).drain()
+        assert tier.pending_rows() == 12 and tier.floor() == 0
+        mixed = client.search("text", query, k=10_000)
+        assert any(m.file.startswith(tier.wal.prefix) for m in mixed.matches)
+        IngestDrainer(tier).drain()
+        assert tier.pending_rows() == 0
+        oracle = client.search("text", query, k=10_000, use_indices=False)
+        assert sorted(m.value for m in mixed.matches) == sorted(
+            m.value for m in oracle.matches
+        )
+        assert len(oracle.matches) >= 2  # one hit per tier at least
 
     def test_partition_scoping_skips_the_fresh_tier(self):
         store, lake, client, tier = _setup(warm_files=1)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.core.client import RottnestClient
+from repro.core.index_file import IndexFileReader
 from repro.core.queries import UuidQuery
 from repro.errors import SimulatedCrash
 from repro.storage.faults import FaultyObjectStore
@@ -271,6 +272,40 @@ class TestSearchServer:
             assert cache.hits > 0
             assert cache.misses - warmed_misses < warmed_misses
             assert server.stats.cache_hit_rate > 0
+
+    @pytest.mark.parametrize("layout", ["lutb", "lut"])
+    def test_warmup_covers_the_trie_lut_of_either_layout(
+        self, client, layout, monkeypatch
+    ):
+        """With a tail too small to carry anything, the tail, directory,
+        page directory and LUT are four separate ranges of an index
+        file. ``warmup`` reads them through the index type's ``warm``
+        hook, so a UUID query afterwards GETs leaves only."""
+        from repro.core import componentize
+        from repro.indices.uuid_trie import UuidTrieBuilder
+        from tests.test_uuid_trie import write_legacy
+
+        monkeypatch.setattr(componentize, "TAIL_SPECULATIVE_BYTES", 16)
+        if layout == "lut":
+            monkeypatch.setattr(UuidTrieBuilder, "write", write_legacy)
+        record = client.index("uuid", "uuid_trie")
+        reader = IndexFileReader.open(client.store, record.index_key)
+        sizes = {
+            name: reader._reader.component_size(reader._names[name])
+            for name in reader.component_names()
+        }
+        assert layout in sizes and sizes[layout] != sizes["leaf0"]
+        with _serving_stack(client) as server:
+            assert server.warmup() == 1
+            result = server.query("uuid", UuidQuery(event_uuid(1, 5)), k=3)
+        assert len(result.matches) == 1
+        index_gets = [
+            r
+            for round_ in result.stats.trace.rounds
+            for r in round_
+            if r.key == record.index_key
+        ]
+        assert [(r.op, r.nbytes) for r in index_gets] == [("GET", sizes["leaf0"])]
 
     def test_for_lake_assembles_full_stack(self, indexed_client):
         server = SearchServer.for_lake(

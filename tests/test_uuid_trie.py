@@ -3,15 +3,16 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RottnestIndexError
+from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
-from repro.indices.uuid_trie import UuidTrieBuilder, UuidTrieQuerier
+from repro.indices.uuid_trie import UuidTrieBuilder, UuidTrieQuerier, _write_entry
 from repro.storage.object_store import InMemoryObjectStore
+from repro.util.binio import BinaryWriter
 
 
 class TestBitHelpers:
@@ -70,7 +71,26 @@ def build_pages(n_keys: int, n_pages: int):
     return list(pages.items()), truth
 
 
-def store_index(builder, n_pages, **write_kwargs):
+def write_legacy(builder, writer, *, component_target_bytes=256 * 1024):
+    """The layout of files written before ``lutb``: same leaves, and a
+    ``lut`` whose rows are (leaf, entries to skip in it, count). Lives
+    here only — ``src`` keeps the reader for it, not the writer."""
+    lut, leaf, num_leaves, in_leaf = BinaryWriter(), BinaryWriter(), 0, 0
+    for b in range(256):
+        bucket = [e for e in builder.entries if e.prefix[0] == b]
+        for e in bucket:
+            _write_entry(leaf, e)
+        for field in (num_leaves, in_leaf, len(bucket)):
+            lut.write_uvarint(field)
+        in_leaf += len(bucket)
+        if len(leaf) >= component_target_bytes or b == 255:
+            writer.add_component(f"leaf{num_leaves}", leaf.getvalue())
+            leaf, num_leaves, in_leaf = BinaryWriter(), num_leaves + 1, 0
+    writer.add_component("lut", lut.getvalue())
+    writer.params.update(num_leaves=num_leaves, extra_bits=builder.extra_bits)
+
+
+def store_index(builder, n_pages, *, write=UuidTrieBuilder.write, **write_kwargs):
     table = PageTable(
         "f.parquet",
         "uuid",
@@ -80,7 +100,7 @@ def store_index(builder, n_pages, **write_kwargs):
         ],
     )
     w = IndexFileWriter("uuid_trie", "uuid", PageDirectory([table]))
-    builder.write(w, **write_kwargs)
+    write(builder, w, **write_kwargs)
     store = InMemoryObjectStore()
     store.put("i.index", w.finish())
     return store, IndexFileReader.open(store, "i.index")
@@ -207,3 +227,106 @@ def test_trie_matches_dict_reference(keys, n_pages):
     for key, expected in truth.items():
         got = set(q.candidate_pages(key))
         assert expected <= got
+
+
+# -- the byte-offset LUT against the layout it replaced ------------------
+def brute_force(builder, key):
+    """What any layout must return: a prefix scan over the entries."""
+    hits = set()
+    for e in builder.entries:
+        if prefix_matches(e.prefix, e.bits, key):
+            hits.update(e.gids)
+    return sorted(hits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.binary(min_size=1, max_size=6), min_size=1, max_size=60),
+    shape=st.sampled_from(["any", "one_bucket", "hollow_ends"]),
+    target=st.sampled_from([1, 48, 1 << 20]),
+)
+@example(keys=[b"\x00", b"\xff", b"\x00", b"\x7f\x01"], shape="any", target=1)
+@example(keys=[b"a", b"ab", b"ab", b"abc"], shape="one_bucket", target=1)
+def test_layouts_agree_with_prefix_scan(keys, shape, target):
+    """New layout == legacy layout == brute force, on key sets with
+    1-byte and duplicate keys, everything in one bucket, empty buckets
+    at 0x00 / 0xFF, and a leaf target small enough that every non-empty
+    bucket closes its own leaf."""
+    if shape == "one_bucket":
+        keys = [b"\x7f" + k[1:] for k in keys]
+    elif shape == "hollow_ends":
+        keys = [bytes([min(max(k[0], 1), 0xFE)]) + k[1:] for k in keys]
+    n_pages = 3
+    pages = [(g, keys[g::n_pages]) for g in range(n_pages) if keys[g::n_pages]]
+    builder = UuidTrieBuilder.build(pages)
+    _, new = store_index(builder, n_pages, component_target_bytes=target)
+    _, old = store_index(
+        builder, n_pages, write=write_legacy, component_target_bytes=target
+    )
+    assert new.has_component("lutb") and not new.has_component("lut")
+    assert old.has_component("lut") and not old.has_component("lutb")
+    assert new.params == old.params
+    probes = set(keys) | {k[:-1] + bytes([k[-1] ^ 1]) for k in keys}
+    probes |= {b"\x00", b"\xff", b"\x7f"}
+    for key in sorted(probes):
+        expected = brute_force(builder, key)
+        assert UuidTrieQuerier(new).candidate_pages(key) == expected, key
+        assert UuidTrieQuerier(old).candidate_pages(key) == expected, key
+
+
+class TestLutLayouts:
+    #: sha256 of the file the parent commit's ``write`` produced for
+    #: ``build_pages(3000, 4)`` at ``component_target_bytes=1024``.
+    PARENT_SHA256 = "b656dbc023f533a083177ec8fecacd0886830b140969b0f49c4e619ab9c2ffe1"
+
+    def test_legacy_writer_reproduces_parent_bytes(self):
+        pages, _ = build_pages(3000, 4)
+        store, _ = store_index(
+            UuidTrieBuilder.build(pages),
+            4,
+            write=write_legacy,
+            component_target_bytes=1024,
+        )
+        assert hashlib.sha256(store.get("i.index")).hexdigest() == self.PARENT_SHA256
+
+    def test_load_and_rewrite_moves_to_new_layout(self):
+        pages, truth = build_pages(500, 4)
+        builder = UuidTrieBuilder.build(pages)
+        _, old = store_index(builder, 4, write=write_legacy)
+        _, new = store_index(UuidTrieBuilder.load(old), 4)
+        assert new.component_names() == ["__pages__", "leaf0", "lutb"]
+        assert UuidTrieQuerier(new).candidate_pages(key_of(7)) == [truth[key_of(7)]]
+
+    def test_truncated_lut_is_a_format_error(self):
+        pages, _ = build_pages(50, 2)
+        _, reader = store_index(UuidTrieBuilder.build(pages), 2)
+        lut = reader.component("lutb")
+        reader.component = lambda name: lut[:100] if name == "lutb" else None
+        with pytest.raises(FormatError, match="lutb"):
+            UuidTrieQuerier(reader).candidate_pages(key_of(1))
+
+    @pytest.mark.parametrize("write", [UuidTrieBuilder.write, write_legacy])
+    def test_probe_issues_the_parents_requests(self, write, monkeypatch):
+        """Open = HEAD + one tail GET (LUT inside it); probe = one
+        dependent GET of exactly one leaf — for both layouts, so the
+        modeled clock cannot tell them apart."""
+        from repro.core import componentize
+
+        monkeypatch.setattr(componentize, "TAIL_SPECULATIVE_BYTES", 4096)
+        pages, truth = build_pages(3000, 4)
+        builder = UuidTrieBuilder.build(pages)
+        store, _ = store_index(builder, 4, write=write, component_target_bytes=2048)
+        key = key_of(123)
+        store.start_trace()
+        reader = IndexFileReader.open(store, "i.index")
+        assert UuidTrieQuerier(reader).candidate_pages(key) == [truth[key]]
+        trace = store.stop_trace()
+        leaf_sizes = {
+            reader._reader.component_size(reader._names[name])
+            for name in reader.component_names()
+            if name.startswith("leaf")
+        }
+        shape = [[r.op for r in round_] for round_ in trace.rounds]
+        assert shape == [["HEAD", "GET"], ["GET"]]
+        assert trace.rounds[0][1].nbytes == 4096  # the tail, nothing more
+        assert trace.rounds[1][0].nbytes in leaf_sizes
