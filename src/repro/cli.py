@@ -273,14 +273,12 @@ def cmd_serve_bench(args) -> int:
                 data_bytes=snap.total_bytes, index_bytes=index_bytes
             )
     if recorder is not None:
-        from repro.obs import get_registry
         from repro.obs.store import SnapshotStore
 
         persisted = recorder.persist()
         snapshots = SnapshotStore(store, root=args.obs)
         key = snapshots.commit(
             hub,
-            registry=get_registry(),
             source="serve-bench",
             flights=[t.trace_id for t in recorder.traces()],
         )
@@ -350,7 +348,7 @@ def cmd_dashboard(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    """Dump the process metrics registry in Prometheus text format.
+    """Dump the process telemetry hub in Prometheus text format.
 
     With ``--root``/``--table`` the lake is opened first (and the
     index metadata replayed when ``--index-dir`` is given), so the
@@ -358,7 +356,7 @@ def cmd_metrics(args) -> int:
     command renders whatever this process already recorded. Exits 3
     when no instrument holds a single sample.
     """
-    from repro.obs import get_registry
+    from repro.obs.metrics import get_registry, render
 
     if args.root and args.table:
         store, table = _open(args)
@@ -366,11 +364,11 @@ def cmd_metrics(args) -> int:
         if args.index_dir:
             client = RottnestClient(store, args.index_dir, table)
             client.meta.records()
-    registry = get_registry()
-    if not any(data["series"] for data in registry.snapshot().values()):
+    text = render(get_registry())
+    if not text:
         print("error: empty input — no metric samples recorded", file=sys.stderr)
         return 3
-    print(registry.render(), end="")
+    print(text, end="")
     return 0
 
 
@@ -1083,7 +1081,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "metrics",
-        help="dump the process metrics registry as Prometheus text "
+        help="dump the process telemetry hub as Prometheus text "
         "(exit 3 when no samples)",
     )
     p.add_argument("--root", help="bucket directory (opens the lake first)")

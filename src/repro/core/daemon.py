@@ -29,16 +29,9 @@ from repro.core.client import RottnestClient
 from repro.core.maintenance import VacuumReport, covering_records
 from repro.maintain.pipeline import MaintainReport, MaintenancePipeline
 from repro.meta.metadata_table import IndexRecord
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
 from repro.storage.pool import IOBudget
-
-_TICKS = get_registry().counter(
-    "maintenance_ticks_total",
-    "Maintenance daemon ticks by policy and outcome (idle/acted).",
-    ("policy", "outcome"),
-)
-
 
 @dataclass(frozen=True)
 class Work:
@@ -226,7 +219,9 @@ class MaintenanceDaemon:
             span.set("indexed", len(report.indexed))
             span.set("compacted", len(report.compacted))
             span.set("refined", len(report.refined))
-        _TICKS.inc(
-            policy=self.policy.name, outcome="idle" if report.idle else "acted"
-        )
+        get_hub().series(
+            "maintenance_ticks_total",
+            policy=self.policy.name,
+            outcome="idle" if report.idle else "acted",
+        ).observe(at_s=self.client.store.clock.now())
         return report

@@ -42,6 +42,9 @@ class SearchStats:
 class SearchResult:
     matches: list[SearchMatch]
     stats: SearchStats
+    #: Answered by a serving layer's brute-force fallback after an index
+    #: read failed (same rows, slower); set by ``SearchServer.query``.
+    degraded: bool = False
 
 
 @dataclass(frozen=True)

@@ -46,16 +46,11 @@ from repro.indices.base import ExactQuerier, ScoringQuerier, querier_for
 from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
 from repro.meta.metadata_table import IndexRecord, MetadataTable
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.object_store import ObjectStore
 from repro.storage.pool import TracedPool, phase, run_inline
 from repro.storage.stats import RequestTrace
-
-_SEARCHES = get_registry().counter(
-    "searches_total", "Search calls by query kind", ("kind",)
-)
-
 
 def probe_fresh(
     tier, column: str, query: Query, k: int, snapshot: Snapshot | None
@@ -213,7 +208,9 @@ def run_search(
                 lazy.exact(chosen, uncovered)
             matches = merge_exact([fresh, lazy.found[: lazy.want]], k)
         stats = lazy.stats
-        _SEARCHES.inc(kind="scoring" if query.scoring else "exact")
+        get_hub().series(
+            "searches_total", kind="scoring" if query.scoring else "exact"
+        ).observe(at_s=store.clock.now())
         root.set("matches", len(matches))
         root.set("fresh_matches", len(fresh))
         root.set("index_files_queried", stats.index_files_queried)

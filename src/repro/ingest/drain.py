@@ -34,16 +34,8 @@ from dataclasses import dataclass, field
 from repro.ingest.tier import IngestTier
 from repro.ingest.wal import encode_columns
 from repro.lake.table import DATA_DIR
-from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
-
-_DRAINS = get_registry().counter(
-    "ingest_drains_total", "Drain runs that flushed at least one segment."
-)
-_DRAINED_ROWS = get_registry().counter(
-    "ingest_drained_rows_total", "Rows moved from the fresh tier to the lake."
-)
 
 
 @dataclass
@@ -154,8 +146,6 @@ class IngestDrainer:
             )
         hub.series("ingest.drains").observe(1.0, at_s=at_s)
         hub.series("ingest.drained_rows").observe(float(add.num_rows), at_s=at_s)
-        _DRAINS.inc()
-        _DRAINED_ROWS.inc(add.num_rows)
         return DrainReport(
             segments=list(pending),
             rows=add.num_rows,

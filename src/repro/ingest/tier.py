@@ -23,16 +23,8 @@ from repro.ingest.memtable import Memtable
 from repro.ingest.wal import WriteAheadLog, encode_columns
 from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
-from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_hub
 from repro.storage.object_store import ObjectStore
-
-_INGESTED = get_registry().counter(
-    "ingest_rows_total", "Rows acked by the ingest tier."
-)
-_FRESH_SEARCHES = get_registry().counter(
-    "ingest_fresh_searches_total", "Fresh-tier probes served."
-)
 
 
 class IngestTier:
@@ -109,7 +101,6 @@ class IngestTier:
             table = Memtable(seq, self.wal.segment_key(seq), self.lake.schema)
             rows = table.insert(canonical)
             self._memtables[seq] = table
-        _INGESTED.inc(rows)
         at_s = self.store.clock.now()
         get_hub().series("ingest.rows").observe(float(rows), at_s=at_s)
         get_hub().series("ingest.batches").observe(1.0, at_s=at_s)
@@ -138,7 +129,9 @@ class IngestTier:
                 for seq, table in sorted(self._memtables.items())
                 if seq > floor
             ]
-        _FRESH_SEARCHES.inc()
+        get_hub().series("ingest_fresh_searches_total").observe(
+            at_s=self.store.clock.now()
+        )
         matches: list[SearchMatch] = []
         for table in tables:
             matches.extend(table.search(column, query))

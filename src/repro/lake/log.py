@@ -9,7 +9,12 @@ primitives of modern object stores — no atomic rename (paper §IV).
 
 from __future__ import annotations
 
-from repro.errors import CommitConflict, PreconditionFailed, SnapshotNotFound
+from repro.errors import (
+    CommitConflict,
+    ObjectNotFound,
+    PreconditionFailed,
+    SnapshotNotFound,
+)
 from repro.lake.actions import Action, actions_from_bytes, actions_to_bytes
 from repro.storage.object_store import ObjectStore
 
@@ -72,7 +77,9 @@ class TransactionLog:
     def read_version(self, version: int) -> list[Action]:
         try:
             data = self.store.get(log_key(self.root, version))
-        except Exception as exc:  # ObjectNotFound
+        except ObjectNotFound as exc:
+            # Only a missing object means a missing version: a store
+            # fault that outlived its retries propagates as itself.
             raise SnapshotNotFound(
                 f"version {version} of {self.root!r} does not exist"
             ) from exc

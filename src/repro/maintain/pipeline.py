@@ -13,7 +13,7 @@ that own their request traces, and
 :meth:`MaintenancePipeline._report` turns the finished span tree into a
 :class:`MaintainReport` whose bill reconciles with the store's
 :class:`~repro.storage.stats.IOStats` delta exactly as query bills do,
-one ``maintenance_runs_total{op, outcome}`` bump, the ``maintain.*``
+one ``maintain.<op>.runs{outcome}`` observation, the other ``maintain.*``
 hub series and the cost-ledger bucket of the verb (``index`` is the
 one-time build cost, everything else ongoing maintenance) — whoever
 asked for the run: a caller, the drain, or a
@@ -42,7 +42,6 @@ from repro.core.maintenance import (
 )
 from repro.meta.metadata_table import IndexRecord
 from repro.obs.attribution import DEFAULT_INSTANCE, QueryBill, attribute
-from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.costs import CostModel
@@ -51,22 +50,6 @@ from repro.storage.pool import IOBudget, TracedPool, phase
 from repro.storage.stats import RequestTrace
 
 T = TypeVar("T")
-
-_RUNS = get_registry().counter(
-    "maintenance_runs_total",
-    "Maintenance verb runs by verb and outcome (committed/noop/aborted).",
-    ("op", "outcome"),
-)
-_TASKS = get_registry().counter(
-    "maintain_worker_tasks_total",
-    "Worker tasks the pipeline fanned out, by verb.",
-    ("op",),
-)
-_MODELED_SECONDS = get_registry().counter(
-    "maintain_modeled_seconds_total",
-    "Modeled store-latency seconds spent in maintenance, by verb.",
-    ("op",),
-)
 
 
 @dataclass
@@ -235,8 +218,8 @@ class MaintenancePipeline:
         metadata table before (and between) verb runs; routing those
         reads through here is what makes a tick's bills add up to its
         ``IOStats`` delta. Planning is ongoing maintenance spend, not a
-        verb run: it moves the ledger and the hub, not
-        ``maintenance_runs_total``.
+        verb run: it moves the ledger and ``maintain.plan.modeled_s``,
+        and no ``maintain.{op}.runs`` series.
         """
         with phase(self.client.store, "maintain.plan", "plan") as root:
             planned = step()
@@ -259,7 +242,7 @@ class MaintenancePipeline:
     def _report(
         self, op: str, root: Span, result: object, *, aborted: bool = False
     ) -> MaintainReport:
-        """Span root → report → counters → hub series → ledger bucket."""
+        """Span root → report → hub series → ledger bucket."""
         vacuum = result if isinstance(result, VacuumReport) else None
         if isinstance(result, IndexRecord):
             records = [result]
@@ -283,9 +266,12 @@ class MaintenancePipeline:
                 continue  # task traces are owned by their phase span
             if span.attributes.get("phase") and span.trace is not None:
                 trace = trace.then(span.trace)
-        _RUNS.inc(op=op, outcome=outcome)
+        hub, at_s = get_hub(), self.client.store.clock.now()
+        hub.series(f"maintain.{op}.runs", outcome=outcome).observe(at_s=at_s)
         if tasks:
-            _TASKS.inc(tasks, op=op)
+            hub.series("maintain_worker_tasks_total", op=op).observe(
+                tasks, at_s=at_s
+            )
         self._bill(op, root)
         return MaintainReport(
             op=op,
@@ -304,11 +290,9 @@ class MaintenancePipeline:
         bill = attribute(root)
         request_usd = bill.total_request_cost_usd()
         compute_usd = bill.compute_cost_usd
-        _MODELED_SECONDS.inc(bill.est_latency_s, op=op)
         hub = get_hub()
         at_s = self.client.store.clock.now()
         hub.ledger.record_maintain(op, request_usd, compute_usd, at_s=at_s)
-        hub.series(f"maintain.{op}.runs").observe(1.0, at_s=at_s)
         hub.series(f"maintain.{op}.modeled_s").observe(
             bill.est_latency_s, at_s=at_s
         )

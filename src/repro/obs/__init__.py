@@ -1,4 +1,4 @@
-"""Unified observability: spans, metrics, time-series, SLOs, bills.
+"""Unified observability: spans, time-series, SLOs, bills.
 
 The paper's argument is quantitative — latency/cost decompositions
 (Fig. 8) and the TCO phase diagram (§VI) — so the reproduction needs
@@ -7,16 +7,16 @@ first-class telemetry to prove any perf claim against:
 * :mod:`repro.obs.trace` — hierarchical spans with SimClock-aware
   timing and context propagation across the serve executor's worker
   threads;
-* :mod:`repro.obs.metrics` — a process-wide registry of labeled
-  counters/gauges/histograms every storage and serving layer reports
-  into (Prometheus-conformant text rendering);
 * :mod:`repro.obs.attribution` — joins a finished span tree with the
   storage latency/cost models into a per-query dollar/latency bill
   whose totals reconcile exactly with IOStats;
-* :mod:`repro.obs.timeseries` — the continuous layer: windowed
-  ring-buffer series and mergeable quantile sketches feeding one
-  process-wide :class:`~repro.obs.timeseries.TelemetryHub`, plus the
+* :mod:`repro.obs.timeseries` — the one telemetry store: every named
+  fact is a labeled windowed series (rate, cumulative counter, gauge)
+  or a mergeable quantile sketch in one process-wide
+  :class:`~repro.obs.timeseries.TelemetryHub`, plus the
   observed-dollars :class:`~repro.obs.timeseries.CostLedger`;
+* :mod:`repro.obs.metrics` — the Prometheus text exposition of a hub
+  (``repro metrics``);
 * :mod:`repro.obs.critical_path` — per-trace critical paths and
   aggregate p50-vs-p99 tail attribution over many queries;
 * :mod:`repro.obs.slo` — declarative latency/availability/cost
@@ -33,7 +33,7 @@ first-class telemetry to prove any perf claim against:
   persisted content-addressed through the :class:`ObjectStore`
   (``repro traces <id>`` renders one with its cost bill);
 * :mod:`repro.obs.store` — durable, mergeable telemetry snapshots
-  (hub series + metrics registry + crack heat map + SLO verdicts)
+  (hub series + crack heat map + SLO verdicts)
   whose fold is commutative and associative, so dashboards gain a
   cross-process, cross-run time-travel axis.
 
@@ -88,13 +88,7 @@ from repro.obs.flight import (
     set_flight_recorder,
     use_flight_recorder,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.metrics import get_registry
 from repro.obs.slo import (
     SLO,
     AvailabilityObjective,
@@ -107,7 +101,6 @@ from repro.obs.store import (
     SNAPSHOT_SCHEMA,
     SnapshotStore,
     fold_snapshots,
-    merge_metrics,
     snapshot_key,
     snapshot_payload,
     validate_snapshot,
@@ -139,15 +132,11 @@ __all__ = [
     "AvailabilityObjective",
     "CostLedger",
     "CostObjective",
-    "Counter",
     "CriticalStep",
     "FlightRecorder",
     "FlightTrace",
-    "Gauge",
-    "Histogram",
     "LatencyObjective",
     "MeasuredDeployment",
-    "MetricsRegistry",
     "PhaseBill",
     "QuantileSketch",
     "QueryBill",
@@ -177,7 +166,6 @@ __all__ = [
     "load_flights",
     "load_telemetry_json",
     "measured_deployment",
-    "merge_metrics",
     "price_iostats",
     "render_critical_path",
     "render_dashboard",

@@ -1,321 +1,88 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Prometheus text exposition of a :class:`TelemetryHub`.
 
-Every layer of the stack reports into one :class:`MetricsRegistry` —
-object stores count requests and bytes by op, the retry wrapper counts
-retries, the serving cache counts hits/misses/evictions, the search
-server observes per-query modeled latency, and the maintenance daemon
-counts actions. A labeled instrument is a family of independent series
-(``store_requests_total{op="GET"}`` vs ``{op="PUT"}``), mirroring the
-Prometheus data model so :meth:`MetricsRegistry.render` output is
-immediately scrapable-looking text.
-
-Instruments are deliberately tiny — one lock and one dict per
-instrument — because they sit on the object-store hot path; the
-serving benchmark's acceptance bound (warm-path throughput within 5%
-of pre-observability numbers) is the regression test for that.
+There is no second store: :func:`render` walks the hub's families and
+prints each as a ``counter`` (a series' all-time total), a ``gauge``
+(a series whose value was ``set`` — its last value) or a ``summary``
+(a sketch: ``quantile="0.5|0.9|0.99"`` over the retained windows,
+all-time ``_sum`` / ``_count``, the sketch's exemplar in OpenMetrics
+syntax on the p99 line). ``.`` in a hub name renders as ``_``; HELP text
+and label values are escaped per the text exposition format.
 """
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left
-
-#: Label values as an ordered tuple; () for unlabeled instruments.
-_LabelKey = tuple[str, ...]
-
-DEFAULT_LATENCY_BUCKETS_S = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
-    2.5, 5.0, 10.0,
+from repro.obs.timeseries import (
+    TelemetryHub,
+    WindowedQuantiles,
+    format_labels,
+    get_hub,
 )
 
-
-class _Instrument:
-    """Shared machinery: label handling and per-series storage."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, label_names: tuple[str, ...]) -> None:
-        self.name = name
-        self.help = help
-        self.label_names = label_names
-        self._lock = threading.Lock()
-        self._series: dict[_LabelKey, object] = {}
-
-    def _key(self, labels: dict[str, str]) -> _LabelKey:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name}: expected labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[n]) for n in self.label_names)
-
-    def series(self) -> dict[_LabelKey, object]:
-        """Snapshot of every series' current value."""
-        with self._lock:
-            return dict(self._series)
-
-
-class Counter(_Instrument):
-    """Monotonically increasing count, optionally labeled."""
-
-    kind = "counter"
-
-    def inc(self, amount: int | float = 1, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError(f"{self.name}: counter increments must be >= 0")
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
-
-    def value(self, **labels: str) -> int | float:
-        key = self._key(labels)
-        with self._lock:
-            return self._series.get(key, 0)
-
-    def total(self) -> int | float:
-        """Sum across every labeled series."""
-        with self._lock:
-            return sum(self._series.values())
+#: ``# HELP`` text by hub name (names without an entry render no HELP).
+HELP = {
+    "store_requests_total": "Object-store requests by operation",
+    "store_bytes_total": "Object-store payload bytes by direction",
+    "store_retries_total": "Transient store errors retried, by operation",
+    "store_backoff_seconds_total": "Cumulative retry backoff wait time",
+    "io_merged_gets_total": "Coalesced GETs dispatched by the batch scheduler",
+    "io_coalesced_subranges_total": "Caller byte-ranges served through a coalesced GET",
+    "io_coalesced_waste_bytes_total": "Gap bytes fetched by coalesced GETs that no caller asked for",
+    "io_budget_slots": "Configured IO-budget slots per shared budget",
+    "io_budget_in_use": "IO-budget slots currently held per shared budget",
+    "io_budget_waits_total": "Times a worker blocked waiting for an IO-budget slot",
+    "cache_lookups_total": "Serving-cache lookups by outcome",
+    "cache_evictions_total": "Serving-cache entries evicted by the byte budget",
+    "cache_invalidations_total": "Serving-cache entries dropped by writes",
+    "cache_cached_bytes": "Bytes currently held by the serving cache",
+    "searches_total": "Searches by query kind",
+    "serve.queries": "Queries answered (leader or deduplicated; shed ones excluded)",
+    "serve.latency_s": "Modeled end-to-end query latency",
+    "serve.degraded": "Queries answered by brute-force fallback after an index read failure",
+    "serve_inflight_queries": "Queries currently holding an admission slot",
+    "maintenance_ticks_total": "Maintenance daemon ticks by policy and outcome",
+    "maintain_worker_tasks_total": "Worker tasks the pipeline fanned out, by verb",
+    "ingest_fresh_searches_total": "Fresh-tier probes served from memtables",
+    "router_shards_pruned_total": "Shards skipped by hash/min-max/partition pruning",
+}
 
 
-class Gauge(_Instrument):
-    """A value that can go up and down (bytes cached, queries in flight)."""
-
-    kind = "gauge"
-
-    def set(self, value: int | float, **labels: str) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = value
-
-    def add(self, amount: int | float, **labels: str) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
-
-    def value(self, **labels: str) -> int | float:
-        key = self._key(labels)
-        with self._lock:
-            return self._series.get(key, 0)
-
-
-class _HistogramSeries:
-    __slots__ = ("counts", "sum", "count", "exemplars")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * (n_buckets + 1)  # last bucket = +Inf
-        self.sum = 0.0
-        self.count = 0
-        # bucket index -> (value, trace_id): the largest exemplar-tagged
-        # observation that landed in that bucket.
-        self.exemplars: dict[int, tuple[float, str]] = {}
-
-
-class Histogram(_Instrument):
-    """Distribution over fixed buckets (cumulative on render)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label_names: tuple[str, ...],
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
-    ) -> None:
-        super().__init__(name, help, label_names)
-        if list(buckets) != sorted(buckets) or not buckets:
-            raise ValueError("histogram buckets must be sorted and non-empty")
-        self.buckets = tuple(float(b) for b in buckets)
-
-    def observe(
-        self, value: float, trace_id: str | None = None, **labels: str
-    ) -> None:
-        """Record ``value``; ``trace_id`` attaches a bucket exemplar
-        (OpenMetrics-style) linking the bucket to a retained trace."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = _HistogramSeries(len(self.buckets))
-                self._series[key] = series
-            bucket = bisect_left(self.buckets, value)
-            series.counts[bucket] += 1
-            series.sum += value
-            series.count += 1
-            if trace_id is not None:
-                candidate = (float(value), str(trace_id))
-                if series.exemplars.get(bucket, (-1.0, "")) < candidate:
-                    series.exemplars[bucket] = candidate
-
-    def _bound_label(self, bucket: int) -> str:
-        if bucket >= len(self.buckets):
-            return "+Inf"
-        return f"{self.buckets[bucket]:g}"
-
-    def snapshot(self, **labels: str) -> dict:
-        """``{"count", "sum", "buckets": {le: cumulative_count}}`` plus
-        an ``"exemplars"`` map when any bucket carries one."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                return {"count": 0, "sum": 0.0, "buckets": {}}
-            cumulative = 0
-            out: dict[str, int] = {}
-            for bound, count in zip(self.buckets, series.counts):
-                cumulative += count
-                out[f"{bound:g}"] = cumulative
-            out["+Inf"] = cumulative + series.counts[-1]
-            snap = {"count": series.count, "sum": series.sum, "buckets": out}
-            if series.exemplars:
-                snap["exemplars"] = {
-                    self._bound_label(bucket): {
-                        "value": value,
-                        "trace_id": trace_id,
-                    }
-                    for bucket, (value, trace_id) in sorted(
-                        series.exemplars.items()
-                    )
-                }
-            return snap
+def render(hub: TelemetryHub) -> str:
+    """Every sampled instrument of ``hub`` in the text exposition
+    format, one family per name; ``""`` when nothing holds a sample."""
+    lines: list[str] = []
+    for name, members in hub.families().items():
+        members = {k: m for k, m in members.items() if m.count()}
+        if not members:
+            continue
+        first = next(iter(members.values()))
+        if isinstance(first, WindowedQuantiles):
+            kind = "summary"
+        else:
+            kind = "counter" if first.last is None else "gauge"
+        flat = name.replace(".", "_")
+        if name in HELP:
+            text = HELP[name].replace("\\", "\\\\").replace("\n", "\\n")
+            lines.append(f"# HELP {flat} {text}")
+        lines.append(f"# TYPE {flat} {kind}")
+        for labels, member in members.items():
+            braces = f"{{{format_labels(labels)}}}" if labels else ""
+            if kind != "summary":
+                value = member.total() if kind == "counter" else member.last
+                lines.append(f"{flat}{braces} {value:g}")
+                continue
+            sketch = member.merged()
+            for q in ("0.5", "0.9", "0.99"):
+                quantile = format_labels((*labels, ("quantile", q)))
+                lines.append(f"{flat}{{{quantile}}} {sketch.quantile(float(q)):g}")
+            if sketch.exemplar is not None:
+                value, trace_id = sketch.exemplar
+                lines[-1] += f' # {{trace_id="{trace_id}"}} {value:g}'
+            lines.append(f"{flat}_sum{braces} {member.total():g}")
+            lines.append(f"{flat}_count{braces} {member.count()}")
+    return "\n".join(lines)
 
 
-class MetricsRegistry:
-    """Named instruments; get-or-create so callers never race on setup."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._instruments: dict[str, _Instrument] = {}
-
-    def _get_or_create(self, cls, name: str, help: str, label_names, **kwargs):
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls) or existing.label_names != tuple(
-                    label_names
-                ):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind} with labels {existing.label_names}"
-                    )
-                return existing
-            instrument = cls(name, help, tuple(label_names), **kwargs)
-            self._instruments[name] = instrument
-            return instrument
-
-    def counter(
-        self, name: str, help: str = "", label_names: tuple[str, ...] = ()
-    ) -> Counter:
-        return self._get_or_create(Counter, name, help, label_names)
-
-    def gauge(
-        self, name: str, help: str = "", label_names: tuple[str, ...] = ()
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help, label_names)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        label_names: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, label_names, buckets=buckets
-        )
-
-    def get(self, name: str) -> _Instrument | None:
-        with self._lock:
-            return self._instruments.get(name)
-
-    # -- export --------------------------------------------------------
-    def snapshot(self) -> dict[str, dict]:
-        """JSON-friendly dump: ``{name: {kind, help, series: {...}}}``.
-
-        Series keys are ``label=value`` comma-joined strings ("" for the
-        unlabeled series); histogram series expand to their snapshot.
-        """
-        with self._lock:
-            instruments = list(self._instruments.values())
-        out: dict[str, dict] = {}
-        for instrument in instruments:
-            series: dict[str, object] = {}
-            if isinstance(instrument, Histogram):
-                for key in list(instrument.series()):
-                    labels = dict(zip(instrument.label_names, key))
-                    series[_fmt_labels(instrument.label_names, key)] = (
-                        instrument.snapshot(**labels)
-                    )
-            else:
-                for key, value in instrument.series().items():
-                    series[_fmt_labels(instrument.label_names, key)] = value
-            out[instrument.name] = {
-                "kind": instrument.kind,
-                "help": instrument.help,
-                "series": series,
-            }
-        return out
-
-    def render(self) -> str:
-        """Prometheus-exposition-style text of every instrument.
-
-        Conformant with the text exposition format's escaping rules:
-        HELP text escapes backslash and newline; label values (already
-        escaped by :func:`_fmt_labels`) additionally escape the double
-        quote.
-        """
-        lines: list[str] = []
-        for name, data in sorted(self.snapshot().items()):
-            if data["help"]:
-                lines.append(f"# HELP {name} {_escape_help(data['help'])}")
-            lines.append(f"# TYPE {name} {data['kind']}")
-            for key, value in sorted(data["series"].items()):
-                suffix = f"{{{key}}}" if key else ""
-                if isinstance(value, dict):  # histogram
-                    exemplars = value.get("exemplars", {})
-                    for bound, count in value["buckets"].items():
-                        sep = "," if key else ""
-                        line = (
-                            f'{name}_bucket{{{key}{sep}le="{bound}"}} {count}'
-                        )
-                        exemplar = exemplars.get(bound)
-                        if exemplar is not None:
-                            # OpenMetrics exemplar syntax: the bucket's
-                            # count, then `# {labels} value`.
-                            line += (
-                                f' # {{trace_id="{exemplar["trace_id"]}"}}'
-                                f' {exemplar["value"]:g}'
-                            )
-                        lines.append(line)
-                    lines.append(f"{name}_sum{suffix} {value['sum']:g}")
-                    lines.append(f"{name}_count{suffix} {value['count']}")
-                else:
-                    lines.append(f"{name}{suffix} {value:g}")
-        return "\n".join(lines)
-
-
-def _escape_help(text: str) -> str:
-    """HELP-line escaping per the Prometheus text exposition format."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _escape_label_value(value: str) -> str:
-    """Label-value escaping per the Prometheus text exposition format."""
-    return (
-        value.replace("\\", "\\\\").replace("\n", "\\n").replace('"', '\\"')
-    )
-
-
-def _fmt_labels(names: tuple[str, ...], values: _LabelKey) -> str:
-    return ",".join(
-        f'{n}="{_escape_label_value(v)}"' for n, v in zip(names, values)
-    )
-
-
-_global_registry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry every subsystem reports into."""
-    return _global_registry
+def get_registry() -> TelemetryHub:
+    """The current hub, under the name ``repro metrics`` and
+    ``benchmarks/e2e`` import; render it with :func:`render`."""
+    return get_hub()

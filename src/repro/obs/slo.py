@@ -17,7 +17,7 @@ Three objective kinds map onto the hub:
   against the error budget implied by the target quantile (p99 ≤ 1 s
   means at most 1% of queries may exceed 1 s).
 * :class:`AvailabilityObjective` — a bad-event series (degraded
-  fallbacks, i.e. ``serve_degraded_queries_total``'s windowed twin)
+  fallbacks, ``serve.degraded``)
   over a total-event series, against ``1 - target``.
 * :class:`CostObjective` — windowed mean dollars per query against a
   budget (burn = observed / budget; the "error budget" is the budget

@@ -8,17 +8,15 @@ lake's own :class:`~repro.storage.object_store.ObjectStore` (the
 paper's point about metadata-scale artifacts belonging in the lake
 applies to operational metadata too):
 
-* the hub (windowed series, per-window quantile sketches, tail
-  samples, cost ledger — including per-shard ``router.shard{N}.*``
-  SLO state and ``ingest.freshness_lag_s``),
-* the process metrics registry
-  (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`),
+* the hub (every named series and per-window quantile sketch — store,
+  cache and scheduler counters included — tail samples, cost ledger,
+  per-shard ``router.shard{N}.*`` SLO state),
 * the crack heat map (:class:`repro.crack.heat.HeatMap` payloads), and
 * the ids of durably retained flight traces.
 
 Every component was built mergeable — window-wise commutative
-aggregates, bin-wise sketch addition, exponential heat addition,
-counter addition — so :func:`fold_snapshots` folds any number of
+aggregates, all-time totals adding, bin-wise sketch addition,
+exponential heat addition — so :func:`fold_snapshots` folds any number of
 snapshot payloads from any processes/shards/runs into one, and the
 result is independent of merge order (associativity + commutativity
 pinned by hypothesis in ``tests/test_obs_store.py``). The folded
@@ -39,7 +37,6 @@ import json
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TelemetryHub
 
 if TYPE_CHECKING:  # circular-import-free type hints only
@@ -60,63 +57,11 @@ def snapshot_key(root: str, snapshot_id: str) -> str:
 
 
 # ---------------------------------------------------------------------
-# metrics-registry snapshot merge
-# ---------------------------------------------------------------------
-def merge_metrics(a: dict, b: dict) -> dict:
-    """Fold two :meth:`MetricsRegistry.snapshot` dumps into one.
-
-    Counters and histogram counts/sums fold by addition (cumulative
-    bucket counts add exactly); gauges fold by max — two processes'
-    "bytes cached" describe peaks, not a sum; histogram bucket
-    exemplars keep the (value, trace_id) tuple-max, matching the
-    sketch exemplar rule. Commutative and associative, so registry
-    state folds in any order.
-    """
-    out = json.loads(json.dumps(a))  # deep copy, JSON-safe by contract
-    for name, data in b.items():
-        mine = out.get(name)
-        if mine is None:
-            out[name] = json.loads(json.dumps(data))
-            continue
-        if mine["kind"] != data["kind"]:
-            raise ReproError(
-                f"cannot merge metric {name!r}: kind {mine['kind']} vs "
-                f"{data['kind']}"
-            )
-        for key, value in data["series"].items():
-            current = mine["series"].get(key)
-            if current is None:
-                mine["series"][key] = json.loads(json.dumps(value))
-            elif mine["kind"] == "histogram":
-                current["count"] += value["count"]
-                current["sum"] += value["sum"]
-                buckets = current["buckets"]
-                for bound, count in value["buckets"].items():
-                    buckets[bound] = buckets.get(bound, 0) + count
-                theirs = value.get("exemplars", {})
-                if theirs:
-                    ours = current.setdefault("exemplars", {})
-                    for bound, exemplar in theirs.items():
-                        existing = ours.get(bound)
-                        if existing is None or (
-                            exemplar["value"],
-                            exemplar["trace_id"],
-                        ) > (existing["value"], existing["trace_id"]):
-                            ours[bound] = dict(exemplar)
-            elif mine["kind"] == "counter":
-                mine["series"][key] = current + value
-            else:  # gauge
-                mine["series"][key] = max(current, value)
-    return out
-
-
-# ---------------------------------------------------------------------
 # snapshot payloads and folding
 # ---------------------------------------------------------------------
 def snapshot_payload(
     hub: TelemetryHub | None = None,
     *,
-    registry: MetricsRegistry | None = None,
     heat: "HeatMap | None" = None,
     slo: "SLO | None" = None,
     source: str = "",
@@ -129,7 +74,6 @@ def snapshot_payload(
         "sources": [source] if source else [],
         "at_s": float(at_s),
         "hub": hub.snapshot() if hub is not None else None,
-        "metrics": registry.snapshot() if registry is not None else None,
         "heat": heat.to_dict() if heat is not None else None,
         "flights": sorted(str(f) for f in flights),
         "slo_reports": [],
@@ -154,20 +98,20 @@ def validate_snapshot(payload: dict) -> None:
 def fold_snapshots(payloads: list[dict]) -> dict:
     """Fold snapshot payloads from any processes/shards/runs into one.
 
-    Every component folds commutatively (hub merge, metrics merge,
-    heat merge, sorted unions for sources/flights/SLO reports), so the
+    Every component folds commutatively (hub merge, heat merge,
+    sorted unions for sources/flights/SLO reports), so the
     result is independent of the order payloads are supplied in — the
     property the hypothesis suite pins. Per-snapshot SLO reports are
     point-in-time verdicts, not mergeable state: they are collected
     (sorted) rather than combined; re-evaluate an SLO over the folded
-    hub for a cross-run verdict.
+    hub for a cross-run verdict. The ``"metrics"`` section snapshots
+    carried before the registry folded into the hub is ignored.
     """
     if not payloads:
         return snapshot_payload()
     for payload in payloads:
         validate_snapshot(payload)
     hub: TelemetryHub | None = None
-    metrics: dict | None = None
     heat_payload: dict | None = None
     sources: set[str] = set()
     flights: set[str] = set()
@@ -180,12 +124,6 @@ def fold_snapshots(payloads: list[dict]) -> dict:
         if payload.get("hub") is not None:
             piece = TelemetryHub.from_snapshot(payload["hub"])
             hub = piece if hub is None else hub.merge(piece)
-        if payload.get("metrics") is not None:
-            metrics = (
-                json.loads(json.dumps(payload["metrics"]))
-                if metrics is None
-                else merge_metrics(metrics, payload["metrics"])
-            )
         if payload.get("heat") is not None:
             from repro.crack.heat import HeatMap
 
@@ -202,7 +140,6 @@ def fold_snapshots(payloads: list[dict]) -> dict:
         "sources": sorted(sources),
         "at_s": at_s,
         "hub": hub.snapshot() if hub is not None else None,
-        "metrics": metrics,
         "heat": heat_payload,
         "flights": sorted(flights),
         "slo_reports": reports,
@@ -229,7 +166,6 @@ class SnapshotStore:
         self,
         hub: TelemetryHub | None = None,
         *,
-        registry: MetricsRegistry | None = None,
         heat: "HeatMap | None" = None,
         slo: "SLO | None" = None,
         source: str = "",
@@ -240,7 +176,6 @@ class SnapshotStore:
         when = at_s if at_s is not None else self.store.clock.now()
         payload = snapshot_payload(
             hub,
-            registry=registry,
             heat=heat,
             slo=slo,
             source=source,

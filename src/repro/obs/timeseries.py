@@ -1,29 +1,29 @@
-"""Continuous telemetry: windowed time-series and quantile sketches.
+"""The telemetry store: windowed series, quantile sketches, one hub.
 
-``repro.obs`` so far produced *point-in-time* artifacts — one span tree,
-one bill, one metrics snapshot. A running :class:`SearchServer` or
-maintenance daemon needs the other axis: how latency, throughput, and
-cost evolve over time, with tail percentiles per window and bounded
-memory no matter how many queries flow through. Two primitives provide
-that:
+Every named fact a running :class:`SearchServer`, store, cache, router
+or maintenance daemon reports lives in one :class:`TelemetryHub`, as
+one of two instruments over the same ring of fixed-width time windows
+(:class:`_WindowRing` — indexing, eviction, the late-observation rule,
+merge and the dict round trip are written once):
 
-* :class:`WindowedSeries` — a ring buffer of fixed-width time windows,
-  each holding commutative aggregates (count/sum/min/max), so rates and
-  gauges are available per window and observations arriving out of
-  order *within* a window land identically (an invariance a hypothesis
-  test pins).
-* :class:`QuantileSketch` — a DDSketch-style mergeable sketch with
-  log-spaced bins: any quantile estimate is within a configured
-  *relative* error of a true sample at that rank, merge is associative
-  and commutative (so per-window sketches roll up into multi-window
-  percentiles exactly), and memory is bounded by ``max_bins``
-  regardless of observation count.
+* :class:`WindowedSeries` — commutative per-window aggregates
+  (count/sum/min/max), so rates are available per window and
+  observations arriving out of order *within* a window land identically
+  (an invariance a hypothesis test pins). It is also a cumulative
+  counter (an exact all-time count/total that survives eviction) and a
+  gauge (the last value ``set``).
+* :class:`WindowedQuantiles` — one :class:`QuantileSketch` per window:
+  a DDSketch-style mergeable sketch with log-spaced bins, so any
+  quantile estimate is within a configured *relative* error of a true
+  sample at that rank, merge is associative and commutative (per-window
+  sketches roll up into multi-window percentiles exactly), and memory
+  is bounded by ``max_bins`` regardless of observation count.
 
-:class:`WindowedQuantiles` composes the two (one sketch per retained
-window); :class:`CostLedger` accumulates observed serve/maintain
-dollars so the dashboard can place a deployment on the TCO phase
-diagram; :class:`TelemetryHub` is the process-wide registry every
-subsystem reports into, mirroring :func:`repro.obs.metrics.get_registry`.
+Members are addressed ``hub.series(name, **labels)``; the
+``name{k="v"}`` text form exists only in snapshots and in the
+Prometheus exposition (:mod:`repro.obs.metrics`). :class:`CostLedger`
+accumulates observed serve/maintain dollars so the dashboard can place
+a deployment on the TCO phase diagram.
 """
 
 from __future__ import annotations
@@ -141,6 +141,11 @@ class QuantileSketch:
         self._bins[neighbor] += self._bins.pop(lowest)
 
     # -- read ----------------------------------------------------------
+    @property
+    def total(self) -> float:
+        """``sum``, under the name every window cell shares."""
+        return self.sum
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -288,18 +293,23 @@ class WindowAggregate:
     min: float = math.inf
     max: float = -math.inf
 
-    def absorb(self, value: float) -> None:
+    def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
-    def absorb_agg(self, other: "WindowAggregate") -> None:
-        """Fold a peer window's aggregates in (commutative addition)."""
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
+    def merge(self, other: "WindowAggregate") -> "WindowAggregate":
+        """This window plus a peer's as a new aggregate (commutative)."""
+        return WindowAggregate(
+            index=self.index,
+            count=self.count + other.count,
+            total=self.total + other.total,
+            min=min(self.min, other.min),
+            max=max(self.max, other.max),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -322,16 +332,26 @@ class WindowAggregate:
         return agg
 
 
-class WindowedSeries:
-    """Ring buffer of fixed-width time windows holding rate/gauge data.
+class _WindowRing:
+    """A ring of fixed-width time windows, written once for both kinds.
 
     ``observe(value, at_s=t)`` lands in window ``floor(t / window_s)``;
-    only the newest ``capacity`` windows are retained (older windows are
-    evicted, observations older than the horizon are counted in
-    ``late_dropped`` rather than silently lost). Aggregation per window
-    is count/sum/min/max — all commutative, so observations arriving
-    out of order within a window produce identical state. Thread-safe.
+    only the newest ``capacity`` windows are retained. Eviction runs
+    when the newest window advances, never per observation. An
+    observation older than the horizon is counted in ``late_dropped``
+    and reaches no window; one with no ``at_s`` (a caller that owns no
+    clock) reaches no window either. Both still count in the exact
+    all-time ``count()`` / ``total()``, which survive eviction — a
+    series is also a cumulative counter — and ``last`` holds the value
+    most recently ``set``, for current-value facts.
+
+    The cell of a window is the subclass's ``_cell_type``: a
+    :class:`WindowAggregate` or a :class:`QuantileSketch`. Both offer
+    ``observe``, ``count``, ``total``, a ``merge`` returning a new
+    cell, and a dict round trip. Thread-safe.
     """
+
+    _cell_type: type
 
     def __init__(
         self,
@@ -346,64 +366,72 @@ class WindowedSeries:
         self.window_s = window_s
         self.capacity = capacity
         self.late_dropped = 0
-        self._windows: dict[int, WindowAggregate] = {}
+        self.last: float | None = None
+        self._count = 0
+        self._total = 0.0
+        self._cells: dict = {}
         self._newest: int | None = None
         self._lock = threading.Lock()
 
-    def window_index(self, at_s: float) -> int:
-        return int(math.floor(at_s / self.window_s))
+    def _new_cell(self, index: int):
+        raise NotImplementedError
 
-    def observe(self, value: float = 1.0, *, at_s: float) -> None:
-        index = self.window_index(at_s)
-        with self._lock:
-            if self._newest is not None and index <= self._newest - self.capacity:
-                self.late_dropped += 1
-                return
+    def _observe_locked(
+        self, value: float, at_s: float | None, **cell_kwargs
+    ) -> None:
+        """Count ``value`` all-time and, unless it has no ``at_s`` or is
+        older than the horizon, in the window it lands in."""
+        if at_s is not None:
+            index = int(at_s // self.window_s)
             if self._newest is None or index > self._newest:
-                self._newest = max(self._newest or index, index)
-            agg = self._windows.get(index)
-            if agg is None:
-                agg = WindowAggregate(index=index)
-                self._windows[index] = agg
-            agg.absorb(value)
-            horizon = self._newest - self.capacity
-            for stale in [i for i in self._windows if i <= horizon]:
-                del self._windows[stale]
+                self._newest = index
+                for stale in [i for i in self._cells if i <= index - self.capacity]:
+                    del self._cells[stale]
+            if index <= self._newest - self.capacity:
+                self.late_dropped += 1
+            else:
+                cell = self._cells.get(index)
+                if cell is None:
+                    cell = self._cells[index] = self._new_cell(index)
+                cell.observe(value, **cell_kwargs)
+        self._count += 1
+        self._total += value
 
     # -- read ----------------------------------------------------------
-    def points(self) -> list[WindowAggregate]:
-        """Retained windows, oldest first."""
+    def _tail(self, last: int | None) -> list[tuple]:
+        """Retained (window index, cell) pairs, oldest first."""
         with self._lock:
-            return [self._windows[i] for i in sorted(self._windows)]
-
-    def total(self, last: int | None = None) -> float:
-        """Sum of values over the last ``last`` windows (all if None)."""
-        return sum(p.total for p in self._tail(last))
+            indices = sorted(self._cells)
+            if last is not None:
+                indices = indices[-last:]
+            return [(i, self._cells[i]) for i in indices]
 
     def count(self, last: int | None = None) -> int:
-        return sum(p.count for p in self._tail(last))
+        """Observations in the last ``last`` windows; all-time if None."""
+        if last is None:
+            with self._lock:
+                return self._count
+        return sum(cell.count for _, cell in self._tail(last))
 
-    def rate_per_s(self, last: int | None = None) -> float:
-        """Observations per second over the covered window span."""
-        points = self._tail(last)
-        if not points:
-            return 0.0
-        span = (points[-1].index - points[0].index + 1) * self.window_s
-        return sum(p.count for p in points) / span
-
-    def _tail(self, last: int | None) -> list[WindowAggregate]:
-        points = self.points()
-        return points if last is None else points[-last:]
+    def total(self, last: int | None = None) -> float:
+        """Sum of values over the last ``last`` windows; all-time if
+        None (eviction never lowers it)."""
+        if last is None:
+            with self._lock:
+                return self._total
+        return sum(cell.total for _, cell in self._tail(last))
 
     # -- merge ---------------------------------------------------------
-    def merge(self, other: "WindowedSeries") -> "WindowedSeries":
+    def merge(self, other):
         """Fold ``other`` into ``self``, window-index-wise.
 
-        Both series must share ``window_s`` so indices line up. The
-        fold is pointwise commutative addition with *no* eviction — a
-        snapshot fold must be associative and commutative regardless of
-        merge order, and capacity-based eviction mid-fold would make
-        the result order-dependent. Capacity applies only to live
+        Both must share ``window_s`` so indices line up. Cells merge
+        pairwise into new cells (``self`` never aliases ``other``),
+        all-time totals add, ``last`` folds by max (two processes'
+        "bytes cached" describe peaks, not a sum) — and there is *no*
+        eviction: a snapshot fold must be associative and commutative,
+        and capacity-based eviction mid-fold would make the result
+        depend on merge order. Capacity applies only to live
         observation. Returns ``self``.
         """
         if other.window_s != self.window_s:
@@ -412,22 +440,20 @@ class WindowedSeries:
                 f"{self.window_s} vs {other.window_s}"
             )
         with other._lock:
-            rows = [
-                (i, WindowAggregate.from_dict(other._windows[i].to_dict()))
-                for i in sorted(other._windows)
-            ]
-            late = other.late_dropped
+            cells = dict(other._cells)
+            capacity, late, last = other.capacity, other.late_dropped, other.last
+            count, total = other._count, other._total
         with self._lock:
-            self.capacity = max(self.capacity, other.capacity)
+            self.capacity = max(self.capacity, capacity)
             self.late_dropped += late
-            for index, agg in rows:
-                mine = self._windows.get(index)
-                if mine is None:
-                    self._windows[index] = agg
-                else:
-                    mine.absorb_agg(agg)
-                if self._newest is None or index > self._newest:
-                    self._newest = index
+            self._count += count
+            self._total += total
+            if last is not None:
+                self.last = last if self.last is None else max(self.last, last)
+            for index, cell in cells.items():
+                mine = self._cells.get(index) or self._new_cell(index)
+                self._cells[index] = mine.merge(cell)
+            self._newest = max(self._cells, default=None)
         return self
 
     # -- serialization -------------------------------------------------
@@ -437,37 +463,90 @@ class WindowedSeries:
                 "window_s": self.window_s,
                 "capacity": self.capacity,
                 "late_dropped": self.late_dropped,
-                "windows": [
-                    self._windows[i].to_dict() for i in sorted(self._windows)
-                ],
+                "count": self._count,
+                "total": self._total,
+                "last": self.last,
+                "windows": {
+                    str(i): self._cells[i].to_dict() for i in sorted(self._cells)
+                },
             }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "WindowedSeries":
-        series = cls(
-            float(data["window_s"]), capacity=int(data["capacity"])
+    def from_dict(cls, data: dict, **kwargs):
+        ring = cls(
+            float(data["window_s"]), capacity=int(data["capacity"]), **kwargs
         )
-        series.late_dropped = int(data.get("late_dropped", 0))
-        for row in data["windows"]:
-            agg = WindowAggregate.from_dict(row)
-            series._windows[agg.index] = agg
-            series._newest = (
-                agg.index
-                if series._newest is None
-                else max(series._newest, agg.index)
-            )
-        return series
+        rows = data["windows"]
+        if isinstance(rows, list):  # series written before the shared ring
+            rows = {row["index"]: row for row in rows}
+        for index, row in rows.items():
+            ring._cells[int(index)] = cls._cell_type.from_dict(row)
+        cells = ring._cells.values()
+        ring._newest = max(ring._cells, default=None)
+        ring.late_dropped = int(data.get("late_dropped", 0))
+        # Older snapshots carry no all-time fields: what they retain is
+        # all that is known.
+        ring._count = int(data.get("count", sum(c.count for c in cells)))
+        ring._total = float(data.get("total", sum(c.total for c in cells)))
+        ring.last = data.get("last")
+        return ring
 
 
-class WindowedQuantiles:
+class WindowedSeries(_WindowRing):
+    """Windowed count/sum/min/max — a rate, a counter and a gauge.
+
+    Aggregation per window is commutative, so observations arriving
+    out of order within a window produce identical state.
+    """
+
+    _cell_type = WindowAggregate
+
+    def _new_cell(self, index: int) -> WindowAggregate:
+        return WindowAggregate(index=index)
+
+    def observe(self, value: float = 1.0, *, at_s: float | None = None) -> None:
+        if value < 0:  # totals are cumulative counters; gauges use set/add
+            raise ValueError(f"series observations must be >= 0, got {value}")
+        with self._lock:
+            self._observe_locked(value, at_s)
+
+    def set(self, value: float, *, at_s: float | None = None) -> None:
+        """Gauge write: ``value`` becomes ``last`` and is sampled into
+        its window, whose min/max then bound the gauge over time."""
+        with self._lock:
+            self.last = value
+            self._observe_locked(value, at_s)
+
+    def add(self, delta: float, *, at_s: float | None = None) -> None:
+        """Move the gauge by ``delta`` (queries in flight, slots held)."""
+        with self._lock:
+            self.last = (self.last or 0) + delta
+            self._observe_locked(self.last, at_s)
+
+    def points(self) -> list[WindowAggregate]:
+        """Retained windows, oldest first."""
+        return [cell for _, cell in self._tail(None)]
+
+    def rate_per_s(self, last: int | None = None) -> float:
+        """Observations per second over the covered window span."""
+        points = [cell for _, cell in self._tail(last)]
+        if not points:
+            return 0.0
+        span = (points[-1].index - points[0].index + 1) * self.window_s
+        return sum(p.count for p in points) / span
+
+
+class WindowedQuantiles(_WindowRing):
     """One :class:`QuantileSketch` per retained time window.
 
     Per-window percentiles answer "what was p99 *this minute*"; the
     associative sketch merge rolls any span of windows into one sketch,
     so multi-window percentiles (the SLO horizon, the dashboard's
     headline p99) are computed from the same state without retaining a
-    single raw sample. Thread-safe.
+    single raw sample.
     """
+
+    _cell_type = QuantileSketch
 
     def __init__(
         self,
@@ -476,45 +555,26 @@ class WindowedQuantiles:
         capacity: int = DEFAULT_CAPACITY,
         relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        self.window_s = window_s
-        self.capacity = capacity
+        super().__init__(window_s, capacity=capacity)
         self.relative_accuracy = relative_accuracy
-        self._sketches: dict[int, QuantileSketch] = {}
-        self._newest: int | None = None
-        self._lock = threading.Lock()
+
+    def _new_cell(self, index: int) -> QuantileSketch:
+        return QuantileSketch(self.relative_accuracy)
 
     def observe(
         self, value: float, *, at_s: float, trace_id: str | None = None
     ) -> None:
-        index = int(math.floor(at_s / self.window_s))
         with self._lock:
-            if self._newest is not None and index <= self._newest - self.capacity:
-                return
-            if self._newest is None or index > self._newest:
-                self._newest = max(self._newest or index, index)
-            sketch = self._sketches.get(index)
-            if sketch is None:
-                sketch = QuantileSketch(self.relative_accuracy)
-                self._sketches[index] = sketch
-            horizon = self._newest - self.capacity
-            for stale in [i for i in self._sketches if i <= horizon]:
-                del self._sketches[stale]
-        sketch.observe(value, trace_id=trace_id)
+            self._observe_locked(value, at_s, trace_id=trace_id)
 
     def windows(self) -> list[tuple[int, QuantileSketch]]:
         """Retained (window index, sketch) pairs, oldest first."""
-        with self._lock:
-            return [(i, self._sketches[i]) for i in sorted(self._sketches)]
+        return self._tail(None)
 
     def merged(self, last: int | None = None) -> QuantileSketch:
         """All (or the last ``last``) windows merged into one sketch."""
-        pairs = self.windows()
-        if last is not None:
-            pairs = pairs[-last:]
         merged = QuantileSketch(self.relative_accuracy)
-        for _, sketch in pairs:
+        for _, sketch in self._tail(last):
             merged = merged.merge(sketch)
         return merged
 
@@ -522,55 +582,14 @@ class WindowedQuantiles:
         """Per-window quantile estimates, oldest first."""
         return [(i, sketch.quantile(q)) for i, sketch in self.windows()]
 
-    def merge(self, other: "WindowedQuantiles") -> "WindowedQuantiles":
-        """Fold ``other`` in, window-index-wise sketch merge.
-
-        Same contract as :meth:`WindowedSeries.merge`: matching
-        ``window_s`` (and relative accuracy, required by the sketch
-        merge), no eviction during the fold so the result is
-        independent of merge order. Returns ``self``.
-        """
-        if other.window_s != self.window_s:
-            raise ValueError(
-                "cannot merge quantile series with different window "
-                f"widths: {self.window_s} vs {other.window_s}"
-            )
-        for index, sketch in other.windows():
-            with self._lock:
-                mine = self._sketches.get(index)
-                merged = sketch if mine is None else mine.merge(sketch)
-                # Re-materialize so `self` never aliases `other`'s state.
-                self._sketches[index] = QuantileSketch.from_dict(
-                    merged.to_dict()
-                )
-                if self._newest is None or index > self._newest:
-                    self._newest = index
-        with self._lock:
-            self.capacity = max(self.capacity, other.capacity)
-        return self
-
     def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "capacity": self.capacity,
-            "relative_accuracy": self.relative_accuracy,
-            "windows": {
-                str(i): sketch.to_dict() for i, sketch in self.windows()
-            },
-        }
+        return {**super().to_dict(), "relative_accuracy": self.relative_accuracy}
 
     @classmethod
     def from_dict(cls, data: dict) -> "WindowedQuantiles":
-        wq = cls(
-            float(data["window_s"]),
-            capacity=int(data["capacity"]),
-            relative_accuracy=float(data["relative_accuracy"]),
+        return super().from_dict(
+            data, relative_accuracy=float(data["relative_accuracy"])
         )
-        for i, sketch_data in data["windows"].items():
-            index = int(i)
-            wq._sketches[index] = QuantileSketch.from_dict(sketch_data)
-            wq._newest = index if wq._newest is None else max(wq._newest, index)
-        return wq
 
 
 @dataclass
@@ -720,16 +739,46 @@ class CostLedger:
         return ledger
 
 
-class TelemetryHub:
-    """Process-wide registry of windowed series, sketches, and costs.
+def format_labels(labels: tuple[tuple[str, str], ...]) -> str:
+    """``k="v",...`` with the Prometheus text format's label-value
+    escaping (backslash, newline, double quote)."""
+    return ",".join(
+        '{}="{}"'.format(
+            key,
+            str(value)
+            .replace("\\", "\\\\")
+            .replace("\n", "\\n")
+            .replace('"', '\\"'),
+        )
+        for key, value in labels
+    )
 
-    The continuous-telemetry twin of
-    :func:`repro.obs.metrics.get_registry`: the serve, daemon, and
-    maintenance layers report named series here; the SLO evaluator and
-    the dashboard read them back. ``snapshot()`` / ``from_snapshot``
-    round-trip the whole hub through JSON so a benchmark run can emit
-    its telemetry and ``repro slo-check`` / ``repro dashboard`` can
-    evaluate it in another process.
+
+class SeriesFamily:
+    """The labeled members of one name (``store_requests_total{op}``);
+    ``total()`` sums across them."""
+
+    def __init__(self, members: dict[tuple, _WindowRing]) -> None:
+        self.members = members
+
+    def total(self, last: int | None = None) -> float:
+        return sum(m.total(last) for m in self.members.values())
+
+
+class TelemetryHub:
+    """The one place a named series lives: windowed series, sketches,
+    tail samples and the cost ledger of a process.
+
+    Every layer reports here — ``hub.series(name, **labels)`` for
+    counts, sums and current values, ``hub.quantiles(name, **labels)``
+    for distributions; label values are strings, and a name is one kind
+    with one set of label names (anything else raises). The SLO
+    evaluator, the dashboard, ``repro top`` and the Prometheus
+    exposition (:mod:`repro.obs.metrics`) read them back.
+    ``snapshot()`` / ``from_snapshot`` round-trip the whole hub through
+    JSON so a benchmark run can emit its telemetry and
+    ``repro slo-check`` / ``repro dashboard`` can evaluate it in another
+    process.
     """
 
     def __init__(
@@ -745,80 +794,124 @@ class TelemetryHub:
         self.relative_accuracy = relative_accuracy
         self.tail = TailRecorder(capacity=tail_capacity)
         self.ledger = CostLedger()
-        self._series: dict[str, WindowedSeries] = {}
-        self._quantiles: dict[str, WindowedQuantiles] = {}
+        # Keyed (name, sorted label items): the ``name{k="v"}`` text
+        # form is built by snapshot() and the renderer, never per request.
+        self._members: dict[tuple, _WindowRing] = {}
+        self._kinds: dict[str, tuple] = {}  # name -> (kind, label names)
         self._lock = threading.Lock()
 
-    def series(self, name: str) -> WindowedSeries:
+    def _member(self, kind: type, name: str, labels: dict):
+        items = tuple(labels.items())
+        key = (name, items if len(items) < 2 else tuple(sorted(items)))
+        # Per-request path: one dict read, no hub lock (a member, once
+        # registered, is never replaced). Creation and every mismatch
+        # take the lock below.
+        member = self._members.get(key)
+        if type(member) is kind:
+            return member
+        shape = (kind, tuple(label for label, _ in key[1]))
         with self._lock:
-            series = self._series.get(name)
-            if series is None:
-                series = WindowedSeries(
-                    self.window_s, capacity=self.capacity
+            if self._kinds.setdefault(name, shape) != shape:
+                known, names = self._kinds[name]
+                raise ValueError(
+                    f"{name!r} is a {known.__name__} with labels {names}, "
+                    f"not a {kind.__name__} with labels {shape[1]}"
                 )
-                self._series[name] = series
-            return series
+            member = self._members.get(key)
+            if member is None:
+                extra = (
+                    {"relative_accuracy": self.relative_accuracy}
+                    if kind is WindowedQuantiles
+                    else {}
+                )
+                member = self._members[key] = kind(
+                    self.window_s, capacity=self.capacity, **extra
+                )
+            return member
 
-    def quantiles(self, name: str) -> WindowedQuantiles:
+    def series(self, name: str, **labels: str) -> WindowedSeries:
+        return self._member(WindowedSeries, name, labels)
+
+    def quantiles(self, name: str, **labels: str) -> WindowedQuantiles:
+        return self._member(WindowedQuantiles, name, labels)
+
+    def families(self) -> dict[str, dict[tuple, _WindowRing]]:
+        """Every instrument by name: ``{name: {label items: member}}``,
+        names and members sorted."""
         with self._lock:
-            wq = self._quantiles.get(name)
-            if wq is None:
-                wq = WindowedQuantiles(
-                    self.window_s,
-                    capacity=self.capacity,
-                    relative_accuracy=self.relative_accuracy,
-                )
-                self._quantiles[name] = wq
-            return wq
+            items = sorted(self._members.items(), key=lambda item: item[0])
+        grouped: dict[str, dict[tuple, _WindowRing]] = {}
+        for (name, labels), member in items:
+            grouped.setdefault(name, {})[labels] = member
+        return grouped
+
+    def get(self, name: str) -> _WindowRing | SeriesFamily | None:
+        """The series or sketch called ``name`` — for a labeled name its
+        :class:`SeriesFamily` — or ``None``; never creates one."""
+        members = self.families().get(name)
+        if members is None:
+            return None
+        return members[()] if list(members) == [()] else SeriesFamily(members)
+
+    def _names(self, kind: type) -> list[str]:
+        with self._lock:
+            return sorted(n for n, (k, _) in self._kinds.items() if k is kind)
 
     def series_names(self) -> list[str]:
         """Names of every registered windowed series, sorted."""
-        with self._lock:
-            return sorted(self._series)
+        return self._names(WindowedSeries)
 
     def quantile_names(self) -> list[str]:
         """Names of every registered quantile series, sorted."""
-        with self._lock:
-            return sorted(self._quantiles)
+        return self._names(WindowedQuantiles)
 
     def merge(self, other: "TelemetryHub") -> "TelemetryHub":
         """Fold another hub in: series, sketches, tail, and ledger.
 
         The snapshot store uses this to fold telemetry from independent
         processes/shards/runs; every component merge is commutative and
-        associative (window-wise addition, bin-wise sketch addition,
-        sorted tail-sample union, fieldwise ledger addition), so the
-        fold result is independent of merge order — the property the
-        hypothesis suite pins. Returns ``self``.
+        associative (window-wise addition, all-time totals adding,
+        last-values by max, bin-wise sketch addition, sorted tail-sample
+        union, fieldwise ledger addition), so the fold result is
+        independent of merge order — the property the hypothesis suite
+        pins. Returns ``self``.
         """
         if other.window_s != self.window_s:
             raise ValueError(
                 "cannot merge hubs with different window widths: "
                 f"{self.window_s} vs {other.window_s}"
             )
-        for name in other.series_names():
-            self.series(name).merge(other.series(name))
-        for name in other.quantile_names():
-            self.quantiles(name).merge(other.quantiles(name))
+        with other._lock:
+            members = dict(other._members)
+        for (name, labels), member in members.items():
+            self._member(type(member), name, dict(labels)).merge(member)
         self.tail.merge(other.tail)
         self.ledger.merge(other.ledger)
         return self
 
     def snapshot(self) -> dict:
         """JSON-safe dump of every series, sketch, tail sample, and the
-        cost ledger."""
+        cost ledger; a labeled member is keyed ``name{k="v"}`` and
+        carries its ``labels``."""
         with self._lock:
-            series = dict(self._series)
-            quantiles = dict(self._quantiles)
-        return {
+            members = dict(self._members)
+        data = {
             "window_s": self.window_s,
             "capacity": self.capacity,
             "relative_accuracy": self.relative_accuracy,
-            "series": {name: s.to_dict() for name, s in series.items()},
-            "quantiles": {name: q.to_dict() for name, q in quantiles.items()},
+            "series": {},
+            "quantiles": {},
             "tail": self.tail.to_dict(),
             "ledger": self.ledger.to_dict(),
         }
+        for (name, labels), member in members.items():
+            entry = member.to_dict()
+            if labels:
+                entry["labels"] = dict(labels)
+                name = f"{name}{{{format_labels(labels)}}}"
+            section = "series" if isinstance(member, WindowedSeries) else "quantiles"
+            data[section][name] = entry
+        return data
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "TelemetryHub":
@@ -827,10 +920,15 @@ class TelemetryHub:
             capacity=int(data["capacity"]),
             relative_accuracy=float(data["relative_accuracy"]),
         )
-        for name, series_data in data.get("series", {}).items():
-            hub._series[name] = WindowedSeries.from_dict(series_data)
-        for name, wq_data in data.get("quantiles", {}).items():
-            hub._quantiles[name] = WindowedQuantiles.from_dict(wq_data)
+        for section, kind in (
+            ("series", WindowedSeries),
+            ("quantiles", WindowedQuantiles),
+        ):
+            for text, entry in data.get(section, {}).items():
+                name = text.partition("{")[0]
+                labels = tuple(sorted(entry.get("labels", {}).items()))
+                hub._members[name, labels] = kind.from_dict(entry)
+                hub._kinds[name] = (kind, tuple(label for label, _ in labels))
         hub.tail = TailRecorder.from_dict(data.get("tail", {"samples": []}))
         hub.ledger = CostLedger.from_dict(data.get("ledger", {}))
         return hub

@@ -39,22 +39,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 from repro.serve.singleflight import SingleFlight
 from repro.storage.object_store import ObjectInfo, ObjectStore
-
-_LOOKUPS = get_registry().counter(
-    "cache_lookups_total", "Serving-cache lookups by outcome", ("outcome",)
-)
-_EVICTIONS = get_registry().counter(
-    "cache_evictions_total", "Serving-cache entries evicted by the byte budget"
-)
-_INVALIDATIONS = get_registry().counter(
-    "cache_invalidations_total", "Serving-cache entries dropped by writes"
-)
-_CACHED_BYTES = get_registry().gauge(
-    "cache_cached_bytes", "Bytes currently held by the serving cache"
-)
 
 #: Cache key: (object key, None) for a whole object, or
 #: (object key, (offset, length)) for one byte range.
@@ -64,6 +51,16 @@ DEFAULT_BUDGET_BYTES = 256 << 20
 DEFAULT_MAX_ENTRY_BYTES = 8 << 20
 #: LIST/HEAD results kept (count-bounded; they are metadata-sized).
 DEFAULT_MAX_META_ENTRIES = 4096
+
+#: :class:`CacheStats` field -> the hub series each increment is also
+#: reported to, so operators see one aggregate across every cache.
+_SERIES = {
+    "hits": ("cache_lookups_total", {"outcome": "hit"}),
+    "misses": ("cache_lookups_total", {"outcome": "miss"}),
+    "rejected": ("cache_lookups_total", {"outcome": "rejected"}),
+    "evictions": ("cache_evictions_total", {}),
+    "invalidations": ("cache_invalidations_total", {}),
+}
 
 
 @dataclass
@@ -80,28 +77,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # Counter updates mirror into the process-wide metrics registry so
-    # operators see one aggregate series across every cache instance.
-    def record_hit(self) -> None:
-        self.hits += 1
-        _LOOKUPS.inc(outcome="hit")
-
-    def record_miss(self) -> None:
-        self.misses += 1
-        _LOOKUPS.inc(outcome="miss")
-
-    def record_eviction(self) -> None:
-        self.evictions += 1
-        _EVICTIONS.inc()
-
-    def record_invalidation(self) -> None:
-        self.invalidations += 1
-        _INVALIDATIONS.inc()
-
-    def record_rejection(self) -> None:
-        self.rejected += 1
-        _LOOKUPS.inc(outcome="rejected")
 
 
 class CachingObjectStore(ObjectStore):
@@ -144,6 +119,18 @@ class CachingObjectStore(ObjectStore):
     def cached_bytes(self) -> int:
         return self._cached_bytes
 
+    def _count(self, field: str) -> None:
+        """One cache event: this instance's :class:`CacheStats` field
+        and its hub series (callers hold ``_cache_lock``)."""
+        setattr(self.cache_stats, field, getattr(self.cache_stats, field) + 1)
+        name, labels = _SERIES[field]
+        get_hub().series(name, **labels).observe(at_s=self.clock.now())
+
+    def _report_bytes(self) -> None:
+        get_hub().series("cache_cached_bytes").set(
+            self._cached_bytes, at_s=self.clock.now()
+        )
+
     def _lookup(self, key: str, byte_range: tuple[int, int] | None) -> bytes | None:
         """Cached bytes for a request, or None. A whole-object entry
         serves any in-bounds range of that object."""
@@ -151,7 +138,7 @@ class CachingObjectStore(ObjectStore):
             data = self._entries.get((key, byte_range))
             if data is not None:
                 self._entries.move_to_end((key, byte_range))
-                self.cache_stats.record_hit()
+                self._count("hits")
                 return data
             if byte_range is not None:
                 whole = self._entries.get((key, None))
@@ -159,9 +146,9 @@ class CachingObjectStore(ObjectStore):
                     offset, length = byte_range
                     if 0 <= offset and 0 <= length and offset + length <= len(whole):
                         self._entries.move_to_end((key, None))
-                        self.cache_stats.record_hit()
+                        self._count("hits")
                         return whole[offset : offset + length]
-            self.cache_stats.record_miss()
+            self._count("misses")
             return None
 
     def _admit(
@@ -173,7 +160,7 @@ class CachingObjectStore(ObjectStore):
     ) -> None:
         if len(data) > self.max_entry_bytes:
             with self._cache_lock:
-                self.cache_stats.record_rejection()
+                self._count("rejected")
             return
         cache_key: _CacheKey = (key, byte_range)
         with self._cache_lock:
@@ -189,8 +176,8 @@ class CachingObjectStore(ObjectStore):
                 victim_key, victim = self._entries.popitem(last=False)
                 self._cached_bytes -= len(victim)
                 self._by_object[victim_key[0]].discard(victim_key)
-                self.cache_stats.record_eviction()
-            _CACHED_BYTES.set(self._cached_bytes)
+                self._count("evictions")
+            self._report_bytes()
 
     def invalidate(self, key: str) -> None:
         """Drop every cached entry for a key: whole object, ranges, its
@@ -202,13 +189,13 @@ class CachingObjectStore(ObjectStore):
                 data = self._entries.pop(cache_key, None)
                 if data is not None:
                     self._cached_bytes -= len(data)
-                    self.cache_stats.record_invalidation()
+                    self._count("invalidations")
             if self._heads.pop(key, None) is not None:
-                self.cache_stats.record_invalidation()
+                self._count("invalidations")
             for prefix in [p for p in self._lists if key.startswith(p)]:
                 del self._lists[prefix]
-                self.cache_stats.record_invalidation()
-            _CACHED_BYTES.set(self._cached_bytes)
+                self._count("invalidations")
+            self._report_bytes()
 
     def clear(self) -> None:
         """Drop the entire cache (counters are kept)."""
@@ -218,7 +205,7 @@ class CachingObjectStore(ObjectStore):
             self._lists.clear()
             self._heads.clear()
             self._cached_bytes = 0
-            _CACHED_BYTES.set(0)
+            self._report_bytes()
 
     # -- operations ----------------------------------------------------
     def get(self, key: str, byte_range: tuple[int, int] | None = None) -> bytes:
@@ -296,9 +283,9 @@ class CachingObjectStore(ObjectStore):
             info = self._heads.get(key)
             if info is not None:
                 self._heads.move_to_end(key)
-                self.cache_stats.record_hit()
+                self._count("hits")
                 return info
-            self.cache_stats.record_miss()
+            self._count("misses")
             generation = self._generation.get(key, 0)
         info = self.inner.head(key)
         with self._cache_lock:
@@ -306,7 +293,7 @@ class CachingObjectStore(ObjectStore):
                 self._heads[key] = info
                 while len(self._heads) > self._max_meta_entries:
                     self._heads.popitem(last=False)
-                    self.cache_stats.record_eviction()
+                    self._count("evictions")
         return info
 
     def list(self, prefix: str = "") -> list[ObjectInfo]:
@@ -314,9 +301,9 @@ class CachingObjectStore(ObjectStore):
             infos = self._lists.get(prefix)
             if infos is not None:
                 self._lists.move_to_end(prefix)
-                self.cache_stats.record_hit()
+                self._count("hits")
                 return list(infos)
-            self.cache_stats.record_miss()
+            self._count("misses")
             epoch = self._write_epoch
         infos = self.inner.list(prefix)
         with self._cache_lock:
@@ -324,7 +311,7 @@ class CachingObjectStore(ObjectStore):
                 self._lists[prefix] = list(infos)
                 while len(self._lists) > self._max_meta_entries:
                     self._lists.popitem(last=False)
-                    self.cache_stats.record_eviction()
+                    self._count("evictions")
         return infos
 
     # -- tracing delegates to the inner store --------------------------

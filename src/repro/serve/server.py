@@ -37,7 +37,6 @@ from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
 from repro.obs.attribution import attribute
 from repro.obs.flight import get_flight_recorder
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S, get_registry
 from repro.obs.timeseries import QuantileSketch, get_hub
 from repro.obs.trace import get_tracer
 from repro.serve.cache import CacheStats, CachingObjectStore
@@ -47,22 +46,6 @@ from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
 from repro.storage.object_store import ObjectStore
 from repro.tco.throughput import ThroughputModel
-
-_QUERIES = get_registry().counter(
-    "serve_queries_total", "Queries by admission outcome", ("status",)
-)
-_INFLIGHT = get_registry().gauge(
-    "serve_inflight_queries", "Queries currently holding an admission slot"
-)
-_LATENCY = get_registry().histogram(
-    "serve_modeled_latency_seconds",
-    "Modeled end-to-end query latency",
-    buckets=DEFAULT_LATENCY_BUCKETS_S,
-)
-_DEGRADED = get_registry().counter(
-    "serve_degraded_queries_total",
-    "Queries answered by brute-force fallback after an index read failure",
-)
 
 
 @dataclass
@@ -293,23 +276,29 @@ class SearchServer:
         If an index component read fails mid-query (store fault,
         vacuumed or corrupt index file), the query is transparently
         re-executed without indices — a brute-force scan returns the
-        identical answer, just slower. Degraded answers are counted in
-        :attr:`ServeStats.degraded` and the
-        ``serve_degraded_queries_total`` metric so operators see an
-        index-health regression as a rate, not an outage.
+        identical answer, just slower. A degraded answer is marked on
+        the result (``result.degraded``, the same object for the leader
+        and every shared caller) and counted in
+        :attr:`ServeStats.degraded` and the ``serve.degraded`` series so
+        operators see an index-health regression as a rate, not an
+        outage.
         """
+        hub, clock = get_hub(), self.client.store.clock
         if self.shed_on_overload:
             admitted = self._admission.acquire(blocking=False)
             if not admitted:
                 with self._stats_lock:
                     self.stats.rejected += 1
-                _QUERIES.inc(status="rejected")
+                # Not ``serve.queries``: a shed query was never answered,
+                # and that series is the availability SLO's denominator.
+                hub.series("serve.rejected").observe(at_s=clock.now())
                 raise ServerOverloaded(
                     f"{self.max_inflight} queries already in flight"
                 )
         else:
             self._admission.acquire()
-        _INFLIGHT.add(1)
+        inflight = hub.series("serve_inflight_queries")
+        inflight.add(1, at_s=clock.now())
         try:
             flight_key = (
                 column,
@@ -319,10 +308,11 @@ class SearchServer:
                 partition,
             )
             # Only the flight leader executes, so only it holds the
-            # finished span tree (and therefore the attribution bill);
-            # shared callers record a latency observation and nothing
-            # else — costs were incurred exactly once.
-            flight = {"root": None, "degraded": False}
+            # finished span tree (and therefore the attribution bill)
+            # and only it is billed the flight's requests; shared
+            # callers record a latency observation and nothing else —
+            # costs were incurred exactly once.
+            flight = {"root": None}
 
             def execute() -> SearchResult:
                 with get_tracer().span("serve.query", column=column, k=k) as root:
@@ -343,14 +333,12 @@ class SearchServer:
                         # scanning, so serve it degraded rather than
                         # failing the query. Data-file losses surface
                         # as SnapshotNotFound and still propagate.
-                        _DEGRADED.inc()
-                        flight["degraded"] = True
                         with self._stats_lock:
                             self.stats.degraded += 1
                         with get_tracer().span(
                             "serve.degraded", column=column, k=k
                         ):
-                            return self.executor.search(
+                            result = self.executor.search(
                                 column,
                                 query,
                                 k=k,
@@ -358,6 +346,8 @@ class SearchServer:
                                 partition=partition,
                                 use_indices=False,
                             )
+                        result.degraded = True
+                        return result
 
             result, shared = self._flights.do_detailed(flight_key, execute)
             modeled_s = result.stats.estimated_latency(self.latency_model)
@@ -366,20 +356,20 @@ class SearchServer:
                 self.stats.queries += 1
                 if shared:
                     self.stats.deduplicated += 1
-                self.stats.total_requests += result.stats.trace.total_requests
+                else:
+                    self.stats.total_requests += result.stats.trace.total_requests
                 self.stats.observe_latency(modeled_s)
                 self.stats.fresh_matches += fresh_matches
-            _QUERIES.inc(status="deduplicated" if shared else "served")
-            trace_id = self._record_telemetry(
+            self._record_telemetry(
+                hub,
                 modeled_s,
-                root=None if shared else flight["root"],
-                degraded=flight["degraded"] and not shared,
+                root=flight["root"],
+                degraded=result.degraded and not shared,
                 fresh_matches=fresh_matches,
             )
-            _LATENCY.observe(modeled_s, trace_id=trace_id)
             return result
         finally:
-            _INFLIGHT.add(-1)
+            inflight.add(-1, at_s=clock.now())
             self._admission.release()
 
     def _count_fresh(self, result: SearchResult) -> int:
@@ -393,23 +383,24 @@ class SearchServer:
 
     def _record_telemetry(
         self,
+        hub,
         modeled_s: float,
         *,
         root,
         degraded: bool,
         fresh_matches: int = 0,
-    ) -> str | None:
+    ) -> None:
         """Feed the per-query outcome into the process telemetry hub.
 
         Every caller (leader or deduplicated) contributes a latency
         observation and a query count — that is what it experienced.
         Only the flight leader carries ``root`` (the finished span
-        tree), so only it is attributed into dollars, the cost ledger,
-        the tail recorder, and the flight recorder: the spend happened
-        once. Returns the trace id when the flight recorder retained
-        this query, so callers can attach it as an exemplar.
+        tree; ``None`` marks a deduplicated caller), so only it is
+        attributed into dollars, the cost ledger, the tail recorder,
+        and the flight recorder: the spend happened once. When the
+        flight recorder retains the query, its trace id rides the
+        latency observation as the sketch's exemplar.
         """
-        hub = get_hub()
         at_s = self.client.store.clock.now()
         trace_id: str | None = None
         bill = None
@@ -433,6 +424,8 @@ class SearchServer:
             modeled_s, at_s=at_s, trace_id=trace_id
         )
         hub.series("serve.queries").observe(1.0, at_s=at_s)
+        if root is None:
+            hub.series("serve.deduplicated").observe(1.0, at_s=at_s)
         if fresh_matches:
             hub.series("ingest.fresh_matches").observe(
                 float(fresh_matches), at_s=at_s
@@ -440,7 +433,7 @@ class SearchServer:
         if degraded:
             hub.series("serve.degraded").observe(1.0, at_s=at_s)
         if bill is None:
-            return trace_id
+            return
         request_usd = bill.total_request_cost_usd(self.cost_model)
         compute_usd = bill.compute_cost_usd
         hub.series("serve.cost_usd").observe(
@@ -448,4 +441,3 @@ class SearchServer:
         )
         hub.ledger.record_query(request_usd, compute_usd, at_s=at_s)
         hub.tail.record_bill(bill, modeled_s, at_s=at_s, degraded=degraded)
-        return trace_id

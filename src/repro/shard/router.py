@@ -31,7 +31,6 @@ from repro.core.queries import Query
 from repro.core.results import SearchMatch, merge_exact, merge_topk
 from repro.core.search import probe_fresh
 from repro.errors import ShardError, ShardUnavailable
-from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
 from repro.shard.hedge import HedgePolicy
@@ -43,27 +42,6 @@ from repro.storage.stats import RequestTrace
 
 #: Instance type the per-shard searcher compute is priced on.
 ROUTER_INSTANCE = "c6i.2xlarge"
-
-_ROUTER_QUERIES = get_registry().counter(
-    "router_queries_total", "Routed queries by outcome", ("status",)
-)
-_HEDGES = get_registry().counter(
-    "router_hedges_total",
-    "Hedged shard requests issued after the per-shard latency threshold",
-)
-_HEDGE_WINS = get_registry().counter(
-    "router_hedge_wins_total",
-    "Hedged shard requests that beat their primary",
-)
-_PRUNED = get_registry().counter(
-    "router_shards_pruned_total",
-    "Shards skipped by hash/min-max/partition pruning",
-)
-_SHARD_FAILURES = get_registry().counter(
-    "router_shard_failures_total",
-    "Shard queries that failed even after brute-force fallback",
-    ("shard",),
-)
 
 
 def _trace_request_usd(trace: RequestTrace, costs: CostModel) -> float:
@@ -235,11 +213,12 @@ class QueryRouter:
     ) -> RoutedResult:
         """Scatter ``query`` to eligible shards, gather, merge top-k."""
         hub = get_hub()
+        at_s = self.deployment.clock.now() if self.deployment.clock else 0.0
         groups, pruned = self.deployment.route(
             column, query, partition=partition, prune=self.prune
         )
         if pruned:
-            _PRUNED.inc(pruned)
+            hub.series("router_shards_pruned_total").observe(pruned, at_s=at_s)
         with get_tracer().span("router.query", column=column, k=k):
             tasks = [
                 partial(self._query_shard, group, column, query, k, partition, hub)
@@ -251,7 +230,8 @@ class QueryRouter:
 
         failed = [o for o in outcomes if o.failed]
         if failed and self.on_shard_failure == "error":
-            _ROUTER_QUERIES.inc(status="failed")
+            # Unanswered, so not in ``router.queries``.
+            hub.series("router.failed").observe(at_s=at_s)
             raise ShardUnavailable(
                 f"{len(failed)} shard(s) failed: "
                 + ", ".join(
@@ -288,13 +268,11 @@ class QueryRouter:
             for o in outcomes
         )
 
-        at_s = self.deployment.clock.now() if self.deployment.clock else 0.0
         hub.quantiles("router.latency_s").observe(modeled, at_s=at_s)
         hub.series("router.queries").observe(1.0, at_s=at_s)
         hub.series("router.cost_usd").observe(
             request_usd + compute_usd, at_s=at_s
         )
-        _ROUTER_QUERIES.inc(status="partial" if failed else "ok")
         return RoutedResult(
             matches=matches,
             outcomes=outcomes,
@@ -319,16 +297,15 @@ class QueryRouter:
         replica = group.pick()
         outcome = ShardOutcome(shard_id=shard_id, replica_id=replica.replica_id)
         try:
-            result, latency, degraded = self._attempt(
+            result, latency = self._attempt(
                 replica, column, query, k, partition
             )
         except Exception as exc:
             outcome.error = exc
-            _SHARD_FAILURES.inc(shard=str(shard_id))
             hub.series(f"router.shard{shard_id}.queries").observe(1.0, at_s=at_s)
             hub.series(f"router.shard{shard_id}.failed").observe(1.0, at_s=at_s)
             return outcome
-        outcome.degraded = degraded
+        outcome.degraded = result.degraded
         outcome.requests = result.stats.trace.total_requests
         outcome.request_usd = _trace_request_usd(
             result.stats.trace, self.cost_model
@@ -337,7 +314,6 @@ class QueryRouter:
         threshold = self._hedge_threshold(group, shard_id, hub)
         if threshold is not None and latency > threshold:
             outcome.hedged = True
-            _HEDGES.inc()
             hub.series("router.hedges").observe(1.0, at_s=at_s)
             peer = group.peer_of(replica)
             try:
@@ -352,8 +328,8 @@ class QueryRouter:
                     shard=shard_id,
                     origin_trace_id=self._origin_trace_id(),
                 ):
-                    hedge_result, hedge_latency, hedge_degraded = (
-                        self._attempt(peer, column, query, k, partition)
+                    hedge_result, hedge_latency = self._attempt(
+                        peer, column, query, k, partition
                     )
                 # The hedge launches when the primary crosses the
                 # threshold; whichever answer lands first wins and the
@@ -366,10 +342,9 @@ class QueryRouter:
                 )
                 if effective < latency:
                     outcome.hedge_won = True
-                    _HEDGE_WINS.inc()
                     hub.series("router.hedge_wins").observe(1.0, at_s=at_s)
                     result, latency = hedge_result, effective
-                    outcome.degraded = hedge_degraded
+                    outcome.degraded = hedge_result.degraded
                     outcome.replica_id = peer.replica_id
             except Exception:
                 pass  # hedge lost by dying; the primary answer stands
@@ -402,20 +377,14 @@ class QueryRouter:
         k: int,
         partition: str | None,
     ):
-        """One replica query: (result, modeled latency, degraded?).
+        """One replica query: (result, modeled latency).
 
         Degradation (index-read failure -> brute-force retry) happens
-        inside the replica's server; it is detected here by the
-        server's degraded counter moving, which can over-attribute
-        under concurrent routed queries to the same replica — an
-        accounting blur, never a correctness one.
+        inside the replica's server, which marks the answer it returns
+        (``result.degraded``) — per query, not per server.
         """
-        server = replica.server
-        degraded_before = server.stats.degraded
-        result = server.query(column, query, k=k, partition=partition)
-        degraded = server.stats.degraded > degraded_before
-        latency = result.stats.estimated_latency(replica.latency_model)
-        return result, latency, degraded
+        result = replica.server.query(column, query, k=k, partition=partition)
+        return result, result.stats.estimated_latency(replica.latency_model)
 
     def _hedge_threshold(
         self, group: ShardGroup, shard_id: int, hub

@@ -24,17 +24,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.errors import InvalidByteRange, ObjectNotFound, PreconditionFailed
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
 from repro.storage.stats import IOStats, Request, RequestTrace
 from repro.util.clock import Clock, SimClock
-
-_REQUESTS = get_registry().counter(
-    "store_requests_total", "Object-store requests by operation", ("op",)
-)
-_BYTES = get_registry().counter(
-    "store_bytes_total", "Object-store payload bytes by direction", ("direction",)
-)
 
 
 @dataclass(frozen=True)
@@ -98,12 +91,13 @@ class ObjectStore(ABC):
         trace = self._trace
         if trace is not None:
             trace.record(request)
-        _REQUESTS.inc(op=op)
-        if nbytes:
-            if op == "GET":
-                _BYTES.inc(nbytes, direction="read")
-            elif op == "PUT":
-                _BYTES.inc(nbytes, direction="write")
+        hub, at_s = get_hub(), self.clock.now()
+        hub.series("store_requests_total", op=op).observe(at_s=at_s)
+        if nbytes and op in ("GET", "PUT"):
+            direction = "read" if op == "GET" else "write"
+            hub.series("store_bytes_total", direction=direction).observe(
+                nbytes, at_s=at_s
+            )
         get_tracer().record_event(op, key, nbytes)
 
     # -- operations ---------------------------------------------------

@@ -27,28 +27,12 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, TypeVar
 
 from repro.errors import RottnestIndexError
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.object_store import ObjectStore
 from repro.storage.stats import RequestTrace
 
 T = TypeVar("T")
-
-_BUDGET_SLOTS = get_registry().gauge(
-    "io_budget_slots",
-    "Configured IO-budget slots per shared budget.",
-    ("budget",),
-)
-_BUDGET_IN_USE = get_registry().gauge(
-    "io_budget_in_use",
-    "IO-budget slots currently held per shared budget.",
-    ("budget",),
-)
-_BUDGET_WAITS = get_registry().counter(
-    "io_budget_waits_total",
-    "Times a worker blocked waiting for an IO-budget slot.",
-    ("budget",),
-)
 
 
 class IOBudget:
@@ -71,8 +55,10 @@ class IOBudget:
         self._sem = threading.Semaphore(slots)
         self._lock = threading.Lock()
         self._in_use = 0
-        _BUDGET_SLOTS.set(slots, budget=name)
-        _BUDGET_IN_USE.set(0, budget=name)
+        # A budget owns no clock, so its series carry no windows: the
+        # all-time waits and the current occupancy only.
+        get_hub().series("io_budget_slots", budget=name).set(slots)
+        get_hub().series("io_budget_in_use", budget=name).set(0)
 
     @property
     def in_use(self) -> int:
@@ -84,17 +70,18 @@ class IOBudget:
     def slot(self) -> Iterator[None]:
         """Hold one budget slot for the duration of the block."""
         if not self._sem.acquire(blocking=False):
-            _BUDGET_WAITS.inc(budget=self.name)
+            get_hub().series("io_budget_waits_total", budget=self.name).observe()
             self._sem.acquire()
+        in_use = get_hub().series("io_budget_in_use", budget=self.name)
         with self._lock:
             self._in_use += 1
-        _BUDGET_IN_USE.add(1, budget=self.name)
+        in_use.add(1)
         try:
             yield
         finally:
             with self._lock:
                 self._in_use -= 1
-            _BUDGET_IN_USE.add(-1, budget=self.name)
+            in_use.add(-1)
             self._sem.release()
 
 

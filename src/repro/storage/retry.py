@@ -30,19 +30,12 @@ from repro.errors import (
     PreconditionFailed,
     SimulatedCrash,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 from repro.storage.object_store import ObjectInfo, ObjectStore
 from repro.util.clock import SimClock
 
 #: Errors that are permanent facts about the request, never transient.
 _PERMANENT = (ObjectNotFound, PreconditionFailed, InvalidByteRange)
-
-_RETRIES = get_registry().counter(
-    "store_retries_total", "Transient store errors retried, by operation", ("op",)
-)
-_BACKOFF = get_registry().counter(
-    "store_backoff_seconds_total", "Cumulative retry backoff wait time"
-)
 
 
 class RetryingObjectStore(ObjectStore):
@@ -108,10 +101,15 @@ class RetryingObjectStore(ObjectStore):
             except ObjectStoreError as exc:
                 last = exc
                 self.retries += 1
-                _RETRIES.inc(op=operation.__name__.upper())
+                hub, at_s = get_hub(), self.clock.now()
+                hub.series(
+                    "store_retries_total", op=operation.__name__.upper()
+                ).observe(at_s=at_s)
                 if attempt + 1 < self.max_attempts:
                     delay = self._next_delay(delay)
-                    _BACKOFF.inc(delay)
+                    hub.series("store_backoff_seconds_total").observe(
+                        delay, at_s=at_s
+                    )
                     self._backoff(delay)
         raise last  # type: ignore[misc]
 

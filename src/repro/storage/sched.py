@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import get_hub
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.object_store import ObjectStore
@@ -47,19 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: real lakes) but large enough to fuse the adjacent-page common case
 #: (delta-encoded page tables make neighbours exactly contiguous).
 DEFAULT_GAP_THRESHOLD = 4096
-
-_MERGED_GETS = get_registry().counter(
-    "io_merged_gets_total",
-    "Coalesced GETs dispatched by the batch scheduler",
-)
-_COALESCED_SUBRANGES = get_registry().counter(
-    "io_coalesced_subranges_total",
-    "Caller byte-ranges served through a coalesced GET",
-)
-_WASTE_BYTES = get_registry().counter(
-    "io_coalesced_waste_bytes_total",
-    "Gap bytes fetched by coalesced GETs that no caller asked for",
-)
 
 
 @dataclass(frozen=True)
@@ -194,11 +181,17 @@ def execute_plan(
     """
     results: list[object] = [None] * len(requests)
     first_error: BaseException | None = None
+    hub = get_hub()
     for merged in plan:
-        _MERGED_GETS.inc()
-        _COALESCED_SUBRANGES.inc(len(merged.parts))
+        at_s = store.clock.now()
+        hub.series("io_merged_gets_total").observe(at_s=at_s)
+        hub.series("io_coalesced_subranges_total").observe(
+            len(merged.parts), at_s=at_s
+        )
         if merged.waste:
-            _WASTE_BYTES.inc(merged.waste)
+            hub.series("io_coalesced_waste_bytes_total").observe(
+                merged.waste, at_s=at_s
+            )
         try:
             if budget is not None:
                 with budget.slot():

@@ -32,7 +32,7 @@ from repro.crack.heat import (
     HeatMap,
     cell_scope,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import TelemetryHub, use_hub
 from repro.obs.trace import Tracer, use_tracer
 from repro.serve import SearchExecutor, SearchServer
 
@@ -258,18 +258,17 @@ class TestRunnerParity:
     def _observe(self, store, search):
         """(heat keys + observation count, search spans, searches_total
         delta) of one pass over QUERIES."""
-        searches = get_registry().counter(
-            "searches_total", "Search calls by query kind", ("kind",)
-        )
-        before = {kind: searches.value(kind=kind) for kind in ("exact", "scoring")}
         tracer = Tracer(clock=store.clock)
-        with use_tracer(tracer):
+        with use_hub(TelemetryHub()) as hub, use_tracer(tracer):
             for column, query in self.QUERIES:
                 search(column, query)
         roots = tracer.pop_finished()
         heat = HeatMap()
         observed = heat.observe_spans(roots)
-        delta = {kind: searches.value(kind=kind) - n for kind, n in before.items()}
+        delta = {
+            kind: hub.series("searches_total", kind=kind).total()
+            for kind in ("exact", "scoring")
+        }
         spans = [s for root in roots for s in root.find_all("search")]
         return (heat.keys(), observed), spans, delta
 

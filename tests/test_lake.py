@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CommitConflict, LakeError, SnapshotNotFound
+from repro.errors import CommitConflict, InjectedFault, LakeError, SnapshotNotFound
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.lake.actions import (
     AddFile,
@@ -18,6 +18,7 @@ from repro.lake.deletion import DeletionVector
 from repro.lake.log import TransactionLog
 from repro.lake.snapshot import replay
 from repro.lake.table import LakeTable, TableConfig
+from repro.storage.faults import FaultRule, FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
 
 SIMPLE = Schema.of(Field("id", ColumnType.INT64), Field("t", ColumnType.STRING))
@@ -91,6 +92,21 @@ class TestTransactionLog:
             log.read_version(5)
         with pytest.raises(SnapshotNotFound):
             log.read_all(up_to=3)
+
+    def test_store_fault_on_a_log_read_is_not_a_missing_version(self, store):
+        """A fault that outlives its retries surfaces as itself; only a
+        missing object says "this version does not exist"."""
+        faulty = FaultyObjectStore(store)
+        log = TransactionLog(faulty, "lake/x")
+        log.commit([AddFile(path="a", num_rows=1, size=1)])
+        faulty.add_rule(
+            FaultRule("GET", key_predicate=lambda key: "lake/x/_log/" in key)
+        )
+        with pytest.raises(InjectedFault):
+            log.read_version(0)
+        assert log.read_version(0)[0].path == "a"  # the version was there
+        with pytest.raises(SnapshotNotFound):
+            log.read_version(1)
 
     def test_commit_retries_past_conflicts(self, store):
         log_a = TransactionLog(store, "lake/x")

@@ -28,7 +28,6 @@ from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import IOBudget, MaintainReport, MaintenancePipeline
 from repro.obs.attribution import attribute, price_iostats
-from repro.obs.metrics import get_registry
 from repro.obs.timeseries import TelemetryHub, use_hub
 from repro.obs.trace import Tracer, use_tracer
 from repro.serve.executor import SearchExecutor
@@ -347,12 +346,14 @@ RUNNERS = {
 }
 
 
-def _bumps(counter, before: dict) -> dict:
-    """Label key -> how far ``counter`` moved since ``before``."""
+def _totals(hub, prefix: str) -> dict:
+    """(name, label values...) -> all-time total, over every hub series
+    whose name starts with ``prefix``."""
     return {
-        key: value - before.get(key, 0)
-        for key, value in counter.series().items()
-        if value != before.get(key, 0)
+        (name, *(value for _, value in labels)): member.total()
+        for name, members in hub.families().items()
+        if name.startswith(prefix)
+        for labels, member in members.items()
     }
 
 
@@ -360,13 +361,10 @@ def _bumps(counter, before: dict) -> dict:
 def test_every_runner_reconciles_and_bills_once(case):
     """Whoever runs a verb — a pipeline caller, a daemon tick, a
     cracking tick — its bill equals the IOStats delta, each run bumps
-    ``maintenance_runs_total`` once, feeds the hub, and lands in the
-    ledger bucket of its verb."""
+    ``maintain.{verb}.runs{outcome}`` once, feeds the hub, and lands in
+    the ledger bucket of its verb."""
     build, verbs, policy = RUNNERS[case]
     store, runner, run = build()
-    runs = get_registry().get("maintenance_runs_total")
-    ticks = get_registry().get("maintenance_ticks_total")
-    runs_before, ticks_before = runs.series(), ticks.series()
     with use_hub(TelemetryHub()) as hub, runner:
         before = store.stats.snapshot()
         root = run()
@@ -376,15 +374,12 @@ def test_every_runner_reconciles_and_bills_once(case):
     _assert_reconciles(bill, delta)
     assert delta.puts > 0 or delta.deletes > 0  # the run did something
 
-    assert _bumps(runs, runs_before) == {
-        (verb, "committed"): 1 for verb in verbs
-    }
-    assert _bumps(ticks, ticks_before) == (
-        {(policy, "acted"): 1} if policy else {}
+    runs = {k: v for k, v in _totals(hub, "maintain.").items() if ".runs" in k[0]}
+    assert runs == {(f"maintain.{verb}.runs", "committed"): 1 for verb in verbs}
+    assert _totals(hub, "maintenance_ticks_total") == (
+        {("maintenance_ticks_total", "acted", policy): 1} if policy else {}
     )
-
     for verb in verbs:
-        assert hub.series(f"maintain.{verb}.runs").count() == 1
         assert hub.series(f"maintain.{verb}.modeled_s").count() == 1
     assert "maintain.cost_usd" in hub.series_names()
 
@@ -407,15 +402,16 @@ def test_aborted_index_is_billed_and_counted():
     abort reaches the caller."""
     store, lake = _lake_store(files=1)
     client = _client(store, lake)
-    runs = get_registry().get("maintenance_runs_total")
-    aborted_before = runs.value(op="index", outcome="aborted")
     with use_hub(TelemetryHub()) as hub, MaintenancePipeline(client) as pipe:
         before = store.stats.snapshot()
         with pytest.raises(IndexAborted):
             pipe.index("emb", "ivf_pq")
         delta = store.stats.snapshot().delta(before)
     assert delta.gets + delta.lists > 0
-    assert runs.value(op="index", outcome="aborted") == aborted_before + 1
+    assert hub.get("maintain.index.runs").members == {
+        (("outcome", "aborted"),): hub.series("maintain.index.runs", outcome="aborted")
+    }
+    assert hub.series("maintain.index.runs", outcome="aborted").total() == 1
     # Request dollars plus the modeled compute of waiting on them.
     assert hub.ledger.index_build_usd > price_iostats(delta, COSTS) > 0
 

@@ -1,4 +1,9 @@
-"""Metrics registry: counters, gauges, histograms, exposition."""
+"""The hub as a metrics registry, and its Prometheus exposition.
+
+The registry classes are gone: a counter is a hub series' all-time
+total, a gauge its last ``set`` value, a summary a hub sketch. These
+tests pin that reading of the hub and the text :func:`render` prints.
+"""
 
 from __future__ import annotations
 
@@ -6,138 +11,129 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.metrics import HELP, get_registry, render
+from repro.obs.timeseries import SeriesFamily, TelemetryHub, get_hub, use_hub
 
 
 @pytest.fixture
-def registry() -> MetricsRegistry:
-    return MetricsRegistry()
+def registry() -> TelemetryHub:
+    return TelemetryHub()
 
 
 class TestCounter:
     def test_inc_and_labels(self, registry):
-        c = registry.counter("ops_total", "ops", ("op",))
-        c.inc(op="GET")
-        c.inc(2, op="GET")
-        c.inc(op="PUT")
-        assert c.value(op="GET") == 3
-        assert c.value(op="PUT") == 1
-        assert c.value(op="LIST") == 0
-        assert c.total() == 4
+        registry.series("ops_total", op="GET").observe(at_s=1.0)
+        registry.series("ops_total", op="GET").observe(2, at_s=1.0)
+        registry.series("ops_total", op="PUT").observe()  # no clock: no window
+        assert registry.series("ops_total", op="GET").total() == 3
+        assert registry.series("ops_total", op="PUT").total() == 1
+        assert registry.series("ops_total", op="PUT").points() == []
+        family = registry.get("ops_total")
+        assert isinstance(family, SeriesFamily)
+        assert family.total() == 4 and len(family.members) == 2
 
     def test_unlabeled(self, registry):
-        c = registry.counter("plain_total", "plain")
-        c.inc()
-        c.inc(5)
-        assert c.value() == 6
+        c = registry.series("plain_total")
+        c.observe(at_s=0.0)
+        c.observe(5, at_s=0.0)
+        assert c.total() == 6
+        assert registry.get("plain_total") is c
 
     def test_negative_rejected(self, registry):
-        c = registry.counter("x_total", "x")
         with pytest.raises(ValueError):
-            c.inc(-1)
+            registry.series("x_total").observe(-1, at_s=0.0)
+        assert registry.series("x_total").total() == 0
 
     def test_unknown_label_rejected(self, registry):
-        c = registry.counter("y_total", "y", ("op",))
+        registry.series("y_total", op="GET").observe(at_s=0.0)
         with pytest.raises(ValueError):
-            c.inc(direction="up")
+            registry.series("y_total", direction="up")
+        with pytest.raises(ValueError):
+            registry.series("y_total")
 
     def test_thread_safe_increments(self, registry):
-        c = registry.counter("race_total", "race", ("who",))
-
         def bump() -> None:
             for _ in range(1000):
-                c.inc(who="t")
+                registry.series("race_total", who="t").observe(at_s=0.0)
 
         threads = [threading.Thread(target=bump) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert c.value(who="t") == 8000
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert registry.series("race_total", who="t").total() == 8000
 
 
 class TestGauge:
     def test_set_and_add(self, registry):
-        g = registry.gauge("bytes", "bytes held")
+        g = registry.series("bytes")
         g.set(100)
         g.add(20)
         g.add(-50)
-        assert g.value() == 70
+        assert g.last == 70
 
     def test_labeled(self, registry):
-        g = registry.gauge("pool", "per pool", ("pool",))
-        g.set(3, pool="a")
-        g.set(5, pool="b")
-        assert g.value(pool="a") == 3
-        assert g.value(pool="b") == 5
-
-
-class TestHistogram:
-    def test_observe_and_snapshot(self, registry):
-        h = registry.histogram("lat", "latency", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["count"] == 5
-        assert snap["sum"] == pytest.approx(56.05)
-        # Cumulative bucket counts, +Inf last.
-        assert snap["buckets"]["0.1"] == 1
-        assert snap["buckets"]["1"] == 3
-        assert snap["buckets"]["10"] == 4
-        assert snap["buckets"]["+Inf"] == 5
-
-    def test_default_latency_buckets_sorted(self):
-        assert list(DEFAULT_LATENCY_BUCKETS_S) == sorted(
-            DEFAULT_LATENCY_BUCKETS_S
-        )
+        registry.series("pool", pool="a").set(3)
+        registry.series("pool", pool="b").set(5)
+        assert registry.series("pool", pool="a").last == 3
+        assert registry.series("pool", pool="b").last == 5
 
 
 class TestRegistry:
     def test_get_or_create_idempotent(self, registry):
-        a = registry.counter("same_total", "same", ("op",))
-        b = registry.counter("same_total", "same", ("op",))
-        assert a is b
+        a = registry.series("same_total", op="GET")
+        assert registry.series("same_total", op="GET") is a
+        assert registry.series("same_total", op="PUT") is not a
 
     def test_kind_mismatch_raises(self, registry):
-        registry.counter("thing", "thing")
+        registry.series("thing", op="GET")
         with pytest.raises(ValueError):
-            registry.gauge("thing", "thing")
+            registry.quantiles("thing")
+        registry.quantiles("lat")
+        with pytest.raises(ValueError):
+            registry.series("lat", op="GET")
 
     def test_label_mismatch_raises(self, registry):
-        registry.counter("lbl_total", "lbl", ("op",))
+        registry.quantiles("lbl", op="GET")
         with pytest.raises(ValueError):
-            registry.counter("lbl_total", "lbl", ("direction",))
+            registry.quantiles("lbl", op="GET", shard="0")
+        snap = registry.snapshot()
+        with pytest.raises(ValueError):  # the shape survives a round trip
+            TelemetryHub.from_snapshot(snap).quantiles("lbl", direction="up")
 
     def test_get(self, registry):
-        c = registry.counter("found_total", "found")
+        c = registry.series("found_total")
         assert registry.get("found_total") is c
         assert registry.get("missing") is None
+        assert registry.series_names() == ["found_total"]  # get created nothing
 
     def test_snapshot_and_render(self, registry):
-        registry.counter("a_total", "a docs", ("op",)).inc(op="GET")
-        registry.gauge("b_gauge", "b docs").set(7)
-        registry.histogram("c_hist", "c docs", buckets=(1.0,)).observe(0.5)
+        registry.series("a_total", op="GET").observe(at_s=0.0)
+        registry.series("b.gauge").set(7)
+        registry.series("never_observed")
         snap = registry.snapshot()
-        assert snap["a_total"]["series"] == {'op="GET"': 1}
-        assert snap["b_gauge"]["series"] == {"": 7}
-        text = registry.render()
-        assert '# HELP a_total a docs' in text
-        assert 'a_total{op="GET"} 1' in text
-        assert "b_gauge 7" in text
-        assert "c_hist_count 1" in text
+        assert snap["series"]['a_total{op="GET"}']["labels"] == {"op": "GET"}
+        assert snap["series"]["b.gauge"]["last"] == 7
+        lines = render(registry).splitlines()
+        assert "# TYPE a_total counter" in lines
+        assert 'a_total{op="GET"} 1' in lines
+        assert "# TYPE b_gauge gauge" in lines  # "." renders as "_"
+        assert "b_gauge 7" in lines
+        assert not any("never_observed" in line for line in lines)
+        assert render(TelemetryHub()) == ""
 
     def test_global_registry_is_process_wide(self):
-        assert get_registry() is get_registry()
+        assert get_registry() is get_hub()
+        with use_hub(TelemetryHub()) as scoped:
+            assert get_registry() is scoped
 
-    def test_render_escapes_help_and_label_values(self, registry):
-        registry.counter(
-            "weird_total", 'docs with \\ backslash\nand newline', ("path",)
-        ).inc(path='a\\b"c\nd')
-        text = registry.render()
+    def test_render_escapes_help_and_label_values(self, registry, monkeypatch):
+        monkeypatch.setitem(
+            HELP, "weird_total", "docs with \\ backslash\nand newline"
+        )
+        registry.series("weird_total", path='a\\b"c\nd').observe(at_s=0.0)
+        text = render(registry)
         assert (
             "# HELP weird_total docs with \\\\ backslash\\nand newline"
             in text
@@ -148,30 +144,37 @@ class TestRegistry:
             line.startswith(("#", "weird_total")) for line in text.splitlines()
         )
 
-    def test_render_labeled_histogram_conformance(self, registry):
-        h = registry.histogram(
-            "req_latency", "by op", ("op",), buckets=(0.1, 1.0)
-        )
+    def test_render_labeled_summary_conformance(self, registry):
+        wq = registry.quantiles("req.latency", op="GET")
         for v in (0.05, 0.5, 5.0):
-            h.observe(v, op="GET")
-        text = registry.render()
-        lines = [l for l in text.splitlines() if l.startswith("req_latency")]
-        assert 'req_latency_bucket{op="GET",le="0.1"} 1' in lines
-        assert 'req_latency_bucket{op="GET",le="1"} 2' in lines
-        assert 'req_latency_bucket{op="GET",le="+Inf"} 3' in lines
-        assert 'req_latency_sum{op="GET"} 5.55' in lines
-        assert 'req_latency_count{op="GET"} 3' in lines
-        # Buckets are cumulative and +Inf renders last of the buckets.
-        buckets = [l for l in lines if "_bucket" in l]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in buckets]
-        assert counts == sorted(counts)
-        assert buckets[-1].endswith('le="+Inf"} 3')
+            wq.observe(v, at_s=0.0)
+        wq.observe(7.0, at_s=0.0, trace_id="abc123")
+        lines = [
+            line
+            for line in render(registry).splitlines()
+            if line.startswith("req_latency")
+        ]
+        assert "# TYPE req_latency summary" in render(registry)
+        quantiles = [line for line in lines if "quantile=" in line]
+        assert [line.split("}")[0] for line in quantiles] == [
+            'req_latency{op="GET",quantile="0.5"',
+            'req_latency{op="GET",quantile="0.9"',
+            'req_latency{op="GET",quantile="0.99"',
+        ]
+        values = [float(line.split()[1]) for line in quantiles]
+        assert values == sorted(values)
+        assert values[-1] == pytest.approx(7.0, rel=0.01)
+        # The sketch's exemplar rides the p99 line, OpenMetrics style.
+        assert quantiles[-1].endswith(' # {trace_id="abc123"} 7')
+        assert 'req_latency_sum{op="GET"} 12.55' in lines
+        assert 'req_latency_count{op="GET"} 4' in lines
 
     def test_instrumented_store_reports(self, store):
-        before = get_registry().counter(
-            "store_requests_total", "Object-store requests by operation", ("op",)
-        ).value(op="PUT")
-        store.put("k", b"abc")
-        store.get("k")
-        after = get_registry().get("store_requests_total")
-        assert after.value(op="PUT") == before + 1
+        with use_hub(TelemetryHub()) as hub:
+            store.put("k", b"abc")
+            store.get("k")
+        requests = hub.get("store_requests_total")
+        assert requests.members[("op", "PUT"),].total() == 1
+        assert requests.total() == store.stats.puts + store.stats.gets == 2
+        assert hub.series("store_bytes_total", direction="read").total() == 3
+        assert "# TYPE store_requests_total counter" in render(hub)

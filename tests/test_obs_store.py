@@ -1,8 +1,9 @@
 """Snapshot store: durable, mergeable telemetry across processes/runs.
 
 The fold is the load-bearing claim: every component of a snapshot
-(hub series, quantile sketches + exemplars, cost ledger, metrics
-registry, crack heat map, flight/source sets) merges commutatively and
+(hub series — labeled members, all-time totals and last-values
+included — quantile sketches + exemplars, cost ledger, crack heat map,
+flight/source sets) merges commutatively and
 associatively, so folding snapshots from any number of processes,
 shards, or runs gives one answer regardless of order — pinned here
 with a hypothesis permutation property over randomized payloads.
@@ -18,12 +19,10 @@ from hypothesis import strategies as st
 
 from repro.crack.heat import HeatKey, HeatMap
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import default_slo
 from repro.obs.store import (
     SnapshotStore,
     fold_snapshots,
-    merge_metrics,
     snapshot_payload,
     validate_snapshot,
 )
@@ -37,7 +36,8 @@ def _store():
 
 
 def _hub(seed: int, *, window_s: float = 60.0) -> TelemetryHub:
-    """A deterministic hub with serve, router-shard and ingest series."""
+    """A deterministic hub with serve, router-shard and ingest series,
+    a labeled clockless counter and a gauge."""
     hub = TelemetryHub(window_s=window_s)
     base = 1_000_000.0 + seed * 7
     for i in range(5 + seed):
@@ -52,6 +52,8 @@ def _hub(seed: int, *, window_s: float = 60.0) -> TelemetryHub:
             value * 10, at_s=at_s
         )
         hub.ledger.record_query(1e-6, 2e-6, at_s=at_s)
+    hub.series("queries_total", status="ok").observe(seed + 1)
+    hub.series("inflight").set(float(seed))
     return hub
 
 
@@ -64,19 +66,6 @@ def _heat(seed: int) -> HeatMap:
             at_s=1_000_000.0 + i,
         )
     return heat
-
-
-def _registry(seed: int) -> MetricsRegistry:
-    reg = MetricsRegistry()
-    counter = reg.counter("queries_total", "queries", ("status",))
-    counter.inc(amount=seed + 1, status="ok")
-    gauge = reg.gauge("inflight", "in flight")
-    gauge.set(float(seed))
-    hist = reg.histogram(
-        "latency_s", "latency", buckets=(0.1, 1.0)
-    )
-    hist.observe(0.05 * (seed + 1), trace_id=f"h{seed}")
-    return reg
 
 
 def _round_floats(obj):
@@ -96,7 +85,6 @@ def _canon(payload: dict) -> str:
 def _payload(seed: int) -> dict:
     return snapshot_payload(
         _hub(seed),
-        registry=_registry(seed),
         heat=_heat(seed),
         slo=default_slo(),
         source=f"proc-{seed}",
@@ -109,9 +97,7 @@ class TestCommit:
     def test_commit_load_round_trip(self):
         store = _store()
         snaps = SnapshotStore(store)
-        key = snaps.commit(
-            _hub(1), registry=_registry(1), heat=_heat(1), source="a"
-        )
+        key = snaps.commit(_hub(1), heat=_heat(1), source="a")
         payload = snaps.load(key)
         validate_snapshot(payload)
         assert payload["sources"] == ["a"]
@@ -138,34 +124,34 @@ class TestCommit:
 
 
 class TestMergeMetrics:
+    """What the registry's own ``merge_metrics`` promised, now kept by
+    the hub's one algebra: the counters and gauges are hub series."""
+
     def test_counters_add_gauges_max_histograms_bucketwise(self):
-        a = _registry(1).snapshot()
-        b = _registry(4).snapshot()
-        merged = merge_metrics(a, b)
-        assert merged["queries_total"]["series"]['status="ok"'] == 2 + 5
-        assert merged["inflight"]["series"][""] == 4.0
-        hist = merged["latency_s"]["series"][""]
-        assert hist["count"] == 2
-        assert hist["sum"] == pytest.approx(0.05 * 2 + 0.05 * 5)
-        # Exemplar: the larger observation's trace id wins the bucket.
-        assert hist["exemplars"]["1"]["trace_id"] == "h4"
+        """Labeled all-time totals add (no window involved), last-values
+        fold by max, sketches merge bin-wise and keep the exemplar of
+        the larger observation."""
+        folded = fold_snapshots([_payload(1), _payload(4)])
+        hub = TelemetryHub.from_snapshot(folded["hub"])
+        assert hub.series("queries_total", status="ok").total() == 2 + 5
+        assert hub.series("queries_total", status="ok").points() == []
+        assert hub.series("inflight").last == 4.0
+        sketch = hub.quantiles("serve.latency_s").merged()
+        assert sketch.count == 6 + 9
+        assert sketch.exemplar[1] == "t4-8"
 
     def test_kind_mismatch_raises(self):
-        reg_a = MetricsRegistry()
-        reg_a.counter("x_total", "x").inc()
-        reg_b = MetricsRegistry()
-        reg_b.gauge("x_total", "x").set(1.0)
-        with pytest.raises(ReproError):
-            merge_metrics(reg_a.snapshot(), reg_b.snapshot())
+        a, b = TelemetryHub(), TelemetryHub()
+        a.series("x_total").observe(at_s=0.0)
+        b.quantiles("x_total").observe(1.0, at_s=0.0)
+        with pytest.raises(ValueError):
+            fold_snapshots([snapshot_payload(a), snapshot_payload(b)])
 
     def test_merge_does_not_mutate_inputs(self):
-        a = _registry(1).snapshot()
-        b = _registry(2).snapshot()
-        a_before = json.dumps(a, sort_keys=True)
-        b_before = json.dumps(b, sort_keys=True)
-        merge_metrics(a, b)
-        assert json.dumps(a, sort_keys=True) == a_before
-        assert json.dumps(b, sort_keys=True) == b_before
+        a, b = _payload(1), _payload(2)
+        before = json.dumps([a, b], sort_keys=True)
+        fold_snapshots([a, b])
+        assert json.dumps([a, b], sort_keys=True) == before
 
 
 class TestFold:
@@ -180,6 +166,24 @@ class TestFold:
         assert heat.to_dict() == merged_ref.to_dict()
         # Point-in-time SLO verdicts are collected, not merged.
         assert len(folded["slo_reports"]) == 2
+
+    def test_a_payload_with_a_legacy_metrics_key_folds(self):
+        """Snapshots committed before the registry folded into the hub
+        carry a ``"metrics"`` section; it folds as if absent."""
+        legacy = _payload(0)
+        legacy["metrics"] = {
+            "queries_total": {
+                "kind": "counter",
+                "help": "",
+                "series": {'status="ok"': 3},
+            }
+        }
+        folded = fold_snapshots([legacy, _payload(1)])
+        assert "metrics" not in folded
+        assert _canon(folded) == _canon(fold_snapshots([_payload(0), _payload(1)]))
+        store = _store()
+        key = SnapshotStore(store).commit_payload(legacy)
+        assert SnapshotStore(store).fold([key])["sources"] == ["proc-0"]
 
     def test_fold_empty_and_bad_schema(self):
         empty = fold_snapshots([])

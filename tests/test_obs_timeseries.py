@@ -187,6 +187,95 @@ class TestSketchProperties:
         assert math.isclose(pa.total, pb.total, rel_tol=1e-9)
 
 
+_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["observe", "set", "sketch"]),
+        st.sampled_from(["a", "b.c"]),
+        st.sampled_from([{}, {"op": "GET"}, {"op": "PUT", "shard": "1"}]),
+        st.integers(min_value=0, max_value=50),  # value: exact in floats
+        st.one_of(st.none(), st.integers(min_value=0, max_value=600)),
+    ),
+    max_size=25,
+)
+
+
+def _hub_of(events) -> TelemetryHub:
+    """A hub fed ``events``; small capacity so eviction and late drops
+    are in play. Series and sketches get disjoint names."""
+    hub = TelemetryHub(window_s=60.0, capacity=3)
+    for kind, name, labels, value, at_s in events:
+        name = f"{name}{len(labels)}"  # a name has one set of label names
+        if kind == "sketch":
+            hub.quantiles(f"q.{name}", **labels).observe(
+                float(value), at_s=float(at_s or 0), trace_id=f"t{value}"
+            )
+        elif kind == "set":
+            hub.series(f"g.{name}", **labels).set(value, at_s=at_s)
+        else:
+            hub.series(name, **labels).observe(value, at_s=at_s)
+    return hub
+
+
+def _fold(hubs) -> dict:
+    folded = TelemetryHub(window_s=60.0, capacity=3)
+    for hub in hubs:
+        folded.merge(hub)
+    return json.loads(json.dumps(folded.snapshot(), sort_keys=True))
+
+
+class TestHubProperties:
+    """The ring's algebra at hub level: labeled members, all-time
+    totals and last-values included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=_EVENTS, data=st.data())
+    def test_observation_order_is_invisible_without_eviction(
+        self, events, data
+    ):
+        """Counts, totals and windows do not depend on arrival order
+        (``set`` aside: "last" is by definition order-dependent)."""
+        events = [e for e in events if e[0] != "set"]
+        shuffled = data.draw(st.permutations(events))
+        wide = lambda evs: _hub_of([(k, n, l, v, 0) for k, n, l, v, _ in evs])
+        assert json.dumps(wide(events).snapshot(), sort_keys=True) == json.dumps(
+            wide(shuffled).snapshot(), sort_keys=True
+        )
+        # With eviction in play the windows may differ; all-time never.
+        a, b = _hub_of(events), _hub_of(shuffled)
+        for name, members in a.families().items():
+            for labels, member in members.items():
+                twin = b.families()[name][labels]
+                assert (member.count(), member.total()) == (
+                    twin.count(),
+                    twin.total(),
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_EVENTS, b=_EVENTS, c=_EVENTS)
+    def test_merge_commutative_and_associative(self, a, b, c):
+        ha, hb, hc = _hub_of(a), _hub_of(b), _hub_of(c)
+        assert _fold([ha, hb, hc]) == _fold([hc, ha, hb])
+        left = TelemetryHub.from_snapshot(_fold([ha, hb]))
+        right = TelemetryHub.from_snapshot(_fold([hb, hc]))
+        assert _fold([left, hc]) == _fold([ha, right])
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_EVENTS, b=_EVENTS)
+    def test_merged_totals_add_and_last_values_fold_by_max(self, a, b):
+        ha, hb = _hub_of(a), _hub_of(b)
+        folded = TelemetryHub.from_snapshot(_fold([ha, hb]))
+        for name, members in folded.families().items():
+            for labels, member in members.items():
+                parts = [
+                    h.families().get(name, {}).get(labels) for h in (ha, hb)
+                ]
+                parts = [p for p in parts if p is not None]
+                assert member.total() == sum(p.total() for p in parts)
+                assert member.count() == sum(p.count() for p in parts)
+                lasts = [p.last for p in parts if p.last is not None]
+                assert member.last == (max(lasts) if lasts else None)
+
+
 # -- WindowedSeries ---------------------------------------------------
 
 
@@ -210,7 +299,63 @@ class TestWindowedSeries:
         assert [p.index for p in series.points()] == [3, 4, 5]
         series.observe(1.0, at_s=0.5)  # beyond the horizon now
         assert series.late_dropped == 1
-        assert series.count() == 3
+        assert series.count(last=3) == 3
+        # The all-time counter forgets nothing: evicted and late alike.
+        assert series.count() == 7 and series.total() == 7.0
+
+    def test_total_after_eviction_is_everything_ever_observed(self):
+        series = WindowedSeries(window_s=1.0, capacity=2)
+        values = [float(v) for v in range(1, 40)]
+        for t, value in enumerate(values):
+            series.observe(value, at_s=float(t))
+        series.observe(100.0)  # no clock: all-time only, no window
+        assert len(series.points()) == 2
+        assert series.total() == sum(values) + 100.0
+        assert series.count() == len(values) + 1
+        restored = WindowedSeries.from_dict(
+            json.loads(json.dumps(series.to_dict()))
+        )
+        assert restored.total() == series.total()
+        assert restored.count(last=2) == 2
+
+    def test_eviction_runs_only_when_the_newest_window_advances(self):
+        a = WindowedSeries(window_s=1.0, capacity=2)
+        b = WindowedSeries(window_s=1.0, capacity=2)
+        for t in (0.0, 1.0, 2.0, 3.0):
+            a.observe(at_s=t)
+        b.observe(at_s=9.0)
+        b.merge(a)  # a fold never evicts ...
+        b.observe(at_s=9.5)  # ... nor does an observation in the newest window
+        assert [p.index for p in b.points()] == [2, 3, 9]
+        b.observe(at_s=10.0)  # the newest window advanced
+        assert [p.index for p in b.points()] == [9, 10]
+
+    def test_gauge_set_add_and_merge_by_max(self):
+        a = WindowedSeries(window_s=60.0)
+        a.set(100, at_s=1.0)
+        a.add(-30, at_s=2.0)
+        assert a.last == 70
+        (window,) = a.points()
+        assert (window.min, window.max) == (70, 100)
+        b = WindowedSeries(window_s=60.0)
+        b.set(90)
+        assert a.merge(b).last == 90
+        assert WindowedSeries(window_s=60.0).merge(b).last == 90
+
+    def test_legacy_dict_without_all_time_fields(self):
+        """A series snapshot written before the shared ring: a window
+        list, no ``count``/``total``/``last``."""
+        legacy = {
+            "window_s": 60.0,
+            "capacity": 240,
+            "late_dropped": 0,
+            "windows": [
+                {"index": 0, "count": 2, "total": 5.0, "min": 2.0, "max": 3.0}
+            ],
+        }
+        series = WindowedSeries.from_dict(legacy)
+        assert series.count() == 2 and series.total() == 5.0
+        assert series.last is None
 
     def test_round_trip(self):
         series = WindowedSeries(window_s=30.0, capacity=5)
@@ -249,6 +394,19 @@ class TestWindowedQuantiles:
         assert merged.count == 200
         assert merged.quantile(0.99) == pytest.approx(0.9, rel=0.01)
         assert wq.merged(last=1).count == 100
+
+    def test_late_observations_are_counted_not_silently_dropped(self):
+        wq = WindowedQuantiles(window_s=1.0, capacity=3)
+        for t in range(6):
+            wq.observe(0.1, at_s=float(t))
+        assert [i for i, _ in wq.windows()] == [3, 4, 5]
+        wq.observe(0.1, at_s=0.5)
+        assert wq.late_dropped == 1
+        assert wq.merged().count == 3 and wq.count() == 7
+        restored = WindowedQuantiles.from_dict(
+            json.loads(json.dumps(wq.to_dict()))
+        )
+        assert restored.late_dropped == 1 and restored.count() == 7
 
     def test_round_trip(self):
         wq = WindowedQuantiles(window_s=60.0)
@@ -313,6 +471,26 @@ class TestTelemetryHub:
         assert restored.quantiles("serve.latency_s").merged().count == 1
         assert restored.ledger.serve_queries == 1
         assert len(restored.tail) == 1
+
+    def test_labeled_members_round_trip(self):
+        hub = TelemetryHub()
+        hub.series("store_requests_total", op="GET").observe(at_s=1.0)
+        hub.series("store_requests_total", op='P"UT').observe(2, at_s=1.0)
+        hub.quantiles("lat", shard="0").observe(0.2, at_s=1.0)
+        hub.series("cached").set(9)
+        snap = json.loads(json.dumps(hub.snapshot()))
+        assert set(snap["series"]) == {
+            'store_requests_total{op="GET"}',
+            'store_requests_total{op="P\\"UT"}',
+            "cached",
+        }
+        restored = TelemetryHub.from_snapshot(snap)
+        assert restored.series("store_requests_total", op='P"UT').total() == 2
+        assert restored.get("store_requests_total").total() == 3
+        assert restored.quantiles("lat", shard="0").merged().count == 1
+        assert restored.series("cached").last == 9
+        assert restored.series_names() == ["cached", "store_requests_total"]
+        assert restored.snapshot() == hub.snapshot()
 
     def test_global_hub_scoping(self):
         default = get_hub()

@@ -257,6 +257,13 @@ class TestSearchServer:
                 t.join(timeout=10)
             assert server.stats.queries == 3
             assert server.stats.deduplicated == 2
+            # One execution, billed once: the flight's requests are the
+            # leader's, not the leader's once per caller.
+            assert all(r is results[0] for r in results)
+            flight_requests = results[0].stats.trace.total_requests
+            assert flight_requests > 0
+            assert server.stats.total_requests == flight_requests
+            assert server.stats.requests_per_query == flight_requests / 3
             first = [(m.file, m.row) for m in results[0].matches]
             assert all(
                 [(m.file, m.row) for m in r.matches] == first for r in results

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.client import RottnestClient
@@ -17,6 +19,7 @@ from repro.shard import (
     router_slo,
     shard_latency_series,
 )
+from repro.storage.faults import FaultyObjectStore
 from repro.storage.latency import LatencyModel
 from repro.storage.object_store import InMemoryObjectStore
 from repro.util.clock import SimClock
@@ -167,6 +170,73 @@ def test_hedging_cuts_injected_slow_replica_tail(hub):
                     r.hedge_wins for r in observed
                 )
     assert latencies[True] < latencies[False]
+
+
+class _HoldingStore(FaultyObjectStore):
+    """A faulty store that can park the next GET of one key until told
+    to go on, so a test decides which query is mid-flight."""
+
+    hold_key: str | None = None
+
+    def hold_next(self, key: str) -> tuple[threading.Event, threading.Event]:
+        """Arm the hold; returns (parked, release)."""
+        self.parked, self.release = threading.Event(), threading.Event()
+        self.hold_key = key
+        return self.parked, self.release
+
+    def get(self, key, byte_range=None):
+        if key == self.hold_key:
+            self.hold_key = None
+            self.parked.set()
+            assert self.release.wait(timeout=30), "held GET was never released"
+        return super().get(key, byte_range)
+
+
+def test_degraded_is_per_answer_under_concurrent_routed_queries(hub):
+    """Two routed queries overlap on one replica and exactly one of
+    them hits an index-read fault: only that one's outcome is degraded.
+    (Watching the server's degraded *counter* move blamed both.)"""
+    lake, client = _source(files=2)
+    stores = []
+
+    def store_factory(shard_id):
+        stores.append(_HoldingStore(InMemoryObjectStore(clock=lake.store.clock)))
+        return stores[-1]
+
+    text_query = SubstringQuery(lake.to_pylist("text")[0][:8])
+    uuid_query = UuidQuery(event_uuid(2, 10))
+    with ShardPlan(n_shards=1).materialize(
+        lake,
+        "uuid",
+        indexes=[("uuid", "uuid_trie", {}), ("text", "fm", {})],
+        store_factory=store_factory,
+        cache_budget_bytes=1,  # cold reads: every query reaches the store
+    ) as deployment, QueryRouter(deployment, hedge=None, fanout=2) as router:
+        (store,) = stores
+        server = deployment.groups[0].replicas[0].server
+        index_key = {
+            r.index_type: r.index_key for r in server.client.meta.records()
+        }
+        for _ in range(50):
+            parked, release = store.hold_next(index_key["fm"])
+            healthy = {}
+            thread = threading.Thread(
+                target=lambda: healthy.update(
+                    result=router.query("text", text_query, k=10_000)
+                )
+            )
+            thread.start()
+            assert parked.wait(timeout=30)  # the text query is mid-flight ...
+            store.fail_next("GET", key_substring=index_key["uuid_trie"])
+            faulted = router.query("uuid", uuid_query, k=100)  # ... while this degrades
+            release.set()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert [o.degraded for o in faulted.outcomes] == [True]
+            assert [o.degraded for o in healthy["result"].outcomes] == [False]
+            assert len(faulted.matches) == 1 and healthy["result"].matches
+        assert server.stats.degraded == 50
+        assert hub.series("serve.degraded").count() == 50
 
 
 def test_router_telemetry_and_slo(hub):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InjectedFault
-from repro.obs.metrics import get_registry
+from repro.obs.timeseries import TelemetryHub, use_hub
 from repro.serve.cache import CachingObjectStore
 from repro.storage.faults import FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
@@ -185,13 +185,14 @@ class TestGetManyIdentity:
         assert delta_gets == 2  # one merged GET for "a", one for "b"
 
     def test_waste_counter_reconciles_with_plan(self):
-        waste = get_registry().get("io_coalesced_waste_bytes_total")
         requests = [RangeRequest("a", 0, 4), RangeRequest("a", 10, 4)]
         plan = plan_reads(requests, gap_threshold=8)
         assert sum(m.waste for m in plan) == 6
-        before = waste.value()
-        execute_plan(_store(), requests, plan)
-        assert waste.value() - before == 6
+        with use_hub(TelemetryHub()) as hub:
+            execute_plan(_store(), requests, plan)
+        assert hub.get("io_coalesced_waste_bytes_total").total() == 6
+        assert hub.get("io_merged_gets_total").total() == 1
+        assert hub.get("io_coalesced_subranges_total").total() == 2
         # IOStats billed the merged length; waste only hit the counter.
         store = _store()
         start = store.stats.snapshot().bytes_read
