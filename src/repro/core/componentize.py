@@ -29,6 +29,7 @@ parallel round via :meth:`ComponentFileReader.read_many`).
 from __future__ import annotations
 
 import json
+from array import array
 
 from repro.errors import FormatError
 from repro.formats import compression
@@ -95,7 +96,7 @@ class ComponentFileReader:
         *,
         size: int,
         header: dict,
-        entries: list[tuple[int, int, int, int]],
+        entries: array,
         tail: bytes,
         tail_start: int,
     ) -> None:
@@ -129,14 +130,19 @@ class ComponentFileReader:
         reader = BinaryReader(dir_bytes)
         header = json.loads(reader.read_len_bytes().decode("utf-8"))
         count = reader.read_uvarint()
-        entries = []
+        # (offset, stored, raw, codec) per component, flat: one object,
+        # where a tuple per component would be five for a caching store
+        # to hold and charge.
+        entries = array("Q")
         offset = 0
-        for _ in range(count):
-            offset += reader.read_uvarint()
-            stored = reader.read_uvarint()
-            raw = reader.read_uvarint()
-            codec = reader.read_u8()
-            entries.append((offset, stored, raw, codec))
+        try:
+            for _ in range(count):
+                offset += reader.read_uvarint()
+                stored = reader.read_uvarint()
+                raw = reader.read_uvarint()
+                entries.extend((offset, stored, raw, reader.read_u8()))
+        except OverflowError as exc:
+            raise FormatError(f"{key!r}: bad component directory: {exc}") from exc
         return cls(
             store,
             key,
@@ -148,18 +154,18 @@ class ComponentFileReader:
         )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) // 4
 
     def component_size(self, component_id: int) -> int:
         return self._entry(component_id)[1]
 
-    def _entry(self, component_id: int) -> tuple[int, int, int, int]:
-        if not 0 <= component_id < len(self._entries):
+    def _entry(self, component_id: int) -> array:
+        if not 0 <= component_id < len(self):
             raise FormatError(
                 f"component {component_id} out of range in {self.key!r} "
-                f"({len(self._entries)} components)"
+                f"({len(self)} components)"
             )
-        return self._entries[component_id]
+        return self._entries[4 * component_id : 4 * component_id + 4]
 
     def _fetch(self, offset: int, stored: int) -> bytes:
         # Served from the cached tail when fully contained — free, like
@@ -182,4 +188,4 @@ class ComponentFileReader:
     def read_all(self) -> list[bytes]:
         """Download every component (used by compaction merges, where a
         full sequential read is the right access pattern)."""
-        return [self.read(cid) for cid in range(len(self._entries))]
+        return [self.read(cid) for cid in range(len(self))]

@@ -14,6 +14,8 @@ type-specific components follow and are addressed by *name* through the
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from typing import Callable, TypeVar
 
 from repro.errors import FormatError
 from repro.formats.page_reader import PageEntry, PageTable
@@ -22,6 +24,8 @@ from repro.storage.object_store import ObjectStore
 from repro.util.binio import BinaryReader, BinaryWriter
 
 FORMAT_VERSION = 1
+
+T = TypeVar("T")
 
 
 class PageDirectory:
@@ -55,25 +59,8 @@ class PageDirectory:
         """Global page id -> the page's entry (with its file key)."""
         if not 0 <= gid < self._num_pages:
             raise FormatError(f"global page id {gid} out of range")
-        # Binary search over bases.
-        lo, hi = 0, len(self._bases) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._bases[mid] <= gid:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.tables[lo].entry(gid - self._bases[lo])
-
-    def table_of(self, gid: int) -> PageTable:
-        lo, hi = 0, len(self._bases) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._bases[mid] <= gid:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.tables[lo]
+        table = bisect_right(self._bases, gid) - 1
+        return self.tables[table].entry(gid - self._bases[table])
 
     def serialize(self) -> bytes:
         writer = BinaryWriter()
@@ -138,7 +125,13 @@ class IndexFileWriter:
 
 
 class IndexFileReader:
-    """Opens an index file and exposes named components on demand."""
+    """Opens an index file and exposes named components on demand.
+
+    Index files are immutable, so what a query derives from one — the
+    opened reader itself, an inflated component, a decoded array — goes
+    through :meth:`~repro.storage.object_store.ObjectStore.memo`: a
+    caching store keeps it across queries, a plain store rebuilds it.
+    """
 
     def __init__(self, reader: ComponentFileReader) -> None:
         self._reader = reader
@@ -154,11 +147,13 @@ class IndexFileReader:
         self.num_rows: int = header["num_rows"]
         self.params: dict = header["params"]
         self._names: dict[str, int] = header["components"]
-        self._directory: PageDirectory | None = None
 
     @classmethod
     def open(cls, store: ObjectStore, key: str) -> "IndexFileReader":
-        return cls(ComponentFileReader.open(store, key))
+        """HEAD, tail GET and header parse — or the kept reader."""
+        return store.memo(
+            key, "open", lambda: cls(ComponentFileReader.open(store, key))
+        )
 
     @property
     def key(self) -> str:
@@ -178,18 +173,42 @@ class IndexFileReader:
     def has_component(self, name: str) -> bool:
         return name in self._names
 
-    def component(self, name: str) -> bytes:
+    def _component_id(self, name: str) -> int:
         try:
-            cid = self._names[name]
+            return self._names[name]
         except KeyError:
             raise FormatError(
                 f"no component {name!r} in {self._reader.key!r}"
             ) from None
-        return self._reader.read(cid)
+
+    def component(self, name: str) -> bytes:
+        """One component's inflated bytes (<= one ranged GET)."""
+        cid = self._component_id(name)
+        return self.store.memo(
+            self.key, f"{name}:", lambda: self._reader.read(cid)
+        )
+
+    def decoded(self, name: str, decode: Callable[[bytes], T]) -> T:
+        """``decode(component bytes)``, kept like :meth:`component`.
+
+        ``decode`` is a pure function of the bytes (and of this file's
+        header); its qualified name tells decodings of one component
+        apart. A ``ValueError`` from it means the component is corrupt.
+        """
+        cid = self._component_id(name)
+
+        def build() -> T:
+            try:
+                return decode(self._reader.read(cid))
+            except ValueError as exc:
+                raise FormatError(f"{self.key!r}: bad {name}: {exc}") from exc
+
+        return self.store.memo(self.key, f"{name}:{decode.__qualname__}", build)
 
     def components(self, names: list[str]) -> list[bytes]:
-        """Fetch several components as one parallel round."""
-        return self._reader.read_many([self._names[n] for n in names])
+        """Fetch several components as one parallel round (bulk loads;
+        nothing is kept)."""
+        return self._reader.read_many([self._component_id(n) for n in names])
 
     def barrier(self) -> None:
         """Dependency point between component reads (latency tracing)."""
@@ -197,6 +216,9 @@ class IndexFileReader:
 
     @property
     def directory(self) -> PageDirectory:
-        if self._directory is None:
-            self._directory = PageDirectory.deserialize(self.component("__pages__"))
-        return self._directory
+        # A probe ends by locating its pages, so looking the opened file
+        # up again here keeps it as recent as its last use: an LRU then
+        # evicts decoded components (one inflate to rebuild) before the
+        # file they decode from (a tail GET and a header parse).
+        self.store.memo(self.key, "open")
+        return self.decoded("__pages__", PageDirectory.deserialize)

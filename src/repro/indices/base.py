@@ -103,9 +103,10 @@ class IndexQuerier(ABC):
 
     @classmethod
     def warm(cls, reader: IndexFileReader) -> None:
-        """Read what every probe of this type reads before its first
-        dependent round, so a caching store serves it from memory: the
-        page directory, plus whatever a subclass adds."""
+        """Decode what every probe of this type decodes before its first
+        dependent round, through the same ``reader.decoded`` calls the
+        probe makes, so a caching store serves the probe its decoded
+        form: the page directory, plus whatever a subclass adds."""
         reader.directory
 
 

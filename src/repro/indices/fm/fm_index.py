@@ -510,41 +510,36 @@ class FmQuerier(ExactQuerier):
         self.num_blocks: int = params["num_blocks"]
         self.sentinels: list[int] = sorted(params["sentinels"])
         self._sentinel_arr = np.asarray(self.sentinels, dtype=np.int64)
-        self._block_cache: dict[int, bytes] = {}
+        #: This query's handles on the decoded blocks it touched, in
+        #: front of the reader's (possibly shared) decoded cache.
         self._decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sa_cache: dict[int, bytes] = {}
         self._c_array: np.ndarray | None = None
 
-    # -- low-level ------------------------------------------------------
-    def _block(self, b: int) -> bytes:
-        if b not in self._block_cache:
-            self._block_cache[b] = self.reader.component(f"blk{b}")
-        return self._block_cache[b]
+    @classmethod
+    def warm(cls, reader: IndexFileReader) -> None:
+        super().warm(reader)
+        cls(reader).c_array  # the last block, before any search step
 
+    # -- low-level ------------------------------------------------------
     def _block_arrays(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Decoded views of one block: ``(cumulative counts, BWT chars)``.
 
-        Decoding (frombuffer + dtype widening) happens once per block
-        and is cached, so the backward-search inner loop is pure numpy
-        rank arithmetic over resident arrays — every extension step of
-        :meth:`interval` otherwise re-parses the same hot blocks.
+        Decoding (inflate + frombuffer + dtype widening) happens once
+        per block — once per query on a plain store, once while cached
+        on a caching one — so the backward-search inner loop is pure
+        numpy rank arithmetic over resident arrays.
         """
         cached = self._decoded.get(b)
         if cached is None:
-            blob = self._block(b)
-            base = np.frombuffer(blob, dtype="<u4", count=256).astype(np.int64)
-            chars = np.frombuffer(blob, dtype=np.uint8, offset=1024)
-            cached = (base, chars)
+            cached = self.reader.decoded(f"blk{b}", _decode_block)
             self._decoded[b] = cached
         return cached
 
     def _prefetch_blocks(self, blocks: list[int]) -> None:
-        missing = sorted({b for b in blocks if b not in self._block_cache})
-        if not missing:
-            return
-        blobs = self.reader.components([f"blk{b}" for b in missing])
-        for b, blob in zip(missing, blobs):
-            self._block_cache[b] = blob
+        """Decode the missing blocks as one parallel round."""
+        for b in sorted(set(blocks) - self._decoded.keys()):
+            self._block_arrays(b)
 
     def _sentinels_before(self, pos: int) -> int:
         # Sentinel positions are sorted: the count of those < pos is a
@@ -624,11 +619,14 @@ class FmQuerier(ExactQuerier):
     ) -> list[int]:
         pages: set[int] = set()
         pg_dtype = self.reader.params.get("pg_dtype", "<u4")
+
+        def pagemap(blob: bytes) -> np.ndarray:
+            return np.frombuffer(blob, dtype=pg_dtype)
+
         first_block = lo // self.block_size
         last_block = (hi - 1) // self.block_size
         for b in range(first_block, last_block + 1):
-            blob = self.reader.component(f"pg{b}")
-            arr = np.frombuffer(blob, dtype=pg_dtype)
+            arr = self.reader.decoded(f"pg{b}", pagemap)
             block_lo = max(lo - b * self.block_size, 0)
             block_hi = min(hi - b * self.block_size, len(arr))
             pages.update(np.unique(arr[block_lo:block_hi]).tolist())
@@ -637,7 +635,7 @@ class FmQuerier(ExactQuerier):
         return sorted(pages)
 
     def _pages_from_walks(self, lo: int, hi: int, limit: int | None) -> list[int]:
-        starts, gids = self._page_starts()
+        starts, gids = self.reader.decoded("pagelens", _page_starts)
         pages: set[int] = set()
         for row in range(lo, min(hi, lo + self.MAX_LOCATED_MATCHES)):
             position = self._resolve(row)
@@ -647,20 +645,6 @@ class FmQuerier(ExactQuerier):
             if limit is not None and len(pages) >= limit:
                 break
         return sorted(pages)
-
-    def _page_starts(self):
-        if not hasattr(self, "_page_starts_cache"):
-            r = BinaryReader(self.reader.component("pagelens"))
-            count = r.read_uvarint()
-            lens, gids = [], []
-            for _ in range(count):
-                lens.append(r.read_uvarint())
-                gids.append(r.read_uvarint())
-            starts = np.concatenate(
-                ([0], np.cumsum(np.asarray(lens, dtype=np.int64))[:-1])
-            )
-            self._page_starts_cache = (starts, np.asarray(gids, dtype=np.uint32))
-        return self._page_starts_cache
 
     def locate_positions(self, needle, limit: int = 100) -> list[int]:
         """Exact text offsets of up to ``limit`` matches (sampled-SA
@@ -707,6 +691,24 @@ def _invert_text(part: "FmBuilder") -> bytes:
     if len(part.sentinels) == 1:
         return invert_bwt(part.bwt, part.sentinels[0])
     return b"".join(invert_multi_bwt(part.bwt, part.sentinels))
+
+
+def _decode_block(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``blk{b}``: 256 counts before the block (u32), then its BWT slice."""
+    base = np.frombuffer(blob, dtype="<u4", count=256).astype(np.int64)
+    return base, np.frombuffer(blob, dtype=np.uint8, offset=1024)
+
+
+def _page_starts(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``pagelens``: each page's first text position and its global id."""
+    r = BinaryReader(blob)
+    count = r.read_uvarint()
+    lens, gids = [], []
+    for _ in range(count):
+        lens.append(r.read_uvarint())
+        gids.append(r.read_uvarint())
+    starts = np.concatenate(([0], np.cumsum(np.asarray(lens, dtype=np.int64))[:-1]))
+    return starts, np.asarray(gids, dtype=np.uint32)
 
 
 def _pagemap_dtype(max_gid: int) -> str:

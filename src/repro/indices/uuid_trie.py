@@ -26,8 +26,9 @@ dependent round fetching exactly one leaf component → parsing only the
 key's own bucket (its ``count`` entries), whatever else the leaf holds.
 
 Files written before ``lutb`` carry a ``lut`` of ``(leaf_id,
-entries_to_skip, count)`` rows instead; the one legacy branch of
-:meth:`UuidTrieQuerier.candidate_pages` still walks it, an older reader
+entries_to_skip, count)`` rows instead, decoded the same way; the one
+legacy branch of :meth:`UuidTrieQuerier.candidate_pages` then walks the
+leaf's entries of earlier buckets instead of seeking, an older reader
 fails loudly on a new file (no component ``lut``), and since
 ``UuidTrieBuilder.load`` reads leaves only, every compaction rewrites
 old files into the new layout.
@@ -38,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
-from repro.errors import FormatError, RottnestIndexError
+import numpy as np
+
+from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.indices.base import ExactQuerier, IndexBuilder
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
@@ -234,32 +237,21 @@ class UuidTrieQuerier(ExactQuerier):
     @classmethod
     def warm(cls, reader: IndexFileReader) -> None:
         super().warm(reader)
-        reader.component(LUT if reader.has_component(LUT) else LEGACY_LUT)
+        _lut(reader)
 
     def candidate_pages(self, query) -> list[int]:
         key = bytes(query)
         if not key:
             raise RottnestIndexError("cannot search for an empty key")
         bucket = key[0]
-        if self.reader.has_component(LUT):
-            try:
-                rows, _ = decode_uvarints(self.reader.component(LUT), 3 * LUT_SIZE)
-            except ValueError as exc:
-                raise FormatError(f"{self.reader.key!r}: bad {LUT}: {exc}") from exc
-            leaf_ids, byte_lens, counts = rows.reshape(LUT_SIZE, 3).T
-            leaf_id, count = int(leaf_ids[bucket]), int(counts[bucket])
-            # The bucket starts where the earlier buckets of its leaf end.
+        rows, legacy = _lut(self.reader)
+        leaf_ids, lengths, counts = rows.T
+        leaf_id, count = int(leaf_ids[bucket]), int(counts[bucket])
+        if legacy:  # rows are (leaf_id, entries_to_skip, count)
+            skip, start = int(lengths[bucket]), 0
+        else:  # the bucket starts where the earlier buckets of its leaf end
             same_leaf = leaf_ids[:bucket] == leaf_id
-            start = int(byte_lens[:bucket][same_leaf].sum())
-            skip = 0
-        else:  # legacy layout: walk the table, then the leaf's entries
-            lut = BinaryReader(self.reader.component(LEGACY_LUT))
-            leaf_id = skip = count = 0
-            for _ in range(bucket + 1):
-                leaf_id = lut.read_uvarint()
-                skip = lut.read_uvarint()
-                count = lut.read_uvarint()
-            start = 0
+            skip, start = 0, int(lengths[:bucket][same_leaf].sum())
         if count == 0:
             return []
         self.reader.barrier()  # leaf fetch depends on the LUT
@@ -272,6 +264,18 @@ class UuidTrieQuerier(ExactQuerier):
             if prefix_matches(entry.prefix, entry.bits, key):
                 gids.extend(entry.gids)
         return sorted(set(gids))
+
+
+def _lut(reader: IndexFileReader) -> tuple[np.ndarray, bool]:
+    """The decoded LUT — ``(LUT_SIZE, 3)`` varint rows, one vectorized
+    decode — and whether it is the legacy layout."""
+    legacy = not reader.has_component(LUT)
+    return reader.decoded(LEGACY_LUT if legacy else LUT, _lut_rows), legacy
+
+
+def _lut_rows(blob: bytes) -> np.ndarray:
+    rows, _ = decode_uvarints(blob, 3 * LUT_SIZE)
+    return rows.reshape(LUT_SIZE, 3)
 
 
 def _coalesce(sorted_entries: list[TrieEntry]) -> list[TrieEntry]:

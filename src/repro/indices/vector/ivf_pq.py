@@ -294,26 +294,28 @@ class IvfPqQuerier(ScoringQuerier):
         self.nlist: int = reader.params["nlist"]
         self.dim: int = reader.params["dim"]
         self.m: int = reader.params["m"]
-        self._centroids: np.ndarray | None = None
-        self._pq: ProductQuantizer | None = None
         #: Cell ordinals the most recent :meth:`candidates` call probed
         #: — the per-query signal the cracking heat map aggregates to
         #: decide which inverted lists are worth splitting.
         self.last_probed_cells: tuple[int, ...] = ()
 
+    @classmethod
+    def warm(cls, reader: IndexFileReader) -> None:
+        super().warm(reader)
+        cls(reader).centroids  # ranked before any list is fetched
+
     @property
     def centroids(self) -> np.ndarray:
-        if self._centroids is None:
-            self._centroids = np.frombuffer(
-                self.reader.component("centroids"), dtype="<f4"
-            ).reshape(self.nlist, self.dim)
-        return self._centroids
+        shape = (self.nlist, self.dim)
+
+        def centroids(blob: bytes) -> np.ndarray:
+            return np.frombuffer(blob, dtype="<f4").reshape(shape)
+
+        return self.reader.decoded("centroids", centroids)
 
     @property
     def pq(self) -> ProductQuantizer:
-        if self._pq is None:
-            self._pq = ProductQuantizer.deserialize(self.reader.component("pq"))
-        return self._pq
+        return self.reader.decoded("pq", ProductQuantizer.deserialize)
 
     def candidates(
         self, query, *, nprobe: int = 8, limit: int = 200
@@ -326,23 +328,26 @@ class IvfPqQuerier(ScoringQuerier):
                 f"query dim {vector.shape[0]} != index dim {self.dim}"
             )
         nprobe = max(1, min(nprobe, self.nlist))
-        dists = squared_distances(vector.reshape(1, -1), self.centroids).ravel()
+        centroids = self.centroids
+        dists = squared_distances(vector.reshape(1, -1), centroids).ravel()
         probe = np.argsort(dists)[:nprobe]
         self.last_probed_cells = tuple(int(c) for c in probe)
         self.reader.barrier()  # list fetches depend on centroid ranking
-        names = [f"list{int(c)}" for c in probe] + ["pq"]
-        blobs = self.reader.components(names)
-        pq = ProductQuantizer.deserialize(blobs[-1]) if self._pq is None else self._pq
-        self._pq = pq
+        m = self.m
+
+        def inverted_list(blob: bytes):
+            return _parse_list(blob, m)
+
+        lists = [self.reader.decoded(f"list{c}", inverted_list) for c in probe]
+        pq = self.pq
         # Score whole probed lists as arrays; one lexsort at the end
         # replaces the per-candidate tuple loop + sort (same order,
         # including (score, gid, offset) tie-breaking).
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for c, blob in zip(probe, blobs[:-1]):
-            gids, offsets, codes = _parse_list(blob, self.m)
+        for c, (gids, offsets, codes) in zip(probe, lists):
             if not len(gids):
                 continue
-            table = pq.adc_table(vector - self.centroids[c])
+            table = pq.adc_table(vector - centroids[c])
             approx = ProductQuantizer.adc_distances(codes, table)
             parts.append((np.asarray(approx, dtype=np.float64), gids, offsets))
         if not parts:

@@ -9,23 +9,32 @@ any :class:`~repro.storage.object_store.ObjectStore` (the same ABC
 ``RetryingObjectStore`` implements, so the two stack in either order)
 with:
 
-* a **byte-budgeted LRU** over whole objects *and* byte-ranges — object
-  storage charges per request, so caching a 2 KB trie root is worth as
-  much as caching a 2 MB component;
-* **size-based admission**: ranges above ``max_entry_bytes`` are served
-  but never cached, so one big brute-force scan cannot evict the whole
-  working set (scan resistance);
-* **invalidation** on ``put`` / ``delete`` of a key, keeping the wrapper
-  transparent as long as writes flow through it (read-your-writes);
+* a **byte-budgeted LRU** over whole objects, byte-ranges *and* decoded
+  index components — object storage charges per request, so caching a
+  2 KB trie root is worth as much as caching a 2 MB component, and an
+  immutable component is worth inflating and parsing once, not once per
+  query (:meth:`CachingObjectStore.memo` keeps an opened index file,
+  an inflated component or a decoded array beside the raw bytes);
+* **resident-bytes charging**: a decoded value is charged every buffer
+  it keeps alive once (:func:`resident_bytes`) — a numpy view over a
+  buffer adds nothing, and a value holding a cached byte entry's buffer
+  (an opened index file keeps its tail GET) *replaces* that entry;
+* **size-based admission**: entries above ``max_entry_bytes`` are served
+  (or built) but never cached, so one big brute-force scan cannot evict
+  the whole working set (scan resistance);
+* **invalidation** on ``put`` / ``delete`` of a key, dropping its bytes
+  and everything decoded from them, keeping the wrapper transparent as
+  long as writes flow through it (read-your-writes); a value built
+  while its key was invalidated is not admitted;
 * **metadata caching**: LIST-by-prefix and HEAD results (the paper's
   latency model makes LIST pages cost ~100 ms and unparallelisable, so
   the plan phase of a warm query is where caching pays most); a write
   to any key invalidates its HEAD entry and every cached LIST whose
   prefix covers the key;
-* **single-flight** misses: concurrent identical GETs share one
-  underlying fetch instead of stampeding the store; and
-* hit / miss / eviction counters feeding
-  :class:`~repro.serve.server.ServeStats`.
+* **single-flight** misses: concurrent identical GETs (or builds) share
+  one underlying fetch instead of stampeding the store; and
+* hit / miss / eviction counters — one set for bytes and decoded values
+  alike — feeding :class:`~repro.serve.server.ServeStats`.
 
 Cache hits never reach the inner store, so they record no request into
 IO stats or the active :class:`~repro.storage.stats.RequestTrace` —
@@ -35,17 +44,25 @@ cold one.
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable, Iterable, TypeVar
+
+import numpy as np
 
 from repro.obs.timeseries import get_hub
 from repro.serve.singleflight import SingleFlight
 from repro.storage.object_store import ObjectInfo, ObjectStore
 
-#: Cache key: (object key, None) for a whole object, or
-#: (object key, (offset, length)) for one byte range.
-_CacheKey = tuple[str, tuple[int, int] | None]
+T = TypeVar("T")
+
+#: Cache key: (object key, None) for a whole object, (object key,
+#: (offset, length)) for one byte range, or (object key, name) for a
+#: value :meth:`CachingObjectStore.memo` derived from the object.
+_CacheKey = tuple[str, tuple[int, int] | str | None]
 
 DEFAULT_BUDGET_BYTES = 256 << 20
 DEFAULT_MAX_ENTRY_BYTES = 8 << 20
@@ -79,6 +96,50 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+def resident_bytes(value) -> tuple[int, set[int]]:
+    """What keeping ``value`` costs: the bytes it holds alive, each
+    buffer counted once, and the ids of those buffers.
+
+    ``bytes`` cost their length; a numpy array costs its root buffer, so
+    a view over a buffer already counted adds nothing; containers and
+    plain objects cost their ``sys.getsizeof`` plus their contents. The
+    store an object reads through is not part of it.
+    """
+    total, seen, buffers = 0, set(), set()
+    stack = [value]
+    while stack:
+        obj = stack.pop()
+        kind = type(obj)
+        if kind is np.ndarray:
+            while type(obj.base) is np.ndarray:
+                obj = obj.base
+            if obj.base is not None:
+                obj = obj.base  # the bytes the array was read from
+            kind = type(obj)
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        # Dispatch on the exact type: this runs once per object of every
+        # value admitted, and most of those are ints and strings.
+        if kind is int or kind is str or kind is float:
+            total += sys.getsizeof(obj)
+        elif kind is bytes or kind is bytearray or kind is np.ndarray:
+            total += obj.nbytes if kind is np.ndarray else len(obj)
+            buffers.add(id(obj))
+        elif kind is dict:
+            total += sys.getsizeof(obj)
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif kind in (list, tuple, set, frozenset):
+            total += sys.getsizeof(obj)
+            stack.extend(obj)
+        elif not isinstance(obj, ObjectStore):
+            total += sys.getsizeof(obj)
+            # Attribute values without materializing a ``__dict__``.
+            stack.extend(c for c in gc.get_referents(obj) if type(c) is not type)
+    return total, buffers
+
+
 class CachingObjectStore(ObjectStore):
     """Read-through LRU cache over an inner object store.
 
@@ -103,8 +164,11 @@ class CachingObjectStore(ObjectStore):
         self.max_entry_bytes = min(max_entry_bytes, budget_bytes)
         self.stats = inner.stats  # billed IO is the inner store's
         self.cache_stats = CacheStats()
-        self._entries: OrderedDict[_CacheKey, bytes] = OrderedDict()
+        #: cache key -> (value, bytes charged for it)
+        self._entries: OrderedDict[_CacheKey, tuple[object, int]] = OrderedDict()
         self._by_object: dict[str, set[_CacheKey]] = {}
+        #: id of a kept ``bytes`` value -> its entry (replacement lookups)
+        self._holders: dict[int, _CacheKey] = {}
         self._generation: dict[str, int] = {}  # bumped on invalidate
         self._cached_bytes = 0
         self._lists: OrderedDict[str, list[ObjectInfo]] = OrderedDict()
@@ -113,83 +177,106 @@ class CachingObjectStore(ObjectStore):
         self._max_meta_entries = DEFAULT_MAX_META_ENTRIES
         self._cache_lock = threading.RLock()
         self._flights = SingleFlight()
+        self._hub_series: tuple[object, dict] = (None, {})
 
     # -- cache mechanics ----------------------------------------------
     @property
     def cached_bytes(self) -> int:
         return self._cached_bytes
 
+    def _series(self, field: str):
+        """The current hub's series for ``field`` (a :data:`_SERIES` key
+        or ``"cached_bytes"``), resolved once per hub: every lookup,
+        hit or miss, reports one event (callers hold ``_cache_lock``)."""
+        hub = get_hub()
+        if self._hub_series[0] is not hub:
+            self._hub_series = (hub, {})
+        series = self._hub_series[1].get(field)
+        if series is None:
+            name, labels = _SERIES.get(field, ("cache_cached_bytes", {}))
+            series = self._hub_series[1][field] = hub.series(name, **labels)
+        return series
+
     def _count(self, field: str) -> None:
         """One cache event: this instance's :class:`CacheStats` field
         and its hub series (callers hold ``_cache_lock``)."""
         setattr(self.cache_stats, field, getattr(self.cache_stats, field) + 1)
-        name, labels = _SERIES[field]
-        get_hub().series(name, **labels).observe(at_s=self.clock.now())
+        self._series(field).observe(at_s=self.clock.now())
 
     def _report_bytes(self) -> None:
-        get_hub().series("cache_cached_bytes").set(
-            self._cached_bytes, at_s=self.clock.now()
-        )
+        self._series("cached_bytes").set(self._cached_bytes, at_s=self.clock.now())
 
-    def _lookup(self, key: str, byte_range: tuple[int, int] | None) -> bytes | None:
-        """Cached bytes for a request, or None. A whole-object entry
-        serves any in-bounds range of that object."""
+    def _lookup(self, key: str, part: tuple[int, int] | str | None):
+        """The cached value for ``(key, part)``, or None. A whole-object
+        entry serves any in-bounds byte range of that object."""
         with self._cache_lock:
-            data = self._entries.get((key, byte_range))
-            if data is not None:
-                self._entries.move_to_end((key, byte_range))
+            entry = self._entries.get((key, part))
+            if entry is not None:
+                self._entries.move_to_end((key, part))
                 self._count("hits")
-                return data
-            if byte_range is not None:
+                return entry[0]
+            if isinstance(part, tuple):
                 whole = self._entries.get((key, None))
                 if whole is not None:
-                    offset, length = byte_range
-                    if 0 <= offset and 0 <= length and offset + length <= len(whole):
+                    data, (offset, length) = whole[0], part
+                    if 0 <= offset and 0 <= length and offset + length <= len(data):
                         self._entries.move_to_end((key, None))
                         self._count("hits")
-                        return whole[offset : offset + length]
+                        return data[offset : offset + length]
             self._count("misses")
             return None
 
     def _admit(
         self,
-        key: str,
-        byte_range: tuple[int, int] | None,
-        data: bytes,
+        cache_key: _CacheKey,
+        value: object,
         generation: int,
+        charge: int,
+        held: Iterable[int] = (),
     ) -> None:
-        if len(data) > self.max_entry_bytes:
+        """Keep ``value`` at ``charge`` bytes. An entry of the same object
+        whose value is one of the buffers ``held`` is replaced by it, so
+        a buffer is never charged twice."""
+        if charge > self.max_entry_bytes:
             with self._cache_lock:
                 self._count("rejected")
             return
-        cache_key: _CacheKey = (key, byte_range)
         with self._cache_lock:
-            if self._generation.get(key, 0) != generation:
+            if self._generation.get(cache_key[0], 0) != generation:
                 return  # key was written/deleted while this fetch flew
-            old = self._entries.pop(cache_key, None)
-            if old is not None:
-                self._cached_bytes -= len(old)
-            self._entries[cache_key] = data
-            self._by_object.setdefault(key, set()).add(cache_key)
-            self._cached_bytes += len(data)
+            for holder in [self._holders.get(buffer) for buffer in held]:
+                if holder is not None and holder[0] == cache_key[0]:
+                    self._drop(holder)
+            if cache_key in self._entries:
+                self._drop(cache_key)
+            self._entries[cache_key] = (value, charge)
+            self._by_object.setdefault(cache_key[0], set()).add(cache_key)
+            if type(value) is bytes:
+                self._holders[id(value)] = cache_key
+            self._cached_bytes += charge
             while self._cached_bytes > self.budget_bytes:
-                victim_key, victim = self._entries.popitem(last=False)
-                self._cached_bytes -= len(victim)
-                self._by_object[victim_key[0]].discard(victim_key)
+                self._drop(next(iter(self._entries)))
                 self._count("evictions")
             self._report_bytes()
 
+    def _drop(self, cache_key: _CacheKey) -> None:
+        """Forget one entry (callers hold ``_cache_lock``)."""
+        value, charge = self._entries.pop(cache_key)
+        self._cached_bytes -= charge
+        self._by_object[cache_key[0]].discard(cache_key)
+        if self._holders.get(id(value)) == cache_key:
+            del self._holders[id(value)]
+
     def invalidate(self, key: str) -> None:
-        """Drop every cached entry for a key: whole object, ranges, its
-        HEAD, and any LIST whose prefix covers the key."""
+        """Drop every cached entry for a key: whole object, ranges,
+        values decoded from it, its HEAD, and any LIST whose prefix
+        covers the key."""
         with self._cache_lock:
             self._generation[key] = self._generation.get(key, 0) + 1
             self._write_epoch += 1
-            for cache_key in self._by_object.pop(key, set()):
-                data = self._entries.pop(cache_key, None)
-                if data is not None:
-                    self._cached_bytes -= len(data)
-                    self._count("invalidations")
+            for cache_key in list(self._by_object.get(key, ())):
+                self._drop(cache_key)
+                self._count("invalidations")
             if self._heads.pop(key, None) is not None:
                 self._count("invalidations")
             for prefix in [p for p in self._lists if key.startswith(p)]:
@@ -202,6 +289,7 @@ class CachingObjectStore(ObjectStore):
         with self._cache_lock:
             self._entries.clear()
             self._by_object.clear()
+            self._holders.clear()
             self._lists.clear()
             self._heads.clear()
             self._cached_bytes = 0
@@ -218,10 +306,31 @@ class CachingObjectStore(ObjectStore):
 
         def fetch() -> bytes:
             data = self.inner.get(key, byte_range)
-            self._admit(key, byte_range, data, generation)
+            self._admit((key, byte_range), data, generation, len(data))
             return data
 
         return self._flights.do(("GET", key, byte_range), fetch)
+
+    def memo(
+        self, key: str, name: str, build: Callable[[], T] | None = None
+    ) -> T | None:
+        """Keep ``build()`` (never None) as one more entry of ``key``:
+        same LRU, budget, admission, single-flight and invalidation as
+        its bytes, charged its :func:`resident_bytes`. A lookup without
+        ``build`` refreshes a kept value and builds nothing."""
+        value = self._lookup(key, name)
+        if value is not None or build is None:
+            return value
+        with self._cache_lock:
+            generation = self._generation.get(key, 0)
+
+        def fill() -> T:
+            value = build()
+            charge, held = resident_bytes(value)
+            self._admit((key, name), value, generation, charge, held)
+            return value
+
+        return self._flights.do(("MEMO", key, name), fill)
 
     def get_many(
         self,

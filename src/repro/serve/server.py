@@ -7,10 +7,10 @@ concurrency *within* a query), an optional
 :class:`~repro.serve.cache.CachingObjectStore` (reuse *across*
 queries), per-server admission control (bounded concurrency *across*
 queries), single-flight deduplication of identical in-flight queries,
-and a warmup path that pre-loads the hot read-path components — the
-metadata-table state, every index file's tail, its page directory, and
-the trie root lookup tables — so the first user-facing query already
-runs warm.
+and a warmup path that pre-loads the hot read path — the
+metadata-table state, every opened index file, its decoded page
+directory and the decoded structures each probe starts from — so the
+first user-facing query already runs warm.
 
 :class:`ServeStats` aggregates what operators watch (QPS estimate,
 cache hit rate, modeled latency percentiles) and feeds the measured
@@ -243,9 +243,12 @@ class SearchServer:
     def warmup(self) -> int:
         """Pre-load the hot read path into the cache.
 
-        Reads the metadata-table state, then every index file's tail
-        and whatever its index type's ``warm`` hook names (the page
-        directory; for tries also the root lookup table). Returns the
+        Reads the metadata-table state, then opens every index file and
+        runs its index type's ``warm`` hook, which decodes what each
+        probe decodes before its first dependent round — the page
+        directory, the trie's lookup table, the FM index's last rank
+        block, the IVF centroids — so the cache holds the opened reader
+        and those decoded forms, not just their bytes. Returns the
         number of index files warmed. Without a caching store this
         still works; it just warms nothing.
         """

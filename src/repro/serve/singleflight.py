@@ -25,10 +25,14 @@ T = TypeVar("T")
 class _Flight:
     """One in-progress call; carries its outcome to the waiters."""
 
-    __slots__ = ("done", "result", "error", "sharers")
+    __slots__ = ("landed", "result", "error", "sharers")
 
     def __init__(self) -> None:
-        self.done = threading.Event()
+        # Held until the call lands. A bare lock, not an Event: every
+        # cache miss starts a flight, and an Event costs ten times more
+        # to create and set.
+        self.landed = threading.Lock()
+        self.landed.acquire()
         self.result: object = None
         self.error: BaseException | None = None
         self.sharers = 0  # callers that joined instead of executing
@@ -73,9 +77,10 @@ class SingleFlight:
             finally:
                 with self._lock:
                     self._flights.pop(key, None)
-                flight.done.set()
+                flight.landed.release()
             return flight.result, False  # type: ignore[return-value]
-        flight.done.wait()
+        with flight.landed:  # wait for the landing, then let the next waiter by
+            pass
         if flight.error is not None:
             raise flight.error
         return flight.result, True  # type: ignore[return-value]

@@ -22,12 +22,15 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.errors import InvalidByteRange, ObjectNotFound, PreconditionFailed
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
 from repro.storage.stats import IOStats, Request, RequestTrace
 from repro.util.clock import Clock, SimClock
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,19 @@ class ObjectStore(ABC):
     @abstractmethod
     def delete(self, key: str) -> None:
         """Remove an object; deleting a missing key is a no-op (S3-like)."""
+
+    def memo(
+        self, key: str, name: str, build: Callable[[], T] | None = None
+    ) -> T | None:
+        """A value derived from object ``key`` alone, named ``name``
+        (an opened index file, an inflated or decoded component).
+
+        A plain store keeps nothing and returns ``build()``; a caching
+        store keeps the value beside its bytes, under the same budget,
+        and drops it with every other entry of ``key``. Without
+        ``build`` it is a lookup only: the kept value, or None.
+        """
+        return None if build is None else build()
 
     def exists(self, key: str) -> bool:
         """Whether ``key`` exists, via a (billed) HEAD."""

@@ -140,12 +140,9 @@ class TestPageDirectory:
         d2 = PageDirectory([make_table("b", 3)])
         merged = PageDirectory.concat([d1, d2])
         assert merged.num_pages == 5
-        assert merged.locate(2).file_key == "b"
-
-    def test_table_of(self):
-        d = PageDirectory([make_table("a", 2), make_table("b", 2)])
-        assert d.table_of(0).file_key == "a"
-        assert d.table_of(3).file_key == "b"
+        # Both sides of the part boundary, and the last page.
+        assert [merged.locate(g).file_key for g in (0, 1, 2, 4)] == ["a", "a", "b", "b"]
+        assert [merged.locate(g).page_id for g in (1, 2, 4)] == [1, 0, 2]
 
 
 class TestIndexFile:
@@ -172,10 +169,17 @@ class TestIndexFile:
     def test_missing_component_rejected(self, store):
         d = PageDirectory([make_table("a", 1)])
         w = IndexFileWriter("fm", "text", d)
+        w.add_component("data", b"payload")
         store.put("f.index", w.finish())
         r = IndexFileReader.open(store, "f.index")
-        with pytest.raises(FormatError):
-            r.component("nope")
+        # One name lookup: single, bulk and decoded reads fail alike.
+        for read in (
+            lambda: r.component("nope"),
+            lambda: r.components(["data", "nope"]),
+            lambda: r.decoded("nope", bytes),
+        ):
+            with pytest.raises(FormatError, match="nope"):
+                read()
         assert not r.has_component("nope")
 
     def test_components_batch(self, store):

@@ -7,11 +7,15 @@ lifecycle — unindexed, freshly indexed, half-compacted (a merged index
 coexisting with newer per-file indices), and compacted-then-vacuumed —
 and the whole matrix runs with both a serial and a parallel
 :class:`~repro.maintain.MaintenancePipeline`, pinning that worker count
-never changes *what* maintenance commits, only how fast.
+never changes *what* maintenance commits, only how fast. The cached
+column serves every state through a :class:`~repro.serve.SearchServer`
+whose cache keeps bytes *and* decoded index components, at budgets from
+nothing kept to everything kept.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Callable
 from unittest import mock
@@ -26,6 +30,7 @@ from repro.core.queries import Query, SubstringQuery, UuidQuery, VectorQuery
 from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import MaintenancePipeline
+from repro.serve import SearchServer
 from repro.serve.executor import SearchExecutor
 from repro.storage.object_store import InMemoryObjectStore
 from repro.util.clock import SimClock
@@ -225,6 +230,81 @@ def test_indexed_search_matches_bruteforce_oracle(workload, state, workers):
                     assert a.score == pytest.approx(b.score)
             if state != "unindexed":
                 assert indexed.stats.index_files_queried > 0
+
+
+#: The cached column's budgets: nothing kept; the largest single decoded
+#: value an unbounded cache keeps (so every value is admissible but one
+#: query's values never all fit, and decoded entries are evicted and
+#: rebuilt); everything kept.
+CACHE_BUDGETS = ("one_byte", "evicting", "ample")
+
+
+def _serve_twice(workload, store, lake, client, budget_bytes):
+    """Answer every query twice (cold, then warm) through a server whose
+    cache has ``budget_bytes``, each answer checked against brute force.
+    Returns ``(builds per decoded value, the server's cache)``."""
+    builds: collections.Counter = collections.Counter()
+    with SearchServer.for_lake(
+        store, client.index_dir, lake.root, cache_budget_bytes=budget_bytes,
+        max_searchers=2,
+    ) as server:
+        cache, memo = server.client.store, server.client.store.memo
+
+        def counting_memo(key, name, build=None):
+            def counted():
+                builds[key, name] += 1
+                return build()
+
+            return memo(key, name, build and counted)
+
+        cache.memo = counting_memo
+        for query, k in workload.queries(lake):
+            oracle = client.search(workload.column, query, k=k, use_indices=False)
+            for visit in ("cold", "warm"):
+                served = server.query(workload.column, query, k=k)
+                label = f"{workload.name}/{budget_bytes} bytes/{visit}: {query!r}"
+                assert not served.degraded, label
+                assert _rowset(served.matches) == _rowset(oracle.matches), label
+                if query.scoring:
+                    assert sorted(m.score for m in served.matches) == pytest.approx(
+                        sorted(m.score for m in oracle.matches)
+                    ), label
+    return builds, cache
+
+
+def _check_cached_column(workload, recipe, budget):
+    store, lake, client = _fresh(workload)
+    with MaintenancePipeline(client, workers=1) as pipe:
+        recipe(workload, store, lake, pipe)
+    budget_bytes = {"one_byte": 1, "evicting": 1 << 40, "ample": 1 << 40}[budget]
+    if budget == "evicting":
+        _, unbounded = _serve_twice(workload, store, lake, client, budget_bytes)
+        budget_bytes = max(
+            [charge for (_, part), (_, charge) in unbounded._entries.items()
+             if isinstance(part, str)],
+            default=1,
+        )
+    builds, cache = _serve_twice(workload, store, lake, client, budget_bytes)
+    rebuilt = sorted(name for name, count in builds.items() if count > 1)
+    if budget == "one_byte":
+        assert cache.cached_bytes == 0
+    elif budget == "ample":
+        assert rebuilt == []  # every warm visit found its decoded values
+    elif recipe is not state_unindexed:
+        assert rebuilt  # decoded values were evicted and built again
+
+
+@pytest.mark.parametrize("budget", CACHE_BUDGETS)
+@pytest.mark.parametrize("state", sorted(STATES))
+@pytest.mark.parametrize("workload", WORKLOADS, ids=[w.name for w in WORKLOADS])
+def test_cached_server_matches_bruteforce_oracle(workload, state, budget):
+    _check_cached_column(workload, STATES[state], budget)
+
+
+@pytest.mark.parametrize("budget", CACHE_BUDGETS)
+def test_cached_server_serves_a_mixed_layout_lake(budget):
+    """Legacy ``lut`` and ``lutb`` trie files decode side by side."""
+    _check_cached_column(WORKLOADS[0], state_mixed_layout, budget)
 
 
 @pytest.mark.parametrize("workers", [1, 4])

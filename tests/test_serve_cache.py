@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.errors import InvalidByteRange, ObjectNotFound, PreconditionFailed
-from repro.serve.cache import CachingObjectStore
+from repro.formats.page_reader import PageEntry, PageTable
+from repro.serve.cache import CachingObjectStore, resident_bytes
 from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.retry import RetryingObjectStore
 from repro.util.clock import SimClock
@@ -38,6 +43,9 @@ _OPS = st.lists(
         st.tuples(st.just("head"), _KEYS),
         st.tuples(st.just("list"), st.sampled_from(["", "a", "b/", "zz"])),
         st.tuples(st.just("clear")),
+        st.tuples(st.just("memo_view"), _KEYS),
+        st.tuples(st.just("memo_repeat"), _KEYS, st.integers(0, 8)),
+        st.tuples(st.just("memo_across_write"), _KEYS, _DATA),
     ),
     min_size=1,
     max_size=40,
@@ -62,23 +70,55 @@ def _apply(store, op):
             return ("ok", (info.key, info.size))
         if op[0] == "list":
             return ("ok", [(i.key, i.size) for i in store.list(op[1])])
+        if op[0] == "memo_view":  # a view over the object's (cached) bytes
+            view = store.memo(
+                op[1], "view", lambda: np.frombuffer(store.get(op[1]), np.uint8)
+            )
+            return ("ok", view.tobytes())
+        if op[0] == "memo_repeat":  # up to 96 bytes: some above max_entry
+            name = f"repeat{op[2]}"
+            return ("ok", store.memo(op[1], name, lambda: store.get(op[1]) * op[2]))
+        if op[0] == "memo_across_write":
+
+            def build():  # a writer lands while the value is being built
+                value = store.get(op[1])
+                store.put(op[1], op[2])
+                return value
+
+            return ("ok", store.memo(op[1], "racy", build))
         raise AssertionError(op)
     except (ObjectNotFound, InvalidByteRange, PreconditionFailed) as exc:
         return ("err", type(exc))
+
+
+def _memo_entries(cached, key):
+    return [ck for ck in cached._entries if ck[0] == key and isinstance(ck[1], str)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_cache_is_transparent(ops):
     """Any op sequence through the cache returns byte-identical results
-    to the bare store — including after put-overwrite and delete."""
+    to the bare store — including after put-overwrite and delete — and
+    values built from the bytes (``memo``) obey the byte rules: within
+    budget, dropped with their key, never admitted stale, never kept
+    above ``max_entry_bytes``."""
     reference = InMemoryObjectStore(clock=SimClock(start=1_000.0))
     _, cached = _fresh_pair(budget_bytes=64, max_entry_bytes=32)
     for op in ops:
         if op[0] == "clear":
             cached.clear()  # wrapper-only op; reference unaffected
             continue
-        assert _apply(cached, op) == _apply(reference, op), op
+        got = _apply(cached, op)
+        assert got == _apply(reference, op), op
+        charges = [charge for _, charge in cached._entries.values()]
+        assert cached.cached_bytes == sum(charges) <= cached.budget_bytes
+        if op[0] in ("put", "put_cond", "delete", "memo_across_write"):
+            # Written (or written mid-build): nothing decoded survives.
+            assert _memo_entries(cached, op[1]) == [], op
+        if op[0] == "memo_repeat" and got[0] == "ok":
+            kept = (op[1], f"repeat{op[2]}") in cached._entries
+            assert kept == (resident_bytes(got[1])[0] <= cached.max_entry_bytes)
 
 
 def test_put_overwrite_invalidates():
@@ -186,6 +226,123 @@ def test_budget_validation():
     inner = InMemoryObjectStore(clock=SimClock())
     with pytest.raises(ValueError):
         CachingObjectStore(inner, budget_bytes=0)
+
+
+# -- decoded values: charged once, dropped with their bytes ------------
+
+
+def _index_file(store, key: str) -> bytes:
+    """A small index file with one ``data`` component; returns the payload."""
+    table = PageTable("a", "text", [PageEntry("a", 0, 0, 10, 1, 0, 0)])
+    writer = IndexFileWriter("fm", "text", PageDirectory([table]))
+    payload = bytes(range(256)) * 4
+    writer.add_component("data", payload)
+    store.put(key, writer.finish())
+    return payload
+
+
+def test_each_buffer_is_charged_once():
+    inner, cached = _fresh_pair()
+    inner.put("k", bytes(range(100)))
+    data = cached.get("k")
+    assert cached.cached_bytes == 100
+    view = cached.memo("k", "view", lambda: np.frombuffer(data, np.uint8)[10:])
+    # A view over a cached buffer adds nothing: its entry replaces the
+    # byte entry holding that buffer.
+    assert cached.cached_bytes == 100
+    assert list(cached._entries) == [("k", "view")]
+    hits = cached.cache_stats.hits
+    assert cached.memo("k", "view", lambda: None) is view
+    assert cached.cache_stats.hits == hits + 1  # one hit rate for both kinds
+
+    # An opened index file keeps its tail GET: the reader replaces it.
+    payload = _index_file(inner, "f.index")
+    before = cached.cached_bytes
+    reader = IndexFileReader.open(cached, "f.index")
+    tail = reader._reader._tail
+    charge, held = resident_bytes(reader)
+    assert id(tail) in held
+    pair = (reader, tail)  # the tail listed twice is still counted once
+    assert resident_bytes(pair)[0] == charge + sys.getsizeof(pair)
+    assert [ck for ck in cached._entries if ck[0] == "f.index"] == [
+        ("f.index", "open")
+    ]
+    assert cached.cached_bytes == before + charge
+    assert IndexFileReader.open(cached, "f.index") is reader
+
+    # A decoded component is charged its own buffer, once.
+    before = cached.cached_bytes
+    arr = reader.decoded("data", lambda blob: np.frombuffer(blob, np.uint8))
+    assert arr.tobytes() == payload
+    assert cached.cached_bytes == before + len(payload)
+
+
+def test_plain_store_memo_keeps_nothing():
+    store = InMemoryObjectStore(clock=SimClock())
+    _index_file(store, "f.index")
+    first = IndexFileReader.open(store, "f.index")
+    assert IndexFileReader.open(store, "f.index") is not first
+    assert store.memo("f.index", "x", lambda: [1]) is not store.memo(
+        "f.index", "x", lambda: [1]
+    )
+
+
+def test_lookup_only_memo_refreshes_and_builds_nothing():
+    inner, cached = _fresh_pair(budget_bytes=10, max_entry_bytes=10)
+    inner.put("k", b"v")
+    assert cached.memo("k", "a") is None  # nothing kept, nothing built
+    cached.memo("k", "a", lambda: b"aaaa")
+    cached.memo("k", "b", lambda: b"bbbb")
+    assert cached.memo("k", "a") == b"aaaa"  # refreshed: "b" is now older
+    cached.memo("k", "c", lambda: b"cccc")  # over budget: evicts "b"
+    assert (cached.memo("k", "a"), cached.memo("k", "b")) == (b"aaaa", None)
+    assert InMemoryObjectStore().memo("k", "a") is None
+
+
+def test_concurrent_memo_and_writes_never_keep_a_stale_value():
+    """Eight threads memoize, read and overwrite six keys through one
+    small cache; afterwards the accounting is exact and every kept value
+    equals a fresh build from the inner store (a lost generation check
+    would keep one built from overwritten bytes)."""
+    inner, cached = _fresh_pair(budget_bytes=256, max_entry_bytes=64)
+    keys = [f"k{i}" for i in range(6)]
+    for key in keys:
+        inner.put(key, bytes(20))
+    errors: list[Exception] = []
+
+    def worker(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                key, roll = rng.choice(keys), rng.random()
+                if roll < 0.4:
+                    times = rng.randint(1, 3)
+                    cached.memo(key, f"x{times}", lambda: cached.get(key) * times)
+                elif roll < 0.8:
+                    cached.get(key, (0, 4) if roll < 0.6 else None)
+                else:
+                    cached.put(key, bytes([rng.randrange(256)]) * rng.randint(4, 30))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    charges = [charge for _, charge in cached._entries.values()]
+    assert cached.cached_bytes == sum(charges) <= cached.budget_bytes
+    for (key, part), (value, _) in cached._entries.items():
+        if isinstance(part, str):
+            assert value == inner.get(key) * int(part[1:]), (key, part)
+        else:
+            assert value == inner.get(key, part), (key, part)
 
 
 # -- single-flight misses --------------------------------------------

@@ -5,11 +5,12 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.client import RottnestClient
-from repro.core.index_file import IndexFileReader
-from repro.core.queries import UuidQuery
+from repro.core.index_file import IndexFileReader, IndexFileWriter
+from repro.core.queries import UuidQuery, VectorQuery
 from repro.errors import SimulatedCrash
 from repro.storage.faults import FaultyObjectStore
 from repro.errors import ServeError, ServerOverloaded
@@ -280,6 +281,20 @@ class TestSearchServer:
             assert cache.misses - warmed_misses < warmed_misses
             assert server.stats.cache_hit_rate > 0
 
+    def test_warmup_decodes_what_the_first_probe_decodes(self, indexed_client):
+        """After warmup the opened reader, the page directory and the
+        decoded LUT are cache hits: the first UUID query builds only the
+        leaf it seeks into."""
+        with _serving_stack(indexed_client) as server:
+            server.warmup()
+            cache, memo, built = server.client.store, server.client.store.memo, []
+            cache.memo = lambda key, name, build=None: memo(
+                key, name, build and (lambda: built.append(name) or build())
+            )
+            result = server.query("uuid", UuidQuery(event_uuid(1, 5)), k=3)
+        assert len(result.matches) == 1
+        assert [name.split(":")[0] for name in built] == ["leaf0"]
+
     @pytest.mark.parametrize("layout", ["lutb", "lut"])
     def test_warmup_covers_the_trie_lut_of_either_layout(
         self, client, layout, monkeypatch
@@ -388,6 +403,34 @@ class TestDegradedServing:
             healthy = server.query("uuid", query, k=2)
             assert server.stats.degraded == 1
             assert healthy.stats.index_files_queried > 0
+
+    def test_missing_component_degrades_to_the_oracle_answer(
+        self, indexed_client
+    ):
+        """An index file whose header lacks a component its querier asks
+        for — here inverted list 0 — is a ``FormatError`` however the
+        querier reads it, so the query is answered degraded, not failed."""
+        store = indexed_client.store
+        record = next(
+            r for r in indexed_client.meta.records() if r.index_type == "ivf_pq"
+        )
+        reader = IndexFileReader.open(store, record.index_key)
+        writer = IndexFileWriter(
+            reader.index_type, reader.column, reader.directory, params=reader.params
+        )
+        names = [n for n in reader.component_names() if n != "__pages__"]
+        for name, blob in zip(names, reader.components(names)):
+            writer.add_component("gone0" if name == "list0" else name, blob)
+        store.put(record.index_key, writer.finish())
+
+        query = VectorQuery(np.ones(16, dtype=np.float32), nprobe=8, refine=600)
+        oracle = indexed_client.search("emb", query, k=5, use_indices=False)
+        with _serving_stack(indexed_client) as server:
+            served = server.query("emb", query, k=5)
+        assert served.degraded and server.stats.degraded == 1
+        assert sorted((m.file, m.row) for m in served.matches) == sorted(
+            (m.file, m.row) for m in oracle.matches
+        )
 
     def test_simulated_crash_is_not_masked_as_degradation(
         self, indexed_client

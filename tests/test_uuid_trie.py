@@ -300,8 +300,8 @@ class TestLutLayouts:
     def test_truncated_lut_is_a_format_error(self):
         pages, _ = build_pages(50, 2)
         _, reader = store_index(UuidTrieBuilder.build(pages), 2)
-        lut = reader.component("lutb")
-        reader.component = lambda name: lut[:100] if name == "lutb" else None
+        lut, read = reader._names["lutb"], reader._reader.read
+        reader._reader.read = lambda cid: read(cid)[:100] if cid == lut else read(cid)
         with pytest.raises(FormatError, match="lutb"):
             UuidTrieQuerier(reader).candidate_pages(key_of(1))
 
