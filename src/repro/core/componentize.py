@@ -52,10 +52,11 @@ class ComponentFileWriter:
         self._body.write_bytes(MAGIC)
         self._entries: list[tuple[int, int, int, int]] = []  # off, stored, raw, codec
 
-    def add(self, data: bytes, *, compress: bool = True) -> int:
-        """Append one component; returns its id (dense, from 0)."""
+    def add(self, data: bytes, *, compress: bool = True, rle: bool = False) -> int:
+        """Append one component; returns its id (dense, from 0). ``rle``
+        picks the codec's run-length strategy (same codec id)."""
         codec = self._codec_id if compress else compression.NONE
-        stored = compression.compress(data, codec)
+        stored = compression.compress(data, codec, rle=rle)
         # Store uncompressed when compression does not help.
         if len(stored) >= len(data):
             stored, codec = data, compression.NONE

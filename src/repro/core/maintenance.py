@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
@@ -354,7 +354,7 @@ def compact_indices(
         # covered files), so they fan out; uploads inside are content-
         # addressed, making completion order irrelevant to the final
         # state.
-        merge_span, outcomes = _fan_out(
+        _, merged_records = _fan_out(
             store,
             pool,
             "compact.merge",
@@ -366,12 +366,6 @@ def compact_indices(
             "compactor:task",
             groups=len(mergeable),
         )
-        # What the merges themselves counted (the FM interleave's
-        # passes and sorted rows), summed over the groups.
-        for _, stats in outcomes:
-            for name, value in stats.items():
-                merge_span.set(name, merge_span.attributes.get(name, 0) + value)
-        merged_records = [record for record, _ in outcomes]
         if merged_records:
             with phase(store, "compact.commit", "commit"):
                 _commit(client, merged_records, idempotent=True)
@@ -384,10 +378,9 @@ def _merge_group(
     column: str,
     index_type: str,
     group: list[IndexRecord],
-) -> tuple[IndexRecord, Mapping[str, int]]:
+) -> IndexRecord:
     """Merge one bin-packed group into a single uploaded index file;
-    returns its record and the merge's work counters
-    (:attr:`IndexBuilder.merge_stats`)."""
+    returns its record."""
     builder_cls = builder_for(index_type)
     covered: list[str] = []
     for record in group:
@@ -444,7 +437,7 @@ def _merge_group(
         num_rows=sum(r.num_rows for r in group),
         deterministic=True,
     )
-    return record, merged.merge_stats
+    return record
 
 
 # ---------------------------------------------------------------------

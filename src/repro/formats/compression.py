@@ -34,10 +34,17 @@ def codec_name(codec: int) -> str:
         raise FormatError(f"unknown codec id {codec}") from None
 
 
-def compress(data: bytes, codec: int) -> bytes:
+def compress(data: bytes, codec: int, *, rle: bool = False) -> bytes:
+    """``rle`` deflates with ``Z_RLE`` (matches at distance one only):
+    still a plain zlib stream, much faster on long runs of one value."""
     if codec == NONE:
         return data
     if codec == ZLIB:
+        if rle:
+            deflater = zlib.compressobj(
+                6, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE
+            )
+            return deflater.compress(data) + deflater.flush()
         return zlib.compress(data, level=6)
     raise FormatError(f"unknown codec id {codec}")
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Iterable
 
 from repro.errors import UnknownIndexType
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
@@ -40,11 +39,6 @@ class IndexBuilder(ABC):
     #: Indexing aborts in favour of brute force below this many rows
     #: (paper footnote 2; vector indices need enough data to train).
     min_rows: ClassVar[int] = 1
-    #: Work counters of the merges that produced this builder (e.g. the
-    #: FM interleave's passes and sorted rows); compaction sums them
-    #: onto its ``compact.merge`` span. Empty for fresh builds and for
-    #: types that count nothing.
-    merge_stats: Mapping[str, int] = MappingProxyType({})
 
     @classmethod
     @abstractmethod

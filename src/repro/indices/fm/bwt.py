@@ -17,9 +17,16 @@ Conventions:
   sentinel suffix,
 * the BWT is returned as a byte array of the same length with the
   sentinel's slot holding 0x00, plus the index of that slot.
+
+A *multi-string* BWT (what compaction wrote before merges became
+inversion plus one rebuild) has one sentinel row per text; rows
+``0..k-1`` are the texts' sentinel suffixes in collection order, and
+:func:`invert_bwt` recovers the concatenated texts of either kind.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -37,33 +44,41 @@ def suffix_array(text: bytes) -> np.ndarray:
     Returns an int64 array ``sa`` of length ``len(text) + 1`` where
     ``sa[i]`` is the start of the i-th smallest suffix; ``sa[0] ==
     len(text)`` (the sentinel).
+
+    Peak memory is about 29 bytes per character: the key, the order
+    and one scratch buffer (8 bytes each; the scratch holds the sorted
+    keys, then the ranks), a flag byte and an int32 dense rank.
     """
     n = len(text) + 1
-    symbols = np.zeros(n + PACKED_SYMBOLS - 1, dtype=np.int64)
-    symbols[: n - 1] = np.frombuffer(text, dtype=np.uint8)
-    symbols[: n - 1] += 1
-    # First key: the suffix's leading PACKED_SYMBOLS symbols.
-    key = symbols[:n].copy()
-    for j in range(1, PACKED_SYMBOLS):
+    chars = np.frombuffer(text, dtype=np.uint8)
+    # First key: the suffix's leading PACKED_SYMBOLS symbols, packed in
+    # place — shift, then OR in the next byte (+1) where there is one.
+    key = np.zeros(n, dtype=np.int64)
+    for j in range(PACKED_SYMBOLS):
         key <<= SYMBOL_BITS
-        key |= symbols[j : j + n]
+        present = key[: max(n - 1 - j, 0)]
+        present |= chars[j:]
+        present += 1
+    scratch = np.empty(n, dtype=np.int64)
+    distinct = np.empty(n, dtype=bool)
+    distinct[0] = False
     k = PACKED_SYMBOLS
     while True:
         order = np.argsort(key)
-        sorted_key = key[order]
-        distinct = np.empty(n, dtype=bool)
-        distinct[0] = False
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=distinct[1:])
-        dense = np.cumsum(distinct)
+        # mode="clip" writes straight into ``out``; "raise" would buffer.
+        np.take(key, order, out=scratch, mode="clip")
+        np.not_equal(scratch[1:], scratch[:-1], out=distinct[1:])
+        dense = np.cumsum(distinct, dtype=np.int32)
         if dense[-1] == n - 1:
             return order
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = dense
+        scratch[order] = dense  # the sorted keys are dead: now ranks
+        del dense, order
         # Next key: (rank[i], rank[i + k]) as one integer, with 0 for a
         # second half past the end; n * (n + 1) fits int64 for any text
         # that fits in memory.
-        key = rank * (n + 1)
-        key[: n - k] += rank[k:] + 1
+        np.multiply(scratch, n + 1, out=key)
+        key[: n - k] += scratch[k:]
+        key[: n - k] += 1
         k *= 2
 
 
@@ -74,112 +89,82 @@ def bwt_from_sa(text: bytes, sa: np.ndarray) -> tuple[bytes, int]:
     preceding suffix ``sa[i]`` (0x00 placeholder where the preceding
     character is the sentinel, at position ``sentinel_index``).
     """
-    n = len(sa)
-    arr = np.empty(n, dtype=np.uint8)
-    t = np.frombuffer(text, dtype=np.uint8)
-    prev = sa - 1
-    sentinel_index = int(np.nonzero(sa == 0)[0][0])
-    prev_safe = np.where(prev >= 0, prev, 0)
-    if len(text):
-        arr[:] = t[prev_safe]
+    sentinel_index = int(np.flatnonzero(sa == 0)[0])
+    if text:
+        # sa - 1 is -1 only in the sentinel's slot, overwritten below.
+        arr = np.frombuffer(text, dtype=np.uint8).take(sa - 1, mode="wrap")
+    else:
+        arr = np.zeros(len(sa), dtype=np.uint8)
     arr[sentinel_index] = 0
     return arr.tobytes(), sentinel_index
 
 
-def char_counts(bwt: bytes, sentinel_index: int) -> np.ndarray:
-    """``C`` array: ``C[c]`` = number of BWT characters smaller than
-    ``c``, counting the sentinel (always smallest) but not as a byte.
-
-    Returns int64 array of length 257 where ``C[256]`` is the total.
-    """
-    arr = np.frombuffer(bwt, dtype=np.uint8)
-    counts = np.bincount(arr, minlength=256).astype(np.int64)
-    counts[0] -= 1  # the sentinel placeholder is not a real 0x00
-    c = np.empty(257, dtype=np.int64)
-    c[0] = 1  # the sentinel sorts before everything
-    c[1:] = 1 + np.cumsum(counts)
-    return c
-
-
-def lf_array(bwt: bytes, sentinel_index: int) -> np.ndarray:
-    """Full LF-mapping (int64 per position), used to invert a BWT.
+def lf_array(bwt: bytes, sentinels: Sequence[int]) -> np.ndarray:
+    """Full LF mapping of a (multi-string) BWT: one stable argsort.
 
     ``lf[i]`` is the BWT row of the suffix starting one character before
-    row ``i``'s suffix; the sentinel row maps to row 0.
+    row ``i``'s suffix. Sentinel rows sort first, in row order, so they
+    map onto rows ``0..k-1`` — which text's sentinel suffix each one
+    reaches is not recorded, and nothing walks LF from a sentinel row.
     """
-    arr = np.frombuffer(bwt, dtype=np.uint8).astype(np.int64)
-    n = len(arr)
-    c = char_counts(bwt, sentinel_index)
-    lf = np.zeros(n, dtype=np.int64)
-    # Occurrence ranks per character, excluding the sentinel slot.
-    mask = np.ones(n, dtype=bool)
-    mask[sentinel_index] = False
-    for ch in np.unique(arr[mask]):
-        positions = np.nonzero((arr == ch) & mask)[0]
-        lf[positions] = c[ch] + np.arange(len(positions))
-    lf[sentinel_index] = 0
+    key = np.frombuffer(bwt, dtype=np.uint8).astype(np.uint16)
+    key += 1
+    key[list(sentinels)] = 0
+    order = np.argsort(key, kind="stable")  # a radix sort on 16 bits
+    dtype = np.int32 if len(key) < 2**31 else np.int64
+    lf = np.empty(len(key), dtype=dtype)
+    lf[order] = np.arange(len(key), dtype=dtype)
     return lf
 
 
-def lf_array_multi(bwt: bytes, sentinel_indices: list[int]) -> np.ndarray:
-    """LF-mapping for a multi-string BWT with ``k`` sentinels.
+def invert_bwt(
+    bwt: bytes,
+    sentinels: Sequence[int],
+    sample_rows: np.ndarray,
+    sample_positions: np.ndarray,
+) -> bytes:
+    """The concatenated texts behind a (multi-string) BWT.
 
-    Sentinel rows (whose character is a sentinel) map to 0; they are
-    never walked from because each is the position-0 suffix of its text,
-    which the sampled-SA layer marks as sampled.
+    Seeded from the sampled suffix array: every sampled row, and each
+    text's sentinel suffix (row ``t`` for text ``t``, at the text's
+    end), starts a backward LF walk that spells the characters before
+    its position until it reaches the next seed. All walks advance
+    together as one numpy frontier, so the loop runs as many times as
+    the widest gap between samples (the sample rate), not once per
+    character. Every text's first position must be sampled, which is
+    what locates the texts: a sentinel row's sample is where its text
+    starts.
     """
-    arr = np.frombuffer(bwt, dtype=np.uint8).astype(np.int64)
-    n = len(arr)
-    k = len(sentinel_indices)
-    mask = np.ones(n, dtype=bool)
-    mask[list(sentinel_indices)] = False
-    counts = np.bincount(arr[mask], minlength=256)
-    c = np.empty(257, dtype=np.int64)
-    c[0] = k
-    c[1:] = k + np.cumsum(counts)
-    lf = np.zeros(n, dtype=np.int64)
-    for ch in np.unique(arr[mask]):
-        positions = np.nonzero((arr == ch) & mask)[0]
-        lf[positions] = c[ch] + np.arange(len(positions))
-    return lf
-
-
-def invert_multi_bwt(bwt: bytes, sentinel_indices: list[int]) -> list[bytes]:
-    """Recover every text of a multi-string BWT, in collection order.
-
-    Rows ``0..k-1`` are the sentinel suffixes of texts ``0..k-1``; the
-    walk from row ``i`` spells text ``i`` back to front and terminates
-    when it reaches the text's own sentinel character.
-    """
-    k = len(sentinel_indices)
+    n, k = len(bwt), len(sentinels)
     if k == 0:
         raise ValueError("need at least one sentinel")
-    sentinel_set = set(int(s) for s in sentinel_indices)
-    lf = lf_array_multi(bwt, sentinel_indices)
-    arr = np.frombuffer(bwt, dtype=np.uint8)
-    texts = []
-    for i in range(k):
-        chars = bytearray()
-        j = i
-        while j not in sentinel_set:
-            chars.append(arr[j])
-            j = lf[j]
-        texts.append(bytes(reversed(chars)))
-    return texts
-
-
-def invert_bwt(bwt: bytes, sentinel_index: int) -> bytes:
-    """Recover the original text from its BWT (without the sentinel)."""
-    n = len(bwt)
-    if n == 1:
-        return b""
-    lf = lf_array(bwt, sentinel_index)
-    arr = np.frombuffer(bwt, dtype=np.uint8)
-    out = np.empty(n - 1, dtype=np.uint8)
-    # Row 0 always holds the sentinel suffix, so bwt[0] is the last text
-    # character; LF then walks the text back to front.
-    j = 0
-    for k in range(n - 2, -1, -1):
-        out[k] = arr[j]
-        j = lf[j]
-    return out.tobytes()
+    sentinel_rows = np.asarray(sentinels, dtype=np.int64)
+    sample_rows = np.asarray(sample_rows, dtype=np.int64)
+    sample_positions = np.asarray(sample_positions, dtype=np.int64)
+    starts = np.sort(sample_positions[np.isin(sample_rows, sentinel_rows)])
+    if len(starts) != k:
+        raise ValueError("every text's first position must be sampled")
+    ends = np.append(starts[1:], n - k)
+    rows, first = np.unique(
+        np.concatenate((np.arange(k), sample_rows)), return_index=True
+    )
+    positions = np.concatenate((ends, sample_positions))[first]
+    seeded = np.zeros(n, dtype=bool)
+    seeded[rows] = True
+    # A sentinel row sits at its text's start: nothing precedes it.
+    walking = ~np.isin(rows, sentinel_rows)
+    rows, positions = rows[walking], positions[walking]
+    chars = np.frombuffer(bwt, dtype=np.uint8)
+    lf = lf_array(bwt, sentinels)
+    text = np.empty(n - k, dtype=np.uint8)
+    spelled = 0
+    while len(rows):
+        positions -= 1
+        text[positions] = chars[rows]
+        spelled += len(rows)
+        rows = lf[rows]
+        walking = ~seeded[rows]
+        rows, positions = rows[walking], positions[walking]
+    if spelled != n - k:
+        raise ValueError(f"samples spell {spelled} of {n - k} characters")
+    return text.tobytes()

@@ -18,11 +18,14 @@ layout follows the componentization principle:
 * ``pagelens`` — per-page text lengths + global page ids; enough to
   map positions to pages and to rebuild the index from inverted text.
 
-The structure is a **multi-string** FM-index: a fresh build has one
-sentinel, and every compaction merge (Holt-McMillan interleave, see
-:mod:`repro.indices.fm.merge`) adds the parts' sentinels to the
-collection. Patterns never contain the 0x00 separator, so counting and
-locating behave exactly as over the concatenated text.
+A fresh build has one sentinel, and so does a merge: compaction
+inverts each part back to its text from its SA samples and builds once
+over the concatenation, giving a fresh build's exact bytes. Files that
+the earlier Holt-McMillan interleave merge wrote are **multi-string**
+(one sentinel per merged part); the querier keeps the sentinel list, so
+they answer unchanged, and merging them yields a single-sentinel file.
+Patterns never contain the 0x00 separator, so counting and locating
+behave exactly as over the concatenated text.
 
 A substring query runs classic backward search: one dependent round of
 (at most two) block reads per pattern character, then a round resolving
@@ -38,17 +41,7 @@ import numpy as np
 from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.indices.base import ExactQuerier, IndexBuilder
-from repro.indices.fm.bwt import (
-    bwt_from_sa,
-    invert_bwt,
-    invert_multi_bwt,
-    suffix_array,
-)
-from repro.indices.fm.merge import (
-    MergeDidNotConverge,
-    apply_interleave,
-    merge_bwts,
-)
+from repro.indices.fm.bwt import bwt_from_sa, invert_bwt, suffix_array
 from repro.util.binio import BinaryReader, BinaryWriter
 from repro.util.varint import decode_uvarints, encode_uvarints
 
@@ -71,7 +64,8 @@ def page_text(values: list[str]) -> bytes:
 
 
 class FmBuilder(IndexBuilder):
-    """In-memory FM-index state (possibly multi-string)."""
+    """In-memory FM-index state (multi-string only if loaded from a
+    file the interleave merge wrote)."""
 
     type_name: ClassVar[str] = TYPE_NAME
     min_rows: ClassVar[int] = 1
@@ -91,6 +85,8 @@ class FmBuilder(IndexBuilder):
     ) -> None:
         self.bwt = bwt
         self.sentinels = sorted(int(s) for s in sentinels)
+        # Page id per BWT row; empty when not stored, and when loaded
+        # (a merge rebuilds it).
         self.pagemap = pagemap
         # Sampled suffix array as two parallel int64 arrays: the BWT
         # rows that carry a sample (ascending) and their text positions.
@@ -169,15 +165,16 @@ class FmBuilder(IndexBuilder):
             raise RottnestIndexError("page lengths do not sum to text length")
         sa = suffix_array(text)
         bwt, sentinel_index = bwt_from_sa(text, sa)
-        # Page of each suffix start; the sentinel suffix (start == n)
-        # points past the text and is parked on the last page — it can
-        # only be "matched" by the empty pattern, which is rejected.
-        starts = np.concatenate(
-            ([0], np.cumsum(np.asarray(page_lens, dtype=np.int64)))
-        )
-        page_index = np.searchsorted(starts, sa, side="right") - 1
-        page_index = np.minimum(page_index, len(page_lens) - 1)
-        pagemap = np.asarray(page_gids, dtype=np.uint32)[page_index]
+        pagemap = np.empty(0, dtype=np.uint32)
+        if store_pagemap:
+            # Page of each suffix start; the sentinel suffix (start ==
+            # n) points past the text and is parked on the last page —
+            # it can only be "matched" by the empty pattern, which is
+            # rejected.
+            lens = np.asarray(page_lens, dtype=np.int64)
+            lens[-1] += 1
+            page_of = np.repeat(np.asarray(page_gids, dtype=np.uint32), lens)
+            pagemap = page_of[sa]
         sample_rows = np.flatnonzero(sa % sample_rate == 0)
         return cls(
             bwt=bwt,
@@ -197,11 +194,13 @@ class FmBuilder(IndexBuilder):
         arr = np.frombuffer(self.bwt, dtype=np.uint8)
         block = self.block_size
         num_blocks = -(-self.n // block)
+        if self.store_pagemap and len(self.pagemap) != self.n:
+            raise RottnestIndexError(
+                "no page map to write: a loaded FM index is merge input"
+            )
         # Narrowest page-map dtype keeps the index near the size of the
         # compressed data (the paper's substring-index storage profile).
-        pg_dtype = _pagemap_dtype(
-            int(self.pagemap.max()) if len(self.pagemap) else 0
-        )
+        pg_dtype = _pagemap_dtype(max(self.page_gids))
         # Absolute raw-byte counts before each block (sentinel slots are
         # counted as raw 0x00 here; queriers correct using the sentinel
         # list in params).
@@ -219,8 +218,13 @@ class FmBuilder(IndexBuilder):
             counts += np.bincount(arr[lo:hi], minlength=256).astype(np.uint32)
 
             if self.store_pagemap:
+                # Runs of one page id: RLE deflate is several times
+                # faster here and about as small (BWT blocks keep the
+                # default strategy, which inflates faster).
                 writer.add_component(
-                    f"pg{b}", self.pagemap[lo:hi].astype(pg_dtype).tobytes()
+                    f"pg{b}",
+                    self.pagemap[lo:hi].astype(pg_dtype).tobytes(),
+                    rle=True,
                 )
 
             # (row delta, text position) varint pairs behind a count.
@@ -254,244 +258,97 @@ class FmBuilder(IndexBuilder):
 
     @classmethod
     def load(cls, reader: IndexFileReader) -> "FmBuilder":
+        """Merge input: the BWT, SA samples and page lengths. The page
+        map is not read — a merge rebuilds it."""
         params = reader.params
         num_blocks = params["num_blocks"]
+        block = params["block_size"]
         blk_blobs = reader.components([f"blk{b}" for b in range(num_blocks)])
         bwt = b"".join(blob[1024:] for blob in blk_blobs)
-        pg_dtype = params.get("pg_dtype", "<u4")
-        has_pagemap = params.get("has_pagemap", True)
         sample_rows, sample_positions = [], []
-        block = params["block_size"]
         for b, blob in enumerate(
             reader.components([f"sa{b}" for b in range(num_blocks)])
         ):
-            r = BinaryReader(blob)
-            count = r.read_uvarint()
             try:
-                pairs, _ = decode_uvarints(blob, 2 * count, r.pos)
+                rows, positions = _decode_samples(blob)
             except ValueError as exc:
                 raise FormatError(f"sa{b}: {exc}") from exc
-            sample_rows.append(b * block + np.cumsum(pairs[0::2]))
-            sample_positions.append(pairs[1::2])
+            sample_rows.append(b * block + rows)
+            sample_positions.append(positions)
         lens_reader = BinaryReader(reader.component("pagelens"))
         num_pages = lens_reader.read_uvarint()
         page_lens, page_gids = [], []
         for _ in range(num_pages):
             page_lens.append(lens_reader.read_uvarint())
             page_gids.append(lens_reader.read_uvarint())
-        if has_pagemap:
-            pagemap = np.concatenate(
-                [
-                    np.frombuffer(blob, dtype=pg_dtype).astype(np.uint32)
-                    for blob in reader.components(
-                        [f"pg{b}" for b in range(num_blocks)]
-                    )
-                ]
-            )
-        else:
-            # Not materialized; the merge paths recompute it if needed.
-            pagemap = np.empty(0, dtype=np.uint32)
         return cls(
             bwt=bwt,
             sentinels=params["sentinels"],
-            pagemap=pagemap,
+            pagemap=np.empty(0, dtype=np.uint32),
             sample_rows=np.concatenate(sample_rows),
             sample_positions=np.concatenate(sample_positions),
             page_lens=page_lens,
             page_gids=page_gids,
             block_size=block,
             sample_rate=params["sample_rate"],
-            store_pagemap=has_pagemap,
+            store_pagemap=params.get("has_pagemap", True),
         )
 
     # -- merging --------------------------------------------------------
+    def text(self) -> bytes:
+        """The concatenated page texts this index was built over,
+        recovered from the BWT and its SA samples."""
+        return invert_bwt(
+            self.bwt, self.sentinels, self.sample_rows, self.sample_positions
+        )
+
     @classmethod
     def merge(
         cls, parts: list["FmBuilder"], gid_offsets: list[int]
     ) -> "FmBuilder":
-        """Merge by bounded interleave iteration (paper §V-C2, [43]).
-
-        Parts fold pairwise through :func:`merge_bwts`; satellite arrays
-        weave through the same interleave. Falls back to
-        :meth:`merge_rebuild` if an interleave fails to converge within
-        its bound.
-        """
-        if len(parts) != len(gid_offsets):
-            raise RottnestIndexError("parts/offsets length mismatch")
-        try:
-            shifted = [
-                part._with_gid_offset(offset)
-                for part, offset in zip(parts, gid_offsets)
-            ]
-            merged = shifted[0]
-            for part in shifted[1:]:
-                merged = cls._merge_two(merged, part)
-            return merged
-        except MergeDidNotConverge:
-            return cls.merge_rebuild(parts, gid_offsets)
-
-    @classmethod
-    def merge_rebuild(
-        cls, parts: list["FmBuilder"], gid_offsets: list[int]
-    ) -> "FmBuilder":
-        """Merge by BWT inversion + from-scratch rebuild.
-
-        Produces a single-sentinel index byte-identical to building over
-        the concatenated pages; slower than the interleave merge but the
-        exact reference (and the fallback for pathological inputs).
-        Never needs the raw Parquet files.
-        """
-        if len(parts) != len(gid_offsets):
-            raise RottnestIndexError("parts/offsets length mismatch")
-        texts = [_invert_text(part) for part in parts]
-        page_lens: list[int] = []
-        page_gids: list[int] = []
-        for part, offset in zip(parts, gid_offsets):
-            page_lens.extend(part.page_lens)
-            page_gids.extend(g + offset for g in part.page_gids)
-        return cls._from_text(
-            b"".join(texts),
-            page_lens,
-            page_gids,
-            block_size=max(p.block_size for p in parts),
-            sample_rate=max(p.sample_rate for p in parts),
-            store_pagemap=all(p.store_pagemap for p in parts),
-        )
+        """:meth:`merge_streaming` over a list."""
+        return cls.merge_streaming(parts, gid_offsets)
 
     @classmethod
     def merge_streaming(
         cls, parts: Iterable["FmBuilder"], gid_offsets: list[int]
     ) -> "FmBuilder":
-        """Streaming :meth:`merge`: fold one part at a time.
+        """Merge by inversion and one suffix sort.
 
-        The interleave fold is left-associative already, so consuming a
-        lazy iterable part-by-part gives the same ``_merge_two`` call
-        sequence — and the same bytes — as the materialized merge while
-        holding at most the running merge plus one loaded part.
-
-        If an interleave fails to converge, we cannot replay
-        :meth:`merge_rebuild` over the original parts (they are gone);
-        instead the running merge's BWT is inverted back to the
-        concatenated text of everything consumed so far, remaining
-        parts append their own inverted texts, and one ``_from_text``
-        rebuild finishes the job. Rebuild parameters (max block size,
-        max sample rate, AND of pagemap flags) are tracked per original
-        part, matching the materialized fallback exactly.
+        Each part is inverted to its text as it arrives (and can then
+        be dropped), and one build runs over the concatenated texts:
+        the result is byte-identical to building over the concatenated
+        pages, with the largest block size and sample rate of the parts
+        and a page map only if every part has one. The paper merges by
+        bounded interleave iteration; inverting from the samples and
+        sorting once is faster in numpy and needs no fallback.
         """
         offsets = list(gid_offsets)
         it = iter(parts)
-        merged: "FmBuilder | None" = None
-        block = 0
-        rate = 0
+        texts: list[bytes] = []
+        page_lens: list[int] = []
+        page_gids: list[int] = []
+        block = rate = 0
         pagemap_all = True
-        n = 0
-        # (texts, page_lens, page_gids) once an interleave diverges.
-        rebuild: tuple[list[bytes], list[int], list[int]] | None = None
         # zip pulls offsets first so a surplus part stays in ``it`` for
         # the leftover check below instead of being silently consumed.
         for offset, part in zip(offsets, it):
-            n += 1
+            texts.append(part.text())
+            page_lens.extend(part.page_lens)
+            page_gids.extend(g + offset for g in part.page_gids)
             block = max(block, part.block_size)
             rate = max(rate, part.sample_rate)
             pagemap_all = pagemap_all and part.store_pagemap
-            if rebuild is not None:
-                texts, lens, gids = rebuild
-                texts.append(_invert_text(part))
-                lens.extend(part.page_lens)
-                gids.extend(g + offset for g in part.page_gids)
-                continue
-            shifted = part._with_gid_offset(offset)
-            if merged is None:
-                merged = shifted
-                continue
-            try:
-                merged = cls._merge_two(merged, shifted)
-            except MergeDidNotConverge:
-                rebuild = (
-                    [_invert_text(merged), _invert_text(part)],
-                    list(merged.page_lens) + list(part.page_lens),
-                    list(merged.page_gids)
-                    + [g + offset for g in part.page_gids],
-                )
-        if n != len(offsets) or n == 0 or next(it, None) is not None:
+        if len(texts) != len(offsets) or not texts or next(it, None) is not None:
             raise RottnestIndexError("parts/offsets length mismatch")
-        if rebuild is not None:
-            texts, lens, gids = rebuild
-            return cls._from_text(
-                b"".join(texts),
-                lens,
-                gids,
-                block_size=block,
-                sample_rate=rate,
-                store_pagemap=pagemap_all,
-            )
-        return merged
-
-    def _with_gid_offset(self, offset: int) -> "FmBuilder":
-        if offset == 0:
-            return self
-        pagemap = self.pagemap
-        if len(pagemap):
-            pagemap = pagemap + np.uint32(offset)
-        shifted = FmBuilder(
-            bwt=self.bwt,
-            sentinels=self.sentinels,
-            pagemap=pagemap,
-            sample_rows=self.sample_rows,
-            sample_positions=self.sample_positions,
-            page_lens=self.page_lens,
-            page_gids=[g + offset for g in self.page_gids],
-            block_size=self.block_size,
-            sample_rate=self.sample_rate,
-            store_pagemap=self.store_pagemap,
+        return cls._from_text(
+            b"".join(texts),
+            page_lens,
+            page_gids,
+            block_size=block,
+            sample_rate=rate,
+            store_pagemap=pagemap_all,
         )
-        shifted.merge_stats = self.merge_stats
-        return shifted
-
-    @classmethod
-    def _merge_two(cls, a: "FmBuilder", b: "FmBuilder") -> "FmBuilder":
-        merge = merge_bwts(a.bwt, a.sentinels, b.bwt, b.sentinels)
-        bwt, sentinels = merge.bwt_and_sentinels()
-        both_pagemaps = a.store_pagemap and b.store_pagemap
-        if both_pagemaps and len(a.pagemap) and len(b.pagemap):
-            pagemap = apply_interleave(merge.interleave, a.pagemap, b.pagemap)
-        else:
-            pagemap = np.empty(0, dtype=np.uint32)
-            both_pagemaps = False
-        # Satellite samples: remap BWT rows through the interleave and
-        # shift B's text positions past A's total text length. Merged
-        # rows are distinct, so sorting them orders the pairs.
-        rows = np.concatenate(
-            (
-                np.flatnonzero(~merge.interleave)[a.sample_rows],
-                np.flatnonzero(merge.interleave)[b.sample_rows],
-            )
-        )
-        positions = np.concatenate(
-            (a.sample_positions, b.sample_positions + a.text_length)
-        )
-        order = np.argsort(rows)
-        merged = cls(
-            bwt=bwt,
-            sentinels=sentinels,
-            pagemap=pagemap,
-            sample_rows=rows[order],
-            sample_positions=positions[order],
-            page_lens=a.page_lens + b.page_lens,
-            page_gids=a.page_gids + b.page_gids,
-            block_size=max(a.block_size, b.block_size),
-            sample_rate=max(a.sample_rate, b.sample_rate),
-            store_pagemap=both_pagemaps,
-        )
-        # This interleave's work on top of whatever built the operands.
-        merged.merge_stats = {
-            name: count + a.merge_stats.get(name, 0) + b.merge_stats.get(name, 0)
-            for name, count in (
-                ("interleave_iterations", merge.iterations),
-                ("rows_sorted", merge.rows_sorted),
-            )
-        }
-        return merged
 
 
 class FmQuerier(ExactQuerier):
@@ -513,7 +370,7 @@ class FmQuerier(ExactQuerier):
         #: This query's handles on the decoded blocks it touched, in
         #: front of the reader's (possibly shared) decoded cache.
         self._decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._sa_cache: dict[int, bytes] = {}
+        self._samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._c_array: np.ndarray | None = None
 
     @classmethod
@@ -636,8 +493,12 @@ class FmQuerier(ExactQuerier):
 
     def _pages_from_walks(self, lo: int, hi: int, limit: int | None) -> list[int]:
         starts, gids = self.reader.decoded("pagelens", _page_starts)
+        if hi - lo > self.MAX_LOCATED_MATCHES:
+            # Too many rows to walk: every page of the file is a
+            # superset, and verification filters it.
+            return np.unique(gids).tolist()
         pages: set[int] = set()
-        for row in range(lo, min(hi, lo + self.MAX_LOCATED_MATCHES)):
+        for row in range(lo, hi):
             position = self._resolve(row)
             page_index = int(np.searchsorted(starts, position, side="right")) - 1
             page_index = min(max(page_index, 0), len(gids) - 1)
@@ -668,35 +529,34 @@ class FmQuerier(ExactQuerier):
             j = int(self.c_array[char]) + self._occ(char, j)
             steps += 1
 
-    def _sample_at(self, bwt_index: int) -> int | None:
-        block = bwt_index // self.block_size
-        if block not in self._sa_cache:
-            self._sa_cache[block] = self.reader.component(f"sa{block}")
-        blob = self._sa_cache[block]
-        r = BinaryReader(blob)
-        count = r.read_uvarint()
-        cursor = block * self.block_size
-        for _ in range(count):
-            cursor += r.read_uvarint()
-            value = r.read_uvarint()
-            if cursor == bwt_index:
-                return value
-            if cursor > bwt_index:
-                return None
+    def _sample_at(self, row: int) -> int | None:
+        """The sampled text position of BWT row ``row``, if it has one."""
+        b, local = divmod(row, self.block_size)
+        samples = self._samples.get(b)
+        if samples is None:
+            samples = self.reader.decoded(f"sa{b}", _decode_samples)
+            self._samples[b] = samples
+        rows, positions = samples
+        i = int(np.searchsorted(rows, local))
+        if i < len(rows) and rows[i] == local:
+            return int(positions[i])
         return None
-
-
-def _invert_text(part: "FmBuilder") -> bytes:
-    """The original concatenated text behind one (possibly merged) part."""
-    if len(part.sentinels) == 1:
-        return invert_bwt(part.bwt, part.sentinels[0])
-    return b"".join(invert_multi_bwt(part.bwt, part.sentinels))
 
 
 def _decode_block(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
     """``blk{b}``: 256 counts before the block (u32), then its BWT slice."""
     base = np.frombuffer(blob, dtype="<u4", count=256).astype(np.int64)
     return base, np.frombuffer(blob, dtype=np.uint8, offset=1024)
+
+
+def _decode_samples(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``sa{b}``: the block's sampled rows (ascending offsets within the
+    block) and their text positions, from (row delta, position) varint
+    pairs behind a count."""
+    r = BinaryReader(blob)
+    count = r.read_uvarint()
+    pairs, _ = decode_uvarints(blob, 2 * count, r.pos)
+    return np.cumsum(pairs[0::2]), pairs[1::2]
 
 
 def _page_starts(blob: bytes) -> tuple[np.ndarray, np.ndarray]:

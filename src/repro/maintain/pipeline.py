@@ -66,10 +66,6 @@ class MaintainReport:
     ``LatencyModel().trace_latency(report.trace)`` is the modeled
     wall-clock of the run at the pipeline's worker count; ``root`` is
     the finished span tree for full cost attribution.
-    ``interleave_iterations`` and ``rows_sorted`` are what an FM
-    compaction's interleave merges counted (passes run; rows stably
-    sorted over them, ``passes * n`` without the active set), zero for
-    every other run.
     """
 
     op: str
@@ -80,8 +76,6 @@ class MaintainReport:
     trace: RequestTrace = field(default_factory=RequestTrace)
     root: Span | None = None
     worker_tasks: int = 0
-    interleave_iterations: int = 0
-    rows_sorted: int = 0
 
     def modeled_latency(self, model: LatencyModel | None = None) -> float:
         """Modeled seconds for the run under ``model``."""
@@ -256,11 +250,7 @@ class MaintenancePipeline:
 
         trace = RequestTrace()
         tasks = 0
-        merge_stats = {"interleave_iterations": 0, "rows_sorted": 0}
         for span in root.walk():
-            if span.name == "compact.merge":
-                for name in merge_stats:
-                    merge_stats[name] = span.attributes.get(name, 0)
             if span.name.endswith(":task"):
                 tasks += 1
                 continue  # task traces are owned by their phase span
@@ -282,7 +272,6 @@ class MaintenancePipeline:
             trace=trace,
             root=root,
             worker_tasks=tasks,
-            **merge_stats,
         )
 
     def _bill(self, op: str, root: Span) -> None:

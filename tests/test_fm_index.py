@@ -140,7 +140,8 @@ class TestSerialization:
         loaded = FmBuilder.load(q.reader)
         assert loaded.bwt == builder.bwt
         assert loaded.sentinel_index == builder.sentinel_index
-        assert np.array_equal(loaded.pagemap, builder.pagemap)
+        # Merge input: the merge rebuilds the page map instead.
+        assert not len(loaded.pagemap) and loaded.store_pagemap
         assert np.array_equal(loaded.sample_rows, builder.sample_rows)
         assert np.array_equal(
             loaded.sample_positions, builder.sample_positions
@@ -149,22 +150,8 @@ class TestSerialization:
         assert loaded.page_gids == builder.page_gids
 
     def test_merge_rebuild_equals_joint_build(self, corpus):
-        """The inversion+rebuild path is byte-identical to a fresh
-        build over the concatenated pages."""
-        pages, _ = corpus
-        b1 = FmBuilder.build(pages[:2], block_size=1024, sample_rate=8)
-        b2 = FmBuilder.build(
-            [(g - 2, v) for g, v in pages[2:]], block_size=1024, sample_rate=8
-        )
-        merged = FmBuilder.merge_rebuild([b1, b2], [0, 2])
-        joint = FmBuilder.build(pages, block_size=1024, sample_rate=8)
-        assert merged.bwt == joint.bwt
-        assert merged.page_gids == joint.page_gids
-        assert np.array_equal(merged.pagemap, joint.pagemap)
-
-    def test_interleave_merge_query_equivalent(self, corpus):
-        """The Holt-McMillan interleave merge answers every query the
-        same as the rebuilt single-string index."""
+        """A merge (inversion + rebuild) is identical to a fresh build
+        over the concatenated pages."""
         pages, _ = corpus
         b1 = FmBuilder.build(pages[:2], block_size=1024, sample_rate=8)
         b2 = FmBuilder.build(
@@ -172,7 +159,24 @@ class TestSerialization:
         )
         merged = FmBuilder.merge([b1, b2], [0, 2])
         joint = FmBuilder.build(pages, block_size=1024, sample_rate=8)
-        assert len(merged.sentinels) == 2  # multi-string collection
+        assert merged.bwt == joint.bwt
+        assert merged.sentinels == joint.sentinels
+        assert merged.page_gids == joint.page_gids
+        assert np.array_equal(merged.pagemap, joint.pagemap)
+        assert np.array_equal(merged.sample_rows, joint.sample_rows)
+        assert np.array_equal(merged.sample_positions, joint.sample_positions)
+
+    def test_interleave_merge_query_equivalent(self, corpus):
+        """A merged index answers every query the same as one built
+        over all the pages."""
+        pages, _ = corpus
+        b1 = FmBuilder.build(pages[:2], block_size=1024, sample_rate=8)
+        b2 = FmBuilder.build(
+            [(g - 2, v) for g, v in pages[2:]], block_size=1024, sample_rate=8
+        )
+        merged = FmBuilder.merge([b1, b2], [0, 2])
+        joint = FmBuilder.build(pages, block_size=1024, sample_rate=8)
+        assert len(merged.sentinels) == 1
         assert merged.page_gids == joint.page_gids
         _, q_merged = store_fm(merged, len(pages))
         _, q_joint = store_fm(joint, len(pages))
@@ -194,7 +198,7 @@ class TestSerialization:
         ]
         merged = FmBuilder.merge(parts, [0, 1, 2])
         joint = FmBuilder.build(pages[:3], block_size=512, sample_rate=8)
-        assert len(merged.sentinels) == 3
+        assert len(merged.sentinels) == 1
         _, q_merged = store_fm(merged, 3)
         _, q_joint = store_fm(joint, 3)
         needle = pages[1][1][0][:6]
@@ -280,6 +284,21 @@ class TestPagemapLessMode:
         _, _, q, _, _ = nopg
         got = q.candidate_pages("a", limit=2)
         assert 1 <= len(got) <= 3
+
+    def test_walk_cap_returns_every_page(self):
+        """Past the locate cap the answer is every page of the file (a
+        superset that verification filters), not the pages of the first
+        rows walked."""
+        builder = FmBuilder.build(
+            [(0, ["xaba", "xabb"]), (1, ["xabc"])],
+            block_size=256,
+            sample_rate=4,
+            store_pagemap=False,
+        )
+        _, q = store_fm(builder, 2, rows_per_page=2)
+        q.MAX_LOCATED_MATCHES = 2
+        assert q.candidate_pages("xab") == [0, 1]
+        assert q.candidate_pages("xabc") == [1]
 
 
 @settings(max_examples=25, deadline=None)

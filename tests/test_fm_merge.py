@@ -1,61 +1,98 @@
-"""Holt-McMillan interleave merge and multi-string BWT primitives."""
+"""FM merge (inversion from the SA samples plus one build) and the
+multi-sentinel files the earlier interleave merge wrote."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.errors import RottnestIndexError
-from repro.indices.fm.bwt import (
-    bwt_from_sa,
-    invert_multi_bwt,
-    suffix_array,
-)
-from repro.indices.fm.fm_index import FmBuilder, page_text
-from repro.indices.fm.merge import (
-    MergeDidNotConverge,
-    apply_interleave,
-    merge_bwts,
-)
+from repro.formats.page_reader import PageEntry, PageTable
+from repro.indices.fm.bwt import invert_bwt
+from repro.indices.fm.fm_index import FmBuilder, FmQuerier, page_text
+from repro.storage.object_store import InMemoryObjectStore
+
+#: A three-part FM file written by the interleave merge (block size 64,
+#: sample rate 4, no page map), over these pages with gids 0..5.
+LEGACY_FIXTURE = Path(__file__).parent / "data" / "fm_legacy_3sentinels.index"
+LEGACY_PAGES = [
+    [["abracadabra", "banana bread"], ["cabana", "bandana"]],
+    [["aaaaaaaaaaaa", "aaaa banana"], ["mississippi", "missing"]],
+    [["panama canal", "abba"], ["nab a cab", "aaaaa"]],
+]
 
 
-def single_bwt(text: bytes):
-    sa = suffix_array(text)
-    return bwt_from_sa(text, sa)
+def from_text(text: bytes, **params) -> FmBuilder:
+    """A one-page builder over raw ``text``."""
+    params = {"block_size": 64, "sample_rate": 4, **params}
+    return FmBuilder._from_text(text, [len(text)], [0], **params)
 
 
-def naive_interleave(bwt_a, sentinels_a, bwt_b, sentinels_b):
-    """Reference Holt-McMillan loop: weave, stably sort *every* row by
-    its emitted character, repeat until the interleave stops changing.
-    Returns ``(interleave, passes)``."""
-    sym_a = np.frombuffer(bwt_a, dtype=np.uint8).astype(np.int16)
-    sym_b = np.frombuffer(bwt_b, dtype=np.uint8).astype(np.int16)
-    sym_a[list(sentinels_a)] = -2  # A's texts sort before B's
-    sym_b[list(sentinels_b)] = -1
-    interleave = np.arange(len(sym_a) + len(sym_b)) >= len(sym_a)
-    for passes in range(1, 10_000):
-        woven = np.empty(len(interleave), dtype=np.int16)
-        woven[~interleave] = sym_a
-        woven[interleave] = sym_b
-        after = interleave[np.argsort(woven, kind="stable")]
-        if np.array_equal(after, interleave):
-            return interleave, passes
-        interleave = after
-    raise AssertionError("reference interleave did not converge")
+def file_bytes(builder: FmBuilder) -> bytes:
+    table = PageTable(
+        "f.parquet",
+        "text",
+        [
+            PageEntry("f.parquet", i, 4 + i * 100, 100, 1, i, 1)
+            for i in range(max(builder.page_gids) + 1)
+        ],
+    )
+    writer = IndexFileWriter("fm", "text", PageDirectory([table]))
+    builder.write(writer)
+    return writer.finish()
 
 
-class TestApplyInterleave:
-    def test_weave(self):
-        z = np.array([False, True, True, False])
-        a = np.array([1, 2])
-        b = np.array([10, 20])
-        assert apply_interleave(z, a, b).tolist() == [1, 10, 20, 2]
+def open_file(data: bytes) -> IndexFileReader:
+    store = InMemoryObjectStore()
+    store.put("i.index", data)
+    return IndexFileReader.open(store, "i.index")
 
-    def test_length_mismatch(self):
-        with pytest.raises(RottnestIndexError):
-            apply_interleave(np.array([True]), np.array([1]), np.array([2]))
+
+def legacy_builder(
+    parts: list[list[tuple[int, list[str]]]],
+    *,
+    block_size: int = 64,
+    sample_rate: int = 4,
+) -> FmBuilder:
+    """The multi-string FM index the interleave merge produced from one
+    fresh build per part, constructed naively: every suffix of every
+    part's text, ended by that part's own sentinel (part ``i``'s sorts
+    below part ``j``'s for ``i < j``), sorted; samples at each part's
+    own multiples of the rate; the sentinel suffix's page is its part's
+    last page."""
+    texts = [b"".join(page_text(v) for _, v in pages) for pages in parts]
+    k = len(texts)
+    suffixes = []
+    offset = 0
+    for i, (text, pages) in enumerate(zip(texts, parts)):
+        ends = np.cumsum([len(page_text(v)) for _, v in pages])
+        for p in range(len(text) + 1):
+            key = [k + c for c in text[p:]] + [i]
+            page_index = int(np.searchsorted(ends, p, side="right"))
+            page = pages[min(page_index, len(pages) - 1)][0]
+            suffixes.append((key, i, p, offset + p, page))
+        offset += len(text)
+    suffixes.sort(key=lambda s: s[0])
+    bwt = bytes(
+        texts[i][p - 1] if p else 0 for _, i, p, _, _ in suffixes
+    )
+    sentinels = [row for row, s in enumerate(suffixes) if s[2] == 0]
+    sampled = [row for row, s in enumerate(suffixes) if s[2] % sample_rate == 0]
+    return FmBuilder(
+        bwt=bwt,
+        sentinels=sentinels,
+        pagemap=np.array([s[4] for s in suffixes], dtype=np.uint32),
+        sample_rows=np.array(sampled, dtype=np.int64),
+        sample_positions=np.array([suffixes[r][3] for r in sampled], dtype=np.int64),
+        page_lens=[len(page_text(v)) for pages in parts for _, v in pages],
+        page_gids=[g for pages in parts for g, _ in pages],
+        block_size=block_size,
+        sample_rate=sample_rate,
+    )
 
 
 class TestMergeBwts:
@@ -71,128 +108,185 @@ class TestMergeBwts:
         ],
     )
     def test_merged_collection_inverts_to_both_texts(self, text_a, text_b):
-        bwt_a, s_a = single_bwt(text_a)
-        bwt_b, s_b = single_bwt(text_b)
-        merge = merge_bwts(bwt_a, [s_a], bwt_b, [s_b])
-        merged, sentinels = merge.bwt_and_sentinels()
-        assert len(sentinels) == 2
-        assert merge.iterations >= 1
-        texts = invert_multi_bwt(merged, sentinels)
-        assert texts == [text_a, text_b]
-
-    def test_interleave_counts_match_sources(self):
-        bwt_a, s_a = single_bwt(b"hello world")
-        bwt_b, s_b = single_bwt(b"goodbye")
-        interleave = merge_bwts(bwt_a, [s_a], bwt_b, [s_b]).interleave
-        assert int((~interleave).sum()) == len(bwt_a)
-        assert int(interleave.sum()) == len(bwt_b)
-
-    def test_convergence_bound_enforced(self):
-        bwt_a, s_a = single_bwt(b"aaaaaaaaaaaaaaaa")
-        bwt_b, s_b = single_bwt(b"aaaaaaaaaaaaaaaa")
-        with pytest.raises(MergeDidNotConverge):
-            merge_bwts(bwt_a, [s_a], bwt_b, [s_b], max_iterations=2)
+        merged = FmBuilder.merge([from_text(text_a), from_text(text_b)], [0, 1])
+        assert len(merged.sentinels) == 1
+        assert merged.text() == text_a + text_b
+        assert merged.bwt == from_text(text_a + text_b).bwt
 
     @given(st.binary(max_size=60), st.binary(max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_merge_inverts_property(self, text_a, text_b):
-        bwt_a, s_a = single_bwt(text_a)
-        bwt_b, s_b = single_bwt(text_b)
-        merged, sentinels = merge_bwts(
-            bwt_a, [s_a], bwt_b, [s_b]
-        ).bwt_and_sentinels()
-        assert invert_multi_bwt(merged, sentinels) == [text_a, text_b]
-
-    @given(
-        st.lists(
-            # Small alphabets and NUL runs: long shared contexts, many
-            # passes, windows that open, merge and close.
-            st.one_of(
-                st.binary(max_size=40),
-                st.text(alphabet="ab", max_size=60).map(str.encode),
-                st.text(alphabet="\x00a", max_size=60).map(str.encode),
-            ),
-            min_size=2,
-            max_size=4,
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_active_set_equals_full_sort_reference(self, texts):
-        """Folding texts in (so A is multi-sentinel from the second
-        merge on, and B once the operands are swapped) reaches, pass for
-        pass, the interleave the full-sort loop reaches."""
-        bwt, sentinels = single_bwt(texts[0])
-        sentinels = [sentinels]
-        for text in texts[1:]:
-            bwt_b, s_b = single_bwt(text)
-            for a, b in (
-                ((bwt, sentinels), (bwt_b, [s_b])),
-                ((bwt_b, [s_b]), (bwt, sentinels)),
-            ):
-                merge = merge_bwts(*a, *b)
-                expected, passes = naive_interleave(*a, *b)
-                assert np.array_equal(merge.interleave, expected)
-                assert merge.iterations == passes
-                assert len(bwt) + len(bwt_b) <= merge.rows_sorted
-                assert merge.rows_sorted <= passes * len(expected)
-                assert merge.bwt_and_sentinels() == _woven(expected, *a, *b)
-            bwt, sentinels = merge_bwts(
-                bwt, sentinels, bwt_b, [s_b]
-            ).bwt_and_sentinels()
-        assert invert_multi_bwt(bwt, sentinels) == texts
-
-    def test_rows_sorted_shrinks_on_text(self):
-        """On word text the passes after the first touch a shrinking
-        share of the rows — the point of the active set."""
-        from repro.workloads.text import TextWorkload
-
-        gen = TextWorkload(seed=2, vocabulary_size=300)
-        a, b = (
-            single_bwt(page_text(gen.documents(60, avg_chars=80)))
-            for _ in range(2)
-        )
-        merge = merge_bwts(a[0], [a[1]], b[0], [b[1]])
-        n = len(a[0]) + len(b[0])
-        assert merge.iterations > 10
-        assert merge.rows_sorted < 0.4 * merge.iterations * n
-
-
-def _woven(interleave, bwt_a, sentinels_a, bwt_b, sentinels_b):
-    """Merged BWT bytes and sentinel rows under ``interleave``."""
-    bwt = apply_interleave(
-        interleave,
-        np.frombuffer(bwt_a, dtype=np.uint8),
-        np.frombuffer(bwt_b, dtype=np.uint8),
-    )
-    is_sentinel = apply_interleave(
-        interleave,
-        np.isin(np.arange(len(bwt_a)), sentinels_a),
-        np.isin(np.arange(len(bwt_b)), sentinels_b),
-    )
-    return bwt.tobytes(), np.flatnonzero(is_sentinel).tolist()
+        merged = FmBuilder.merge([from_text(text_a), from_text(text_b)], [0, 1])
+        assert merged.text() == text_a + text_b
 
 
 class TestMultiStringInversion:
     def test_three_way(self):
-        """Merging a merged collection with a third text."""
-        texts = [b"first text", b"second one", b"third"]
-        bwt_a, s_a = single_bwt(texts[0])
-        bwt_b, s_b = single_bwt(texts[1])
-        m1, sent1 = merge_bwts(bwt_a, [s_a], bwt_b, [s_b]).bwt_and_sentinels()
-        bwt_c, s_c = single_bwt(texts[2])
-        m2, sent2 = merge_bwts(m1, sent1, bwt_c, [s_c]).bwt_and_sentinels()
-        assert len(sent2) == 3
-        assert invert_multi_bwt(m2, sent2) == texts
+        """A three-sentinel collection inverts to its texts in order."""
+        parts = [[(0, ["first text"])], [(1, ["second one"])], [(2, ["third"])]]
+        legacy = legacy_builder(parts)
+        assert len(legacy.sentinels) == 3
+        assert legacy.text() == b"first text\x00second one\x00third\x00"
 
     def test_requires_sentinels(self):
         with pytest.raises(ValueError):
-            invert_multi_bwt(b"\x00", [])
+            invert_bwt(b"\x00", [], np.array([0]), np.array([0]))
+
+    @given(
+        st.lists(
+            st.lists(st.text(alphabet="ab \x01", max_size=12), max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_inverts_any_multi_sentinel_collection(self, part_rows, rate):
+        parts = [[(i, rows)] for i, rows in enumerate(part_rows)]
+        legacy = legacy_builder(parts, sample_rate=rate)
+        assert legacy.text() == b"".join(page_text(rows) for rows in part_rows)
+
+
+page_rows = st.one_of(
+    st.lists(
+        st.text(
+            alphabet=st.characters(min_codepoint=1, max_codepoint=300),
+            max_size=20,
+        ),
+        max_size=5,
+    ),
+    # Highly repetitive: the input the interleave took longest on.
+    st.integers(1, 80).map(lambda n: ["a" * n]),
+    st.tuples(st.sampled_from(["ab", "aab", "x"]), st.integers(1, 30)).map(
+        lambda unit_times: [unit_times[0] * unit_times[1]] * 2
+    ),
+)
+
+
+class TestMergeEqualsFreshBuild:
+    @given(
+        st.lists(
+            st.lists(page_rows, min_size=1, max_size=3).filter(
+                lambda pages: any(pages)
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        st.sampled_from([32, 256]),
+        st.sampled_from([2, 8]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merge_equals_fresh_build_property(
+        self, parts_rows, block_size, sample_rate, store_pagemap
+    ):
+        """``merge`` and ``merge_streaming`` of 2-4 parts, and a chain
+        of pairwise merges, write the bytes a build over the
+        concatenated pages writes."""
+        params = dict(
+            block_size=block_size,
+            sample_rate=sample_rate,
+            store_pagemap=store_pagemap,
+        )
+        parts, offsets, pages = [], [], []
+        for rows_per_page in parts_rows:
+            offsets.append(len(pages))
+            local = list(enumerate(rows_per_page))
+            parts.append(FmBuilder.build(local, **params))
+            pages.extend((offsets[-1] + g, rows) for g, rows in local)
+        expected = file_bytes(FmBuilder.build(pages, **params))
+        assert file_bytes(FmBuilder.merge(parts, offsets)) == expected
+        streamed = FmBuilder.merge_streaming(iter(parts), offsets)
+        assert file_bytes(streamed) == expected
+        chained = parts[0]
+        for part, offset in zip(parts[1:], offsets[1:]):
+            chained = FmBuilder.merge([chained, part], [0, offset])
+        assert file_bytes(chained) == expected
+
+    def test_loaded_parts_merge_to_fresh_build(self):
+        """Parts read back from files (no page map loaded) merge to the
+        fresh build's bytes, page map included."""
+        from repro.workloads.text import TextWorkload
+
+        gen = TextWorkload(seed=5, vocabulary_size=200)
+        pages = [(g, gen.documents(6, avg_chars=40)) for g in range(4)]
+        parts = [
+            FmBuilder.build([(0, v)], block_size=128, sample_rate=8)
+            for _, v in pages
+        ]
+        loaded = [FmBuilder.load(open_file(file_bytes(p))) for p in parts]
+        assert not any(len(part.pagemap) for part in loaded)
+        merged = FmBuilder.merge_streaming(iter(loaded), [0, 1, 2, 3])
+        expected = FmBuilder.build(pages, block_size=128, sample_rate=8)
+        assert file_bytes(merged) == file_bytes(expected)
+        with pytest.raises(RottnestIndexError, match="merge input"):
+            file_bytes(loaded[0])
+
+
+class TestLegacyMultiSentinelFixture:
+    """A file the interleave merge wrote: answered like the oracle, and
+    merged into a correct single-sentinel file."""
+
+    @pytest.fixture
+    def reader(self):
+        return open_file(LEGACY_FIXTURE.read_bytes())
+
+    @staticmethod
+    def oracle_pages():
+        return [
+            (2 * part + page, rows)
+            for part, pages in enumerate(LEGACY_PAGES)
+            for page, rows in enumerate(pages)
+        ]
+
+    def test_legacy_multi_sentinel_answers_like_oracle(self, reader):
+        assert len(reader.params["sentinels"]) == 3
+        pages = self.oracle_pages()
+        full = b"".join(page_text(rows) for _, rows in pages)
+        for needle in ["a", "ana", "ab", "aaaa", "miss", "cab", "nab a", "zz"]:
+            q = FmQuerier(reader)
+            starts = [
+                i for i in range(len(full)) if full.startswith(needle.encode(), i)
+            ]
+            assert q.count(needle) == len(starts), needle
+            assert q.locate_positions(needle, limit=1000) == starts, needle
+            assert q.candidate_pages(needle) == [
+                gid for gid, rows in pages if any(needle in row for row in rows)
+            ], needle
+
+    def test_legacy_multi_sentinel_matches_naive_reference(self, reader):
+        """The naive multi-string construction these tests use for
+        legacy parts is what the interleave merge wrote."""
+        loaded = FmBuilder.load(reader)
+        naive = legacy_builder(
+            [list(enumerate(pages)) for pages in LEGACY_PAGES],
+            sample_rate=4,
+        )
+        assert loaded.bwt == naive.bwt
+        assert loaded.sentinels == naive.sentinels
+
+    def test_legacy_multi_sentinel_merges_to_single_sentinel(self, reader):
+        legacy = FmBuilder.load(reader)
+        extra = [(0, ["bandana banana", "cabal"])]
+        fresh = FmBuilder.build(
+            extra, block_size=64, sample_rate=4, store_pagemap=False
+        )
+        merged = FmBuilder.merge_streaming(iter([legacy, fresh]), [0, 6])
+        assert len(merged.sentinels) == 1
+        pages = self.oracle_pages() + [(6, extra[0][1])]
+        expected = FmBuilder.build(
+            pages, block_size=64, sample_rate=4, store_pagemap=False
+        )
+        assert file_bytes(merged) == file_bytes(expected)
 
 
 class TestBuilderInterleaveMerge:
+    """Builder-level merges, including chains and parts that the
+    interleave merge left multi-sentinel."""
+
     def test_chained_compaction_stays_correct(self):
-        """Repeated interleave merges (as chained compactions produce)
-        keep counting exact."""
+        """Repeated merges (as chained compactions produce) keep
+        counting exact and stay single-sentinel."""
         from repro.workloads.text import TextWorkload
         from tests.test_fm_index import naive_count, store_fm
 
@@ -204,7 +298,7 @@ class TestBuilderInterleaveMerge:
         for g, values in all_pages[1:]:
             part = FmBuilder.build([(0, values)], block_size=512, sample_rate=8)
             merged = FmBuilder.merge([merged, part], [0, g])
-        assert len(merged.sentinels) == 6
+        assert len(merged.sentinels) == 1
         full = b"".join(page_text(v) for _, v in all_pages)
         _, querier = store_fm(merged, 6, rows_per_page=8)
         for needle in ["a", "ba", all_pages[3][1][0][:6]]:
@@ -223,11 +317,9 @@ class TestBuilderInterleaveMerge:
         merged = FmBuilder.merge([b1, b2], [0, 1])
         rows = merged.sample_rows.tolist()
         assert rows == sorted(set(rows))
-        assert len(rows) == len(b1.sample_rows) + len(b2.sample_rows)
-        positions = set(merged.sample_positions.tolist())
-        assert len(positions) == len(rows)
-        assert 0 in positions  # part A's origin
-        assert b1.text_length in positions  # part B's shifted origin
+        positions = sorted(merged.sample_positions.tolist())
+        # Every multiple of the rate over the merged text, once.
+        assert positions == list(range(0, merged.text_length + 1, 4))
 
     def test_pagemap_weaves(self):
         b1 = FmBuilder.build([(0, ["aaa", "bbb"])], block_size=128, sample_rate=4)
@@ -236,49 +328,49 @@ class TestBuilderInterleaveMerge:
         assert len(merged.pagemap) == merged.n
         assert set(merged.pagemap.tolist()) == {0, 1}
         assert merged.store_pagemap
+        joint = FmBuilder.build(
+            [(0, ["aaa", "bbb"]), (1, ["ccc"])], block_size=128, sample_rate=4
+        )
+        assert np.array_equal(merged.pagemap, joint.pagemap)
 
     def test_answers_like_rebuild_with_multi_sentinel_parts(self):
-        """Merging already-merged parts (both operands multi-sentinel)
-        counts and locates exactly like inversion + rebuild of the same
-        parts, and sums the interleave work of every fold."""
+        """Merging multi-sentinel parts gives the fresh build over all
+        their pages, and each legacy part answers like its rebuild."""
         from repro.workloads.text import TextWorkload
         from tests.test_fm_index import store_fm
 
         gen = TextWorkload(seed=11, vocabulary_size=150)
         docs = [gen.documents(8, avg_chars=70) for _ in range(4)]
-        singles = [
-            FmBuilder.build([(0, values)], block_size=512, sample_rate=8)
-            for values in docs
-        ]
-        left = FmBuilder.merge(singles[:2], [0, 1])
-        right = FmBuilder.merge(singles[2:], [0, 1])
+        left, right = (
+            legacy_builder([[(0, a)], [(1, b)]], block_size=512, sample_rate=8)
+            for a, b in (docs[:2], docs[2:])
+        )
         assert len(left.sentinels) == len(right.sentinels) == 2
         merged = FmBuilder.merge([left, right], [0, 2])
-        rebuilt = FmBuilder.merge_rebuild([left, right], [0, 2])
-        assert len(merged.sentinels) == 4 and len(rebuilt.sentinels) == 1
-        _, q_merged = store_fm(merged, 4, rows_per_page=8)
-        _, q_rebuilt = store_fm(rebuilt, 4, rows_per_page=8)
-        for needle in ["a", "e ", docs[0][0][:5], docs[3][2][3:12], "qzx"]:
-            assert q_merged.count(needle) == q_rebuilt.count(needle), needle
-            assert q_merged.locate_positions(needle, limit=400) == (
+        rebuilt = FmBuilder.build(
+            list(enumerate(docs)), block_size=512, sample_rate=8
+        )
+        assert len(merged.sentinels) == 1
+        assert file_bytes(merged) == file_bytes(rebuilt)
+        _, q_legacy = store_fm(left, 2, rows_per_page=8)
+        _, q_rebuilt = store_fm(
+            FmBuilder.build(list(enumerate(docs[:2])), block_size=512, sample_rate=8),
+            2,
+            rows_per_page=8,
+        )
+        for needle in ["a", "e ", docs[0][0][:5], docs[1][2][3:12], "qzx"]:
+            assert q_legacy.count(needle) == q_rebuilt.count(needle), needle
+            assert q_legacy.locate_positions(needle, limit=400) == (
                 q_rebuilt.locate_positions(needle, limit=400)
             ), needle
-            assert q_merged.candidate_pages(needle) == (
+            assert q_legacy.candidate_pages(needle) == (
                 q_rebuilt.candidate_pages(needle)
             ), needle
-        assert singles[0].merge_stats == {} == rebuilt.merge_stats
-        for name in ("interleave_iterations", "rows_sorted"):
-            assert merged.merge_stats[name] > (
-                left.merge_stats[name] + right.merge_stats[name]
-            )
 
     def test_index_file_bytes_pinned(self):
-        """sha256 of one built and one merged index file, taken from
-        the commit before samples became arrays and the suffix sort,
-        interleave loop and ``sa{i}`` writer were vectorised: the
-        on-disk bytes must not move."""
-        from repro.core.index_file import IndexFileWriter, PageDirectory
-        from repro.formats.page_reader import PageEntry, PageTable
+        """sha256 of one built and one merged index file: the on-disk
+        bytes must not move. Re-pinned when page maps switched to RLE
+        deflate and merges became single-sentinel rebuilds."""
         from repro.workloads.text import TextWorkload
 
         def sha256(builder, n_pages):
@@ -307,10 +399,10 @@ class TestBuilderInterleaveMerge:
             for _ in range(3)
         ]
         assert sha256(parts[0], 2) == (
-            "2e7c598d6e2b1b885e9fc5b5ff0b3cb4fa3e89b9697e05701357066c459c11c0"
+            "43105f639a07aa319402ce6f396611807a6be868abbf54e900c9a8ab877b0c87"
         )
         merged = FmBuilder.merge_streaming(iter(parts), [0, 2, 4])
-        assert len(merged.sentinels) == 3
+        assert len(merged.sentinels) == 1
         assert sha256(merged, 6) == (
-            "273aac7f25ef45456c849312d15032c26f9aec7df9d2139690f3192a9081bd1f"
+            "252287f2a696b5b6f038c6205c359dff760e28c276f566d230c2cb59e5e17d65"
         )

@@ -164,10 +164,11 @@ class TestCompactAndVacuumReports:
         _assert_reconciles(report.bill(latency=LAT, costs=COSTS), delta)
 
     def test_fm_compact_reports_interleave_work(self):
-        """An FM compaction's interleave passes and sorted rows land on
-        the ``compact.merge`` span and the report; the active set keeps
-        ``rows_sorted`` well under ``passes * n``. A trie compaction
-        counts nothing."""
+        """What an FM compaction reports now that the merge has no
+        interleave to count: one ``compact.merge`` phase whose bill
+        holds the merge's bytes (every part read back in full, the
+        merged file written by the content-addressed upload inside the
+        merge task), and one counted run."""
         store = InMemoryObjectStore(clock=SimClock(start=1_000_000.0))
         lake = LakeTable.create(
             store,
@@ -179,31 +180,22 @@ class TestCompactAndVacuumReports:
         for i in range(3):
             lake.append(event_batch(120, seed=i + 1))
             client.index("text", "fm", params={"block_size": 4096})
-            client.index("uuid", "uuid_trie")
-        with use_tracer(Tracer(clock=store.clock)), MaintenancePipeline(
-            client, workers=2
-        ) as pipe:
+        parts = covering_records(client, "text", "fm")
+        with use_hub(TelemetryHub()) as hub, use_tracer(
+            Tracer(clock=store.clock)
+        ), MaintenancePipeline(client, workers=2) as pipe:
+            before = store.stats.snapshot()
             report = pipe.compact("text", "fm")
-            trie_report = pipe.compact("uuid", "uuid_trie")
-        assert len(report.records) == 1
-        merge_span = next(
-            s for s in report.root.walk() if s.name == "compact.merge"
-        )
-        assert merge_span.attributes["interleave_iterations"] == (
-            report.interleave_iterations
-        )
-        assert merge_span.attributes["rows_sorted"] == report.rows_sorted
-        # Two folds of >= 2 passes each over ~15k-22k merged rows.
-        assert report.interleave_iterations >= 4
-        merged_rows = sum(
-            len(row) + 1
-            for i in range(3)
-            for row in event_batch(120, seed=i + 1)["text"]
-        )
-        assert merged_rows < report.rows_sorted
-        assert report.rows_sorted < 0.5 * report.interleave_iterations * merged_rows
-        assert trie_report.records
-        assert trie_report.interleave_iterations == trie_report.rows_sorted == 0
+            delta = store.stats.snapshot().delta(before)
+        assert len(parts) == 3 and len(report.records) == 1
+        merges = [s for s in report.root.walk() if s.name == "compact.merge"]
+        assert len(merges) == 1
+        bill = report.bill(latency=LAT, costs=COSTS)
+        _assert_reconciles(bill, delta)
+        merge = next(p for p in bill.phases if p.phase == "merge")
+        assert merge.bytes_read >= sum(r.size for r in parts)
+        assert merge.bytes_written == report.records[0].size
+        assert hub.series("maintain.compact.runs", outcome="committed").total() == 1
 
     def test_vacuum_is_a_serial_passthrough(self):
         store, client = self._compactable_client()
