@@ -62,6 +62,18 @@ def uuid_series():
     return rows
 
 
+def unique_needle(docs0, appended, width=12):
+    """A ``width``-char slice of the first batch that occurs in exactly
+    one appended row: with a single match, a top-k search cannot stop
+    early and must query every index file."""
+    for doc in docs0:
+        for start in range(len(doc) - width + 1):
+            needle = doc[start : start + width]
+            if sum(needle in row for row in appended) == 1:
+                return needle
+    raise AssertionError("no slice of the first batch is unique")
+
+
 def text_series():
     store = InMemoryObjectStore(clock=SimClock())
     schema = Schema.of(Field("text", ColumnType.STRING))
@@ -73,13 +85,11 @@ def text_series():
     gen = TextWorkload(seed=0, vocabulary_size=1500)
     rows = []
     done = 0
-    needle = None
-    docs0 = None
+    appended: list[str] = []
     for target in BATCHES:
         while done < target:
             docs = gen.documents(120, avg_chars=250)
-            if docs0 is None:
-                docs0 = docs
+            appended.extend(docs)
             lake.append({"text": docs})
             client.index(
                 "text", "fm",
@@ -87,7 +97,7 @@ def text_series():
                         "store_pagemap": False},
             )
             done += 1
-        needle = docs0[0][:12]
+        needle = unique_needle(appended[:120], appended)
         before = client.search("text", SubstringQuery(needle), k=5)
         compact_indices(client, "text", "fm")
         after = client.search("text", SubstringQuery(needle), k=5)

@@ -52,13 +52,12 @@ class ComponentFileWriter:
         self._body.write_bytes(MAGIC)
         self._entries: list[tuple[int, int, int, int]] = []  # off, stored, raw, codec
 
-    def add(self, data: bytes, *, compress: bool = True, rle: bool = False) -> int:
+    def add(self, data: bytes, *, rle: bool = False) -> int:
         """Append one component; returns its id (dense, from 0). ``rle``
         picks the codec's run-length strategy (same codec id)."""
-        codec = self._codec_id if compress else compression.NONE
+        codec = self._codec_id
         stored = compression.compress(data, codec, rle=rle)
-        # Store uncompressed when compression does not help.
-        if len(stored) >= len(data):
+        if not compression.deflate_pays(len(data), len(stored)):
             stored, codec = data, compression.NONE
         self._entries.append((len(self._body), len(stored), len(data), codec))
         self._body.write_bytes(stored)

@@ -104,12 +104,10 @@ class IndexFileWriter:
         first = self._writer.add(directory.serialize())
         self._names: dict[str, int] = {"__pages__": first}
 
-    def add_component(
-        self, name: str, data: bytes, *, compress: bool = True, rle: bool = False
-    ) -> int:
+    def add_component(self, name: str, data: bytes, *, rle: bool = False) -> int:
         if name in self._names:
             raise FormatError(f"duplicate component name {name!r}")
-        cid = self._writer.add(data, compress=compress, rle=rle)
+        cid = self._writer.add(data, rle=rle)
         self._names[name] = cid
         return cid
 

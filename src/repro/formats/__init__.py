@@ -5,7 +5,6 @@ from repro.formats.page_reader import (
     PageTable,
     build_page_table,
     read_page,
-    read_pages,
     read_rows_via_pages,
 )
 from repro.formats.parquet import (
@@ -32,7 +31,6 @@ __all__ = [
     "PageTable",
     "build_page_table",
     "read_page",
-    "read_pages",
     "read_rows_via_pages",
     "DEFAULT_PAGE_TARGET_BYTES",
     "DEFAULT_ROW_GROUP_ROWS",

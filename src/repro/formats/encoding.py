@@ -48,30 +48,37 @@ def decode_values(field: Field, data: bytes, count: int):
     """Decode ``count`` values of ``field`` from ``data``.
 
     Inverse of :func:`encode_values`; returns a list (or a 2-D numpy
-    array for vectors).
+    array for vectors). ``data`` must be exactly ``count`` values: a
+    short or long page, or a string that is not UTF-8, is a
+    :class:`FormatError` (a raw page has no checksum, so its length is
+    the structural check left).
     """
     type_ = field.type
     if type_ is ColumnType.INT64:
         _expect(data, count * 8)
-        return np.frombuffer(data, dtype="<i8", count=count).tolist()
+        return np.frombuffer(data, dtype="<i8").tolist()
     if type_ is ColumnType.FLOAT64:
         _expect(data, count * 8)
-        return np.frombuffer(data, dtype="<f8", count=count).tolist()
+        return np.frombuffer(data, dtype="<f8").tolist()
     if type_ is ColumnType.STRING:
-        return [v.decode("utf-8") for v in _split_len_prefixed(data, count)]
+        try:
+            return [v.decode("utf-8") for v in _split_len_prefixed(data, count)]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"string value is not UTF-8: {exc}") from exc
     if type_ is ColumnType.BINARY:
         return _split_len_prefixed(data, count)
     if type_ is ColumnType.VECTOR:
         _expect(data, count * field.vector_dim * 4)
-        arr = np.frombuffer(data, dtype="<f4", count=count * field.vector_dim)
+        arr = np.frombuffer(data, dtype="<f4")
         return arr.reshape(count, field.vector_dim).copy()
     raise FormatError(f"unknown column type {type_}")  # pragma: no cover
 
 
 def _split_len_prefixed(data: bytes, count: int) -> list[bytes]:
-    """``count`` uvarint-length-prefixed byte strings from ``data``, in
-    one loop with no reader object per value: a length under 128 is its
-    own single byte, only longer ones go through ``decode_uvarint``."""
+    """``count`` uvarint-length-prefixed byte strings that fill ``data``
+    exactly, in one loop with no reader object per value: a length under
+    128 is its own single byte, only longer ones go through
+    ``decode_uvarint``."""
     out = []
     pos, end = 0, len(data)
     try:
@@ -90,6 +97,8 @@ def _split_len_prefixed(data: bytes, count: int) -> list[bytes]:
             pos += n
     except (IndexError, ValueError) as exc:  # no / bad length prefix
         raise FormatError(f"bad value length at offset {pos}: {exc}") from exc
+    if pos != end:
+        raise FormatError(f"{end - pos} trailing bytes at offset {pos}")
     return out
 
 
@@ -119,8 +128,8 @@ def _uvarint_len(value: int) -> int:
 
 
 def _expect(data: bytes, nbytes: int) -> None:
-    if len(data) < nbytes:
-        raise FormatError(f"page too short: have {len(data)}, need {nbytes}")
+    if len(data) != nbytes:
+        raise FormatError(f"page is {len(data)} bytes, expected {nbytes}")
 
 
 def comparable(field: Field) -> bool:

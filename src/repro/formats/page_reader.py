@@ -177,14 +177,6 @@ def fetch_pages(
     ]
 
 
-def read_pages(store: ObjectStore, field: Field, entries: list[PageEntry]):
-    """Read several pages (issued as one coalesced parallel round).
-
-    Returns a list of ``(row_start, values)`` in input order.
-    """
-    return fetch_pages(store, field, entries)
-
-
 def read_rows_via_pages(
     store: ObjectStore,
     field: Field,

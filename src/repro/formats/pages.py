@@ -6,9 +6,10 @@ uncompressed content (~1 MB raw, a few hundred KB compressed) regardless
 of row-group size — so a reader that can address pages directly gets
 search-friendly granularity out of a format designed for scans.
 
-A page on disk is just the compressed encoding of a run of values; all
-framing (offset, sizes, row range) lives in the file footer and, for
-Rottnest, in external page tables.
+A page on disk is just the encoding of a run of values, compressed with
+its chunk's codec (``NONE`` where deflate does not pay); all framing
+(offset, sizes, row range) lives in the file footer and, for Rottnest,
+in external page tables.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.formats import compression
 from repro.formats.encoding import decode_values, encode_values, value_nbytes
-from repro.formats.schema import ColumnType, Field
+from repro.formats.schema import Field
 
 #: Default uncompressed bytes of raw data per page (paper: ~1 MB).
 DEFAULT_PAGE_TARGET_BYTES = 1 << 20
@@ -25,10 +26,11 @@ DEFAULT_PAGE_TARGET_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class BuiltPage:
-    """A page ready to be placed into a file."""
+    """A page ready to be placed into a file, in both forms: the writer
+    keeps ``data`` or, where deflate does not pay, ``raw``."""
 
-    data: bytes  # compressed encoded values
-    uncompressed_size: int
+    raw: bytes  # encoded values
+    data: bytes  # ``raw`` compressed with the requested codec
     num_values: int
 
 
@@ -59,15 +61,9 @@ def split_into_pages(field: Field, values, target_bytes: int) -> list[list]:
 
 def build_page(field: Field, values, codec: int) -> BuiltPage:
     """Encode and compress one page of values."""
-    if field.type is ColumnType.VECTOR:
-        num_values = len(values)
-    else:
-        num_values = len(values)
     raw = encode_values(field, values)
     return BuiltPage(
-        data=compression.compress(raw, codec),
-        uncompressed_size=len(raw),
-        num_values=num_values,
+        raw=raw, data=compression.compress(raw, codec), num_values=len(values)
     )
 
 

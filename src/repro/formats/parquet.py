@@ -159,20 +159,32 @@ def write_parquet(
         chunks: list[ColumnChunkMeta] = []
         for f in schema.fields:
             values = columns[f.name][rg_start : rg_start + rg_rows]
+            built_pages = [
+                build_page(f, page_values, codec_id)
+                for page_values in split_into_pages(f, values, page_target_bytes)
+            ]
+            # The codec lives on the chunk, so the chunk as a whole is
+            # deflated or stored raw.
+            chunk_codec = codec_id
+            if not compression.deflate_pays(
+                sum(len(b.raw) for b in built_pages),
+                sum(len(b.data) for b in built_pages),
+            ):
+                chunk_codec = compression.NONE
             pages: list[PageMeta] = []
             row_cursor = rg_start
-            for page_values in split_into_pages(f, values, page_target_bytes):
-                built = build_page(f, page_values, codec_id)
+            for built in built_pages:
+                stored = built.raw if chunk_codec == compression.NONE else built.data
                 pages.append(
                     PageMeta(
                         offset=len(body),
-                        compressed_size=len(built.data),
-                        uncompressed_size=built.uncompressed_size,
+                        compressed_size=len(stored),
+                        uncompressed_size=len(built.raw),
                         num_values=built.num_values,
                         first_row=row_cursor,
                     )
                 )
-                body.write_bytes(built.data)
+                body.write_bytes(stored)
                 row_cursor += built.num_values
             stat_min = stat_max = None
             if comparable(f):
@@ -181,7 +193,7 @@ def write_parquet(
             chunks.append(
                 ColumnChunkMeta(
                     column=f.name,
-                    codec=codec_id,
+                    codec=chunk_codec,
                     pages=tuple(pages),
                     stat_min=stat_min,
                     stat_max=stat_max,

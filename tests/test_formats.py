@@ -112,6 +112,34 @@ class TestEncoding:
         with pytest.raises(FormatError):
             decode_values(f, b"\x00" * 7, 1)
 
+    def test_non_utf8_string_is_a_format_error(self):
+        with pytest.raises(FormatError, match="UTF-8"):
+            decode_values(Field("s", ColumnType.STRING), b"\x02\xff\xfe", 1)
+
+    @pytest.mark.parametrize(
+        "field,values",
+        [
+            (Field("i", ColumnType.INT64), [1, 2]),
+            (Field("f", ColumnType.FLOAT64), [1.5, 2.5]),
+            (Field("s", ColumnType.STRING), ["ab", "cd"]),
+            (Field("b", ColumnType.BINARY), [b"ab", b"cd"]),
+            (
+                Field("v", ColumnType.VECTOR, vector_dim=2),
+                np.ones((2, 2), dtype=np.float32),
+            ),
+        ],
+    )
+    def test_page_decodes_exactly_its_bytes(self, field, values):
+        """A raw page has no checksum: fewer values than its bytes hold,
+        or a trailing byte, is a ``FormatError`` on every type."""
+        data = encode_values(field, values)
+        with pytest.raises(FormatError):
+            decode_values(field, data, 1)
+        with pytest.raises(FormatError):
+            decode_values(field, data + b"\x00", 2)
+        with pytest.raises(FormatError):
+            decode_values(field, data, 3)
+
     def test_value_nbytes_matches_encoding(self):
         f = Field("s", ColumnType.STRING)
         for v in ["", "x", "hello world", "y" * 300]:
@@ -154,7 +182,7 @@ class TestEncoding:
         values = raw if type_ is ColumnType.BINARY else [v.hex() for v in raw]
         data = encode_values(f, values)
         assert decode_values(f, data, len(values)) == values
-        assert decode_values(f, data, 0) == []
+        assert decode_values(f, b"", 0) == []
         for cut in range(len(data)):
             with pytest.raises(FormatError, match="offset"):
                 decode_values(f, data[:cut], len(values))

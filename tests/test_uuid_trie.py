@@ -1,6 +1,7 @@
 """Binary trie index: correctness vs a hash-map reference (§V-C1)."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -275,19 +276,32 @@ def test_layouts_agree_with_prefix_scan(keys, shape, target):
 
 
 class TestLutLayouts:
-    #: sha256 of the file the parent commit's ``write`` produced for
-    #: ``build_pages(3000, 4)`` at ``component_target_bytes=1024``.
-    PARENT_SHA256 = "b656dbc023f533a083177ec8fecacd0886830b140969b0f49c4e619ab9c2ffe1"
+    #: A file with the legacy ``lut``, written for ``build_pages(3000, 4)``
+    #: at ``component_target_bytes=1024`` before components that deflate
+    #: by under 10% were stored raw; ``LEGACY_SHA256`` is its sha256.
+    LEGACY_FIXTURE = Path(__file__).parent / "data" / "trie_legacy_lut.index"
+    LEGACY_SHA256 = "b656dbc023f533a083177ec8fecacd0886830b140969b0f49c4e619ab9c2ffe1"
 
-    def test_legacy_writer_reproduces_parent_bytes(self):
-        pages, _ = build_pages(3000, 4)
-        store, _ = store_index(
-            UuidTrieBuilder.build(pages),
-            4,
-            write=write_legacy,
-            component_target_bytes=1024,
+    def test_parent_written_lut_file_answers_like_brute_force(self):
+        blob = self.LEGACY_FIXTURE.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.LEGACY_SHA256
+        store = InMemoryObjectStore()
+        store.put("i.index", blob)
+        reader = IndexFileReader.open(store, "i.index")
+        assert reader.has_component("lut") and not reader.has_component("lutb")
+        pages, truth = build_pages(3000, 4)
+        builder = UuidTrieBuilder.build(pages)
+        # The legacy writer, run today, lays out the same components.
+        _, rewritten = store_index(
+            builder, 4, write=write_legacy, component_target_bytes=1024
         )
-        assert hashlib.sha256(store.get("i.index")).hexdigest() == self.PARENT_SHA256
+        assert rewritten.component_names() == reader.component_names()
+        for name in reader.component_names():
+            assert rewritten.component(name) == reader.component(name), name
+        q = UuidTrieQuerier(reader)
+        for i in range(0, 3000, 37):
+            assert q.candidate_pages(key_of(i)) == brute_force(builder, key_of(i))
+            assert truth[key_of(i)] in q.candidate_pages(key_of(i))
 
     def test_load_and_rewrite_moves_to_new_layout(self):
         pages, truth = build_pages(500, 4)
