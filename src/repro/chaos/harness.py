@@ -31,7 +31,7 @@ from repro.chaos.points import classify_crash_point
 from repro.core.client import RottnestClient
 from repro.core.fsck import InvariantChecker
 from repro.errors import ReproError, SimulatedCrash
-from repro.meta.metadata_table import CHECKPOINT_DIR
+from repro.meta.metadata_table import META_LOG
 from repro.storage.faults import FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore, ObjectStore
 
@@ -116,7 +116,7 @@ def _logical_state(store: InMemoryObjectStore) -> dict[str, bytes]:
     return {
         key: data
         for key, data in store.dump().items()
-        if f"/{CHECKPOINT_DIR}/" not in key
+        if f"/{META_LOG.checkpoint_dir}/" not in key
     }
 
 

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from repro.core.client import INDEX_FILES_DIR
 from repro.ingest.wal import WAL_DIR
-from repro.lake.log import CHECKPOINT_DIR as LAKE_CHECKPOINT_DIR
-from repro.lake.log import LOG_DIR as LAKE_LOG_DIR
-from repro.lake.table import DATA_DIR
-from repro.meta.metadata_table import CHECKPOINT_DIR, META_LOG_DIR
+from repro.lake.table import DATA_DIR, LAKE_LOG
+from repro.meta.metadata_table import META_LOG
 from repro.obs.flight import FLIGHT_DIR
 from repro.obs.store import SNAPSHOT_DIR
 
@@ -188,9 +186,9 @@ def classify_crash_point(verb: str, op: str, key: str) -> str:
     op = op.upper()
     if op == "DELETE" and f"/{INDEX_FILES_DIR}/" in key:
         name = f"{verb}:delete-index-file"
-    elif op == "PUT" and f"/{CHECKPOINT_DIR}/" in key:
+    elif op == "PUT" and f"/{META_LOG.checkpoint_dir}/" in key:
         name = f"{verb}:put-meta-checkpoint"
-    elif op == "PUT" and f"/{META_LOG_DIR}/" in key:
+    elif op == "PUT" and f"/{META_LOG.log_dir}/" in key:
         name = f"{verb}:put-meta-commit"
     elif op == "PUT" and f"/{INDEX_FILES_DIR}/" in key:
         name = (
@@ -204,9 +202,9 @@ def classify_crash_point(verb: str, op: str, key: str) -> str:
         name = f"{verb}:put-wal-frame"
     elif op == "DELETE" and f"/{WAL_DIR}/" in key:
         name = f"{verb}:delete-wal-frame"
-    elif op == "PUT" and f"/{LAKE_LOG_DIR}/" in key:
+    elif op == "PUT" and f"/{LAKE_LOG.log_dir}/" in key:
         name = f"{verb}:put-lake-commit"
-    elif op == "PUT" and f"/{LAKE_CHECKPOINT_DIR}/" in key:
+    elif op == "PUT" and f"/{LAKE_LOG.checkpoint_dir}/" in key:
         name = f"{verb}:put-lake-checkpoint"
     elif op == "PUT" and f"/{DATA_DIR}/" in key:
         name = f"{verb}:put-data-file"

@@ -196,26 +196,6 @@ def _upload(
     )
 
 
-def _commit(
-    client: RottnestClient, records: list[IndexRecord], *, idempotent: bool
-) -> None:
-    """Insert uploaded records: one transactional insert on the calling
-    thread whatever the pool — the Existence invariant needs every
-    index-file PUT durable before its record, and the metadata log is
-    one conditional-PUT stream anyway.
-
-    ``idempotent``: a resumed run (or a concurrent maintainer that
-    built the identical blob) may find some records already live under
-    their content-addressed keys. Re-inserting them would poison the
-    metadata log, so only the missing ones go in.
-    """
-    if idempotent:
-        live = {r.index_key for r in client.meta.records()}
-        records = [r for r in records if r.index_key not in live]
-    if records:
-        client.meta.insert(records)
-
-
 # ---------------------------------------------------------------------
 # index (§IV-A): plan -> extract -> build -> upload -> commit
 # ---------------------------------------------------------------------
@@ -278,7 +258,7 @@ def build_index(
                 deterministic=False,
             )
             client._check_timeout(started, "before commit")
-            _commit(client, [record], idempotent=False)
+            client.meta.insert([record])
         return record
 
 
@@ -368,7 +348,11 @@ def compact_indices(
         )
         if merged_records:
             with phase(store, "compact.commit", "commit"):
-                _commit(client, merged_records, idempotent=True)
+                # One insert on the calling thread whatever the pool:
+                # Existence needs every upload durable before its
+                # record. Keys already live (a resumed run, or a racing
+                # compactor's identical blob) are skipped by the insert.
+                client.meta.insert(merged_records)
         span.set("merged_files", len(merged_records))
         return merged_records
 
@@ -496,7 +480,7 @@ def refine_index(
                 num_rows=record.num_rows,
                 deterministic=True,
             )
-            _commit(client, [new_record], idempotent=True)
+            client.meta.insert([new_record])
         return new_record
 
 

@@ -111,7 +111,7 @@ class IngestDrainer:
             # flush — the commit's SetTransaction already raised the
             # floor — so converge the checkpoint here; every crash
             # history must end on the same bytes. No-op when not due.
-            lake._maybe_checkpoint(lake.log.latest_version())
+            lake.log.checkpoint(lake.log.latest_version())
         report.index_records = self._index_stage()
         drained_to = floor if not pending else pending[-1]
         evict_to = drained_to if retained is None else min(drained_to, retained)

@@ -8,11 +8,11 @@ appends, compactions, updates) and deletion vectors being attached.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.errors import LakeError
 from repro.formats.schema import ColumnType, Field, Schema
+from repro.lake.log import json_bytes, json_value
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,23 @@ class SetSchema:
     schema: Schema
 
     def to_json(self) -> dict:
-        return {
-            "action": "set_schema",
-            "fields": [
-                {"name": f.name, "type": f.type.name, "vector_dim": f.vector_dim}
-                for f in self.schema.fields
-            ],
-        }
+        return {"action": "set_schema", "fields": schema_to_json(self.schema)}
+
+
+def schema_to_json(schema: Schema) -> list[dict]:
+    return [
+        {"name": f.name, "type": f.type.name, "vector_dim": f.vector_dim}
+        for f in schema.fields
+    ]
+
+
+def schema_from_json(fields: list[dict]) -> Schema:
+    return Schema(
+        fields=tuple(
+            Field(name=f["name"], type=ColumnType[f["type"]], vector_dim=f["vector_dim"])
+            for f in fields
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -102,27 +112,15 @@ Action = SetSchema | AddFile | RemoveFile | SetDeletionVector | SetTransaction
 
 
 def actions_to_bytes(actions: list[Action]) -> bytes:
-    return json.dumps([a.to_json() for a in actions], indent=None).encode("utf-8")
+    return json_bytes([a.to_json() for a in actions])
 
 
 def actions_from_bytes(data: bytes) -> list[Action]:
-    try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise LakeError(f"corrupt log entry: {exc}") from exc
     actions: list[Action] = []
-    for obj in raw:
+    for obj in json_value(data):
         kind = obj.get("action")
         if kind == "set_schema":
-            fields = tuple(
-                Field(
-                    name=f["name"],
-                    type=ColumnType[f["type"]],
-                    vector_dim=f["vector_dim"],
-                )
-                for f in obj["fields"]
-            )
-            actions.append(SetSchema(schema=Schema(fields=fields)))
+            actions.append(SetSchema(schema=schema_from_json(obj["fields"])))
         elif kind == "add_file":
             actions.append(
                 AddFile(path=obj["path"], num_rows=obj["num_rows"], size=obj["size"])

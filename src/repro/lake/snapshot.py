@@ -18,6 +18,8 @@ from repro.lake.actions import (
     SetDeletionVector,
     SetSchema,
     SetTransaction,
+    schema_from_json,
+    schema_to_json,
 )
 
 
@@ -45,10 +47,7 @@ class Snapshot:
         """Checkpoint serialization (see TransactionLog checkpoints)."""
         return {
             "version": self.version,
-            "fields": [
-                {"name": f.name, "type": f.type.name, "vector_dim": f.vector_dim}
-                for f in self.schema.fields
-            ],
+            "fields": schema_to_json(self.schema),
             "files": [
                 {"path": f.path, "num_rows": f.num_rows, "size": f.size}
                 for f in self.files
@@ -59,19 +58,9 @@ class Snapshot:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Snapshot":
-        from repro.formats.schema import ColumnType, Field
-
-        fields = tuple(
-            Field(
-                name=f["name"],
-                type=ColumnType[f["type"]],
-                vector_dim=f["vector_dim"],
-            )
-            for f in obj["fields"]
-        )
         return cls(
             version=obj["version"],
-            schema=Schema(fields=fields),
+            schema=schema_from_json(obj["fields"]),
             files=tuple(
                 FileEntry(path=f["path"], num_rows=f["num_rows"], size=f["size"])
                 for f in obj["files"]

@@ -22,7 +22,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from repro.errors import CommitConflict, LakeError
+from repro.errors import LakeError
 from repro.formats.pages import DEFAULT_PAGE_TARGET_BYTES
 from repro.formats.parquet import DEFAULT_ROW_GROUP_ROWS, write_parquet
 from repro.formats.reader import ParquetFile
@@ -34,14 +34,28 @@ from repro.lake.actions import (
     SetDeletionVector,
     SetSchema,
     SetTransaction,
+    actions_from_bytes,
+    actions_to_bytes,
 )
 from repro.lake.deletion import DeletionVector
-from repro.lake.log import TransactionLog
+from repro.lake.log import LogFormat, TransactionLog, json_bytes, json_value
 from repro.lake.snapshot import Snapshot, replay
 from repro.storage.object_store import ObjectStore
 
 DATA_DIR = "data"
 DELETES_DIR = "deletes"
+
+#: The lake's configuration of the transaction log: ``Action`` lists
+#: folded into snapshots.
+LAKE_LOG = LogFormat(
+    log_dir="_log",
+    checkpoint_dir="_checkpoints",
+    encode=actions_to_bytes,
+    decode=actions_from_bytes,
+    fold=replay,
+    dump=lambda snapshot: json_bytes(snapshot.to_json()),
+    load=lambda data: Snapshot.from_json(json_value(data)),
+)
 
 
 @dataclass(frozen=True)
@@ -66,7 +80,12 @@ class LakeTable:
         self.store = store
         self.root = root.rstrip("/")
         self.config = config or TableConfig()
-        self.log = TransactionLog(store, self.root)
+        self.log = TransactionLog(
+            store,
+            self.root,
+            LAKE_LOG,
+            checkpoint_interval=self.config.checkpoint_interval,
+        )
         self._name_counter = itertools.count()
 
     # -- lifecycle -----------------------------------------------------
@@ -98,35 +117,9 @@ class LakeTable:
         return self.log.latest_version()
 
     def snapshot(self, version: int | None = None) -> Snapshot:
-        # One umbrella LIST (log tip + checkpoint inventory together)
-        # keeps the cold plan round at a single unparallelisable LIST
-        # for the lake instead of three.
-        latest, checkpoints = self.log.versions()
-        if version is None:
-            version = latest
-        base_version = max((c for c in checkpoints if c <= version), default=-1)
-        if base_version >= 0:
-            base = self.log.read_checkpoint(base_version)
-            tail = self.log.read_range(base_version + 1, version, latest=latest)
-            return replay(version, tail, base=base)
-        return replay(version, self.log.read_all(up_to=version, latest=latest))
-
-    def _maybe_checkpoint(self, version: int) -> None:
-        if (version + 1) % self.config.checkpoint_interval != 0:
-            return
-        # Reconstruct exactly `version` (not latest: a concurrent writer
-        # may already have moved on) and persist it.
-        base_version = self.log.latest_checkpoint_version(version)
-        if base_version == version:
-            return
-        if base_version >= 0:
-            base = self.log.read_checkpoint(base_version)
-            snap = replay(
-                version, self.log.read_range(base_version + 1, version), base=base
-            )
-        else:
-            snap = replay(version, self.log.read_all(up_to=version))
-        self.log.write_checkpoint(snap)
+        """The snapshot at ``version`` (default: latest): one LIST, the
+        newest checkpoint at or before it, and the log tail."""
+        return self.log.state(version)
 
     @property
     def schema(self) -> Schema:
@@ -179,9 +172,7 @@ class LakeTable:
         if partition is not None and ("/" in partition or "=" in partition):
             raise LakeError(f"invalid partition value {partition!r}")
         add = self._write_data_file(columns, partition)
-        version = self.log.commit([add])
-        self._maybe_checkpoint(version)
-        return version
+        return self.log.commit([add])
 
     def write_data_at(self, key: str, columns: dict[str, list]) -> AddFile:
         """Write ``columns`` as one Parquet file at a caller-chosen key.
@@ -223,13 +214,11 @@ class LakeTable:
             # may have landed between that commit and its due
             # checkpoint; writing it now keeps every crash history
             # converging on the same bytes. No-op when not due.
-            self._maybe_checkpoint(self.log.latest_version())
+            self.log.checkpoint(self.log.latest_version())
             return None
-        version = self.log.commit(
+        return self.log.commit(
             [*actions, SetTransaction(app_id=app_id, version=app_version)]
         )
-        self._maybe_checkpoint(version)
-        return version
 
     @staticmethod
     def partition_of(path: str) -> str | None:
@@ -418,11 +407,8 @@ class LakeTable:
         ``log.commit`` instead.
         """
         version = planned_version + 1
-        try:
-            self.log.try_commit(version, actions)
-        except CommitConflict:
-            raise
-        self._maybe_checkpoint(version)
+        self.log.try_commit(version, actions)
+        self.log.checkpoint(version)
         return version
 
 

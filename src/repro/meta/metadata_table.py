@@ -3,25 +3,25 @@
 Tracks which index files exist and which Parquet files each one covers
 (paper Fig. 3). The paper implements it as a Delta Lake table; the only
 property the protocol needs is *transactional* inserts and deletes, so
-here it is a compact record log committed with conditional PUTs — the
-same primitive the lake's transaction log uses. Any transactional store
+here it is a configuration of the lake's own transaction log
+(:class:`~repro.lake.log.TransactionLog`): entries are insert/delete
+dicts, the state is the live records. Any transactional store
 (Postgres, DynamoDB, a Delta table) could be slotted in.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.errors import CommitConflict, LakeError, PreconditionFailed
+from repro.errors import LakeError
+from repro.lake.log import (
+    DEFAULT_CHECKPOINT_INTERVAL,
+    LogFormat,
+    TransactionLog,
+    json_bytes,
+    json_value,
+)
 from repro.storage.object_store import ObjectStore
-
-META_LOG_DIR = "_meta"
-CHECKPOINT_DIR = "_meta_checkpoints"
-VERSION_DIGITS = 20
-#: A checkpoint is written after every this many commits, like Delta
-#: Lake's log checkpoints: readers then replay only the tail.
-DEFAULT_CHECKPOINT_INTERVAL = 10
 
 
 @dataclass(frozen=True)
@@ -37,36 +37,52 @@ class IndexRecord:
     created_at: float  # store-clock seconds at commit time
 
     def to_json(self) -> dict:
-        return {
-            "index_key": self.index_key,
-            "index_type": self.index_type,
-            "column": self.column,
-            "covered_files": list(self.covered_files),
-            "num_rows": self.num_rows,
-            "size": self.size,
-            "created_at": self.created_at,
-        }
+        return {**asdict(self), "covered_files": list(self.covered_files)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexRecord":
-        return cls(
-            index_key=obj["index_key"],
-            index_type=obj["index_type"],
-            column=obj["column"],
-            covered_files=tuple(obj["covered_files"]),
-            num_rows=obj["num_rows"],
-            size=obj["size"],
-            created_at=obj["created_at"],
-        )
+        return cls(**{**obj, "covered_files": tuple(obj["covered_files"])})
+
+
+def _fold(
+    version: int, entries: list[dict], base: dict[str, IndexRecord] | None
+) -> dict[str, IndexRecord]:
+    """Live records by index key, oldest first."""
+    live = {} if base is None else base
+    for entry in entries:
+        for obj in entry.get("insert", []):
+            record = IndexRecord.from_json(obj)
+            if record.index_key in live:
+                raise LakeError(f"index {record.index_key!r} inserted twice")
+            live[record.index_key] = record
+        for key in entry.get("delete", []):
+            if key not in live:
+                raise LakeError(f"deleting unknown index {key!r}")
+            del live[key]
+    return live
+
+
+#: The metadata table's configuration of the transaction log.
+META_LOG = LogFormat(
+    log_dir="_meta",
+    checkpoint_dir="_meta_checkpoints",
+    encode=json_bytes,
+    decode=json_value,
+    fold=_fold,
+    dump=lambda live: json_bytes([r.to_json() for r in live.values()]),
+    load=lambda data: {
+        r.index_key: r for r in map(IndexRecord.from_json, json_value(data))
+    },
+)
 
 
 class MetadataTable:
     """Transactional insert/delete log of :class:`IndexRecord` rows.
 
-    Committers write a full-state *checkpoint* after every
-    ``checkpoint_interval`` commits; ``records()`` then reads one
-    checkpoint plus the log tail instead of replaying from version 0 —
-    the same trick Delta Lake uses to keep log reads O(tail).
+    Every mutation is validated against the state at the version it
+    commits on: after a conflict it re-reads and re-validates, so a
+    racing writer can make it a no-op or refuse it, never commit it
+    against stale state.
     """
 
     def __init__(
@@ -76,117 +92,21 @@ class MetadataTable:
         *,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
     ) -> None:
-        self.store = store
-        self.index_dir = index_dir.rstrip("/")
-        self._prefix = f"{self.index_dir}/{META_LOG_DIR}/"
-        self._checkpoint_prefix = f"{self.index_dir}/{CHECKPOINT_DIR}/"
-        self.checkpoint_interval = max(1, checkpoint_interval)
+        self.log = TransactionLog(
+            store, index_dir, META_LOG, checkpoint_interval=checkpoint_interval
+        )
 
-    def _key(self, version: int) -> str:
-        return f"{self._prefix}{version:0{VERSION_DIGITS}d}.json"
+    @property
+    def checkpoint_interval(self) -> int:
+        return self.log.checkpoint_interval
 
-    def _checkpoint_key(self, version: int) -> str:
-        return f"{self._checkpoint_prefix}{version:0{VERSION_DIGITS}d}.json"
-
-    def latest_version(self) -> int:
-        entries = self.store.list(self._prefix)
-        if not entries:
-            return -1
-        return int(entries[-1].key.rsplit("/", 1)[1].split(".")[0])
-
-    def latest_checkpoint_version(self) -> int:
-        """Version of the newest checkpoint, or -1 if none exists."""
-        entries = self.store.list(self._checkpoint_prefix)
-        if not entries:
-            return -1
-        return int(entries[-1].key.rsplit("/", 1)[1].split(".")[0])
-
-    def versions(self) -> tuple[int, int]:
-        """``(latest log version, latest checkpoint version)`` with one
-        LIST.
-
-        ``_meta/`` and ``_meta_checkpoints/`` share the umbrella prefix
-        ``<index_dir>/_meta`` (index files live under other names), so
-        the read path pays one ~100 ms unparallelisable LIST instead of
-        two. Either value is -1 when that log is empty.
-        """
-        latest = checkpoint = -1
-        for info in self.store.list(f"{self.index_dir}/{META_LOG_DIR}"):
-            if info.key.startswith(self._prefix):
-                name = info.key.rsplit("/", 1)[1]
-                latest = max(latest, int(name.split(".")[0]))
-            elif info.key.startswith(self._checkpoint_prefix):
-                name = info.key.rsplit("/", 1)[1]
-                checkpoint = max(checkpoint, int(name.split(".")[0]))
-        return latest, checkpoint
-
-    def _read_entry(self, version: int) -> dict:
-        data = self.store.get(self._key(version))
-        try:
-            return json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise LakeError(f"corrupt metadata log v{version}: {exc}") from exc
-
-    def _read_checkpoint(self, version: int) -> dict[str, IndexRecord]:
-        data = self.store.get(self._checkpoint_key(version))
-        try:
-            objs = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise LakeError(
-                f"corrupt metadata checkpoint v{version}: {exc}"
-            ) from exc
-        live: dict[str, IndexRecord] = {}
-        for obj in objs:
-            record = IndexRecord.from_json(obj)
-            live[record.index_key] = record
-        return live
+    @checkpoint_interval.setter
+    def checkpoint_interval(self, value: int) -> None:
+        self.log.checkpoint_interval = max(1, value)
 
     def records(self) -> list[IndexRecord]:
         """Current live records (inserts minus deletes), oldest first."""
-        latest, start = self.versions()
-        live: dict[str, IndexRecord] = (
-            self._read_checkpoint(start) if start >= 0 else {}
-        )
-        for version in range(start + 1, latest + 1):
-            entry = self._read_entry(version)
-            for obj in entry.get("insert", []):
-                record = IndexRecord.from_json(obj)
-                if record.index_key in live:
-                    raise LakeError(
-                        f"index {record.index_key!r} inserted twice"
-                    )
-                live[record.index_key] = record
-            for key in entry.get("delete", []):
-                if key not in live:
-                    raise LakeError(f"deleting unknown index {key!r}")
-                del live[key]
-        return list(live.values())
-
-    def _maybe_checkpoint(self, version: int) -> None:
-        """Write a checkpoint of the state *through* ``version``.
-
-        Best-effort: a racing checkpoint at the same version loses the
-        conditional PUT harmlessly (both would hold identical content).
-        """
-        if (version + 1) % self.checkpoint_interval != 0:
-            return
-        # State strictly as of `version`: replay the log from scratch so
-        # a concurrent writer's newer commits cannot leak into this
-        # checkpoint (readers replay the tail from version+1).
-        live: dict[str, IndexRecord] = {}
-        for v in range(version + 1):
-            entry = self._read_entry(v)
-            for obj in entry.get("insert", []):
-                record = IndexRecord.from_json(obj)
-                live[record.index_key] = record
-            for key in entry.get("delete", []):
-                live.pop(key, None)
-        state = json.dumps([r.to_json() for r in live.values()]).encode()
-        try:
-            self.store.put(self._checkpoint_key(version), state,
-                           if_none_match=True)
-        except PreconditionFailed:
-            pass
+        return list(self.log.state().values())
 
     def indexed_files(self, column: str, index_type: str | None = None) -> set[str]:
         """Parquet paths covered by live indices on ``column``.
@@ -204,46 +124,37 @@ class MetadataTable:
             covered.update(record.covered_files)
         return covered
 
-    def _commit(self, entry: dict, max_retries: int = 20) -> int:
-        for _ in range(max_retries):
-            version = self.latest_version() + 1
-            try:
-                self.store.put(
-                    self._key(version),
-                    json.dumps(entry).encode("utf-8"),
-                    if_none_match=True,
-                )
-                self._maybe_checkpoint(version)
-                return version
-            except PreconditionFailed:
-                continue
-        raise CommitConflict("gave up committing to metadata table")
+    def insert(self, records: list[IndexRecord]) -> int | None:
+        """Transactionally insert the records whose keys are not live;
+        returns the commit version, or ``None`` if every key was.
 
-    def insert(self, records: list[IndexRecord]) -> int:
-        """Transactionally insert records; returns the commit version."""
+        Skipping live keys makes a re-run (or a racing maintainer that
+        built the same content-addressed file) a no-op instead of a
+        second insert of one key.
+        """
         if not records:
             raise LakeError("nothing to insert")
-        return self._commit({"insert": [r.to_json() for r in records]})
+        if len({r.index_key for r in records}) != len(records):
+            raise LakeError("one insert names an index key twice")
+
+        def plan(live: dict[str, IndexRecord]) -> dict | None:
+            fresh = [r.to_json() for r in records if r.index_key not in live]
+            return {"insert": fresh} if fresh else None
+
+        return self.log.commit(plan=plan)
 
     def delete(self, index_keys: list[str]) -> int:
-        """Transactionally delete records by index file key."""
+        """Transactionally delete records by index file key; raises
+        :class:`LakeError` (before any PUT) if one is not live."""
         if not index_keys:
             raise LakeError("nothing to delete")
-        live = {r.index_key for r in self.records()}
-        missing = [k for k in index_keys if k not in live]
-        if missing:
-            raise LakeError(f"cannot delete unknown indices: {missing}")
-        return self._commit({"delete": list(index_keys)})
+        if len(set(index_keys)) != len(index_keys):
+            raise LakeError("one delete names an index key twice")
 
-    def replace(self, insert: list[IndexRecord], delete: list[str]) -> int:
-        """Atomic insert+delete in one commit (used by compaction when a
-        caller wants old records gone immediately rather than at vacuum
-        time)."""
-        entry: dict = {}
-        if insert:
-            entry["insert"] = [r.to_json() for r in insert]
-        if delete:
-            entry["delete"] = list(delete)
-        if not entry:
-            raise LakeError("empty replace")
-        return self._commit(entry)
+        def plan(live: dict[str, IndexRecord]) -> dict:
+            missing = [k for k in index_keys if k not in live]
+            if missing:
+                raise LakeError(f"cannot delete unknown indices: {missing}")
+            return {"delete": list(index_keys)}
+
+        return self.log.commit(plan=plan)

@@ -17,7 +17,7 @@ from repro.lake.actions import (
 from repro.lake.deletion import DeletionVector
 from repro.lake.log import TransactionLog
 from repro.lake.snapshot import replay
-from repro.lake.table import LakeTable, TableConfig
+from repro.lake.table import LAKE_LOG, LakeTable, TableConfig
 from repro.storage.faults import FaultRule, FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
 
@@ -60,24 +60,24 @@ class TestActions:
 
 class TestTransactionLog:
     def test_empty_log(self, store):
-        log = TransactionLog(store, "lake/x")
+        log = TransactionLog(store, "lake/x", LAKE_LOG)
         assert log.latest_version() == -1
 
     def test_commit_sequence(self, store):
-        log = TransactionLog(store, "lake/x")
+        log = TransactionLog(store, "lake/x", LAKE_LOG)
         v0 = log.commit([AddFile(path="a", num_rows=1, size=1)])
         v1 = log.commit([AddFile(path="b", num_rows=1, size=1)])
         assert (v0, v1) == (0, 1)
         assert log.latest_version() == 1
 
     def test_try_commit_conflict(self, store):
-        log = TransactionLog(store, "lake/x")
+        log = TransactionLog(store, "lake/x", LAKE_LOG)
         log.try_commit(0, [AddFile(path="a", num_rows=1, size=1)])
         with pytest.raises(CommitConflict):
             log.try_commit(0, [AddFile(path="b", num_rows=1, size=1)])
 
     def test_conflict_preserves_winner(self, store):
-        log = TransactionLog(store, "lake/x")
+        log = TransactionLog(store, "lake/x", LAKE_LOG)
         log.try_commit(0, [AddFile(path="winner", num_rows=1, size=1)])
         try:
             log.try_commit(0, [AddFile(path="loser", num_rows=1, size=1)])
@@ -87,17 +87,17 @@ class TestTransactionLog:
         assert actions[0].path == "winner"
 
     def test_read_missing_version(self, store):
-        log = TransactionLog(store, "lake/x")
+        log = TransactionLog(store, "lake/x", LAKE_LOG)
         with pytest.raises(SnapshotNotFound):
             log.read_version(5)
         with pytest.raises(SnapshotNotFound):
-            log.read_all(up_to=3)
+            log.state(3)
 
     def test_store_fault_on_a_log_read_is_not_a_missing_version(self, store):
         """A fault that outlives its retries surfaces as itself; only a
         missing object says "this version does not exist"."""
         faulty = FaultyObjectStore(store)
-        log = TransactionLog(faulty, "lake/x")
+        log = TransactionLog(faulty, "lake/x", LAKE_LOG)
         log.commit([AddFile(path="a", num_rows=1, size=1)])
         faulty.add_rule(
             FaultRule("GET", key_predicate=lambda key: "lake/x/_log/" in key)
@@ -109,8 +109,8 @@ class TestTransactionLog:
             log.read_version(1)
 
     def test_commit_retries_past_conflicts(self, store):
-        log_a = TransactionLog(store, "lake/x")
-        log_b = TransactionLog(store, "lake/x")
+        log_a = TransactionLog(store, "lake/x", LAKE_LOG)
+        log_b = TransactionLog(store, "lake/x", LAKE_LOG)
         log_a.commit([AddFile(path="a", num_rows=1, size=1)])
         # b computed latest before a's commit; commit() re-reads and wins
         # the next slot.
@@ -366,7 +366,7 @@ class TestLogCheckpoints:
         for i in range(4):
             table.append(make_batch(i * 5, (i + 1) * 5))
         # Versions 0 (schema) + 4 appends; checkpoint at v3.
-        assert table.log.latest_checkpoint_version(100) == 3
+        assert table.log.versions() == (4, [3])
 
     def test_snapshot_equals_full_replay(self, store):
         table = self._table(store, interval=3)
@@ -375,9 +375,8 @@ class TestLogCheckpoints:
         table.delete_where("id", lambda v: v % 7 == 0)
         from repro.lake.snapshot import replay
 
-        full = replay(
-            table.latest_version(), table.log.read_all()
-        )
+        latest = table.latest_version()
+        full = replay(latest, [table.log.read_version(v) for v in range(latest + 1)])
         fast = table.snapshot()
         assert fast == full
 

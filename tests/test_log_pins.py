@@ -1,0 +1,270 @@
+"""What the transaction logs must never move: bytes and read requests.
+
+Both logs (the lake's ``_log`` and the metadata table's ``_meta``) are
+on-storage formats other readers depend on, and their two reads —
+``LakeTable.snapshot`` and ``MetadataTable.records`` — are a cold
+query's plan round. The values below were captured from the log code
+before the lake and metadata logs became one ``TransactionLog``; any
+change to keys, bytes, PUT order or the plan round's requests fails
+here. Log entries name data and index files by content hash and size,
+so a change to the Parquet or index file formats moves the golden
+values too: re-pin them only in such a change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+
+import pytest
+
+from repro.core.client import RottnestClient
+from repro.core.maintenance import compact_indices, vacuum_indices
+from repro.formats.schema import ColumnType, Field, Schema
+from repro.lake.table import LakeTable, TableConfig
+from repro.meta.metadata_table import IndexRecord, MetadataTable
+from repro.storage.object_store import InMemoryObjectStore
+from repro.util.clock import SimClock
+
+SCHEMA = Schema.of(Field("id", ColumnType.INT64), Field("uuid", ColumnType.BINARY))
+LOG_DIRS = ("/_log/", "/_checkpoints/", "/_meta/", "/_meta_checkpoints/")
+
+
+@pytest.fixture
+def seeded_urandom(monkeypatch):
+    """Lake data and deletion-vector names are salted with
+    ``os.urandom``; a counter makes a history reproducible."""
+    counter = itertools.count()
+    monkeypatch.setattr(
+        os, "urandom", lambda n: next(counter).to_bytes(n, "big")
+    )
+
+
+def _batch(lo: int, hi: int) -> dict[str, list]:
+    return {
+        "id": list(range(lo, hi)),
+        "uuid": [f"row-{i:05d}".encode().ljust(16, b"\0") for i in range(lo, hi)],
+    }
+
+
+class _RecordingStore(InMemoryObjectStore):
+    """Remembers every mutation that landed, in order."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.mutations: list[str] = []
+
+    def put(self, key, data, *, if_none_match=False):
+        info = super().put(key, data, if_none_match=if_none_match)
+        self.mutations.append(f"PUT {key}")
+        return info
+
+    def delete(self, key):
+        super().delete(key)
+        self.mutations.append(f"DELETE {key}")
+
+
+def _scripted_history() -> tuple[InMemoryObjectStore, str]:
+    """Appends, index, index compaction, a delete-where, a lake
+    compaction, a fresh index and a vacuum; interval 3 on both logs."""
+    store = _RecordingStore(clock=SimClock(start=1_000_000.0))
+    lake = LakeTable.create(
+        store,
+        "lake/g",
+        SCHEMA,
+        TableConfig(row_group_rows=64, page_target_bytes=512, checkpoint_interval=3),
+    )
+    counter = itertools.count()
+    client = RottnestClient(
+        store, "idx/g", lake, key_entropy=lambda: next(counter).to_bytes(4, "big")
+    )
+    client.meta.checkpoint_interval = 3
+    for i in range(4):
+        lake.append(_batch(i * 40, (i + 1) * 40))
+        client.index("uuid", "uuid_trie")
+    compact_indices(client, "uuid", "uuid_trie")
+    lake.delete_where("id", lambda v: v % 7 == 0)
+    lake.compact(min_file_rows=1000, target_rows=10_000)
+    lake.append(_batch(160, 200))
+    client.index("uuid", "uuid_trie")
+    store.clock.advance(2 * client.index_timeout_s)
+    vacuum_indices(client, snapshot_id=lake.latest_version())
+    return store, "\n".join(store.mutations)
+
+
+def _log_digests(store: InMemoryObjectStore) -> dict[str, str]:
+    return {
+        key: hashlib.sha256(data).hexdigest()
+        for key, data in sorted(store.dump().items())
+        if any(d in key for d in LOG_DIRS)
+    }
+
+
+def _requests(store: InMemoryObjectStore, read) -> list[list[tuple[str, str]]]:
+    store.start_trace()
+    try:
+        read()
+    finally:
+        trace = store.stop_trace()
+    return [[(r.op, r.key) for r in round_] for round_ in trace.rounds if round_]
+
+
+def _lake(store: InMemoryObjectStore, interval: int, appends: int) -> LakeTable:
+    lake = LakeTable.create(
+        store,
+        "lake/r",
+        SCHEMA,
+        TableConfig(row_group_rows=64, page_target_bytes=512,
+                    checkpoint_interval=interval),
+    )
+    for i in range(appends):
+        lake.append(_batch(i * 5, (i + 1) * 5))
+    return lake
+
+
+def _record(key: str) -> IndexRecord:
+    return IndexRecord(
+        index_key=key,
+        index_type="uuid_trie",
+        column="uuid",
+        covered_files=(f"lake/r/data/{key}.parquet",),
+        num_rows=5,
+        size=100,
+        created_at=1.0,
+    )
+
+
+def _meta(store: InMemoryObjectStore, interval: int, inserts: int) -> MetadataTable:
+    meta = MetadataTable(store, "idx/r", checkpoint_interval=interval)
+    for i in range(inserts):
+        meta.insert([_record(f"i{i}")])
+    meta.delete(["i0"])
+    return meta
+
+
+def _v(n: int) -> str:
+    return f"{n:020d}.json"
+
+
+# -- (a) golden bytes ---------------------------------------------------
+GOLDEN = {
+    "idx/g/_meta/00000000000000000000.json": (
+        "f9c9d2ac40bbc1b40e0f5a8806ca0df8c3db29e27c6452798ae79b9fd75732b2"
+    ),
+    "idx/g/_meta/00000000000000000001.json": (
+        "3958f49e97b046ba6d19d6b13b34830f623dcd19466c2522885618e33bcbc87e"
+    ),
+    "idx/g/_meta/00000000000000000002.json": (
+        "bf398d2b5decfed840c508b98a23e3d74fbcc999e2f0c31b8d40737a5854d14b"
+    ),
+    "idx/g/_meta/00000000000000000003.json": (
+        "b155c349c5a9d235e1dc033a30be6db32988fbf3beeeb8e1db5f227225f07e7f"
+    ),
+    "idx/g/_meta/00000000000000000004.json": (
+        "2500775e57c5193c4b2cb68c5677af8a9a50c6159bd42cd7dd37961f9330519a"
+    ),
+    "idx/g/_meta/00000000000000000005.json": (
+        "c30de53d02eff167eaf9e529fc5facfb7ba22fbb6589062e97bed281d0f31cce"
+    ),
+    "idx/g/_meta/00000000000000000006.json": (
+        "05b2fa82d6709b55436b106fc149f7def8e1237af2c3620671d06286b9295d91"
+    ),
+    "idx/g/_meta_checkpoints/00000000000000000002.json": (
+        "dacef611c274ca0f0a227974f7d6806275a5ba7d8d49b0a8eccae107125f2d82"
+    ),
+    "idx/g/_meta_checkpoints/00000000000000000005.json": (
+        "539624dc816092eb97995895120c2115bf9119c12919e7a9125f04e7f95587c7"
+    ),
+    "lake/g/_checkpoints/00000000000000000002.json": (
+        "1f83024e0c8112eaaddb41776605739c35fe976e11e563ad2c80f6d1778655f5"
+    ),
+    "lake/g/_checkpoints/00000000000000000005.json": (
+        "d568b9c9cb682ea9d08b71a5472864e369ac04f1bd394b15d12bd425789422a2"
+    ),
+    "lake/g/_log/00000000000000000000.json": (
+        "07eeed3ab56beb31af4f0febc2f3f8624532e765c2b7c3afc8add80634197f33"
+    ),
+    "lake/g/_log/00000000000000000001.json": (
+        "d91e9b7bd4d7e1007b9a72a0fb8d35bae98972916dd519617a22f4c66f0b4f01"
+    ),
+    "lake/g/_log/00000000000000000002.json": (
+        "0c7a0074cb64900ae6a2fdab3a14d457e1314e0c0a42d33b0bf5ce515b7e0941"
+    ),
+    "lake/g/_log/00000000000000000003.json": (
+        "9d88186eb8aae59c2bb3bae5a85d873dabf150d86d26b724ed8b27c9f8b5fc07"
+    ),
+    "lake/g/_log/00000000000000000004.json": (
+        "31371c1b56af727cc4ceabc0cd81ef5564be38dc4131943c08ef92b0cfe210f2"
+    ),
+    "lake/g/_log/00000000000000000005.json": (
+        "9ca00d4f89d9f1fd390fcf2212d2cdbafdaaaabe4eb1b71b4657d51062ce32de"
+    ),
+    "lake/g/_log/00000000000000000006.json": (
+        "808d1e87861e4d211d7ed91933e036f28890521db89661738357cd626a22832d"
+    ),
+    "lake/g/_log/00000000000000000007.json": (
+        "62eb14afe8e4803460a0abd2abcb156d239419467e222c17c0f58834d801d735"
+    ),
+}
+
+
+#: sha256 over the history's landed mutations, one ``"<op> <key>"``
+#: per line in the order they landed: every PUT and DELETE, data files
+#: included.
+GOLDEN_MUTATIONS = (
+    "e76d136440f9713a7d42c4bdfd73f4a0bf12a06b819480daee49c6584786e0a5"
+)
+
+
+def test_scripted_history_writes_the_golden_log_bytes(seeded_urandom):
+    store, mutations = _scripted_history()
+    assert _log_digests(store) == GOLDEN
+    assert hashlib.sha256(mutations.encode()).hexdigest() == GOLDEN_MUTATIONS
+
+
+# -- (b) the plan round's requests -------------------------------------
+def test_snapshot_without_checkpoint_requests():
+    store = InMemoryObjectStore()
+    lake = _lake(store, interval=10, appends=3)
+    assert _requests(store, lake.snapshot) == [
+        [("LIST", "lake/r/_")]
+        + [("GET", f"lake/r/_log/{_v(v)}") for v in range(4)]
+    ]
+
+
+def test_snapshot_from_checkpoint_requests():
+    store = InMemoryObjectStore()
+    lake = _lake(store, interval=3, appends=7)  # checkpoints at 2 and 5
+    assert _requests(store, lake.snapshot) == [
+        [("LIST", "lake/r/_"), ("GET", f"lake/r/_checkpoints/{_v(5)}")]
+        + [("GET", f"lake/r/_log/{_v(v)}") for v in (6, 7)]
+    ]
+
+
+def test_time_travel_requests():
+    store = InMemoryObjectStore()
+    lake = _lake(store, interval=3, appends=7)
+    assert _requests(store, lambda: lake.snapshot(1)) == [
+        [("LIST", "lake/r/_")]
+        + [("GET", f"lake/r/_log/{_v(v)}") for v in (0, 1)]
+    ]
+    assert _requests(store, lambda: lake.snapshot(4)) == [
+        [("LIST", "lake/r/_"), ("GET", f"lake/r/_checkpoints/{_v(2)}")]
+        + [("GET", f"lake/r/_log/{_v(v)}") for v in (3, 4)]
+    ]
+
+
+def test_records_requests():
+    store = InMemoryObjectStore()
+    without = _meta(store, interval=10, inserts=3)
+    assert _requests(store, without.records) == [
+        [("LIST", "idx/r/_meta")]
+        + [("GET", f"idx/r/_meta/{_v(v)}") for v in range(4)]
+    ]
+    store = InMemoryObjectStore()
+    with_checkpoint = _meta(store, interval=3, inserts=6)  # checkpoint at 5
+    assert _requests(store, with_checkpoint.records) == [
+        [("LIST", "idx/r/_meta"), ("GET", f"idx/r/_meta_checkpoints/{_v(5)}")]
+        + [("GET", f"idx/r/_meta/{_v(6)}")]
+    ]

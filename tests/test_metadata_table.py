@@ -27,7 +27,7 @@ def meta():
 class TestMetadataTable:
     def test_empty(self, meta):
         assert meta.records() == []
-        assert meta.latest_version() == -1
+        assert meta.log.latest_version() == -1
 
     def test_insert_and_read(self, meta):
         meta.insert([record("i1"), record("i2")])
@@ -48,28 +48,29 @@ class TestMetadataTable:
         meta.insert([record("i1")])
         with pytest.raises(LakeError):
             meta.delete(["nope"])
+        with pytest.raises(LakeError):
+            meta.delete(["i1", "i1"])  # would fail every later read
+        assert [r.index_key for r in meta.records()] == ["i1"]
 
     def test_double_insert_rejected(self, meta):
+        """A live key is refused at ``insert``: it never reaches the log,
+        so the log can never hold one key inserted twice."""
         meta.insert([record("i1")])
         meta.insert([record("i2")])
+        puts = meta.log.store.stats.puts
+        assert meta.insert([record("i1", created=2.0)]) is None
+        assert meta.log.store.stats.puts == puts
+        assert meta.insert([record("i1"), record("i3")]) == 2  # only i3
+        assert [r.index_key for r in meta.records()] == ["i1", "i2", "i3"]
+        assert meta.records()[0].created_at == 1.0
         with pytest.raises(LakeError):
-            meta.insert([record("i1")])
-            meta.records()
-        # records() raises because the log is inconsistent; in practice
-        # inserts use fresh uuid-suffixed keys, making this unreachable.
+            meta.insert([record("i4"), record("i4")])
 
     def test_empty_ops_rejected(self, meta):
         with pytest.raises(LakeError):
             meta.insert([])
         with pytest.raises(LakeError):
             meta.delete([])
-        with pytest.raises(LakeError):
-            meta.replace([], [])
-
-    def test_replace_atomic(self, meta):
-        meta.insert([record("old1"), record("old2")])
-        meta.replace(insert=[record("merged")], delete=["old1", "old2"])
-        assert [r.index_key for r in meta.records()] == ["merged"]
 
     def test_indexed_files_per_column(self, meta):
         meta.insert([record("i1", column="text", covered=("a", "b"))])
@@ -101,14 +102,14 @@ class TestCheckpoints:
         meta = MetadataTable(store, "idx/t", checkpoint_interval=5)
         for i in range(5):
             meta.insert([record(f"i{i}")])
-        assert meta.latest_checkpoint_version() == 4
+        assert meta.log.versions() == (4, [4])
         assert len(meta.records()) == 5
 
     def test_no_checkpoint_before_interval(self, store):
         meta = MetadataTable(store, "idx/t", checkpoint_interval=5)
         for i in range(4):
             meta.insert([record(f"i{i}")])
-        assert meta.latest_checkpoint_version() == -1
+        assert meta.log.versions() == (3, [])
 
     def test_records_from_checkpoint_plus_tail(self, store):
         meta = MetadataTable(store, "idx/t", checkpoint_interval=3)
@@ -126,7 +127,7 @@ class TestCheckpoints:
         before = store.stats.snapshot()
         meta.records()
         delta = store.stats.delta(before)
-        # 1 checkpoint + tail (versions 8.. none) + 2 LISTs.
+        # 1 checkpoint + tail (versions 8.. none) + 1 LIST.
         assert delta.gets <= 2
 
     def test_deletes_survive_checkpointing(self, store):
@@ -142,3 +143,48 @@ class TestCheckpoints:
             writer.insert([record(f"i{i}")])
         reader = MetadataTable(store, "idx/t", checkpoint_interval=3)
         assert len(reader.records()) == 6
+
+
+class _RaceStore(InMemoryObjectStore):
+    """Runs a rival's commit right before the next metadata-log PUT —
+    after the caller validated against the state, before its commit."""
+
+    rival = None
+
+    def put(self, key, data, *, if_none_match=False):
+        if self.rival is not None and "/_meta/" in key:
+            rival, self.rival = self.rival, None
+            rival()
+        return super().put(key, data, if_none_match=if_none_match)
+
+
+class TestRacingWriters:
+    """A commit that loses the race re-validates on the new state: it
+    becomes a no-op or is refused before any PUT, and never poisons the
+    log for every later reader."""
+
+    def test_racing_vacuums_delete_once(self):
+        store = _RaceStore()
+        a = MetadataTable(store, "idx/t")
+        b = MetadataTable(store, "idx/t")
+        a.insert([record("k"), record("keep")])
+        store.rival = lambda: a.delete(["k"])
+        with pytest.raises(LakeError, match="unknown"):
+            b.delete(["k"])
+        assert store.rival is None  # the race really ran
+        assert b.log.latest_version() == 1  # b's delete never landed
+        assert [r.index_key for r in b.records()] == ["keep"]
+
+    def test_racing_compactors_insert_once(self):
+        store = _RaceStore()
+        a = MetadataTable(store, "idx/t")
+        b = MetadataTable(store, "idx/t")
+        a.insert([record("small1"), record("small2")])
+        # Both built the same content-addressed merged file.
+        store.rival = lambda: a.insert([record("merged", created=2.0)])
+        assert b.insert([record("merged", created=3.0)]) is None
+        assert store.rival is None
+        assert b.log.latest_version() == 1
+        keys = [r.index_key for r in b.records()]
+        assert keys == ["small1", "small2", "merged"]
+        assert b.records()[-1].created_at == 2.0  # the winner's record
