@@ -15,7 +15,11 @@ special tooling.
 
 Searches are checked against an in-memory oracle of every row ever
 appended, so index corruption shows up as a wrong answer, not just a
-broken invariant. A :class:`~repro.serve.server.SearchServer` is also
+broken invariant. Between steps, either log's hint may be dropped,
+made stale or ahead of the log, garbled, or regressed as by a racing
+writer; each time, both logs' tips read through the hints must equal a
+full replay of the listed tip, the invariants must hold and a search
+must match the oracle. A :class:`~repro.serve.server.SearchServer` is also
 exercised with injected index-read faults to cover the brute-force
 degradation path.
 
@@ -54,6 +58,10 @@ INGEST_ROOT = "ingest/chaos"
 #: Fixed word list for synthetic documents; small enough that substring
 #: probes hit often, large enough that they do not hit everything.
 VOCAB = tuple(f"w{i:03d}" for i in range(80))
+
+#: How a step may leave a log's hint, and how often one does.
+HINT_PERTURBATIONS = ("drop", "stale", "ahead", "garbage", "regress")
+HINT_PERTURBATION_PROBABILITY = 0.3
 
 #: (column, index type, build params) pairs the fuzzer builds/compacts.
 INDEXABLE = (
@@ -101,6 +109,7 @@ class ChaosReport:
     steps: int = 0
     actions: dict = field(default_factory=dict)  # action -> count
     crashes: dict = field(default_factory=dict)  # crash point -> count
+    hints: dict = field(default_factory=dict)  # hint perturbation -> count
     recoveries: int = 0
     searches_checked: int = 0
     degraded_queries: int = 0
@@ -131,6 +140,8 @@ class ChaosReport:
             f"({self.degraded_queries} served degraded)",
             f"crashes injected: {sum(self.crashes.values())} "
             f"({self.recoveries} recovered by a fresh client)",
+            "hints perturbed: "
+            + (", ".join(f"{k}={n}" for k, n in sorted(self.hints.items())) or "none"),
         ]
         for point in sorted(self.crashes):
             marker = "" if point in CRASH_POINTS else "  <-- UNDOCUMENTED"
@@ -157,6 +168,9 @@ class ProtocolFuzzer:
     def __init__(self, config: ChaosConfig | None = None) -> None:
         self.config = config or ChaosConfig()
         self.rng = random.Random(self.config.seed)
+        # Its own stream, so perturbing hints leaves the history the
+        # seed picks unchanged.
+        self.hint_rng = random.Random(f"{self.config.seed}:hints")
         self.clock = SimClock(start=1_000_000.0)
         self.store = InMemoryObjectStore(clock=self.clock)
         self.tracer = Tracer(clock=self.clock)
@@ -227,6 +241,8 @@ class ProtocolFuzzer:
                         self.report.actions.get(action, 0) + 1
                     )
                     self._dispatch(action, step)
+                    if not self.report.violations:
+                        self._perturb_hint(step)
                     if self.report.violations:
                         break
                 final = self._checker().check()
@@ -474,25 +490,84 @@ class ProtocolFuzzer:
                     timeline,
                 )
 
+    # -- hints ---------------------------------------------------------
+    def _perturb_hint(self, step: int) -> None:
+        """Maybe leave one log's hint wrong, then check that nothing a
+        reader sees depends on it."""
+        rng = self.hint_rng
+        if rng.random() >= HINT_PERTURBATION_PROBABILITY:
+            return
+        log = rng.choice([self.lake.log, self._fresh_client().meta.log])
+        latest, checkpoints = log.versions()
+        kind = rng.choice(HINT_PERTURBATIONS)
+
+        def hint_at(version: int) -> tuple[int, int]:
+            return version, max((c for c in checkpoints if c <= version), default=-1)
+
+        if kind == "drop":
+            self.store.delete(log.hint_key)
+        elif kind == "garbage":
+            self.store.put(log.hint_key, rng.randbytes(rng.randint(0, 12)))
+        elif latest < 0:
+            return
+        elif kind == "stale":
+            log.write_hint(*hint_at(max(0, latest - rng.randint(1, 3))))
+        elif kind == "ahead":
+            log.write_hint(latest + rng.randint(1, 3), hint_at(latest)[1])
+        else:  # a racing writer's older hint landed last
+            log.write_hint(*hint_at(rng.randint(0, latest)))
+        self.report.hints[kind] = self.report.hints.get(kind, 0) + 1
+        action = f"hint-{kind}"
+        for tip_log in (self.lake.log, self._fresh_client().meta.log):
+            latest = tip_log.versions()[0]
+            if latest < 0:
+                continue
+            replayed = tip_log.fmt.fold(
+                latest, [tip_log.read_version(v) for v in range(latest + 1)], None
+            )
+            if tip_log.state() != replayed:
+                self._violate(
+                    step, action, None,
+                    f"{tip_log.root!r}: state read through the hint differs "
+                    f"from a full replay of listed version {latest}",
+                    "(no single operation to blame)",
+                )
+                return
+        audit = self._checker().check()
+        if not audit.invariants_hold:
+            self._violate(
+                step, action, None,
+                "invariants violated after a hint perturbation:\n"
+                + audit.describe(),
+                "(no single operation to blame)",
+            )
+            return
+        if self.rows:
+            client = rng.choice(self.clients)  # they read the fresh tier too
+            self._check_search(
+                step, action, lambda col, q, k: client.search(col, q, k=k), rng=rng
+            )
+
     # -- search oracle --------------------------------------------------
-    def _check_search(self, step: int, action: str, run_query) -> None:
+    def _check_search(self, step: int, action: str, run_query, *, rng=None) -> None:
         """Pick a query with a known exact answer and verify it."""
-        kind = self.rng.choice(["uuid-hit", "uuid-miss", "substring"])
+        rng = rng or self.rng
+        kind = rng.choice(["uuid-hit", "uuid-miss", "substring"])
         if kind == "uuid-hit":
-            uuid, _ = self.rng.choice(self.rows)
+            uuid, _ = rng.choice(self.rows)
             expected = sum(1 for u, _ in self.rows if u == uuid)
             result = run_query("uuid", UuidQuery(uuid), expected + 1)
             got = len(result.matches)
             bad_value = any(bytes(m.value) != uuid for m in result.matches)
         elif kind == "uuid-miss":
-            uuid = self.rng.getrandbits(128).to_bytes(16, "big")
+            uuid = rng.getrandbits(128).to_bytes(16, "big")
             expected = sum(1 for u, _ in self.rows if u == uuid)  # ~always 0
             result = run_query("uuid", UuidQuery(uuid), expected + 1)
             got = len(result.matches)
             bad_value = False
         else:
-            _, text = self.rng.choice(self.rows)
-            start = self.rng.randrange(max(1, len(text) - 6))
+            _, text = rng.choice(self.rows)
+            start = rng.randrange(max(1, len(text) - 6))
             needle = text[start : start + 6]
             expected = sum(1 for _, t in self.rows if needle in t)
             result = run_query("text", SubstringQuery(needle), expected + 1)

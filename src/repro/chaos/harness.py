@@ -31,6 +31,7 @@ from repro.chaos.points import classify_crash_point
 from repro.core.client import RottnestClient
 from repro.core.fsck import InvariantChecker
 from repro.errors import ReproError, SimulatedCrash
+from repro.lake.log import HINT_NAME
 from repro.meta.metadata_table import META_LOG
 from repro.storage.faults import FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore, ObjectStore
@@ -104,19 +105,21 @@ class CrashMatrix:
 
 
 def _logical_state(store: InMemoryObjectStore) -> dict[str, bytes]:
-    """Bucket contents minus metadata checkpoints.
+    """Bucket contents minus metadata checkpoints and log hints.
 
-    Checkpoints are a pure read optimization (readers replay the log
-    tail and see identical state), and a crashed-then-recovered history
-    may legitimately skip one: if the crash lands between a commit and
-    its checkpoint, the recovery re-run no-ops and never rewrites it.
-    The "byte-identical convergence" contract is therefore over
-    everything *except* ``{index_dir}/_meta_checkpoints/``.
+    Both are pure read optimizations (readers replay the log tail, or
+    LIST for the tip, and see identical state), and a
+    crashed-then-recovered history may legitimately skip one: if the
+    crash lands between a commit and its checkpoint or hint, the
+    recovery re-run no-ops and never rewrites them. The
+    "byte-identical convergence" contract is therefore over everything
+    *except* ``{index_dir}/_meta_checkpoints/`` and each log's hint.
     """
     return {
         key: data
         for key, data in store.dump().items()
         if f"/{META_LOG.checkpoint_dir}/" not in key
+        and not key.endswith(f"/{HINT_NAME}")
     }
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.core.client import INDEX_FILES_DIR
 from repro.ingest.wal import WAL_DIR
+from repro.lake.log import HINT_NAME
 from repro.lake.table import DATA_DIR, LAKE_LOG
 from repro.meta.metadata_table import META_LOG
 from repro.obs.flight import FLIGHT_DIR
@@ -40,6 +41,13 @@ CRASH_POINTS: dict[str, str] = {
         "a pure read optimization: readers replay the log tail from an "
         "older checkpoint (or from scratch) and see identical state."
     ),
+    "index:put-meta-hint": (
+        "Commit (and any due checkpoint) landed and the hint now names "
+        "it: the operation is complete. Had the crash come one PUT "
+        "earlier, the hint would name an older version; readers probe "
+        "the version after the hinted one, find it, and fall back to "
+        "one LIST, so a stale hint only costs a round trip."
+    ),
     "compact:put-merged-index": (
         "A merged index file uploaded, commit never happened. Same "
         "orphan story as index:put-index-file — and because merged "
@@ -58,6 +66,10 @@ CRASH_POINTS: dict[str, str] = {
         "Commit landed, checkpoint interrupted — harmless read "
         "optimization, as with index:put-meta-checkpoint."
     ),
+    "compact:put-meta-hint": (
+        "Commit landed and the hint names it — complete. A hint is a "
+        "read optimization, as with index:put-meta-hint."
+    ),
     "vacuum:put-meta-commit": (
         "Record deletions committed, physical deletions never started. "
         "Metadata shrank first, so M ⊆ B still holds; the lingering "
@@ -66,6 +78,11 @@ CRASH_POINTS: dict[str, str] = {
     "vacuum:put-meta-checkpoint": (
         "Deletion commit landed, checkpoint interrupted — harmless "
         "read optimization."
+    ),
+    "vacuum:put-meta-hint": (
+        "Deletion commit landed and the hint names it; physical "
+        "deletions never started. Same as vacuum:put-meta-commit: "
+        "the lingering files are unreferenced orphans."
     ),
     "vacuum:delete-index-file": (
         "Crashed partway through physical deletions. Every deleted "
@@ -105,6 +122,11 @@ CRASH_POINTS: dict[str, str] = {
         "read optimization: readers replay the log tail; the re-run "
         "re-attempts the same due checkpoint and converges."
     ),
+    "drain:put-lake-hint": (
+        "The lake commit (and any due checkpoint) landed and the lake's "
+        "hint names it. A hint is a read optimization: one left stale "
+        "by an earlier crash makes readers fall back to one LIST."
+    ),
     "drain:delete-wal-frame": (
         "Crashed partway through WAL truncation. Every segment being "
         "deleted is at-or-below the committed floor, so the fresh "
@@ -125,6 +147,10 @@ CRASH_POINTS: dict[str, str] = {
         "Index-stage commit landed, metadata checkpoint interrupted "
         "— harmless read optimization, as everywhere else."
     ),
+    "drain:put-meta-hint": (
+        "Index-stage commit landed and the hint names it — a read "
+        "optimization, as with index:put-meta-hint."
+    ),
     "crack:put-index-file": (
         "The cracking controller died after uploading a targeted or "
         "refined index file, before the metadata commit. Same orphan "
@@ -143,6 +169,10 @@ CRASH_POINTS: dict[str, str] = {
     "crack:put-meta-checkpoint": (
         "Commit landed, metadata checkpoint interrupted — harmless "
         "read optimization, as everywhere else."
+    ),
+    "crack:put-meta-hint": (
+        "Commit landed and the hint names it — a read optimization, "
+        "as with index:put-meta-hint."
     ),
     "obs:put-flight": (
         "The flight recorder died after uploading a retained trace, "
@@ -186,6 +216,10 @@ def classify_crash_point(verb: str, op: str, key: str) -> str:
     op = op.upper()
     if op == "DELETE" and f"/{INDEX_FILES_DIR}/" in key:
         name = f"{verb}:delete-index-file"
+    elif op == "PUT" and key.endswith(f"/{META_LOG.log_dir}/{HINT_NAME}"):
+        name = f"{verb}:put-meta-hint"
+    elif op == "PUT" and key.endswith(f"/{LAKE_LOG.log_dir}/{HINT_NAME}"):
+        name = f"{verb}:put-lake-hint"
     elif op == "PUT" and f"/{META_LOG.checkpoint_dir}/" in key:
         name = f"{verb}:put-meta-checkpoint"
     elif op == "PUT" and f"/{META_LOG.log_dir}/" in key:

@@ -195,11 +195,13 @@ class RottnestClient:
             snap = snapshot or self.lake.snapshot()
             snap_paths = scope(snap, partition, None)
             chosen, uncovered = plan(
-                self.meta, column, query.index_types, snap_paths
+                self.meta.records(), column, query.index_types, snap_paths
             )
             total = 0
             for record in chosen:
-                reader = IndexFileReader.open(self.store, record.index_key)
+                reader = IndexFileReader.open(
+                    self.store, record.index_key, size=record.size
+                )
                 querier = FmQuerier(reader)
                 # Count only occurrences within in-scope files: when the
                 # index also covers out-of-scope files, fall back to probing
@@ -235,7 +237,7 @@ class RottnestClient:
         snap = snapshot or self.lake.snapshot()
         snap_paths = scope(snap, partition, file_predicate)
         chosen, uncovered = plan(
-            self.meta, column, query.index_types, snap_paths
+            self.meta.records(), column, query.index_types, snap_paths
         )
         return SearchPlan(
             column=column,

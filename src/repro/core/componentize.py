@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from array import array
 
-from repro.errors import FormatError
+from repro.errors import FormatError, InvalidByteRange
 from repro.formats import compression
 from repro.storage.object_store import ObjectStore
 from repro.util.binio import BinaryReader, BinaryWriter
@@ -109,12 +109,22 @@ class ComponentFileReader:
         self._tail_start = tail_start
 
     @classmethod
-    def open(cls, store: ObjectStore, key: str) -> "ComponentFileReader":
-        """One HEAD + one tail GET; a second GET only for huge directories."""
-        size = store.head(key).size
+    def open(
+        cls, store: ObjectStore, key: str, *, size: int | None = None
+    ) -> "ComponentFileReader":
+        """One tail GET; a HEAD first (a round of its own) when ``size``
+        is unknown, and a second GET only for huge directories. A
+        ``size`` past the object's end is a :class:`FormatError`, and
+        one short of it leaves the footer's magic out of the tail."""
+        if size is None:
+            size = store.head(key).size
+            store.barrier()  # the tail's range depends on the size
         tail_len = min(TAIL_SPECULATIVE_BYTES, size)
         tail_start = size - tail_len
-        tail = store.get(key, (tail_start, tail_len))
+        try:
+            tail = store.get(key, (tail_start, tail_len))
+        except InvalidByteRange as exc:
+            raise FormatError(f"{key!r} is smaller than its size {size}") from exc
         if tail[-4:] != MAGIC:
             raise FormatError(f"{key!r} is not an index file (bad magic)")
         dir_len = int.from_bytes(tail[-8:-4], "little")

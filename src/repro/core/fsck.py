@@ -3,7 +3,9 @@
 Audits the §IV-D invariants against live state:
 
 * **Existence** — every index file the metadata table references is
-  physically present in the bucket;
+  physically present in the bucket, at the size its record names
+  (searches open it at that size, without a HEAD; a mismatch is
+  reported as a corrupt file);
 * **Consistency** — every index file's embedded page tables match the
   real layout of each covered Parquet file that still exists (a
   violated page table would mean in-situ probes read the wrong bytes);
@@ -19,7 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import FormatError, InvariantViolation, ObjectStoreError
+from repro.errors import (
+    FormatError,
+    InvariantViolation,
+    ObjectNotFound,
+    ObjectStoreError,
+)
 from repro.core.client import RottnestClient
 from repro.core.index_file import IndexFileReader
 from repro.formats.page_reader import build_page_table
@@ -79,17 +86,25 @@ def fsck(client: RottnestClient, *, verify_consistency: bool = True) -> FsckRepo
     for record in records:
         report.records_checked += 1
         # Existence.
-        if not client.store.exists(record.index_key):
+        try:
+            info = client.store.head(record.index_key)
+        except ObjectNotFound:
             report.missing_index_files.append(record.index_key)
             continue
         if not (set(record.covered_files) & active):
             report.stale_records.append(record.index_key)
+        # Searches open the file at the record's size, without a HEAD.
+        if info.size != record.size:
+            report.corrupt_index_files.append(record.index_key)
+            continue
         if not verify_consistency:
             continue
         # Consistency: the page tables embedded at build time must match
         # the current physical layout of every still-existing file.
         try:
-            reader = IndexFileReader.open(client.store, record.index_key)
+            reader = IndexFileReader.open(
+                client.store, record.index_key, size=record.size
+            )
             tables = reader.directory.tables
         except (FormatError, ObjectStoreError):
             report.corrupt_index_files.append(record.index_key)

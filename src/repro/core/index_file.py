@@ -149,10 +149,14 @@ class IndexFileReader:
         self._names: dict[str, int] = header["components"]
 
     @classmethod
-    def open(cls, store: ObjectStore, key: str) -> "IndexFileReader":
-        """HEAD, tail GET and header parse — or the kept reader."""
+    def open(
+        cls, store: ObjectStore, key: str, *, size: int | None = None
+    ) -> "IndexFileReader":
+        """Tail GET and header parse — or the kept reader. ``size``
+        (an :class:`~repro.meta.metadata_table.IndexRecord` has it)
+        saves the HEAD that otherwise finds it."""
         return store.memo(
-            key, "open", lambda: cls(ComponentFileReader.open(store, key))
+            key, "open", lambda: cls(ComponentFileReader.open(store, key, size=size))
         )
 
     @property

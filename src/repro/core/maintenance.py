@@ -272,7 +272,7 @@ def covering_records(
     literally: :func:`repro.core.search.plan`'s newest-first greedy
     cover over the snapshot's files."""
     snap_paths = set(client.lake.snapshot().file_paths)
-    return plan(client.meta, column, (index_type,), snap_paths)[0]
+    return plan(client.meta.records(), column, (index_type,), snap_paths)[0]
 
 
 def compact_indices(
@@ -378,7 +378,9 @@ def _merge_group(
     # (e.g. an ivf_pq probed with nprobe == its nlist), so the build
     # params recorded in the first part's header carry over — a raw
     # rebuild with defaults would silently change the index geometry.
-    params = IndexFileReader.open(client.store, group[0].index_key).params
+    params = IndexFileReader.open(
+        client.store, group[0].index_key, size=group[0].size
+    ).params
 
     raw_ok = getattr(builder_cls, "prefers_raw_rebuild", False) and all(
         client.store.exists(path) for path in covered
@@ -396,7 +398,7 @@ def _merge_group(
         # generator defers so a streaming-capable type holds at most
         # the running merge plus one fully-loaded part in memory.
         readers = [
-            IndexFileReader.open(client.store, record.index_key)
+            IndexFileReader.open(client.store, record.index_key, size=record.size)
             for record in group
         ]
         directories = [reader.directory for reader in readers]
@@ -455,7 +457,7 @@ def refine_index(
         "refine", column=record.column, index_type=record.index_type
     ):
         with phase(store, "refine.load", "extract"):
-            reader = IndexFileReader.open(store, record.index_key)
+            reader = IndexFileReader.open(store, record.index_key, size=record.size)
             if reader.params.get("nlist", 0) >= max_nlist:
                 return None
             builder = builder_for(record.index_type).load(reader)

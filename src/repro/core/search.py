@@ -45,11 +45,11 @@ from repro.formats.reader import ParquetFile
 from repro.indices.base import ExactQuerier, ScoringQuerier, querier_for
 from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
-from repro.meta.metadata_table import IndexRecord, MetadataTable
+from repro.meta.metadata_table import IndexRecord
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.object_store import ObjectStore
-from repro.storage.pool import TracedPool, phase, run_inline
+from repro.storage.pool import TracedPool, run_inline
 from repro.storage.stats import RequestTrace
 
 def probe_fresh(
@@ -77,7 +77,7 @@ def scope(snap: Snapshot, partition: str | None, file_predicate) -> set[str]:
 
 
 def plan(
-    meta: MetadataTable,
+    records: list[IndexRecord],
     column: str,
     index_types: tuple[str, ...],
     snap_paths: set[str],
@@ -95,9 +95,7 @@ def plan(
         return [], set(snap_paths)
     type_rank = {t: i for i, t in enumerate(index_types)}
     records = [
-        r
-        for r in meta.records()
-        if r.column == column and r.index_type in type_rank
+        r for r in records if r.column == column and r.index_type in type_rank
     ]
     # Newest first; ties (same store-clock second) broken by query
     # type preference, then metadata insertion order so compaction
@@ -176,17 +174,21 @@ def run_search(
     ) as root:
         # Plan phase is part of the query's latency: reading the
         # metadata table (and the snapshot manifest when not pinned)
-        # costs real, inherently sequential object-store round trips.
-        with phase(store, "plan", "plan") as plan_span:
-            snap = snapshot or client.lake.snapshot()
+        # costs real object-store round trips. The two logs are
+        # independent, so they are read one after the other on this
+        # thread and modeled as issued together, as independent index
+        # files are below.
+        with get_tracer().span("plan", phase="plan") as plan_span:
+            reads = [
+                lambda: snapshot or client.lake.snapshot(),
+                client.meta.records if use_indices else lambda: [],
+            ]
+            plan_trace, (snap, records) = run_inline(
+                store, reads, compose=RequestTrace.merge_parallel
+            )
+            plan_span.trace = plan_trace
             paths = scope(snap, partition, file_predicate)
-            if use_indices:
-                chosen, uncovered = plan(
-                    client.meta, column, query.index_types, paths
-                )
-            else:
-                chosen, uncovered = [], set(paths)
-        plan_trace = plan_span.trace
+            chosen, uncovered = plan(records, column, query.index_types, paths)
         plan_trace.barrier()  # index queries depend on the plan
 
         # Fresh rows count toward K for exact queries and join the
@@ -326,7 +328,7 @@ class _LazySearch:
         claim_lock = threading.Lock()
 
         def search_record(record: IndexRecord):
-            reader = IndexFileReader.open(store, record.index_key)
+            reader = IndexFileReader.open(store, record.index_key, size=record.size)
             querier = querier_for(record.index_type)(reader)
             assert isinstance(querier, ExactQuerier)
             gids = querier.candidate_pages(query.index_probe())
@@ -378,7 +380,7 @@ class _LazySearch:
         tracer = get_tracer()
 
         def probe_record(record: IndexRecord):
-            reader = IndexFileReader.open(store, record.index_key)
+            reader = IndexFileReader.open(store, record.index_key, size=record.size)
             querier = querier_for(record.index_type)(reader)
             assert isinstance(querier, ScoringQuerier)
             hits = querier.candidates(

@@ -22,7 +22,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from repro.errors import LakeError
+from repro.errors import CommitConflict, LakeError
 from repro.formats.pages import DEFAULT_PAGE_TARGET_BYTES
 from repro.formats.parquet import DEFAULT_ROW_GROUP_ROWS, write_parquet
 from repro.formats.reader import ParquetFile
@@ -101,6 +101,7 @@ class LakeTable:
         if table.log.latest_version() != -1:
             raise LakeError(f"table already exists at {root!r}")
         table.log.try_commit(0, [SetSchema(schema=schema)])
+        table.log.write_hint(0, -1)
         return table
 
     @classmethod
@@ -117,13 +118,15 @@ class LakeTable:
         return self.log.latest_version()
 
     def snapshot(self, version: int | None = None) -> Snapshot:
-        """The snapshot at ``version`` (default: latest): one LIST, the
-        newest checkpoint at or before it, and the log tail."""
+        """The snapshot at ``version`` (default: latest): the log's hint
+        (or a LIST), the newest checkpoint at or before it, and the log
+        tail."""
         return self.log.state(version)
 
     @property
     def schema(self) -> Schema:
-        return self.snapshot(0).schema
+        # Set once, by version 0: no discovery needed.
+        return replay(0, [self.log.read_version(0)]).schema
 
     def files_since(self, version: int) -> set[str]:
         """Union of data-file paths over snapshots ``version..latest``.
@@ -403,13 +406,18 @@ class LakeTable:
         If another writer committed in between, fail with
         :class:`CommitConflict` so the caller can re-plan — the planned
         Remove/SetDV actions may reference files that no longer exist.
-        Plain appends never conflict logically, so they use
-        ``log.commit`` instead.
+        Plain appends never conflict logically, so they commit blind.
         """
-        version = planned_version + 1
-        self.log.try_commit(version, actions)
-        self.log.checkpoint(version)
-        return version
+
+        def plan(snap: Snapshot) -> list[Action]:
+            if snap.version != planned_version:
+                raise CommitConflict(
+                    f"{self.root!r} moved past v{planned_version} "
+                    f"(now v{snap.version}); re-plan"
+                )
+            return actions
+
+        return self.log.commit(plan=plan)
 
 
 def _take(values, indices: list[int]):

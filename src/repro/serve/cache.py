@@ -26,11 +26,12 @@ with:
   and everything decoded from them, keeping the wrapper transparent as
   long as writes flow through it (read-your-writes); a value built
   while its key was invalidated is not admitted;
-* **metadata caching**: LIST-by-prefix and HEAD results (the paper's
-  latency model makes LIST pages cost ~100 ms and unparallelisable, so
-  the plan phase of a warm query is where caching pays most); a write
-  to any key invalidates its HEAD entry and every cached LIST whose
-  prefix covers the key;
+* **metadata caching**: LIST-by-prefix and HEAD results, and what a
+  reader finds a log's tip with — the log's hint, and the keys a GET
+  or HEAD found missing (the probe past the tip) — count-bounded and
+  outside the byte budget, since the plan phase of a warm query is
+  where caching pays most; a write to any key invalidates its
+  metadata entries and every cached LIST whose prefix covers the key;
 * **single-flight** misses: concurrent identical GETs (or builds) share
   one underlying fetch instead of stampeding the store; and
 * hit / miss / eviction counters — one set for bytes and decoded values
@@ -53,6 +54,8 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
+from repro.errors import ObjectNotFound
+from repro.lake.log import HINT_NAME
 from repro.obs.timeseries import get_hub
 from repro.serve.singleflight import SingleFlight
 from repro.storage.object_store import ObjectInfo, ObjectStore
@@ -66,7 +69,8 @@ _CacheKey = tuple[str, tuple[int, int] | str | None]
 
 DEFAULT_BUDGET_BYTES = 256 << 20
 DEFAULT_MAX_ENTRY_BYTES = 8 << 20
-#: LIST/HEAD results kept (count-bounded; they are metadata-sized).
+#: LIST/HEAD/discovery results kept, each (count-bounded; they are
+#: metadata-sized).
 DEFAULT_MAX_META_ENTRIES = 4096
 
 #: :class:`CacheStats` field -> the hub series each increment is also
@@ -173,6 +177,9 @@ class CachingObjectStore(ObjectStore):
         self._cached_bytes = 0
         self._lists: OrderedDict[str, list[ObjectInfo]] = OrderedDict()
         self._heads: OrderedDict[str, ObjectInfo] = OrderedDict()
+        #: A log hint's bytes, or None for a key a GET or HEAD found
+        #: missing: tip discovery, kept like a LIST whatever the budget.
+        self._discovery: OrderedDict[str, bytes | None] = OrderedDict()
         self._write_epoch = 0  # any invalidation; guards LIST admission
         self._max_meta_entries = DEFAULT_MAX_META_ENTRIES
         self._cache_lock = threading.RLock()
@@ -279,6 +286,9 @@ class CachingObjectStore(ObjectStore):
                 self._count("invalidations")
             if self._heads.pop(key, None) is not None:
                 self._count("invalidations")
+            if key in self._discovery:
+                del self._discovery[key]
+                self._count("invalidations")
             for prefix in [p for p in self._lists if key.startswith(p)]:
                 del self._lists[prefix]
                 self._count("invalidations")
@@ -292,11 +302,46 @@ class CachingObjectStore(ObjectStore):
             self._holders.clear()
             self._lists.clear()
             self._heads.clear()
+            self._discovery.clear()
             self._cached_bytes = 0
             self._report_bytes()
 
+    def _discovered(self, key: str, *, whole: bool) -> tuple[bool, bytes | None]:
+        """``(True, hint bytes or None for missing)`` when a discovery
+        entry answers a read of ``key`` (a hint only answers ``whole``
+        GETs; a hit when so), else ``(False, None)``."""
+        with self._cache_lock:
+            if key not in self._discovery:
+                return False, None
+            data = self._discovery[key]
+            if data is not None and not whole:
+                return False, None
+            self._discovery.move_to_end(key)
+            self._count("hits")
+            return True, data
+
+    def _keep_meta(self, entries: OrderedDict, key: str, value) -> None:
+        """Keep one LIST/HEAD/discovery result in its count-bounded
+        LRU (callers hold ``_cache_lock``)."""
+        entries[key] = value
+        while len(entries) > self._max_meta_entries:
+            entries.popitem(last=False)
+            self._count("evictions")
+
+    def _discover(self, key: str, data: bytes | None, generation: int) -> None:
+        """Keep a hint's bytes, or None for a missing ``key``, unless the
+        key was written since ``generation``."""
+        with self._cache_lock:
+            if self._generation.get(key, 0) == generation:
+                self._keep_meta(self._discovery, key, data)
+
     # -- operations ----------------------------------------------------
     def get(self, key: str, byte_range: tuple[int, int] | None = None) -> bytes:
+        known, data = self._discovered(key, whole=byte_range is None)
+        if known:
+            if data is None:
+                raise ObjectNotFound(key)
+            return data
         cached = self._lookup(key, byte_range)
         if cached is not None:
             return cached
@@ -305,8 +350,15 @@ class CachingObjectStore(ObjectStore):
             generation = self._generation.get(key, 0)
 
         def fetch() -> bytes:
-            data = self.inner.get(key, byte_range)
-            self._admit((key, byte_range), data, generation, len(data))
+            try:
+                data = self.inner.get(key, byte_range)
+            except ObjectNotFound:
+                self._discover(key, None, generation)
+                raise
+            if byte_range is None and key.endswith(f"/{HINT_NAME}"):
+                self._discover(key, data, generation)
+            else:
+                self._admit((key, byte_range), data, generation, len(data))
             return data
 
         return self._flights.do(("GET", key, byte_range), fetch)
@@ -388,6 +440,8 @@ class CachingObjectStore(ObjectStore):
         self.inner.delete(key)
 
     def head(self, key: str) -> ObjectInfo:
+        if self._discovered(key, whole=False)[0]:
+            raise ObjectNotFound(key)
         with self._cache_lock:
             info = self._heads.get(key)
             if info is not None:
@@ -396,13 +450,14 @@ class CachingObjectStore(ObjectStore):
                 return info
             self._count("misses")
             generation = self._generation.get(key, 0)
-        info = self.inner.head(key)
+        try:
+            info = self.inner.head(key)
+        except ObjectNotFound:
+            self._discover(key, None, generation)
+            raise
         with self._cache_lock:
             if self._generation.get(key, 0) == generation:
-                self._heads[key] = info
-                while len(self._heads) > self._max_meta_entries:
-                    self._heads.popitem(last=False)
-                    self._count("evictions")
+                self._keep_meta(self._heads, key, info)
         return info
 
     def list(self, prefix: str = "") -> list[ObjectInfo]:
@@ -417,10 +472,7 @@ class CachingObjectStore(ObjectStore):
         infos = self.inner.list(prefix)
         with self._cache_lock:
             if self._write_epoch == epoch:
-                self._lists[prefix] = list(infos)
-                while len(self._lists) > self._max_meta_entries:
-                    self._lists.popitem(last=False)
-                    self._count("evictions")
+                self._keep_meta(self._lists, prefix, list(infos))
         return infos
 
     # -- tracing delegates to the inner store --------------------------

@@ -254,7 +254,9 @@ class SearchServer:
         """
         warmed = 0
         for record in self.client.meta.records():
-            reader = IndexFileReader.open(self.client.store, record.index_key)
+            reader = IndexFileReader.open(
+                self.client.store, record.index_key, size=record.size
+            )
             querier_for(reader.index_type).warm(reader)
             warmed += 1
         return warmed

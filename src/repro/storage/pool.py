@@ -86,13 +86,18 @@ class IOBudget:
 
 
 def run_inline(
-    store: ObjectStore, tasks: list[Callable[[], T]]
+    store: ObjectStore,
+    tasks: list[Callable[[], T]],
+    *,
+    compose: Callable[[RequestTrace, RequestTrace], RequestTrace] = RequestTrace.then,
 ) -> tuple[RequestTrace, list[T]]:
     """:meth:`TracedPool.run` without the pool: no thread, no future.
 
     Tasks run one at a time on the calling thread, each under its own
-    trace, composed with ``then`` — one blocking task after another,
-    the shape a one-worker pool records.
+    trace, composed with ``then`` by default — one blocking task after
+    another, the shape a one-worker pool records — or with
+    ``RequestTrace.merge_parallel`` for independent tasks modeled as
+    issued together.
     """
     combined = RequestTrace()
     payloads: list[T] = []
@@ -101,7 +106,7 @@ def run_inline(
         try:
             payloads.append(fn())
         finally:
-            combined = combined.then(store.stop_trace())
+            combined = compose(combined, store.stop_trace())
     return combined, payloads
 
 

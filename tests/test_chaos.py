@@ -25,10 +25,12 @@ from repro.chaos import (
     crash_matrix,
     run_chaos,
 )
+from repro.chaos.fuzzer import HINT_PERTURBATIONS
 from repro.cli import main
 from repro.core.client import RottnestClient
 from repro.core.maintenance import compact_indices, vacuum_indices
 from repro.errors import InjectedFault, SimulatedCrash
+from repro.lake.log import TransactionLog
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import MaintenancePipeline
 from repro.storage.faults import FaultRule, FaultyObjectStore
@@ -389,6 +391,26 @@ class TestProtocolFuzzer:
         assert a.recoveries == b.recoveries
         assert a.searches_checked == b.searches_checked
         assert a.degraded_queries == b.degraded_queries
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_hint_perturbations_change_no_answer(self, seed):
+        """Every kind of wrong hint, on fixed seeds: after each one both
+        logs' tips equal a full replay, the invariants hold and a search
+        matches the oracle; crashes next to the hint PUT are
+        registered points."""
+        report = run_chaos(ChaosConfig(ops=150, seed=seed))
+        assert report.ok, report.describe()
+        assert set(report.hints) == set(HINT_PERTURBATIONS)
+        assert any(point.endswith("-hint") for point in report.crashes)
+        assert set(report.crashes) <= set(CRASH_POINTS)
+
+    def test_a_reader_trusting_a_stale_hint_is_caught(self, monkeypatch):
+        """Break the probe (every next version 'missing') and the first
+        stale or regressed hint must surface as a violation."""
+        monkeypatch.setattr(TransactionLog, "_exists", lambda self, version: False)
+        report = run_chaos(ChaosConfig(ops=150, seed=0))
+        assert not report.ok
+        assert report.violations[0].action in ("hint-stale", "hint-regress")
 
     def test_report_carries_replay_command(self):
         config = ChaosConfig(ops=10, seed=42)

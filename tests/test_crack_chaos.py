@@ -120,14 +120,15 @@ class TestTargetedIndexCrashMatrix:
             lambda c: _tick(c, [("uuid", "uuid_trie")], _uuid_heat(c, 2)),
             compare="bytes",
         )
-        # targeted index upload + meta commit + meta checkpoint
-        assert matrix.mutations == 3
+        # targeted index upload + meta commit + checkpoint + hint
+        assert matrix.mutations == 4
         assert matrix.all_recoverable, matrix.describe()
         assert matrix.crash_points() <= set(CRASH_POINTS)
         assert matrix.crash_points() == {
             "crack:put-index-file",
             "crack:put-meta-commit",
             "crack:put-meta-checkpoint",
+            "crack:put-meta-hint",
         }
 
     def test_cold_files_stay_uncovered_and_rerun_is_idle(self):
@@ -177,13 +178,14 @@ class TestRefineCrashMatrix:
             lambda c: _tick(c, [("emb", "ivf_pq")], _cell_heat(c, key)),
             compare="bytes",
         )
-        # refined index upload + meta commit + meta checkpoint
-        assert matrix.mutations == 3
+        # refined index upload + meta commit + checkpoint + hint
+        assert matrix.mutations == 4
         assert matrix.all_recoverable, matrix.describe()
         assert matrix.crash_points() == {
             "crack:put-index-file",
             "crack:put-meta-commit",
             "crack:put-meta-checkpoint",
+            "crack:put-meta-hint",
         }
 
     def test_refinement_supersedes_in_the_cover_and_rerun_is_idle(self):
@@ -232,11 +234,12 @@ class TestCombinedTickCrashMatrix:
         matrix = crash_matrix(
             store, _make_client, "crack", operation, compare="bytes"
         )
-        # (upload + commit + checkpoint) for each of the two verbs.
-        assert matrix.mutations == 6
+        # (upload + commit + checkpoint + hint) for each of the two verbs.
+        assert matrix.mutations == 8
         assert matrix.all_recoverable, matrix.describe()
         assert matrix.crash_points() == {
             "crack:put-index-file",
             "crack:put-meta-commit",
             "crack:put-meta-checkpoint",
+            "crack:put-meta-hint",
         }

@@ -1,9 +1,12 @@
 """fsck integrity auditor + retrying store wrapper."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import InjectedFault, ObjectNotFound, PreconditionFailed
+from repro.errors import FormatError, InjectedFault, ObjectNotFound, PreconditionFailed
 from repro.core.client import RottnestClient
+from repro.core.queries import UuidQuery
 from repro.core.fsck import fsck
 from repro.core.maintenance import vacuum_indices
 from repro.storage.faults import FaultyObjectStore
@@ -11,7 +14,7 @@ from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.retry import RetryingObjectStore
 from repro.util.clock import SimClock
 
-from tests.conftest import event_batch
+from tests.conftest import event_batch, event_uuid
 
 
 class TestFsck:
@@ -37,6 +40,22 @@ class TestFsck:
         report = fsck(indexed_client)
         assert victim in report.corrupt_index_files
         assert not report.invariants_hold
+
+    @pytest.mark.parametrize("delta", [-9, -1, 1, 9])
+    def test_record_size_disagreeing_with_its_file(self, indexed_client, delta):
+        """A search opens an index file at its record's size, with no
+        HEAD: a wrong size is flagged by fsck and fails the search with
+        a FormatError instead of answering from a misread tail."""
+        meta = indexed_client.meta
+        record = next(r for r in meta.records() if r.column == "uuid")
+        meta.delete([record.index_key])
+        meta.insert([dataclasses.replace(record, size=record.size + delta)])
+        for verify_consistency in (True, False):  # HEAD alone tells
+            report = fsck(indexed_client, verify_consistency=verify_consistency)
+            assert report.corrupt_index_files == [record.index_key]
+            assert not report.invariants_hold
+        with pytest.raises(FormatError):
+            indexed_client.search("uuid", UuidQuery(event_uuid(1, 5)), k=3)
 
     def test_detects_orphans(self, store, event_lake):
         faulty = FaultyObjectStore(store)

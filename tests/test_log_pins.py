@@ -3,12 +3,13 @@
 Both logs (the lake's ``_log`` and the metadata table's ``_meta``) are
 on-storage formats other readers depend on, and their two reads —
 ``LakeTable.snapshot`` and ``MetadataTable.records`` — are a cold
-query's plan round. The values below were captured from the log code
-before the lake and metadata logs became one ``TransactionLog``; any
-change to keys, bytes, PUT order or the plan round's requests fails
-here. Log entries name data and index files by content hash and size,
-so a change to the Parquet or index file formats moves the golden
-values too: re-pin them only in such a change.
+query's plan rounds. The golden bytes and mutation order were captured
+from the log code before the lake and metadata logs became one
+``TransactionLog``, and hold with each log's hint (``_latest.json``)
+left out; any change to keys, bytes, PUT order or the plan rounds'
+requests fails here. Log entries name data and index files by content
+hash and size, so a change to the Parquet or index file formats moves
+the golden values too: re-pin them only in such a change.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from repro.core.client import RottnestClient
 from repro.core.maintenance import compact_indices, vacuum_indices
 from repro.formats.schema import ColumnType, Field, Schema
+from repro.lake.log import HINT_NAME
 from repro.lake.table import LakeTable, TableConfig
 from repro.meta.metadata_table import IndexRecord, MetadataTable
 from repro.storage.object_store import InMemoryObjectStore
@@ -29,6 +31,8 @@ from repro.util.clock import SimClock
 
 SCHEMA = Schema.of(Field("id", ColumnType.INT64), Field("uuid", ColumnType.BINARY))
 LOG_DIRS = ("/_log/", "/_checkpoints/", "/_meta/", "/_meta_checkpoints/")
+#: (log dir, checkpoint dir) of the two logs.
+LOGS = (("_log", "_checkpoints"), ("_meta", "_meta_checkpoints"))
 
 
 @pytest.fixture
@@ -90,14 +94,18 @@ def _scripted_history() -> tuple[InMemoryObjectStore, str]:
     client.index("uuid", "uuid_trie")
     store.clock.advance(2 * client.index_timeout_s)
     vacuum_indices(client, snapshot_id=lake.latest_version())
-    return store, "\n".join(store.mutations)
+    return store, "\n".join(m for m in store.mutations if not _is_hint(m))
+
+
+def _is_hint(key_or_line: str) -> bool:
+    return key_or_line.endswith(f"/{HINT_NAME}")
 
 
 def _log_digests(store: InMemoryObjectStore) -> dict[str, str]:
     return {
         key: hashlib.sha256(data).hexdigest()
         for key, data in sorted(store.dump().items())
-        if any(d in key for d in LOG_DIRS)
+        if any(d in key for d in LOG_DIRS) and not _is_hint(key)
     }
 
 
@@ -223,13 +231,39 @@ def test_scripted_history_writes_the_golden_log_bytes(seeded_urandom):
     assert hashlib.sha256(mutations.encode()).hexdigest() == GOLDEN_MUTATIONS
 
 
-# -- (b) the plan round's requests -------------------------------------
+def test_every_commit_puts_one_hint_after_its_checkpoint(seeded_urandom):
+    store, _ = _scripted_history()
+    ops = store.mutations
+    commits = 0
+    for i, op in enumerate(ops):
+        for log_dir, checkpoint_dir in LOGS:
+            root, sep, name = op.partition(f"/{log_dir}/")
+            if not sep or name == HINT_NAME:
+                continue
+            commits += 1
+            after = i + 1
+            if ops[after] == f"{root}/{checkpoint_dir}/{name}":
+                after += 1
+            assert ops[after] == f"{root}/{log_dir}/{HINT_NAME}", op
+    assert sum(map(_is_hint, ops)) == commits == 15
+    assert LakeTable.open(store, "lake/g").log.hint() == (7, 5)
+    assert MetadataTable(store, "idx/g").log.hint() == (6, 5)
+
+
+# -- (b) the plan rounds' requests --------------------------------------
+# Round 1 GETs the hint; round 2 reads the checkpoint and the tail it
+# names. The probe of the version after the tip finds nothing, and a
+# missing key is not billed, so it is in no round.
+LAKE_HINT = ("GET", f"lake/r/_log/{HINT_NAME}")
+META_HINT = ("GET", f"idx/r/_meta/{HINT_NAME}")
+
+
 def test_snapshot_without_checkpoint_requests():
     store = InMemoryObjectStore()
     lake = _lake(store, interval=10, appends=3)
     assert _requests(store, lake.snapshot) == [
-        [("LIST", "lake/r/_")]
-        + [("GET", f"lake/r/_log/{_v(v)}") for v in range(4)]
+        [LAKE_HINT],
+        [("GET", f"lake/r/_log/{_v(v)}") for v in range(4)],
     ]
 
 
@@ -237,21 +271,32 @@ def test_snapshot_from_checkpoint_requests():
     store = InMemoryObjectStore()
     lake = _lake(store, interval=3, appends=7)  # checkpoints at 2 and 5
     assert _requests(store, lake.snapshot) == [
-        [("LIST", "lake/r/_"), ("GET", f"lake/r/_checkpoints/{_v(5)}")]
-        + [("GET", f"lake/r/_log/{_v(v)}") for v in (6, 7)]
+        [LAKE_HINT],
+        [("GET", f"lake/r/_checkpoints/{_v(5)}")]
+        + [("GET", f"lake/r/_log/{_v(v)}") for v in (6, 7)],
     ]
 
 
 def test_time_travel_requests():
     store = InMemoryObjectStore()
     lake = _lake(store, interval=3, appends=7)
+    # Before the hinted checkpoint (5): the hint cannot serve it, so
+    # the LIST finds the older checkpoint, then the reads follow.
     assert _requests(store, lambda: lake.snapshot(1)) == [
-        [("LIST", "lake/r/_")]
-        + [("GET", f"lake/r/_log/{_v(v)}") for v in (0, 1)]
+        [LAKE_HINT],
+        [("LIST", "lake/r/_")],
+        [("GET", f"lake/r/_log/{_v(v)}") for v in (0, 1)],
     ]
     assert _requests(store, lambda: lake.snapshot(4)) == [
-        [("LIST", "lake/r/_"), ("GET", f"lake/r/_checkpoints/{_v(2)}")]
-        + [("GET", f"lake/r/_log/{_v(v)}") for v in (3, 4)]
+        [LAKE_HINT],
+        [("LIST", "lake/r/_")],
+        [("GET", f"lake/r/_checkpoints/{_v(2)}")]
+        + [("GET", f"lake/r/_log/{_v(v)}") for v in (3, 4)],
+    ]
+    # Between the hinted checkpoint and the tip: no LIST, no probe.
+    assert _requests(store, lambda: lake.snapshot(6)) == [
+        [LAKE_HINT],
+        [("GET", f"lake/r/_checkpoints/{_v(5)}"), ("GET", f"lake/r/_log/{_v(6)}")],
     ]
 
 
@@ -259,12 +304,12 @@ def test_records_requests():
     store = InMemoryObjectStore()
     without = _meta(store, interval=10, inserts=3)
     assert _requests(store, without.records) == [
-        [("LIST", "idx/r/_meta")]
-        + [("GET", f"idx/r/_meta/{_v(v)}") for v in range(4)]
+        [META_HINT],
+        [("GET", f"idx/r/_meta/{_v(v)}") for v in range(4)],
     ]
     store = InMemoryObjectStore()
     with_checkpoint = _meta(store, interval=3, inserts=6)  # checkpoint at 5
     assert _requests(store, with_checkpoint.records) == [
-        [("LIST", "idx/r/_meta"), ("GET", f"idx/r/_meta_checkpoints/{_v(5)}")]
-        + [("GET", f"idx/r/_meta/{_v(6)}")]
+        [META_HINT],
+        [("GET", f"idx/r/_meta_checkpoints/{_v(5)}"), ("GET", f"idx/r/_meta/{_v(6)}")],
     ]

@@ -27,7 +27,9 @@ def _fresh_pair(**cache_kwargs):
 
 # -- transparency: the hypothesis property test -----------------------
 
-_KEYS = st.sampled_from(["a", "ab", "b/x", "b/y"])
+_KEYS = st.sampled_from(["a", "ab", "b/x", "b/y", "h/_latest.json"])
+#: Reads also ask for a key nothing ever writes.
+_READ_KEYS = st.sampled_from(["a", "ab", "b/x", "b/y", "h/_latest.json", "zz"])
 _DATA = st.binary(min_size=0, max_size=12)
 _RANGES = st.one_of(
     st.none(),
@@ -38,9 +40,9 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), _KEYS, _DATA),
         st.tuples(st.just("put_cond"), _KEYS, _DATA),
-        st.tuples(st.just("get"), _KEYS, _RANGES),
+        st.tuples(st.just("get"), _READ_KEYS, _RANGES),
         st.tuples(st.just("delete"), _KEYS),
-        st.tuples(st.just("head"), _KEYS),
+        st.tuples(st.just("head"), _READ_KEYS),
         st.tuples(st.just("list"), st.sampled_from(["", "a", "b/", "zz"])),
         st.tuples(st.just("clear")),
         st.tuples(st.just("memo_view"), _KEYS),
@@ -99,10 +101,11 @@ def _memo_entries(cached, key):
 @given(ops=_OPS)
 def test_cache_is_transparent(ops):
     """Any op sequence through the cache returns byte-identical results
-    to the bare store — including after put-overwrite and delete — and
-    values built from the bytes (``memo``) obey the byte rules: within
-    budget, dropped with their key, never admitted stale, never kept
-    above ``max_entry_bytes``."""
+    to the bare store — including after put-overwrite and delete, and
+    for keys that are absent — and values built from the bytes
+    (``memo``) obey the byte rules: within budget, dropped with their
+    key, never admitted stale, never kept above ``max_entry_bytes``.
+    Every remembered hint or missing key agrees with the bare store."""
     reference = InMemoryObjectStore(clock=SimClock(start=1_000.0))
     _, cached = _fresh_pair(budget_bytes=64, max_entry_bytes=32)
     for op in ops:
@@ -119,6 +122,9 @@ def test_cache_is_transparent(ops):
         if op[0] == "memo_repeat" and got[0] == "ok":
             kept = (op[1], f"repeat{op[2]}") in cached._entries
             assert kept == (resident_bytes(got[1])[0] <= cached.max_entry_bytes)
+        objects = reference.dump()
+        for key, data in cached._discovery.items():
+            assert objects.get(key) == data, key
 
 
 def test_put_overwrite_invalidates():
@@ -209,6 +215,56 @@ def test_metadata_caching_and_prefix_invalidation():
     assert delta.lists == 0 and delta.heads == 0  # cached
     cached.put("b/z", b"333")  # covered by the "b/" prefix
     assert [i.key for i in cached.list("b/")] == ["b/x", "b/y", "b/z"]
+
+
+class _CountingStore(InMemoryObjectStore):
+    """Logs every GET and HEAD that reaches it, missing keys included
+    (a 404 is not billed, so ``stats`` cannot see it)."""
+
+    def __init__(self) -> None:
+        super().__init__(clock=SimClock(start=1_000.0))
+        self.reads: list[tuple[str, str]] = []
+
+    def get(self, key, byte_range=None):
+        self.reads.append(("GET", key))
+        return super().get(key, byte_range)
+
+    def head(self, key):
+        self.reads.append(("HEAD", key))
+        return super().head(key)
+
+
+def test_missing_keys_are_remembered_until_written():
+    inner = _CountingStore()
+    cached = CachingObjectStore(inner, budget_bytes=1)  # no bytes kept
+    for _ in range(3):
+        with pytest.raises(ObjectNotFound):
+            cached.get("log/00000000000000000008.json")
+        with pytest.raises(ObjectNotFound):
+            cached.head("log/00000000000000000008.json")
+    assert inner.reads == [("GET", "log/00000000000000000008.json")]
+    cached.put("log/00000000000000000008.json", b"v8")
+    assert cached.get("log/00000000000000000008.json") == b"v8"
+    cached.delete("log/00000000000000000008.json")
+    with pytest.raises(ObjectNotFound):
+        cached.get("log/00000000000000000008.json")
+
+
+def test_hints_are_kept_outside_the_byte_budget():
+    """A log's hint replaces the LIST a reader found the tip with, so
+    it is kept like one: whatever the budget, until it is written."""
+    inner = _CountingStore()
+    cached = CachingObjectStore(inner, budget_bytes=1)
+    cached.put("lake/_log/_latest.json", b'{"version": 3, "checkpoint": -1}')
+    for _ in range(3):
+        assert cached.get("lake/_log/_latest.json") == (
+            b'{"version": 3, "checkpoint": -1}'
+        )
+    assert inner.reads == [("GET", "lake/_log/_latest.json")]
+    assert cached.cached_bytes == 0
+    cached.put("lake/_log/_latest.json", b'{"version": 4, "checkpoint": -1}')
+    assert cached.get("lake/_log/_latest.json") == b'{"version": 4, "checkpoint": -1}'
+    assert cached.get("lake/_log/_latest.json", (1, 9)) == b'"version"'
 
 
 def test_hit_miss_counters():

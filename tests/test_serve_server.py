@@ -16,6 +16,7 @@ from repro.storage.faults import FaultyObjectStore
 from repro.errors import ServeError, ServerOverloaded
 from repro.lake.table import LakeTable
 from repro.serve import CachingObjectStore, SearchServer, ServeStats, SingleFlight
+from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.retry import RetryingObjectStore
 from repro.tco.throughput import ThroughputModel
 
@@ -280,6 +281,41 @@ class TestSearchServer:
             assert cache.hits > 0
             assert cache.misses - warmed_misses < warmed_misses
             assert server.stats.cache_hit_rate > 0
+
+    def test_warm_queries_send_no_discovery_requests(self, indexed_client):
+        """After ``warmup`` a query finds both logs' tips in the cache:
+        no LIST, no hint GET and no probe of the version past a tip
+        reaches the store, as when the tip came from a cached LIST."""
+
+        class ReadLog(InMemoryObjectStore):
+            def __init__(self, source) -> None:
+                super().__init__(clock=source.clock)
+                self._objects = dict(source._objects)
+                self.reads: list[str] = []
+
+            def get(self, key, byte_range=None):
+                self.reads.append(key)
+                return super().get(key, byte_range)
+
+            def list(self, prefix=""):
+                self.reads.append(f"LIST {prefix}")
+                return super().list(prefix)
+
+        base = ReadLog(indexed_client.store)
+        lake, meta = indexed_client.lake.log, indexed_client.meta.log
+        probes = {
+            f"{log.root}/{log.fmt.log_dir}/{log.latest_version() + 1:020d}.json"
+            for log in (lake, meta)
+        }
+        discovery = probes | {lake.hint_key, meta.hint_key}
+        server = SearchServer.for_lake(base, "idx/events", "lake/events")
+        with server:
+            server.warmup()
+            for i in range(3):
+                base.reads.clear()
+                result = server.query("uuid", UuidQuery(event_uuid(1, 5 + i)), k=3)
+                assert len(result.matches) == 1
+                assert not [r for r in base.reads if r in discovery or "LIST" in r]
 
     def test_warmup_decodes_what_the_first_probe_decodes(self, indexed_client):
         """After warmup the opened reader, the page directory and the

@@ -321,9 +321,9 @@ class TestLutLayouts:
 
     @pytest.mark.parametrize("write", [UuidTrieBuilder.write, write_legacy])
     def test_probe_issues_the_parents_requests(self, write, monkeypatch):
-        """Open = HEAD + one tail GET (LUT inside it); probe = one
-        dependent GET of exactly one leaf — for both layouts, so the
-        modeled clock cannot tell them apart."""
+        """Open at the record's size = one tail GET (LUT inside it);
+        probe = one dependent GET of exactly one leaf — for both
+        layouts, so the modeled clock cannot tell them apart."""
         from repro.core import componentize
 
         monkeypatch.setattr(componentize, "TAIL_SPECULATIVE_BYTES", 4096)
@@ -331,8 +331,9 @@ class TestLutLayouts:
         builder = UuidTrieBuilder.build(pages)
         store, _ = store_index(builder, 4, write=write, component_target_bytes=2048)
         key = key_of(123)
+        size = store.head("i.index").size
         store.start_trace()
-        reader = IndexFileReader.open(store, "i.index")
+        reader = IndexFileReader.open(store, "i.index", size=size)
         assert UuidTrieQuerier(reader).candidate_pages(key) == [truth[key]]
         trace = store.stop_trace()
         leaf_sizes = {
@@ -341,6 +342,6 @@ class TestLutLayouts:
             if name.startswith("leaf")
         }
         shape = [[r.op for r in round_] for round_ in trace.rounds]
-        assert shape == [["HEAD", "GET"], ["GET"]]
-        assert trace.rounds[0][1].nbytes == 4096  # the tail, nothing more
+        assert shape == [["GET"], ["GET"]]
+        assert trace.rounds[0][0].nbytes == 4096  # the tail, nothing more
         assert trace.rounds[1][0].nbytes in leaf_sizes
