@@ -52,10 +52,12 @@ class ComponentFileWriter:
         self._body.write_bytes(MAGIC)
         self._entries: list[tuple[int, int, int, int]] = []  # off, stored, raw, codec
 
-    def add(self, data: bytes, *, rle: bool = False) -> int:
+    def add(self, data: bytes, *, rle: bool = False, raw: bool = False) -> int:
         """Append one component; returns its id (dense, from 0). ``rle``
-        picks the codec's run-length strategy (same codec id)."""
-        codec = self._codec_id
+        picks the codec's run-length strategy (same codec id); ``raw``
+        stores ``data`` as is, for components that compress their own
+        parts."""
+        codec = compression.NONE if raw else self._codec_id
         stored = compression.compress(data, codec, rle=rle)
         if not compression.deflate_pays(len(data), len(stored)):
             stored, codec = data, compression.NONE

@@ -104,10 +104,12 @@ class IndexFileWriter:
         first = self._writer.add(directory.serialize())
         self._names: dict[str, int] = {"__pages__": first}
 
-    def add_component(self, name: str, data: bytes, *, rle: bool = False) -> int:
+    def add_component(
+        self, name: str, data: bytes, *, rle: bool = False, raw: bool = False
+    ) -> int:
         if name in self._names:
             raise FormatError(f"duplicate component name {name!r}")
-        cid = self._writer.add(data, rle=rle)
+        cid = self._writer.add(data, rle=rle, raw=raw)
         self._names[name] = cid
         return cid
 
@@ -200,14 +202,24 @@ class IndexFileReader:
         apart. A ``ValueError`` from it means the component is corrupt.
         """
         cid = self._component_id(name)
+        return self.memo(
+            f"{name}:{decode.__qualname__}",
+            lambda: decode(self._reader.read(cid)),
+        )
 
-        def build() -> T:
+    def memo(self, name: str, build: Callable[[], T]) -> T:
+        """``build()``, a value derived from this file alone, kept under
+        ``name`` like :meth:`decoded` keeps a decoding (a part of a
+        component, say). A ``ValueError`` from it means the file is
+        corrupt."""
+
+        def checked() -> T:
             try:
-                return decode(self._reader.read(cid))
+                return build()
             except ValueError as exc:
                 raise FormatError(f"{self.key!r}: bad {name}: {exc}") from exc
 
-        return self.store.memo(self.key, f"{name}:{decode.__qualname__}", build)
+        return self.store.memo(self.key, name, checked)
 
     def components(self, names: list[str]) -> list[bytes]:
         """Fetch several components as one parallel round (bulk loads;

@@ -4,9 +4,8 @@ Built over the concatenation of all page texts of the indexed column
 (rows separated by 0x00 so matches cannot span rows). The on-storage
 layout follows the componentization principle:
 
-* ``blk{i}`` — rank blocks: 256 absolute occurrence counts at the block
-  start (u32) + the raw BWT slice. One ``Occ(c, pos)`` evaluation reads
-  exactly one block.
+* ``blk{i}`` — rank blocks of ``block_size`` BWT rows. One
+  ``Occ(c, pos)`` evaluation reads exactly one block.
 * ``pg{i}`` — optional page-map blocks: the global page id of each
   suffix in BWT order. Fast interval→pages but ~log2(#pages) bits per
   character; disable with ``store_pagemap=False`` for the paper's
@@ -17,6 +16,25 @@ layout follows the componentization principle:
   sample rate.
 * ``pagelens`` — per-page text lengths + global page ids; enough to
   map positions to pages and to rebuild the index from inverted text.
+
+**Fetch unit ≠ inflate unit.** A block is what one GET fetches, sized
+against object-store round trips; a backward-search step needs only a
+few rank positions of it. So ``blk{i}`` and ``pg{i}`` are stored raw,
+as a *stream pack* of independently deflated streams (a u16 count,
+each stream's u16 length, then the streams), and a
+query inflates only the ``RANK_STRIDE``-row sub-blocks it touches:
+
+* ``blk{i}`` — stream 0 is the rank-checkpoint table: the count of each
+  symbol of the file's ``alphabet`` (listed once in the params) before
+  every sub-block, u32 at the block start and u16 relative to it inside
+  the block; streams 1.. are the BWT sub-blocks;
+* ``pg{i}`` — the page-map sub-blocks, one stream each (no table).
+
+``Occ(c, pos)`` is then one checkpoint plus a count over at most one
+sub-block. Files written before the sub-blocks (no ``rank_stride``
+param: 256 u32 counts and the raw slice, deflated as one component)
+decode into the same (checkpoint table, sub-blocks) shape with a single
+sub-block, so the query has one code path.
 
 A fresh build has one sentinel, and so does a merge: compaction
 inverts each part back to its text from its SA samples and builds once
@@ -34,12 +52,15 @@ pages. Depth is O(|pattern|) — the paper's depth-bound access profile.
 
 from __future__ import annotations
 
-from typing import ClassVar, Iterable
+import struct
+from itertools import accumulate
+from typing import ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
 from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
+from repro.formats import compression
 from repro.indices.base import ExactQuerier, IndexBuilder
 from repro.indices.fm.bwt import bwt_from_sa, invert_bwt, suffix_array
 from repro.util.binio import BinaryReader, BinaryWriter
@@ -49,6 +70,12 @@ TYPE_NAME = "fm"
 DEFAULT_BLOCK_SIZE = 32 * 1024
 DEFAULT_SAMPLE_RATE = 64
 SEPARATOR = 0  # byte placed after every row
+#: BWT rows per sub-block, the inflate unit inside a block (the fetch
+#: unit). Picked from the 2/4/8 KiB curve in docs/performance.md and
+#: recorded in every file's params.
+RANK_STRIDE = 2048
+#: In-block checkpoint counts are u16, so no block may be longer.
+MAX_BLOCK_SIZE = 1 << 16
 
 
 def page_text(values: list[str]) -> bytes:
@@ -163,6 +190,10 @@ class FmBuilder(IndexBuilder):
     ) -> "FmBuilder":
         if sum(page_lens) != len(text):
             raise RottnestIndexError("page lengths do not sum to text length")
+        if not 0 < block_size <= MAX_BLOCK_SIZE:
+            raise RottnestIndexError(
+                f"block_size must be in 1..{MAX_BLOCK_SIZE}, got {block_size}"
+            )
         sa = suffix_array(text)
         bwt, sentinel_index = bwt_from_sa(text, sa)
         pagemap = np.empty(0, dtype=np.uint32)
@@ -201,30 +232,36 @@ class FmBuilder(IndexBuilder):
         # Narrowest page-map dtype keeps the index near the size of the
         # compressed data (the paper's substring-index storage profile).
         pg_dtype = _pagemap_dtype(max(self.page_gids))
-        # Absolute raw-byte counts before each block (sentinel slots are
-        # counted as raw 0x00 here; queriers correct using the sentinel
-        # list in params).
-        counts = np.zeros(256, dtype=np.uint32)
+        alphabet = np.flatnonzero(np.bincount(arr, minlength=256))
+        # Absolute raw-byte counts of each alphabet symbol before each
+        # block (sentinel slots are counted as raw 0x00 here; queriers
+        # correct using the sentinel list in params).
+        counts = np.zeros(len(alphabet), dtype=np.int64)
         # Samples of block b are sample_*[cuts[b]:cuts[b + 1]].
         cuts = np.searchsorted(
             self.sample_rows, np.arange(num_blocks + 1) * block
         )
         for b in range(num_blocks):
             lo, hi = b * block, min((b + 1) * block, self.n)
-            payload = BinaryWriter()
-            payload.write_bytes(counts.astype("<u4").tobytes())
-            payload.write_bytes(self.bwt[lo:hi])
-            writer.add_component(f"blk{b}", payload.getvalue())
-            counts += np.bincount(arr[lo:hi], minlength=256).astype(np.uint32)
+            chunk = arr[lo:hi]
+            subs = -(-(hi - lo) // RANK_STRIDE)
+            # Symbol counts per sub-block, one bincount for the block.
+            sub_of = np.arange(hi - lo) // RANK_STRIDE
+            per_sub = np.bincount(
+                sub_of * 256 + chunk, minlength=256 * subs
+            ).reshape(subs, 256)[:, alphabet]
+            inside = np.cumsum(per_sub[:-1], axis=0)
+            table = counts.astype("<u4").tobytes() + inside.astype("<u2").tobytes()
+            streams = [compression.compress(table, compression.ZLIB)]
+            writer.add_component(
+                f"blk{b}", _pack_streams(streams + _sub_streams(chunk)), raw=True
+            )
+            counts += per_sub.sum(axis=0)
 
             if self.store_pagemap:
-                # Runs of one page id: RLE deflate is several times
-                # faster here and about as small (BWT blocks keep the
-                # default strategy, which inflates faster).
+                page_ids = self.pagemap[lo:hi].astype(pg_dtype)
                 writer.add_component(
-                    f"pg{b}",
-                    self.pagemap[lo:hi].astype(pg_dtype).tobytes(),
-                    rle=True,
+                    f"pg{b}", _pack_streams(_sub_streams(page_ids)), raw=True
                 )
 
             # (row delta, text position) varint pairs behind a count.
@@ -253,6 +290,8 @@ class FmBuilder(IndexBuilder):
                 "sentinels": list(self.sentinels),
                 "pg_dtype": pg_dtype,
                 "has_pagemap": self.store_pagemap,
+                "rank_stride": RANK_STRIDE,
+                "alphabet": alphabet.tolist(),
             }
         )
 
@@ -263,8 +302,16 @@ class FmBuilder(IndexBuilder):
         params = reader.params
         num_blocks = params["num_blocks"]
         block = params["block_size"]
-        blk_blobs = reader.components([f"blk{b}" for b in range(num_blocks)])
-        bwt = b"".join(blob[1024:] for blob in blk_blobs)
+        layout = BlockLayout(params)
+        chunks = []
+        for b, blob in enumerate(
+            reader.components([f"blk{b}" for b in range(num_blocks)])
+        ):
+            try:
+                chunks.append(layout.rank_block(b, blob).inflate_all())
+            except ValueError as exc:
+                raise FormatError(f"blk{b}: {exc}") from exc
+        bwt = b"".join(chunks)
         sample_rows, sample_positions = [], []
         for b, blob in enumerate(
             reader.components([f"sa{b}" for b in range(num_blocks)])
@@ -367,9 +414,12 @@ class FmQuerier(ExactQuerier):
         self.num_blocks: int = params["num_blocks"]
         self.sentinels: list[int] = sorted(params["sentinels"])
         self._sentinel_arr = np.asarray(self.sentinels, dtype=np.int64)
-        #: This query's handles on the decoded blocks it touched, in
-        #: front of the reader's (possibly shared) decoded cache.
-        self._decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._layout = BlockLayout(params)
+        self.stride = self._layout.stride
+        #: This query's handles on the blocks and sub-blocks it touched,
+        #: in front of the reader's (possibly shared) decoded cache.
+        self._blocks: dict[int, StreamBlock] = {}
+        self._chars: dict[tuple[int, int], bytes] = {}
         self._samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._c_array: np.ndarray | None = None
 
@@ -379,24 +429,31 @@ class FmQuerier(ExactQuerier):
         cls(reader).c_array  # the last block, before any search step
 
     # -- low-level ------------------------------------------------------
-    def _block_arrays(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decoded views of one block: ``(cumulative counts, BWT chars)``.
+    def _block(self, b: int) -> "StreamBlock":
+        """Block ``b``'s checkpoint table and sub-streams, none inflated."""
+        block = self._blocks.get(b)
+        if block is None:
+            layout = self._layout
+            block = self.reader.decoded(
+                f"blk{b}", lambda blob: layout.rank_block(b, blob)
+            )
+            self._blocks[b] = block
+        return block
 
-        Decoding (inflate + frombuffer + dtype widening) happens once
-        per block — once per query on a plain store, once while cached
-        on a caching one — so the backward-search inner loop is pure
-        numpy rank arithmetic over resident arrays.
-        """
-        cached = self._decoded.get(b)
-        if cached is None:
-            cached = self.reader.decoded(f"blk{b}", _decode_block)
-            self._decoded[b] = cached
-        return cached
+    def _sub_chars(self, b: int, s: int) -> bytes:
+        """BWT sub-block ``s`` of block ``b``, inflated once per query on
+        a plain store and once while cached on a caching one."""
+        chars = self._chars.get((b, s))
+        if chars is None:
+            block = self._block(b)
+            chars = self.reader.memo(f"blk{b}.{s}", lambda: block.sub(s))
+            self._chars[(b, s)] = chars
+        return chars
 
     def _prefetch_blocks(self, blocks: list[int]) -> None:
-        """Decode the missing blocks as one parallel round."""
-        for b in sorted(set(blocks) - self._decoded.keys()):
-            self._block_arrays(b)
+        """Fetch the missing blocks as one parallel round."""
+        for b in sorted(set(blocks) - self._blocks.keys()):
+            self._block(b)
 
     def _sentinels_before(self, pos: int) -> int:
         # Sentinel positions are sorted: the count of those < pos is a
@@ -409,9 +466,16 @@ class FmQuerier(ExactQuerier):
             return 0
         pos = min(pos, self.n)
         b = (pos - 1) // self.block_size
-        base, chars = self._block_arrays(b)
+        block = self._block(b)
+        column = self._layout.column[char]
+        if column < 0:
+            return 0  # not in this file's alphabet
         local = pos - b * self.block_size
-        occ = int(base[char]) + int(np.count_nonzero(chars[:local] == char))
+        s = min(local // self.stride, len(block.rank) - 1)
+        rest = local - s * self.stride
+        occ = int(block.rank[s, column])
+        if rest:
+            occ += self._sub_chars(b, s).count(char, 0, rest)
         if char == 0:
             occ -= self._sentinels_before(pos)
         return occ
@@ -420,8 +484,13 @@ class FmQuerier(ExactQuerier):
     def c_array(self) -> np.ndarray:
         """``C[c]`` = BWT characters (incl. sentinels) smaller than c."""
         if self._c_array is None:
-            base, tail = self._block_arrays(self.num_blocks - 1)
-            totals = base + np.bincount(tail, minlength=256)
+            last = self.num_blocks - 1
+            block = self._block(last)
+            tail = self._sub_chars(last, len(block.rank) - 1)
+            totals = np.bincount(
+                np.frombuffer(tail, dtype=np.uint8), minlength=256
+            ).astype(np.int64)
+            totals[self._layout.alphabet] += block.rank[-1]
             totals[0] -= len(self.sentinels)
             c = np.empty(257, dtype=np.int64)
             c[0] = len(self.sentinels)
@@ -475,20 +544,24 @@ class FmQuerier(ExactQuerier):
         self, lo: int, hi: int, limit: int | None
     ) -> list[int]:
         pages: set[int] = set()
-        pg_dtype = self.reader.params.get("pg_dtype", "<u4")
-
-        def pagemap(blob: bytes) -> np.ndarray:
-            return np.frombuffer(blob, dtype=pg_dtype)
-
-        first_block = lo // self.block_size
-        last_block = (hi - 1) // self.block_size
-        for b in range(first_block, last_block + 1):
-            arr = self.reader.decoded(f"pg{b}", pagemap)
-            block_lo = max(lo - b * self.block_size, 0)
-            block_hi = min(hi - b * self.block_size, len(arr))
-            pages.update(np.unique(arr[block_lo:block_hi]).tolist())
-            if limit is not None and len(pages) >= limit:
-                break
+        layout, stride = self._layout, self.stride
+        pg_dtype = np.dtype(self.reader.params.get("pg_dtype", "<u4"))
+        for b in range(lo // self.block_size, (hi - 1) // self.block_size + 1):
+            block = self.reader.decoded(
+                f"pg{b}", lambda blob: layout.page_block(b, blob, pg_dtype.itemsize)
+            )
+            # [first, end) of the interval inside block b, then inside
+            # each sub-block that overlaps it.
+            first = max(lo - b * self.block_size, 0)
+            end = min(hi - b * self.block_size, layout.rows(b))
+            for s in range(first // stride, (end - 1) // stride + 1):
+                ids = self.reader.memo(
+                    f"pg{b}.{s}", lambda: np.frombuffer(block.sub(s), pg_dtype)
+                )
+                base = s * stride
+                pages.update(np.unique(ids[max(first - base, 0) : end - base]).tolist())
+                if limit is not None and len(pages) >= limit:
+                    return sorted(pages)
         return sorted(pages)
 
     def _pages_from_walks(self, lo: int, hi: int, limit: int | None) -> list[int]:
@@ -523,8 +596,9 @@ class FmQuerier(ExactQuerier):
             sample = self._sample_at(j)
             if sample is not None:
                 return sample + steps
-            _, chars = self._block_arrays(j // self.block_size)
-            char = int(chars[j % self.block_size])
+            b, local = divmod(j, self.block_size)
+            s, offset = divmod(local, self.stride)
+            char = self._sub_chars(b, s)[offset]
             self.reader.barrier()
             j = int(self.c_array[char]) + self._occ(char, j)
             steps += 1
@@ -543,10 +617,154 @@ class FmQuerier(ExactQuerier):
         return None
 
 
-def _decode_block(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``blk{b}``: 256 counts before the block (u32), then its BWT slice."""
-    base = np.frombuffer(blob, dtype="<u4", count=256).astype(np.int64)
-    return base, np.frombuffer(blob, dtype=np.uint8, offset=1024)
+class StreamBlock(NamedTuple):
+    """One decoded ``blk{b}`` or ``pg{b}``, nothing inflated yet: the
+    checkpoint table and where each sub-block's stream lies."""
+
+    #: (sub-blocks, alphabet) absolute count of each alphabet symbol
+    #: before each sub-block; no columns for a page-map block.
+    rank: np.ndarray
+    data: bytes
+    #: Sub-block ``s``'s stream is ``data[bounds[s]:bounds[s + 1]]``.
+    bounds: list[int]
+    #: Inflated bytes of a full sub-block, and of the whole block.
+    unit: int
+    total: int
+    deflated: bool
+
+    def sub(self, s: int) -> bytes:
+        """Sub-block ``s``, inflated and checked against its length."""
+        out = self.data[self.bounds[s] : self.bounds[s + 1]]
+        if self.deflated:
+            out = compression.decompress(out, compression.ZLIB)
+        expected = min(self.unit, self.total - s * self.unit)
+        if len(out) != expected:
+            raise ValueError(
+                f"sub-block {s} holds {len(out)} bytes, expected {expected}"
+            )
+        return out
+
+    def inflate_all(self) -> bytes:
+        return b"".join(self.sub(s) for s in range(len(self.bounds) - 1))
+
+
+class BlockLayout:
+    """How one file's blocks decode, from its params: sub-blocks of
+    ``rank_stride`` rows over an ``alphabet``, or, for files written
+    before sub-blocks, one sub-block per block over all 256 bytes."""
+
+    def __init__(self, params: dict) -> None:
+        self.n: int = params["n"]
+        self.block_size: int = params["block_size"]
+        self.legacy = "rank_stride" not in params
+        if self.legacy:
+            self.stride = self.block_size
+            self.alphabet = np.arange(256)
+        else:
+            self.stride = params["rank_stride"]
+            self.alphabet = np.asarray(params["alphabet"], dtype=np.int64)
+            if not (
+                isinstance(self.stride, int)
+                and self.stride > 0
+                and len(self.alphabet)
+                and self.alphabet[0] >= 0
+                and self.alphabet[-1] < 256
+                and (np.diff(self.alphabet) > 0).all()
+            ):
+                raise FormatError(
+                    f"bad FM params: rank_stride {self.stride!r}, "
+                    f"alphabet {params['alphabet']!r}"
+                )
+        #: Byte value -> its column in a checkpoint table, or -1.
+        self.column = [-1] * 256
+        for index, symbol in enumerate(self.alphabet.tolist()):
+            self.column[symbol] = index
+
+    def rows(self, b: int) -> int:
+        """BWT rows in block ``b``."""
+        return min(self.block_size, self.n - b * self.block_size)
+
+    def rank_block(self, b: int, blob: bytes) -> StreamBlock:
+        """``blk{b}``: the checkpoint table (stream 0), then the BWT
+        sub-blocks."""
+        rows = self.rows(b)
+        if self.legacy:
+            # 256 u32 counts before the block, then its raw BWT slice.
+            base = np.frombuffer(blob, dtype="<u4", count=256)
+            return StreamBlock(base[None], blob, [1024, len(blob)], rows, rows, False)
+        count = -(-rows // self.stride)
+        bounds = _unpack_streams(blob, count + 1)
+        table = compression.decompress(blob[bounds[0] : bounds[1]], compression.ZLIB)
+        width = len(self.alphabet)
+        if len(table) != width * (4 + 2 * (count - 1)):
+            raise ValueError(
+                f"a checkpoint table of {len(table)} bytes does not fit "
+                f"{count} rows over an alphabet of {width}"
+            )
+        rank = np.zeros((count, width), dtype=np.uint32)
+        rank[1:] = np.frombuffer(table, dtype="<u2", offset=4 * width).reshape(
+            count - 1, width
+        )
+        if (rank[1:] < rank[:-1]).any():
+            raise ValueError("a checkpoint row decreases")
+        if (rank.sum(axis=1) != self.stride * np.arange(count)).any():
+            raise ValueError("checkpoint rows do not count the rows before them")
+        rank += np.frombuffer(table, dtype="<u4", count=width)
+        return StreamBlock(rank, blob, bounds[1:], self.stride, rows, True)
+
+    def page_block(self, b: int, blob: bytes, itemsize: int) -> StreamBlock:
+        """``pg{b}``: the page-map sub-blocks (legacy: the whole map)."""
+        total = self.rows(b) * itemsize
+        if self.legacy:
+            return StreamBlock(_NO_RANK, blob, [0, len(blob)], total, total, False)
+        count = -(-self.rows(b) // self.stride)
+        bounds = _unpack_streams(blob, count)
+        return StreamBlock(_NO_RANK, blob, bounds, self.stride * itemsize, total, True)
+
+
+_NO_RANK = np.zeros((0, 0), dtype=np.uint32)
+
+
+def _sub_streams(rows: np.ndarray) -> list[bytes]:
+    """Each ``RANK_STRIDE`` rows of a block, deflated on its own. A BWT
+    is runs of one symbol, and so is a page map: RLE deflate (matches at
+    distance one) is smaller there than the default strategy, about as
+    fast to inflate and several times faster to write."""
+    return [
+        compression.compress(
+            rows[i : i + RANK_STRIDE].tobytes(), compression.ZLIB, rle=True
+        )
+        for i in range(0, len(rows), RANK_STRIDE)
+    ]
+
+
+def _pack_streams(streams: list[bytes]) -> bytes:
+    """A stream pack: the count and each stream's length (u16; a
+    deflated sub-block or checkpoint table is far shorter), then the
+    streams."""
+    lengths = [len(stream) for stream in streams]
+    return struct.pack(f"<{len(streams) + 1}H", len(streams), *lengths) + b"".join(
+        streams
+    )
+
+
+def _unpack_streams(blob: bytes, count: int) -> list[int]:
+    """Where a stream pack of ``count`` streams puts them: ``count + 1``
+    increasing offsets into ``blob``, the last at its end."""
+    try:
+        found, *lengths = struct.unpack_from(f"<{count + 1}H", blob)
+    except struct.error as exc:
+        raise ValueError(f"truncated stream pack: {exc}") from None
+    if found != count:
+        raise ValueError(f"{found} streams where {count} belong")
+    if 0 in lengths:
+        raise ValueError(f"stream offsets do not increase: lengths {lengths}")
+    bounds = list(accumulate(lengths, initial=2 * (count + 1)))
+    if bounds[-1] != len(blob):
+        raise ValueError(
+            f"streams end at {bounds[-1]}, the payload at {len(blob)}"
+        )
+    return bounds
 
 
 def _decode_samples(blob: bytes) -> tuple[np.ndarray, np.ndarray]:

@@ -44,18 +44,23 @@ def assign_batched(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     points against a ``(b, k, d)`` stack of centres; ``(b, n)`` int64.
 
     Ranks by ``|c|^2 - 2 p.c`` (the point's own norm does not move its
-    argmin), chunked over points so the score block stays bounded.
+    argmin), chunked over points into one reused score block. The
+    centres are scaled by -2 once: a power of two, so ``p.(-2c)`` is
+    bit-identical to ``-2 (p.c)`` and the labels are exact.
     """
     b, n, _ = points.shape
+    k = centers.shape[1]
     c2 = np.einsum("bkd,bkd->bk", centers, centers)[:, None, :]
-    centers_t = centers.transpose(0, 2, 1)
+    scaled_t = (centers * -2.0).transpose(0, 2, 1)
     out = np.empty((b, n), dtype=np.int64)
-    chunk = max(1, SCORE_BLOCK // (b * centers.shape[1]))
+    chunk = max(1, min(n, SCORE_BLOCK // (b * k)))
+    block = np.empty((b, chunk, k), dtype=np.result_type(points, centers))
     for start in range(0, n, chunk):
-        scores = points[:, start : start + chunk] @ centers_t
-        scores *= -2.0
+        rows = min(chunk, n - start)
+        scores = block[:, :rows]
+        np.matmul(points[:, start : start + rows], scaled_t, out=scores)
         scores += c2
-        out[:, start : start + chunk] = np.argmin(scores, axis=2)
+        np.argmin(scores, axis=2, out=out[:, start : start + rows])
     return out
 
 

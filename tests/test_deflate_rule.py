@@ -19,6 +19,7 @@ from repro.formats import ColumnType, Field, ParquetFile, Schema, build_page_tab
 from repro.formats import compression
 from repro.formats.page_reader import fetch_pages
 from repro.formats.parquet import write_parquet
+from repro.indices.fm import fm_index
 from repro.indices.vector.ivf_pq import IvfPqBuilder
 from repro.lake import LakeTable, TableConfig
 from repro.lake.actions import AddFile
@@ -26,6 +27,7 @@ from repro.meta import IndexRecord
 from repro.storage import InMemoryObjectStore
 from repro.util.clock import SimClock
 from repro.workloads import TextWorkload, UuidWorkload, VectorWorkload
+from tests.test_fm_subblocks import unpack
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,10 +224,16 @@ def test_cold_vector_query_raw_path_inflates_no_emb_page_nor_codebook(monkeypatc
     assert not emb_pages & set(inflated)
     assert not codebooks & set(inflated)
 
+    # An FM block is stored raw and deflates each of its streams (the
+    # checkpoint table and every rank sub-block) on its own.
     (fm,) = [r for r in client.meta.records() if r.index_type == "fm"]
     fm_reader = IndexFileReader.open(store, fm.index_key)
     blk0 = fm_reader._reader._entry(fm_reader._names["blk0"])
-    assert blk0[3] == compression.ZLIB
+    assert blk0[3] == compression.NONE
+    streams = unpack(fm_reader.component("blk0"))
+    assert len(streams) == 1 + 4096 // fm_index.RANK_STRIDE  # table, sub-blocks
+    for stream in streams:
+        zlib.decompress(stream)
 
 
 # -- files written before the rule: zlib emb chunks, zlib pq --------------

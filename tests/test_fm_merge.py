@@ -370,9 +370,12 @@ class TestBuilderInterleaveMerge:
     def test_index_file_bytes_pinned(self):
         """sha256 of one built and one merged index file: the on-disk
         bytes must not move. Re-pinned when page maps switched to RLE
-        deflate and merges became single-sentinel rebuilds, and when
+        deflate and merges became single-sentinel rebuilds, when
         components deflating by under 10% (here the merged file's small
-        ``sa{b}`` blocks and ``__pages__``) began to be stored raw."""
+        ``sa{b}`` blocks and ``__pages__``) began to be stored raw, and
+        when ``blk{b}``/``pg{b}`` became raw packs of deflated rank
+        sub-blocks (``test_fm_subblocks`` keeps the previous pins as the
+        legacy writer's bytes)."""
         from repro.workloads.text import TextWorkload
 
         def sha256(builder, n_pages):
@@ -401,10 +404,10 @@ class TestBuilderInterleaveMerge:
             for _ in range(3)
         ]
         assert sha256(parts[0], 2) == (
-            "43105f639a07aa319402ce6f396611807a6be868abbf54e900c9a8ab877b0c87"
+            "6458d230f791e5ef4734b9199df05c42024f01f7d7f2fd206fdffc793abee1d3"
         )
         merged = FmBuilder.merge_streaming(iter(parts), [0, 2, 4])
         assert len(merged.sentinels) == 1
         assert sha256(merged, 6) == (
-            "0d15a83e54b6be6a00847d1fd9fea8575b0fcf40e3dd5b0fb71cf908aec87ac8"
+            "4f707809cf034234d86b5a52bf4606b21cca96873027a433226536ab62d9ddc7"
         )

@@ -1,21 +1,31 @@
 """k-means, product quantization, and IVF-PQ (§V-C3)."""
 
+import hashlib
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.vector.ivf_pq import IvfPqBuilder, IvfPqQuerier
 from repro.indices.vector.kmeans import (
+    SCORE_BLOCK,
     _kmeans_pp_init,
     assign,
+    assign_batched,
     kmeans,
     kmeans_batched,
     squared_distances,
 )
 from repro.indices.vector.pq import ProductQuantizer
 from repro.workloads.vectors import VectorWorkload, exact_knn, recall_at_k
+
+#: The module, not the function the package re-exports under its name.
+kmeans_module = importlib.import_module("repro.indices.vector.kmeans")
 
 
 @pytest.fixture
@@ -141,6 +151,78 @@ class TestKmeans:
             kmeans_batched(np.zeros((2, 5, 3), np.float32), 2, iters=1, seeds=[0])
         with pytest.raises(ValueError):
             kmeans_batched(np.zeros((5, 3), np.float32), 2, iters=1, seeds=[0])
+
+
+def reference_assign_batched(points, centers):
+    """The assignment kernel before the reused score block: a fresh
+    ``p.c`` block per chunk, scaled by -2 and shifted by ``|c|^2``."""
+    b, n, _ = points.shape
+    c2 = np.einsum("bkd,bkd->bk", centers, centers)[:, None, :]
+    centers_t = centers.transpose(0, 2, 1)
+    out = np.empty((b, n), dtype=np.int64)
+    chunk = max(1, SCORE_BLOCK // (b * centers.shape[1]))
+    for start in range(0, n, chunk):
+        scores = points[:, start : start + chunk] @ centers_t
+        scores *= -2.0
+        scores += c2
+        out[:, start : start + chunk] = np.argmin(scores, axis=2)
+    return out
+
+
+class TestAssignKernel:
+    """``assign_batched`` scales the centres by -2 once and reuses one
+    score block: labels bit-identical to the fresh-block formula."""
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 900),
+        st.sampled_from([4, 16, 32]),
+        st.integers(1, 300),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_labels_equal_reference_property(self, b, n, d, k, grid, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # Small integers: every score is exact, and distinct centres
+            # tie often, so any change to a score's bits shows.
+            points = rng.integers(-2, 3, size=(b, n, d)).astype(np.float32)
+            centers = rng.integers(-2, 3, size=(b, k, d)).astype(np.float32)
+        else:
+            points = rng.normal(size=(b, n, d)).astype(np.float32)
+            centers = rng.normal(size=(b, k, d)).astype(np.float32)
+        # More ties: some centres are copies of points, some of each other.
+        centers[:, : k // 3] = points[:, rng.integers(n, size=k // 3)]
+        centers[:, k // 2 :: 5] = centers[:, :1]
+        assert np.array_equal(
+            assign_batched(points, centers),
+            reference_assign_batched(points, centers),
+        )
+
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_kmeans_equals_reference_kernel(self, d, monkeypatch):
+        """Chunked stacks (several score blocks, a short last one): the
+        clustering is unchanged, centres and labels alike."""
+        points = VectorWorkload(dim=d, n_clusters=12, seed=d).batch(8 * 700)
+        stack = points.reshape(8, 700, d)
+        seeds = list(range(8))
+        centers, labels = kmeans_batched(stack, 256, iters=6, seeds=seeds)
+        monkeypatch.setattr(kmeans_module, "assign_batched", reference_assign_batched)
+        ref_centers, ref_labels = kmeans_batched(stack, 256, iters=6, seeds=seeds)
+        assert np.array_equal(centers, ref_centers)
+        assert np.array_equal(labels, ref_labels)
+
+    def test_ivfpq_file_bytes_pinned(self):
+        """An IVF-PQ file built with the kernel: the same bytes as with
+        the fresh-block formula it replaced."""
+        data = VectorWorkload(dim=16, n_clusters=10, seed=5).batch(3000)
+        pages = [(g, data[g * 250 : (g + 1) * 250]) for g in range(12)]
+        builder = IvfPqBuilder.build(pages, nlist=24, m=8, seed=0)
+        store, _ = store_ivf(builder, len(pages), 250)
+        assert hashlib.sha256(store.get("v.index")).hexdigest() == (
+            "d8ab48dae7aba8ca117460854665910117b8e63eba9bf7b6d082ae0768f1411b"
+        )
 
 
 class TestProductQuantizer:
