@@ -66,7 +66,9 @@ def test_protocol_request_budget(benchmark):
         f"{'DEL':>4} | {'HEAD':>4} | {'$ requests':>10}",
     ]
     for label, d in budgets.items():
-        dollars = costs.request_cost(gets=d.gets, puts=d.puts, lists=d.lists)
+        dollars = costs.request_cost(
+            gets=d.gets, puts=d.puts, lists=d.lists, heads=d.heads
+        )
         lines.append(
             f"{label:>20} | {d.gets:>5} | {d.puts:>4} | {d.lists:>4} | "
             f"{d.deletes:>4} | {d.heads:>4} | ${dollars:.2e}"
@@ -86,4 +88,6 @@ def test_protocol_request_budget(benchmark):
     assert budgets["vacuum"].lists >= 1
     # Request dollars are negligible vs compute (§VI): << $0.01/query.
     hit = budgets["search (hit)"]
-    assert costs.request_cost(gets=hit.gets, lists=hit.lists) < 1e-4
+    assert costs.request_cost(
+        gets=hit.gets, lists=hit.lists, heads=hit.heads
+    ) < 1e-4

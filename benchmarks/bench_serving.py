@@ -254,19 +254,19 @@ def test_concurrent_clients(uuid_scenario, benchmark):
         # Persist the hub so the CI slo-gate job (and `repro dashboard`)
         # can evaluate exactly what this run observed.
         snap = server.client.lake.snapshot()
-        hub.ledger.set_storage(
-            data_bytes=snap.total_bytes,
-            index_bytes=sum(r.size for r in server.client.meta.records()),
+        hub.series("storage.data_bytes").set(snap.total_bytes)
+        hub.series("storage.index_bytes").set(
+            sum(r.size for r in server.client.meta.records())
         )
         payload = write_telemetry_json(
             results_path("TELEMETRY_serving.json"),
             hub,
             source="bench_serving.test_concurrent_clients",
         )
-        # Every caller lands in the series; dedup means the ledger
-        # bills fewer flights than callers, but never zero.
+        # Every caller lands in the series; dedup means fewer flights
+        # are billed than callers, but never zero.
         assert hub.series("serve.queries").count() >= 6 * 3
-        assert 1 <= payload["hub"]["ledger"]["serve_queries"] <= stats.queries
+        assert 1 <= payload["hub"]["series"]["serve.cost_usd"]["count"] <= stats.queries
 
 
 def test_flight_recorder_overhead(uuid_scenario, benchmark):

@@ -269,9 +269,8 @@ def cmd_serve_bench(args) -> int:
             index_bytes = sum(
                 record.size for record in server.client.meta.records()
             )
-            hub.ledger.set_storage(
-                data_bytes=snap.total_bytes, index_bytes=index_bytes
-            )
+            hub.series("storage.data_bytes").set(snap.total_bytes)
+            hub.series("storage.index_bytes").set(index_bytes)
     if recorder is not None:
         from repro.obs.store import SnapshotStore
 
@@ -301,6 +300,16 @@ def cmd_serve_bench(args) -> int:
     return 0
 
 
+def _retained_flights(store, root: str) -> list:
+    """The bucket's readable flight traces; says how many were skipped."""
+    from repro.obs import load_flights
+
+    flights, skipped = load_flights(store, root=root)
+    if skipped:
+        print(f"# skipped {skipped} unreadable flight trace(s)", file=sys.stderr)
+    return flights
+
+
 def cmd_dashboard(args) -> int:
     """Render the telemetry dashboard HTML from a snapshot file.
 
@@ -308,7 +317,7 @@ def cmd_dashboard(args) -> int:
     flight traces (exemplar links), the folded crack heat map, and the
     snapshot history for the cross-run trend panel.
     """
-    from repro.obs import load_flights, load_telemetry_json, write_dashboard
+    from repro.obs import load_telemetry_json, write_dashboard
     from repro.obs.slo import default_slo
     from repro.obs.store import SnapshotStore
 
@@ -323,7 +332,7 @@ def cmd_dashboard(args) -> int:
         from repro.crack.heat import HeatMap
 
         store = LocalFSObjectStore(args.root)
-        flights = load_flights(store, root=args.obs)
+        flights = _retained_flights(store, args.obs)
         history = SnapshotStore(store, root=args.obs).snapshots()
         folded_heat = None
         for payload in history:
@@ -380,7 +389,7 @@ def cmd_top(args) -> int:
     retained flight traces come from the store. Exits 3 when there is
     neither telemetry nor a single retained trace.
     """
-    from repro.obs import load_flights, load_telemetry_json
+    from repro.obs import load_telemetry_json
     from repro.obs.slo import default_slo
     from repro.obs.store import SnapshotStore
 
@@ -392,7 +401,7 @@ def cmd_top(args) -> int:
         store = LocalFSObjectStore(args.root)
         if hub is None:
             hub = SnapshotStore(store, root=args.obs).folded_hub()
-        flights = load_flights(store, root=args.obs)
+        flights = _retained_flights(store, args.obs)
     if hub is None and not flights:
         print(
             "error: empty input — no telemetry snapshot and no retained "
@@ -424,7 +433,6 @@ def cmd_top(args) -> int:
             print(f"p50        {merged.quantile(0.5) * 1000:.2f} ms")
             print(f"p99        {merged.quantile(0.99) * 1000:.2f} ms")
     if flights:
-        flights.sort(key=lambda f: (-f.latency_s, f.trace_id))
         print(f"== slowest retained traces ({len(flights)}) ==")
         for flight in flights[: args.limit]:
             print(flight.describe())
@@ -434,8 +442,8 @@ def cmd_top(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    """Render one retained flight trace: span tree, critical path, bill."""
-    from repro.obs import load_flight, render_timeline
+    """Render one retained flight trace: span tree, bill, critical path."""
+    from repro.obs import explain, load_flight
 
     store = LocalFSObjectStore(args.root)
     flight = load_flight(store, args.trace_id, root=args.obs)
@@ -445,34 +453,7 @@ def cmd_traces(args) -> int:
         f"{flight.slow_phase or '-'}  query={flight.query}"
     )
     print()
-    print(render_timeline(flight.root()))
-    if flight.critical_path:
-        print("critical path:")
-        for step in flight.critical_path:
-            phase = f" [{step['phase']}]" if step.get("phase") else ""
-            print(
-                f"  {step['name']:<28}{phase:<14} "
-                f"self {step['self_s'] * 1000:8.2f} ms  "
-                f"total {step['duration_s'] * 1000:8.2f} ms  "
-                f"{step['requests']} req"
-            )
-    if flight.bill is not None:
-        bill = flight.bill
-        total = float(bill["request_cost_usd"]) + float(
-            bill["compute_cost_usd"]
-        )
-        print(
-            f"bill: ${total:.3e} total (requests "
-            f"${float(bill['request_cost_usd']):.3e}, compute "
-            f"${float(bill['compute_cost_usd']):.3e}); "
-            f"{bill['requests']} requests, {bill['bytes_read']} bytes read"
-        )
-        for phase in bill["phases"]:
-            print(
-                f"  {phase['phase']:<14} {phase['est_latency_s'] * 1000:8.2f}"
-                f" ms  {phase['requests']:4d} req  "
-                f"${float(phase['request_cost_usd']) + float(phase['compute_cost_usd']):.3e}"
-            )
+    print(explain(flight.root()))
     return 0
 
 
@@ -504,13 +485,11 @@ def cmd_profile(args) -> int:
     tail-attribution line compares it against the whole batch.
     """
     from repro.obs import (
-        TailSample,
+        TailRecorder,
         Tracer,
         attribute,
-        critical_path,
+        explain,
         price_iostats,
-        render_critical_path,
-        render_timeline,
         tail_attribution,
         use_tracer,
         write_spans_jsonl,
@@ -545,49 +524,27 @@ def cmd_profile(args) -> int:
     roots = [r for r in tracer.pop_finished() if r.name == "search"]
     if not roots:
         raise ReproError("search finished but recorded no span tree")
-    costs = CostModel()
+    latency, costs = LatencyModel(), CostModel()
     bills = [
-        attribute(
-            root,
-            latency=LatencyModel(),
-            costs=costs,
-            instance_type=args.instance,
-        )
-        for root in roots
+        attribute(r, latency=latency, costs=costs, instance_type=args.instance)
+        for r in roots
     ]
     slowest = max(range(len(bills)), key=lambda i: bills[i].est_latency_s)
-    root, bill = roots[slowest], bills[slowest]
-    print(render_timeline(root))
-    print()
-    print(bill.describe(costs))
-    print()
-    print(render_critical_path(critical_path(root)))
-    samples = [
-        TailSample(
-            total_s=b.est_latency_s,
-            at_s=float(i),
-            query=r.name,
-            phase_s={p.phase: p.est_latency_s for p in b.phases},
-        )
-        for i, (r, b) in enumerate(zip(roots, bills))
-    ]
-    print(tail_attribution(samples).headline())
+    root = roots[slowest]
+    print(explain(root, latency=latency, costs=costs, instance_type=args.instance))
+    tail = TailRecorder()
+    for i, bill in enumerate(bills):
+        tail.record_bill(bill, bill.est_latency_s, at_s=float(i))
+    print(tail_attribution(tail.samples()).headline())
     billed = sum(b.total_request_cost_usd(costs) for b in bills)
     reference = price_iostats(delta, costs)
     # Reconcile on the exact integer request/byte counts — the real
     # drift signal (an op outside any phase span) — rather than on the
     # float dollar totals, whose summation order differs between the
     # per-phase bills and the one-shot IOStats pricing.
-    attributed = [0] * 7
-    for bill in bills:
-        for phase in bill.phases:
-            for i, n in enumerate(
-                (phase.gets, phase.puts, phase.lists, phase.heads,
-                 phase.deletes, phase.bytes_read, phase.bytes_written)
-            ):
-                attributed[i] += n
-    observed = [delta.gets, delta.puts, delta.lists, delta.heads,
-                delta.deletes, delta.bytes_read, delta.bytes_written]
+    counts = ("gets", "puts", "lists", "heads", "deletes", "bytes_read", "bytes_written")
+    attributed = [sum(getattr(b, n) for b in bills) for n in counts]
+    observed = [getattr(delta, n) for n in counts]
     verdict = "exact" if attributed == observed else "MISMATCH"
     print(
         f"reconciliation: bill ${billed:.3e} vs IOStats delta "

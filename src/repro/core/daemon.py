@@ -194,8 +194,8 @@ class MaintenanceDaemon:
         """Run everything the policy proposes; returns what happened.
 
         Each run bills itself through the pipeline, so a tick that
-        indexes, compacts and vacuums lands its spend in the right
-        ledger buckets; the policy's own reads are billed as ``plan``.
+        indexes, compacts and vacuums lands its spend in each verb's
+        cost series; the policy's own reads are billed as ``plan``.
         ``index`` aborts (e.g. too few rows for a vector index yet) are
         recorded, not raised — the data stays brute-force searchable
         and a later tick retries.

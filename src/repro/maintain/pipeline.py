@@ -14,8 +14,9 @@ that own their request traces, and
 :class:`MaintainReport` whose bill reconciles with the store's
 :class:`~repro.storage.stats.IOStats` delta exactly as query bills do,
 one ``maintain.<op>.runs{outcome}`` observation, the other ``maintain.*``
-hub series and the cost-ledger bucket of the verb (``index`` is the
-one-time build cost, everything else ongoing maintenance) — whoever
+hub series and its bill as ``maintain.<op>.cost_usd``, which the cost
+ledger folds (``index`` is the one-time build cost, everything else
+ongoing maintenance) — whoever
 asked for the run: a caller, the drain, or a
 :class:`~repro.core.daemon.MaintenanceDaemon` tick under any policy.
 
@@ -212,7 +213,7 @@ class MaintenancePipeline:
         metadata table before (and between) verb runs; routing those
         reads through here is what makes a tick's bills add up to its
         ``IOStats`` delta. Planning is ongoing maintenance spend, not a
-        verb run: it moves the ledger and ``maintain.plan.modeled_s``,
+        verb run: it moves ``maintain.plan.cost_usd`` and ``maintain.plan.modeled_s``,
         and no ``maintain.{op}.runs`` series.
         """
         with phase(self.client.store, "maintain.plan", "plan") as root:
@@ -236,7 +237,7 @@ class MaintenancePipeline:
     def _report(
         self, op: str, root: Span, result: object, *, aborted: bool = False
     ) -> MaintainReport:
-        """Span root → report → hub series → ledger bucket."""
+        """Span root → report → hub series."""
         vacuum = result if isinstance(result, VacuumReport) else None
         if isinstance(result, IndexRecord):
             records = [result]
@@ -275,16 +276,13 @@ class MaintenancePipeline:
         )
 
     def _bill(self, op: str, root: Span) -> None:
-        """One run's (or planning step's) spend → hub series + ledger."""
+        """One run's (or planning step's) spend → hub series."""
         bill = attribute(root)
-        request_usd = bill.total_request_cost_usd()
-        compute_usd = bill.compute_cost_usd
         hub = get_hub()
         at_s = self.client.store.clock.now()
-        hub.ledger.record_maintain(op, request_usd, compute_usd, at_s=at_s)
         hub.series(f"maintain.{op}.modeled_s").observe(
             bill.est_latency_s, at_s=at_s
         )
-        hub.series("maintain.cost_usd").observe(
-            request_usd + compute_usd, at_s=at_s
+        hub.series(f"maintain.{op}.cost_usd").observe(
+            bill.total_cost_usd(), at_s=at_s
         )

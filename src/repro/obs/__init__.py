@@ -13,8 +13,9 @@ first-class telemetry to prove any perf claim against:
 * :mod:`repro.obs.timeseries` — the one telemetry store: every named
   fact is a labeled windowed series (rate, cumulative counter, gauge)
   or a mergeable quantile sketch in one process-wide
-  :class:`~repro.obs.timeseries.TelemetryHub`, plus the
-  observed-dollars :class:`~repro.obs.timeseries.CostLedger`;
+  :class:`~repro.obs.timeseries.TelemetryHub`. Each bill is stored
+  once, as a cost series; the observed-dollars
+  :class:`~repro.obs.timeseries.CostLedger` is a read-only fold of them;
 * :mod:`repro.obs.metrics` — the Prometheus text exposition of a hub
   (``repro metrics``);
 * :mod:`repro.obs.critical_path` — per-trace critical paths and
@@ -24,14 +25,16 @@ first-class telemetry to prove any perf claim against:
   turns the verdict into an exit code);
 * :mod:`repro.obs.dashboard` — a dependency-free HTML report with the
   deployment's measured position on the TCO phase diagram;
-* :mod:`repro.obs.export` — JSONL span dumps, text timelines, the
-  stable ``BENCH_*.json`` schema benchmarks emit, and the
+* :mod:`repro.obs.export` — JSONL span dumps, the one text renderer
+  of a span tree (:func:`~repro.obs.export.explain`: timeline, bill,
+  critical path — what ``repro profile`` and ``repro traces`` print),
+  the stable ``BENCH_*.json`` schema benchmarks emit, and the
   ``TELEMETRY_*.json`` hub snapshots the SLO gate evaluates;
 * :mod:`repro.obs.flight` — the tail-sampling flight recorder: a
   bounded ring of *complete span trees* for exactly the queries worth
   debugging (errors, SLO breaches, latencies above a live p99), each
-  persisted content-addressed through the :class:`ObjectStore`
-  (``repro traces <id>`` renders one with its cost bill);
+  persisted content-addressed through the :class:`ObjectStore`. A
+  flight stores only its spans; its bill is computed when it is read;
 * :mod:`repro.obs.store` — durable, mergeable telemetry snapshots
   (hub series + crack heat map + SLO verdicts)
   whose fold is commutative and associative, so dashboards gain a
@@ -66,6 +69,7 @@ from repro.obs.dashboard import (
 from repro.obs.export import (
     BENCH_SCHEMA,
     TELEMETRY_SCHEMA,
+    explain,
     load_telemetry_json,
     render_timeline,
     span_to_dict,
@@ -155,6 +159,7 @@ __all__ = [
     "attribute",
     "critical_path",
     "default_slo",
+    "explain",
     "flight_key",
     "fold_snapshots",
     "get_flight_recorder",

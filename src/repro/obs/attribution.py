@@ -78,6 +78,11 @@ class PhaseBill:
                     self.deletes += 1
 
 
+def _summed(name: str) -> property:
+    """A :class:`QueryBill` total: the phases' ``name`` summed."""
+    return property(lambda self: sum(getattr(p, name) for p in self.phases))
+
+
 @dataclass
 class QueryBill:
     """The full per-query decomposition (Fig. 8's bars, per request)."""
@@ -88,51 +93,24 @@ class QueryBill:
     phases: list[PhaseBill] = field(default_factory=list)
 
     # -- totals (computed from summed counts, never from per-phase $) --
-    @property
-    def gets(self) -> int:
-        return sum(p.gets for p in self.phases)
-
-    @property
-    def puts(self) -> int:
-        return sum(p.puts for p in self.phases)
-
-    @property
-    def lists(self) -> int:
-        return sum(p.lists for p in self.phases)
-
-    @property
-    def heads(self) -> int:
-        return sum(p.heads for p in self.phases)
-
-    @property
-    def deletes(self) -> int:
-        return sum(p.deletes for p in self.phases)
-
-    @property
-    def requests(self) -> int:
-        return sum(p.requests for p in self.phases)
-
-    @property
-    def bytes_read(self) -> int:
-        return sum(p.bytes_read for p in self.phases)
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(p.bytes_written for p in self.phases)
-
-    @property
-    def est_latency_s(self) -> float:
-        return sum(p.est_latency_s for p in self.phases)
+    gets = _summed("gets")
+    puts = _summed("puts")
+    lists = _summed("lists")
+    heads = _summed("heads")
+    deletes = _summed("deletes")
+    requests = _summed("requests")
+    bytes_read = _summed("bytes_read")
+    bytes_written = _summed("bytes_written")
+    est_latency_s = _summed("est_latency_s")
+    compute_cost_usd = _summed("compute_cost_usd")
 
     def total_request_cost_usd(self, costs: CostModel | None = None) -> float:
         """Summed op counts priced in one shot — the figure that must
         (and does) equal the query's IOStats delta priced the same way."""
         costs = costs or CostModel()
-        return costs.request_cost(gets=self.gets, puts=self.puts, lists=self.lists)
-
-    @property
-    def compute_cost_usd(self) -> float:
-        return sum(p.compute_cost_usd for p in self.phases)
+        return costs.request_cost(
+            gets=self.gets, puts=self.puts, lists=self.lists, heads=self.heads
+        )
 
     def total_cost_usd(self, costs: CostModel | None = None) -> float:
         return self.total_request_cost_usd(costs) + self.compute_cost_usd
@@ -176,7 +154,9 @@ def price_iostats(stats: IOStats, costs: CostModel | None = None) -> float:
     """An :class:`IOStats` (delta) priced by the cost model — the
     reference figure query bills reconcile against."""
     costs = costs or CostModel()
-    return costs.request_cost(gets=stats.gets, puts=stats.puts, lists=stats.lists)
+    return costs.request_cost(
+        gets=stats.gets, puts=stats.puts, lists=stats.lists, heads=stats.heads
+    )
 
 
 def attribute(
@@ -215,7 +195,7 @@ def attribute(
 
     for bill in by_phase.values():
         bill.request_cost_usd = costs.request_cost(
-            gets=bill.gets, puts=bill.puts, lists=bill.lists
+            gets=bill.gets, puts=bill.puts, lists=bill.lists, heads=bill.heads
         )
 
     ordered = [by_phase[p] for p in PHASE_ORDER if p in by_phase]

@@ -23,8 +23,8 @@ server and opened anywhere. Sections:
   the TCO story a time-travel axis;
 * the centerpiece: the deployment's **measured position and
   trajectory on the TCO phase diagram**. The cost ledger's observed
-  serve/maintain/index dollars are folded into an
-  :class:`~repro.tco.model.ApproachCost` (measured cost-per-query,
+  serve/maintain/index dollars (a fold of the hub's cost series) are
+  folded into an :class:`~repro.tco.model.ApproachCost` (measured cost-per-query,
   measured monthly burn, measured index spend) and plotted over the
   winner regions of :func:`~repro.tco.phase.compute_phase_diagram`
   against the brute-force and copy-data frontiers priced at the
@@ -45,6 +45,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from repro.obs.attribution import attribute
 from repro.obs.critical_path import TailReport, tail_attribution
 from repro.obs.slo import SLO, SLOReport, default_slo
 from repro.obs.timeseries import TelemetryHub
@@ -716,12 +717,7 @@ def _flight_section(flights) -> str:
     flights.sort(key=lambda f: (-f.latency_s, f.trace_id))
     rows = []
     for flight in flights:
-        cost = "—"
-        if flight.bill is not None:
-            total = float(flight.bill["request_cost_usd"]) + float(
-                flight.bill["compute_cost_usd"]
-            )
-            cost = f"${total:.3e}"
+        cost = attribute(flight.root()).total_cost_usd()
         rows.append(
             f"<tr id='flight-{_esc(flight.trace_id)}'>"
             f"<td><code>{_esc(flight.trace_id)}</code></td>"
@@ -729,7 +725,7 @@ def _flight_section(flights) -> str:
             f"<td>{flight.latency_s * 1000:.2f}</td>"
             f"<td>{_esc(flight.slow_phase or '—')}</td>"
             f"<td>{_esc(flight.query or '—')}</td>"
-            f"<td>{_esc(cost)}</td></tr>"
+            f"<td>${cost:.3e}</td></tr>"
         )
     return (
         "<section><h2>Retained traces (flight recorder)</h2>"
@@ -796,11 +792,8 @@ def _trend_section(history) -> str:
         hub = TelemetryHub.from_snapshot(payload["hub"])
         merged = hub.quantiles("serve.latency_s").merged()
         p99_ms = merged.quantile(0.99) * 1000 if merged.count else None
-        cpq = (
-            hub.ledger.cost_per_query_usd
-            if hub.ledger.serve_queries
-            else None
-        )
+        ledger = hub.ledger  # a fold of the cost series: read it once
+        cpq = ledger.cost_per_query_usd if ledger.serve_queries else None
         points.append(
             (
                 payload.get("at_s", 0.0),

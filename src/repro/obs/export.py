@@ -4,9 +4,11 @@ Four consumers, four formats:
 
 * **machines** get :func:`spans_to_jsonl` — one flattened span per line
   (``span_id``/``parent_id`` restore the tree), attributes made
-  JSON-safe and attached request traces summarized;
-* **humans** get :func:`render_timeline` — an indented flame-style view
-  with duration bars and per-span request/byte counts;
+  JSON-safe and each phase's request trace kept as rounds of
+  ``[op, nbytes]``;
+* **humans** get :func:`explain` — an indented flame-style timeline
+  (:func:`render_timeline`) with per-span request/byte counts, the
+  query's bill and its critical path;
 * **the perf trajectory** gets the ``BENCH_*.json`` schema
   (:data:`BENCH_SCHEMA`): a stable envelope every benchmark writes via
   :func:`update_bench_json`, so successive PRs produce machine-diffable
@@ -14,7 +16,7 @@ Four consumers, four formats:
 * **offline SLO/dashboard evaluation** gets the
   ``TELEMETRY_<name>.json`` schema (:data:`TELEMETRY_SCHEMA`): one
   :class:`~repro.obs.timeseries.TelemetryHub` snapshot — every windowed
-  series, per-window quantile sketch, tail sample, and the cost ledger —
+  series, per-window quantile sketch and tail sample —
   written by a benchmark or serving process via
   :func:`write_telemetry_json` and rehydrated by ``repro slo-check`` /
   ``repro dashboard`` via :func:`load_telemetry_json`.
@@ -26,8 +28,13 @@ import json
 import os
 from typing import Iterable
 
+from repro.obs.attribution import DEFAULT_INSTANCE, attribute
+from repro.obs.critical_path import critical_path, render_critical_path
 from repro.obs.timeseries import TelemetryHub
-from repro.obs.trace import Span
+from repro.obs.trace import Span, SpanEvent
+from repro.storage.costs import CostModel
+from repro.storage.latency import LatencyModel
+from repro.storage.stats import Request, RequestTrace
 
 #: Version tag inside every BENCH_*.json payload; bump on breaking change.
 BENCH_SCHEMA = "repro.bench/v1"
@@ -68,11 +75,10 @@ def span_to_dict(span: Span) -> dict:
         ],
     }
     if span.trace is not None:
-        out["trace"] = {
-            "requests": span.trace.total_requests,
-            "bytes": span.trace.total_bytes,
-            "depth": span.trace.depth,
-        }
+        # Rounds of [op, nbytes]: all the latency and cost models read.
+        out["trace"] = [
+            [[r.op, r.nbytes] for r in round_] for round_ in span.trace.rounds
+        ]
     return out
 
 
@@ -80,16 +86,15 @@ def span_tree_from_dicts(rows: Iterable[dict]) -> Span:
     """Rebuild one span tree from :func:`span_to_dict` rows.
 
     The inverse the flight recorder needs: a retained trace is stored
-    as flat rows and must come back as a tree :func:`render_timeline`
-    and :func:`~repro.obs.critical_path.critical_path` can walk. Rows
-    must contain exactly one root (``parent_id is None``) and parents
-    must precede children (the depth-first order ``spans_to_jsonl``
-    writes). The attached per-phase ``RequestTrace`` objects do not
-    round-trip — only their event rows and summary counts do — so
-    rebuilt spans carry ``trace=None``.
+    as flat rows and must come back as a tree :func:`explain` can
+    render and price. Rows must contain exactly one root
+    (``parent_id is None``) and parents must precede children (the
+    depth-first order ``spans_to_jsonl`` writes). Each phase span's
+    ``RequestTrace`` comes back round for round (request keys are not
+    kept), so :func:`~repro.obs.attribution.attribute` and
+    :func:`~repro.obs.critical_path.critical_path` of the rebuilt tree
+    equal those of the live one.
     """
-    from repro.obs.trace import SpanEvent
-
     by_id: dict[int, Span] = {}
     root: Span | None = None
     for row in rows:
@@ -114,6 +119,12 @@ def span_tree_from_dicts(rows: Iterable[dict]) -> Span:
             )
             for e in row.get("events", [])
         ]
+        if row.get("trace") is not None:
+            span.trace = RequestTrace()
+            span.trace.rounds = [
+                [Request(op=str(op), key="", nbytes=int(n)) for op, n in round_]
+                for round_ in row["trace"]
+            ]
         if parent is not None:
             parent.children.append(span)
         elif root is not None:
@@ -199,6 +210,22 @@ def render_timeline(
 
     walk(root, 0)
     return "\n".join(lines)
+
+
+def explain(
+    root: Span,
+    *,
+    latency: LatencyModel | None = None,
+    costs: CostModel | None = None,
+    instance_type: str = DEFAULT_INSTANCE,
+) -> str:
+    """One span tree as text: its timeline, its bill priced by the
+    given models, then its critical path. ``repro profile`` prints it
+    for a live query and ``repro traces`` for a retained one."""
+    bill = attribute(root, latency=latency, costs=costs, instance_type=instance_type)
+    return "\n\n".join(
+        [render_timeline(root), bill.describe(costs), render_critical_path(critical_path(root))]
+    )
 
 
 # ---------------------------------------------------------------------

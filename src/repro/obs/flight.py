@@ -1,7 +1,7 @@
 """Tail-sampling flight recorder: durably retain the traces that matter.
 
 Everything else in ``repro.obs`` aggregates — sketches, burn rates,
-cost ledgers. After a p99 breach the operator's question is the
+cost series. After a p99 breach the operator's question is the
 opposite of an aggregate: *"show me the trace of a query that was
 slow."* The flight recorder answers it with tail sampling: every
 finished query's span tree flows past, but only the interesting ones
@@ -18,11 +18,13 @@ are retained —
 Retention is bounded twice over: at most ``capacity`` traces and at
 most ``budget_bytes`` of serialized trace bytes are resident, oldest
 evicted first (a hypothesis property pins that no arrival/latency
-sequence can exceed either budget). Each retained
-:class:`FlightTrace` is self-contained: the serialized span rows, the
-pre-computed critical path, and the pre-computed cost bill — computed
-at retention time, because the live ``RequestTrace`` objects bills are
-derived from do not survive serialization.
+sequence can exceed either budget). A retained :class:`FlightTrace`
+is its span tree and nothing else: the serialized span rows carry each
+phase's request rounds, so the bill, the critical path and the slow
+phase are computed when the trace is read, priced by the reader's
+models (``repro traces`` prints them through
+:func:`~repro.obs.export.explain`, as ``repro profile`` does a live
+query).
 
 Durability goes through the same :class:`~repro.storage.object_store.
 ObjectStore` machinery as every other artifact in this repo: traces
@@ -49,7 +51,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs.attribution import QueryBill
+from repro.errors import ReproError
+from repro.obs.attribution import attribute
 from repro.obs.critical_path import critical_path
 from repro.obs.export import span_to_dict, span_tree_from_dicts
 from repro.obs.timeseries import QuantileSketch, TelemetryHub
@@ -63,7 +66,7 @@ if TYPE_CHECKING:  # circular-import-free type hints only
 FLIGHT_DIR = "_flights"
 
 #: Version tag inside every persisted flight trace.
-FLIGHT_SCHEMA = "repro.obs.flight/v1"
+FLIGHT_SCHEMA = "repro.obs.flight/v2"
 
 #: Default resident ring budgets.
 DEFAULT_FLIGHT_CAPACITY = 64
@@ -79,56 +82,35 @@ def flight_key(root: str, trace_id: str) -> str:
     return f"{root}/{FLIGHT_DIR}/{trace_id}.json"
 
 
-def _bill_to_dict(bill: QueryBill) -> dict:
-    """A :class:`QueryBill` as JSON-safe scalars (bills don't round-trip
-    through spans, so the flight stores the computed numbers)."""
-    return {
-        "query": bill.query,
-        "instance_type": bill.instance_type,
-        "instance_hourly_usd": bill.instance_hourly_usd,
-        "est_latency_s": bill.est_latency_s,
-        "requests": bill.requests,
-        "bytes_read": bill.bytes_read,
-        "bytes_written": bill.bytes_written,
-        "request_cost_usd": bill.total_request_cost_usd(),
-        "compute_cost_usd": bill.compute_cost_usd,
-        "phases": [
-            {
-                "phase": p.phase,
-                "spans": p.spans,
-                "requests": p.requests,
-                "gets": p.gets,
-                "puts": p.puts,
-                "lists": p.lists,
-                "bytes_read": p.bytes_read,
-                "bytes_written": p.bytes_written,
-                "est_latency_s": p.est_latency_s,
-                "request_cost_usd": p.request_cost_usd,
-                "compute_cost_usd": p.compute_cost_usd,
-            }
-            for p in bill.phases
-        ],
-    }
-
-
 @dataclass
 class FlightTrace:
-    """One retained ("black-boxed") query trace, fully self-contained."""
+    """One retained ("black-boxed") query trace: its span tree, nothing
+    derived. The bill, critical path and slow phase are computed from
+    the spans when read, priced by the reader's models."""
 
     trace_id: str
     reason: str  # "error" | "slo-breach" | "tail"
     latency_s: float
     at_s: float
     query: str
-    slow_phase: str
     spans: list[dict] = field(default_factory=list)
-    critical_path: list[dict] = field(default_factory=list)
-    bill: dict | None = None
     nbytes: int = 0
 
     def root(self) -> Span:
-        """The span tree, rebuilt for rendering/critical-path walks."""
+        """The span tree, rebuilt for rendering, pricing and walks."""
         return span_tree_from_dicts(self.spans)
+
+    @property
+    def slow_phase(self) -> str:
+        """The phase with the most modeled time under the default
+        models; when no phase issued a request, the tagged span with the
+        most critical-path self time."""
+        root = self.root()
+        phases = [p for p in attribute(root).phases if p.est_latency_s > 0]
+        if phases:
+            return max(phases, key=lambda p: p.est_latency_s).phase
+        tagged = [s for s in critical_path(root) if s.phase]
+        return max(tagged, key=lambda s: s.self_s).phase if tagged else ""
 
     def to_dict(self) -> dict:
         return {
@@ -138,10 +120,7 @@ class FlightTrace:
             "latency_s": self.latency_s,
             "at_s": self.at_s,
             "query": self.query,
-            "slow_phase": self.slow_phase,
             "spans": self.spans,
-            "critical_path": self.critical_path,
-            "bill": self.bill,
         }
 
     @classmethod
@@ -156,10 +135,7 @@ class FlightTrace:
             latency_s=float(data["latency_s"]),
             at_s=float(data["at_s"]),
             query=str(data.get("query", "")),
-            slow_phase=str(data.get("slow_phase", "")),
             spans=list(data.get("spans", [])),
-            critical_path=list(data.get("critical_path", [])),
-            bill=data.get("bill"),
         )
         trace.nbytes = len(trace.serialize())
         return trace
@@ -173,16 +149,11 @@ class FlightTrace:
 
     def describe(self) -> str:
         """One summary line for ``repro top``."""
-        cost = ""
-        if self.bill is not None:
-            total = float(self.bill["request_cost_usd"]) + float(
-                self.bill["compute_cost_usd"]
-            )
-            cost = f"  ${total:.3e}"
+        cost = attribute(self.root()).total_cost_usd()
         return (
             f"{self.trace_id}  {self.latency_s * 1000:9.2f} ms  "
             f"{self.reason:<10}  {self.slow_phase or '-':<12} "
-            f"{self.query}{cost}"
+            f"{self.query}  ${cost:.3e}"
         )
 
 
@@ -257,7 +228,6 @@ class FlightRecorder:
         latency_s: float,
         at_s: float,
         error: bool = False,
-        bill: QueryBill | None = None,
         hub: TelemetryHub | None = None,
     ) -> FlightTrace | None:
         """Consider one finished query for retention.
@@ -294,7 +264,7 @@ class FlightRecorder:
             self.observed += 1
         if reason is None:
             return None
-        flight = self._build(root_span, latency_s, at_s, reason, bill)
+        flight = self._build(root_span, latency_s, at_s, reason)
         with self._lock:
             if flight.nbytes > self.budget_bytes:
                 # One trace alone would blow the byte budget: drop it
@@ -315,44 +285,15 @@ class FlightRecorder:
         return flight
 
     def _build(
-        self,
-        root_span: Span,
-        latency_s: float,
-        at_s: float,
-        reason: str,
-        bill: QueryBill | None,
+        self, root_span: Span, latency_s: float, at_s: float, reason: str
     ) -> FlightTrace:
-        spans = [span_to_dict(s) for s in root_span.walk()]
-        steps = [
-            {
-                "name": s.name,
-                "phase": s.phase,
-                "duration_s": s.duration_s,
-                "self_s": s.self_s,
-                "requests": s.requests,
-            }
-            for s in critical_path(root_span)
-        ]
-        bill_dict = _bill_to_dict(bill) if bill is not None else None
-        slow_phase = ""
-        if bill_dict is not None and bill_dict["phases"]:
-            slow_phase = max(
-                bill_dict["phases"], key=lambda p: p["est_latency_s"]
-            )["phase"]
-        elif steps:
-            tagged = [s for s in steps if s["phase"]]
-            if tagged:
-                slow_phase = max(tagged, key=lambda s: s["self_s"])["phase"]
         flight = FlightTrace(
             trace_id="",
             reason=reason,
             latency_s=float(latency_s),
             at_s=float(at_s),
             query=str(root_span.attributes.get("query", root_span.name)),
-            slow_phase=str(slow_phase),
-            spans=spans,
-            critical_path=steps,
-            bill=bill_dict,
+            spans=[span_to_dict(s) for s in root_span.walk()],
         )
         # Content-address the trace: the id is derived from the payload
         # with the id field blank, so identical traces share a key and
@@ -423,12 +364,20 @@ def list_flights(store: "ObjectStore", root: str = "obs") -> list[str]:
     return sorted(ids)
 
 
+def _read_flight(store: "ObjectStore", key: str) -> FlightTrace:
+    """One flight object, or a :class:`ReproError` naming the key when
+    it is corrupt JSON or carries a foreign schema."""
+    data = store.get(key)
+    try:
+        return FlightTrace.from_dict(json.loads(data.decode("utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ReproError(f"unreadable flight trace {key}: {exc}") from None
+
+
 def load_flight(
     store: "ObjectStore", trace_id: str, root: str = "obs"
 ) -> FlightTrace:
     """One durably retained flight by id (unique prefixes accepted)."""
-    from repro.errors import ReproError
-
     matches = [t for t in list_flights(store, root) if t.startswith(trace_id)]
     if not matches:
         raise ReproError(f"no retained flight trace matches {trace_id!r}")
@@ -436,18 +385,24 @@ def load_flight(
         raise ReproError(
             f"ambiguous flight trace id {trace_id!r}: matches {matches}"
         )
-    data = store.get(flight_key(root, matches[0]))
-    return FlightTrace.from_dict(json.loads(data.decode("utf-8")))
+    return _read_flight(store, flight_key(root, matches[0]))
 
 
-def load_flights(store: "ObjectStore", root: str = "obs") -> list[FlightTrace]:
-    """Every durably retained flight, slowest first."""
-    flights = [
-        load_flight(store, trace_id, root)
-        for trace_id in list_flights(store, root)
-    ]
+def load_flights(
+    store: "ObjectStore", root: str = "obs"
+) -> tuple[list[FlightTrace], int]:
+    """Every readable durably retained flight, slowest first, and the
+    number of objects skipped as unreadable (corrupt JSON or a foreign
+    schema, such as a flight written by an older build)."""
+    flights: list[FlightTrace] = []
+    skipped = 0
+    for trace_id in list_flights(store, root):
+        try:
+            flights.append(_read_flight(store, flight_key(root, trace_id)))
+        except ReproError:
+            skipped += 1
     flights.sort(key=lambda f: (-f.latency_s, f.trace_id))
-    return flights
+    return flights, skipped
 
 
 # ---------------------------------------------------------------------

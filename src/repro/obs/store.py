@@ -9,8 +9,8 @@ paper's point about metadata-scale artifacts belonging in the lake
 applies to operational metadata too):
 
 * the hub (every named series and per-window quantile sketch — store,
-  cache and scheduler counters included — tail samples, cost ledger,
-  per-shard ``router.shard{N}.*`` SLO state),
+  cache and scheduler counters included, with the cost series the
+  cost ledger folds — tail samples, per-shard ``router.shard{N}.*`` SLO state),
 * the crack heat map (:class:`repro.crack.heat.HeatMap` payloads), and
 * the ids of durably retained flight traces.
 

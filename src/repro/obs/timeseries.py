@@ -21,17 +21,19 @@ merge and the dict round trip are written once):
 
 Members are addressed ``hub.series(name, **labels)``; the
 ``name{k="v"}`` text form exists only in snapshots and in the
-Prometheus exposition (:mod:`repro.obs.metrics`). :class:`CostLedger`
-accumulates observed serve/maintain dollars so the dashboard can place
-a deployment on the TCO phase diagram.
+Prometheus exposition (:mod:`repro.obs.metrics`). A query's or a
+maintenance run's bill is stored once, as a cost series;
+:class:`CostLedger` is a read-only fold of those series that lets the
+dashboard place a deployment on the TCO phase diagram.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.critical_path import TailRecorder
 
@@ -343,7 +345,8 @@ class _WindowRing:
     clock) reaches no window either. Both still count in the exact
     all-time ``count()`` / ``total()``, which survive eviction — a
     series is also a cumulative counter — and ``last`` holds the value
-    most recently ``set``, for current-value facts.
+    most recently ``set``, for current-value facts. ``first_at_s`` /
+    ``last_at_s`` are the exact earliest and latest ``at_s`` observed.
 
     The cell of a window is the subclass's ``_cell_type``: a
     :class:`WindowAggregate` or a :class:`QuantileSketch`. Both offer
@@ -367,6 +370,8 @@ class _WindowRing:
         self.capacity = capacity
         self.late_dropped = 0
         self.last: float | None = None
+        self.first_at_s: float | None = None
+        self.last_at_s: float | None = None
         self._count = 0
         self._total = 0.0
         self._cells: dict = {}
@@ -382,6 +387,10 @@ class _WindowRing:
         """Count ``value`` all-time and, unless it has no ``at_s`` or is
         older than the horizon, in the window it lands in."""
         if at_s is not None:
+            if self.first_at_s is None or at_s < self.first_at_s:
+                self.first_at_s = at_s
+            if self.last_at_s is None or at_s > self.last_at_s:
+                self.last_at_s = at_s
             index = int(at_s // self.window_s)
             if self._newest is None or index > self._newest:
                 self._newest = index
@@ -428,7 +437,8 @@ class _WindowRing:
         Both must share ``window_s`` so indices line up. Cells merge
         pairwise into new cells (``self`` never aliases ``other``),
         all-time totals add, ``last`` folds by max (two processes'
-        "bytes cached" describe peaks, not a sum) — and there is *no*
+        "bytes cached" describe peaks, not a sum), the observed span by
+        min/max — and there is *no*
         eviction: a snapshot fold must be associative and commutative,
         and capacity-based eviction mid-fold would make the result
         depend on merge order. Capacity applies only to live
@@ -443,6 +453,7 @@ class _WindowRing:
             cells = dict(other._cells)
             capacity, late, last = other.capacity, other.late_dropped, other.last
             count, total = other._count, other._total
+            span = (other.first_at_s, other.last_at_s)
         with self._lock:
             self.capacity = max(self.capacity, capacity)
             self.late_dropped += late
@@ -450,6 +461,10 @@ class _WindowRing:
             self._total += total
             if last is not None:
                 self.last = last if self.last is None else max(self.last, last)
+            firsts = [t for t in (self.first_at_s, span[0]) if t is not None]
+            lasts = [t for t in (self.last_at_s, span[1]) if t is not None]
+            self.first_at_s = min(firsts, default=None)
+            self.last_at_s = max(lasts, default=None)
             for index, cell in cells.items():
                 mine = self._cells.get(index) or self._new_cell(index)
                 self._cells[index] = mine.merge(cell)
@@ -466,6 +481,8 @@ class _WindowRing:
                 "count": self._count,
                 "total": self._total,
                 "last": self.last,
+                "first_at_s": self.first_at_s,
+                "last_at_s": self.last_at_s,
                 "windows": {
                     str(i): self._cells[i].to_dict() for i in sorted(self._cells)
                 },
@@ -489,6 +506,8 @@ class _WindowRing:
         ring._count = int(data.get("count", sum(c.count for c in cells)))
         ring._total = float(data.get("total", sum(c.total for c in cells)))
         ring.last = data.get("last")
+        ring.first_at_s = data.get("first_at_s")
+        ring.last_at_s = data.get("last_at_s")
         return ring
 
 
@@ -592,76 +611,50 @@ class WindowedQuantiles(_WindowRing):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostLedger:
-    """Observed dollars, accumulated in the TCO model's own coordinates.
-
-    The phase diagram compares approaches by ``index_cost +
-    cost_per_month * months + cost_per_query * queries``; this ledger
-    keeps the measured counterparts — serve dollars per query, one-time
-    index-build dollars, ongoing maintenance dollars, storage bytes —
-    so the dashboard can place *this* deployment on the diagram next to
-    the model's frontiers. Pure accumulation (floats and a lock), no
-    model imports; folding through :mod:`repro.tco` happens at render
+    """Observed dollars in the TCO model's own coordinates (``index_cost
+    + cost_per_month * months + cost_per_query * queries``): a read-only
+    fold of the hub series each fact is stored in once —
+    ``serve.cost_usd`` per billed query, ``maintain.<op>.cost_usd`` per
+    verb run (``index`` is the one-time index cost, every other verb
+    ongoing maintenance), the ``storage.data_bytes`` /
+    ``storage.index_bytes`` gauges, and the first and last time a cost
+    was observed. Folding through :mod:`repro.tco` happens at render
     time.
     """
 
-    serve_request_usd: float = 0.0
-    serve_compute_usd: float = 0.0
+    serve_usd: float = 0.0
     serve_queries: int = 0
-    maintain_request_usd: float = 0.0
-    maintain_compute_usd: float = 0.0
+    maintain_usd: float = 0.0
     index_build_usd: float = 0.0
     data_bytes: int = 0
     index_bytes: int = 0
     first_at_s: float | None = None
     last_at_s: float | None = None
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
-    def _touch_locked(self, at_s: float) -> None:
-        if self.first_at_s is None or at_s < self.first_at_s:
-            self.first_at_s = at_s
-        if self.last_at_s is None or at_s > self.last_at_s:
-            self.last_at_s = at_s
-
-    def record_query(
-        self, request_usd: float, compute_usd: float, *, at_s: float
-    ) -> None:
-        with self._lock:
-            self.serve_request_usd += request_usd
-            self.serve_compute_usd += compute_usd
-            self.serve_queries += 1
-            self._touch_locked(at_s)
-
-    def record_maintain(
-        self, op: str, request_usd: float, compute_usd: float, *, at_s: float
-    ) -> None:
-        """Maintenance spend; ``op == "index"`` counts as the one-time
-        index cost (the TCO model's ``ic_r``), everything else as
-        ongoing monthly maintenance."""
-        with self._lock:
-            if op == "index":
-                self.index_build_usd += request_usd + compute_usd
-            else:
-                self.maintain_request_usd += request_usd
-                self.maintain_compute_usd += compute_usd
-            self._touch_locked(at_s)
-
-    def set_storage(self, data_bytes: int, index_bytes: int) -> None:
-        with self._lock:
-            self.data_bytes = int(data_bytes)
-            self.index_bytes = int(index_bytes)
-
-    # -- read ----------------------------------------------------------
-    @property
-    def serve_usd(self) -> float:
-        return self.serve_request_usd + self.serve_compute_usd
-
-    @property
-    def maintain_usd(self) -> float:
-        return self.maintain_request_usd + self.maintain_compute_usd
+    @classmethod
+    def of(cls, hub: "TelemetryHub") -> "CostLedger":
+        series = {n: m[()] for n, m in hub.families().items() if () in m}
+        empty = WindowedSeries()
+        serve = series.get("serve.cost_usd", empty)
+        index = series.get("maintain.index.cost_usd", empty)
+        verbs = [
+            m
+            for n, m in series.items()
+            if re.fullmatch(r"maintain\.\w+\.cost_usd", n) and m is not index
+        ]
+        spent = [serve, index, *verbs]
+        return cls(
+            serve_usd=serve.total(),
+            serve_queries=serve.count(),
+            maintain_usd=sum((m.total() for m in verbs), 0.0),
+            index_build_usd=index.total(),
+            data_bytes=int(series.get("storage.data_bytes", empty).last or 0),
+            index_bytes=int(series.get("storage.index_bytes", empty).last or 0),
+            first_at_s=min((m.first_at_s for m in spent if m.first_at_s is not None), default=None),
+            last_at_s=max((m.last_at_s for m in spent if m.last_at_s is not None), default=None),
+        )
 
     @property
     def cost_per_query_usd(self) -> float:
@@ -672,71 +665,6 @@ class CostLedger:
         if self.first_at_s is None or self.last_at_s is None:
             return 0.0
         return self.last_at_s - self.first_at_s
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        """Fold a peer process's ledger in (fieldwise addition).
-
-        Storage bytes fold by max — two snapshots of the same deployment
-        describe the same bytes, not twice the bytes. Returns ``self``.
-        """
-        other_data = other.to_dict()
-        with self._lock:
-            self.serve_request_usd += float(other_data["serve_request_usd"])
-            self.serve_compute_usd += float(other_data["serve_compute_usd"])
-            self.serve_queries += int(other_data["serve_queries"])
-            self.maintain_request_usd += float(
-                other_data["maintain_request_usd"]
-            )
-            self.maintain_compute_usd += float(
-                other_data["maintain_compute_usd"]
-            )
-            self.index_build_usd += float(other_data["index_build_usd"])
-            self.data_bytes = max(
-                self.data_bytes, int(other_data["data_bytes"])
-            )
-            self.index_bytes = max(
-                self.index_bytes, int(other_data["index_bytes"])
-            )
-            if other_data["first_at_s"] is not None:
-                self._touch_locked(float(other_data["first_at_s"]))
-            if other_data["last_at_s"] is not None:
-                self._touch_locked(float(other_data["last_at_s"]))
-        return self
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "serve_request_usd": self.serve_request_usd,
-                "serve_compute_usd": self.serve_compute_usd,
-                "serve_queries": self.serve_queries,
-                "maintain_request_usd": self.maintain_request_usd,
-                "maintain_compute_usd": self.maintain_compute_usd,
-                "index_build_usd": self.index_build_usd,
-                "data_bytes": self.data_bytes,
-                "index_bytes": self.index_bytes,
-                "first_at_s": self.first_at_s,
-                "last_at_s": self.last_at_s,
-            }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CostLedger":
-        ledger = cls()
-        for name in (
-            "serve_request_usd",
-            "serve_compute_usd",
-            "maintain_request_usd",
-            "maintain_compute_usd",
-            "index_build_usd",
-        ):
-            setattr(ledger, name, float(data.get(name, 0.0)))
-        ledger.serve_queries = int(data.get("serve_queries", 0))
-        ledger.data_bytes = int(data.get("data_bytes", 0))
-        ledger.index_bytes = int(data.get("index_bytes", 0))
-        if data.get("first_at_s") is not None:
-            ledger.first_at_s = float(data["first_at_s"])
-        if data.get("last_at_s") is not None:
-            ledger.last_at_s = float(data["last_at_s"])
-        return ledger
 
 
 def format_labels(labels: tuple[tuple[str, str], ...]) -> str:
@@ -767,7 +695,7 @@ class SeriesFamily:
 
 class TelemetryHub:
     """The one place a named series lives: windowed series, sketches,
-    tail samples and the cost ledger of a process.
+    and tail samples of a process.
 
     Every layer reports here — ``hub.series(name, **labels)`` for
     counts, sums and current values, ``hub.quantiles(name, **labels)``
@@ -793,7 +721,6 @@ class TelemetryHub:
         self.capacity = capacity
         self.relative_accuracy = relative_accuracy
         self.tail = TailRecorder(capacity=tail_capacity)
-        self.ledger = CostLedger()
         # Keyed (name, sorted label items): the ``name{k="v"}`` text
         # form is built by snapshot() and the renderer, never per request.
         self._members: dict[tuple, _WindowRing] = {}
@@ -828,6 +755,11 @@ class TelemetryHub:
                     self.window_s, capacity=self.capacity, **extra
                 )
             return member
+
+    @property
+    def ledger(self) -> CostLedger:
+        """The cost series folded into TCO coordinates (computed on read)."""
+        return CostLedger.of(self)
 
     def series(self, name: str, **labels: str) -> WindowedSeries:
         return self._member(WindowedSeries, name, labels)
@@ -866,13 +798,13 @@ class TelemetryHub:
         return self._names(WindowedQuantiles)
 
     def merge(self, other: "TelemetryHub") -> "TelemetryHub":
-        """Fold another hub in: series, sketches, tail, and ledger.
+        """Fold another hub in: series, sketches and tail.
 
         The snapshot store uses this to fold telemetry from independent
         processes/shards/runs; every component merge is commutative and
         associative (window-wise addition, all-time totals adding,
         last-values by max, bin-wise sketch addition, sorted tail-sample
-        union, fieldwise ledger addition), so the fold result is
+        union), so the fold result is
         independent of merge order — the property the hypothesis suite
         pins. Returns ``self``.
         """
@@ -886,13 +818,12 @@ class TelemetryHub:
         for (name, labels), member in members.items():
             self._member(type(member), name, dict(labels)).merge(member)
         self.tail.merge(other.tail)
-        self.ledger.merge(other.ledger)
         return self
 
     def snapshot(self) -> dict:
-        """JSON-safe dump of every series, sketch, tail sample, and the
-        cost ledger; a labeled member is keyed ``name{k="v"}`` and
-        carries its ``labels``."""
+        """JSON-safe dump of every series, sketch and tail sample; a
+        labeled member is keyed ``name{k="v"}`` and carries its
+        ``labels``."""
         with self._lock:
             members = dict(self._members)
         data = {
@@ -902,7 +833,6 @@ class TelemetryHub:
             "series": {},
             "quantiles": {},
             "tail": self.tail.to_dict(),
-            "ledger": self.ledger.to_dict(),
         }
         for (name, labels), member in members.items():
             entry = member.to_dict()
@@ -930,7 +860,17 @@ class TelemetryHub:
                 hub._members[name, labels] = kind.from_dict(entry)
                 hub._kinds[name] = (kind, tuple(label for label, _ in labels))
         hub.tail = TailRecorder.from_dict(data.get("tail", {"samples": []}))
-        hub.ledger = CostLedger.from_dict(data.get("ledger", {}))
+        old = data.get("ledger")
+        if old:  # written when the ledger kept its own copy of the bill
+            serve = hub.series("serve.cost_usd")
+            serve.first_at_s, serve.last_at_s = old["first_at_s"], old["last_at_s"]
+            # The old ledger kept no verb for non-index spend.
+            maintain = old["maintain_request_usd"] + old["maintain_compute_usd"]
+            for op, usd in (("index", old["index_build_usd"]), ("unattributed", maintain)):
+                if usd:
+                    hub.series(f"maintain.{op}.cost_usd").observe(usd)
+            hub.series("storage.data_bytes").set(old["data_bytes"])
+            hub.series("storage.index_bytes").set(old["index_bytes"])
         return hub
 
 

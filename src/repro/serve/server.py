@@ -401,8 +401,9 @@ class SearchServer:
         observation and a query count — that is what it experienced.
         Only the flight leader carries ``root`` (the finished span
         tree; ``None`` marks a deduplicated caller), so only it is
-        attributed into dollars, the cost ledger, the tail recorder,
-        and the flight recorder: the spend happened once. When the
+        attributed into dollars (``serve.cost_usd``, which the cost
+        ledger folds), the tail recorder, and the flight recorder: the
+        spend happened once. When the
         flight recorder retains the query, its trace id rides the
         latency observation as the sketch's exemplar.
         """
@@ -420,7 +421,6 @@ class SearchServer:
                     latency_s=modeled_s,
                     at_s=at_s,
                     error=degraded,
-                    bill=bill,
                     hub=hub,
                 )
                 if retained is not None:
@@ -439,10 +439,7 @@ class SearchServer:
             hub.series("serve.degraded").observe(1.0, at_s=at_s)
         if bill is None:
             return
-        request_usd = bill.total_request_cost_usd(self.cost_model)
-        compute_usd = bill.compute_cost_usd
         hub.series("serve.cost_usd").observe(
-            request_usd + compute_usd, at_s=at_s
+            bill.total_cost_usd(self.cost_model), at_s=at_s
         )
-        hub.ledger.record_query(request_usd, compute_usd, at_s=at_s)
         hub.tail.record_bill(bill, modeled_s, at_s=at_s, degraded=degraded)

@@ -24,6 +24,7 @@ per-shard SLOs (:func:`repro.shard.slo.router_slo`) read.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -45,17 +46,11 @@ ROUTER_INSTANCE = "c6i.2xlarge"
 
 
 def _trace_request_usd(trace: RequestTrace, costs: CostModel) -> float:
-    """Price a request trace's operations (HEAD billed as GET)."""
-    gets = puts = lists = 0
-    for round_ in trace.rounds:
-        for request in round_:
-            if request.op in ("GET", "HEAD"):
-                gets += 1
-            elif request.op == "PUT":
-                puts += 1
-            elif request.op == "LIST":
-                lists += 1
-    return costs.request_cost(gets=gets, puts=puts, lists=lists)
+    """Price a request trace's operations."""
+    ops = Counter(request.op for round_ in trace.rounds for request in round_)
+    return costs.request_cost(
+        gets=ops["GET"], puts=ops["PUT"], lists=ops["LIST"], heads=ops["HEAD"]
+    )
 
 
 @dataclass

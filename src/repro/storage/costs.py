@@ -65,10 +65,13 @@ class CostModel:
         """Cost of running ``count`` instances for ``seconds``."""
         return self.instance_hourly(instance_type) * (seconds / 3600.0) * count
 
-    def request_cost(self, gets: int = 0, puts: int = 0, lists: int = 0) -> float:
-        """Dollar cost of a request mix — the term coalescing shrinks."""
+    def request_cost(
+        self, gets: int = 0, puts: int = 0, lists: int = 0, heads: int = 0
+    ) -> float:
+        """Dollar cost of a request mix — the term coalescing shrinks.
+        S3 prices a HEAD as a GET-class request."""
         return (
-            gets * self.s3_get_per_request
+            (gets + heads) * self.s3_get_per_request
             + puts * self.s3_put_per_request
             + lists * self.s3_list_per_request
         )

@@ -121,6 +121,42 @@ class TestTracesCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestUnreadableFlight:
+    """A flight object of a foreign schema (an older build's) or corrupt
+    JSON is skipped by `top` / `dashboard` and is a one-line error for
+    `traces`, never a traceback."""
+
+    @pytest.fixture
+    def bucket(self, flight_bucket):
+        bucket, telemetry = flight_bucket
+        flights = os.path.join(bucket, "obs", "_flights")
+        with open(os.path.join(flights, "deadbeef.json"), "w") as f:
+            json.dump({"schema": "repro.obs.flight/v0"}, f)
+        with open(os.path.join(flights, "0badc0de.json"), "w") as f:
+            f.write("{not json")
+        return bucket, telemetry
+
+    def test_top_skips_and_counts(self, bucket, capsys):
+        assert main(["top", "--root", bucket[0]]) == 0
+        out, err = capsys.readouterr()
+        assert "skipped 2 unreadable flight trace(s)" in err
+        assert "slowest retained traces" in out
+
+    def test_dashboard_skips_and_counts(self, bucket, tmp_path, capsys):
+        out_path = str(tmp_path / "dash.html")
+        assert main([
+            "dashboard", "--telemetry", bucket[1], "--root", bucket[0],
+            "--out", out_path,
+        ]) == 0
+        assert "skipped 2 unreadable flight trace(s)" in capsys.readouterr().err
+
+    def test_traces_is_a_one_line_error(self, bucket, capsys):
+        assert main(["traces", "deadbeef", "--root", bucket[0]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable flight trace")
+        assert err.count("\n") == 1
+
+
 class TestServeBenchFlight:
     def test_commits_snapshot_into_the_plane(self, flight_bucket):
         bucket, _ = flight_bucket

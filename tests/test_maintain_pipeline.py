@@ -373,7 +373,7 @@ def test_every_runner_reconciles_and_bills_once(case):
     )
     for verb in verbs:
         assert hub.series(f"maintain.{verb}.modeled_s").count() == 1
-    assert "maintain.cost_usd" in hub.series_names()
+        assert hub.series(f"maintain.{verb}.cost_usd").count() == 1
 
     ledger = hub.ledger
     assert (ledger.index_build_usd > 0) == ("index" in verbs)

@@ -15,6 +15,8 @@ from repro.obs.trace import Tracer, use_tracer
 from repro.serve.executor import SearchExecutor
 from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
+from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.pool import phase
 from repro.storage.stats import Request, RequestTrace
 from tests.conftest import event_uuid
 
@@ -173,6 +175,22 @@ class TestBillShape:
         assert bill.total_cost_usd(COSTS) == pytest.approx(
             bill.total_request_cost_usd(COSTS) + phase.compute_cost_usd
         )
+
+    def test_head_is_priced_as_a_get(self):
+        """S3 bills a HEAD as a GET-class request; a one-HEAD span's
+        bill prices it and still reconciles with the IOStats delta."""
+        store = InMemoryObjectStore()
+        store.put("k", b"payload")
+        tracer = Tracer()
+        before = store.stats.snapshot()
+        with use_tracer(tracer), phase(store, "plan", "plan") as root:
+            store.head("k")
+        delta = store.stats.snapshot().delta(before)
+        bill = attribute(root, latency=LAT, costs=COSTS)
+        assert (bill.heads, bill.requests) == (1, 1)
+        assert bill.total_request_cost_usd(COSTS) == COSTS.s3_get_per_request
+        assert bill.phases[0].request_cost_usd == COSTS.s3_get_per_request
+        _assert_exact(bill, delta)
 
     def test_unknown_phase_appended_after_canonical(self):
         tracer = Tracer()

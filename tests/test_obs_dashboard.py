@@ -24,7 +24,6 @@ def _populated_hub(queries: int = 120) -> TelemetryHub:
         hub.quantiles("serve.latency_s").observe(latency, at_s=at_s)
         hub.series("serve.queries").observe(1.0, at_s=at_s)
         hub.series("serve.cost_usd").observe(2e-6, at_s=at_s)
-        hub.ledger.record_query(1e-6, 1e-6, at_s=at_s)
         hub.tail.record(
             latency,
             at_s=at_s,
@@ -34,9 +33,10 @@ def _populated_hub(queries: int = 120) -> TelemetryHub:
                 "page_read": latency - 0.08,
             },
         )
-    hub.ledger.record_maintain("index", 1e-4, 2e-5, at_s=0.0)
-    hub.ledger.record_maintain("compact", 1e-5, 0.0, at_s=100.0)
-    hub.ledger.set_storage(data_bytes=10 << 20, index_bytes=1 << 20)
+    hub.series("maintain.index.cost_usd").observe(1e-4 + 2e-5, at_s=0.0)
+    hub.series("maintain.compact.cost_usd").observe(1e-5, at_s=100.0)
+    hub.series("storage.data_bytes").set(10 << 20)
+    hub.series("storage.index_bytes").set(1 << 20)
     return hub
 
 

@@ -51,7 +51,7 @@ class TestSpanDump:
         assert plan["events"] == [
             {"op": "LIST", "key": "lake/_log/", "nbytes": 0, "at_s": 10.0}
         ]
-        assert plan["trace"] == {"requests": 1, "bytes": 0, "depth": 1}
+        assert plan["trace"] == [[["LIST", 0]]]  # rounds of [op, nbytes]
 
     def test_jsonl_round_trip(self, tree, tmp_path):
         path = str(tmp_path / "spans.jsonl")

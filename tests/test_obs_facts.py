@@ -306,7 +306,8 @@ class TestWriteSide:
         assert _total(hub, "maintain.compact.runs", outcome="committed") == 1
         assert hub.series("maintain.index.modeled_s").count() == 3
         assert hub.series("maintain.compact.modeled_s").count() == 1
-        assert hub.series("maintain.cost_usd").count() == 4
+        assert hub.series("maintain.index.cost_usd").count() == 3
+        assert hub.series("maintain.compact.cost_usd").count() == 1
         assert _total(hub, "maintain_worker_tasks_total", op="index") == (
             first.worker_tasks + second.worker_tasks + noop.worker_tasks
         )

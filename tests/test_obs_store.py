@@ -2,7 +2,7 @@
 
 The fold is the load-bearing claim: every component of a snapshot
 (hub series — labeled members, all-time totals and last-values
-included — quantile sketches + exemplars, cost ledger, crack heat map,
+included — quantile sketches + exemplars, cost series, crack heat map,
 flight/source sets) merges commutatively and
 associatively, so folding snapshots from any number of processes,
 shards, or runs gives one answer regardless of order — pinned here
@@ -51,7 +51,7 @@ def _hub(seed: int, *, window_s: float = 60.0) -> TelemetryHub:
         hub.quantiles("ingest.freshness_lag_s").observe(
             value * 10, at_s=at_s
         )
-        hub.ledger.record_query(1e-6, 2e-6, at_s=at_s)
+        hub.series("serve.cost_usd").observe(1e-6 + 2e-6, at_s=at_s)
     hub.series("queries_total", status="ok").observe(seed + 1)
     hub.series("inflight").set(float(seed))
     return hub

@@ -1,4 +1,4 @@
-"""Windowed series, quantile sketches, cost ledger, telemetry hub."""
+"""Windowed series, quantile sketches, the cost-ledger fold, telemetry hub."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.timeseries import (
-    CostLedger,
     QuantileSketch,
     TelemetryHub,
     WindowedQuantiles,
@@ -424,29 +423,97 @@ class TestWindowedQuantiles:
 # -- CostLedger -------------------------------------------------------
 
 
+def _spend(hub: TelemetryHub, *, serve=(), maintain=(), storage=None) -> TelemetryHub:
+    """Write a deployment's bills the way the server and the
+    maintenance pipeline do: ``serve`` is (usd, at_s) per billed query,
+    ``maintain`` (op, usd, at_s) per verb run."""
+    for usd, at_s in serve:
+        hub.series("serve.cost_usd").observe(usd, at_s=at_s)
+    for op, usd, at_s in maintain:
+        hub.series(f"maintain.{op}.cost_usd").observe(usd, at_s=at_s)
+    if storage is not None:
+        hub.series("storage.data_bytes").set(storage[0])
+        hub.series("storage.index_bytes").set(storage[1])
+    return hub
+
+
 class TestCostLedger:
+    """The ledger is a read-only fold of the hub's cost series."""
+
     def test_accumulation_and_buckets(self):
-        ledger = CostLedger()
-        ledger.record_query(1e-6, 2e-6, at_s=0.0)
-        ledger.record_query(1e-6, 0.0, at_s=120.0)
-        ledger.record_maintain("index", 5e-5, 1e-5, at_s=60.0)
-        ledger.record_maintain("compact", 1e-5, 0.0, at_s=90.0)
-        ledger.set_storage(data_bytes=1000, index_bytes=100)
+        ledger = _spend(
+            TelemetryHub(),
+            serve=[(3e-6, 0.0), (1e-6, 120.0)],
+            maintain=[("index", 6e-5, 60.0), ("compact", 1e-5, 90.0)],
+            storage=(1000, 100),
+        ).ledger
         assert ledger.serve_queries == 2
         assert ledger.serve_usd == pytest.approx(4e-6)
         assert ledger.cost_per_query_usd == pytest.approx(2e-6)
         assert ledger.index_build_usd == pytest.approx(6e-5)
         assert ledger.maintain_usd == pytest.approx(1e-5)
         assert ledger.elapsed_s == pytest.approx(120.0)
+        assert (ledger.data_bytes, ledger.index_bytes) == (1000, 100)
+        assert not hasattr(ledger, "record_query")
 
     def test_round_trip(self):
-        ledger = CostLedger()
-        ledger.record_query(1e-6, 2e-6, at_s=3.0)
-        ledger.set_storage(data_bytes=42, index_bytes=7)
-        restored = CostLedger.from_dict(
-            json.loads(json.dumps(ledger.to_dict()))
+        hub = _spend(
+            TelemetryHub(),
+            serve=[(3e-6, 3.0)],
+            maintain=[("vacuum", 2e-6, 7.0)],
+            storage=(42, 7),
         )
-        assert restored.to_dict() == ledger.to_dict()
+        snap = json.loads(json.dumps(hub.snapshot()))
+        assert "ledger" not in snap
+        assert TelemetryHub.from_snapshot(snap).ledger == hub.ledger
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["serve", "index", "compact", "plan"]),
+                st.floats(min_value=0.0, max_value=1e-3),
+                st.floats(min_value=0.0, max_value=1e4),
+            ),
+            max_size=12,
+        ),
+        st.lists(st.integers(min_value=0, max_value=1 << 40), min_size=4, max_size=4),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_view_of_merge_is_fold_of_views(self, spends, sizes, cut):
+        """view(a.merge(b)) equals the field-wise fold of view(a) and
+        view(b): dollars and counts add, storage folds by max, the
+        observed span by min/max."""
+        hubs = []
+        for part, bytes_ in ((spends[:cut], sizes[:2]), (spends[cut:], sizes[2:])):
+            hubs.append(
+                _spend(
+                    TelemetryHub(),
+                    serve=[(usd, t) for op, usd, t in part if op == "serve"],
+                    maintain=[s for s in part if s[0] != "serve"],
+                    storage=bytes_,
+                )
+            )
+        a, b = (hub.ledger for hub in hubs)
+        merged = TelemetryHub().merge(hubs[0]).merge(hubs[1]).ledger
+
+        def fold(pick, values):
+            values = [v for v in values if v is not None]
+            return pick(values) if values else None
+
+        assert merged.serve_queries == a.serve_queries + b.serve_queries
+        for name in ("serve_usd", "maintain_usd", "index_build_usd"):
+            assert getattr(merged, name) == pytest.approx(
+                getattr(a, name) + getattr(b, name), rel=1e-12, abs=1e-18
+            )
+        assert merged.data_bytes == max(a.data_bytes, b.data_bytes)
+        assert merged.index_bytes == max(a.index_bytes, b.index_bytes)
+        assert merged.first_at_s == fold(min, [a.first_at_s, b.first_at_s])
+        assert merged.last_at_s == fold(max, [a.last_at_s, b.last_at_s])
+        restored = TelemetryHub.from_snapshot(json.loads(json.dumps(
+            TelemetryHub().merge(hubs[0]).merge(hubs[1]).snapshot()
+        )))
+        assert restored.ledger == merged
 
 
 # -- TelemetryHub -----------------------------------------------------
@@ -462,7 +529,7 @@ class TestTelemetryHub:
         hub = TelemetryHub()
         hub.series("serve.queries").observe(1.0, at_s=1.0)
         hub.quantiles("serve.latency_s").observe(0.2, at_s=1.0)
-        hub.ledger.record_query(1e-6, 0.0, at_s=1.0)
+        hub.series("serve.cost_usd").observe(1e-6, at_s=1.0)
         hub.tail.record(0.2, at_s=1.0, phase_s={"plan": 0.2})
         restored = TelemetryHub.from_snapshot(
             json.loads(json.dumps(hub.snapshot()))
