@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, TypeVar
 
+import numpy as np
+
 from repro.errors import FormatError
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.core.componentize import ComponentFileReader, ComponentFileWriter
@@ -61,6 +63,17 @@ class PageDirectory:
             raise FormatError(f"global page id {gid} out of range")
         table = bisect_right(self._bases, gid) - 1
         return self.tables[table].entry(gid - self._bases[table])
+
+    def file_indices(self, gids: np.ndarray) -> np.ndarray:
+        """Global page ids -> the index of each one's file in
+        :attr:`tables`, in one vectorized lookup."""
+        gids = np.asarray(gids, dtype=np.int64)
+        if len(gids) and not 0 <= gids.min() <= gids.max() < self._num_pages:
+            raise FormatError(
+                f"global page ids {gids.min()}..{gids.max()} out of range "
+                f"({self._num_pages} pages)"
+            )
+        return np.searchsorted(self._bases, gids, side="right") - 1
 
     def serialize(self) -> bytes:
         writer = BinaryWriter()

@@ -23,6 +23,8 @@ ZLIB = 1
 
 _NAMES = {NONE: "none", ZLIB: "zlib"}
 _IDS = {name: codec_id for codec_id, name in _NAMES.items()}
+#: Every codec id a page or component may name.
+CODECS = frozenset(_NAMES)
 
 #: Deflate is kept only when it saves at least 1/``MIN_SAVING_DIVISOR``
 #: of the bytes. On the benchmark lake every kind of page or component

@@ -8,7 +8,6 @@ from repro.indices.base import (
     ExactQuerier,
     IndexBuilder,
     IndexQuerier,
-    RowCandidate,
     ScoringQuerier,
     builder_for,
     querier_for,
@@ -31,7 +30,6 @@ __all__ = [
     "ExactQuerier",
     "IndexBuilder",
     "IndexQuerier",
-    "RowCandidate",
     "ScoringQuerier",
     "builder_for",
     "querier_for",

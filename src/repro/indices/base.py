@@ -10,26 +10,20 @@ Each Rottnest index type supplies two classes:
 Posting granularity is the data page (paper §V-A): exact-match builders
 consume ``(global_page_id, values)`` batches and return candidate page
 ids; the vector builder additionally keeps per-row offsets so PQ scores
-can be refined row by row.
+can be refined row by row, and its querier returns its candidates as
+parallel arrays, so the search plan cuts them to ``refine`` before it
+turns a single one into a page.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import ClassVar, Iterable
+
+import numpy as np
 
 from repro.errors import UnknownIndexType
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
-
-
-@dataclass(frozen=True)
-class RowCandidate:
-    """A scored row candidate from a scoring (vector) index."""
-
-    gid: int  # global page id
-    offset: int  # row offset within the page
-    score: float  # approximate score; smaller = better (a distance)
 
 
 class IndexBuilder(ABC):
@@ -117,8 +111,10 @@ class ScoringQuerier(IndexQuerier):
     """Scoring indices return approximately-ranked row candidates."""
 
     @abstractmethod
-    def candidates(self, query) -> list[RowCandidate]:
-        """Row candidates, best (smallest score) first."""
+    def candidates(self, query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row candidates as parallel ``(gids, offsets, scores)`` arrays
+        — global page id, row offset within the page, approximate
+        score (a distance: smaller is better) — best first."""
 
 
 _REGISTRY: dict[str, tuple[type[IndexBuilder], type[IndexQuerier]]] = {}

@@ -468,6 +468,35 @@ class TestDegradedServing:
             (m.file, m.row) for m in oracle.matches
         )
 
+    def test_corrupt_codebook_header_degrades_to_the_oracle_answer(
+        self, indexed_client
+    ):
+        """A ``pq`` header claiming ``k=128, sub=4`` over the bytes of
+        ``k=256, sub=2`` codebooks is a ``FormatError`` when the probe
+        decodes it (not an ``IndexError`` mid-scan), so the server
+        answers degraded with the brute-force answer."""
+        store = indexed_client.store
+        record = next(
+            r for r in indexed_client.meta.records() if r.index_type == "ivf_pq"
+        )
+        reader = IndexFileReader.open(store, record.index_key)
+        offset, _, _, codec = reader._reader._entry(reader._names["pq"])
+        data = bytearray(store.get(record.index_key))
+        assert codec == 0 and data[offset : offset + 12] == np.asarray(
+            [8, 256, 2], dtype="<u4"
+        ).tobytes()
+        data[offset + 4 : offset + 12] = np.asarray([128, 4], dtype="<u4").tobytes()
+        store.put(record.index_key, bytes(data))
+
+        query = VectorQuery(np.ones(16, dtype=np.float32), nprobe=8, refine=600)
+        oracle = indexed_client.search("emb", query, k=5, use_indices=False)
+        with _serving_stack(indexed_client) as server:
+            served = server.query("emb", query, k=5)
+        assert served.degraded and server.stats.degraded == 1
+        assert [(m.file, m.row, m.score) for m in served.matches] == [
+            (m.file, m.row, m.score) for m in oracle.matches
+        ]
+
     def test_simulated_crash_is_not_masked_as_degradation(
         self, indexed_client
     ):
