@@ -23,6 +23,7 @@ Binary values travel as hex in JSONL/arguments; vectors as JSON arrays.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -37,7 +38,7 @@ from repro.core.queries import (
     UuidQuery,
     VectorQuery,
 )
-from repro.errors import ReproError
+from repro.errors import EmptyInput, ReproError
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.lake.table import LakeTable, TableConfig
 from repro.storage.localfs import LocalFSObjectStore
@@ -66,9 +67,7 @@ def parse_schema(spec: str) -> Schema:
 def _decode_value(field: Field, raw):
     if field.type is ColumnType.BINARY:
         return bytes.fromhex(raw)
-    if field.type is ColumnType.VECTOR:
-        return raw  # list; batched below
-    return raw
+    return raw  # vectors stay lists, batched below
 
 
 def _encode_value(value):
@@ -104,6 +103,11 @@ def _open(args) -> tuple[LocalFSObjectStore, LakeTable]:
     return store, LakeTable.open(store, args.table)
 
 
+def _client(args) -> RottnestClient:
+    store, lake = _open(args)
+    return RottnestClient(store, args.index_dir, lake)
+
+
 def cmd_create_table(args) -> int:
     store = LocalFSObjectStore(args.root)
     schema = parse_schema(args.schema)
@@ -133,8 +137,7 @@ def cmd_append(args) -> int:
 
 
 def cmd_index(args) -> int:
-    store, lake = _open(args)
-    client = RottnestClient(store, args.index_dir, lake)
+    client = _client(args)
     params = {}
     for pair in args.param or []:
         key, _, value = pair.partition("=")
@@ -171,13 +174,16 @@ def _build_query(args):
     return VectorQuery(vector, nprobe=args.nprobe, refine=args.refine)
 
 
+def _run_query(search, args, query):
+    """``search`` (a client's, an executor's or a server's) of the
+    query flags' column, ``-k`` and ``--partition``."""
+    return search(args.column, query, k=args.k, partition=args.partition)
+
+
 def cmd_search(args) -> int:
-    store, lake = _open(args)
-    client = RottnestClient(store, args.index_dir, lake)
+    client = _client(args)
     query = _build_query(args)
-    result = client.search(
-        args.column, query, k=args.k, partition=args.partition
-    )
+    result = _run_query(client.search, args, query)
     for match in result.matches:
         print(
             json.dumps(
@@ -205,7 +211,8 @@ def cmd_serve_bench(args) -> int:
     """Repeated-query serving benchmark: cold vs warm, concurrency."""
     import threading
 
-    from repro.obs import TelemetryHub, use_hub, write_telemetry_json
+    from repro.obs import FlightRecorder, SnapshotStore, TelemetryHub, use_hub
+    from repro.obs import use_flight_recorder, write_dashboard, write_telemetry_json
     from repro.serve import SearchServer
 
     store = LocalFSObjectStore(args.root)
@@ -219,36 +226,19 @@ def cmd_serve_bench(args) -> int:
     )
     query = _build_query(args)
     hub = TelemetryHub()
-    recorder = None
-    if args.flight:
-        from repro.obs.flight import FlightRecorder
-        from repro.obs.slo import default_slo
-
-        recorder = FlightRecorder(
-            store,
-            root=args.obs,
-            slo=default_slo(
-                latency_p99_s=args.latency_p99_s,
-                availability=args.availability,
-                cost_usd_per_query=args.cost_per_query,
-            ),
-        )
-    from repro.obs.flight import use_flight_recorder
-
+    recorder = (
+        FlightRecorder(store, root=args.obs, slo=_slo(args)) if args.flight else None
+    )
     with use_hub(hub), use_flight_recorder(recorder), server:
         if args.warmup:
             warmed = server.warmup()
             print(f"warmed {warmed} index file(s)", file=sys.stderr)
-        cold = server.query(
-            args.column, query, k=args.k, partition=args.partition
-        )
+        cold = _run_query(server.query, args, query)
         cold_latency = server.stats.first_latency_s
 
         def run_client() -> None:
             for _ in range(args.repeat):
-                server.query(
-                    args.column, query, k=args.k, partition=args.partition
-                )
+                _run_query(server.query, args, query)
 
         threads = [
             threading.Thread(target=run_client) for _ in range(args.clients)
@@ -272,11 +262,8 @@ def cmd_serve_bench(args) -> int:
             hub.series("storage.data_bytes").set(snap.total_bytes)
             hub.series("storage.index_bytes").set(index_bytes)
     if recorder is not None:
-        from repro.obs.store import SnapshotStore
-
         persisted = recorder.persist()
-        snapshots = SnapshotStore(store, root=args.obs)
-        key = snapshots.commit(
+        key = SnapshotStore(store, root=args.obs).commit(
             hub,
             source="serve-bench",
             flights=[t.trace_id for t in recorder.traces()],
@@ -291,8 +278,6 @@ def cmd_serve_bench(args) -> int:
         write_telemetry_json(args.telemetry, hub, source="serve-bench")
         print(f"# telemetry written to {args.telemetry}", file=sys.stderr)
     if args.dashboard:
-        from repro.obs import write_dashboard
-
         write_dashboard(
             args.dashboard, hub, source="serve-bench", flights=recorder
         )
@@ -300,14 +285,19 @@ def cmd_serve_bench(args) -> int:
     return 0
 
 
-def _retained_flights(store, root: str) -> list:
-    """The bucket's readable flight traces; says how many were skipped."""
-    from repro.obs import load_flights
+def _durable(args) -> tuple[list, list[dict], dict]:
+    """The bucket's durable telemetry, read once: readable flight
+    traces (slowest first), readable snapshots (oldest first) and their
+    fold. Says on stderr how many objects of each kind were skipped."""
+    from repro.obs import fold_snapshots, load_flights, load_snapshots
 
-    flights, skipped = load_flights(store, root=root)
-    if skipped:
-        print(f"# skipped {skipped} unreadable flight trace(s)", file=sys.stderr)
-    return flights
+    store = LocalFSObjectStore(args.root)
+    flights, lost_flights = load_flights(store, root=args.obs)
+    history, lost_snapshots = load_snapshots(store, root=args.obs)
+    for lost, noun in ((lost_flights, "flight trace"), (lost_snapshots, "telemetry snapshot")):
+        if lost:
+            print(f"# skipped {lost} unreadable {noun}(s)", file=sys.stderr)
+    return flights, history, fold_snapshots(history)
 
 
 def cmd_dashboard(args) -> int:
@@ -318,34 +308,18 @@ def cmd_dashboard(args) -> int:
     snapshot history for the cross-run trend panel.
     """
     from repro.obs import load_telemetry_json, write_dashboard
-    from repro.obs.slo import default_slo
-    from repro.obs.store import SnapshotStore
 
     hub = load_telemetry_json(args.telemetry)
-    slo = default_slo(
-        latency_p99_s=args.latency_p99_s,
-        availability=args.availability,
-        cost_usd_per_query=args.cost_per_query,
-    )
     flights = heat = history = None
     if args.root:
         from repro.crack.heat import HeatMap
 
-        store = LocalFSObjectStore(args.root)
-        flights = _retained_flights(store, args.obs)
-        history = SnapshotStore(store, root=args.obs).snapshots()
-        folded_heat = None
-        for payload in history:
-            if payload.get("heat"):
-                piece = HeatMap.from_dict(payload["heat"])
-                folded_heat = (
-                    piece if folded_heat is None else folded_heat.merge(piece)
-                )
-        heat = folded_heat
+        flights, history, folded = _durable(args)
+        heat = HeatMap.from_dict(folded["heat"]) if folded["heat"] else None
     write_dashboard(
         args.out,
         hub,
-        slo=slo,
+        slo=_slo(args),
         source=args.telemetry,
         title=args.title,
         flights=flights,
@@ -375,8 +349,7 @@ def cmd_metrics(args) -> int:
             client.meta.records()
     text = render(get_registry())
     if not text:
-        print("error: empty input — no metric samples recorded", file=sys.stderr)
-        return 3
+        raise EmptyInput("empty input — no metric samples recorded")
     print(text, end="")
     return 0
 
@@ -389,33 +362,20 @@ def cmd_top(args) -> int:
     retained flight traces come from the store. Exits 3 when there is
     neither telemetry nor a single retained trace.
     """
-    from repro.obs import load_telemetry_json
-    from repro.obs.slo import default_slo
-    from repro.obs.store import SnapshotStore
+    from repro.obs import TelemetryHub, load_telemetry_json
 
-    hub = None
+    hub = load_telemetry_json(args.telemetry) if args.telemetry else None
     flights = []
-    if args.telemetry:
-        hub = load_telemetry_json(args.telemetry)
     if args.root:
-        store = LocalFSObjectStore(args.root)
-        if hub is None:
-            hub = SnapshotStore(store, root=args.obs).folded_hub()
-        flights = _retained_flights(store, args.obs)
+        flights, _, folded = _durable(args)
+        if hub is None and folded["hub"] is not None:
+            hub = TelemetryHub.from_snapshot(folded["hub"])
     if hub is None and not flights:
-        print(
-            "error: empty input — no telemetry snapshot and no retained "
-            "flight traces",
-            file=sys.stderr,
+        raise EmptyInput(
+            "empty input — no telemetry snapshot and no retained flight traces"
         )
-        return 3
     if hub is not None:
-        slo = default_slo(
-            latency_p99_s=args.latency_p99_s,
-            availability=args.availability,
-            cost_usd_per_query=args.cost_per_query,
-        )
-        report = slo.evaluate(hub)
+        report = _slo(args).evaluate(hub)
         print("== burn rates ==")
         for status in report.statuses:
             marker = "ok    " if status.ok else "BREACH"
@@ -460,19 +420,11 @@ def cmd_traces(args) -> int:
 def cmd_slo_check(args) -> int:
     """Evaluate SLOs against a telemetry snapshot; exit 2 on breach."""
     from repro.obs import load_telemetry_json
-    from repro.obs.slo import default_slo
 
-    hub = load_telemetry_json(args.telemetry)
-    slo = default_slo(
-        latency_p99_s=args.latency_p99_s,
-        availability=args.availability,
-        cost_usd_per_query=args.cost_per_query,
-    )
-    report = slo.evaluate(hub)
+    report = _slo(args).evaluate(load_telemetry_json(args.telemetry))
     print(report.describe())
     if report.total_events == 0:
-        print("error: telemetry contains no query events", file=sys.stderr)
-        return 3
+        raise EmptyInput("telemetry contains no query events")
     return 0 if report.ok else 2
 
 
@@ -497,29 +449,21 @@ def cmd_profile(args) -> int:
     from repro.storage.costs import CostModel
     from repro.storage.latency import LatencyModel
 
-    store, lake = _open(args)
-    client = RottnestClient(store, args.index_dir, lake)
+    client = _client(args)
     query = _build_query(args)
     tracer = Tracer()  # wall-clock spans; modeled time comes from the bill
     repeat = max(args.repeat, 1)
-    before = store.stats.snapshot()
+    before = client.store.stats.snapshot()
     with use_tracer(tracer):
+        searcher = contextlib.nullcontext(client)
         if args.max_searchers > 0:
             from repro.serve.executor import SearchExecutor
 
-            with SearchExecutor(
-                client, max_searchers=args.max_searchers
-            ) as executor:
-                for _ in range(repeat):
-                    result = executor.search(
-                        args.column, query, k=args.k, partition=args.partition
-                    )
-        else:
+            searcher = SearchExecutor(client, max_searchers=args.max_searchers)
+        with searcher as runner:
             for _ in range(repeat):
-                result = client.search(
-                    args.column, query, k=args.k, partition=args.partition
-                )
-    delta = store.stats.snapshot().delta(before)
+                result = _run_query(runner.search, args, query)
+    delta = client.store.stats.snapshot().delta(before)
 
     roots = [r for r in tracer.pop_finished() if r.name == "search"]
     if not roots:
@@ -558,8 +502,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_compact(args) -> int:
-    store, lake = _open(args)
-    client = RottnestClient(store, args.index_dir, lake)
+    client = _client(args)
     merged = compact_indices(
         client, args.column, args.type, threshold_bytes=args.threshold_bytes
     )
@@ -568,10 +511,9 @@ def cmd_compact(args) -> int:
 
 
 def cmd_vacuum(args) -> int:
-    store, lake = _open(args)
-    client = RottnestClient(store, args.index_dir, lake)
+    client = _client(args)
     snapshot_id = (
-        args.snapshot_id if args.snapshot_id is not None else lake.latest_version()
+        args.snapshot_id if args.snapshot_id is not None else client.lake.latest_version()
     )
     report = vacuum_indices(client, snapshot_id=snapshot_id)
     print(
@@ -583,8 +525,7 @@ def cmd_vacuum(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    store, lake = _open(args)
-    client = RottnestClient(store, args.index_dir, lake)
+    client = _client(args)
     from repro.core.fsck import fsck
 
     report = fsck(client, verify_consistency=not args.fast)
@@ -628,8 +569,7 @@ def cmd_maintain_bench(args) -> int:
     from repro.maintain.bench import run_maintain_bench
 
     if args.files <= 0 or args.rows <= 0:
-        print("error: nothing to benchmark (empty input)", file=sys.stderr)
-        return 3
+        raise EmptyInput("nothing to benchmark (empty input)")
     workers = sorted(set(args.workers) | {1})
     result = run_maintain_bench(
         files=args.files, rows=args.rows, workers=tuple(workers)
@@ -651,8 +591,7 @@ def cmd_shard_bench(args) -> int:
     from repro.shard.bench import run_shard_bench
 
     if args.files <= 0 or args.rows <= 0 or args.queries <= 0:
-        print("error: nothing to benchmark (empty input)", file=sys.stderr)
-        return 3
+        raise EmptyInput("nothing to benchmark (empty input)")
     shards = tuple(sorted(set(args.shards) | {1}))
     result = run_shard_bench(
         files=args.files,
@@ -680,8 +619,7 @@ def cmd_ingest_bench(args) -> int:
     from repro.ingest.bench import run_ingest_bench
 
     if args.batches <= 0 or args.rows <= 0:
-        print("error: nothing to benchmark (empty input)", file=sys.stderr)
-        return 3
+        raise EmptyInput("nothing to benchmark (empty input)")
     result = run_ingest_bench(
         batches=args.batches,
         rows=args.rows,
@@ -707,8 +645,7 @@ def cmd_crack_bench(args) -> int:
     from repro.crack.bench import run_crack_bench
 
     if min(args.files, args.rows, args.ticks, args.queries) <= 0:
-        print("error: nothing to benchmark (empty input)", file=sys.stderr)
-        return 3
+        raise EmptyInput("nothing to benchmark (empty input)")
     result = run_crack_bench(
         files=args.files,
         rows=args.rows,
@@ -744,6 +681,62 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _query_flags(p) -> None:
+    p.add_argument("--column", required=True)
+    p.add_argument("-k", type=int, default=10)
+    p.add_argument("--uuid", help="hex key")
+    p.add_argument("--substring")
+    p.add_argument("--regex")
+    p.add_argument("--vector", help="JSON array of floats")
+    p.add_argument(
+        "--range", nargs=2, metavar=("LO", "HI"),
+        help="inclusive range, JSON values (e.g. 100 200 or '\"a\"' '\"b\"')",
+    )
+    p.add_argument("--nprobe", type=int, default=8)
+    p.add_argument("--refine", type=int, default=100)
+    p.add_argument("--partition", help="restrict to one partition")
+
+
+def _obs_flag(p) -> None:
+    p.add_argument(
+        "--obs", default="obs",
+        help="root key for durable telemetry (flights + snapshots)",
+    )
+
+
+def _telemetry_flag(p, *, required: bool) -> None:
+    p.add_argument(
+        "--telemetry", required=required,
+        help="TELEMETRY_*.json snapshot (serve-bench --telemetry)",
+    )
+
+
+def _slo_flags(p) -> None:
+    p.add_argument(
+        "--latency-p99-s", type=float, default=1.0,
+        help="p99 modeled-latency objective in seconds",
+    )
+    p.add_argument(
+        "--availability", type=float, default=0.999,
+        help="fraction of queries that must complete undegraded",
+    )
+    p.add_argument(
+        "--cost-per-query", type=float, default=5e-3,
+        help="observed serve dollars per query budget",
+    )
+
+
+def _slo(args):
+    """The SLO :func:`_slo_flags` asked for."""
+    from repro.obs.slo import default_slo
+
+    return default_slo(
+        latency_p99_s=args.latency_p99_s,
+        availability=args.availability,
+        cost_usd_per_query=args.cost_per_query,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Rottnest data-lake search (reproduction)"
@@ -759,19 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="Rottnest index root key",
         )
 
-    def slo_flags(p):
-        p.add_argument(
-            "--latency-p99-s", type=float, default=1.0,
-            help="p99 modeled-latency objective in seconds",
-        )
-        p.add_argument(
-            "--availability", type=float, default=0.999,
-            help="fraction of queries that must complete undegraded",
-        )
-        p.add_argument(
-            "--cost-per-query", type=float, default=5e-3,
-            help="observed serve dollars per query budget",
-        )
 
     p = sub.add_parser("create-table", help="create an empty lake table")
     p.add_argument("--root", required=True)
@@ -795,19 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search a column")
     common(p, index_dir_required=True)
-    p.add_argument("--column", required=True)
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--uuid", help="hex key")
-    p.add_argument("--substring")
-    p.add_argument("--regex")
-    p.add_argument("--vector", help="JSON array of floats")
-    p.add_argument(
-        "--range", nargs=2, metavar=("LO", "HI"),
-        help="inclusive range, JSON values (e.g. 100 200 or '\"a\"' '\"b\"')",
-    )
-    p.add_argument("--nprobe", type=int, default=8)
-    p.add_argument("--refine", type=int, default=100)
-    p.add_argument("--partition", help="restrict to one partition")
+    _query_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(
@@ -815,19 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeated-query serving benchmark (cache + concurrency)",
     )
     common(p, index_dir_required=True)
-    p.add_argument("--column", required=True)
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--uuid", help="hex key")
-    p.add_argument("--substring")
-    p.add_argument("--regex")
-    p.add_argument("--vector", help="JSON array of floats")
-    p.add_argument(
-        "--range", nargs=2, metavar=("LO", "HI"),
-        help="inclusive range, JSON values",
-    )
-    p.add_argument("--nprobe", type=int, default=8)
-    p.add_argument("--refine", type=int, default=100)
-    p.add_argument("--partition", help="restrict to one partition")
+    _query_flags(p)
     p.add_argument("--repeat", type=int, default=4, help="queries per client")
     p.add_argument("--clients", type=int, default=2, help="concurrent clients")
     p.add_argument("--max-searchers", type=int, default=4)
@@ -849,11 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the tail-sampling flight recorder and persist retained "
         "traces + a telemetry snapshot into the bucket",
     )
-    p.add_argument(
-        "--obs", default="obs",
-        help="root key for durable telemetry (flights + snapshots)",
-    )
-    slo_flags(p)
+    _obs_flag(p)
+    _slo_flags(p)
     p.set_defaults(func=cmd_serve_bench)
 
     p = sub.add_parser(
@@ -861,19 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace one search and print its attributed cost/latency bill",
     )
     common(p, index_dir_required=True)
-    p.add_argument("--column", required=True)
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--uuid", help="hex key")
-    p.add_argument("--substring")
-    p.add_argument("--regex")
-    p.add_argument("--vector", help="JSON array of floats")
-    p.add_argument(
-        "--range", nargs=2, metavar=("LO", "HI"),
-        help="inclusive range, JSON values",
-    )
-    p.add_argument("--nprobe", type=int, default=8)
-    p.add_argument("--refine", type=int, default=100)
-    p.add_argument("--partition", help="restrict to one partition")
+    _query_flags(p)
     p.add_argument(
         "--max-searchers", type=int, default=0,
         help="profile through the concurrent executor (0 = sequential client)",
@@ -1018,10 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dashboard",
         help="render the telemetry dashboard HTML from a snapshot",
     )
-    p.add_argument(
-        "--telemetry", required=True,
-        help="TELEMETRY_*.json snapshot (serve-bench --telemetry)",
-    )
+    _telemetry_flag(p, required=True)
     p.add_argument("--out", required=True, help="output HTML path")
     p.add_argument("--title", default="Rottnest deployment dashboard")
     p.add_argument(
@@ -1029,11 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bucket directory holding durable telemetry (adds the "
         "retained-traces, heat-map, and cross-run trend panels)",
     )
-    p.add_argument(
-        "--obs", default="obs",
-        help="root key for durable telemetry (flights + snapshots)",
-    )
-    slo_flags(p)
+    _obs_flag(p)
+    _slo_flags(p)
     p.set_defaults(func=cmd_dashboard)
 
     p = sub.add_parser(
@@ -1051,20 +986,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="live-ops summary: SLO burn rates, counters, slowest "
         "retained traces (exit 3 when empty)",
     )
-    p.add_argument(
-        "--telemetry",
-        help="TELEMETRY_*.json snapshot (serve-bench --telemetry)",
-    )
+    _telemetry_flag(p, required=False)
     p.add_argument(
         "--root",
         help="bucket directory holding durable telemetry",
     )
-    p.add_argument(
-        "--obs", default="obs",
-        help="root key for durable telemetry (flights + snapshots)",
-    )
+    _obs_flag(p)
     p.add_argument("--limit", type=int, default=10, help="traces to show")
-    slo_flags(p)
+    _slo_flags(p)
     p.set_defaults(func=cmd_top)
 
     p = sub.add_parser(
@@ -1073,10 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("trace_id", help="trace id or unique prefix")
     p.add_argument("--root", required=True, help="bucket directory")
-    p.add_argument(
-        "--obs", default="obs",
-        help="root key for durable telemetry (flights + snapshots)",
-    )
+    _obs_flag(p)
     p.set_defaults(func=cmd_traces)
 
     p = sub.add_parser(
@@ -1084,11 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate SLO burn rates against a telemetry snapshot "
         "(exit 2 on breach, 3 on empty telemetry)",
     )
-    p.add_argument(
-        "--telemetry", required=True,
-        help="TELEMETRY_*.json snapshot (serve-bench --telemetry)",
-    )
-    slo_flags(p)
+    _telemetry_flag(p, required=True)
+    _slo_flags(p)
     p.set_defaults(func=cmd_slo_check)
 
     p = sub.add_parser("info", help="table + index summary")
@@ -1112,8 +1035,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
+        # The one exit contract: a verb returns 0 or its own check's 2;
+        # nothing to work on exits 3, any other library error 1.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, EmptyInput) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

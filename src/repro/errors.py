@@ -11,6 +11,12 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class EmptyInput(ReproError):
+    """A command was given nothing to work on: no samples, no query
+    events, nothing to benchmark. The CLI exits 3 on it, where any
+    other :class:`ReproError` exits 1."""
+
+
 class ObjectStoreError(ReproError):
     """Base class for object-store failures."""
 

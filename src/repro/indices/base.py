@@ -18,11 +18,11 @@ turns a single one into a page.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import UnknownIndexType
+from repro.errors import RottnestIndexError, UnknownIndexType
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 
 
@@ -51,30 +51,39 @@ class IndexBuilder(ABC):
 
     @classmethod
     @abstractmethod
-    def merge(
-        cls, parts: list["IndexBuilder"], gid_offsets: list[int]
-    ) -> "IndexBuilder":
-        """Merge several indices; part ``i``'s global page ids shift up
-        by ``gid_offsets[i]`` in the merged index."""
-
-    @classmethod
     def merge_streaming(
         cls, parts: Iterable["IndexBuilder"], gid_offsets: list[int]
     ) -> "IndexBuilder":
-        """Merge from a *lazy* iterable of parts, bounding peak memory.
+        """Merge several indices; part ``i``'s global page ids shift up
+        by ``gid_offsets[i]`` in the merged index.
 
-        Compaction hands ``parts`` as a generator that loads one index
-        file at a time; a streaming-capable type folds each part into
-        the running merge and drops it before the next load, so peak
-        memory is ~(merged-so-far + one part) instead of all parts at
-        once. The result must be byte-identical to
-        ``merge(list(parts), gid_offsets)`` — compaction's
-        content-addressed idempotence depends on it.
-
-        The default materializes the iterable and delegates to
-        :meth:`merge`; types whose merge is associative override this.
+        ``parts`` may be lazy: compaction hands a generator that loads
+        one index file at a time, and a type that can folds each part
+        into the running merge and drops it before the next load, so
+        peak memory is ~(merged-so-far + one part) instead of all parts
+        at once. A list and a generator of the same parts must give
+        byte-identical files — compaction's content-addressed
+        idempotence depends on it. Pair parts with offsets through
+        :func:`paired`, which refuses a count mismatch or no parts.
         """
-        return cls.merge(list(parts), list(gid_offsets))
+
+
+def paired(
+    parts: Iterable[IndexBuilder], gid_offsets: Iterable[int]
+) -> Iterator[tuple[IndexBuilder, int]]:
+    """``(part, gid_offset)`` pairs, pulling each part only when it is
+    needed; once the parts run out, a :class:`RottnestIndexError`
+    unless there was at least one part and exactly one per offset."""
+    offsets = list(gid_offsets)
+    it = iter(parts)
+    count = 0
+    # zip pulls offsets first so a surplus part stays in ``it`` for
+    # the leftover check below instead of being silently consumed.
+    for offset, part in zip(offsets, it):
+        count += 1
+        yield part, offset
+    if count == 0 or count != len(offsets) or next(it, None) is not None:
+        raise RottnestIndexError("parts/offsets length mismatch")
 
 
 class IndexQuerier(ABC):

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
-from repro.indices.base import ExactQuerier, IndexBuilder
+from repro.indices.base import ExactQuerier, IndexBuilder, paired
 from repro.util.binio import BinaryReader, BinaryWriter
 
 TYPE_NAME = "bloom"
@@ -160,14 +160,12 @@ class BloomBuilder(IndexBuilder):
         return cls(blooms)
 
     @classmethod
-    def merge(
-        cls, parts: list["BloomBuilder"], gid_offsets: list[int]
+    def merge_streaming(
+        cls, parts: Iterable["BloomBuilder"], gid_offsets: list[int]
     ) -> "BloomBuilder":
         """Concatenate filters with shifted gids (O(total filters))."""
-        if len(parts) != len(gid_offsets):
-            raise RottnestIndexError("parts/offsets length mismatch")
         merged: list[PageBloom] = []
-        for part, offset in zip(parts, gid_offsets):
+        for part, offset in paired(parts, gid_offsets):
             for bloom in part.blooms:
                 merged.append(
                     PageBloom(

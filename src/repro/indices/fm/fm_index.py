@@ -61,7 +61,7 @@ import numpy as np
 from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.formats import compression
-from repro.indices.base import ExactQuerier, IndexBuilder
+from repro.indices.base import ExactQuerier, IndexBuilder, paired
 from repro.indices.fm.bwt import bwt_from_sa, invert_bwt, suffix_array
 from repro.util.binio import BinaryReader, BinaryWriter
 from repro.util.varint import decode_uvarints, encode_uvarints
@@ -350,13 +350,6 @@ class FmBuilder(IndexBuilder):
         )
 
     @classmethod
-    def merge(
-        cls, parts: list["FmBuilder"], gid_offsets: list[int]
-    ) -> "FmBuilder":
-        """:meth:`merge_streaming` over a list."""
-        return cls.merge_streaming(parts, gid_offsets)
-
-    @classmethod
     def merge_streaming(
         cls, parts: Iterable["FmBuilder"], gid_offsets: list[int]
     ) -> "FmBuilder":
@@ -370,24 +363,18 @@ class FmBuilder(IndexBuilder):
         bounded interleave iteration; inverting from the samples and
         sorting once is faster in numpy and needs no fallback.
         """
-        offsets = list(gid_offsets)
-        it = iter(parts)
         texts: list[bytes] = []
         page_lens: list[int] = []
         page_gids: list[int] = []
         block = rate = 0
         pagemap_all = True
-        # zip pulls offsets first so a surplus part stays in ``it`` for
-        # the leftover check below instead of being silently consumed.
-        for offset, part in zip(offsets, it):
+        for part, offset in paired(parts, gid_offsets):
             texts.append(part.text())
             page_lens.extend(part.page_lens)
             page_gids.extend(g + offset for g in part.page_gids)
             block = max(block, part.block_size)
             rate = max(rate, part.sample_rate)
             pagemap_all = pagemap_all and part.store_pagemap
-        if len(texts) != len(offsets) or not texts or next(it, None) is not None:
-            raise RottnestIndexError("parts/offsets length mismatch")
         return cls._from_text(
             b"".join(texts),
             page_lens,

@@ -21,7 +21,7 @@ from typing import ClassVar, Iterable
 
 from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
-from repro.indices.base import ExactQuerier, IndexBuilder
+from repro.indices.base import ExactQuerier, IndexBuilder, paired
 from repro.util.binio import BinaryReader, BinaryWriter
 
 TYPE_NAME = "minmax"
@@ -148,17 +148,16 @@ class MinMaxBuilder(IndexBuilder):
         return cls(tag, entries)
 
     @classmethod
-    def merge(
-        cls, parts: list["MinMaxBuilder"], gid_offsets: list[int]
+    def merge_streaming(
+        cls, parts: Iterable["MinMaxBuilder"], gid_offsets: list[int]
     ) -> "MinMaxBuilder":
-        if len(parts) != len(gid_offsets):
-            raise RottnestIndexError("parts/offsets length mismatch")
-        tags = {p.tag for p in parts}
+        tags: set[str] = set()
+        entries: list[tuple[int, object, object]] = []
+        for part, offset in paired(parts, gid_offsets):
+            tags.add(part.tag)
+            entries.extend((g + offset, lo, hi) for g, lo, hi in part.entries)
         if len(tags) != 1:
             raise RottnestIndexError(f"cannot merge mixed value tags {tags}")
-        entries: list[tuple[int, object, object]] = []
-        for part, offset in zip(parts, gid_offsets):
-            entries.extend((g + offset, lo, hi) for g, lo, hi in part.entries)
         entries.sort(key=lambda e: e[0])
         return cls(tags.pop(), entries)
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
-from repro.indices.base import ExactQuerier, IndexBuilder
+from repro.indices.base import ExactQuerier, IndexBuilder, paired
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
 from repro.util.binio import BinaryReader, BinaryWriter
 from repro.util.varint import decode_uvarints
@@ -170,50 +170,21 @@ class UuidTrieBuilder(IndexBuilder):
         return cls(entries, reader.params.get("extra_bits", DEFAULT_EXTRA_BITS))
 
     @classmethod
-    def merge(
-        cls, parts: list["UuidTrieBuilder"], gid_offsets: list[int]
+    def merge_streaming(
+        cls, parts: Iterable["UuidTrieBuilder"], gid_offsets: list[int]
     ) -> "UuidTrieBuilder":
-        """K-way merge of sorted entry arrays with gid remapping.
+        """K-way merge of sorted entry arrays with gid remapping, one
+        part at a time.
 
         No raw data is read; stored prefixes keep their lengths (the
         ``extra_bits`` headroom absorbs new collisions, which become
         multi-page entries — i.e. possible false positives, by design).
-        """
-        if len(parts) != len(gid_offsets):
-            raise RottnestIndexError("parts/offsets length mismatch")
-        shifted: list[TrieEntry] = []
-        for part, offset in zip(parts, gid_offsets):
-            for e in part.entries:
-                shifted.append(
-                    TrieEntry(
-                        prefix=e.prefix,
-                        bits=e.bits,
-                        gids=[g + offset for g in e.gids],
-                    )
-                )
-        shifted.sort(key=TrieEntry.sort_key)
-        extra = max(p.extra_bits for p in parts)
-        return cls(_coalesce(shifted), extra)
-
-    @classmethod
-    def merge_streaming(
-        cls, parts: Iterable["UuidTrieBuilder"], gid_offsets: list[int]
-    ) -> "UuidTrieBuilder":
-        """Streaming :meth:`merge`: consume one part at a time.
-
-        Entry shifting is per part and the sort/coalesce happens once
-        over the accumulated array, so only the entries survive each
-        iteration — never two loaded parts at once — and the result is
-        byte-identical to the materialized merge.
+        Entries are shifted per part and sorted/coalesced once, so only
+        the entries survive each iteration, never two loaded parts.
         """
         shifted: list[TrieEntry] = []
         extra = 0
-        count = 0
-        it = iter(parts)
-        # zip pulls offsets first so a surplus part stays in ``it`` for
-        # the leftover check below instead of being silently consumed.
-        for offset, part in zip(gid_offsets, it):
-            count += 1
+        for part, offset in paired(parts, gid_offsets):
             extra = max(extra, part.extra_bits)
             for e in part.entries:
                 shifted.append(
@@ -223,8 +194,6 @@ class UuidTrieBuilder(IndexBuilder):
                         gids=[g + offset for g in e.gids],
                     )
                 )
-        if count == 0 or count != len(gid_offsets) or next(it, None) is not None:
-            raise RottnestIndexError("parts/offsets length mismatch")
         shifted.sort(key=TrieEntry.sort_key)
         return cls(_coalesce(shifted), extra)
 

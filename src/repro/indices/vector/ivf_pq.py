@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
-from repro.indices.base import IndexBuilder, ScoringQuerier
+from repro.indices.base import IndexBuilder, ScoringQuerier, paired
 from repro.indices.vector.kmeans import assign, kmeans, squared_distances
 from repro.indices.vector.pq import (
     ProductQuantizer,
@@ -190,8 +190,8 @@ class IvfPqBuilder(IndexBuilder):
         return cls(centroids.copy(), pq, lists)
 
     @classmethod
-    def merge(
-        cls, parts: list["IvfPqBuilder"], gid_offsets: list[int]
+    def merge_streaming(
+        cls, parts: Iterable["IvfPqBuilder"], gid_offsets: list[int]
     ) -> "IvfPqBuilder":
         """Retrain over approximately-reconstructed vectors.
 
@@ -199,12 +199,16 @@ class IvfPqBuilder(IndexBuilder):
         vector to within quantization error; the merged index's recall
         is nearly identical to a from-scratch rebuild. The maintenance
         layer uses a raw-page rebuild instead whenever the covered
-        Parquet files still exist.
+        Parquet files still exist (``prefers_raw_rebuild``).
+
+        IVF-PQ cannot stream: the k-means retraining samples over *all*
+        parts' decoded vectors at once, so every part is held until the
+        retrain (folding part by part would sample differently and
+        change the committed bytes).
         """
-        if len(parts) != len(gid_offsets):
-            raise RottnestIndexError("parts/offsets length mismatch")
+        pairs = list(paired(parts, gid_offsets))
         all_vecs, all_gids, all_offs = [], [], []
-        for part, shift in zip(parts, gid_offsets):
+        for part, shift in pairs:
             for c, (gids, offsets, codes) in enumerate(part.lists):
                 if not len(gids):
                     continue
@@ -213,8 +217,8 @@ class IvfPqBuilder(IndexBuilder):
                 all_gids.append(gids.astype(np.uint32) + np.uint32(shift))
                 all_offs.append(offsets)
         vectors = np.concatenate(all_vecs)
-        nlist = max(p.nlist for p in parts)
-        m = parts[0].pq.m
+        nlist = max(p.nlist for p, _ in pairs)
+        m = pairs[0][0].pq.m
         return cls._train(
             vectors,
             np.concatenate(all_gids),
@@ -279,21 +283,6 @@ class IvfPqBuilder(IndexBuilder):
             self.lists.append(halves[1])
             split += 1
         return split
-
-    @classmethod
-    def merge_streaming(
-        cls, parts: Iterable["IvfPqBuilder"], gid_offsets: list[int]
-    ) -> "IvfPqBuilder":
-        """Materialize, then :meth:`merge` — IVF-PQ cannot stream.
-
-        The k-means retraining inside :meth:`merge` samples over *all*
-        parts' decoded vectors at once; folding part-by-part would
-        retrain on different samples and change the committed bytes.
-        Peak memory is unaffected in practice: the maintenance layer
-        prefers the raw-page rebuild path for this type
-        (``prefers_raw_rebuild``), which never loads old parts at all.
-        """
-        return cls.merge(list(parts), list(gid_offsets))
 
 
 class IvfPqQuerier(ScoringQuerier):

@@ -105,6 +105,7 @@ from repro.obs.store import (
     SNAPSHOT_SCHEMA,
     SnapshotStore,
     fold_snapshots,
+    load_snapshots,
     snapshot_key,
     snapshot_payload,
     validate_snapshot,
@@ -169,6 +170,7 @@ __all__ = [
     "list_flights",
     "load_flight",
     "load_flights",
+    "load_snapshots",
     "load_telemetry_json",
     "measured_deployment",
     "price_iostats",

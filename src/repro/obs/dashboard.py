@@ -45,7 +45,6 @@ import math
 import re
 from dataclasses import dataclass
 
-from repro.obs.attribution import attribute
 from repro.obs.critical_path import TailReport, tail_attribution
 from repro.obs.slo import SLO, SLOReport, default_slo
 from repro.obs.timeseries import TelemetryHub
@@ -210,7 +209,7 @@ def _line_chart(
     xs = [x for _, _, pts in series for x, _ in pts]
     ys = [y for _, _, pts in series for _, y in pts]
     if not xs:
-        return "<p class='muted'>no data yet</p>"
+        return _muted("no data yet")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, max(ys) * 1.15 or 1.0
     plot_r, plot_b = width - pad_r, height - pad_b
@@ -450,17 +449,70 @@ _CSS = """
 """
 
 
+def _section(title: str, *parts: str) -> str:
+    return f"<section><h2>{title}</h2>{''.join(parts)}</section>"
+
+
+def _muted(text: str) -> str:
+    return f"<p class='muted'>{text}</p>"
+
+
+def _tiles(tiles: list[tuple[str, str]]) -> str:
+    """A row of stat tiles from ``(label, value HTML)`` pairs."""
+    body = "".join(
+        f"<div class='tile'><div class='value'>{value}</div>"
+        f"<div class='label'>{_esc(label)}</div></div>"
+        for label, value in tiles
+    )
+    return f"<div class='tiles'>{body}</div>"
+
+
+def _table(headers: list[str], rows: list[list], ids: list[str] | None = None) -> str:
+    """An HTML table: a header row, then one row per list of cell HTML
+    in ``rows``, carrying the matching ``id`` of ``ids`` if given."""
+    head = "".join(f"<th>{h}</th>" for h in headers)
+    body = "".join(
+        (f"<tr id='{row_id}'>" if row_id else "<tr>")
+        + "".join(f"<td>{cell}</td>" for cell in cells)
+        + "</tr>"
+        for cells, row_id in zip(rows, ids or [None] * len(rows))
+    )
+    return f"<table><tr>{head}</tr>{body}</table>"
+
+
+def _quantile(sketch, q: float, fmt) -> str:
+    """``fmt`` of a merged sketch's ``q`` quantile; a dash when empty."""
+    return fmt(sketch.quantile(q)) if sketch.count else "—"
+
+
+def _windowed_chart(wq, *, scale: float, y_label: str):
+    """p50/p99 lines (with legend) over a windowed sketch's windows,
+    and the two ``(minute, value × scale)`` point lists drawn."""
+    windows = wq.windows()
+    first = windows[0][0]
+    minutes = [(i - first) * wq.window_s / 60.0 for i, _ in windows]
+    p50, p99 = (
+        [(m, sketch.quantile(q) * scale) for m, (_, sketch) in zip(minutes, windows)]
+        for q in (0.5, 0.99)
+    )
+    chart = _line_chart(
+        [("p50", "--series-1", p50), ("p99", "--series-2", p99)],
+        y_label=y_label,
+        x_label="minutes since start",
+    )
+    return chart + _legend([("p50", "--series-1"), ("p99", "--series-2")]), p50, p99
+
+
 def _stat_tiles(hub: TelemetryHub, flight_ids: frozenset[str]) -> str:
     ledger = hub.ledger
     merged = hub.quantiles("serve.latency_s").merged()
     queries = hub.series("serve.queries").count()
     degraded = hub.series("serve.degraded").count()
     availability = 1.0 - degraded / queries if queries else 1.0
-    p99_value = _fmt_ms(merged.quantile(0.99)) if merged.count else "—"
     # The exemplar link: when the sketch's worst observation carries a
     # trace id that the flight recorder retained, the p99 tile links
     # straight to that trace's row in the retained-traces panel.
-    p99_html = _esc(p99_value)
+    p99_html = _esc(_quantile(merged, 0.99, _fmt_ms))
     if merged.exemplar is not None and merged.exemplar[1] in flight_ids:
         p99_html = (
             f"<a class='exemplar' href='#flight-{_esc(merged.exemplar[1])}' "
@@ -469,10 +521,7 @@ def _stat_tiles(hub: TelemetryHub, flight_ids: frozenset[str]) -> str:
         )
     tiles = [
         ("queries served", _esc(f"{queries}")),
-        (
-            "p50 latency",
-            _esc(_fmt_ms(merged.quantile(0.5)) if merged.count else "—"),
-        ),
+        ("p50 latency", _esc(_quantile(merged, 0.5, _fmt_ms))),
         ("p99 latency", p99_html),
         ("availability", _esc(f"{availability:.3%}")),
         (
@@ -486,62 +535,25 @@ def _stat_tiles(hub: TelemetryHub, flight_ids: frozenset[str]) -> str:
         ("maintenance $", _esc(f"${ledger.maintain_usd:.3e}")),
         ("index build $", _esc(f"${ledger.index_build_usd:.3e}")),
     ]
-    body = "".join(
-        f"<div class='tile'><div class='value'>{value}</div>"
-        f"<div class='label'>{_esc(label)}</div></div>"
-        for label, value in tiles
-    )
-    return f"<section><div class='tiles'>{body}</div></section>"
+    return f"<section>{_tiles(tiles)}</section>"
 
 
 def _latency_section(hub: TelemetryHub) -> str:
+    title = "Windowed latency percentiles"
     wq = hub.quantiles("serve.latency_s")
-    windows = wq.windows()
-    if not windows:
-        return (
-            "<section><h2>Windowed latency percentiles</h2>"
-            "<p class='muted'>no latency observations yet</p></section>"
-        )
-    first = windows[0][0]
-    minutes = [(i - first) * wq.window_s / 60.0 for i, _ in windows]
-    p50 = [
-        (m, sketch.quantile(0.5) * 1000)
-        for m, (_, sketch) in zip(minutes, windows)
-    ]
-    p99 = [
-        (m, sketch.quantile(0.99) * 1000)
-        for m, (_, sketch) in zip(minutes, windows)
-    ]
-    chart = _line_chart(
-        [("p50", "--series-1", p50), ("p99", "--series-2", p99)],
-        y_label="latency (ms)",
-        x_label="minutes since start",
-    )
-    rows = "".join(
-        f"<tr><td>{m:.1f}</td><td>{v50:.1f}</td><td>{v99:.1f}</td></tr>"
-        for (m, v50), (_, v99) in zip(p50, p99)
-    )
-    table = (
-        "<details><summary>data table</summary><table>"
-        "<tr><th>minute</th><th>p50 ms</th><th>p99 ms</th></tr>"
-        f"{rows}</table></details>"
-    )
-    return (
-        "<section><h2>Windowed latency percentiles</h2>"
-        f"{chart}"
-        f"{_legend([('p50', '--series-1'), ('p99', '--series-2')])}"
-        f"{table}</section>"
-    )
+    if not wq.windows():
+        return _section(title, _muted("no latency observations yet"))
+    chart, p50, p99 = _windowed_chart(wq, scale=1000, y_label="latency (ms)")
+    rows = [[f"{m:.1f}", f"{v50:.1f}", f"{v99:.1f}"] for (m, v50), (_, v99) in zip(p50, p99)]
+    table = _table(["minute", "p50 ms", "p99 ms"], rows)
+    return _section(title, chart, f"<details><summary>data table</summary>{table}</details>")
 
 
 def _rate_section(hub: TelemetryHub) -> str:
     series = hub.series("serve.queries")
     points = series.points()
     if not points:
-        return (
-            "<section><h2>Query rate</h2>"
-            "<p class='muted'>no queries yet</p></section>"
-        )
+        return _section("Query rate", _muted("no queries yet"))
     first = points[0].index
     pts = [
         ((p.index - first) * series.window_s / 60.0, float(p.count))
@@ -552,38 +564,32 @@ def _rate_section(hub: TelemetryHub) -> str:
         y_label=f"queries per {series.window_s:.0f}s window",
         x_label="minutes since start",
     )
-    return f"<section><h2>Query rate</h2>{chart}</section>"
+    return _section("Query rate", chart)
 
 
 def _tail_section(report: TailReport) -> str:
     if not report.rows:
-        return (
-            "<section><h2>Tail attribution</h2>"
-            "<p class='muted'>no phase-tagged query samples yet</p></section>"
-        )
-    rows = []
-    for row in report.rows:
-        amp = row.amplification
-        amp_txt = f"{amp:.1f}×" if amp != float("inf") else "∞"
-        rows.append(
-            f"<tr><td>{_esc(row.phase)}</td>"
-            f"<td>{row.mid_mean_s * 1000:.2f}</td>"
-            f"<td>{row.mid_share:.1%}</td>"
-            f"<td>{row.tail_mean_s * 1000:.2f}</td>"
-            f"<td>{row.tail_share:.1%}</td>"
-            f"<td>{amp_txt}</td></tr>"
-        )
-    return (
-        "<section><h2>Tail attribution</h2>"
-        f"<p class='sub'>{_esc(report.headline())}</p>"
-        "<table><tr><th>phase</th><th>p50-cohort mean ms</th>"
-        "<th>p50 share</th><th>tail-cohort mean ms</th>"
-        "<th>tail share</th><th>amplification</th></tr>"
-        f"{''.join(rows)}</table>"
-        f"<p class='muted'>median cohort n={report.mid_count}, tail cohort "
-        f"n={report.tail_count} (&ge; p{report.tail_q * 100:g} = "
-        f"{report.tail_threshold_s * 1000:.1f} ms) of "
-        f"{report.sample_count} samples</p></section>"
+        return _section("Tail attribution", _muted("no phase-tagged query samples yet"))
+    rows = [
+        [_esc(row.phase), f"{row.mid_mean_s * 1000:.2f}", f"{row.mid_share:.1%}",
+         f"{row.tail_mean_s * 1000:.2f}", f"{row.tail_share:.1%}",
+         f"{row.amplification:.1f}×" if row.amplification != float("inf") else "∞"]
+        for row in report.rows
+    ]
+    return _section(
+        "Tail attribution",
+        f"<p class='sub'>{_esc(report.headline())}</p>",
+        _table(
+            ["phase", "p50-cohort mean ms", "p50 share", "tail-cohort mean ms",
+             "tail share", "amplification"],
+            rows,
+        ),
+        _muted(
+            f"median cohort n={report.mid_count}, tail cohort "
+            f"n={report.tail_count} (&ge; p{report.tail_q * 100:g} = "
+            f"{report.tail_threshold_s * 1000:.1f} ms) of "
+            f"{report.sample_count} samples"
+        ),
     )
 
 
@@ -605,10 +611,7 @@ def _router_section(hub: TelemetryHub) -> str:
     merged = hub.quantiles("router.latency_s").merged()
     tiles = [
         ("routed queries", f"{routed}"),
-        (
-            "router p99",
-            _fmt_ms(merged.quantile(0.99)) if merged.count else "—",
-        ),
+        ("router p99", _quantile(merged, 0.99, _fmt_ms)),
         ("hedges", f"{hub.series('router.hedges').count()}"),
         ("hedge wins", f"{hub.series('router.hedge_wins').count()}"),
         (
@@ -616,33 +619,24 @@ def _router_section(hub: TelemetryHub) -> str:
             f"${hub.series('router.cost_usd').total():.3e}",
         ),
     ]
-    tile_html = "".join(
-        f"<div class='tile'><div class='value'>{_esc(value)}</div>"
-        f"<div class='label'>{_esc(label)}</div></div>"
-        for label, value in tiles
-    )
     rows = []
     for shard_id in shard_ids:
         sketch = hub.quantiles(f"router.shard{shard_id}.latency_s").merged()
-        queries = hub.series(f"router.shard{shard_id}.queries").count()
-        failed = hub.series(f"router.shard{shard_id}.failed").count()
-        rows.append(
-            f"<tr><td>shard {shard_id}</td>"
-            f"<td>{queries}</td><td>{failed}</td>"
-            f"<td>{sketch.quantile(0.5) * 1000:.1f}</td>"
-            f"<td>{sketch.quantile(0.99) * 1000:.1f}</td></tr>"
-        )
+        rows.append([
+            f"shard {shard_id}",
+            hub.series(f"router.shard{shard_id}.queries").count(),
+            hub.series(f"router.shard{shard_id}.failed").count(),
+            f"{sketch.quantile(0.5) * 1000:.1f}", f"{sketch.quantile(0.99) * 1000:.1f}",
+        ])
     table = (
-        "<table><tr><th>shard</th><th>queries</th><th>failed</th>"
-        "<th>p50 ms</th><th>p99 ms</th></tr>"
-        f"{''.join(rows)}</table>"
+        _table(["shard", "queries", "failed", "p50 ms", "p99 ms"], rows)
         if rows
-        else "<p class='muted'>no per-shard latency sketches yet</p>"
+        else _muted("no per-shard latency sketches yet")
     )
-    return (
-        "<section><h2>Scatter-gather router</h2>"
-        f"<div class='tiles'>{tile_html}</div>"
-        f"{table}</section>"
+    return _section(
+        "Scatter-gather router",
+        _tiles([(label, _esc(value)) for label, value in tiles]),
+        table,
     )
 
 
@@ -663,45 +657,22 @@ def _ingest_section(hub: TelemetryHub) -> str:
         ("drains", f"{drains}"),
         ("rows drained", f"{hub.series('ingest.drained_rows').total():.0f}"),
         ("fresh matches served", f"{fresh_matches:.0f}"),
-        (
-            "freshness lag p50",
-            f"{merged.quantile(0.5):.1f} s" if merged.count else "—",
-        ),
-        (
-            "freshness lag p99",
-            f"{merged.quantile(0.99):.1f} s" if merged.count else "—",
-        ),
+        ("freshness lag p50", _quantile(merged, 0.5, "{:.1f} s".format)),
+        ("freshness lag p99", _quantile(merged, 0.99, "{:.1f} s".format)),
     ]
-    tile_html = "".join(
-        f"<div class='tile'><div class='value'>{_esc(value)}</div>"
-        f"<div class='label'>{_esc(label)}</div></div>"
-        for label, value in tiles
+    chart = (
+        _windowed_chart(lag, scale=1.0, y_label="freshness lag (s)")[0]
+        if lag.windows()
+        else _muted("no drained segments yet")
     )
-    windows = lag.windows()
-    if windows:
-        first = windows[0][0]
-        minutes = [(i - first) * lag.window_s / 60.0 for i, _ in windows]
-        p50 = [
-            (m, sketch.quantile(0.5))
-            for m, (_, sketch) in zip(minutes, windows)
-        ]
-        p99 = [
-            (m, sketch.quantile(0.99))
-            for m, (_, sketch) in zip(minutes, windows)
-        ]
-        chart = _line_chart(
-            [("p50", "--series-1", p50), ("p99", "--series-2", p99)],
-            y_label="freshness lag (s)",
-            x_label="minutes since start",
-        ) + _legend([("p50", "--series-1"), ("p99", "--series-2")])
-    else:
-        chart = "<p class='muted'>no drained segments yet</p>"
-    return (
-        "<section><h2>Real-time ingest freshness</h2>"
-        f"<div class='tiles'>{tile_html}</div>"
-        f"{chart}"
-        "<p class='muted'>lag = lake commit time &minus; WAL segment PUT "
-        "time, observed by the drainer per drained segment</p></section>"
+    return _section(
+        "Real-time ingest freshness",
+        _tiles([(label, _esc(value)) for label, value in tiles]),
+        chart,
+        _muted(
+            "lag = lake commit time &minus; WAL segment PUT "
+            "time, observed by the drainer per drained segment"
+        ),
     )
 
 
@@ -717,24 +688,22 @@ def _flight_section(flights) -> str:
     flights.sort(key=lambda f: (-f.latency_s, f.trace_id))
     rows = []
     for flight in flights:
-        cost = attribute(flight.root()).total_cost_usd()
-        rows.append(
-            f"<tr id='flight-{_esc(flight.trace_id)}'>"
-            f"<td><code>{_esc(flight.trace_id)}</code></td>"
-            f"<td>{_esc(flight.reason)}</td>"
-            f"<td>{flight.latency_s * 1000:.2f}</td>"
-            f"<td>{_esc(flight.slow_phase or '—')}</td>"
-            f"<td>{_esc(flight.query or '—')}</td>"
-            f"<td>${cost:.3e}</td></tr>"
-        )
-    return (
-        "<section><h2>Retained traces (flight recorder)</h2>"
+        slow, cost = flight.summary()
+        rows.append([
+            f"<code>{_esc(flight.trace_id)}</code>", _esc(flight.reason),
+            f"{flight.latency_s * 1000:.2f}", _esc(slow or "—"),
+            _esc(flight.query or "—"), f"${cost:.3e}",
+        ])
+    return _section(
+        "Retained traces (flight recorder)",
         "<p class='sub'>tail-sampled complete span trees — errors, SLO "
         "breaches, and latencies above the live tail threshold; render "
-        "one with <code>repro traces &lt;id&gt;</code></p>"
-        "<table><tr><th>trace</th><th>reason</th><th>latency ms</th>"
-        "<th>slow phase</th><th>query</th><th>cost</th></tr>"
-        f"{''.join(rows)}</table></section>"
+        "one with <code>repro traces &lt;id&gt;</code></p>",
+        _table(
+            ["trace", "reason", "latency ms", "slow phase", "query", "cost"],
+            rows,
+            ids=[f"flight-{_esc(flight.trace_id)}" for flight in flights],
+        ),
     )
 
 
@@ -753,22 +722,17 @@ def _heat_section(heat, *, limit: int = 12) -> str:
         for scope, column, kind, _value, stamp in data["cells"]
     }
     newest = max(stamps.values())
-    rows = []
-    for key, hotness in heat.hottest(at_s=newest, limit=limit):
-        age_s = newest - stamps[(key.scope, key.column, key.kind)]
-        rows.append(
-            f"<tr><td><code>{_esc(key.scope)}</code></td>"
-            f"<td>{_esc(key.column)}</td><td>{_esc(key.kind)}</td>"
-            f"<td>{hotness:.3f}</td><td>{age_s:.0f}</td></tr>"
-        )
-    return (
-        "<section><h2>Crack heat map</h2>"
+    rows = [
+        [f"<code>{_esc(key.scope)}</code>", _esc(key.column), _esc(key.kind),
+         f"{hotness:.3f}", f"{newest - stamps[(key.scope, key.column, key.kind)]:.0f}"]
+        for key, hotness in heat.hottest(at_s=newest, limit=limit)
+    ]
+    return _section(
+        "Crack heat map",
         f"<p class='sub'>top {len(rows)} of {len(heat)} heat cells by "
         "decayed hotness — what the cracking controller will act on "
-        "next (age relative to the freshest observation)</p>"
-        "<table><tr><th>scope</th><th>column</th><th>kind</th>"
-        "<th>heat</th><th>age s</th></tr>"
-        f"{''.join(rows)}</table></section>"
+        "next (age relative to the freshest observation)</p>",
+        _table(["scope", "column", "kind", "heat", "age s"], rows),
     )
 
 
@@ -783,7 +747,7 @@ def _trend_section(history) -> str:
     history = list(history or ())
     if not history:
         return ""
-    points = []
+    rows, p99_pts = [], []
     for payload in sorted(
         history, key=lambda p: (p.get("at_s", 0.0), p.get("sources", []))
     ):
@@ -791,24 +755,17 @@ def _trend_section(history) -> str:
             continue
         hub = TelemetryHub.from_snapshot(payload["hub"])
         merged = hub.quantiles("serve.latency_s").merged()
-        p99_ms = merged.quantile(0.99) * 1000 if merged.count else None
+        if merged.count:
+            p99_pts.append((float(len(rows)), merged.quantile(0.99) * 1000))
         ledger = hub.ledger  # a fold of the cost series: read it once
-        cpq = ledger.cost_per_query_usd if ledger.serve_queries else None
-        points.append(
-            (
-                payload.get("at_s", 0.0),
-                ", ".join(payload.get("sources", [])) or "—",
-                hub.series("serve.queries").count(),
-                p99_ms,
-                cpq,
-            )
-        )
-    if not points:
+        rows.append([
+            len(rows), _esc(", ".join(payload.get("sources", [])) or "—"),
+            f"{payload.get('at_s', 0.0):.0f}", hub.series("serve.queries").count(),
+            _quantile(merged, 0.99, lambda v: f"{v * 1000:.1f}"),
+            f"${ledger.cost_per_query_usd:.3e}" if ledger.serve_queries else "—",
+        ])
+    if not rows:
         return ""
-    p99_pts = [
-        (float(i), p99) for i, (_, _, _, p99, _) in enumerate(points)
-        if p99 is not None
-    ]
     chart = (
         _line_chart(
             [("p99 (ms)", "--series-2", p99_pts)],
@@ -818,21 +775,12 @@ def _trend_section(history) -> str:
         if p99_pts
         else ""
     )
-    rows = "".join(
-        f"<tr><td>{i}</td><td>{_esc(src)}</td><td>{at_s:.0f}</td>"
-        f"<td>{queries}</td>"
-        f"<td>{f'{p99:.1f}' if p99 is not None else '—'}</td>"
-        f"<td>{f'${cpq:.3e}' if cpq is not None else '—'}</td></tr>"
-        for i, (at_s, src, queries, p99, cpq) in enumerate(points)
-    )
-    return (
-        "<section><h2>Cross-run trends (snapshot store)</h2>"
+    return _section(
+        "Cross-run trends (snapshot store)",
         "<p class='sub'>each point is one durable telemetry snapshot — "
-        "this run plotted against prior runs and processes</p>"
-        f"{chart}"
-        "<table><tr><th>#</th><th>sources</th><th>at s</th>"
-        "<th>queries</th><th>p99 ms</th><th>cost/query</th></tr>"
-        f"{rows}</table></section>"
+        "this run plotted against prior runs and processes</p>",
+        chart,
+        _table(["#", "sources", "at s", "queries", "p99 ms", "cost/query"], rows),
     )
 
 
@@ -857,36 +805,34 @@ def _slo_section(report: SLOReport) -> str:
         if report.ok
         else "<span class='slo-bad'>&#10007; SLO breached</span>"
     )
-    return (
-        "<section><h2>SLO status</h2>"
-        f"{''.join(rows)}<div class='slo-row'>{overall}</div></section>"
-    )
+    return _section("SLO status", *rows, f"<div class='slo-row'>{overall}</div>")
 
 
 def _tco_section(hub: TelemetryHub, costs: CostModel | None) -> str:
     measured = measured_deployment(hub, costs=costs)
     if measured is None:
-        return (
-            "<section><h2>Measured TCO position</h2>"
-            "<p class='muted'>no billed queries yet — the phase diagram "
-            "needs at least one attributed query</p></section>"
+        return _section(
+            "Measured TCO position",
+            _muted("no billed queries yet — the phase diagram needs at least one attributed query"),
         )
     rivals = comparison_approaches(hub, costs=costs)
     diagram = measured_phase_diagram(measured, rivals)
     winner = diagram.winner_at(measured.months, measured.queries)
     svg = _phase_map_svg(diagram, measured)
     a = measured.approach
-    return (
-        "<section><h2>Measured TCO position</h2>"
+    return _section(
+        "Measured TCO position",
         f"<p class='sub'>measured coefficients: cost/query "
         f"${a.cost_per_query:.3e}, monthly ${a.cost_per_month:.3e}, "
         f"index build ${a.index_cost:.3e} — cheapest approach at the "
-        f"measured position: <strong>{_esc(winner.name)}</strong></p>"
-        f"{svg}"
-        f"{_legend([('copy-data', '--series-1'), ('brute-force', '--series-2'), ('measured (this deployment)', '--series-3')])}"
-        "<p class='muted'>winner regions over (operating months × total "
-        "queries); &#10005; marks this deployment's observed position, "
-        "the dashed path its trajectory</p></section>"
+        f"measured position: <strong>{_esc(winner.name)}</strong></p>",
+        svg,
+        _legend([('copy-data', '--series-1'), ('brute-force', '--series-2'), ('measured (this deployment)', '--series-3')]),
+        _muted(
+            "winner regions over (operating months × total "
+            "queries); &#10005; marks this deployment's observed position, "
+            "the dashed path its trajectory"
+        ),
     )
 
 
@@ -946,29 +892,10 @@ def render_dashboard(
     )
 
 
-def write_dashboard(
-    path: str,
-    hub: TelemetryHub,
-    *,
-    slo: SLO | None = None,
-    costs: CostModel | None = None,
-    source: str = "",
-    title: str = "Rottnest deployment dashboard",
-    flights=None,
-    heat=None,
-    history=None,
-) -> str:
-    """Render and write the dashboard; returns ``path``."""
-    document = render_dashboard(
-        hub,
-        slo=slo,
-        costs=costs,
-        source=source,
-        title=title,
-        flights=flights,
-        heat=heat,
-        history=history,
-    )
+def write_dashboard(path: str, hub: TelemetryHub, **options) -> str:
+    """Write :func:`render_dashboard` of ``hub`` (same keyword
+    options); returns ``path``."""
+    document = render_dashboard(hub, **options)
     with open(path, "w") as f:
         f.write(document)
     return path

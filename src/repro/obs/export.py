@@ -28,8 +28,10 @@ import json
 import os
 from typing import Iterable
 
+from repro.errors import FormatError, ReproError
 from repro.obs.attribution import DEFAULT_INSTANCE, attribute
 from repro.obs.critical_path import critical_path, render_critical_path
+from repro.obs.store import check_envelope
 from repro.obs.timeseries import TelemetryHub
 from repro.obs.trace import Span, SpanEvent
 from repro.storage.costs import CostModel
@@ -238,10 +240,7 @@ def bench_payload(bench: str) -> dict:
 
 def validate_bench(payload: dict) -> None:
     """Raise ``ValueError`` unless ``payload`` follows the schema."""
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bad schema tag {payload.get('schema')!r}; want {BENCH_SCHEMA!r}"
-        )
+    check_envelope(payload, BENCH_SCHEMA)
     if not isinstance(payload.get("bench"), str):
         raise ValueError("missing 'bench' name")
     measurements = payload.get("measurements")
@@ -286,6 +285,10 @@ def update_bench_json(
         "metrics": {k: _json_safe(v) for k, v in metrics.items()},
     }
     validate_bench(payload)
+    return _write_json(path, payload)
+
+
+def _write_json(path: str, payload: dict) -> dict:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -308,22 +311,25 @@ def write_telemetry_json(
     path: str, hub: TelemetryHub, *, source: str = ""
 ) -> dict:
     """Persist ``hub`` so another process can evaluate/plot it."""
-    payload = telemetry_payload(hub, source=source)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return payload
+    return _write_json(path, telemetry_payload(hub, source=source))
 
 
 def load_telemetry_json(path: str) -> TelemetryHub:
-    """Rehydrate a hub from a :func:`write_telemetry_json` snapshot."""
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("schema") != TELEMETRY_SCHEMA:
-        raise ValueError(
-            f"bad schema tag {payload.get('schema')!r}; "
-            f"want {TELEMETRY_SCHEMA!r}"
-        )
-    if not isinstance(payload.get("hub"), dict):
-        raise ValueError("missing 'hub' snapshot")
-    return TelemetryHub.from_snapshot(payload["hub"])
+    """Rehydrate a hub from a :func:`write_telemetry_json` snapshot.
+
+    A file that cannot be read is a :class:`ReproError`; content that
+    is not a telemetry snapshot (corrupt JSON, a foreign schema, a
+    malformed hub) is a :class:`FormatError`.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise ReproError(f"cannot read telemetry {path}: {exc.strerror or exc}") from None
+    try:
+        payload = check_envelope(json.loads(data), TELEMETRY_SCHEMA)
+        if not isinstance(payload.get("hub"), dict):
+            raise ValueError("missing 'hub' snapshot")
+        return TelemetryHub.from_snapshot(payload["hub"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"unreadable telemetry {path}: {exc}") from None

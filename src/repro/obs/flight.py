@@ -26,14 +26,16 @@ models (``repro traces`` prints them through
 :func:`~repro.obs.export.explain`, as ``repro profile`` does a live
 query).
 
-Durability goes through the same :class:`~repro.storage.object_store.
-ObjectStore` machinery as every other artifact in this repo: traces
-are content-addressed (``{root}/_flights/{trace_id}.json`` where the
-id is a truncated SHA-256 of the canonical payload), writes are
-idempotent (an existing key is never re-put, so a crashed
-:meth:`FlightRecorder.persist` re-run converges and then idles), and
-the PUT boundary is a registered crash point (``obs:put-flight``)
-exercised by the chaos matrix in ``tests/test_obs_chaos.py``.
+Durable traces are one :class:`~repro.obs.store.ObjectKind`, the
+durable object telemetry snapshots are too: content-addressed
+(``{root}/_flights/{trace_id}.json`` where the id is a truncated
+SHA-256 of the canonical payload with the id blank), written
+put-if-absent (a crashed :meth:`FlightRecorder.persist` re-run
+converges and then idles; the PUT is the registered ``obs:put-flight``
+crash point exercised by the chaos matrix in
+``tests/test_obs_chaos.py``), and read back through one reader:
+:func:`load_flight` raises a :class:`ReproError` naming an unreadable
+object's key, :func:`load_flights` skips such objects and counts them.
 
 Hedged retries (``repro.shard.router``) tag their spans with
 ``hedge=True``; the recorder skips any query whose span tree sits
@@ -44,10 +46,7 @@ attributed to its originating trace instead.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -55,8 +54,9 @@ from repro.errors import ReproError
 from repro.obs.attribution import attribute
 from repro.obs.critical_path import critical_path
 from repro.obs.export import span_to_dict, span_tree_from_dicts
+from repro.obs.store import ObjectKind, canonical_json, check_envelope, content_id
 from repro.obs.timeseries import QuantileSketch, TelemetryHub
-from repro.obs.trace import Span
+from repro.obs.trace import ProcessDefault, Span
 
 if TYPE_CHECKING:  # circular-import-free type hints only
     from repro.obs.slo import SLO
@@ -77,11 +77,6 @@ DEFAULT_TAIL_QUANTILE = 0.99
 DEFAULT_MIN_SAMPLES = 20
 
 
-def flight_key(root: str, trace_id: str) -> str:
-    """Object-store key of one retained trace."""
-    return f"{root}/{FLIGHT_DIR}/{trace_id}.json"
-
-
 @dataclass
 class FlightTrace:
     """One retained ("black-boxed") query trace: its span tree, nothing
@@ -100,35 +95,33 @@ class FlightTrace:
         """The span tree, rebuilt for rendering, pricing and walks."""
         return span_tree_from_dicts(self.spans)
 
+    def summary(self) -> tuple[str, float]:
+        """``(slow_phase, cost_usd)`` from one rebuild and one bill of
+        the span tree under the default models."""
+        root = self.root()
+        bill = attribute(root)
+        phases = [p for p in bill.phases if p.est_latency_s > 0]
+        if phases:
+            slow = max(phases, key=lambda p: p.est_latency_s).phase
+        else:
+            tagged = [s for s in critical_path(root) if s.phase]
+            slow = max(tagged, key=lambda s: s.self_s).phase if tagged else ""
+        return slow, bill.total_cost_usd()
+
     @property
     def slow_phase(self) -> str:
         """The phase with the most modeled time under the default
         models; when no phase issued a request, the tagged span with the
         most critical-path self time."""
-        root = self.root()
-        phases = [p for p in attribute(root).phases if p.est_latency_s > 0]
-        if phases:
-            return max(phases, key=lambda p: p.est_latency_s).phase
-        tagged = [s for s in critical_path(root) if s.phase]
-        return max(tagged, key=lambda s: s.self_s).phase if tagged else ""
+        return self.summary()[0]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": FLIGHT_SCHEMA,
-            "trace_id": self.trace_id,
-            "reason": self.reason,
-            "latency_s": self.latency_s,
-            "at_s": self.at_s,
-            "query": self.query,
-            "spans": self.spans,
-        }
+        fields = ("trace_id", "reason", "latency_s", "at_s", "query", "spans")
+        return {"schema": FLIGHT_SCHEMA, **{f: getattr(self, f) for f in fields}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FlightTrace":
-        if data.get("schema") != FLIGHT_SCHEMA:
-            raise ValueError(
-                f"bad schema tag {data.get('schema')!r}; want {FLIGHT_SCHEMA!r}"
-            )
+        check_envelope(data, FLIGHT_SCHEMA)
         trace = cls(
             trace_id=str(data["trace_id"]),
             reason=str(data["reason"]),
@@ -143,18 +136,31 @@ class FlightTrace:
     def serialize(self) -> bytes:
         """Canonical JSON bytes — what :meth:`FlightRecorder.persist`
         puts and what the content hash covers."""
-        return (
-            json.dumps(self.to_dict(), sort_keys=True) + "\n"
-        ).encode("utf-8")
+        return canonical_json(self.to_dict())
 
     def describe(self) -> str:
         """One summary line for ``repro top``."""
-        cost = attribute(self.root()).total_cost_usd()
+        slow, cost = self.summary()
         return (
             f"{self.trace_id}  {self.latency_s * 1000:9.2f} ms  "
-            f"{self.reason:<10}  {self.slow_phase or '-':<12} "
+            f"{self.reason:<10}  {slow or '-':<12} "
             f"{self.query}  ${cost:.3e}"
         )
+
+
+#: Durably retained flight traces, read slowest first.
+FLIGHTS = ObjectKind(
+    FLIGHT_DIR,
+    FLIGHT_SCHEMA,
+    "flight trace",
+    FlightTrace.from_dict,
+    lambda f: (-f.latency_s, f.trace_id),
+)
+
+
+def flight_key(root: str, trace_id: str) -> str:
+    """Object-store key of one retained trace."""
+    return FLIGHTS.key(root, trace_id)
 
 
 class FlightRecorder:
@@ -298,7 +304,7 @@ class FlightRecorder:
         # Content-address the trace: the id is derived from the payload
         # with the id field blank, so identical traces share a key and
         # persistence is naturally idempotent.
-        flight.trace_id = hashlib.sha256(flight.serialize()).hexdigest()[:16]
+        flight.trace_id = content_id(flight.serialize())
         flight.nbytes = len(flight.serialize())
         return flight
 
@@ -340,13 +346,11 @@ class FlightRecorder:
             raise ValueError("flight recorder has no object store to persist to")
         written = 0
         for flight in self.traces():
-            key = flight_key(self.root, flight.trace_id)
-            if flight.trace_id in self._persisted or target.exists(key):
-                self._persisted.add(flight.trace_id)
-                continue
-            target.put(key, flight.serialize())
+            if flight.trace_id not in self._persisted and FLIGHTS.put(
+                target, self.root, flight.trace_id, flight.serialize()
+            ):
+                written += 1
             self._persisted.add(flight.trace_id)
-            written += 1
         return written
 
 
@@ -355,23 +359,7 @@ class FlightRecorder:
 # ---------------------------------------------------------------------
 def list_flights(store: "ObjectStore", root: str = "obs") -> list[str]:
     """Trace ids of every durably retained flight, sorted."""
-    prefix = f"{root}/{FLIGHT_DIR}/"
-    ids = []
-    for info in store.list(prefix):
-        name = info.key[len(prefix):]
-        if name.endswith(".json"):
-            ids.append(name[: -len(".json")])
-    return sorted(ids)
-
-
-def _read_flight(store: "ObjectStore", key: str) -> FlightTrace:
-    """One flight object, or a :class:`ReproError` naming the key when
-    it is corrupt JSON or carries a foreign schema."""
-    data = store.get(key)
-    try:
-        return FlightTrace.from_dict(json.loads(data.decode("utf-8")))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ReproError(f"unreadable flight trace {key}: {exc}") from None
+    return FLIGHTS.ids(store, root)
 
 
 def load_flight(
@@ -385,7 +373,7 @@ def load_flight(
         raise ReproError(
             f"ambiguous flight trace id {trace_id!r}: matches {matches}"
         )
-    return _read_flight(store, flight_key(root, matches[0]))
+    return FLIGHTS.read(store, flight_key(root, matches[0]))
 
 
 def load_flights(
@@ -394,44 +382,13 @@ def load_flights(
     """Every readable durably retained flight, slowest first, and the
     number of objects skipped as unreadable (corrupt JSON or a foreign
     schema, such as a flight written by an older build)."""
-    flights: list[FlightTrace] = []
-    skipped = 0
-    for trace_id in list_flights(store, root):
-        try:
-            flights.append(_read_flight(store, flight_key(root, trace_id)))
-        except ReproError:
-            skipped += 1
-    flights.sort(key=lambda f: (-f.latency_s, f.trace_id))
-    return flights, skipped
+    return FLIGHTS.read_all(store, root)
 
 
 # ---------------------------------------------------------------------
 # process-wide default recorder (None = flight recording off)
 # ---------------------------------------------------------------------
-_global_recorder: FlightRecorder | None = None
-_global_lock = threading.Lock()
-
-
-def get_flight_recorder() -> FlightRecorder | None:
-    """The process-wide flight recorder, or ``None`` when disabled."""
-    return _global_recorder
-
-
-def set_flight_recorder(
-    recorder: FlightRecorder | None,
-) -> FlightRecorder | None:
-    """Replace the default recorder; returns the previous one."""
-    global _global_recorder
-    with _global_lock:
-        previous, _global_recorder = _global_recorder, recorder
-    return previous
-
-
-@contextmanager
-def use_flight_recorder(recorder: FlightRecorder | None):
-    """Scope: make ``recorder`` the default for the duration."""
-    previous = set_flight_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_flight_recorder(previous)
+_default_recorder = ProcessDefault(None)
+get_flight_recorder, set_flight_recorder, use_flight_recorder = (
+    _default_recorder.get, _default_recorder.set, _default_recorder.use
+)

@@ -23,18 +23,21 @@ pinned by hypothesis in ``tests/test_obs_store.py``). The folded
 payload feeds the dashboard's time-travel panels: this run vs prior
 runs, trend lines for the ``BENCH_*`` headline metrics.
 
-Commits are crash-safe the same way every other artifact here is:
-content-addressed keys (``{root}/_snapshots/{id}.json``), idempotent
-puts (existing keys are skipped, so a crashed commit re-run converges
-then idles), and a registered crash point (``obs:put-snapshot``)
-exercised by the chaos matrix.
+Snapshots and retained flight traces (:mod:`repro.obs.flight`) are one
+:class:`ObjectKind` of durable object, content-addressed
+(``{root}/_snapshots/{id}.json``) and written put-if-absent, so a
+crashed commit re-run converges then idles; the PUT is a crash point
+(``obs:put-snapshot``) exercised by the chaos matrix. Reading one
+object names its key in a :class:`ReproError` when it is corrupt or of
+a foreign schema; reading all skips such objects and counts them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ReproError
 from repro.obs.timeseries import TelemetryHub
@@ -51,9 +54,79 @@ SNAPSHOT_DIR = "_snapshots"
 SNAPSHOT_SCHEMA = "repro.obs.snapshot/v1"
 
 
-def snapshot_key(root: str, snapshot_id: str) -> str:
-    """Object-store key of one committed snapshot."""
-    return f"{root}/{SNAPSHOT_DIR}/{snapshot_id}.json"
+# ---------------------------------------------------------------------
+# content-addressed JSON objects: the one durable kind
+# ---------------------------------------------------------------------
+def canonical_json(payload: dict) -> bytes:
+    """The stored bytes of a JSON object; content ids hash exactly these."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def content_id(body: bytes) -> str:
+    return hashlib.sha256(body).hexdigest()[:16]
+
+
+def check_envelope(payload: object, schema: str) -> dict:
+    """``payload`` if it is a JSON object tagged ``schema``, else a
+    :class:`ValueError` saying why not."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"not a JSON object but {type(payload).__name__}")
+    if payload.get("schema") != schema:
+        raise ValueError(f"bad schema tag {payload.get('schema')!r}; want {schema!r}")
+    return payload
+
+
+@dataclass(frozen=True)
+class ObjectKind:
+    """Content-addressed JSON objects ``{root}/{directory}/{id}.json``.
+
+    ``parse`` turns a schema-checked payload into the object a reader
+    gets; it raises ``ValueError``/``KeyError``/``TypeError`` or a
+    :class:`ReproError` on a payload it cannot use. ``order`` sorts
+    what :meth:`read_all` returns.
+    """
+
+    directory: str
+    schema: str
+    noun: str
+    parse: Callable[[dict], object]
+    order: Callable[[object], object]
+
+    def key(self, root: str, object_id: str) -> str:
+        return f"{root}/{self.directory}/{object_id}.json"
+
+    def put(self, store: "ObjectStore", root: str, object_id: str, body: bytes) -> bool:
+        """HEAD, then PUT if absent; whether a PUT was issued."""
+        key = self.key(root, object_id)
+        if store.exists(key):
+            return False
+        store.put(key, body)
+        return True
+
+    def ids(self, store: "ObjectStore", root: str) -> list[str]:
+        """LIST the directory: every stored object's id, sorted."""
+        prefix = f"{root}/{self.directory}/"
+        names = (info.key[len(prefix):] for info in store.list(prefix))
+        return sorted(name[: -len(".json")] for name in names if name.endswith(".json"))
+
+    def read(self, store: "ObjectStore", key: str):
+        """GET, decode, schema-check and parse one object, or raise a
+        :class:`ReproError` naming ``key``."""
+        data = store.get(key)
+        try:
+            return self.parse(check_envelope(json.loads(data.decode("utf-8")), self.schema))
+        except (ValueError, KeyError, TypeError, ReproError) as exc:
+            raise ReproError(f"unreadable {self.noun} {key}: {exc}") from None
+
+    def read_all(self, store: "ObjectStore", root: str) -> tuple[list, int]:
+        """Every readable object, sorted, and how many were skipped."""
+        objects, skipped = [], 0
+        for object_id in self.ids(store, root):
+            try:
+                objects.append(self.read(store, self.key(root, object_id)))
+            except ReproError:
+                skipped += 1
+        return sorted(objects, key=self.order), skipped
 
 
 # ---------------------------------------------------------------------
@@ -84,8 +157,9 @@ def snapshot_payload(
     return payload
 
 
-def validate_snapshot(payload: dict) -> None:
-    """Raise :class:`ReproError` unless ``payload`` follows the schema."""
+def validate_snapshot(payload: dict) -> dict:
+    """``payload``, or a :class:`ReproError` unless it follows the
+    schema."""
     if payload.get("schema") != SNAPSHOT_SCHEMA:
         raise ReproError(
             f"bad snapshot schema {payload.get('schema')!r}; "
@@ -93,6 +167,22 @@ def validate_snapshot(payload: dict) -> None:
         )
     if not isinstance(payload.get("sources"), list):
         raise ReproError("snapshot lacks a 'sources' list")
+    return payload
+
+
+#: Committed telemetry snapshots, read oldest first.
+SNAPSHOTS = ObjectKind(
+    SNAPSHOT_DIR,
+    SNAPSHOT_SCHEMA,
+    "telemetry snapshot",
+    validate_snapshot,
+    lambda p: (float(p.get("at_s", 0.0)), json.dumps(p.get("sources", []), sort_keys=True)),
+)
+
+
+def snapshot_key(root: str, snapshot_id: str) -> str:
+    """Object-store key of one committed snapshot."""
+    return SNAPSHOTS.key(root, snapshot_id)
 
 
 def fold_snapshots(payloads: list[dict]) -> dict:
@@ -112,7 +202,7 @@ def fold_snapshots(payloads: list[dict]) -> dict:
     for payload in payloads:
         validate_snapshot(payload)
     hub: TelemetryHub | None = None
-    heat_payload: dict | None = None
+    heat: "HeatMap | None" = None
     sources: set[str] = set()
     flights: set[str] = set()
     reports: list[dict] = []
@@ -128,22 +218,11 @@ def fold_snapshots(payloads: list[dict]) -> dict:
             from repro.crack.heat import HeatMap
 
             piece_heat = HeatMap.from_dict(payload["heat"])
-            if heat_payload is None:
-                heat_payload = piece_heat.to_dict()
-            else:
-                heat_payload = (
-                    HeatMap.from_dict(heat_payload).merge(piece_heat).to_dict()
-                )
+            heat = piece_heat if heat is None else heat.merge(piece_heat)
     reports.sort(key=lambda r: json.dumps(r, sort_keys=True))
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "sources": sorted(sources),
-        "at_s": at_s,
-        "hub": hub.snapshot() if hub is not None else None,
-        "heat": heat_payload,
-        "flights": sorted(flights),
-        "slo_reports": reports,
-    }
+    folded = snapshot_payload(hub, heat=heat, at_s=at_s, flights=sorted(flights))
+    folded.update(sources=sorted(sources), slo_reports=reports)
+    return folded
 
 
 # ---------------------------------------------------------------------
@@ -163,70 +242,51 @@ class SnapshotStore:
         self.root = root
 
     def commit(
-        self,
-        hub: TelemetryHub | None = None,
-        *,
-        heat: "HeatMap | None" = None,
-        slo: "SLO | None" = None,
-        source: str = "",
-        flights: list[str] | tuple[str, ...] = (),
-        at_s: float | None = None,
+        self, hub: TelemetryHub | None = None, *, at_s: float | None = None, **parts
     ) -> str:
-        """Snapshot the given telemetry plane; returns the object key."""
+        """Snapshot the given telemetry plane (``heat``, ``slo``,
+        ``source`` and ``flights`` as for :func:`snapshot_payload`, at
+        ``at_s`` or the store clock's now); returns the object key."""
         when = at_s if at_s is not None else self.store.clock.now()
-        payload = snapshot_payload(
-            hub,
-            heat=heat,
-            slo=slo,
-            source=source,
-            at_s=when,
-            flights=flights,
-        )
-        return self.commit_payload(payload)
+        return self.commit_payload(snapshot_payload(hub, at_s=when, **parts))
 
     def commit_payload(self, payload: dict) -> str:
         """Commit a pre-built payload (used by folds and tests)."""
-        validate_snapshot(payload)
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        snapshot_id = hashlib.sha256(body).hexdigest()[:16]
-        key = snapshot_key(self.root, snapshot_id)
-        if not self.store.exists(key):
-            self.store.put(key, body)
-        return key
+        body = canonical_json(validate_snapshot(payload))
+        snapshot_id = content_id(body)
+        SNAPSHOTS.put(self.store, self.root, snapshot_id, body)
+        return snapshot_key(self.root, snapshot_id)
 
     def keys(self) -> list[str]:
         """Keys of every committed snapshot, sorted."""
-        prefix = f"{self.root}/{SNAPSHOT_DIR}/"
         return [
-            info.key
-            for info in self.store.list(prefix)
-            if info.key.endswith(".json")
+            snapshot_key(self.root, snapshot_id)
+            for snapshot_id in SNAPSHOTS.ids(self.store, self.root)
         ]
 
     def load(self, key: str) -> dict:
-        payload = json.loads(self.store.get(key).decode("utf-8"))
-        validate_snapshot(payload)
-        return payload
+        return SNAPSHOTS.read(self.store, key)
 
     def snapshots(self) -> list[dict]:
-        """Every committed snapshot payload, oldest first."""
-        payloads = [self.load(key) for key in self.keys()]
-        payloads.sort(
-            key=lambda p: (
-                float(p.get("at_s", 0.0)),
-                json.dumps(p.get("sources", []), sort_keys=True),
-            )
-        )
-        return payloads
+        """Every readable committed snapshot payload, oldest first."""
+        return load_snapshots(self.store, self.root)[0]
 
     def fold(self, keys: list[str] | None = None) -> dict:
-        """Fold the chosen (default: all) snapshots into one payload."""
-        chosen = keys if keys is not None else self.keys()
-        return fold_snapshots([self.load(key) for key in chosen])
+        """Fold the chosen snapshots (default: every readable one) into
+        one payload."""
+        if keys is None:
+            return fold_snapshots(self.snapshots())
+        return fold_snapshots([self.load(key) for key in keys])
 
     def folded_hub(self, keys: list[str] | None = None) -> TelemetryHub | None:
         """The folded hub across the chosen snapshots, if any carry one."""
-        folded = self.fold(keys)
-        if folded.get("hub") is None:
-            return None
-        return TelemetryHub.from_snapshot(folded["hub"])
+        hub = self.fold(keys)["hub"]
+        return TelemetryHub.from_snapshot(hub) if hub is not None else None
+
+
+def load_snapshots(
+    store: "ObjectStore", root: str = "obs"
+) -> tuple[list[dict], int]:
+    """Every readable committed snapshot payload, oldest first, and the
+    number of objects skipped as unreadable."""
+    return SNAPSHOTS.read_all(store, root)

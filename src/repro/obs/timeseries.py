@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 import re
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.obs.critical_path import TailRecorder
+from repro.obs.trace import ProcessDefault
 
 #: Default window width for hub series (operators think in minutes).
 DEFAULT_WINDOW_S = 60.0
@@ -874,28 +874,6 @@ class TelemetryHub:
         return hub
 
 
-_global_hub = TelemetryHub()
-_global_lock = threading.Lock()
-
-
-def get_hub() -> TelemetryHub:
-    """The process-wide default telemetry hub."""
-    return _global_hub
-
-
-def set_hub(hub: TelemetryHub) -> TelemetryHub:
-    """Replace the default hub; returns the previous one."""
-    global _global_hub
-    with _global_lock:
-        previous, _global_hub = _global_hub, hub
-    return previous
-
-
-@contextmanager
-def use_hub(hub: TelemetryHub):
-    """Scope: make ``hub`` the default for the duration of the block."""
-    previous = set_hub(hub)
-    try:
-        yield hub
-    finally:
-        set_hub(previous)
+#: The process-wide default telemetry hub.
+_default_hub = ProcessDefault(TelemetryHub())
+get_hub, set_hub, use_hub = _default_hub.get, _default_hub.set, _default_hub.use

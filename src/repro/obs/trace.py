@@ -256,28 +256,37 @@ class _NullSpan(Span):
 
 _NULL_SPAN = _NullSpan()
 
-_global_tracer = Tracer()
-_global_lock = threading.Lock()
+
+class ProcessDefault:
+    """One process-wide default (the tracer, the telemetry hub, the
+    flight recorder): read it, replace it, or replace it for a block."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+        self._lock = threading.Lock()
+
+    def get(self):
+        """The current default."""
+        return self.value
+
+    def set(self, value):
+        """Replace the default; returns the previous one."""
+        with self._lock:
+            previous, self.value = self.value, value
+        return previous
+
+    @contextmanager
+    def use(self, value):
+        """Scope: make ``value`` the default for the duration of the block."""
+        previous = self.set(value)
+        try:
+            yield value
+        finally:
+            self.set(previous)
 
 
-def get_tracer() -> Tracer:
-    """The process-wide default tracer."""
-    return _global_tracer
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Replace the default tracer; returns the previous one."""
-    global _global_tracer
-    with _global_lock:
-        previous, _global_tracer = _global_tracer, tracer
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer: Tracer):
-    """Scope: make ``tracer`` the default for the duration of the block."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
+#: The process-wide default tracer.
+_default_tracer = ProcessDefault(Tracer())
+get_tracer, set_tracer, use_tracer = (
+    _default_tracer.get, _default_tracer.set, _default_tracer.use
+)

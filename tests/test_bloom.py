@@ -122,7 +122,7 @@ class TestBloomBuilder:
     def test_merge_shifts_gids(self):
         b1 = BloomBuilder.build([(0, [key_of(1)]), (1, [key_of(2)])])
         b2 = BloomBuilder.build([(0, [key_of(3)])])
-        merged = BloomBuilder.merge([b1, b2], [0, 2])
+        merged = BloomBuilder.merge_streaming([b1, b2], [0, 2])
         _, q = store_bloom(merged, 3)
         # No false negatives after the shift (tiny 12-bit filters may
         # add false-positive pages; the client's probing absorbs those).
@@ -132,7 +132,7 @@ class TestBloomBuilder:
     def test_merge_mismatch_rejected(self):
         b = BloomBuilder.build([(0, [key_of(1)])])
         with pytest.raises(RottnestIndexError):
-            BloomBuilder.merge([b], [0, 1])
+            BloomBuilder.merge_streaming([b], [0, 1])
 
     @given(
         st.lists(st.binary(min_size=1, max_size=20), min_size=1, max_size=40,

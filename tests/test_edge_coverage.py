@@ -53,7 +53,7 @@ class TestTrieKnobs:
                         for i in range(250)]
                 parts.append(UuidTrieBuilder.build([(0, keys)],
                                                    extra_bits=extra))
-            return UuidTrieBuilder.merge(parts, [0, 1, 2, 3])
+            return UuidTrieBuilder.merge_streaming(parts, [0, 1, 2, 3])
 
         collisions_tight = sum(
             len(e.gids) > 1 for e in build_merged(0).entries

@@ -157,7 +157,7 @@ class TestSerialization:
         b2 = FmBuilder.build(
             [(g - 2, v) for g, v in pages[2:]], block_size=1024, sample_rate=8
         )
-        merged = FmBuilder.merge([b1, b2], [0, 2])
+        merged = FmBuilder.merge_streaming([b1, b2], [0, 2])
         joint = FmBuilder.build(pages, block_size=1024, sample_rate=8)
         assert merged.bwt == joint.bwt
         assert merged.sentinels == joint.sentinels
@@ -174,7 +174,7 @@ class TestSerialization:
         b2 = FmBuilder.build(
             [(g - 2, v) for g, v in pages[2:]], block_size=1024, sample_rate=8
         )
-        merged = FmBuilder.merge([b1, b2], [0, 2])
+        merged = FmBuilder.merge_streaming([b1, b2], [0, 2])
         joint = FmBuilder.build(pages, block_size=1024, sample_rate=8)
         assert len(merged.sentinels) == 1
         assert merged.page_gids == joint.page_gids
@@ -196,7 +196,7 @@ class TestSerialization:
             FmBuilder.build([(0, values)], block_size=512, sample_rate=8)
             for _, values in pages[:3]
         ]
-        merged = FmBuilder.merge(parts, [0, 1, 2])
+        merged = FmBuilder.merge_streaming(parts, [0, 1, 2])
         joint = FmBuilder.build(pages[:3], block_size=512, sample_rate=8)
         assert len(merged.sentinels) == 1
         _, q_merged = store_fm(merged, 3)
@@ -209,7 +209,7 @@ class TestSerialization:
         pages, _ = corpus
         b = FmBuilder.build(pages[:1])
         with pytest.raises(RottnestIndexError):
-            FmBuilder.merge([b], [0, 1])
+            FmBuilder.merge_streaming([b], [0, 1])
 
     def test_empty_build_rejected(self):
         with pytest.raises(RottnestIndexError):
@@ -277,7 +277,7 @@ class TestPagemapLessMode:
         loaded = FmBuilder.load(q.reader)
         assert loaded.store_pagemap is False
         assert loaded.bwt == builder.bwt
-        merged = FmBuilder.merge([builder, loaded], [0, len(pages)])
+        merged = FmBuilder.merge_streaming([builder, loaded], [0, len(pages)])
         assert merged.store_pagemap is False
 
     def test_limit_early_exit(self, nopg):

@@ -108,7 +108,7 @@ class TestMergeBwts:
         ],
     )
     def test_merged_collection_inverts_to_both_texts(self, text_a, text_b):
-        merged = FmBuilder.merge([from_text(text_a), from_text(text_b)], [0, 1])
+        merged = FmBuilder.merge_streaming([from_text(text_a), from_text(text_b)], [0, 1])
         assert len(merged.sentinels) == 1
         assert merged.text() == text_a + text_b
         assert merged.bwt == from_text(text_a + text_b).bwt
@@ -116,7 +116,7 @@ class TestMergeBwts:
     @given(st.binary(max_size=60), st.binary(max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_merge_inverts_property(self, text_a, text_b):
-        merged = FmBuilder.merge([from_text(text_a), from_text(text_b)], [0, 1])
+        merged = FmBuilder.merge_streaming([from_text(text_a), from_text(text_b)], [0, 1])
         assert merged.text() == text_a + text_b
 
 
@@ -180,9 +180,9 @@ class TestMergeEqualsFreshBuild:
     def test_merge_equals_fresh_build_property(
         self, parts_rows, block_size, sample_rate, store_pagemap
     ):
-        """``merge`` and ``merge_streaming`` of 2-4 parts, and a chain
-        of pairwise merges, write the bytes a build over the
-        concatenated pages writes."""
+        """``merge_streaming`` of 2-4 parts (a list or a lazy iterator),
+        and a chain of pairwise merges, write the bytes a build over
+        the concatenated pages writes."""
         params = dict(
             block_size=block_size,
             sample_rate=sample_rate,
@@ -195,12 +195,12 @@ class TestMergeEqualsFreshBuild:
             parts.append(FmBuilder.build(local, **params))
             pages.extend((offsets[-1] + g, rows) for g, rows in local)
         expected = file_bytes(FmBuilder.build(pages, **params))
-        assert file_bytes(FmBuilder.merge(parts, offsets)) == expected
+        assert file_bytes(FmBuilder.merge_streaming(parts, offsets)) == expected
         streamed = FmBuilder.merge_streaming(iter(parts), offsets)
         assert file_bytes(streamed) == expected
         chained = parts[0]
         for part, offset in zip(parts[1:], offsets[1:]):
-            chained = FmBuilder.merge([chained, part], [0, offset])
+            chained = FmBuilder.merge_streaming([chained, part], [0, offset])
         assert file_bytes(chained) == expected
 
     def test_loaded_parts_merge_to_fresh_build(self):
@@ -297,7 +297,7 @@ class TestBuilderInterleaveMerge:
         )
         for g, values in all_pages[1:]:
             part = FmBuilder.build([(0, values)], block_size=512, sample_rate=8)
-            merged = FmBuilder.merge([merged, part], [0, g])
+            merged = FmBuilder.merge_streaming([merged, part], [0, g])
         assert len(merged.sentinels) == 1
         full = b"".join(page_text(v) for _, v in all_pages)
         _, querier = store_fm(merged, 6, rows_per_page=8)
@@ -314,7 +314,7 @@ class TestBuilderInterleaveMerge:
         b2 = FmBuilder.build(
             [(0, gen.documents(10, 50))], block_size=256, sample_rate=4
         )
-        merged = FmBuilder.merge([b1, b2], [0, 1])
+        merged = FmBuilder.merge_streaming([b1, b2], [0, 1])
         rows = merged.sample_rows.tolist()
         assert rows == sorted(set(rows))
         positions = sorted(merged.sample_positions.tolist())
@@ -324,7 +324,7 @@ class TestBuilderInterleaveMerge:
     def test_pagemap_weaves(self):
         b1 = FmBuilder.build([(0, ["aaa", "bbb"])], block_size=128, sample_rate=4)
         b2 = FmBuilder.build([(0, ["ccc"])], block_size=128, sample_rate=4)
-        merged = FmBuilder.merge([b1, b2], [0, 1])
+        merged = FmBuilder.merge_streaming([b1, b2], [0, 1])
         assert len(merged.pagemap) == merged.n
         assert set(merged.pagemap.tolist()) == {0, 1}
         assert merged.store_pagemap
@@ -346,7 +346,7 @@ class TestBuilderInterleaveMerge:
             for a, b in (docs[:2], docs[2:])
         )
         assert len(left.sentinels) == len(right.sentinels) == 2
-        merged = FmBuilder.merge([left, right], [0, 2])
+        merged = FmBuilder.merge_streaming([left, right], [0, 2])
         rebuilt = FmBuilder.build(
             list(enumerate(docs)), block_size=512, sample_rate=8
         )

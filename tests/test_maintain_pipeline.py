@@ -14,6 +14,7 @@ import hashlib
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.client import RottnestClient
@@ -23,8 +24,11 @@ from repro.core.maintenance import compact_indices, covering_records
 from repro.core.queries import UuidQuery
 from repro.crack import CrackController, CrackingPolicy, HeatKey, HeatMap, cell_scope
 from repro.errors import IndexAborted, RottnestIndexError
+from repro.indices import builder_for, registered_types
 from repro.indices.fm.fm_index import FmBuilder
+from repro.indices.minmax import MinMaxBuilder
 from repro.indices.uuid_trie import UuidTrieBuilder
+from repro.indices.vector.ivf_pq import IvfPqBuilder
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import IOBudget, MaintainReport, MaintenancePipeline
 from repro.obs.attribution import attribute, price_iostats
@@ -529,18 +533,22 @@ class TestMergeStreaming:
         ]
 
     def test_trie_streaming_is_byte_equal(self):
+        """A list and a lazy generator of the same parts merge to the
+        same file bytes."""
         offsets = [0, 2, 4]
-        merged = UuidTrieBuilder.merge(self._trie_parts(), offsets)
+        listed = UuidTrieBuilder.merge_streaming(self._trie_parts(), offsets)
         streamed = UuidTrieBuilder.merge_streaming(
-            iter(self._trie_parts()), offsets
+            (part for part in self._trie_parts()), offsets
         )
-        assert _blob(merged, "uuid_trie") == _blob(streamed, "uuid_trie")
+        assert _blob(listed, "uuid_trie") == _blob(streamed, "uuid_trie")
 
     def test_fm_streaming_is_byte_equal(self):
         offsets = [0, 2, 4]
-        merged = FmBuilder.merge(self._fm_parts(), offsets)
-        streamed = FmBuilder.merge_streaming(iter(self._fm_parts()), offsets)
-        assert _blob(merged, "fm") == _blob(streamed, "fm")
+        listed = FmBuilder.merge_streaming(self._fm_parts(), offsets)
+        streamed = FmBuilder.merge_streaming(
+            (part for part in self._fm_parts()), offsets
+        )
+        assert _blob(listed, "fm") == _blob(streamed, "fm")
 
     def test_streaming_consumes_lazily(self):
         """merge_streaming must pull parts from the iterator instead of
@@ -555,13 +563,45 @@ class TestMergeStreaming:
         UuidTrieBuilder.merge_streaming(parts(), [0, 2, 4])
         assert pulled == [0, 1, 2]
 
-    @pytest.mark.parametrize("cls", [UuidTrieBuilder, FmBuilder])
+    @staticmethod
+    def _parts_of(cls) -> list:
+        """Three small parts of any registered index type."""
+        if cls is IvfPqBuilder:
+            rng = np.random.default_rng(7)
+            return [
+                cls.build(
+                    [(g, rng.normal(size=(100, 8)).astype(np.float32)) for g in range(3)],
+                    nlist=4,
+                    m=2,
+                    seed=0,
+                )
+                for _ in range(3)
+            ]
+        if cls is FmBuilder:
+            pages = [["the quick brown", "fox jumps"]] * 2
+        elif cls is MinMaxBuilder:
+            pages = [[g * 10 + i for i in range(5)] for g in range(2)]
+        else:
+            pages = [_uuids(g, 10) for g in range(2)]
+        return [
+            cls.build([(g, rows) for g, rows in enumerate(pages)]) for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "cls", [builder_for(name) for name in registered_types()]
+    )
     def test_parts_offsets_mismatch_raises(self, cls):
-        parts = self._trie_parts() if cls is UuidTrieBuilder else self._fm_parts()
-        with pytest.raises(RottnestIndexError):
-            cls.merge_streaming(iter(parts), [0, 2])  # one offset short
-        with pytest.raises(RottnestIndexError):
-            cls.merge_streaming(iter(()), [])  # nothing to merge
+        """Every type refuses a surplus part, a surplus offset and an
+        empty merge, whether its parts come as a list or lazily."""
+        parts = self._parts_of(cls)
+        for wrap in (list, iter):
+            with pytest.raises(RottnestIndexError):
+                cls.merge_streaming(wrap(parts), [0, 2])  # one offset short
+            with pytest.raises(RottnestIndexError):
+                cls.merge_streaming(wrap(parts), [0, 2, 4, 6])  # one part short
+            with pytest.raises(RottnestIndexError):
+                cls.merge_streaming(wrap(()), [])  # nothing to merge
+        cls.merge_streaming(iter(parts), [0, 2, 4])  # the matched counts merge
 
 
 class TestTracedPoolValidation:

@@ -115,7 +115,7 @@ class TestMinMaxBuilder:
     def test_merge_shifts(self):
         b1 = MinMaxBuilder.build([(0, [1, 2]), (1, [10, 11])])
         b2 = MinMaxBuilder.build([(0, [100, 120])])
-        merged = MinMaxBuilder.merge([b1, b2], [0, 2])
+        merged = MinMaxBuilder.merge_streaming([b1, b2], [0, 2])
         _, q = store_minmax(merged, 3)
         assert q.candidate_pages(110) == [2]
         assert q.candidate_pages(2) == [0]
@@ -124,7 +124,7 @@ class TestMinMaxBuilder:
         b1 = MinMaxBuilder.build([(0, [1])])
         b2 = MinMaxBuilder.build([(0, ["s"])])
         with pytest.raises(RottnestIndexError):
-            MinMaxBuilder.merge([b1, b2], [0, 1])
+            MinMaxBuilder.merge_streaming([b1, b2], [0, 1])
 
     @given(
         st.lists(st.integers(-1000, 1000), min_size=1, max_size=60),

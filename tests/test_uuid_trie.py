@@ -192,7 +192,7 @@ class TestTrieSerialization:
         b_all = UuidTrieBuilder.build(pages)
         b1 = UuidTrieBuilder.build(pages[:3])
         b2 = UuidTrieBuilder.build([(g - 3, vals) for g, vals in pages[3:]])
-        merged = UuidTrieBuilder.merge([b1, b2], [0, 3])
+        merged = UuidTrieBuilder.merge_streaming([b1, b2], [0, 3])
         _, reader = store_index(merged, 6)
         q = UuidTrieQuerier(reader)
         for i in range(0, 600, 41):
@@ -203,7 +203,7 @@ class TestTrieSerialization:
         pages, _ = build_pages(10, 1)
         b = UuidTrieBuilder.build(pages)
         with pytest.raises(RottnestIndexError):
-            UuidTrieBuilder.merge([b], [0, 1])
+            UuidTrieBuilder.merge_streaming([b], [0, 1])
 
 
 @settings(max_examples=30, deadline=None)

@@ -609,7 +609,7 @@ class TestIvfPq:
         ]
         b1 = IvfPqBuilder.build(pages1, nlist=16, m=8, seed=0)
         b2 = IvfPqBuilder.build(pages2, nlist=16, m=8, seed=0)
-        merged = IvfPqBuilder.merge([b1, b2], [0, half // rpp])
+        merged = IvfPqBuilder.merge_streaming([b1, b2], [0, half // rpp])
         store, querier = store_ivf(merged, len(clustered) // rpp, rpp)
         rng = np.random.default_rng(3)
         hits = total = 0
