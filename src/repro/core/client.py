@@ -41,7 +41,6 @@ class RottnestClient:
         index_dir: str,
         lake: LakeTable,
         *,
-        index_timeout_s: float = DEFAULT_INDEX_TIMEOUT_S,
         codec: str = "zlib",
         key_entropy: Callable[[], bytes] | None = None,
     ) -> None:
@@ -49,7 +48,7 @@ class RottnestClient:
         self.index_dir = index_dir.rstrip("/")
         self.lake = lake
         self.meta = MetadataTable(store, self.index_dir)
-        self.index_timeout_s = index_timeout_s
+        self.index_timeout_s = DEFAULT_INDEX_TIMEOUT_S
         self.codec = codec
         #: Optional :class:`repro.ingest.IngestTier`. When attached,
         #: ``search`` merges the tier's fresh view of the query snapshot

@@ -57,7 +57,7 @@ from repro.lake.snapshot import Snapshot
 from repro.meta.metadata_table import IndexRecord
 from repro.obs.trace import get_tracer
 from repro.storage.object_store import ObjectStore
-from repro.storage.pool import TracedPool, phase, run_inline
+from repro.storage.pool import TracedPool, end_phase, phase, run_inline
 
 if TYPE_CHECKING:  # the client's ``index`` calls into this module
     from repro.core.client import RottnestClient
@@ -88,13 +88,14 @@ def _fan_out(
 ):
     """Run a phase's independent tasks under a span that owns their
     composed trace: one blocking task after another inline, or in waves
-    on ``pool``. Returns ``(span, payloads in task order)``."""
+    on ``pool``. Returns the payloads in task order."""
     with get_tracer().span(name, phase=tag, **attributes) as span:
         if pool is None:
-            span.trace, payloads = run_inline(store, tasks)
+            trace, payloads = run_inline(store, tasks)
         else:
-            span.trace, payloads = pool.run(tasks, span_name=task_span)
-    return span, payloads
+            trace, payloads = pool.run(tasks, span_name=task_span)
+        end_phase(span, trace)
+    return payloads
 
 
 # ---------------------------------------------------------------------
@@ -230,7 +231,7 @@ def build_index(
             )
 
         # Extract: one read-only task per input file.
-        _, extracted = _fan_out(
+        extracted = _fan_out(
             store,
             pool,
             "index.extract",
@@ -334,7 +335,7 @@ def compact_indices(
         # covered files), so they fan out; uploads inside are content-
         # addressed, making completion order irrelevant to the final
         # state.
-        _, merged_records = _fan_out(
+        merged_records = _fan_out(
             store,
             pool,
             "compact.merge",

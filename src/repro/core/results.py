@@ -5,7 +5,7 @@ one answer."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.storage.latency import LatencyModel
@@ -24,9 +24,10 @@ class SearchMatch:
 
 @dataclass
 class SearchStats:
-    """Accounting for one search call."""
+    """Accounting for one search call; ``trace`` is its run's
+    (:class:`~repro.storage.pool.Run`)."""
 
-    trace: RequestTrace
+    trace: RequestTrace = field(default_factory=RequestTrace)
     index_files_queried: int = 0
     files_brute_forced: int = 0
     pages_probed: int = 0

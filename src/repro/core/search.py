@@ -51,7 +51,7 @@ from repro.meta.metadata_table import IndexRecord
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.object_store import ObjectStore
-from repro.storage.pool import TracedPool, run_inline
+from repro.storage.pool import Run, TracedPool, end_phase, run_inline
 from repro.storage.stats import RequestTrace
 
 def probe_fresh(
@@ -163,7 +163,7 @@ def run_search(
         raise RottnestIndexError(f"k must be >= 1, got {k}")
     tracer = get_tracer()
     store = client.store
-    with tracer.span(
+    with Run() as run, tracer.span(
         "search",
         column=column,
         k=k,
@@ -188,10 +188,9 @@ def run_search(
             plan_trace, (snap, records) = run_inline(
                 store, reads, compose=RequestTrace.merge_parallel
             )
-            plan_span.trace = plan_trace
+            end_phase(plan_span, plan_trace)
             paths = scope(snap, partition, file_predicate)
             chosen, uncovered = plan(records, column, query.index_types, paths)
-        plan_trace.barrier()  # index queries depend on the plan
         # One check for every path a vector query takes: index probe,
         # refine and brute force score against the column's vectors.
         if query.scoring:
@@ -211,7 +210,7 @@ def run_search(
         if tier is not None and partition is None and file_predicate is None:
             fresh = probe_fresh(tier, column, query, k, snap)
 
-        lazy = _LazySearch(client, pool, column, query, snap, paths, plan_trace)
+        lazy = _LazySearch(client, pool, column, query, snap, paths)
         if query.scoring:
             lazy.scoring(chosen, uncovered)
             matches = merge_topk([fresh, lazy.found], k)
@@ -221,6 +220,7 @@ def run_search(
                 lazy.exact(chosen, uncovered)
             matches = merge_exact([fresh, lazy.found[: lazy.want]], k)
         stats = lazy.stats
+        stats.trace = run.trace
         get_hub().series(
             "searches_total", kind="scoring" if query.scoring else "exact"
         ).observe(at_s=store.clock.now())
@@ -235,7 +235,7 @@ def run_search(
 class _LazySearch:
     """One query's pass over the lazy tier (index files + lake files)."""
 
-    def __init__(self, client, pool, column, query, snap, paths, plan_trace):
+    def __init__(self, client, pool, column, query, snap, paths):
         self.store = client.store
         self.lake = client.lake
         self.pool = pool
@@ -244,7 +244,7 @@ class _LazySearch:
         self.snap = snap
         self.paths = paths
         self.field = snap.schema.field(column)
-        self.stats = SearchStats(trace=plan_trace)
+        self.stats = SearchStats()
         self.found: list[SearchMatch] = []
         self.want = 0  # exact queries: verified rows still needed
 
@@ -256,8 +256,8 @@ class _LazySearch:
     def _waves(self, span: Span, tasks: list) -> Iterator:
         """Run ``tasks`` wave by wave as the phase ``span`` stands for,
         yielding payloads in submission order; no further wave is
-        launched once :meth:`_enough`. The phase's trace starts after
-        the previous phase's ends."""
+        launched once :meth:`_enough`. The phase's trace runs after the
+        previous phase's (:func:`~repro.storage.pool.end_phase`)."""
         pool = self.pool
         if pool is None:
             # Inline: no thread, no future, one task per wave — and the
@@ -278,8 +278,7 @@ class _LazySearch:
             wave_trace, payloads = run(tasks[start : start + width])
             trace = compose(trace, wave_trace)
             yield from payloads
-        span.trace = trace
-        self.stats.trace = self.stats.trace.then(trace)
+        end_phase(span, trace)
 
     def _read_pages(self, entries: list[PageEntry]):
         """In-situ read of ``entries`` as one coalesced batch, plus the

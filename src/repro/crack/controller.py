@@ -60,13 +60,11 @@ class CrackController:
         *,
         cracking: CrackingPolicy | None = None,
         heat: HeatMap | None = None,
-        refine_seed: int = 0,
         snapshots=None,
     ) -> None:
         self.client = client
         self.cracking = cracking or CrackingPolicy()
         self.heat = heat if heat is not None else HeatMap()
-        self.refine_seed = refine_seed
         #: Optional :class:`~repro.obs.store.SnapshotStore`. When set,
         #: every tick spills the heat map into a durable telemetry
         #: snapshot so dashboards (and later runs) can fold it. The
@@ -147,7 +145,6 @@ class CrackController:
                     {
                         "min_cell_rows": cracking.refine_min_cell_rows,
                         "max_nlist": cracking.max_nlist,
-                        "seed": self.refine_seed,
                     },
                 )
         hub = get_hub()

@@ -9,10 +9,12 @@ it, ``compact`` its independent merge groups; committed bytes are
 identical for any worker count) and the one reporter. Every run — and
 every planning read a scheduler makes through
 :meth:`MaintenancePipeline.plan` — happens under phase-tagged spans
-that own their request traces, and
-:meth:`MaintenancePipeline._report` turns the finished span tree into a
-:class:`MaintainReport` whose bill reconciles with the store's
-:class:`~repro.storage.stats.IOStats` delta exactly as query bills do,
+that own their request traces. A run's trace and task count come from
+its :class:`~repro.storage.pool.Run`, as a search's do, and
+:meth:`MaintenancePipeline._report` turns them and the finished span
+tree into a :class:`MaintainReport` whose bill reconciles with the
+store's :class:`~repro.storage.stats.IOStats` delta exactly as query
+bills do,
 one ``maintain.<op>.runs{outcome}`` observation, the other ``maintain.*``
 hub series and its bill as ``maintain.<op>.cost_usd``, which the cost
 ledger folds (``index`` is the one-time build cost, everything else
@@ -47,7 +49,7 @@ from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
-from repro.storage.pool import IOBudget, TracedPool, phase
+from repro.storage.pool import IOBudget, Run, TracedPool, phase
 from repro.storage.stats import RequestTrace
 
 T = TypeVar("T")
@@ -65,8 +67,9 @@ class MaintainReport:
     ``trace`` is the phase traces composed sequentially (plan →
     extract/merge waves → commit), so
     ``LatencyModel().trace_latency(report.trace)`` is the modeled
-    wall-clock of the run at the pipeline's worker count; ``root`` is
-    the finished span tree for full cost attribution.
+    wall-clock of the run at the pipeline's worker count, tracer on or
+    off; ``worker_tasks`` is the pool tasks it ran; ``root`` is the
+    finished span tree for full cost attribution.
     """
 
     op: str
@@ -223,21 +226,29 @@ class MaintenancePipeline:
 
     # -- internals -----------------------------------------------------
     def _run(self, op: str, verb: Callable, *args, **kwargs) -> MaintainReport:
-        with get_tracer().span(f"maintain.{op}", workers=self.workers) as root:
+        with Run() as run, get_tracer().span(
+            f"maintain.{op}", workers=self.workers
+        ) as root:
             try:
                 result = verb(*args, **kwargs)
             except IndexAborted:
                 # Too few rows yet, an input vanished, a timeout: the
                 # reads still happened, so the run is billed and counted
                 # before the caller sees the abort.
-                self._report(op, root, None, aborted=True)
+                self._report(op, root, run, None, aborted=True)
                 raise
-        return self._report(op, root, result)
+        return self._report(op, root, run, result)
 
     def _report(
-        self, op: str, root: Span, result: object, *, aborted: bool = False
+        self,
+        op: str,
+        root: Span,
+        run: Run,
+        result: object,
+        *,
+        aborted: bool = False,
     ) -> MaintainReport:
-        """Span root → report → hub series."""
+        """Run and span root → report → hub series."""
         vacuum = result if isinstance(result, VacuumReport) else None
         if isinstance(result, IndexRecord):
             records = [result]
@@ -249,19 +260,11 @@ class MaintenancePipeline:
         else:
             outcome = "committed" if records or removed else "noop"
 
-        trace = RequestTrace()
-        tasks = 0
-        for span in root.walk():
-            if span.name.endswith(":task"):
-                tasks += 1
-                continue  # task traces are owned by their phase span
-            if span.attributes.get("phase") and span.trace is not None:
-                trace = trace.then(span.trace)
         hub, at_s = get_hub(), self.client.store.clock.now()
         hub.series(f"maintain.{op}.runs", outcome=outcome).observe(at_s=at_s)
-        if tasks:
+        if run.tasks:
             hub.series("maintain_worker_tasks_total", op=op).observe(
-                tasks, at_s=at_s
+                run.tasks, at_s=at_s
             )
         self._bill(op, root)
         return MaintainReport(
@@ -270,9 +273,9 @@ class MaintenancePipeline:
             outcome=outcome,
             records=records,
             vacuum=vacuum,
-            trace=trace,
+            trace=run.trace,
             root=root,
-            worker_tasks=tasks,
+            worker_tasks=run.tasks,
         )
 
     def _bill(self, op: str, root: Span) -> None:

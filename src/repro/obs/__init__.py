@@ -122,7 +122,6 @@ from repro.obs.timeseries import (
 )
 from repro.obs.trace import (
     Span,
-    SpanEvent,
     Tracer,
     get_tracer,
     set_tracer,
@@ -149,7 +148,6 @@ __all__ = [
     "SLOReport",
     "SnapshotStore",
     "Span",
-    "SpanEvent",
     "TailRecorder",
     "TailReport",
     "TailSample",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.obs.trace import Span
 from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
-from repro.storage.stats import IOStats, RequestTrace
+from repro.storage.stats import IOStats
 
 #: Canonical phase order for bills (spans tag themselves via the
 #: ``phase`` attribute; unknown phases are appended after these).
@@ -36,46 +36,24 @@ PHASE_ORDER = ("plan", "fresh", "probe", "index_probe", "page_read", "brute_forc
 DEFAULT_INSTANCE = "c6i.2xlarge"
 
 
-@dataclass
-class PhaseBill:
-    """Requests, bytes, time, and dollars attributed to one phase."""
+@dataclass(kw_only=True)
+class PhaseBill(IOStats):
+    """One phase's request counts — an :class:`IOStats` folded from its
+    spans' traces — plus the time and dollars they cost."""
 
     phase: str
     spans: int = 0
-    gets: int = 0
-    puts: int = 0
-    lists: int = 0
-    heads: int = 0
-    deletes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
     est_latency_s: float = 0.0
     request_cost_usd: float = 0.0
     compute_cost_usd: float = 0.0
 
     @property
     def requests(self) -> int:
-        return self.gets + self.puts + self.lists + self.heads + self.deletes
+        return self.total_requests
 
     @property
     def cost_usd(self) -> float:
         return self.request_cost_usd + self.compute_cost_usd
-
-    def _absorb(self, trace: RequestTrace) -> None:
-        for round_ in trace.rounds:
-            for request in round_:
-                if request.op == "GET":
-                    self.gets += 1
-                    self.bytes_read += request.nbytes
-                elif request.op == "PUT":
-                    self.puts += 1
-                    self.bytes_written += request.nbytes
-                elif request.op == "LIST":
-                    self.lists += 1
-                elif request.op == "HEAD":
-                    self.heads += 1
-                elif request.op == "DELETE":
-                    self.deletes += 1
 
 
 def _summed(name: str) -> property:
@@ -188,15 +166,13 @@ def attribute(
         trace = span.trace
         if trace is None:
             continue
-        bill._absorb(trace)
+        bill.fold(trace)
         phase_latency = latency.trace_latency(trace)
         bill.est_latency_s += phase_latency
         bill.compute_cost_usd += phase_latency * hourly / 3600.0
 
     for bill in by_phase.values():
-        bill.request_cost_usd = costs.request_cost(
-            gets=bill.gets, puts=bill.puts, lists=bill.lists, heads=bill.heads
-        )
+        bill.request_cost_usd = price_iostats(bill, costs)
 
     ordered = [by_phase[p] for p in PHASE_ORDER if p in by_phase]
     ordered.extend(

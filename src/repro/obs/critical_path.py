@@ -60,7 +60,9 @@ def critical_path(root: Span) -> list[CriticalStep]:
     actually holding the wall clock. Each step's ``self_s`` is its
     duration minus the portion covered by the next step, so the self
     times sum to the root's duration and point at where time was spent
-    rather than merely awaited. Unfinished children are skipped.
+    rather than merely awaited. Unfinished children are skipped. A
+    step's ``requests`` are the ones its span issued itself
+    (:attr:`~repro.obs.trace.Span.own_requests`).
     """
     steps: list[CriticalStep] = []
     span: Span | None = root
@@ -82,7 +84,7 @@ def critical_path(root: Span) -> list[CriticalStep]:
                 end_s=end_s,
                 duration_s=duration_s,
                 self_s=max(self_s, 0.0),
-                requests=len(span.events),
+                requests=len(span.own_requests),
             )
         )
         span = next_span

@@ -33,7 +33,7 @@ from repro.obs.attribution import DEFAULT_INSTANCE, attribute
 from repro.obs.critical_path import critical_path, render_critical_path
 from repro.obs.store import check_envelope
 from repro.obs.timeseries import TelemetryHub
-from repro.obs.trace import Span, SpanEvent
+from repro.obs.trace import Span
 from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
 from repro.storage.stats import Request, RequestTrace
@@ -71,10 +71,6 @@ def span_to_dict(span: Span) -> dict:
         "end_s": span.end_s,
         "duration_s": span.duration_s,
         "attributes": {k: _json_safe(v) for k, v in span.attributes.items()},
-        "events": [
-            {"op": e.op, "key": e.key, "nbytes": e.nbytes, "at_s": e.at_s}
-            for e in span.events
-        ],
     }
     if span.trace is not None:
         # Rounds of [op, nbytes]: all the latency and cost models read.
@@ -95,7 +91,8 @@ def span_tree_from_dicts(rows: Iterable[dict]) -> Span:
     ``RequestTrace`` comes back round for round (request keys are not
     kept), so :func:`~repro.obs.attribution.attribute` and
     :func:`~repro.obs.critical_path.critical_path` of the rebuilt tree
-    equal those of the live one.
+    equal those of the live one. The ``events`` of rows written before
+    requests were kept only in traces are ignored.
     """
     by_id: dict[int, Span] = {}
     root: Span | None = None
@@ -112,15 +109,6 @@ def span_tree_from_dicts(rows: Iterable[dict]) -> Span:
             span.end_s = float(row["end_s"])
         span.attributes = dict(row.get("attributes", {}))
         span.thread = str(row.get("thread", ""))
-        span.events = [
-            SpanEvent(
-                op=str(e["op"]),
-                key=str(e["key"]),
-                nbytes=int(e["nbytes"]),
-                at_s=float(e["at_s"]),
-            )
-            for e in row.get("events", [])
-        ]
         if row.get("trace") is not None:
             span.trace = RequestTrace()
             span.trace.rounds = [
@@ -158,15 +146,18 @@ def write_spans_jsonl(path: str, roots: Iterable[Span]) -> None:
 # text timeline / flame view
 # ---------------------------------------------------------------------
 def render_timeline(
-    root: Span, *, width: int = 32, max_events: int = 4
+    root: Span, *, width: int = 32, max_requests: int = 4
 ) -> str:
     """Indented flame view of one span tree.
 
     Bars are positioned/scaled against the root span's wall-clock
     window; under a SimClock only simulated time (e.g. retry backoff)
     moves, so bars may be empty while the request counts still tell the
-    story. Up to ``max_events`` object-store requests are shown per
-    span as ``GET key [bytes]`` leaves.
+    story. A span with a trace shows its ``N req / B`` total; up to
+    ``max_requests`` of a span's :attr:`~repro.obs.trace.Span.own_requests`
+    follow as ``GET key [bytes]`` leaves, in round order (a stored
+    flight keeps no keys, so its leaves read ``GET [bytes]``). A
+    chaos-injected crash is the loud ``‼ CRASH`` leaf.
     """
     window = max(root.duration_s, 1e-12)
     lines: list[str] = []
@@ -181,32 +172,26 @@ def render_timeline(
     def walk(span: Span, depth: int) -> None:
         label = f"{'  ' * depth}{span.name}"
         extra = ""
-        if span.events or span.trace is not None:
-            requests = (
-                span.trace.total_requests if span.trace else len(span.events)
+        if span.trace is not None:
+            extra = (
+                f"  {span.trace.total_requests} req / {span.trace.total_bytes} B"
             )
-            nbytes = span.trace.total_bytes if span.trace else sum(
-                e.nbytes for e in span.events
-            )
-            extra = f"  {requests} req / {nbytes} B"
         lines.append(
             f"{label:<36} |{bar(span)}| {span.duration_s * 1000:9.3f} ms{extra}"
         )
-        shown = span.events[:max_events]
-        for event in shown:
-            # Chaos-injected client deaths get a loud marker: on a
-            # doomed run's timeline the crash boundary is the one line
-            # that matters.
-            bullet = "‼" if event.op == "CRASH" else "·"
+        indent = "  " * (depth + 1)
+        requests = span.own_requests
+        for request in requests[:max_requests]:
+            key = f" {request.key}" if request.key else ""
+            lines.append(f"{indent}· {request.op}{key} [{request.nbytes} B]")
+        if len(requests) > max_requests:
             lines.append(
-                f"{'  ' * (depth + 1)}{bullet} {event.op} {event.key} "
-                f"[{event.nbytes} B]"
+                f"{indent}· … {len(requests) - max_requests} more request(s)"
             )
-        if len(span.events) > max_events:
-            lines.append(
-                f"{'  ' * (depth + 1)}· … {len(span.events) - max_events} "
-                f"more request(s)"
-            )
+        if "crash" in span.attributes:
+            # On a doomed run's timeline the crash boundary is the one
+            # line that matters.
+            lines.append(f"{indent}‼ CRASH {span.attributes['crash']}")
         for child in span.children:
             walk(child, depth + 1)
 

@@ -715,12 +715,11 @@ class TelemetryHub:
         window_s: float = DEFAULT_WINDOW_S,
         capacity: int = DEFAULT_CAPACITY,
         relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-        tail_capacity: int = 4096,
     ) -> None:
         self.window_s = window_s
         self.capacity = capacity
         self.relative_accuracy = relative_accuracy
-        self.tail = TailRecorder(capacity=tail_capacity)
+        self.tail = TailRecorder()
         # Keyed (name, sorted label items): the ``name{k="v"}`` text
         # form is built by snapshot() and the renderer, never per request.
         self._members: dict[tuple, _WindowRing] = {}

@@ -6,7 +6,7 @@ spans so nested ``with tracer.span(...)`` blocks form a tree::
 
     with tracer.span("search"):
         with tracer.span("probe:fm"):
-            ...  # object-store GETs recorded as events here
+            ...
 
 Concurrency is first-class because the serve executor fans one query
 across worker threads: the submitting thread captures
@@ -21,9 +21,11 @@ simulated time that elapsed (e.g. retry backoff advances), keeping
 tests deterministic.
 
 Object-store requests are not spans of their own — at thousands per
-query that would dominate the cost of tracing — but lightweight
-:class:`SpanEvent` rows on the innermost active span, which the
-timeline exporter renders as ``GET key [nbytes]`` leaves.
+query that would dominate the cost of tracing. A request is recorded
+once, in the :class:`~repro.storage.stats.RequestTrace` of the phase
+(or pool task) that issued it, and that trace hangs on the phase's
+span: :attr:`Span.own_requests` is what the timeline renders as
+``GET key [nbytes]`` leaves.
 
 The process-wide default tracer is reached with :func:`get_tracer`;
 scoped code (tests, the ``repro profile`` command) swaps it with
@@ -37,28 +39,17 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.util.clock import Clock
 
 if TYPE_CHECKING:  # circular-import-free type hints only
-    from repro.storage.stats import RequestTrace
+    from repro.storage.stats import Request, RequestTrace
 
 #: Spans kept on a tracer after their root finishes (oldest dropped).
 DEFAULT_KEEP_FINISHED = 256
 
 _span_ids = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class SpanEvent:
-    """One point-in-time record inside a span (an object-store request)."""
-
-    op: str
-    key: str
-    nbytes: int
-    at_s: float
 
 
 class Span:
@@ -72,7 +63,6 @@ class Span:
         "end_s",
         "attributes",
         "children",
-        "events",
         "thread",
         "trace",
     )
@@ -85,10 +75,9 @@ class Span:
         self.end_s: float | None = None
         self.attributes: dict[str, object] = {}
         self.children: list[Span] = []
-        self.events: list[SpanEvent] = []
         self.thread = threading.current_thread().name
-        #: Optional per-phase :class:`RequestTrace` attached by
-        #: instrumented code; consumed by ``obs.attribution``.
+        #: The :class:`RequestTrace` of a phase (billed by
+        #: ``obs.attribution``) or of one pool task inside it.
         self.trace: "RequestTrace | None" = None
 
     # -- structure -----------------------------------------------------
@@ -123,18 +112,18 @@ class Span:
         return [s for s in self.walk() if s.name == name]
 
     @property
-    def total_requests(self) -> int:
-        """Events recorded on this span and all descendants."""
-        return sum(len(s.events) for s in self.walk())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(e.nbytes for s in self.walk() for e in s.events)
+    def own_requests(self) -> list["Request"]:
+        """The requests this span issued itself, in round order: its
+        trace's, unless a child has a trace of its own (a pooled phase,
+        whose tasks each keep theirs)."""
+        if self.trace is None or any(c.trace is not None for c in self.children):
+            return []
+        return [request for round_ in self.trace.rounds for request in round_]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, id={self.span_id}, "
-            f"children={len(self.children)}, events={len(self.events)})"
+            f"children={len(self.children)})"
         )
 
 
@@ -218,15 +207,6 @@ class Tracer:
         finally:
             stack.pop()
 
-    # -- events --------------------------------------------------------
-    def record_event(self, op: str, key: str, nbytes: int) -> None:
-        """Record an object-store request on the current span, if any."""
-        if not self.enabled:
-            return
-        span = self.current()
-        if span is not None:
-            span.events.append(SpanEvent(op, key, nbytes, self._now()))
-
     # -- results -------------------------------------------------------
     def pop_finished(self) -> list[Span]:
         """Drain and return completed root spans, oldest first."""
@@ -252,6 +232,16 @@ class _NullSpan(Span):
 
     def set(self, key: str, value: object) -> "Span":
         return self
+
+    # Every thread shares this span: a trace assigned to it would be
+    # whichever phase finished last, on any thread.
+    @property
+    def trace(self) -> None:
+        return None
+
+    @trace.setter
+    def trace(self, value: "RequestTrace | None") -> None:
+        pass
 
 
 _NULL_SPAN = _NullSpan()

@@ -26,12 +26,13 @@ with:
   and everything decoded from them, keeping the wrapper transparent as
   long as writes flow through it (read-your-writes); a value built
   while its key was invalidated is not admitted;
-* **metadata caching**: LIST-by-prefix and HEAD results, and what a
-  reader finds a log's tip with — the log's hint, and the keys a GET
-  or HEAD found missing (the probe past the tip) — count-bounded and
-  outside the byte budget, since the plan phase of a warm query is
-  where caching pays most; a write to any key invalidates its
-  metadata entries and every cached LIST whose prefix covers the key;
+* **metadata caching**: HEAD results (a scan opens each Parquet file
+  with one) and what a reader finds a log's tip with — the log's hint,
+  and the keys a GET or HEAD found missing (the probe past the tip) —
+  count-bounded and outside the byte budget, since the plan phase of a
+  warm query is where caching pays most; a write to a key invalidates
+  its metadata entries. LISTs are not cached: a reader sends one only
+  when a log's hint is missing or stale, so they pass straight through;
 * **single-flight** misses: concurrent identical GETs (or builds) share
   one underlying fetch instead of stampeding the store; and
 * hit / miss / eviction counters — one set for bytes and decoded values
@@ -69,7 +70,7 @@ _CacheKey = tuple[str, tuple[int, int] | str | None]
 
 DEFAULT_BUDGET_BYTES = 256 << 20
 DEFAULT_MAX_ENTRY_BYTES = 8 << 20
-#: LIST/HEAD/discovery results kept, each (count-bounded; they are
+#: HEAD/discovery results kept, each (count-bounded; they are
 #: metadata-sized).
 DEFAULT_MAX_META_ENTRIES = 4096
 
@@ -175,12 +176,10 @@ class CachingObjectStore(ObjectStore):
         self._holders: dict[int, _CacheKey] = {}
         self._generation: dict[str, int] = {}  # bumped on invalidate
         self._cached_bytes = 0
-        self._lists: OrderedDict[str, list[ObjectInfo]] = OrderedDict()
         self._heads: OrderedDict[str, ObjectInfo] = OrderedDict()
         #: A log hint's bytes, or None for a key a GET or HEAD found
-        #: missing: tip discovery, kept like a LIST whatever the budget.
+        #: missing: tip discovery, kept whatever the budget.
         self._discovery: OrderedDict[str, bytes | None] = OrderedDict()
-        self._write_epoch = 0  # any invalidation; guards LIST admission
         self._max_meta_entries = DEFAULT_MAX_META_ENTRIES
         self._cache_lock = threading.RLock()
         self._flights = SingleFlight()
@@ -276,11 +275,9 @@ class CachingObjectStore(ObjectStore):
 
     def invalidate(self, key: str) -> None:
         """Drop every cached entry for a key: whole object, ranges,
-        values decoded from it, its HEAD, and any LIST whose prefix
-        covers the key."""
+        values decoded from it, its HEAD and its discovery entry."""
         with self._cache_lock:
             self._generation[key] = self._generation.get(key, 0) + 1
-            self._write_epoch += 1
             for cache_key in list(self._by_object.get(key, ())):
                 self._drop(cache_key)
                 self._count("invalidations")
@@ -288,9 +285,6 @@ class CachingObjectStore(ObjectStore):
                 self._count("invalidations")
             if key in self._discovery:
                 del self._discovery[key]
-                self._count("invalidations")
-            for prefix in [p for p in self._lists if key.startswith(p)]:
-                del self._lists[prefix]
                 self._count("invalidations")
             self._report_bytes()
 
@@ -300,7 +294,6 @@ class CachingObjectStore(ObjectStore):
             self._entries.clear()
             self._by_object.clear()
             self._holders.clear()
-            self._lists.clear()
             self._heads.clear()
             self._discovery.clear()
             self._cached_bytes = 0
@@ -321,7 +314,7 @@ class CachingObjectStore(ObjectStore):
             return True, data
 
     def _keep_meta(self, entries: OrderedDict, key: str, value) -> None:
-        """Keep one LIST/HEAD/discovery result in its count-bounded
+        """Keep one HEAD/discovery result in its count-bounded
         LRU (callers hold ``_cache_lock``)."""
         entries[key] = value
         while len(entries) > self._max_meta_entries:
@@ -461,19 +454,7 @@ class CachingObjectStore(ObjectStore):
         return info
 
     def list(self, prefix: str = "") -> list[ObjectInfo]:
-        with self._cache_lock:
-            infos = self._lists.get(prefix)
-            if infos is not None:
-                self._lists.move_to_end(prefix)
-                self._count("hits")
-                return list(infos)
-            self._count("misses")
-            epoch = self._write_epoch
-        infos = self.inner.list(prefix)
-        with self._cache_lock:
-            if self._write_epoch == epoch:
-                self._keep_meta(self._lists, prefix, list(infos))
-        return infos
+        return self.inner.list(prefix)
 
     # -- tracing delegates to the inner store --------------------------
     def start_trace(self):

@@ -42,7 +42,6 @@ from repro.obs.trace import get_tracer
 from repro.serve.cache import CacheStats, CachingObjectStore
 from repro.serve.executor import SearchExecutor
 from repro.serve.singleflight import SingleFlight
-from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
 from repro.storage.object_store import ObjectStore
 from repro.tco.throughput import ThroughputModel
@@ -177,7 +176,6 @@ class SearchServer:
         max_inflight: int = 8,
         shed_on_overload: bool = False,
         latency_model: LatencyModel | None = None,
-        cost_model: CostModel | None = None,
     ) -> None:
         if max_inflight < 1:
             raise ServeError(f"max_inflight must be >= 1, got {max_inflight}")
@@ -186,7 +184,6 @@ class SearchServer:
         self.max_inflight = max_inflight
         self.shed_on_overload = shed_on_overload
         self.latency_model = latency_model or LatencyModel()
-        self.cost_model = cost_model or CostModel()
         self.stats = ServeStats(cache=self._find_cache_stats(client.store))
         self._admission = threading.BoundedSemaphore(max_inflight)
         self._flights = SingleFlight()
@@ -411,9 +408,7 @@ class SearchServer:
         trace_id: str | None = None
         bill = None
         if root is not None and root.end_s is not None:
-            bill = attribute(
-                root, latency=self.latency_model, costs=self.cost_model
-            )
+            bill = attribute(root, latency=self.latency_model)
             recorder = get_flight_recorder()
             if recorder is not None:
                 retained = recorder.record(
@@ -440,6 +435,6 @@ class SearchServer:
         if bill is None:
             return
         hub.series("serve.cost_usd").observe(
-            bill.total_cost_usd(self.cost_model), at_s=at_s
+            bill.total_cost_usd(), at_s=at_s
         )
         hub.tail.record_bill(bill, modeled_s, at_s=at_s, degraded=degraded)

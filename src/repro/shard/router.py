@@ -24,7 +24,6 @@ per-shard SLOs (:func:`repro.shard.slo.router_slo`) read.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -32,6 +31,7 @@ from repro.core.queries import Query
 from repro.core.results import SearchMatch, merge_exact, merge_topk
 from repro.core.search import probe_fresh
 from repro.errors import ShardError, ShardUnavailable
+from repro.obs.attribution import price_iostats
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
 from repro.shard.hedge import HedgePolicy
@@ -39,18 +39,12 @@ from repro.shard.plan import ShardDeployment, ShardGroup, ShardReplica
 from repro.storage.costs import CostModel
 from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.pool import IOBudget, TracedPool
-from repro.storage.stats import RequestTrace
+from repro.storage.stats import IOStats
 
 #: Instance type the per-shard searcher compute is priced on.
 ROUTER_INSTANCE = "c6i.2xlarge"
-
-
-def _trace_request_usd(trace: RequestTrace, costs: CostModel) -> float:
-    """Price a request trace's operations."""
-    ops = Counter(request.op for round_ in trace.rounds for request in round_)
-    return costs.request_cost(
-        gets=ops["GET"], puts=ops["PUT"], lists=ops["LIST"], heads=ops["HEAD"]
-    )
+#: Prices of a routed query's requests and searcher compute.
+ROUTER_COSTS = CostModel()
 
 
 @dataclass
@@ -139,7 +133,6 @@ class QueryRouter:
         hedge: HedgePolicy | None = HedgePolicy(),
         prune: bool = True,
         on_shard_failure: str = "error",
-        cost_model: CostModel | None = None,
         budget: IOBudget | None = None,
         fresh_tier=None,
     ) -> None:
@@ -170,7 +163,6 @@ class QueryRouter:
             self._fresh_lease = fresh_tier.pin(self._fresh_snapshot)
         self.prune = prune
         self.on_shard_failure = on_shard_failure
-        self.cost_model = cost_model or CostModel()
         self.fanout = fanout or max(1, deployment.n_shards)
         # The pool needs a store of its own for wave bookkeeping: shard
         # traces are recorded inside each replica's server (through its
@@ -259,7 +251,7 @@ class QueryRouter:
             modeled += max((o.latency_s for o in wave), default=0.0)
         request_usd = sum(o.request_usd for o in outcomes)
         compute_usd = sum(
-            self.cost_model.compute_cost(ROUTER_INSTANCE, o.latency_s)
+            ROUTER_COSTS.compute_cost(ROUTER_INSTANCE, o.latency_s)
             for o in outcomes
         )
 
@@ -302,8 +294,8 @@ class QueryRouter:
             return outcome
         outcome.degraded = result.degraded
         outcome.requests = result.stats.trace.total_requests
-        outcome.request_usd = _trace_request_usd(
-            result.stats.trace, self.cost_model
+        outcome.request_usd = price_iostats(
+            IOStats().fold(result.stats.trace), ROUTER_COSTS
         )
 
         threshold = self._hedge_threshold(group, shard_id, hub)
@@ -332,8 +324,8 @@ class QueryRouter:
                 # still paid for.
                 effective = threshold + hedge_latency
                 outcome.requests += hedge_result.stats.trace.total_requests
-                outcome.request_usd += _trace_request_usd(
-                    hedge_result.stats.trace, self.cost_model
+                outcome.request_usd += price_iostats(
+                    IOStats().fold(hedge_result.stats.trace), ROUTER_COSTS
                 )
                 if effective < latency:
                     outcome.hedge_won = True

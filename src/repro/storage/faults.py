@@ -230,7 +230,9 @@ class FaultyObjectStore(ObjectStore):
         if crashed:
             # Leave a mark on the active span so the chaos timeline
             # shows exactly where the client died.
-            get_tracer().record_event("CRASH", f"{op} {key}", 0)
+            span = get_tracer().current()
+            if span is not None:
+                span.set("crash", f"{op} {key}")
             raise SimulatedCrash(op, key)
 
     # -- delegated operations ----------------------------------------

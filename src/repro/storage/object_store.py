@@ -26,7 +26,6 @@ from typing import Callable, TypeVar
 
 from repro.errors import InvalidByteRange, ObjectNotFound, PreconditionFailed
 from repro.obs.timeseries import get_hub
-from repro.obs.trace import get_tracer
 from repro.storage.stats import IOStats, Request, RequestTrace
 from repro.util.clock import Clock, SimClock
 
@@ -101,7 +100,6 @@ class ObjectStore(ABC):
             hub.series("store_bytes_total", direction=direction).observe(
                 nbytes, at_s=at_s
             )
-        get_tracer().record_event(op, key, nbytes)
 
     # -- operations ---------------------------------------------------
     @abstractmethod

@@ -17,13 +17,20 @@ sides wrap their store-touching tasks in :meth:`IOBudget.slot`, so the
 *total* IO concurrency across pools is capped by one shared semaphore.
 Budget occupancy is exported through :mod:`repro.obs` gauges so an
 operator can see maintenance yielding to queries in real time.
+
+The trace of a *run* — one search, one maintenance verb — is built
+from its phases. :class:`Run` opens one on the calling thread;
+:func:`end_phase` hangs each finished phase trace on its span (for
+attribution) and composes it into the open run in finish order, and
+:meth:`TracedPool.run` counts its tasks there. The run's trace needs no
+span tree, so it is the same whether the tracer is on or off.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator, TypeVar
 
 from repro.errors import RottnestIndexError
@@ -33,6 +40,52 @@ from repro.storage.object_store import ObjectStore
 from repro.storage.stats import RequestTrace
 
 T = TypeVar("T")
+
+
+class Run:
+    """One operation's requests: its phase traces composed in order,
+    and the pool tasks it ran. ``with Run() as run`` opens it on the
+    calling thread; a run opened inside another one nests: when it
+    closes, its trace and tasks join the outer run's."""
+
+    __slots__ = ("trace", "tasks")
+
+    def __init__(self) -> None:
+        """Start with no requests and no tasks."""
+        self.trace = RequestTrace()
+        self.tasks = 0
+
+    def __enter__(self) -> "Run":
+        """Open the run on the calling thread."""
+        _runs.stack.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Close the run; an outer run takes its trace and tasks."""
+        stack = _runs.stack
+        stack.pop()
+        if stack:
+            outer = stack[-1]
+            outer.trace = outer.trace.then(self.trace)
+            outer.tasks += self.tasks
+
+
+class _Runs(threading.local):
+    def __init__(self) -> None:
+        """Each thread starts with no open run."""
+        self.stack: list[Run] = []
+
+
+_runs = _Runs()
+
+
+def end_phase(span: Span, trace: RequestTrace) -> None:
+    """A phase finished: ``trace`` becomes its span's (for attribution)
+    and runs after everything the open run holds so far."""
+    span.trace = trace
+    stack = _runs.stack
+    if stack:
+        stack[-1].trace = stack[-1].trace.then(trace)
 
 
 class IOBudget:
@@ -123,7 +176,7 @@ def phase(
         try:
             yield span
         finally:
-            span.trace = store.stop_trace()
+            end_phase(span, store.stop_trace())
 
 
 class TracedPool:
@@ -178,9 +231,9 @@ class TracedPool:
         per-thread trace and returns ``(trace, payload)``.
 
         ``parent`` is the submitting thread's current span: the worker
-        re-attaches it so its task span (and the store events recorded
-        inside) lands under the right root even though it runs on a
-        pool thread.
+        re-attaches it so its task span (which keeps the task's trace)
+        lands under the right root even though it runs on a pool
+        thread.
         """
         store = self.store
         budget = self.budget
@@ -189,24 +242,16 @@ class TracedPool:
             """Worker-side body: attach span, trace, run the task."""
             tracer = get_tracer()
             with tracer.attach(parent), tracer.span(span_name) as task_span:
-                if budget is not None:
-                    with budget.slot():
-                        store.start_trace()
-                        try:
-                            payload = fn()
-                        finally:
-                            trace = store.stop_trace()
-                else:
+                with budget.slot() if budget is not None else nullcontext():
                     store.start_trace()
                     try:
                         payload = fn()
                     finally:
                         trace = store.stop_trace()
-                # Per-task trace for inspection; the *phase* span owns
-                # the merged wave trace, so attribution counts each
+                # Per-task trace for the timeline; the *phase* span
+                # owns the merged wave trace, so attribution counts each
                 # request once (task spans carry no ``phase`` attr).
                 task_span.trace = trace
-                task_span.set("requests", trace.total_requests)
             return trace, payload
 
         return run
@@ -226,11 +271,14 @@ class TracedPool:
         """
         name = span_name or self.span_name
         parent = get_tracer().current()
+        stack = _runs.stack
         combined = RequestTrace()
         payloads: list[T] = []
         width = self.workers
         for start in range(0, len(tasks), width):
             wave = tasks[start : start + width]
+            if stack:
+                stack[-1].tasks += len(wave)
             futures = [
                 self._pool.submit(self._traced(fn, parent, name)) for fn in wave
             ]

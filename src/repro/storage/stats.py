@@ -9,6 +9,10 @@ Every store operation is recorded twice:
   parallel vs. sequentially). The latency model turns a trace into an
   estimated wall-clock latency, reproducing the paper's width-vs-depth
   analysis of object storage access (Section V-B).
+
+A trace is the one record of its requests: every count or dollar
+figure taken from one is an :class:`IOStats` folded from it
+(:meth:`IOStats.fold`), so request kinds are told apart in one place.
 """
 
 from __future__ import annotations
@@ -49,20 +53,33 @@ class IOStats:
     def record(self, request: Request) -> None:
         """Bump the counters for one completed request."""
         with self._lock:
-            if request.op == "GET":
-                self.gets += 1
-                self.bytes_read += request.nbytes
-            elif request.op == "PUT":
-                self.puts += 1
-                self.bytes_written += request.nbytes
-            elif request.op == "LIST":
-                self.lists += 1
-            elif request.op == "DELETE":
-                self.deletes += 1
-            elif request.op == "HEAD":
-                self.heads += 1
-            else:
-                raise ValueError(f"unknown op {request.op!r}")
+            self._count(request)
+
+    def fold(self, trace: "RequestTrace") -> "IOStats":
+        """Count every request of ``trace`` in; returns self."""
+        with self._lock:
+            for round_ in trace.rounds:
+                for request in round_:
+                    self._count(request)
+        return self
+
+    def _count(self, request: Request) -> None:
+        """The one dispatch from a request's op to its counters (callers
+        hold ``_lock``)."""
+        if request.op == "GET":
+            self.gets += 1
+            self.bytes_read += request.nbytes
+        elif request.op == "PUT":
+            self.puts += 1
+            self.bytes_written += request.nbytes
+        elif request.op == "LIST":
+            self.lists += 1
+        elif request.op == "DELETE":
+            self.deletes += 1
+        elif request.op == "HEAD":
+            self.heads += 1
+        else:
+            raise ValueError(f"unknown op {request.op!r}")
 
     def snapshot(self) -> "IOStats":
         """Copy of the current counters (for before/after deltas)."""

@@ -30,6 +30,10 @@ def _make_vocabulary(size: int, rng: np.random.Generator) -> list[str]:
     return sorted(words)
 
 
+#: Skew of word frequencies (rank ``r`` is drawn with weight ``r**-1.3``).
+ZIPF_EXPONENT = 1.3
+
+
 class TextWorkload:
     """Deterministic generator of documents and substring queries."""
 
@@ -37,13 +41,12 @@ class TextWorkload:
         self,
         seed: int = 0,
         vocabulary_size: int = 4000,
-        zipf_exponent: float = 1.3,
     ) -> None:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.vocabulary = _make_vocabulary(vocabulary_size, self.rng)
         ranks = np.arange(1, vocabulary_size + 1, dtype=np.float64)
-        weights = ranks**-zipf_exponent
+        weights = ranks**-ZIPF_EXPONENT
         self._probs = weights / weights.sum()
 
     def _words(self, count: int) -> list[str]:

@@ -27,14 +27,15 @@ def tree():
     tracer = Tracer(clock=clock)
     with tracer.span("search", column="text", blob=b"\x01\x02") as root:
         with tracer.span("plan", phase="plan") as plan:
-            tracer.record_event("LIST", "lake/_log/", 0)
             trace = RequestTrace()
             trace.record(Request(op="LIST", key="lake/_log/", nbytes=0))
             plan.trace = trace
             clock.advance(0.1)
-        with tracer.span("probe:index", phase="index_probe"):
+        with tracer.span("probe:index", phase="index_probe") as probe:
+            trace = RequestTrace()
             for i in range(6):
-                tracer.record_event("GET", f"idx/file-{i}", 100 + i)
+                trace.record(Request(op="GET", key=f"idx/file-{i}", nbytes=100 + i))
+            probe.trace = trace
             clock.advance(0.4)
     return root
 
@@ -48,9 +49,7 @@ class TestSpanDump:
         assert d["duration_s"] == pytest.approx(0.5)
         plan = span_to_dict(tree.children[0])
         assert plan["parent_id"] == tree.span_id
-        assert plan["events"] == [
-            {"op": "LIST", "key": "lake/_log/", "nbytes": 0, "at_s": 10.0}
-        ]
+        assert "events" not in plan  # a request lives in its trace only
         assert plan["trace"] == [[["LIST", 0]]]  # rounds of [op, nbytes]
 
     def test_jsonl_round_trip(self, tree, tmp_path):
@@ -70,13 +69,13 @@ class TestSpanDump:
 
 class TestTimeline:
     def test_render(self, tree):
-        text = render_timeline(tree, width=20, max_events=4)
+        text = render_timeline(tree, width=20, max_requests=4)
         lines = text.splitlines()
         assert "search" in lines[0]
         assert "ms" in lines[0]
         assert any("plan" in line for line in lines)
         assert any("· LIST lake/_log/ [0 B]" in line for line in lines)
-        # 6 events with max_events=4 -> truncation marker.
+        # 6 requests with max_requests=4 -> truncation marker.
         assert any("… 2 more request(s)" in line for line in lines)
         # Request/byte rollups shown for spans that have them.
         assert any("1 req / 0 B" in line for line in lines)

@@ -31,7 +31,7 @@ from repro.obs.export import (
 from repro.obs.flight import FlightTrace
 from repro.obs.store import SnapshotStore, snapshot_payload
 from repro.obs.timeseries import TelemetryHub
-from repro.obs.trace import Span, SpanEvent
+from repro.obs.trace import Span
 from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.stats import Request, RequestTrace
 from repro.util.clock import SimClock
@@ -55,7 +55,6 @@ _node = st.fixed_dictionaries(
         # None leaves the span unfinished.
         "duration": st.none() | st.floats(min_value=0.0, max_value=5.0),
         "rounds": st.none() | st.lists(st.lists(_request, max_size=4), max_size=4),
-        "events": st.integers(min_value=0, max_value=3),
     }
 )
 
@@ -75,7 +74,6 @@ def _tree(nodes: list[dict]) -> Span:
             span.trace.rounds = [
                 [Request(op, f"key{n}", n) for op, n in round_] for round_ in node["rounds"]
             ] or [[]]
-        span.events = [SpanEvent("GET", f"key{j}", j, float(j)) for j in range(node["events"])]
         if parent is not None:
             parent.children.append(span)
         spans.append(span)

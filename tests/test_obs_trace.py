@@ -1,4 +1,5 @@
-"""Tracer: span trees, events, clocks, and cross-thread propagation."""
+"""Tracer: span trees, request traces on spans, clocks, and cross-thread
+propagation."""
 
 from __future__ import annotations
 
@@ -10,8 +11,17 @@ import pytest
 from repro.core.queries import UuidQuery
 from repro.obs.trace import Tracer, get_tracer, set_tracer, use_tracer
 from repro.serve.executor import SearchExecutor
+from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.stats import Request, RequestTrace
 from repro.util.clock import SimClock
 from tests.conftest import event_uuid
+
+
+def _trace(*requests: tuple[str, str, int]) -> RequestTrace:
+    trace = RequestTrace()
+    for op, key, nbytes in requests:
+        trace.record(Request(op=op, key=key, nbytes=nbytes))
+    return trace
 
 
 class TestSpanTree:
@@ -44,21 +54,32 @@ class TestSpanTree:
         assert len(root.find_all("probe")) == 3
         assert root.find("missing") is None
 
-    def test_events_land_on_innermost_span(self):
+    def test_requests_belong_to_the_innermost_traced_span(self):
         tracer = Tracer()
-        with tracer.span("outer") as outer:
-            tracer.record_event("GET", "k1", 10)
-            with tracer.span("inner") as inner:
-                tracer.record_event("GET", "k2", 20)
-        assert [e.key for e in outer.events] == ["k1"]
-        assert [e.key for e in inner.events] == ["k2"]
-        assert outer.total_requests == 2
-        assert outer.total_bytes == 30
+        with tracer.span("pooled") as pooled:
+            with tracer.span("task") as task:
+                task.trace = _trace(("GET", "k1", 10))
+            with tracer.span("task") as other:
+                other.trace = _trace(("GET", "k2", 20))
+            pooled.trace = _trace(("GET", "k1", 10), ("GET", "k2", 20))
+        with tracer.span("inline") as inline:
+            with tracer.span("untraced"):
+                pass
+            inline.trace = _trace(("LIST", "p/", 0), ("GET", "k3", 30))
+        assert [r.key for r in task.own_requests] == ["k1"]
+        assert [r.key for r in other.own_requests] == ["k2"]
+        assert pooled.own_requests == []  # its tasks keep them
+        assert (pooled.trace.total_requests, pooled.trace.total_bytes) == (2, 30)
+        assert [r.key for r in inline.own_requests] == ["p/", "k3"]
 
-    def test_event_without_active_span_is_dropped(self):
+    def test_request_outside_any_phase_lands_on_no_span(self):
         tracer = Tracer()
-        tracer.record_event("GET", "k", 1)  # must not raise
-        assert tracer.pop_finished() == []
+        store = InMemoryObjectStore()
+        store.put("k", b"v")  # no active span: must not raise
+        with use_tracer(tracer), tracer.span("root") as root:
+            store.get("k")
+        assert root.trace is None and root.own_requests == []
+        assert [s.name for s in tracer.pop_finished()] == ["root"]
 
     def test_exception_still_closes_span(self):
         tracer = Tracer()
@@ -98,7 +119,8 @@ class TestClockAndLifecycle:
         tracer = Tracer(enabled=False)
         with tracer.span("x") as span:
             span.set("k", "v")  # no-op on the null span
-            tracer.record_event("GET", "k", 1)
+            span.trace = _trace(("GET", "k", 1))  # so is a trace
+        assert span.attributes == {} and span.trace is None
         assert tracer.pop_finished() == []
 
     def test_use_tracer_scopes_the_global(self):
@@ -123,13 +145,18 @@ class TestClockAndLifecycle:
 class TestCrossThreadPropagation:
     def test_attach_parents_worker_spans(self):
         tracer = Tracer()
+        store = InMemoryObjectStore()
+        for i in range(8):
+            store.put(f"key-{i}", b"x" * i)
         with tracer.span("query") as query_span:
             parent = tracer.current()
 
             def worker(i: int) -> str:
                 with tracer.attach(parent):
-                    with tracer.span(f"task-{i}"):
-                        tracer.record_event("GET", f"key-{i}", i)
+                    with tracer.span(f"task-{i}") as task:
+                        store.start_trace()
+                        store.get(f"key-{i}")
+                        task.trace = store.stop_trace()
                 return threading.current_thread().name
 
             with ThreadPoolExecutor(max_workers=4) as pool:
@@ -138,9 +165,9 @@ class TestCrossThreadPropagation:
         assert children == {f"task-{i}" for i in range(8)}
         for child in query_span.children:
             assert child.parent is query_span
-            # Each task recorded its own event on its own span.
+            # Each task's trace holds its own request, on its own span.
             i = int(child.name.split("-")[1])
-            assert [e.key for e in child.events] == [f"key-{i}"]
+            assert [r.key for r in child.own_requests] == [f"key-{i}"]
             assert child.thread in names
 
     def test_attach_none_is_noop(self):
@@ -179,15 +206,21 @@ class TestCrossThreadPropagation:
             }
             assert task.thread.startswith("searcher")
             assert task.trace is not None
-            assert task.trace.total_requests == len(task.events)
-            assert task.attributes["requests"] == task.trace.total_requests
+            assert len(task.own_requests) == task.trace.total_requests
 
-        # Every store request of every phase is attributable: the phase
-        # trace's request count equals the events its subtree recorded.
-        for phase in root.children:
-            if phase.trace is None:
-                continue
-            assert phase.total_requests == phase.trace.total_requests
+        # Every store request of every phase is attributable: a pooled
+        # phase's trace holds exactly its tasks' requests, and the
+        # search's trace is its phases' traces.
+        phases = [p for p in root.children if p.trace is not None]
+        for phase in phases:
+            tasks = [t for t in phase.children if t.trace is not None]
+            if tasks:
+                assert phase.trace.total_requests == sum(
+                    t.trace.total_requests for t in tasks
+                )
+        assert result.stats.trace.total_requests == sum(
+            p.trace.total_requests for p in phases
+        )
 
     def test_concurrent_roots_stay_separate(self):
         tracer = Tracer()

@@ -202,19 +202,20 @@ def test_whole_object_serves_byte_ranges():
         cached.get("k", (5, 99))  # out of bounds still errors
 
 
-def test_metadata_caching_and_prefix_invalidation():
+def test_heads_are_cached_and_lists_pass_through():
+    """A HEAD is kept until its key is written; a LIST always reaches
+    the inner store (a reader sends one only when a log hint is missing
+    or stale)."""
     inner, cached = _fresh_pair()
     inner.put("b/x", b"1")
-    inner.put("b/y", b"22")
-    assert [i.key for i in cached.list("b/")] == ["b/x", "b/y"]
     cached.head("b/x")
     before = inner.stats.snapshot()
-    cached.list("b/")
-    cached.head("b/x")
+    assert cached.head("b/x").size == 1
+    assert [i.key for i in cached.list("b/")] == ["b/x"]
     delta = inner.stats.delta(before)
-    assert delta.lists == 0 and delta.heads == 0  # cached
-    cached.put("b/z", b"333")  # covered by the "b/" prefix
-    assert [i.key for i in cached.list("b/")] == ["b/x", "b/y", "b/z"]
+    assert (delta.heads, delta.lists) == (0, 1)
+    cached.put("b/x", b"22")
+    assert cached.head("b/x").size == 2
 
 
 class _CountingStore(InMemoryObjectStore):
