@@ -18,7 +18,6 @@ from repro import (
     SubstringQuery,
     TableConfig,
 )
-from repro.engines.bruteforce import BruteForceEngine
 from repro.workloads.text import TextWorkload
 
 
@@ -69,11 +68,11 @@ def main() -> None:
             f"~{result.stats.estimated_latency() * 1000:.0f} ms modeled)"
         )
 
-    # Cross-check against a brute-force scan — same answers, far more IO.
-    engine = BruteForceEngine(store, lake)
+    # Cross-check against a brute-force scan (the same plan with no
+    # index) — same answers, far more IO.
     before = store.stats.snapshot()
-    brute, scanned = engine.search(
-        "document", SubstringQuery(eval_question[:24]), k=10
+    client.search(
+        "document", SubstringQuery(eval_question[:24]), k=10, use_indices=False
     )
     brute_bytes = store.stats.delta(before).bytes_read
     before = store.stats.snapshot()

@@ -18,9 +18,9 @@ from repro.core.index_file import IndexFileReader
 from repro.core.maintenance import build_index
 from repro.core.queries import Query
 from repro.core.results import SearchMatch, SearchPlan, SearchResult, SearchStats
-from repro.core.search import live_rows, plan, run_search, scope
+from repro.core.search import plan, run_search, scope
 from repro.lake.snapshot import Snapshot
-from repro.lake.table import LakeTable
+from repro.lake.table import LakeTable, live_rows
 from repro.meta.metadata_table import IndexRecord, MetadataTable
 from repro.obs.trace import get_tracer
 from repro.storage.object_store import ObjectStore
@@ -219,7 +219,9 @@ class RottnestClient:
     def _count_via_scan(self, column, query, snap, paths) -> int:
         total = 0
         for path in sorted(paths):
-            for _, value in live_rows(self.store, self.lake, snap, column, path):
+            for _, value in live_rows(
+                self.store, self.lake, snap, column, path, query
+            ):
                 total += _count_overlapping(value, query.needle)
         return total
 

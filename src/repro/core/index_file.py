@@ -54,9 +54,6 @@ class PageDirectory:
     def num_rows(self) -> int:
         return sum(t.num_rows for t in self.tables)
 
-    def base_of(self, file_index: int) -> int:
-        return self._bases[file_index]
-
     def locate(self, gid: int) -> PageEntry:
         """Global page id -> the page's entry (with its file key)."""
         if not 0 <= gid < self._num_pages:

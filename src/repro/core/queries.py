@@ -127,3 +127,21 @@ class RangeQuery:
 
 
 Query = UuidQuery | SubstringQuery | RegexQuery | RangeQuery | VectorQuery
+
+
+def may_hold(query: Query | None, lo, hi) -> bool:
+    """Whether values spanning ``[lo, hi]`` (a row group's footer stats,
+    a shard's key span) can hold a match of ``query``.
+
+    Only key lookups and ranges have bounds to test; every other query
+    (and a full scan, ``None``) may match anywhere, and so may
+    incomparable types.
+    """
+    try:
+        if isinstance(query, UuidQuery):
+            return lo <= query.key <= hi
+        if isinstance(query, RangeQuery):
+            return not (query.hi < lo or hi < query.lo)
+    except TypeError:
+        pass
+    return True

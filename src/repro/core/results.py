@@ -58,10 +58,6 @@ class SearchPlan:
     index_files: tuple[tuple[str, str, int], ...]  # (key, type, files covered)
     uncovered_files: tuple[str, ...]  # would be brute-force scanned
 
-    @property
-    def fully_covered(self) -> bool:
-        return not self.uncovered_files
-
     def describe(self) -> str:
         lines = [
             f"search plan for column {self.column!r} "

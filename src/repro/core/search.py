@@ -41,16 +41,14 @@ from repro.core.results import (
     merge_exact,
     merge_topk,
 )
-from repro.errors import ObjectStoreError, RottnestIndexError, SnapshotNotFound
+from repro.errors import ObjectStoreError, RottnestIndexError
 from repro.formats.page_reader import PageEntry, fetch_pages
-from repro.formats.reader import ParquetFile
 from repro.indices.base import ExactQuerier, ScoringQuerier, querier_for
 from repro.lake.snapshot import Snapshot
-from repro.lake.table import LakeTable
+from repro.lake.table import LakeTable, live_rows, unmaterialized
 from repro.meta.metadata_table import IndexRecord
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
-from repro.storage.object_store import ObjectStore
 from repro.storage.pool import Run, TracedPool, end_phase, run_inline
 from repro.storage.stats import RequestTrace
 
@@ -118,29 +116,6 @@ def plan(
             chosen.append(record)
             covered |= useful
     return chosen, snap_paths - covered
-
-
-def _unmaterialized(snap: Snapshot, path: str) -> SnapshotNotFound:
-    """Old snapshots stop being searchable once the lake's vacuum
-    physically drops their files; say so instead of 'object not found'."""
-    return SnapshotNotFound(
-        f"data file {path!r} of snapshot v{snap.version} is no longer "
-        f"materialized (removed by a lake vacuum); search a newer snapshot"
-    )
-
-
-def live_rows(
-    store: ObjectStore, lake: LakeTable, snap: Snapshot, column: str, path: str
-):
-    """Yield ``(row, value)`` for every non-deleted row of one data file."""
-    dv = lake.deletion_vector(snap, path)
-    try:
-        reader = ParquetFile(store, path)
-    except ObjectStoreError as exc:
-        raise _unmaterialized(snap, path) from exc
-    for row, value in reader.scan_column(column):
-        if row not in dv:
-            yield row, value
 
 
 # -- the plan ------------------------------------------------------------
@@ -292,7 +267,7 @@ class _LazySearch:
             # report it; otherwise the batch's first file stands in.
             key = getattr(exc, "key", None)
             failed = key if isinstance(key, str) else entries[0].file_key
-            raise _unmaterialized(self.snap, failed) from exc
+            raise unmaterialized(self.snap, failed) from exc
         dvs = [self.lake.deletion_vector(self.snap, e.file_key) for e in entries]
         return payloads, dvs
 
@@ -308,7 +283,7 @@ class _LazySearch:
             needed = self.want - len(self.found)  # fixed within a wave
             out: list[SearchMatch] = []
             for row, value in live_rows(
-                self.store, self.lake, self.snap, self.column, path
+                self.store, self.lake, self.snap, self.column, path, query
             ):
                 if scoring:
                     score = query.distance(value)

@@ -1,6 +1,7 @@
-"""Baseline engines: brute-force scanning and copy-data systems."""
+"""Baseline engines: the brute-force scan cluster model and copy-data
+systems. The scan itself is the search plan with ``use_indices=False``."""
 
-from repro.engines.bruteforce import BruteForceEngine, BruteForceModel
+from repro.engines.bruteforce import BruteForceModel
 from repro.engines.dedicated import (
     LANCEDB_MODEL,
     OPENSEARCH_MODEL,
@@ -10,7 +11,6 @@ from repro.engines.dedicated import (
 )
 
 __all__ = [
-    "BruteForceEngine",
     "BruteForceModel",
     "DedicatedModel",
     "DedicatedSearchSystem",

@@ -1,14 +1,13 @@
 """Brute-force scan baseline (the paper's PySpark-on-EMR setup).
 
-Two halves:
-
-* a **functional engine** that actually scans the simulated lake and
-  returns verified matches (used to cross-check Rottnest's results and
-  to measure bytes scanned per normalized query), and
-* a **cluster scaling model** calibrated to Figure 8a/8b: near-linear
-  speedup at small clusters, a knee around ~32 workers where fixed
-  startup/coordination time stops shrinking, and therefore a cost per
-  query that is flat early and grows once extra workers only burn money.
+The scan itself is the search plan with ``use_indices=False``
+(:meth:`RottnestClient.search <repro.core.client.RottnestClient.search>`):
+every in-scope file is read through the lake's one live-row scan, and
+its bytes are the run's trace. This module keeps the **cluster scaling
+model** calibrated to Figure 8a/8b: near-linear speedup at small
+clusters, a knee around ~32 workers where fixed startup/coordination
+time stops shrinking, and therefore a cost per query that is flat early
+and grows once extra workers only burn money.
 """
 
 from __future__ import annotations
@@ -17,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.client import SearchMatch
-from repro.core.queries import Query
-from repro.formats.reader import ParquetFile
-from repro.lake.snapshot import Snapshot
-from repro.lake.table import LakeTable
 from repro.storage.costs import CostModel
-from repro.storage.object_store import ObjectStore
 
 
 @dataclass(frozen=True)
@@ -65,130 +58,3 @@ class BruteForceModel:
         costs = costs or CostModel()
         hourly = costs.instance_hourly(self.instance_type)
         return self.latency(scan_bytes, workers) * workers * hourly / 3600.0
-
-
-def _query_bounds(query) -> tuple | None:
-    """(lo, hi) bounds a chunk must intersect, or None (no pruning)."""
-    if hasattr(query, "key"):
-        key = bytes(query.key)
-        return (key, key)
-    if hasattr(query, "lo"):
-        return (query.lo, query.hi)
-    return None  # substring/regex: min-max says nothing
-
-
-def _prunable(metadata, column: str, rg_index: int, bounds: tuple) -> bool:
-    stats = metadata.chunk_stats(column)[rg_index]
-    if stats is None:
-        return False
-    chunk_lo, chunk_hi = stats
-    lo, hi = bounds
-    try:
-        return chunk_hi < lo or hi < chunk_lo
-    except TypeError:
-        return False  # incomparable types: never prune
-
-
-class BruteForceEngine:
-    """Functional full scan of a lake snapshot (no index)."""
-
-    def __init__(
-        self,
-        store: ObjectStore,
-        lake: LakeTable,
-        *,
-        model: BruteForceModel | None = None,
-        workers: int = 8,
-    ) -> None:
-        self.store = store
-        self.lake = lake
-        self.model = model or BruteForceModel()
-        self.workers = workers
-
-    def search(
-        self,
-        column: str,
-        query: Query,
-        *,
-        k: int = 10,
-        snapshot: Snapshot | None = None,
-        prune: bool = False,
-    ) -> tuple[list[SearchMatch], int]:
-        """Scan everything; returns ``(matches, bytes_scanned)``.
-
-        Exact queries stop at ``k`` verified matches (a real engine
-        would too, though it still bills most of the scan); scoring
-        queries rank every live row.
-
-        ``prune=True`` applies min-max chunk pruning from the file
-        footers, as real query engines do. The §II-B point this repo
-        measures: pruning is effective for clustered/sorted columns and
-        worthless for the search workloads Rottnest targets.
-        """
-        snap = snapshot or self.lake.snapshot()
-        scanned = 0
-        if query.scoring:
-            matches = self._scan_scoring(column, query, k, snap)
-            scanned = snap.total_bytes
-            return matches, scanned
-        bounds = _query_bounds(query) if prune else None
-        matches: list[SearchMatch] = []
-        for entry in snap.files:
-            dv = self.lake.deletion_vector(snap, entry.path)
-            reader = ParquetFile(self.store, entry.path)
-            for rg_index, rg in enumerate(reader.metadata.row_groups):
-                if bounds is not None and _prunable(
-                    reader.metadata, column, rg_index, bounds
-                ):
-                    continue
-                chunk = rg.chunk(column)
-                scanned += chunk.total_compressed_size
-                values = reader.read_column_chunk(rg_index, column)
-                for i, value in enumerate(values):
-                    row = rg.first_row + i
-                    if row in dv or not query.matches(value):
-                        continue
-                    matches.append(
-                        SearchMatch(file=entry.path, row=row, value=value)
-                    )
-                    if len(matches) >= k:
-                        return matches, scanned
-        return matches, scanned
-
-    def _scan_scoring(
-        self, column: str, query, k: int, snap: Snapshot
-    ) -> list[SearchMatch]:
-        scored: list[SearchMatch] = []
-        for entry in snap.files:
-            dv = self.lake.deletion_vector(snap, entry.path)
-            reader = ParquetFile(self.store, entry.path)
-            for row, value in reader.scan_column(column):
-                if row in dv:
-                    continue
-                scored.append(
-                    SearchMatch(
-                        file=entry.path,
-                        row=row,
-                        value=value,
-                        score=query.distance(value),
-                    )
-                )
-        scored.sort(key=lambda m: m.score)
-        return scored[:k]
-
-    def modeled_latency(
-        self, snapshot: Snapshot | None = None, workers: int | None = None
-    ) -> float:
-        snap = snapshot or self.lake.snapshot()
-        return self.model.latency(snap.total_bytes, workers or self.workers)
-
-    def modeled_cost_per_query(
-        self,
-        snapshot: Snapshot | None = None,
-        workers: int | None = None,
-        costs: CostModel | None = None,
-    ) -> float:
-        snap = snapshot or self.lake.snapshot()
-        return self.model.cost_per_query(
-            snap.total_bytes, workers or self.workers, costs
-        )

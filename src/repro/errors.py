@@ -83,10 +83,6 @@ class SnapshotNotFound(LakeError):
     """The requested snapshot version does not exist."""
 
 
-class ColumnNotFound(LakeError):
-    """The requested column is not part of the table schema."""
-
-
 class IndexError_(ReproError):
     """Base class for index build/query failures.
 

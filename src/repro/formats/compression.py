@@ -47,13 +47,6 @@ def codec_id(name: str) -> int:
         raise FormatError(f"unknown codec {name!r}; known: {sorted(_IDS)}") from None
 
 
-def codec_name(codec: int) -> str:
-    try:
-        return _NAMES[codec]
-    except KeyError:
-        raise FormatError(f"unknown codec id {codec}") from None
-
-
 def compress(data: bytes, codec: int, *, rle: bool = False) -> bytes:
     """``rle`` deflates with ``Z_RLE`` (matches at distance one only):
     still a plain zlib stream, much faster on long runs of one value."""

@@ -76,14 +76,6 @@ class ParquetFile:
             values.extend(decode_page(field, page_bytes, chunk.codec, page.num_values))
         return values
 
-    def scan_column(self, column: str):
-        """Yield ``(row_index, value)`` for every row, chunk by chunk."""
-        for rg_index, rg in enumerate(self.metadata.row_groups):
-            self.store.barrier()
-            values = self.read_column_chunk(rg_index, column)
-            for i, value in enumerate(values):
-                yield rg.first_row + i, value
-
     def read_rows(self, column: str, row_indices: list[int]):
         """Fetch specific rows the *traditional* way: whole chunks.
 

@@ -60,12 +60,6 @@ class Schema:
                 return f
         raise FormatError(f"no column {name!r} in schema {self.names}")
 
-    def index_of(self, name: str) -> int:
-        for i, f in enumerate(self.fields):
-            if f.name == name:
-                return i
-        raise FormatError(f"no column {name!r} in schema {self.names}")
-
     def serialize(self, writer: BinaryWriter) -> None:
         writer.write_uvarint(len(self.fields))
         for f in self.fields:

@@ -43,10 +43,6 @@ class DeletionVector:
     def union(self, other: "DeletionVector") -> "DeletionVector":
         return DeletionVector(self._rows | other._rows)
 
-    def filter_alive(self, row_indices) -> list[int]:
-        """Drop deleted rows from an iterable of row indices."""
-        return [r for r in row_indices if r not in self._rows]
-
     def serialize(self) -> bytes:
         writer = BinaryWriter()
         writer.write_bytes(MAGIC)

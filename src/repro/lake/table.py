@@ -13,6 +13,11 @@ operations the paper's protocol must survive are here:
 
 Rottnest itself never calls the mutating operations; it only reads
 manifest lists, Parquet bytes and deletion vectors.
+
+:func:`live_rows` is the one scan of a lake column: the search plan's
+brute-force fill, ``count``, :meth:`LakeTable.scan` and ``delete_where``
+all read a file's live rows through it, and it skips every row group
+whose footer min/max cannot hold a key-bounded query's match.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from repro.errors import CommitConflict, LakeError
+from repro.core.queries import Query, may_hold
+from repro.errors import CommitConflict, LakeError, ObjectStoreError, SnapshotNotFound
 from repro.formats.pages import DEFAULT_PAGE_TARGET_BYTES
 from repro.formats.parquet import DEFAULT_ROW_GROUP_ROWS, write_parquet
 from repro.formats.reader import ParquetFile
@@ -241,15 +247,14 @@ class LakeTable:
         actions: list[Action] = []
         snap = self.snapshot()
         for entry in snap.files:
-            reader = ParquetFile(self.store, entry.path)
-            existing = self.deletion_vector(snap, entry.path)
             hits = [
                 row
-                for row, value in reader.scan_column(column)
-                if row not in existing and predicate(value)
+                for row, value in live_rows(self.store, self, snap, column, entry.path)
+                if predicate(value)
             ]
             if not hits:
                 continue
+            existing = self.deletion_vector(snap, entry.path)
             merged = existing.union(DeletionVector(hits))
             data = merged.serialize()
             digest = hashlib.sha1(data).hexdigest()[:10]
@@ -297,7 +302,7 @@ class LakeTable:
         for partition, group in bins:
             if len(group) < 2:
                 continue
-            columns = self._read_group(snap, group)
+            columns = self.read_group(snap, group)
             if not len(next(iter(columns.values()), [])):
                 # Everything in the group was deleted; just drop files.
                 actions.extend(RemoveFile(path=f.path) for f in group)
@@ -323,12 +328,12 @@ class LakeTable:
         actions: list[Action] = []
         new_paths: list[str] = []
         for partition, group in by_partition.items():
-            columns = self._read_group(snap, group)
+            columns = self.read_group(snap, group)
             order = sorted(
                 range(len(columns[column])), key=lambda i: columns[column][i]
             )
             reordered = {
-                name: _take(values, order) for name, values in columns.items()
+                name: [values[i] for i in order] for name, values in columns.items()
             }
             add = self._write_data_file(reordered, partition)
             new_paths.append(add.path)
@@ -372,34 +377,30 @@ class LakeTable:
         """Yield ``(path, row_index, value)`` for live rows of a column."""
         snap = snapshot or self.snapshot()
         for entry in snap.files:
-            dv = self.deletion_vector(snap, entry.path)
-            reader = ParquetFile(self.store, entry.path)
-            for row, value in reader.scan_column(column):
-                if row not in dv:
-                    yield entry.path, row, value
+            for row, value in live_rows(self.store, self, snap, column, entry.path):
+                yield entry.path, row, value
 
     def to_pylist(self, column: str, snapshot: Snapshot | None = None) -> list:
         """All live values of a column (small tables / tests)."""
         return [value for _, _, value in self.scan(column, snapshot)]
 
-    # -- internals ----------------------------------------------------
-    def _read_group(self, snap: Snapshot, group: list) -> dict[str, list]:
-        """Concatenate the live rows of several files, column by column."""
-        out: dict[str, list] = {name: [] for name in self.schema.names}
+    def read_group(self, snap: Snapshot, group: list) -> dict[str, list]:
+        """Concatenate the live rows of several files, every column (the
+        input of a rewrite: compaction, clustering, resharding)."""
+        names = snap.schema.names
+        out: dict[str, list] = {name: [] for name in names}
         for entry in group:
             dv = self.deletion_vector(snap, entry.path)
             reader = ParquetFile(self.store, entry.path)
-            per_col = {}
-            for name in self.schema.names:
-                column_values = []
-                for rg_index in range(len(reader.metadata.row_groups)):
-                    column_values.extend(reader.read_column_chunk(rg_index, name))
-                per_col[name] = column_values
             alive = [r for r in range(entry.num_rows) if r not in dv]
-            for name in self.schema.names:
-                out[name].extend(_take(per_col[name], alive))
+            for name in names:
+                values: list = []
+                for rg_index in range(len(reader.metadata.row_groups)):
+                    values.extend(reader.read_column_chunk(rg_index, name))
+                out[name].extend(values[i] for i in alive)
         return out
 
+    # -- internals ----------------------------------------------------
     def _commit_against(self, planned_version: int, actions: list[Action]) -> int:
         """Commit actions planned against ``planned_version``.
 
@@ -420,10 +421,45 @@ class LakeTable:
         return self.log.commit(plan=plan)
 
 
-def _take(values, indices: list[int]):
-    """Select positions from a list or numpy array, preserving type."""
-    import numpy as np
+def unmaterialized(snap: Snapshot, path: str) -> SnapshotNotFound:
+    """Old snapshots stop being readable once the lake's vacuum
+    physically drops their files; say so instead of 'object not found'."""
+    return SnapshotNotFound(
+        f"data file {path!r} of snapshot v{snap.version} is no longer "
+        f"materialized (removed by a lake vacuum); read a newer snapshot"
+    )
 
-    if isinstance(values, np.ndarray):
-        return values[indices]
-    return [values[i] for i in indices]
+
+def live_rows(
+    store: ObjectStore,
+    lake: LakeTable,
+    snap: Snapshot,
+    column: str,
+    path: str,
+    query: Query | None = None,
+):
+    """Yield ``(row, value)`` for every non-deleted row of one data file.
+
+    The file is read through ``store`` (the caller's, so its requests
+    land on the caller's trace), one column chunk per dependent round.
+    A row group whose footer min/max cannot hold a match of ``query``
+    (``None`` reads every row) is skipped without a request: footer
+    stats prune sorted columns and nothing on the random keys and text
+    Rottnest indexes (paper §II-B).
+    """
+    dv = lake.deletion_vector(snap, path)
+    try:
+        reader = ParquetFile(store, path)
+    except ObjectStoreError as exc:
+        raise unmaterialized(snap, path) from exc
+    metadata = reader.metadata
+    stats = metadata.chunk_stats(column)
+    for rg_index, rg in enumerate(metadata.row_groups):
+        if stats[rg_index] and not may_hold(query, *stats[rg_index]):
+            continue
+        store.barrier()
+        values = reader.read_column_chunk(rg_index, column)
+        for row, value in enumerate(values, rg.first_row):
+            if row not in dv:
+                yield row, value
+

@@ -278,11 +278,6 @@ class SnapshotStore:
             return fold_snapshots(self.snapshots())
         return fold_snapshots([self.load(key) for key in keys])
 
-    def folded_hub(self, keys: list[str] | None = None) -> TelemetryHub | None:
-        """The folded hub across the chosen snapshots, if any carry one."""
-        hub = self.fold(keys)["hub"]
-        return TelemetryHub.from_snapshot(hub) if hub is not None else None
-
 
 def load_snapshots(
     store: "ObjectStore", root: str = "obs"

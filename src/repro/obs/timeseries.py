@@ -546,14 +546,6 @@ class WindowedSeries(_WindowRing):
         """Retained windows, oldest first."""
         return [cell for _, cell in self._tail(None)]
 
-    def rate_per_s(self, last: int | None = None) -> float:
-        """Observations per second over the covered window span."""
-        points = [cell for _, cell in self._tail(last)]
-        if not points:
-            return 0.0
-        span = (points[-1].index - points[0].index + 1) * self.window_s
-        return sum(p.count for p in points) / span
-
 
 class WindowedQuantiles(_WindowRing):
     """One :class:`QuantileSketch` per retained time window.
@@ -596,10 +588,6 @@ class WindowedQuantiles(_WindowRing):
         for _, sketch in self._tail(last):
             merged = merged.merge(sketch)
         return merged
-
-    def quantile_series(self, q: float) -> list[tuple[int, float]]:
-        """Per-window quantile estimates, oldest first."""
-        return [(i, sketch.quantile(q)) for i, sketch in self.windows()]
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "relative_accuracy": self.relative_accuracy}

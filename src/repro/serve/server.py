@@ -21,7 +21,7 @@ that model's assumed constant with an observed one.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.client import RottnestClient, SearchResult
 from repro.core.index_file import IndexFileReader
@@ -79,10 +79,6 @@ class ServeStats:
         self.latency_sketch.observe(seconds)
 
     @property
-    def latency_count(self) -> int:
-        return self.latency_sketch.count
-
-    @property
     def mean_latency_s(self) -> float:
         return self.latency_sketch.mean
 
@@ -122,12 +118,7 @@ class ServeStats:
         rpq = self.requests_per_query
         if rpq <= 0:
             return base
-        return ThroughputModel(
-            prefix_get_rps=base.prefix_get_rps,
-            rottnest_requests_per_query=rpq,
-            dedicated_qps=base.dedicated_qps,
-            brute_force_concurrent_clusters=base.brute_force_concurrent_clusters,
-        )
+        return replace(base, rottnest_requests_per_query=rpq)
 
     def describe(self, max_inflight: int | None = None) -> str:
         lines = [

@@ -84,8 +84,3 @@ class SingleFlight:
         if flight.error is not None:
             raise flight.error
         return flight.result, True  # type: ignore[return-value]
-
-    def in_flight(self) -> int:
-        """Number of keys currently being fetched (for introspection)."""
-        with self._lock:
-            return len(self._flights)

@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from repro.core.client import RottnestClient
-from repro.core.queries import Query, RangeQuery, UuidQuery
+from repro.core.queries import Query, UuidQuery, may_hold
 from repro.errors import IndexAborted, ShardError
-from repro.formats.reader import ParquetFile
 from repro.lake.table import LakeTable, TableConfig
 from repro.serve.server import SearchServer
 from repro.storage.latency import LatencyModel
@@ -200,7 +199,7 @@ class ShardPlan:
         buffered: list[tuple[str | None, dict[str, list]]] = []
         all_keys: list = []
         for entry in snap.files:
-            columns = _live_columns(source, snap, entry, schema.names)
+            columns = source.read_group(snap, [entry])
             buffered.append((LakeTable.partition_of(entry.path), columns))
             all_keys.extend(columns[key_column])
         boundaries = self.fit_boundaries(all_keys)
@@ -351,16 +350,11 @@ class ShardDeployment:
         return eligible, len(self.groups) - len(eligible)
 
     def _may_contain(self, spec: ShardSpec, query: Query) -> bool:
-        try:
+        if self.plan.shard_by == "hash":
             if isinstance(query, UuidQuery):
-                if self.plan.shard_by == "hash":
-                    return spec.shard_id == self.assign(query.key)
-                return spec.key_min <= query.key <= spec.key_max
-            if isinstance(query, RangeQuery) and self.plan.shard_by == "range":
-                return not (query.hi < spec.key_min or query.lo > spec.key_max)
-        except TypeError:
-            return True  # incomparable types: cannot prune soundly
-        return True
+                return spec.shard_id == self.assign(query.key)
+            return True
+        return may_hold(query, spec.key_min, spec.key_max)
 
     # -- maintenance ---------------------------------------------------
     def build_indexes(self, indexes: Sequence[tuple[str, str, dict]]) -> int:
@@ -407,18 +401,3 @@ class ShardDeployment:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _live_columns(
-    source: LakeTable, snap, entry, names: Sequence[str]
-) -> dict[str, list]:
-    """All live rows of one data file, column by column."""
-    reader = ParquetFile(source.store, entry.path)
-    dv = source.deletion_vector(snap, entry.path)
-    out: dict[str, list] = {}
-    for name in names:
-        values: list = []
-        for rg_index in range(len(reader.metadata.row_groups)):
-            values.extend(reader.read_column_chunk(rg_index, name))
-        out[name] = [v for row, v in enumerate(values) if row not in dv]
-    return out

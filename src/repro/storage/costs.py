@@ -37,7 +37,6 @@ class CostModel:
     s3_get_per_request: float = 0.0004 / 1000.0
     s3_put_per_request: float = 0.005 / 1000.0
     s3_list_per_request: float = 0.005 / 1000.0
-    ebs_per_gb_month: float = 0.08
     opensearch_ebs_per_gb_month: float = 0.135  # managed-service premium
     instance_prices: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_INSTANCE_PRICES)
@@ -56,10 +55,6 @@ class CostModel:
     def storage_monthly(self, nbytes: int) -> float:
         """S3 storage cost per month for ``nbytes``."""
         return (nbytes / GB) * self.s3_storage_per_gb_month
-
-    def ebs_monthly(self, nbytes: int, replicas: int = 3) -> float:
-        """EBS cost per month for ``replicas`` copies of ``nbytes``."""
-        return (nbytes / GB) * self.ebs_per_gb_month * replicas
 
     def compute_cost(self, instance_type: str, seconds: float, count: int = 1) -> float:
         """Cost of running ``count`` instances for ``seconds``."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.storage.stats import Request, RequestTrace
+from repro.storage.stats import RequestTrace
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,3 @@ class LatencyModel:
             round_total += len(lists) * self.list_latency_s
             total += round_total
         return total
-
-    def scan_latency(self, nbytes: int, workers: int = 1) -> float:
-        """Time for ``workers`` instances to cooperatively stream
-        ``nbytes`` from object storage at full width (used by the
-        brute-force engine's IO phase)."""
-        if nbytes <= 0:
-            return 0.0
-        per_worker = nbytes / max(1, workers)
-        return self.first_byte_s + per_worker / self.instance_bandwidth_bps
-
-
-def single_request(op: str, key: str, nbytes: int) -> RequestTrace:
-    """Convenience: a trace containing exactly one request."""
-    trace = RequestTrace()
-    trace.record(Request(op=op, key=key, nbytes=nbytes))
-    return trace

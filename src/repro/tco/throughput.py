@@ -29,12 +29,11 @@ SECONDS_PER_MONTH = 730.0 * 3600.0
 
 @dataclass(frozen=True)
 class ThroughputModel:
-    """QPS ceilings of the three approaches."""
+    """Rottnest's QPS ceiling: S3's per-prefix GET rate spread over its
+    requests per query (the one ceiling the §VII-D3 check needs)."""
 
     prefix_get_rps: float = 5500.0
     rottnest_requests_per_query: float = 50.0
-    dedicated_qps: float = 5000.0  # per replica set, RAM/SSD-bound
-    brute_force_concurrent_clusters: int = 1
 
     def __post_init__(self) -> None:
         if self.rottnest_requests_per_query <= 0:
@@ -43,12 +42,6 @@ class ThroughputModel:
     @property
     def rottnest_max_qps(self) -> float:
         return self.prefix_get_rps / self.rottnest_requests_per_query
-
-    def brute_force_max_qps(self, scan_latency_s: float) -> float:
-        """One query occupies the whole cluster for its duration."""
-        if scan_latency_s <= 0:
-            raise TCOError("scan latency must be positive")
-        return self.brute_force_concurrent_clusters / scan_latency_s
 
     def sustained_queries(self, qps: float, months: float) -> float:
         """Total queries if run at ``qps`` for ``months``."""

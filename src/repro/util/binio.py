@@ -32,12 +32,6 @@ class BinaryWriter:
     def write_u32(self, value: int) -> None:
         self._buf += struct.pack("<I", value)
 
-    def write_u64(self, value: int) -> None:
-        self._buf += struct.pack("<Q", value)
-
-    def write_f64(self, value: float) -> None:
-        self._buf += struct.pack("<d", value)
-
     def write_uvarint(self, value: int) -> None:
         self._buf += encode_uvarint(value)
 
@@ -82,15 +76,6 @@ class BinaryReader:
 
     def read_u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
-
-    def read_u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def read_u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def read_f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
 
     def read_uvarint(self) -> int:
         try:

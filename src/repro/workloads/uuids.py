@@ -48,10 +48,6 @@ class UuidWorkload:
             for i in range(start, start + count)
         ]
 
-    @property
-    def total_generated(self) -> int:
-        return self._generated
-
     def present_queries(self, count: int) -> list[bytes]:
         """Keys guaranteed to have been generated already."""
         if self._generated == 0:

@@ -206,7 +206,6 @@ class TestPageDirectory:
         assert d.locate(2).file_key == "a"
         assert d.locate(3).file_key == "b"
         assert d.locate(3).page_id == 0
-        assert d.base_of(1) == 3
 
     def test_locate_out_of_range(self):
         d = PageDirectory([make_table("a", 2)])

@@ -75,21 +75,16 @@ def _probe_time(*observation_lists, offset: float = 0.0) -> float:
 class TestAlgebra:
     @settings(max_examples=200, deadline=None)
     @given(left=OBSERVATIONS, right=OBSERVATIONS, at_s=TIMES)
-    def test_decay_then_merge_equals_merge_then_decay(
-        self, left, right, at_s
-    ):
-        a = _fill(left).decay_to(at_s)
-        b = _fill(right).decay_to(at_s)
-        decayed_first = a.merge(b)
+    def test_merge_adds_heats(self, left, right, at_s):
+        merged = _fill(left).merge(_fill(right))
 
-        merged_first = _fill(left).merge(_fill(right)).decay_to(at_s)
-
-        probe = _probe_time(left, right, offset=at_s + 120.0)
-        got = _heats(decayed_first, probe)
-        want = _heats(merged_first, probe)
-        assert set(got) == set(want)
-        for key, value in want.items():
-            assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-9)
+        probe = _probe_time(left, right, offset=at_s)
+        got = _heats(merged, probe)
+        a, b = _heats(_fill(left), probe), _heats(_fill(right), probe)
+        assert set(got) == set(a) | set(b)
+        for key, value in got.items():
+            want = a.get(key, 0.0) + b.get(key, 0.0)
+            assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(observations=OBSERVATIONS, at_s=TIMES)

@@ -120,7 +120,10 @@ def test_chunk_codec_is_none_exactly_when_deflate_does_not_pay(
 
     store = InMemoryObjectStore()
     store.put("f", result.data)
-    scanned = [v for _, v in ParquetFile(store, "f").scan_column("c")]
+    pf = ParquetFile(store, "f")
+    scanned = [
+        v for i in range(len(pf.metadata.row_groups)) for v in pf.read_column_chunk(i, "c")
+    ]
     table = build_page_table(result.metadata, "f", "c")
     fetched = [
         v for _, page in fetch_pages(store, field, table.entries) for v in page
@@ -297,7 +300,9 @@ class TestLegacyZlibFixture:
         store, _ = lake
         field = Field("emb", ColumnType.VECTOR, 8)
         pf = ParquetFile(store, LEGACY_DATA_KEY)
-        scanned = np.asarray([v for _, v in pf.scan_column("emb")])
+        scanned = np.concatenate(
+            [pf.read_column_chunk(i, "emb") for i in range(len(pf.metadata.row_groups))]
+        )
         table = build_page_table(pf.metadata, LEGACY_DATA_KEY, "emb")
         fetched = np.concatenate(
             [page for _, page in fetch_pages(store, field, table.entries)]

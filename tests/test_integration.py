@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.client import RottnestClient
 from repro.core.maintenance import compact_indices, vacuum_indices
 from repro.core.queries import SubstringQuery, UuidQuery, VectorQuery
-from repro.engines.bruteforce import BruteForceEngine
 from repro.errors import IndexAborted
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.lake.table import LakeTable, TableConfig
@@ -30,16 +29,20 @@ class TestUuidWorkloadEndToEnd:
             TableConfig(row_group_rows=500, page_target_bytes=4096),
         )
         gen = UuidWorkload(seed=0)
-        for _ in range(5):
-            lake.append({"uuid": gen.batch(400)})
+        batches = [gen.batch(400) for _ in range(5)]
+        for batch in batches:
+            lake.append({"uuid": batch})
         client = RottnestClient(store, "idx/obs", lake)
         client.index("uuid", "uuid_trie")
-        engine = BruteForceEngine(store, lake)
+        # One file per append: the oracle is where each key was appended.
+        paths = lake.snapshot().file_paths
         for key in gen.present_queries(10):
             rott = client.search("uuid", UuidQuery(key), k=10)
-            brute, _ = engine.search("uuid", UuidQuery(key), k=10)
             assert {(m.file, m.row) for m in rott.matches} == {
-                (m.file, m.row) for m in brute
+                (path, row)
+                for path, batch in zip(paths, batches)
+                for row, value in enumerate(batch)
+                if value == key
             }
             assert len(rott.matches) >= 1
         for key in gen.absent_queries(10):
@@ -65,7 +68,7 @@ class TestUuidWorkloadEndToEnd:
         rott_bytes = store.stats.delta(before).bytes_read
 
         before = store.stats.snapshot()
-        BruteForceEngine(store, lake).search("uuid", UuidQuery(key), k=10)
+        client.search("uuid", UuidQuery(key), k=10, use_indices=False)
         brute_bytes = store.stats.delta(before).bytes_read
         assert rott_bytes < brute_bytes / 5
 

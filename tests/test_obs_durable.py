@@ -199,7 +199,7 @@ def test_one_object_kind_for_flights_and_snapshots(data, kind_name):
 
 
 def test_snapshot_store_readers_skip_what_they_cannot_read():
-    """``snapshots`` / ``fold`` / ``folded_hub`` use only the readable
+    """``snapshots`` / ``fold`` use only the readable
     snapshots; ``keys`` still lists every object, and folding a named
     unreadable one is an error naming it."""
     store = InMemoryObjectStore(clock=SimClock(start=0.0))
@@ -208,7 +208,8 @@ def test_snapshot_store_readers_skip_what_they_cannot_read():
     planted = _plant(store, SNAPSHOTS)
     assert len(snaps.keys()) == 1 + len(planted)
     assert [p["sources"] for p in snaps.snapshots()] == [["a"]]
-    assert snaps.fold()["sources"] == ["a"]
-    assert snaps.folded_hub().series("serve.queries").count() == 3
+    folded = snaps.fold()
+    assert folded["sources"] == ["a"]
+    assert TelemetryHub.from_snapshot(folded["hub"]).series("serve.queries").count() == 3
     with pytest.raises(ReproError, match=planted[0]):
         snaps.fold(planted[:1])

@@ -233,14 +233,10 @@ class TestCrossProcessStore:
         SnapshotStore(store).commit_payload(_payload(1))
         snaps = SnapshotStore(store)
         assert len(snaps.keys()) == 2
-        hub = snaps.folded_hub()
-        assert hub is not None
-        assert hub.series("serve.queries").count() == 11
         folded = snaps.fold()
+        hub = TelemetryHub.from_snapshot(folded["hub"])
+        assert hub.series("serve.queries").count() == 11
         assert folded["sources"] == ["proc-0", "proc-1"]
-
-    def test_folded_hub_none_without_snapshots(self):
-        assert SnapshotStore(_store()).folded_hub() is None
 
     def test_crack_controller_spills_heat(self, indexed_client):
         from repro.core.daemon import MaintenanceDaemon

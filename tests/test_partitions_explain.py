@@ -139,7 +139,7 @@ class TestExplain:
     def test_fully_covered_plan(self, partitioned):
         _, _, client, _ = partitioned
         plan = client.explain("request_id", UuidQuery(b"\x00" * 16))
-        assert plan.fully_covered
+        assert plan.uncovered_files == ()
         assert len(plan.candidate_files) == 3
         assert len(plan.index_files) == 1
         assert plan.index_files[0][1] == "uuid_trie"
@@ -153,7 +153,6 @@ class TestExplain:
             partition="2026-08",
         )
         plan = client.explain("request_id", UuidQuery(b"\x01" * 16))
-        assert not plan.fully_covered
         assert len(plan.uncovered_files) == 1
         assert "brute-force scan: 1" in plan.describe()
 

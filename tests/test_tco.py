@@ -306,15 +306,6 @@ class TestThroughput:
 
         with pytest.raises(TCOError):
             ThroughputModel(rottnest_requests_per_query=0)
-        m = ThroughputModel()
-        with pytest.raises(TCOError):
-            m.brute_force_max_qps(0)
-
-    def test_brute_force_qps(self):
-        from repro.tco.throughput import ThroughputModel
-
-        m = ThroughputModel()
-        assert m.brute_force_max_qps(20.0) == pytest.approx(0.05)
 
     def test_sustained_queries(self):
         from repro.tco.throughput import ThroughputModel

@@ -11,12 +11,12 @@ from repro.core.client import RottnestClient
 from repro.core.index_file import IndexFileReader
 from repro.core.queries import VectorQuery
 from repro.core.results import SearchMatch, merge_topk
-from repro.core.search import live_rows, plan, scope
+from repro.core.search import plan, scope
 from repro.errors import RottnestIndexError
 from repro.formats.page_reader import fetch_pages
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.indices.vector.ivf_pq import IvfPqQuerier
-from repro.lake.table import LakeTable
+from repro.lake.table import LakeTable, live_rows
 from repro.serve import SearchExecutor
 
 from tests.test_vector_index import reference_candidates

@@ -52,7 +52,6 @@ class TestUuidWorkload:
         gen = UuidWorkload(seed=0)
         keys = gen.batch(100) + gen.batch(100)
         assert len(set(keys)) == 200
-        assert gen.total_generated == 200
 
     def test_deterministic(self):
         assert UuidWorkload(seed=1).batch(10) == UuidWorkload(seed=1).batch(10)
