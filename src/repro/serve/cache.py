@@ -22,10 +22,10 @@ with:
 * **size-based admission**: entries above ``max_entry_bytes`` are served
   (or built) but never cached, so one big brute-force scan cannot evict
   the whole working set (scan resistance);
-* **invalidation** on ``put`` / ``delete`` of a key, dropping its bytes
-  and everything decoded from them, keeping the wrapper transparent as
-  long as writes flow through it (read-your-writes); a value built
-  while its key was invalidated is not admitted;
+* **invalidation** once a ``put`` / ``delete`` of a key returns,
+  dropping its bytes and everything decoded from them, keeping the
+  wrapper transparent as long as writes flow through it (read-your-
+  writes); a value built while its key was invalidated is not admitted;
 * **metadata caching**: HEAD results (a scan opens each Parquet file
   with one) and what a reader finds a log's tip with — the log's hint,
   and the keys a GET or HEAD found missing (the probe past the tip) —
@@ -423,14 +423,19 @@ class CachingObjectStore(ObjectStore):
         return results  # type: ignore[return-value]
 
     def put(self, key: str, data: bytes, *, if_none_match: bool = False) -> ObjectInfo:
-        # Invalidate even on a failed conditional PUT: the attempt
-        # proves the caller is about to re-read the key's latest state.
-        self.invalidate(key)
-        return self.inner.put(key, data, if_none_match=if_none_match)
+        # Invalidate after the write, so a read racing it cannot keep
+        # the old bytes; even after a failed conditional PUT, whose
+        # caller is about to re-read the key's latest state.
+        try:
+            return self.inner.put(key, data, if_none_match=if_none_match)
+        finally:
+            self.invalidate(key)
 
     def delete(self, key: str) -> None:
-        self.invalidate(key)
-        self.inner.delete(key)
+        try:
+            self.inner.delete(key)
+        finally:
+            self.invalidate(key)
 
     def head(self, key: str) -> ObjectInfo:
         if self._discovered(key, whole=False)[0]:

@@ -356,6 +356,35 @@ def test_lookup_only_memo_refreshes_and_builds_nothing():
     assert InMemoryObjectStore().memo("k", "a") is None
 
 
+def test_a_read_racing_a_write_leaves_no_stale_bytes():
+    """A read that lands while a write is in flight (the key already
+    invalidated, the inner store still holding the old bytes) fetches
+    the old bytes; once the write returns, they must not be cached."""
+
+    class RacedStore(InMemoryObjectStore):
+        racing = False
+
+        def put(self, key, data, **kwargs):
+            if self.racing:
+                cached.get(key)
+            return super().put(key, data, **kwargs)
+
+        def delete(self, key):
+            if self.racing:
+                cached.get(key)
+            super().delete(key)
+
+    inner = RacedStore(clock=SimClock(start=1_000.0))
+    cached = CachingObjectStore(inner)
+    inner.put("k", b"old")
+    inner.racing = True
+    cached.put("k", b"new")
+    assert cached.get("k") == b"new"
+    cached.delete("k")
+    with pytest.raises(ObjectNotFound):
+        cached.get("k")
+
+
 def test_concurrent_memo_and_writes_never_keep_a_stale_value():
     """Eight threads memoize, read and overwrite six keys through one
     small cache; afterwards the accounting is exact and every kept value
