@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-import numpy as np
-
 from repro.errors import IndexAborted, ObjectStoreError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.core.search import plan
@@ -121,20 +119,12 @@ def _extract_file(
             f"retry against a newer snapshot"
         ) from exc
     table = build_page_table(reader.metadata, path, column)
-    all_values: list = []
-    vector_chunks: list[np.ndarray] = []
+    column_values: list = []
     # Chunk reads depend on the footer fetched at open: a dependent
     # round in the trace (chunks themselves fan out within the round).
     store.barrier()
     for rg_index in range(len(reader.metadata.row_groups)):
-        values = reader.read_column_chunk(rg_index, column)
-        if isinstance(values, np.ndarray):
-            vector_chunks.append(values)
-        else:
-            all_values.extend(values)
-    column_values = (
-        np.concatenate(vector_chunks) if vector_chunks else all_values
-    )
+        column_values.extend(reader.read_column_chunk(rg_index, column))
     return table, [
         column_values[entry.row_start : entry.row_start + entry.num_values]
         for entry in table.entries
