@@ -20,6 +20,7 @@ micro-scale measured traces shown for reference.
 
 from repro.core.queries import SubstringQuery, UuidQuery
 from repro.storage.latency import LatencyModel
+from repro.storage.stats import tracing
 from repro.workloads.text import TextWorkload
 
 from benchmarks.common import (
@@ -148,9 +149,8 @@ def test_ablation_fm_block_size(benchmark):
         store = InMemoryObjectStore()
         store.put("i.index", writer.finish())
         querier = FmQuerier(IndexFileReader.open(store, "i.index"))
-        store.start_trace()
-        count = querier.count(needle)
-        trace = store.stop_trace()
+        with tracing() as trace:
+            count = querier.count(needle)
         results[block_size] = (count, trace.total_bytes, trace.total_requests)
     benchmark(lambda: results)
     counts = {c for c, _, _ in results.values()}

@@ -44,6 +44,7 @@ from operator import add, gt
 from repro.errors import FormatError, InvalidByteRange
 from repro.formats import compression
 from repro.storage.object_store import ObjectStore
+from repro.storage.stats import barrier
 from repro.util.binio import BinaryReader, BinaryWriter
 
 MAGIC = b"RIX1"
@@ -130,7 +131,7 @@ class ComponentFileReader:
         one short of it leaves the footer's magic out of the tail."""
         if size is None:
             size = store.head(key).size
-            store.barrier()  # the tail's range depends on the size
+            barrier()  # the tail's range depends on the size
         tail_len = min(TAIL_SPECULATIVE_BYTES, size)
         tail_start = size - tail_len
         try:
@@ -146,7 +147,7 @@ class ComponentFileReader:
         if frame <= tail_len:
             dir_bytes = tail[-frame:-8]
         else:
-            store.barrier()
+            barrier()
             dir_bytes = store.get(key, (size - frame, dir_len))
             tail_start, tail = size - frame, dir_bytes + tail[-8:]
         reader = BinaryReader(dir_bytes)

@@ -236,10 +236,6 @@ class IndexFileReader:
         nothing is kept)."""
         return self._reader.read_many([self._component_id(n) for n in names])
 
-    def barrier(self) -> None:
-        """Dependency point between component reads (latency tracing)."""
-        self._reader.store.barrier()
-
     @property
     def directory(self) -> PageDirectory:
         # A probe ends by locating its pages, so looking the opened file

@@ -56,6 +56,7 @@ from repro.meta.metadata_table import IndexRecord
 from repro.obs.trace import get_tracer
 from repro.storage.object_store import ObjectStore
 from repro.storage.pool import TracedPool, end_phase, phase, run_inline
+from repro.storage.stats import barrier
 
 if TYPE_CHECKING:  # the client's ``index`` calls into this module
     from repro.core.client import RottnestClient
@@ -76,7 +77,6 @@ class VacuumReport:
 
 
 def _fan_out(
-    store: ObjectStore,
     pool: TracedPool | None,
     name: str,
     tag: str,
@@ -89,7 +89,7 @@ def _fan_out(
     on ``pool``. Returns the payloads in task order."""
     with get_tracer().span(name, phase=tag, **attributes) as span:
         if pool is None:
-            trace, payloads = run_inline(store, tasks)
+            trace, payloads = run_inline(tasks)
         else:
             trace, payloads = pool.run(tasks, span_name=task_span)
         end_phase(span, trace)
@@ -122,7 +122,7 @@ def _extract_file(
     column_values: list = []
     # Chunk reads depend on the footer fetched at open: a dependent
     # round in the trace (chunks themselves fan out within the round).
-    store.barrier()
+    barrier()
     for rg_index in range(len(reader.metadata.row_groups)):
         column_values.extend(reader.read_column_chunk(rg_index, column))
     return table, [
@@ -207,7 +207,7 @@ def build_index(
 
         # Plan: new data files only (deletion vectors are never
         # indexed); coverage is per (column, index type).
-        with phase(store, "index.plan", "plan"):
+        with phase("index.plan", "plan"):
             snap = snapshot or client.lake.snapshot()
             already = client.meta.indexed_files(column, index_type)
         new_files = [f for f in snap.files if f.path not in already]
@@ -222,7 +222,6 @@ def build_index(
 
         # Extract: one read-only task per input file.
         extracted = _fan_out(
-            store,
             pool,
             "index.extract",
             "extract",
@@ -236,7 +235,7 @@ def build_index(
         # Timeout check before any externally visible effect: an indexer
         # that overruns must abort so vacuum's age-based GC stays sound.
         client._check_timeout(started, "before upload")
-        with phase(store, "index.commit", "commit"):
+        with phase("index.commit", "commit"):
             record = _upload(
                 client,
                 built,
@@ -305,7 +304,7 @@ def compact_indices(
         # compacted) index, or covering no file of the current snapshot,
         # are vacuum fodder and must not be re-merged: that would
         # produce an index covering the same Parquet file twice.
-        with phase(store, "compact.plan", "plan"):
+        with phase("compact.plan", "plan"):
             covering = covering_records(client, column, index_type)
         records = [r for r in covering if r.size < threshold_bytes]
         if len(records) < 2:
@@ -326,7 +325,6 @@ def compact_indices(
         # addressed, making completion order irrelevant to the final
         # state.
         merged_records = _fan_out(
-            store,
             pool,
             "compact.merge",
             "merge",
@@ -338,7 +336,7 @@ def compact_indices(
             groups=len(mergeable),
         )
         if merged_records:
-            with phase(store, "compact.commit", "commit"):
+            with phase("compact.commit", "commit"):
                 # One insert on the calling thread whatever the pool:
                 # Existence needs every upload durable before its
                 # record. Keys already live (a resumed run, or a racing
@@ -447,7 +445,7 @@ def refine_index(
     with get_tracer().span(
         "refine", column=record.column, index_type=record.index_type
     ):
-        with phase(store, "refine.load", "extract"):
+        with phase("refine.load", "extract"):
             reader = IndexFileReader.open(store, record.index_key, size=record.size)
             if reader.params.get("nlist", 0) >= max_nlist:
                 return None
@@ -461,7 +459,7 @@ def refine_index(
         )
         if not splits:
             return None
-        with phase(store, "refine.commit", "commit"):
+        with phase("refine.commit", "commit"):
             new_record = _upload(
                 client,
                 builder,
@@ -499,7 +497,7 @@ def vacuum_indices(client: RottnestClient, *, snapshot_id: int) -> VacuumReport:
     """
     store = client.store
     with get_tracer().span("vacuum", snapshot_id=snapshot_id) as span:
-        with phase(store, "vacuum.plan", "plan"):
+        with phase("vacuum.plan", "plan"):
             active = client.lake.files_since(snapshot_id)
             records = client.meta.records()
 
@@ -536,13 +534,13 @@ def vacuum_indices(client: RottnestClient, *, snapshot_id: int) -> VacuumReport:
         kept_keys = {r.index_key for r in kept}
         to_delete = [r.index_key for r in records if r.index_key not in kept_keys]
         if to_delete:
-            with phase(store, "vacuum.commit", "commit"):
+            with phase("vacuum.commit", "commit"):
                 client.meta.delete(to_delete)
 
         # Physical removal comes strictly after the metadata commit so
         # the Existence invariant never observes a dangling reference.
         deleted_objects: list[str] = []
-        with phase(store, "vacuum.remove", "remove"):
+        with phase("vacuum.remove", "remove"):
             live = {r.index_key for r in client.meta.records()}
             cutoff = store.clock.now() - client.index_timeout_s
             for info in store.list(f"{client.index_dir}/files/"):

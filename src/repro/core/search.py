@@ -50,7 +50,7 @@ from repro.meta.metadata_table import IndexRecord
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.pool import Run, TracedPool, end_phase, run_inline
-from repro.storage.stats import RequestTrace
+from repro.storage.stats import RequestTrace, barrier
 
 def probe_fresh(
     tier, column: str, query: Query, k: int, snapshot: Snapshot | None
@@ -161,7 +161,7 @@ def run_search(
                 client.meta.records if use_indices else lambda: [],
             ]
             plan_trace, (snap, records) = run_inline(
-                store, reads, compose=RequestTrace.merge_parallel
+                reads, compose=RequestTrace.merge_parallel
             )
             end_phase(plan_span, plan_trace)
             paths = scope(snap, partition, file_predicate)
@@ -239,7 +239,7 @@ class _LazySearch:
             # traces ``merge_parallel``: independent index files (and
             # uncovered data files) are modeled as queried in parallel,
             # which is what a fleet of stateless searchers does.
-            width, run = 1, partial(run_inline, self.store)
+            width, run = 1, run_inline
             compose = RequestTrace.merge_parallel
         else:
             # Only ``pool.workers`` requests can be outstanding at
@@ -333,7 +333,7 @@ class _LazySearch:
                         claimed.append(entry)
             # Page reads depend on this record's probe — and only on
             # it, not on every other record's.
-            store.barrier()
+            barrier()
             return claimed, *self._read_pages(claimed)
 
         probed_files: set[str] = set()

@@ -14,6 +14,7 @@ from repro.formats.parquet import MAGIC, ColumnChunkMeta, FileMetadata, parse_fo
 from repro.formats.pages import decode_page
 from repro.formats.schema import Field
 from repro.storage.object_store import ObjectStore
+from repro.storage.stats import barrier
 
 #: Suffix readers speculatively fetch hoping it contains the footer.
 FOOTER_SPECULATIVE_BYTES = 64 * 1024
@@ -45,7 +46,7 @@ class ParquetFile:
             footer = tail[-frame:-8]
         else:
             # Footer did not fit in the speculative read; fetch exactly.
-            self.store.barrier()
+            barrier()
             footer = self.store.get(self.key, (self._size - frame, footer_len))
         return parse_footer(footer)
 

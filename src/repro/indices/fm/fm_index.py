@@ -63,6 +63,7 @@ from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.formats import compression
 from repro.indices.base import ExactQuerier, IndexBuilder, paired
 from repro.indices.fm.bwt import bwt_from_sa, invert_bwt, suffix_array
+from repro.storage.stats import barrier
 from repro.util.binio import BinaryReader, BinaryWriter
 from repro.util.varint import decode_uvarints, encode_uvarints
 
@@ -495,7 +496,7 @@ class FmQuerier(ExactQuerier):
         c = self.c_array
         lo, hi = 0, self.n
         for char in reversed(needle):
-            self.reader.barrier()  # each extension depends on the last
+            barrier()  # each extension depends on the last
             self._prefetch_blocks(
                 [max(0, (p - 1)) // self.block_size for p in (lo, hi) if p > 0]
             )
@@ -522,7 +523,7 @@ class FmQuerier(ExactQuerier):
         lo, hi = self.interval(_as_bytes(query))
         if lo >= hi:
             return []
-        self.reader.barrier()
+        barrier()
         if self.reader.params.get("has_pagemap", True):
             return self._pages_from_pagemap(lo, hi, limit)
         return self._pages_from_walks(lo, hi, limit)
@@ -586,7 +587,7 @@ class FmQuerier(ExactQuerier):
             b, local = divmod(j, self.block_size)
             s, offset = divmod(local, self.stride)
             char = self._sub_chars(b, s)[offset]
-            self.reader.barrier()
+            barrier()
             j = int(self.c_array[char]) + self._occ(char, j)
             steps += 1
 

@@ -45,6 +45,7 @@ from repro.errors import RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.indices.base import ExactQuerier, IndexBuilder, paired
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
+from repro.storage.stats import barrier
 from repro.util.binio import BinaryReader, BinaryWriter
 from repro.util.varint import decode_uvarints
 
@@ -223,7 +224,7 @@ class UuidTrieQuerier(ExactQuerier):
             skip, start = 0, int(lengths[:bucket][same_leaf].sum())
         if count == 0:
             return []
-        self.reader.barrier()  # leaf fetch depends on the LUT
+        barrier()  # leaf fetch depends on the LUT
         blob = BinaryReader(self.reader.component(f"leaf{leaf_id}"), start)
         for _ in range(skip):
             _read_entry(blob)  # legacy only: entries of earlier buckets

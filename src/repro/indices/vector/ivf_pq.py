@@ -45,6 +45,7 @@ from repro.indices.vector.pq import (
     adc_tables,
     sub_major_codebooks,
 )
+from repro.storage.stats import barrier
 from repro.util.binio import BinaryReader, BinaryWriter
 
 TYPE_NAME = "ivf_pq"
@@ -341,7 +342,7 @@ class IvfPqQuerier(ScoringQuerier):
         dists = squared_distances(vector.reshape(1, -1), centroids).ravel()
         probe = np.argsort(dists)[:nprobe]
         self.last_probed_cells = tuple(int(c) for c in probe)
-        self.reader.barrier()  # list fetches depend on centroid ranking
+        barrier()  # list fetches depend on centroid ranking
         m = self.m
 
         def inverted_list(blob: bytes):

@@ -36,6 +36,7 @@ from repro.errors import (
     SnapshotNotFound,
 )
 from repro.storage.object_store import ObjectStore
+from repro.storage.stats import barrier
 
 VERSION_DIGITS = 20
 DEFAULT_CHECKPOINT_INTERVAL = 10
@@ -191,7 +192,7 @@ class TransactionLog:
         if hinted is not None:
             return hinted
         latest, checkpoints = self.versions()
-        self.store.barrier()  # what to read next depends on the listing
+        barrier()  # what to read next depends on the listing
         version = latest if version is None else version
         if not -1 <= version <= latest:
             raise SnapshotNotFound(
@@ -203,7 +204,7 @@ class TransactionLog:
     def _through_hint(self, version: int | None, fold: bool):
         """:meth:`_discover` through the hint, or None to fall back."""
         hint = self.hint()
-        self.store.barrier()  # every other read depends on the hint
+        barrier()  # every other read depends on the hint
         if hint is None:
             return None
         tip, base = hint

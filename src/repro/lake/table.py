@@ -26,6 +26,7 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.queries import Query, may_hold
 from repro.errors import CommitConflict, LakeError, ObjectStoreError, SnapshotNotFound
@@ -47,6 +48,7 @@ from repro.lake.deletion import DeletionVector
 from repro.lake.log import LogFormat, TransactionLog, json_bytes, json_value
 from repro.lake.snapshot import Snapshot, replay
 from repro.storage.object_store import ObjectStore
+from repro.storage.stats import barrier
 
 DATA_DIR = "data"
 DELETES_DIR = "deletes"
@@ -108,6 +110,7 @@ class LakeTable:
             raise LakeError(f"table already exists at {root!r}")
         table.log.try_commit(0, [SetSchema(schema=schema)])
         table.log.write_hint(0, -1)
+        table.schema = schema
         return table
 
     @classmethod
@@ -129,9 +132,10 @@ class LakeTable:
         tail."""
         return self.log.state(version)
 
-    @property
+    @cached_property
     def schema(self) -> Schema:
-        # Set once, by version 0: no discovery needed.
+        """The table's schema: set once, by version 0, so it is read
+        once per table (and never by :meth:`create`, which wrote it)."""
         return replay(0, [self.log.read_version(0)]).schema
 
     def files_since(self, version: int) -> set[str]:
@@ -457,7 +461,7 @@ def live_rows(
     for rg_index, rg in enumerate(metadata.row_groups):
         if stats[rg_index] and not may_hold(query, *stats[rg_index]):
             continue
-        store.barrier()
+        barrier()
         values = reader.read_column_chunk(rg_index, column)
         for row, value in enumerate(values, rg.first_row):
             if row not in dv:

@@ -121,7 +121,6 @@ class MaintenancePipeline:
         self.workers = workers
         self.budget = budget
         self._pool = TracedPool(
-            client.store,
             workers=workers,
             thread_name_prefix="maintainer",
             span_name="maintainer:task",
@@ -219,7 +218,7 @@ class MaintenancePipeline:
         verb run: it moves ``maintain.plan.cost_usd`` and ``maintain.plan.modeled_s``,
         and no ``maintain.{op}.runs`` series.
         """
-        with phase(self.client.store, "maintain.plan", "plan") as root:
+        with phase("maintain.plan", "plan") as root:
             planned = step()
         self._bill("plan", root)
         return planned

@@ -460,13 +460,3 @@ class CachingObjectStore(ObjectStore):
 
     def list(self, prefix: str = "") -> list[ObjectInfo]:
         return self.inner.list(prefix)
-
-    # -- tracing delegates to the inner store --------------------------
-    def start_trace(self):
-        return self.inner.start_trace()
-
-    def stop_trace(self):
-        return self.inner.stop_trace()
-
-    def barrier(self) -> None:
-        self.inner.barrier()

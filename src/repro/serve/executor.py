@@ -49,7 +49,6 @@ class SearchExecutor:
         # in-flight tasks across everything holding it — the signal
         # that lets maintenance overlap serving without starving it.
         self._pool = TracedPool(
-            client.store,
             workers=max_searchers,
             thread_name_prefix="searcher",
             span_name="searcher:task",

@@ -44,6 +44,7 @@ from repro.serve.executor import SearchExecutor
 from repro.serve.singleflight import SingleFlight
 from repro.storage.latency import LatencyModel
 from repro.storage.object_store import ObjectStore
+from repro.storage.pool import Run
 from repro.tco.throughput import ThroughputModel
 
 
@@ -302,14 +303,17 @@ class SearchServer:
             )
             # Only the flight leader executes, so only it holds the
             # finished span tree (and therefore the attribution bill)
-            # and only it is billed the flight's requests; shared
-            # callers record a latency observation and nothing else —
-            # costs were incurred exactly once.
-            flight = {"root": None}
+            # and only it is billed the flight's requests — those of
+            # every attempt, so a degraded query's failed first attempt
+            # counts too; shared callers record a latency observation
+            # and nothing else — costs were incurred exactly once.
+            flight = {"root": None, "run": None}
 
             def execute() -> SearchResult:
-                with get_tracer().span("serve.query", column=column, k=k) as root:
-                    flight["root"] = root
+                with Run() as run, get_tracer().span(
+                    "serve.query", column=column, k=k
+                ) as root:
+                    flight["root"], flight["run"] = root, run
                     try:
                         return self.executor.search(
                             column,
@@ -350,7 +354,7 @@ class SearchServer:
                 if shared:
                     self.stats.deduplicated += 1
                 else:
-                    self.stats.total_requests += result.stats.trace.total_requests
+                    self.stats.total_requests += flight["run"].trace.total_requests
                 self.stats.observe_latency(modeled_s)
                 self.stats.fresh_matches += fresh_matches
             self._record_telemetry(

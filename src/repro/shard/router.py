@@ -37,7 +37,6 @@ from repro.obs.trace import get_tracer
 from repro.shard.hedge import HedgePolicy
 from repro.shard.plan import ShardDeployment, ShardGroup, ShardReplica
 from repro.storage.costs import CostModel
-from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.pool import IOBudget, TracedPool
 from repro.storage.stats import IOStats
 
@@ -164,12 +163,9 @@ class QueryRouter:
         self.prune = prune
         self.on_shard_failure = on_shard_failure
         self.fanout = fanout or max(1, deployment.n_shards)
-        # The pool needs a store of its own for wave bookkeeping: shard
-        # traces are recorded inside each replica's server (through its
-        # caching store), so tracing the pool on a shard store would
-        # collide with the server's own start/stop on the same thread.
+        # Shard requests are recorded inside each replica's server,
+        # whose traces nest inside the pool task's on the same thread.
         self._pool = TracedPool(
-            InMemoryObjectStore(clock=deployment.clock),
             workers=self.fanout,
             thread_name_prefix="router",
             span_name="router:shard",

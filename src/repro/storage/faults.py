@@ -263,16 +263,3 @@ class FaultyObjectStore(ObjectStore):
         self._check_before("DELETE", key)
         self.inner.delete(key)
         self._check_after("DELETE", key)
-
-    # -- tracing is delegated so index code sees one trace ------------
-    def start_trace(self):
-        """Delegate trace start to the inner store."""
-        return self.inner.start_trace()
-
-    def stop_trace(self):
-        """Delegate trace stop to the inner store."""
-        return self.inner.stop_trace()
-
-    def barrier(self) -> None:
-        """Delegate the trace barrier to the inner store."""
-        self.inner.barrier()

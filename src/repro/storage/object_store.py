@@ -15,6 +15,11 @@ protocol assumes (paper §III, §IV):
 There is deliberately *no* atomic rename: the paper's protocol is
 designed to work without one (unlike Hyperspace), and this store keeps
 that constraint honest.
+
+A store counts every request it serves in its own :class:`IOStats`;
+the dependency structure of a request (which round it joins) belongs
+to the calling thread's open trace (:mod:`repro.storage.stats`), so
+stores and their wrappers hold no trace state.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable, TypeVar
 
 from repro.errors import InvalidByteRange, ObjectNotFound, PreconditionFailed
 from repro.obs.timeseries import get_hub
-from repro.storage.stats import IOStats, Request, RequestTrace
+from repro.storage.stats import IOStats, Request, _open
 from repro.util.clock import Clock, SimClock
 
 T = TypeVar("T")
@@ -44,55 +49,26 @@ class ObjectInfo:
 class ObjectStore(ABC):
     """Interface all stores implement.
 
-    Concrete stores call :meth:`_record` on every operation so IO stats
-    and request traces are maintained uniformly.
+    Concrete stores call :meth:`_record` on every operation: it counts
+    the request in this store's :class:`IOStats` and adds it to the
+    calling thread's open request trace
+    (:func:`repro.storage.stats.tracing`). Wrappers (faults, retries,
+    caching) forward operations to their inner store and keep no trace
+    state of their own.
     """
 
     def __init__(self, clock: Clock | None = None) -> None:
         """Bind a clock (``SimClock`` default) and fresh IO accounting."""
         self.clock: Clock = clock if clock is not None else SimClock()
         self.stats = IOStats()
-        self._trace_tls = threading.local()
         self._lock = threading.RLock()
-
-    # -- tracing -----------------------------------------------------
-    # Traces are *per thread*: each worker of the serve executor records
-    # its own dependency structure, and the executor merges the worker
-    # traces with ``merge_parallel`` — concurrent searches through one
-    # store never interleave their rounds.
-    @property
-    def _trace(self) -> RequestTrace | None:
-        return getattr(self._trace_tls, "trace", None)
-
-    @_trace.setter
-    def _trace(self, value: RequestTrace | None) -> None:
-        self._trace_tls.trace = value
-
-    def start_trace(self) -> RequestTrace:
-        """Begin recording a dependency trace on the calling thread;
-        returns the live trace."""
-        self._trace = RequestTrace()
-        return self._trace
-
-    def stop_trace(self) -> RequestTrace:
-        """Stop recording on the calling thread; returns the trace."""
-        if self._trace is None:
-            raise RuntimeError("no trace in progress")
-        trace, self._trace = self._trace, None
-        return trace
-
-    def barrier(self) -> None:
-        """Mark a dependency point in the current trace (no-op if none)."""
-        trace = self._trace
-        if trace is not None:
-            trace.barrier()
 
     def _record(self, op: str, key: str, nbytes: int) -> None:
         request = Request(op=op, key=key, nbytes=nbytes)
         self.stats.record(request)
-        trace = self._trace
-        if trace is not None:
-            trace.record(request)
+        traces = _open.traces
+        if traces:
+            traces[-1].record(request)
         hub, at_s = get_hub(), self.clock.now()
         hub.series("store_requests_total", op=op).observe(at_s=at_s)
         if nbytes and op in ("GET", "PUT"):
@@ -264,7 +240,7 @@ class InMemoryObjectStore(ObjectStore):
 
         The clone gets its own :class:`SimClock` frozen at this store's
         current time (a shared clock otherwise lets one timeline's
-        advances leak into another), its own stats, and no traces. The
+        advances leak into another) and its own stats. The
         chaos harness uses clones to replay one maintenance run many
         times, crashing it at a different mutation boundary each time.
         """

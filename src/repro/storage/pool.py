@@ -3,9 +3,11 @@
 :class:`TracedPool` generalizes the fan-out machinery that
 :class:`~repro.serve.executor.SearchExecutor` pioneered for queries so
 the maintenance write path (:mod:`repro.maintain`) can reuse it
-verbatim: tasks run in waves of ``workers``; each worker records its
-own per-thread :class:`~repro.storage.stats.RequestTrace`; traces
-within a wave merge with ``merge_parallel`` (they really were in
+verbatim: tasks run in waves of ``workers``; each task records into
+its own trace, opened on the worker thread with
+:func:`~repro.storage.stats.tracing` (a worker never sees the
+submitter's requests, nor the submitter a worker's); traces within a
+wave merge with ``merge_parallel`` (they really were in
 flight together), waves compose sequentially with ``then`` (only
 ``workers`` requests can be outstanding at once). Payloads come back
 in task order regardless of completion order — determinism of results
@@ -23,7 +25,9 @@ from its phases. :class:`Run` opens one on the calling thread;
 :func:`end_phase` hangs each finished phase trace on its span (for
 attribution) and composes it into the open run in finish order, and
 :meth:`TracedPool.run` counts its tasks there. The run's trace needs no
-span tree, so it is the same whether the tracer is on or off.
+span tree, so it is the same whether the tracer is on or off. A run
+records nothing itself: the requests are recorded by the phases'
+traces, and a run only composes them.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from typing import Callable, Iterator, TypeVar
 from repro.errors import RottnestIndexError
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
-from repro.storage.object_store import ObjectStore
-from repro.storage.stats import RequestTrace
+from repro.storage.stats import RequestTrace, _open, tracing
 
 T = TypeVar("T")
 
@@ -57,12 +60,12 @@ class Run:
 
     def __enter__(self) -> "Run":
         """Open the run on the calling thread."""
-        _runs.stack.append(self)
+        _open.runs.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
         """Close the run; an outer run takes its trace and tasks."""
-        stack = _runs.stack
+        stack = _open.runs
         stack.pop()
         if stack:
             outer = stack[-1]
@@ -70,20 +73,11 @@ class Run:
             outer.tasks += self.tasks
 
 
-class _Runs(threading.local):
-    def __init__(self) -> None:
-        """Each thread starts with no open run."""
-        self.stack: list[Run] = []
-
-
-_runs = _Runs()
-
-
 def end_phase(span: Span, trace: RequestTrace) -> None:
     """A phase finished: ``trace`` becomes its span's (for attribution)
     and runs after everything the open run holds so far."""
     span.trace = trace
-    stack = _runs.stack
+    stack = _open.runs
     if stack:
         stack[-1].trace = stack[-1].trace.then(trace)
 
@@ -139,7 +133,6 @@ class IOBudget:
 
 
 def run_inline(
-    store: ObjectStore,
     tasks: list[Callable[[], T]],
     *,
     compose: Callable[[RequestTrace, RequestTrace], RequestTrace] = RequestTrace.then,
@@ -155,28 +148,23 @@ def run_inline(
     combined = RequestTrace()
     payloads: list[T] = []
     for fn in tasks:
-        store.start_trace()
-        try:
+        with tracing() as trace:
             payloads.append(fn())
-        finally:
-            combined = compose(combined, store.stop_trace())
+        combined = compose(combined, trace)
     return combined, payloads
 
 
 @contextmanager
-def phase(
-    store: ObjectStore, name: str, tag: str, **attributes: object
-) -> Iterator[Span]:
+def phase(name: str, tag: str, **attributes: object) -> Iterator[Span]:
     """A span tagged ``phase=tag`` that owns the calling thread's
     request trace — how sequential round trips (planning reads,
     commits) get attributed: every request inside lands in exactly one
     phase's trace, so bills add up to the ``IOStats`` delta."""
-    with get_tracer().span(name, phase=tag, **attributes) as span:
-        store.start_trace()
+    with get_tracer().span(name, phase=tag, **attributes) as span, tracing() as trace:
         try:
             yield span
         finally:
-            end_phase(span, store.stop_trace())
+            end_phase(span, trace)
 
 
 class TracedPool:
@@ -187,14 +175,13 @@ class TracedPool:
 
     def __init__(
         self,
-        store: ObjectStore,
         *,
         workers: int = 4,
         thread_name_prefix: str = "worker",
         span_name: str = "worker:task",
         budget: IOBudget | None = None,
     ) -> None:
-        """Create a pool of ``workers`` threads over ``store``.
+        """Create a pool of ``workers`` threads.
 
         ``budget`` (optional) wraps every task in a shared
         :meth:`IOBudget.slot` so several pools can cap their combined
@@ -202,7 +189,6 @@ class TracedPool:
         """
         if workers < 1:
             raise RottnestIndexError(f"workers must be >= 1, got {workers}")
-        self.store = store
         self.workers = workers
         self.span_name = span_name
         self.budget = budget
@@ -227,15 +213,14 @@ class TracedPool:
     def _traced(
         self, fn: Callable[[], T], parent: Span | None, span_name: str
     ) -> Callable[[], tuple[RequestTrace, T]]:
-        """Wrap a task so it records store requests into its own
-        per-thread trace and returns ``(trace, payload)``.
+        """Wrap a task so it records store requests into its own trace
+        and returns ``(trace, payload)``.
 
         ``parent`` is the submitting thread's current span: the worker
         re-attaches it so its task span (which keeps the task's trace)
         lands under the right root even though it runs on a pool
         thread.
         """
-        store = self.store
         budget = self.budget
 
         def run() -> tuple[RequestTrace, T]:
@@ -243,11 +228,8 @@ class TracedPool:
             tracer = get_tracer()
             with tracer.attach(parent), tracer.span(span_name) as task_span:
                 with budget.slot() if budget is not None else nullcontext():
-                    store.start_trace()
-                    try:
+                    with tracing() as trace:
                         payload = fn()
-                    finally:
-                        trace = store.stop_trace()
                 # Per-task trace for the timeline; the *phase* span
                 # owns the merged wave trace, so attribution counts each
                 # request once (task spans carry no ``phase`` attr).
@@ -271,7 +253,7 @@ class TracedPool:
         """
         name = span_name or self.span_name
         parent = get_tracer().current()
-        stack = _runs.stack
+        stack = _open.runs
         combined = RequestTrace()
         payloads: list[T] = []
         width = self.workers

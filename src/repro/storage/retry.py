@@ -136,16 +136,3 @@ class RetryingObjectStore(ObjectStore):
     def delete(self, key: str) -> None:
         """DELETE with retries (idempotent: missing keys are no-ops)."""
         return self._retrying(self.inner.delete, key)
-
-    # -- tracing delegates to the inner store --------------------------
-    def start_trace(self):
-        """Delegate trace start to the inner store."""
-        return self.inner.start_trace()
-
-    def stop_trace(self):
-        """Delegate trace stop to the inner store."""
-        return self.inner.stop_trace()
-
-    def barrier(self) -> None:
-        """Delegate the trace barrier to the inner store."""
-        self.inner.barrier()

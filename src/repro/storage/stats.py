@@ -2,13 +2,19 @@
 
 Every store operation is recorded twice:
 
-* into cumulative :class:`IOStats` counters (cheap, always on), used by
-  the cost model to price a workload run; and
-* optionally into a :class:`RequestTrace`, which additionally preserves
-  the *dependency structure* of requests (which requests were issued in
+* into its store's cumulative :class:`IOStats` counters (cheap, always
+  on), used by the cost model to price a workload run; and
+* into the calling thread's innermost open :class:`RequestTrace`, if
+  one is open (:func:`tracing`), which additionally preserves the
+  *dependency structure* of requests (which requests were issued in
   parallel vs. sequentially). The latency model turns a trace into an
   estimated wall-clock latency, reproducing the paper's width-vs-depth
   analysis of object storage access (Section V-B).
+
+Where a request lands is the thread's business, not the store's: every
+store and wrapper a thread calls records into that thread's trace, and
+a pool worker records into its own. :func:`barrier` marks a dependency
+point there — the next request needs data a previous one returned.
 
 A trace is the one record of its requests: every count or dollar
 figure taken from one is an :class:`IOStats` folded from it
@@ -18,7 +24,9 @@ figure taken from one is an :class:`IOStats` folded from it
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -130,13 +138,14 @@ class RequestTrace:
 
     Requests inside one round are independent and issued in parallel;
     round ``i + 1`` depends on the results of round ``i``. Code under a
-    trace calls :meth:`barrier` whenever its next request needs data from
-    a previous one — e.g. descending one componentized trie level.
+    trace calls the module's :func:`barrier` whenever its next request
+    needs data from a previous one — e.g. descending one componentized
+    trie level.
 
     :meth:`record` and :meth:`barrier` are thread-safe so a trace can be
-    fed from the serve executor's worker pool; the usual pattern is
-    still one trace per worker thread, merged with
-    :meth:`merge_parallel` afterwards.
+    fed from several threads; the usual pattern is still one trace per
+    pool task, opened on its worker thread with :func:`tracing` and
+    merged with :meth:`merge_parallel` afterwards.
     """
 
     def __init__(self) -> None:
@@ -199,3 +208,39 @@ class RequestTrace:
         if not merged.rounds:
             merged.rounds = [[]]
         return merged
+
+
+class _Open(threading.local):
+    """What the calling thread has open, innermost last: its request
+    traces (:func:`tracing`) and its runs
+    (:class:`repro.storage.pool.Run`)."""
+
+    def __init__(self) -> None:
+        """Each thread starts with nothing open."""
+        self.traces: list[RequestTrace] = []
+        self.runs: list = []
+
+
+_open = _Open()
+
+
+@contextmanager
+def tracing() -> Iterator[RequestTrace]:
+    """Record the calling thread's requests into a fresh trace for the
+    block. The innermost open trace takes each request; an outer one
+    resumes when the inner closes and never sees the inner's requests."""
+    trace = RequestTrace()
+    traces = _open.traces
+    traces.append(trace)
+    try:
+        yield trace
+    finally:
+        traces.pop()
+
+
+def barrier() -> None:
+    """Mark a dependency point in the calling thread's open trace: what
+    comes next needs data already fetched (no-op with no trace open)."""
+    traces = _open.traces
+    if traces:
+        traces[-1].barrier()

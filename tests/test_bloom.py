@@ -13,6 +13,7 @@ from repro.core.queries import UuidQuery
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.bloom import BloomBuilder, BloomQuerier, PageBloom
 from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.stats import tracing
 from repro.util.binio import BinaryReader, BinaryWriter
 
 from tests.conftest import event_uuid
@@ -106,9 +107,8 @@ class TestBloomBuilder:
         builder = BloomBuilder.build(pages)
         store, _ = store_bloom(builder, 20, component_target_bytes=4096)
         q = BloomQuerier(IndexFileReader.open(store, "b.index"))
-        store.start_trace()
-        q.candidate_pages(key_of(5))
-        trace = store.stop_trace()
+        with tracing() as trace:
+            q.candidate_pages(key_of(5))
         assert trace.depth <= 1  # all components in one round
 
     def test_load_roundtrip(self):

@@ -154,7 +154,7 @@ def test_parallel_maintenance_is_byte_identical_to_serial(data):
     serial = base.clone()
     parallel = base.clone()
     _maintain_history(serial, None, batches)
-    with TracedPool(parallel, workers=workers) as pool:
+    with TracedPool(workers=workers) as pool:
         _maintain_history(parallel, pool, batches)
 
     # Byte-identical objects at identical keys (checkpoints excluded).

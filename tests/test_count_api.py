@@ -8,6 +8,7 @@ from repro.errors import RottnestIndexError
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.lake.table import LakeTable, TableConfig
 from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.stats import tracing
 from repro.util.clock import SimClock
 from repro.workloads.text import TextWorkload
 
@@ -56,9 +57,8 @@ class TestCountApi:
         """Covered files contribute counts from the index alone."""
         store, lake, client, docs, _ = corpus_client
         data_paths = set(lake.snapshot().file_paths)
-        trace = store.start_trace()
-        client.count("text", SubstringQuery("a"))
-        store.stop_trace()
+        with tracing() as trace:
+            client.count("text", SubstringQuery("a"))
         touched = {
             req.key for round_ in trace.rounds for req in round_
             if req.op == "GET"

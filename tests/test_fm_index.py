@@ -12,6 +12,7 @@ from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirector
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.fm.fm_index import FmBuilder, FmQuerier, page_text
 from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.stats import tracing
 from repro.workloads.text import TextWorkload
 
 
@@ -229,9 +230,8 @@ class TestAccessPattern:
         store, q = store_fm(builder, 4, rows_per_page=600)
         assert store.head("i.index").size > 400 * 1024  # misses the tail cache
         needle = big_pages[0][1][0][:8]  # present pattern, 8 chars
-        store.start_trace()
-        assert q.count(needle) > 0
-        trace = store.stop_trace()
+        with tracing() as trace:
+            assert q.count(needle) > 0
         # Dependent rounds bounded by pattern length (+1 for the page
         # map); cached blocks can collapse rounds below that.
         assert 1 <= trace.depth <= len(needle) + 1

@@ -225,6 +225,26 @@ class TestMemtable:
         assert 0 < long < 3 * short, (short, long)
 
 
+class TestWriteRequests:
+    def test_the_schema_is_read_once_per_table(self):
+        """Log version 0 holds the schema and never changes, so an
+        opened table reads it once: an ack is then its one WAL PUT, and
+        an append finds the log tip (2 GETs) beside its 3 PUTs."""
+        store, lake, _, _ = _setup()
+        lake = LakeTable.open(store, LAKE_ROOT, lake.config)
+        tier = IngestTier(store, INGEST_ROOT, lake)
+        for seed in (7, 8):
+            before = store.stats.snapshot()
+            tier.ingest(event_batch(8, seed=seed))
+            ack = store.stats.snapshot().delta(before)
+            assert (ack.gets, ack.puts, ack.total_requests) == (0, 1, 1)
+        for seed in (9, 10):
+            before = store.stats.snapshot()
+            lake.append(event_batch(8, seed=seed))
+            append = store.stats.snapshot().delta(before)
+            assert (append.gets, append.puts, append.total_requests) == (2, 3, 5)
+
+
 # ---------------------------------------------------------------------
 # the ack contract: acked == searchable, before any maintenance
 # ---------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.lake.log import LogFormat, TransactionLog
 from repro.lake.table import LAKE_LOG
 from repro.meta.metadata_table import META_LOG, IndexRecord
 from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.stats import tracing
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,9 @@ def test_checkpoint_exactly_at_interval(config):
     assert log.versions() == (3, [3])
     # Reading the tip now costs the hint GET, then the checkpoint GET
     # and no log GETs (the probe of version 4 finds nothing, unbilled).
-    log.store.start_trace()
-    state = log.state()
-    assert _rounds(log.store.stop_trace()) == [
+    with tracing() as trace:
+        state = log.state()
+    assert _rounds(trace) == [
         [("GET", log.hint_key)],
         [("GET", f"{config.root}/{config.fmt.checkpoint_dir}/{3:020d}.json")],
     ]
@@ -198,11 +199,8 @@ def _history(config: Config, interval: int = 3, commits: int = 7) -> Transaction
 
 def _read(log: TransactionLog, fn):
     """``(fn(), LISTs it sent)``."""
-    log.store.start_trace()
-    try:
+    with tracing() as trace:
         value = fn()
-    finally:
-        trace = log.store.stop_trace()
     return value, sum(op == "LIST" for round_ in _rounds(trace) for op, _ in round_)
 
 

@@ -27,6 +27,7 @@ from repro.lake.log import HINT_NAME
 from repro.lake.table import LakeTable, TableConfig
 from repro.meta.metadata_table import IndexRecord, MetadataTable
 from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.stats import tracing
 from repro.util.clock import SimClock
 
 SCHEMA = Schema.of(Field("id", ColumnType.INT64), Field("uuid", ColumnType.BINARY))
@@ -109,12 +110,9 @@ def _log_digests(store: InMemoryObjectStore) -> dict[str, str]:
     }
 
 
-def _requests(store: InMemoryObjectStore, read) -> list[list[tuple[str, str]]]:
-    store.start_trace()
-    try:
+def _requests(read) -> list[list[tuple[str, str]]]:
+    with tracing() as trace:
         read()
-    finally:
-        trace = store.stop_trace()
     return [[(r.op, r.key) for r in round_] for round_ in trace.rounds if round_]
 
 
@@ -261,7 +259,7 @@ META_HINT = ("GET", f"idx/r/_meta/{HINT_NAME}")
 def test_snapshot_without_checkpoint_requests():
     store = InMemoryObjectStore()
     lake = _lake(store, interval=10, appends=3)
-    assert _requests(store, lake.snapshot) == [
+    assert _requests(lake.snapshot) == [
         [LAKE_HINT],
         [("GET", f"lake/r/_log/{_v(v)}") for v in range(4)],
     ]
@@ -270,7 +268,7 @@ def test_snapshot_without_checkpoint_requests():
 def test_snapshot_from_checkpoint_requests():
     store = InMemoryObjectStore()
     lake = _lake(store, interval=3, appends=7)  # checkpoints at 2 and 5
-    assert _requests(store, lake.snapshot) == [
+    assert _requests(lake.snapshot) == [
         [LAKE_HINT],
         [("GET", f"lake/r/_checkpoints/{_v(5)}")]
         + [("GET", f"lake/r/_log/{_v(v)}") for v in (6, 7)],
@@ -282,19 +280,19 @@ def test_time_travel_requests():
     lake = _lake(store, interval=3, appends=7)
     # Before the hinted checkpoint (5): the hint cannot serve it, so
     # the LIST finds the older checkpoint, then the reads follow.
-    assert _requests(store, lambda: lake.snapshot(1)) == [
+    assert _requests(lambda: lake.snapshot(1)) == [
         [LAKE_HINT],
         [("LIST", "lake/r/_")],
         [("GET", f"lake/r/_log/{_v(v)}") for v in (0, 1)],
     ]
-    assert _requests(store, lambda: lake.snapshot(4)) == [
+    assert _requests(lambda: lake.snapshot(4)) == [
         [LAKE_HINT],
         [("LIST", "lake/r/_")],
         [("GET", f"lake/r/_checkpoints/{_v(2)}")]
         + [("GET", f"lake/r/_log/{_v(v)}") for v in (3, 4)],
     ]
     # Between the hinted checkpoint and the tip: no LIST, no probe.
-    assert _requests(store, lambda: lake.snapshot(6)) == [
+    assert _requests(lambda: lake.snapshot(6)) == [
         [LAKE_HINT],
         [("GET", f"lake/r/_checkpoints/{_v(5)}"), ("GET", f"lake/r/_log/{_v(6)}")],
     ]
@@ -303,13 +301,13 @@ def test_time_travel_requests():
 def test_records_requests():
     store = InMemoryObjectStore()
     without = _meta(store, interval=10, inserts=3)
-    assert _requests(store, without.records) == [
+    assert _requests(without.records) == [
         [META_HINT],
         [("GET", f"idx/r/_meta/{_v(v)}") for v in range(4)],
     ]
     store = InMemoryObjectStore()
     with_checkpoint = _meta(store, interval=3, inserts=6)  # checkpoint at 5
-    assert _requests(store, with_checkpoint.records) == [
+    assert _requests(with_checkpoint.records) == [
         [META_HINT],
         [("GET", f"idx/r/_meta_checkpoints/{_v(5)}"), ("GET", f"idx/r/_meta/{_v(6)}")],
     ]

@@ -441,7 +441,7 @@ class TestIOBudget:
                 active -= 1
 
         pools = [
-            TracedPool(store, workers=4, budget=budget) for _ in range(2)
+            TracedPool(workers=4, budget=budget) for _ in range(2)
         ]
         try:
             threads = [
@@ -606,6 +606,5 @@ class TestMergeStreaming:
 
 class TestTracedPoolValidation:
     def test_rejects_non_positive_workers(self):
-        store = InMemoryObjectStore(clock=SimClock(start=0.0))
         with pytest.raises(RottnestIndexError):
-            TracedPool(store, workers=0)
+            TracedPool(workers=0)

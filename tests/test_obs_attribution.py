@@ -183,7 +183,7 @@ class TestBillShape:
         store.put("k", b"payload")
         tracer = Tracer()
         before = store.stats.snapshot()
-        with use_tracer(tracer), phase(store, "plan", "plan") as root:
+        with use_tracer(tracer), phase("plan", "plan") as root:
             store.head("k")
         delta = store.stats.snapshot().delta(before)
         bill = attribute(root, latency=LAT, costs=COSTS)

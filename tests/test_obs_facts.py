@@ -131,13 +131,17 @@ class TestServedQueries:
         )
         with use_hub(TelemetryHub()) as hub, SearchServer(client) as server:
             faulty.fail_next("GET", key_substring=f"{client.index_dir}/files")
+            before = faulty.stats.snapshot()
             result = server.query("uuid", UuidQuery(event_uuid(1, 5)))
+            delta = faulty.stats.snapshot().delta(before)
         assert result.degraded and len(result.matches) == 1
         assert hub.series("serve.degraded").total() == server.stats.degraded == 1
         assert hub.series("serve.queries").total() == 1
         assert hub.quantiles("serve.latency_s").count() == 1
         # Only the brute-force retry finished a search.
         assert _total(hub, "searches_total", kind="exact") == 1
+        # ...but the failed first attempt's requests count too.
+        assert server.stats.total_requests == delta.total_requests
 
     def test_shed_query_is_not_an_answered_query(self, indexed_client):
         with use_hub(TelemetryHub()) as hub, _serving_stack(

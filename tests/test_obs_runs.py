@@ -172,13 +172,13 @@ class TestRun:
         store.put("a", b"1")
         store.put("b", b"22")
         with use_tracer(Tracer(enabled=False)):
-            with phase(store, "outside", "plan"):  # no run open: no-op
+            with phase("outside", "plan"):  # no run open: no-op
                 store.get("a")
             with Run() as outer:
-                with phase(store, "first", "plan"):
+                with phase("first", "plan"):
                     store.get("a")
-                with Run() as inner, TracedPool(store, workers=2) as pool:
-                    with phase(store, "second", "plan"):
+                with Run() as inner, TracedPool(workers=2) as pool:
+                    with phase("second", "plan"):
                         store.get("b")
                     pool.run([lambda: store.get("a"), lambda: store.get("b")])
                 assert (_rounds(inner.trace), inner.tasks) == ([[("GET", 2)]], 2)

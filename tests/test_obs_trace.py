@@ -12,7 +12,7 @@ from repro.core.queries import UuidQuery
 from repro.obs.trace import Tracer, get_tracer, set_tracer, use_tracer
 from repro.serve.executor import SearchExecutor
 from repro.storage.object_store import InMemoryObjectStore
-from repro.storage.stats import Request, RequestTrace
+from repro.storage.stats import Request, RequestTrace, tracing
 from repro.util.clock import SimClock
 from tests.conftest import event_uuid
 
@@ -153,10 +153,9 @@ class TestCrossThreadPropagation:
 
             def worker(i: int) -> str:
                 with tracer.attach(parent):
-                    with tracer.span(f"task-{i}") as task:
-                        store.start_trace()
+                    with tracer.span(f"task-{i}") as task, tracing() as trace:
                         store.get(f"key-{i}")
-                        task.trace = store.stop_trace()
+                    task.trace = trace
                 return threading.current_thread().name
 
             with ThreadPoolExecutor(max_workers=4) as pool:

@@ -11,6 +11,7 @@ from repro.core.queries import RegexQuery, SubstringQuery, UuidQuery, VectorQuer
 from repro.errors import RottnestIndexError
 from repro.lake.table import LakeTable
 from repro.serve import SearchExecutor
+from repro.storage.stats import tracing
 
 from tests.conftest import EVENT_SCHEMA, event_batch, event_uuid
 
@@ -189,20 +190,19 @@ def test_traces_are_per_thread(store):
 
     store.put("main", b"m")
     store.put("worker", b"w")
-    store.start_trace()
-    store.get("main")
     seen = {}
 
     def worker():
-        store.start_trace()  # this thread's own trace
-        store.get("worker")
-        store.get("worker")
-        seen["trace"] = store.stop_trace()
+        with tracing() as trace:  # this thread's own trace
+            store.get("worker")
+            store.get("worker")
+        seen["trace"] = trace
 
-    t = threading.Thread(target=worker)
-    t.start()
-    t.join(timeout=5)
-    main_trace = store.stop_trace()
+    with tracing() as main_trace:
+        store.get("main")
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join(timeout=5)
     assert main_trace.total_requests == 1  # worker's GETs not mixed in
     assert seen["trace"].total_requests == 2
     # Cumulative IOStats counters still see every thread's requests.

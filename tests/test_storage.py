@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.storage.faults import FaultRule, FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
-from repro.storage.stats import IOStats, Request, RequestTrace
+from repro.storage.stats import IOStats, Request, RequestTrace, barrier, tracing
 from repro.util.clock import SimClock
 
 
@@ -158,29 +158,22 @@ class TestStatsAndHelpers:
 class TestTracing:
     def test_trace_records_rounds(self, store):
         store.put("a", b"xx")  # not traced
-        trace = store.start_trace()
-        store.get("a")
-        store.get("a")
-        store.barrier()
-        store.get("a")
-        done = store.stop_trace()
-        assert done is trace
+        with tracing() as done:
+            store.get("a")
+            store.get("a")
+            barrier()
+            store.get("a")
         assert done.depth == 2
         assert done.total_requests == 3
         assert done.total_bytes == 6
 
     def test_barrier_on_empty_round_is_noop(self, store):
-        trace = store.start_trace()
-        store.barrier()
-        store.barrier()
-        store.get_missing = None
-        store.put("a", b"x")
-        store.stop_trace()
+        with tracing() as trace:
+            barrier()
+            barrier()
+            store.get_missing = None
+            store.put("a", b"x")
         assert trace.depth == 1
-
-    def test_stop_without_start_raises(self, store):
-        with pytest.raises(RuntimeError):
-            store.stop_trace()
 
     def test_merge_parallel_aligns_rounds(self):
         t1 = RequestTrace()

@@ -13,6 +13,7 @@ from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
 from repro.indices.uuid_trie import UuidTrieBuilder, UuidTrieQuerier, _write_entry
 from repro.storage.object_store import InMemoryObjectStore
+from repro.storage.stats import tracing
 from repro.util.binio import BinaryWriter
 
 
@@ -180,9 +181,8 @@ class TestTrieSerialization:
         store, reader = store_index(builder, 4, component_target_bytes=2048)
         q = UuidTrieQuerier(reader)
         key = key_of(123)
-        trace = store.start_trace()
-        q.candidate_pages(key)
-        t = store.stop_trace()
+        with tracing() as t:
+            q.candidate_pages(key)
         # LUT rides in the tail; at most one leaf GET (zero if the whole
         # file fit in the tail, but 3000 keys exceed 256 KB? not always).
         assert t.total_requests <= 1
@@ -332,10 +332,9 @@ class TestLutLayouts:
         store, _ = store_index(builder, 4, write=write, component_target_bytes=2048)
         key = key_of(123)
         size = store.head("i.index").size
-        store.start_trace()
-        reader = IndexFileReader.open(store, "i.index", size=size)
-        assert UuidTrieQuerier(reader).candidate_pages(key) == [truth[key]]
-        trace = store.stop_trace()
+        with tracing() as trace:
+            reader = IndexFileReader.open(store, "i.index", size=size)
+            assert UuidTrieQuerier(reader).candidate_pages(key) == [truth[key]]
         leaf_sizes = {
             reader._reader.component_size(reader._names[name])
             for name in reader.component_names()

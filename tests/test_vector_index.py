@@ -27,6 +27,7 @@ from repro.indices.vector.pq import (
     adc_tables,
     sub_major_codebooks,
 )
+from repro.storage.stats import tracing
 from repro.workloads.vectors import VectorWorkload, exact_knn, recall_at_k
 
 #: The module, not the function the package re-exports under its name.
@@ -629,9 +630,8 @@ class TestIvfPq:
         _, store, _ = index
         querier = IvfPqQuerier(IndexFileReader.open(store, "v.index"))
         query = np.zeros(16, dtype=np.float32)
-        store.start_trace()
-        querier.candidates(query, nprobe=4, limit=10)
-        trace = store.stop_trace()
+        with tracing() as trace:
+            querier.candidates(query, nprobe=4, limit=10)
         # centroids (possibly tail-cached) then one parallel list round.
         assert trace.depth <= 2
 
