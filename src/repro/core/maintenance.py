@@ -55,7 +55,7 @@ from repro.lake.snapshot import Snapshot
 from repro.meta.metadata_table import IndexRecord
 from repro.obs.trace import get_tracer
 from repro.storage.object_store import ObjectStore
-from repro.storage.pool import TracedPool, end_phase, phase, run_inline
+from repro.storage.pool import TracedPool, phase, run_inline, run_phase
 from repro.storage.stats import barrier
 
 if TYPE_CHECKING:  # the client's ``index`` calls into this module
@@ -89,11 +89,8 @@ def _fan_out(
     on ``pool``. Returns the payloads in task order."""
     with get_tracer().span(name, phase=tag, **attributes) as span:
         if pool is None:
-            trace, payloads = run_inline(tasks)
-        else:
-            trace, payloads = pool.run(tasks, span_name=task_span)
-        end_phase(span, trace)
-    return payloads
+            return run_phase(span, run_inline, tasks)
+        return run_phase(span, pool.run, tasks, span_name=task_span)
 
 
 # ---------------------------------------------------------------------

@@ -49,7 +49,14 @@ from repro.lake.table import LakeTable, live_rows, unmaterialized
 from repro.meta.metadata_table import IndexRecord
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
-from repro.storage.pool import Run, TracedPool, end_phase, run_inline
+from repro.storage.pool import (
+    Run,
+    TracedPool,
+    end_phase,
+    run_inline,
+    run_phase,
+    spent,
+)
 from repro.storage.stats import RequestTrace, barrier
 
 def probe_fresh(
@@ -160,10 +167,9 @@ def run_search(
                 lambda: snapshot or client.lake.snapshot(),
                 client.meta.records if use_indices else lambda: [],
             ]
-            plan_trace, (snap, records) = run_inline(
-                reads, compose=RequestTrace.merge_parallel
+            snap, records = run_phase(
+                plan_span, run_inline, reads, compose=RequestTrace.merge_parallel
             )
-            end_phase(plan_span, plan_trace)
             paths = scope(snap, partition, file_predicate)
             chosen, uncovered = plan(records, column, query.index_types, paths)
         # One check for every path a vector query takes: index probe,
@@ -232,7 +238,8 @@ class _LazySearch:
         """Run ``tasks`` wave by wave as the phase ``span`` stands for,
         yielding payloads in submission order; no further wave is
         launched once :meth:`_enough`. The phase's trace runs after the
-        previous phase's (:func:`~repro.storage.pool.end_phase`)."""
+        previous phase's (:func:`~repro.storage.pool.end_phase`), also
+        when a wave raises."""
         pool = self.pool
         if pool is None:
             # Inline: no thread, no future, one task per wave — and the
@@ -250,7 +257,12 @@ class _LazySearch:
         for start in range(0, len(tasks), width):
             if self._enough():
                 break
-            wave_trace, payloads = run(tasks[start : start + width])
+            try:
+                wave_trace, payloads = run(tasks[start : start + width])
+            except BaseException as error:
+                # The failed wave's requests were made: bill them.
+                end_phase(span, compose(trace, spent(error)))
+                raise
             trace = compose(trace, wave_trace)
             yield from payloads
         end_phase(span, trace)

@@ -108,8 +108,8 @@ class LakeTable:
         table = cls(store, root, config)
         if table.log.latest_version() != -1:
             raise LakeError(f"table already exists at {root!r}")
-        table.log.try_commit(0, [SetSchema(schema=schema)])
-        table.log.write_hint(0, -1)
+        genesis = table.log.try_commit(0, [SetSchema(schema=schema)])
+        table.log.write_hint(0, -1, [genesis])
         table.schema = schema
         return table
 
@@ -139,17 +139,17 @@ class LakeTable:
         return replay(0, [self.log.read_version(0)]).schema
 
     def files_since(self, version: int) -> set[str]:
-        """Union of data-file paths over snapshots ``version..latest``.
+        """Union of data-file paths over snapshots ``version..latest``,
+        folded forward from one read of the log.
 
         This is the "supported snapshots" input to Rottnest's vacuum
         planner (paper §IV-C).
         """
-        latest = self.log.latest_version()
-        version = max(0, version)
-        paths: set[str] = set()
-        for v in range(version, latest + 1):
-            paths.update(self.snapshot(v).file_paths)
-        return paths
+        return {
+            path
+            for snap in self.log.states(max(0, version))
+            for path in snap.file_paths
+        }
 
     # -- writes ---------------------------------------------------------
     def _new_data_key(self, content: bytes, partition: str | None) -> str:
@@ -351,12 +351,9 @@ class LakeTable:
         ``retain_versions`` snapshots. Returns deleted keys."""
         if retain_versions < 1:
             raise LakeError("must retain at least the latest snapshot")
-        latest = self.log.latest_version()
-        first_kept = max(0, latest - retain_versions + 1)
         keep_data: set[str] = set()
         keep_dv: set[str] = set()
-        for v in range(first_kept, latest + 1):
-            snap = self.snapshot(v)
+        for snap in self.log.states(-retain_versions):
             keep_data.update(snap.file_paths)
             keep_dv.update(snap.deletion_vectors.values())
         removed = []

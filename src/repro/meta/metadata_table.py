@@ -48,7 +48,7 @@ def _fold(
     version: int, entries: list[dict], base: dict[str, IndexRecord] | None
 ) -> dict[str, IndexRecord]:
     """Live records by index key, oldest first."""
-    live = {} if base is None else base
+    live = {} if base is None else dict(base)
     for entry in entries:
         for obj in entry.get("insert", []):
             record = IndexRecord.from_json(obj)

@@ -143,15 +143,39 @@ def run_inline(
     trace, composed with ``then`` by default — one blocking task after
     another, the shape a one-worker pool records — or with
     ``RequestTrace.merge_parallel`` for independent tasks modeled as
-    issued together.
+    issued together. A raising task stops the run; its error carries
+    the run's requests so far (:func:`spent`).
     """
     combined = RequestTrace()
     payloads: list[T] = []
     for fn in tasks:
         with tracing() as trace:
-            payloads.append(fn())
+            try:
+                payloads.append(fn())
+            except BaseException as error:
+                error.spent = compose(combined, trace)
+                raise
         combined = compose(combined, trace)
     return combined, payloads
+
+
+def spent(error: BaseException) -> RequestTrace:
+    """The requests of the run that ``error`` stopped — its finished
+    tasks' and the failed ones' — empty when no run raised it."""
+    return getattr(error, "spent", None) or RequestTrace()
+
+
+def run_phase(span: Span, run: Callable, tasks: list, **kwargs) -> list:
+    """``run(tasks, **kwargs)`` as the whole of phase ``span``: its
+    trace ends the phase (:func:`end_phase`) even when a task raises.
+    Returns the payloads."""
+    try:
+        trace, payloads = run(tasks, **kwargs)
+    except BaseException as error:
+        end_phase(span, spent(error))
+        raise
+    end_phase(span, trace)
+    return payloads
 
 
 @contextmanager
@@ -224,16 +248,23 @@ class TracedPool:
         budget = self.budget
 
         def run() -> tuple[RequestTrace, T]:
-            """Worker-side body: attach span, trace, run the task."""
+            """Worker-side body: attach span, trace, run the task; a
+            raising task's error carries its trace (:func:`spent`)."""
             tracer = get_tracer()
             with tracer.attach(parent), tracer.span(span_name) as task_span:
                 with budget.slot() if budget is not None else nullcontext():
                     with tracing() as trace:
-                        payload = fn()
-                # Per-task trace for the timeline; the *phase* span
-                # owns the merged wave trace, so attribution counts each
-                # request once (task spans carry no ``phase`` attr).
-                task_span.trace = trace
+                        try:
+                            payload = fn()
+                        except BaseException as error:
+                            error.spent = trace
+                            raise
+                        finally:
+                            # Per-task trace for the timeline; the
+                            # *phase* span owns the merged wave trace,
+                            # so attribution counts each request once
+                            # (task spans carry no ``phase`` attr).
+                            task_span.trace = trace
             return trace, payload
 
         return run
@@ -249,7 +280,8 @@ class TracedPool:
         Errors are collected per wave and the first (in task order) is
         re-raised — including :class:`~repro.errors.SimulatedCrash`,
         so chaos injection in any worker kills the whole operation
-        exactly as it would the serial loop.
+        exactly as it would the serial loop. It carries the run's
+        requests up to and including that wave's (:func:`spent`).
         """
         name = span_name or self.span_name
         parent = get_tracer().current()
@@ -269,12 +301,13 @@ class TracedPool:
             for future in futures:
                 try:
                     trace, payload = future.result()
-                except BaseException as exc:  # collect, then re-raise first
-                    errors.append(exc)
-                    continue
+                    payloads.append(payload)
+                except BaseException as error:  # collect, then re-raise first
+                    errors.append(error)
+                    trace = spent(error)
                 wave_trace = wave_trace.merge_parallel(trace)
-                payloads.append(payload)
-            if errors:
-                raise errors[0]
             combined = combined.then(wave_trace)
+            if errors:
+                errors[0].spent = combined
+                raise errors[0]
         return combined, payloads

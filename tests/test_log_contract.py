@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import CommitConflict, LakeError, SnapshotNotFound
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.lake.actions import AddFile, RemoveFile, SetSchema
-from repro.lake.log import LogFormat, TransactionLog
+from repro.lake.log import LogFormat, TransactionLog, json_bytes
 from repro.lake.table import LAKE_LOG
 from repro.meta.metadata_table import META_LOG, IndexRecord
 from repro.storage.object_store import InMemoryObjectStore
@@ -88,6 +88,25 @@ def _rounds(trace) -> list[list[tuple[str, str]]]:
 def _full_replay(log: TransactionLog, version: int):
     entries = [log.read_version(v) for v in range(version + 1)]
     return log.fmt.fold(version, entries, None)
+
+
+def _tail(log: TransactionLog, checkpoint: int, version: int) -> list[bytes]:
+    """What a commit of ``version`` puts in its hint: the stored bytes
+    of each entry after ``checkpoint``; made up where none exists."""
+    config = next(c for c in CONFIGS.values() if c.fmt is log.fmt)
+    tail = []
+    for v in range(checkpoint + 1, version + 1):
+        try:
+            tail.append(log.entry_bytes(v))
+        except SnapshotNotFound:
+            tail.append(log.fmt.encode(config.add(f"ghost{v}")))
+    return tail
+
+
+def _write_hint(log: TransactionLog, version: int, checkpoint: int) -> None:
+    """A hint naming ``version`` and ``checkpoint``, as a commit there
+    would have written it (with a made-up tail past the log's tip)."""
+    log.write_hint(version, checkpoint, _tail(log, checkpoint, version))
 
 
 def test_commit_then_conflicting_try_commit(config):
@@ -213,7 +232,8 @@ def _assert_reads_the_tip(log: TransactionLog, *, lists: int) -> None:
     # A commit lands right after the true tip, whatever the hint says.
     assert log.commit(log.fmt.decode(log.fmt.encode(_next_entry(log)))) == latest + 1
     assert log.versions()[0] == latest + 1
-    assert log.hint() == (latest + 1, max(log.versions()[1], default=-1))
+    checkpoint = max(log.versions()[1], default=-1)
+    assert log.hint() == (latest + 1, checkpoint, _tail(log, checkpoint, latest + 1))
 
 
 def _next_entry(log: TransactionLog):
@@ -224,7 +244,7 @@ def _next_entry(log: TransactionLog):
 def test_fresh_hint_finds_the_tip_without_a_list(config):
     log = _history(config)
     latest, checkpoints = log.versions()
-    assert log.hint() == (latest, checkpoints[-1])
+    assert log.hint() == (latest, checkpoints[-1], _tail(log, checkpoints[-1], latest))
     _assert_reads_the_tip(log, lists=0)
 
 
@@ -240,16 +260,17 @@ def test_stale_hint_falls_back_to_the_list(config, behind):
     """The probe of the version after a stale hint finds it."""
     log = _history(config)
     latest = log.versions()[0]
-    log.write_hint(latest - behind, 2)
+    _write_hint(log, latest - behind, 2)
     _assert_reads_the_tip(log, lists=1)
 
 
 @pytest.mark.parametrize("ahead", [1, 3])
 def test_hint_ahead_of_the_log_falls_back_to_the_list(config, ahead):
-    """A tail entry the hint names is missing: no version is skipped."""
+    """The tip the hint names is missing, whatever its made-up tail
+    holds: no version is skipped."""
     log = _history(config)
     latest = log.versions()[0]
-    log.write_hint(latest + ahead, 5)
+    _write_hint(log, latest + ahead, 5)
     _assert_reads_the_tip(log, lists=1)
 
 
@@ -270,7 +291,7 @@ def test_hint_naming_a_missing_checkpoint_falls_back(config):
     only the tip does not read it."""
     log = _history(config)
     latest = log.versions()[0]
-    log.write_hint(latest, 4)  # no checkpoint at 4
+    _write_hint(log, latest, 4)  # no checkpoint at 4
     state, sent = _read(log, log.state)
     assert (state, sent) == (_full_replay(log, latest), 1)
     assert _read(log, log.latest_version) == (latest, 0)
@@ -303,6 +324,98 @@ def test_time_travel_through_the_hint(config):
         log.state(latest + 1)
 
 
+# -- the hint's tail ------------------------------------------------------
+def _hint_with_tail(log: TransactionLog, tail: bytes) -> None:
+    """The fresh hint's version and checkpoint around another tail."""
+    version, checkpoint, _ = log.hint()
+    log.store.put(
+        log.hint_key,
+        b'{"version": %d, "checkpoint": %d, "tail": %s}' % (version, checkpoint, tail),
+    )
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_tail_of_the_wrong_length_falls_back(config, change):
+    log = _history(config)
+    version, checkpoint, tail = log.hint()
+    tail = tail[:-1] if change < 0 else [tail[0], *tail]
+    log.write_hint(version, checkpoint, tail)
+    assert log.hint() is None
+    _assert_reads_the_tip(log, lists=1)
+
+
+@pytest.mark.parametrize(
+    "tail", [b"3", b'"x"', b"{}", b"null", b"[1, 2", b"[1,2]", b"[[], []] "]
+)
+def test_tail_that_is_not_a_list_falls_back(config, tail):
+    log = _history(config)
+    _hint_with_tail(log, tail)
+    assert log.hint() is None
+    _assert_reads_the_tip(log, lists=1)
+
+
+def test_last_entry_differing_from_the_tip_falls_back(config):
+    """A tail of the right length whose last entry is not the tip's:
+    the tip GET catches it."""
+    log = _history(config)
+    version, checkpoint, tail = log.hint()
+    other = _tail(log, checkpoint - 1, version - 1)  # one version earlier
+    log.write_hint(version, checkpoint, other)
+    assert log.hint().tail != tail
+    _assert_reads_the_tip(log, lists=1)
+
+
+def test_foreign_tail_falls_back(config):
+    """Another log's tail, of the right length."""
+    log = _history(config)
+    other = next(c for c in CONFIGS.values() if c is not config)
+    foreign = _history(other)
+    version, checkpoint, _ = log.hint()
+    log.write_hint(version, checkpoint, foreign.hint().tail)
+    _assert_reads_the_tip(log, lists=1)
+
+
+def test_tailless_hint_is_still_served(config):
+    """A hint written without a tail: its entries are read from the
+    log in the second round, no LIST; the next commit adds the tail."""
+    log = _history(config)
+    latest, checkpoint, _ = log.hint()
+    log.store.put(log.hint_key, json_bytes({"version": latest, "checkpoint": checkpoint}))
+    assert log.hint() == (latest, checkpoint, None)
+    with tracing() as trace:
+        state = log.state()
+    key = f"{config.root}/{{}}/{{:020d}}.json".format
+    assert _rounds(trace) == [
+        [("GET", log.hint_key)],
+        [("GET", key(config.fmt.checkpoint_dir, checkpoint))]
+        + [("GET", key(config.fmt.log_dir, v)) for v in range(checkpoint + 1, latest + 1)],
+    ]
+    assert state == _full_replay(log, latest)
+    _assert_reads_the_tip(log, lists=0)
+
+
+def test_a_checkpoint_empties_the_tail(config):
+    log = _log(config, interval=3)
+    while log.latest_version() < 1:
+        log.commit(config.add(f"f{log.latest_version()}"))
+    assert log.hint() == (1, -1, _tail(log, -1, 1))
+    log.commit(config.add("f2"))
+    assert log.hint() == (2, 2, [])
+    log.commit(config.add("f3"))
+    assert log.hint() == (3, 2, [log.entry_bytes(3)])
+
+
+def test_the_hint_is_its_tail_plus_a_constant(config):
+    """The tail's entries are spliced in as stored: the hint is their
+    bytes plus at most 128 more."""
+    log = _history(config, interval=10, commits=8)
+    data = log.store.get(log.hint_key)
+    tail = log.hint().tail
+    assert len(tail) == 8 + len(config.genesis)
+    assert tail == _tail(log, -1, log.versions()[0])
+    assert len(data) <= sum(map(len, tail)) + 128
+
+
 _HINT_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add")),
@@ -311,10 +424,44 @@ _HINT_OPS = st.lists(
         st.tuples(st.just("hint"), st.integers(-3, 3), st.integers(-1, 20)),
         st.tuples(st.just("drop")),
         st.tuples(st.just("garbage"), st.binary(max_size=8)),
+        st.tuples(st.just("truncate"), st.integers(1, 3)),
+        st.tuples(st.just("garbage-tail"), st.binary(max_size=8)),
+        st.tuples(st.just("foreign")),
     ),
     min_size=1,
     max_size=16,
 )
+
+
+def _perturb(log: TransactionLog, config: Config, op: tuple, i: int, live: list) -> None:
+    """One step of a history: a commit, a checkpoint, or a hint written
+    wrong (racing, lost, made up, or with a truncated, garbage or
+    another log's tail)."""
+    latest = log.versions()[0]
+    hint = log.hint()
+    if op[0] == "add" or (op[0] == "remove" and not live):
+        live.append(f"f{i}")
+        assert log.commit(config.add(live[-1])) == latest + 1
+    elif op[0] == "remove":
+        assert log.commit(config.remove(live.pop(0))) == latest + 1
+    elif op[0] == "checkpoint":
+        log.checkpoint(min(op[1], latest))
+    elif op[0] == "hint":  # a racing, lost or made-up hint write
+        _write_hint(log, max(-1, latest + op[1]), min(op[2], latest + op[1]))
+    elif op[0] == "drop":
+        log.store.delete(log.hint_key)
+    elif op[0] == "garbage":
+        log.store.put(log.hint_key, op[1])
+    elif hint is None or not hint.tail:
+        return
+    elif op[0] == "truncate":
+        log.write_hint(hint.version, hint.checkpoint, hint.tail[: -op[1]])
+    elif op[0] == "garbage-tail":
+        log.write_hint(hint.version, hint.checkpoint, [*hint.tail[:-1], op[1]])
+    else:  # the other configuration's entries, as many
+        other = next(c for c in CONFIGS.values() if c is not config)
+        tail = [other.fmt.encode(other.add(f"x{v}")) for v in range(len(hint.tail))]
+        log.write_hint(hint.version, hint.checkpoint, tail)
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,21 +474,37 @@ def test_any_hint_history_reads_the_listed_tip(name, interval, ops):
     log = _log(config, interval=interval)
     live: list[str] = []
     for i, op in enumerate(ops):
-        latest = log.versions()[0]
-        if op[0] == "add" or (op[0] == "remove" and not live):
-            live.append(f"f{i}")
-            assert log.commit(config.add(live[-1])) == latest + 1
-        elif op[0] == "remove":
-            assert log.commit(config.remove(live.pop(0))) == latest + 1
-        elif op[0] == "checkpoint":
-            log.checkpoint(min(op[1], latest))
-        elif op[0] == "hint":  # a racing, lost or made-up hint write
-            log.write_hint(max(-1, latest + op[1]), min(op[2], latest + op[1]))
-        elif op[0] == "drop":
-            log.store.delete(log.hint_key)
-        else:
-            log.store.put(log.hint_key, op[1])
+        _perturb(log, config, op, i, live)
         latest = log.versions()[0]
         assert log.latest_version() == latest
         if latest >= 0:
             assert log.state() == _full_replay(log, latest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CONFIGS)),
+    interval=st.integers(1, 4),
+    ops=_HINT_OPS,
+    window=st.tuples(st.integers(-4, 12), st.integers(0, 12) | st.none()),
+)
+def test_states_equal_per_version_replays(name, interval, ops, window):
+    """For any history and any hint left behind, every state
+    ``states(lo, hi)`` yields equals a full replay of its version, from
+    ``lo`` (counted back from ``hi`` when negative) to ``hi`` (the
+    tip when None); a window past the tip does not exist."""
+    config = CONFIGS[name]
+    log = _log(config, interval=interval)
+    live: list[str] = []
+    for i, op in enumerate(ops):
+        _perturb(log, config, op, i, live)
+    latest = log.versions()[0]
+    lo, hi = window
+    last = latest if hi is None else hi
+    first = max(0, last + 1 + lo) if lo < 0 else lo
+    if latest < 0 or not first <= last <= latest:
+        with pytest.raises(SnapshotNotFound):
+            list(log.states(lo, hi))
+        return
+    states = list(log.states(lo, hi))
+    assert states == [_full_replay(log, v) for v in range(first, last + 1)]

@@ -143,6 +143,33 @@ class TestServedQueries:
         # ...but the failed first attempt's requests count too.
         assert server.stats.total_requests == delta.total_requests
 
+    @pytest.mark.parametrize("countdown", range(4))
+    def test_degraded_query_over_four_index_files(self, indexed_client, countdown):
+        """The uuid index in four files; the ``countdown``-th index read
+        fails. The tasks that finished before it, and earlier waves,
+        made requests too: the served count is the store's."""
+        for seed in (3, 4, 5):
+            indexed_client.lake.append(event_batch(50, seed=seed))
+            indexed_client.index("uuid", "uuid_trie")
+        faulty = FaultyObjectStore(indexed_client.store)
+        cached = CachingObjectStore(faulty)
+        client = RottnestClient(
+            cached,
+            indexed_client.index_dir,
+            LakeTable.open(cached, indexed_client.lake.root),
+        )
+        uuid_files = [r for r in client.meta.records() if r.column == "uuid"]
+        assert len(uuid_files) == 4
+        with use_hub(TelemetryHub()), SearchServer(client) as server:
+            faulty.fail_next(
+                "GET", key_substring=f"{client.index_dir}/files", countdown=countdown
+            )
+            before = faulty.stats.snapshot()
+            result = server.query("uuid", UuidQuery(event_uuid(5, 7)))
+            delta = faulty.stats.snapshot().delta(before)
+        assert result.degraded and len(result.matches) == 1
+        assert server.stats.total_requests == delta.total_requests
+
     def test_shed_query_is_not_an_answered_query(self, indexed_client):
         with use_hub(TelemetryHub()) as hub, _serving_stack(
             indexed_client, max_inflight=1, shed_on_overload=True
