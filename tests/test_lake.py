@@ -357,6 +357,13 @@ class TestLakeTable:
         latest_only = table.files_since(table.latest_version())
         assert latest_only == set(table.snapshot().file_paths)
 
+    def test_files_since_past_the_tip_does_not_exist(self, table):
+        """A window past the tip is not an empty one: an index vacuum
+        planned on it would keep no index at all."""
+        table.append(make_batch(0, 10))
+        with pytest.raises(SnapshotNotFound, match="version 3 "):
+            table.files_since(table.latest_version() + 2)
+
     def test_schema_property(self, table):
         assert table.schema == SIMPLE
 
