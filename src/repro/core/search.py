@@ -2,10 +2,13 @@
 
 plan → fresh probe → one task per chosen index record → verification in
 submission order → brute-force fill → fresh/lazy merge. Exact queries
-run *probe → claim → coalesced page read → deletion vectors* as one
-task per record (a record's page reads depend on its own probe only);
-scoring queries keep ``index_probe`` → ``page_read`` as separate phases
-because their global candidate sort is a real cross-record barrier.
+run *probe → claim → coalesced page read → page check* as one task per
+record (a record's page reads depend on its own probe only); the
+verification then finds the hits in the inflated page bytes
+(``query.page_hits``) page by page until K, and looks up deletion
+vectors for the hits alone. Scoring queries keep ``index_probe`` →
+``page_read`` as separate phases because their global candidate sort
+is a real cross-record barrier.
 
 The plan is parameterised by one thing — how tasks are run: inline on
 the calling thread (:meth:`RottnestClient.search
@@ -42,6 +45,7 @@ from repro.core.results import (
     merge_topk,
 )
 from repro.errors import ObjectStoreError, RottnestIndexError
+from repro.formats.encoding import decode_values
 from repro.formats.page_reader import PageEntry, fetch_pages
 from repro.indices.base import ExactQuerier, ScoringQuerier, querier_for
 from repro.lake.snapshot import Snapshot
@@ -267,19 +271,21 @@ class _LazySearch:
             yield from payloads
         end_phase(span, trace)
 
-    def _read_pages(self, entries: list[PageEntry]):
-        """In-situ read of ``entries`` as one coalesced batch, plus the
+    def _read_pages(self, entries: list[PageEntry], verify):
+        """In-situ read of ``entries`` as one coalesced batch, each
+        inflated page passed through ``verify(entry, raw)``, plus the
         deletion vector of each entry's file."""
         if not entries:
             return [], []
         try:
-            payloads = fetch_pages(self.store, self.field, entries)
+            pages = fetch_pages(self.store, entries)
         except ObjectStoreError as exc:
             # Store errors that know their key (``ObjectNotFound``)
             # report it; otherwise the batch's first file stands in.
             key = getattr(exc, "key", None)
             failed = key if isinstance(key, str) else entries[0].file_key
             raise unmaterialized(self.snap, failed) from exc
+        payloads = [verify(entry, raw) for entry, raw in zip(entries, pages)]
         dvs = [self.lake.deletion_vector(self.snap, e.file_key) for e in entries]
         return payloads, dvs
 
@@ -324,6 +330,9 @@ class _LazySearch:
         seen_pages: set[tuple[str, int]] = set()
         claim_lock = threading.Lock()
 
+        def page_hits(entry: PageEntry, raw: bytes):
+            return query.page_hits(self.field, raw, entry.num_values)
+
         def search_record(record: IndexRecord):
             reader = IndexFileReader.open(store, record.index_key, size=record.size)
             querier = querier_for(record.index_type)(reader)
@@ -346,22 +355,24 @@ class _LazySearch:
             # Page reads depend on this record's probe — and only on
             # it, not on every other record's.
             barrier()
-            return claimed, *self._read_pages(claimed)
+            return claimed, *self._read_pages(claimed, page_hits)
 
         probed_files: set[str] = set()
         with get_tracer().span("probe", phase="probe") as span:
             tasks = [partial(search_record, record) for record in chosen]
-            for claimed, payloads, dvs in self._waves(span, tasks):
+            for claimed, hits, dvs in self._waves(span, tasks):
                 stats.index_files_queried += 1
                 stats.candidates += len(claimed)
                 stats.pages_probed += len(claimed)
                 probed_files.update(entry.file_key for entry in claimed)
-                for entry, (row_start, values), dv in zip(claimed, payloads, dvs):
+                for entry, page, dv in zip(claimed, hits, dvs):
                     if self._enough():
                         break
                     page_hit = False
-                    for row, value in enumerate(values, row_start):
-                        if row in dv or not query.matches(value):
+                    # Checked in its task; the hits are found as read.
+                    for index, value in page:
+                        row = entry.row_start + index
+                        if row in dv:
                             continue
                         page_hit = True
                         self.found.append(SearchMatch(entry.file_key, row, value))
@@ -429,16 +440,20 @@ class _LazySearch:
                 pages.setdefault(page_key, (entry, set()))[1].add(offset)
         page_entries = [entry for entry, _ in pages.values()]
         stats.pages_probed = len(page_entries)
+
+        def decode(entry: PageEntry, raw: bytes):
+            return decode_values(self.field, raw, entry.num_values)
+
         with tracer.span("probe:pages", phase="page_read") as span:
             # One coalesced batch; nothing to launch without candidates.
-            tasks = [partial(self._read_pages, page_entries)] if pages else []
+            tasks = [partial(self._read_pages, page_entries, decode)] if pages else []
             for payloads, dvs in self._waves(span, tasks):
                 # Refine: exact distances of the full-precision rows.
-                for (entry, offsets), (row_start, values), dv in zip(
+                for (entry, offsets), values, dv in zip(
                     pages.values(), payloads, dvs
                 ):
                     for offset in offsets:
-                        row, value = row_start + offset, values[offset]
+                        row, value = entry.row_start + offset, values[offset]
                         if row not in dv:
                             score = query.distance(value)
                             self.found.append(

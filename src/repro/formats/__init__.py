@@ -4,8 +4,6 @@ from repro.formats.page_reader import (
     PageEntry,
     PageTable,
     build_page_table,
-    read_page,
-    read_rows_via_pages,
 )
 from repro.formats.parquet import (
     DEFAULT_ROW_GROUP_ROWS,
@@ -30,8 +28,6 @@ __all__ = [
     "PageEntry",
     "PageTable",
     "build_page_table",
-    "read_page",
-    "read_rows_via_pages",
     "DEFAULT_PAGE_TARGET_BYTES",
     "DEFAULT_ROW_GROUP_ROWS",
 ]

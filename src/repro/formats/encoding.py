@@ -3,11 +3,18 @@
 Values travel through the library as Python lists (ints, floats, strs,
 bytes) except vectors, which are numpy ``float32`` arrays of shape
 ``(n, dim)`` for speed in the ANN code paths.
+
+Strings and binaries are uvarint-length-prefixed. :func:`value_bounds`
+walks a page's prefixes once and says where each value lies without
+copying any: :func:`decode_values` slices every value out, while an
+exact query's verifier (``page_hits`` in :mod:`repro.core.queries`)
+searches the page's bytes and slices out only the values that match.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -61,12 +68,14 @@ def decode_values(field: Field, data: bytes, count: int):
         _expect(data, count * 8)
         return np.frombuffer(data, dtype="<f8").tolist()
     if type_ is ColumnType.STRING:
+        starts, ends = value_bounds(data, count)
         try:
-            return [v.decode("utf-8") for v in _split_len_prefixed(data, count)]
+            return [data[s:e].decode("utf-8") for s, e in zip(starts, ends)]
         except UnicodeDecodeError as exc:
             raise FormatError(f"string value is not UTF-8: {exc}") from exc
     if type_ is ColumnType.BINARY:
-        return _split_len_prefixed(data, count)
+        starts, ends = value_bounds(data, count)
+        return [data[s:e] for s, e in zip(starts, ends)]
     if type_ is ColumnType.VECTOR:
         _expect(data, count * field.vector_dim * 4)
         arr = np.frombuffer(data, dtype="<f4")
@@ -74,18 +83,39 @@ def decode_values(field: Field, data: bytes, count: int):
     raise FormatError(f"unknown column type {type_}")  # pragma: no cover
 
 
-def _split_len_prefixed(data: bytes, count: int) -> list[bytes]:
-    """``count`` uvarint-length-prefixed byte strings that fill ``data``
-    exactly, in one loop with no reader object per value: a length under
-    128 is its own single byte, only longer ones go through
-    ``decode_uvarint``."""
-    out = []
+def value_bounds(data: bytes, count: int) -> tuple[Sequence[int], Sequence[int]]:
+    """Where the ``count`` uvarint-length-prefixed values that fill
+    ``data`` exactly lie: ``(starts, ends)``, value ``i`` being
+    ``data[starts[i]:ends[i]]``.
+
+    One walk over the prefixes and no value is copied, so a verifier
+    can search the page's bytes and slice out only what matches. A
+    length under 128 is its own single byte and one under 16,384 two
+    bytes, both read inline; only longer ones go through
+    ``decode_uvarint``. A page of values of one length under 128 (a
+    column of fixed-size keys) is recognised from its size and every
+    ``width``-th byte, without the walk, and its bounds are ``range``s.
+    A truncated page, a bad prefix or trailing bytes is a
+    :class:`FormatError` naming the offset it stopped at.
+    """
+    if count and data and data[0] < 0x80:
+        width = data[0] + 1
+        if len(data) == count * width and data[::width] == data[:1] * count:
+            return (
+                range(1, len(data) + 1, width),
+                range(width, len(data) + 1, width),
+            )
+    starts = [0] * count
+    ends = [0] * count
     pos, end = 0, len(data)
     try:
-        for _ in range(count):
+        for i in range(count):
             n = data[pos]
             if n < 0x80:
                 pos += 1
+            elif pos + 1 < end and data[pos + 1] < 0x80:
+                n = (n & 0x7F) | (data[pos + 1] << 7)
+                pos += 2
             else:
                 n, pos = decode_uvarint(data, pos)
             if pos + n > end:
@@ -93,13 +123,34 @@ def _split_len_prefixed(data: bytes, count: int) -> list[bytes]:
                     f"truncated page: wanted {n} bytes at offset {pos}, "
                     f"only {end - pos} remain"
                 )
-            out.append(data[pos : pos + n])
+            starts[i] = pos
             pos += n
+            ends[i] = pos
     except (IndexError, ValueError) as exc:  # no / bad length prefix
         raise FormatError(f"bad value length at offset {pos}: {exc}") from exc
     if pos != end:
         raise FormatError(f"{end - pos} trailing bytes at offset {pos}")
-    return out
+    return starts, ends
+
+
+def require_utf8(data: bytes, starts, ends) -> None:
+    """Raise :class:`FormatError` unless every value
+    ``data[starts[i]:ends[i]]`` of a :func:`value_bounds` walk is UTF-8.
+
+    A page whose only bytes ``>= 0x80`` are its prefixes' continuation
+    bytes holds ASCII values only, and that is proved with one count; a
+    page with other high bytes decodes its values one by one.
+    """
+    # Every prefix byte but the last carries the continuation bit.
+    prefix_bytes = len(data) - (sum(ends) - sum(starts))
+    high = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) >= 0x80)
+    if high == prefix_bytes - len(starts):
+        return
+    try:
+        for s, e in zip(starts, ends):
+            data[s:e].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"string value is not UTF-8: {exc}") from exc
 
 
 def value_nbytes(field: Field, value) -> int:

@@ -9,7 +9,9 @@ reader's footer fetch plus tens-of-MB chunk fetch.
 
 Posting lists in Rottnest indices point at ``(file, page ordinal)``
 pairs; in-situ probing reads just those pages and re-applies the real
-predicate to remove false positives.
+predicate to remove false positives. Pages come back inflated but not
+decoded: an exact query verifies in the encoded bytes and decodes only
+the values that match (:meth:`repro.core.queries.UuidQuery.page_hits`).
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import FormatError
-from repro.formats.pages import decode_page
+from repro.formats import compression
 from repro.formats.parquet import FileMetadata
-from repro.formats.schema import Field
 from repro.storage.object_store import ObjectStore
 from repro.util.binio import BinaryReader, BinaryWriter
 
@@ -136,32 +137,23 @@ def build_page_table(metadata: FileMetadata, file_key: str, column: str) -> Page
     return PageTable(file_key=file_key, column=column, entries=entries)
 
 
-def read_page(store: ObjectStore, field: Field, entry: PageEntry):
-    """One byte-range GET + decode of a single page.
-
-    Returns ``(row_start, values)``; no footer or HEAD request is made.
-    """
-    blob = store.get(entry.file_key, (entry.offset, entry.compressed_size))
-    values = decode_page(field, blob, entry.codec, entry.num_values)
-    return entry.row_start, values
-
-
 def fetch_pages(
     store: ObjectStore,
-    field: Field,
     entries: list[PageEntry],
     *,
     gap_threshold: int | None = None,
     budget=None,
-):
+) -> list[bytes]:
     """Read several pages through the coalescing batch scheduler.
 
     The page ranges go to :meth:`ObjectStore.get_many`, which merges
     near-adjacent ranges into one GET per cluster (delta-encoded page
     tables make neighbouring pages of one file exactly contiguous, so
-    adjacent candidates merge with zero waste). Returns a list of
-    ``(row_start, values)`` in input order, byte-identical to calling
-    :func:`read_page` per entry.
+    adjacent candidates merge with zero waste). Returns each page
+    inflated but not decoded, in input order: a verifier searches the
+    encoded values (:func:`~repro.formats.encoding.value_bounds`) and
+    decodes only the rows it keeps, and whoever wants every value calls
+    :func:`~repro.formats.encoding.decode_values`.
     """
     from repro.storage.sched import RangeRequest
 
@@ -172,32 +164,5 @@ def fetch_pages(
         requests, gap_threshold=gap_threshold, budget=budget
     )
     return [
-        (e.row_start, decode_page(field, blob, e.codec, e.num_values))
-        for e, blob in zip(entries, blobs)
+        compression.decompress(blob, e.codec) for e, blob in zip(entries, blobs)
     ]
-
-
-def read_rows_via_pages(
-    store: ObjectStore,
-    field: Field,
-    table: PageTable,
-    row_indices: list[int],
-):
-    """Fetch specific rows reading only the pages that contain them.
-
-    Returns ``{row_index: value}``.
-    """
-    wanted = sorted(set(row_indices))
-    if not wanted:
-        return {}
-    by_page: dict[int, list[int]] = {}
-    for r in wanted:
-        by_page.setdefault(table.page_of_row(r), []).append(r)
-    entries = [table.entry(page_id) for page_id in by_page]
-    out = {}
-    for rows, (row_start, values) in zip(
-        by_page.values(), fetch_pages(store, field, entries)
-    ):
-        for r in rows:
-            out[r] = values[r - row_start]
-    return out

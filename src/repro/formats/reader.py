@@ -76,27 +76,3 @@ class ParquetFile:
             page_bytes = blob[page.offset - start : page.offset - start + page.compressed_size]
             values.extend(decode_page(field, page_bytes, chunk.codec, page.num_values))
         return values
-
-    def read_rows(self, column: str, row_indices: list[int]):
-        """Fetch specific rows the *traditional* way: whole chunks.
-
-        Returns ``{row_index: value}``. Chunks containing none of the
-        requested rows are skipped (that much predicate pushdown real
-        readers do get from the footer).
-        """
-        wanted = sorted(set(row_indices))
-        if not wanted:
-            return {}
-        out = {}
-        for rg_index, rg in enumerate(self.metadata.row_groups):
-            lo, hi = rg.first_row, rg.first_row + rg.num_rows
-            in_group = [r for r in wanted if lo <= r < hi]
-            if not in_group:
-                continue
-            values = self.read_column_chunk(rg_index, column)
-            for r in in_group:
-                out[r] = values[r - lo]
-        missing = [r for r in wanted if r not in out]
-        if missing:
-            raise FormatError(f"rows {missing[:5]}... out of range for {self.key!r}")
-        return out

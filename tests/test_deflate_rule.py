@@ -17,6 +17,7 @@ from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.core.queries import VectorQuery
 from repro.formats import ColumnType, Field, ParquetFile, Schema, build_page_table
 from repro.formats import compression
+from repro.formats.encoding import decode_values
 from repro.formats.page_reader import fetch_pages
 from repro.formats.parquet import write_parquet
 from repro.indices.fm import fm_index
@@ -126,7 +127,9 @@ def test_chunk_codec_is_none_exactly_when_deflate_does_not_pay(
     ]
     table = build_page_table(result.metadata, "f", "c")
     fetched = [
-        v for _, page in fetch_pages(store, field, table.entries) for v in page
+        v
+        for entry, raw in zip(table.entries, fetch_pages(store, table.entries))
+        for v in decode_values(field, raw, entry.num_values)
     ]
     if type_ is ColumnType.VECTOR:
         assert np.array_equal(np.asarray(scanned), values)
@@ -305,7 +308,10 @@ class TestLegacyZlibFixture:
         )
         table = build_page_table(pf.metadata, LEGACY_DATA_KEY, "emb")
         fetched = np.concatenate(
-            [page for _, page in fetch_pages(store, field, table.entries)]
+            [
+                decode_values(field, raw, entry.num_values)
+                for entry, raw in zip(table.entries, fetch_pages(store, table.entries))
+            ]
         )
         assert np.array_equal(scanned, legacy_vectors())
         assert np.array_equal(fetched, legacy_vectors())

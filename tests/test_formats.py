@@ -312,31 +312,14 @@ class TestTraditionalReader:
         ]
         assert rows == list(range(1000))
 
-    def test_read_rows(self, text_file):
-        store, _, _, columns = text_file
-        pf = ParquetFile(store, "f.parquet")
-        got = pf.read_rows("text", [5, 500, 999, 5])
-        assert got == {r: columns["text"][r] for r in (5, 500, 999)}
-
-    def test_read_rows_out_of_range(self, text_file):
-        store, _, _, _ = text_file
-        pf = ParquetFile(store, "f.parquet")
-        with pytest.raises(FormatError):
-            pf.read_rows("text", [5000])
-
-    def test_read_rows_empty(self, text_file):
-        store, _, _, _ = text_file
-        pf = ParquetFile(store, "f.parquet")
-        assert pf.read_rows("text", []) == {}
-
     def test_chunk_granularity_io(self, text_file):
-        """The traditional reader's defining cost: one row costs the
-        whole chunk (paper §II-B 'read granularity')."""
+        """The traditional reader's defining cost: any row of a chunk
+        costs the whole chunk (paper §II-B 'read granularity')."""
         store, result, _, _ = text_file
         pf = ParquetFile(store, "f.parquet")
         chunk_size = result.metadata.row_groups[0].chunk("text").total_compressed_size
         before = store.stats.bytes_read
-        pf.read_rows("text", [0])
+        pf.read_column_chunk(0, "text")
         assert store.stats.bytes_read - before == chunk_size
 
     def test_bad_magic_rejected(self):

@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats.page_reader import (
-    PageTable,
-    build_page_table,
-    read_page,
-    read_rows_via_pages,
-)
+from repro.formats.encoding import decode_values
+from repro.formats.page_reader import PageTable, build_page_table, fetch_pages
 from repro.formats.parquet import write_parquet
 from repro.formats.reader import ParquetFile
 from repro.formats.schema import ColumnType, Field, Schema
@@ -90,16 +86,18 @@ class TestPageReads:
         store, result, schema, columns = stored_file
         table = build_page_table(result.metadata, "d.parquet", "text")
         entry = table.entry(2)
-        row_start, values = read_page(store, schema.field("text"), entry)
-        assert values == columns["text"][row_start : row_start + len(values)]
+        (raw,) = fetch_pages(store, [entry])
+        values = decode_values(schema.field("text"), raw, entry.num_values)
+        start = entry.row_start
+        assert values == columns["text"][start : start + entry.num_values]
 
     def test_read_page_bypasses_footer(self, stored_file):
         """One byte-range GET of exactly the page, nothing else."""
-        store, result, schema, _ = stored_file
+        store, result, _, _ = stored_file
         table = build_page_table(result.metadata, "d.parquet", "text")
         entry = table.entry(1)
         before = store.stats.snapshot()
-        read_page(store, schema.field("text"), entry)
+        fetch_pages(store, [entry])
         delta = store.stats.delta(before)
         assert delta.gets == 1
         assert delta.heads == 0
@@ -112,26 +110,24 @@ class TestPageReads:
         chunk_size = result.metadata.row_groups[0].chunk("text").total_compressed_size
         assert table.entry(0).compressed_size < chunk_size
 
-    def test_read_rows_via_pages_matches_traditional(self, stored_file):
-        store, result, schema, columns = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
-        rows = [0, 7, 149, 150, 300, 499]
-        got = read_rows_via_pages(store, schema.field("text"), table, rows)
-        pf = ParquetFile(store, "d.parquet")
-        assert got == pf.read_rows("text", rows)
-
-    def test_read_rows_via_pages_empty(self, stored_file):
+    def test_page_values_match_chunk_values(self, stored_file):
         store, result, schema, _ = stored_file
         table = build_page_table(result.metadata, "d.parquet", "text")
-        assert read_rows_via_pages(store, schema.field("text"), table, []) == {}
+        assert _page_values(store, schema.field("text"), table) == _chunk_values(
+            ParquetFile(store, "d.parquet"), "text"
+        )
 
-    def test_rows_in_same_page_read_once(self, stored_file):
-        store, result, schema, _ = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
-        e0 = table.entry(0)
-        rows = list(range(min(3, e0.num_values)))
+    def test_fetch_pages_of_nothing_reads_nothing(self, stored_file):
+        store, _, _, _ = stored_file
         before = store.stats.snapshot()
-        read_rows_via_pages(store, schema.field("text"), table, rows)
+        assert fetch_pages(store, []) == []
+        assert store.stats.delta(before).gets == 0
+
+    def test_adjacent_pages_read_in_one_get(self, stored_file):
+        store, result, _, _ = stored_file
+        table = build_page_table(result.metadata, "d.parquet", "text")
+        before = store.stats.snapshot()
+        fetch_pages(store, [table.entry(0), table.entry(1)])
         assert store.stats.delta(before).gets == 1
 
     def test_vector_pages(self):
@@ -143,18 +139,36 @@ class TestPageReads:
         store = InMemoryObjectStore()
         store.put("v.parquet", result.data)
         table = build_page_table(result.metadata, "v.parquet", "v")
-        got = read_rows_via_pages(store, schema.field("v"), table, [0, 55, 99])
-        for r in (0, 55, 99):
-            assert np.array_equal(got[r], vecs[r])
+        got = _page_values(store, schema.field("v"), table)
+        assert np.array_equal(np.stack(got), vecs)
+
+
+def _page_values(store, field, table) -> list:
+    """Every value of ``table``'s column, page by page."""
+    pages = fetch_pages(store, table.entries)
+    return [
+        value
+        for entry, raw in zip(table.entries, pages)
+        for value in decode_values(field, raw, entry.num_values)
+    ]
+
+
+def _chunk_values(pf: ParquetFile, column: str) -> list:
+    """Every value of ``column``, chunk by chunk (the traditional reader)."""
+    return [
+        value
+        for rg_index in range(len(pf.metadata.row_groups))
+        for value in pf.read_column_chunk(rg_index, column)
+    ]
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    rows=st.lists(st.integers(0, 499), min_size=1, max_size=30),
+    pages=st.lists(st.integers(0, 10_000), min_size=1, max_size=30),
     page_bytes=st.integers(100, 3000),
 )
-def test_page_reads_equal_chunk_reads_property(rows, page_bytes):
-    """Both readers agree on arbitrary row subsets and page geometry."""
+def test_page_reads_equal_chunk_reads_property(pages, page_bytes):
+    """Both readers agree on arbitrary page subsets and page geometry."""
     schema = Schema.of(Field("t", ColumnType.STRING))
     values = [f"item {i} " + "z" * (i % 23) for i in range(500)]
     result = write_parquet(
@@ -163,6 +177,13 @@ def test_page_reads_equal_chunk_reads_property(rows, page_bytes):
     store = InMemoryObjectStore()
     store.put("f", result.data)
     table = build_page_table(result.metadata, "f", "t")
-    via_pages = read_rows_via_pages(store, schema.field("t"), table, rows)
-    via_chunks = ParquetFile(store, "f").read_rows("t", rows)
-    assert via_pages == via_chunks
+    assert _page_values(store, schema.field("t"), table) == _chunk_values(
+        ParquetFile(store, "f"), "t"
+    )
+    entries = [table.entry(p % len(table)) for p in pages]
+    field = schema.field("t")
+    for entry, raw in zip(entries, fetch_pages(store, entries)):
+        start = entry.row_start
+        assert decode_values(field, raw, entry.num_values) == values[
+            start : start + entry.num_values
+        ]

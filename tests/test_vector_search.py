@@ -13,6 +13,7 @@ from repro.core.queries import VectorQuery
 from repro.core.results import SearchMatch, merge_topk
 from repro.core.search import plan, scope
 from repro.errors import RottnestIndexError
+from repro.formats.encoding import decode_values
 from repro.formats.page_reader import fetch_pages
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.indices.vector.ivf_pq import IvfPqQuerier
@@ -59,11 +60,13 @@ def reference_search(client, query, k, *, file_predicate=None):
         pages.setdefault((entry.file_key, entry.page_id), (entry, set()))[1].add(offset)
     found = []
     entries = [entry for entry, _ in pages.values()]
-    payloads = fetch_pages(store, snap.schema.field("emb"), entries) if entries else []
-    for (entry, offsets), (row_start, values) in zip(pages.values(), payloads):
+    field = snap.schema.field("emb")
+    payloads = fetch_pages(store, entries) if entries else []
+    for (entry, offsets), raw in zip(pages.values(), payloads):
+        values = decode_values(field, raw, entry.num_values)
         dv = lake.deletion_vector(snap, entry.file_key)
         for offset in offsets:
-            row, value = row_start + offset, values[offset]
+            row, value = entry.row_start + offset, values[offset]
             if row not in dv:
                 found.append(
                     SearchMatch(entry.file_key, row, value, query.distance(value))
