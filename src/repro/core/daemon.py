@@ -31,7 +31,6 @@ from repro.maintain.pipeline import MaintainReport, MaintenancePipeline
 from repro.meta.metadata_table import IndexRecord
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import get_tracer
-from repro.storage.pool import IOBudget
 
 @dataclass(frozen=True)
 class Work:
@@ -164,7 +163,6 @@ class MaintenanceDaemon:
         policy=None,
         index_params: dict[tuple[str, str], dict] | None = None,
         workers: int = 1,
-        budget: "IOBudget | None" = None,
     ) -> None:
         self.client = client
         self.targets = list(targets)
@@ -173,12 +171,7 @@ class MaintenanceDaemon:
         #: Store-clock time of this daemon's last vacuum (process state:
         #: a restarted daemon vacuums on its first tick).
         self.last_vacuum: float | None = None
-        # A shared IO budget caps the combined in-flight store tasks of
-        # this pipeline's pool and any query executor sharing it, so
-        # maintenance ticks can overlap live serving.
-        self.pipeline = MaintenancePipeline(
-            client, workers=workers, budget=budget
-        )
+        self.pipeline = MaintenancePipeline(client, workers=workers)
 
     def close(self) -> None:
         """Shut down the pipeline's worker pool."""

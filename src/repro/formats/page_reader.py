@@ -61,20 +61,6 @@ class PageTable:
             )
         return self.entries[page_id]
 
-    def page_of_row(self, row_index: int) -> int:
-        """Page ordinal containing a file-global row index."""
-        lo, hi = 0, len(self.entries) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.entries[mid].row_start <= row_index:
-                lo = mid
-            else:
-                hi = mid - 1
-        e = self.entries[lo]
-        if not e.row_start <= row_index < e.row_start + e.num_values:
-            raise FormatError(f"row {row_index} outside {self.file_key!r}")
-        return lo
-
     # -- serialization (embedded into index files) ---------------------
     def serialize(self, writer: BinaryWriter) -> None:
         writer.write_str(self.file_key)
@@ -137,13 +123,7 @@ def build_page_table(metadata: FileMetadata, file_key: str, column: str) -> Page
     return PageTable(file_key=file_key, column=column, entries=entries)
 
 
-def fetch_pages(
-    store: ObjectStore,
-    entries: list[PageEntry],
-    *,
-    gap_threshold: int | None = None,
-    budget=None,
-) -> list[bytes]:
+def fetch_pages(store: ObjectStore, entries: list[PageEntry]) -> list[bytes]:
     """Read several pages through the coalescing batch scheduler.
 
     The page ranges go to :meth:`ObjectStore.get_many`, which merges
@@ -160,9 +140,7 @@ def fetch_pages(
     requests = [
         RangeRequest(e.file_key, e.offset, e.compressed_size) for e in entries
     ]
-    blobs = store.get_many(
-        requests, gap_threshold=gap_threshold, budget=budget
-    )
+    blobs = store.get_many(requests)
     return [
         compression.decompress(blob, e.codec) for e, blob in zip(entries, blobs)
     ]

@@ -59,7 +59,7 @@ class IngestDrainer:
 
     ``index_specs`` — optional ``(column, index_type, params)`` triples
     built through ``pipeline`` after each commit, so drained rows land
-    indexed, under the pipeline's shared ``IOBudget``.
+    indexed, on the pipeline's worker pool.
     """
 
     def __init__(

@@ -3,16 +3,14 @@
 The heart of the package is :class:`MaintenancePipeline`: the
 maintenance-side twin of :class:`repro.serve.executor.SearchExecutor`,
 fanning per-file index builds and independent compaction merge groups
-across a bounded :class:`repro.storage.pool.TracedPool`, optionally
-under a shared :class:`repro.storage.pool.IOBudget` so maintenance
-overlaps serving without starving it.
+across a bounded :class:`repro.storage.pool.TracedPool` whose
+``workers`` is the one bound on its concurrency.
 """
 
 from repro.maintain.pipeline import MaintainReport, MaintenancePipeline
-from repro.storage.pool import IOBudget, TracedPool
+from repro.storage.pool import TracedPool
 
 __all__ = [
-    "IOBudget",
     "MaintainReport",
     "MaintenancePipeline",
     "TracedPool",

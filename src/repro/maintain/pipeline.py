@@ -22,10 +22,9 @@ ongoing maintenance) — whoever
 asked for the run: a caller, the drain, or a
 :class:`~repro.core.daemon.MaintenanceDaemon` tick under any policy.
 
-Sharing an :class:`~repro.storage.pool.IOBudget` between a pipeline and
-a query executor caps their *combined* in-flight store tasks: the
-backpressure signal that lets the daemon overlap maintenance ticks with
-live serving.
+The pipeline's ``workers`` is the one bound on its in-flight store
+tasks; it shares no semaphore with a query executor, so a maintenance
+run beside live serving changes neither side's width.
 """
 
 from __future__ import annotations
@@ -44,12 +43,17 @@ from repro.core.maintenance import (
     vacuum_indices,
 )
 from repro.meta.metadata_table import IndexRecord
-from repro.obs.attribution import DEFAULT_INSTANCE, QueryBill, attribute
+from repro.obs.attribution import (
+    DEFAULT_INSTANCE,
+    QueryBill,
+    attribute,
+    price_trace,
+)
 from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
-from repro.storage.pool import IOBudget, Run, TracedPool, phase
+from repro.storage.pool import Run, TracedPool, phase
 from repro.storage.stats import RequestTrace
 
 T = TypeVar("T")
@@ -115,16 +119,13 @@ class MaintenancePipeline:
         client: RottnestClient,
         *,
         workers: int = 4,
-        budget: IOBudget | None = None,
     ) -> None:
         self.client = client
         self.workers = workers
-        self.budget = budget
         self._pool = TracedPool(
             workers=workers,
             thread_name_prefix="maintainer",
             span_name="maintainer:task",
-            budget=budget,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -218,9 +219,9 @@ class MaintenancePipeline:
         verb run: it moves ``maintain.plan.cost_usd`` and ``maintain.plan.modeled_s``,
         and no ``maintain.{op}.runs`` series.
         """
-        with phase("maintain.plan", "plan") as root:
+        with Run() as run, phase("maintain.plan", "plan") as root:
             planned = step()
-        self._bill("plan", root)
+        self._bill("plan", root, run)
         return planned
 
     # -- internals -----------------------------------------------------
@@ -265,7 +266,7 @@ class MaintenancePipeline:
             hub.series("maintain_worker_tasks_total", op=op).observe(
                 run.tasks, at_s=at_s
             )
-        self._bill(op, root)
+        self._bill(op, root, run)
         return MaintainReport(
             op=op,
             workers=self.workers,
@@ -277,14 +278,16 @@ class MaintenancePipeline:
             worker_tasks=run.tasks,
         )
 
-    def _bill(self, op: str, root: Span) -> None:
-        """One run's (or planning step's) spend → hub series."""
-        bill = attribute(root)
+    def _bill(self, op: str, root: Span, run: Run) -> None:
+        """One run's (or planning step's) spend → hub series: attributed
+        from its span tree, or priced from the run's trace when the
+        tracer keeps no spans."""
+        if get_tracer().enabled:
+            bill = attribute(root)
+            modeled_s, cost_usd = bill.est_latency_s, bill.total_cost_usd()
+        else:
+            modeled_s, cost_usd = price_trace(run.trace)
         hub = get_hub()
         at_s = self.client.store.clock.now()
-        hub.series(f"maintain.{op}.modeled_s").observe(
-            bill.est_latency_s, at_s=at_s
-        )
-        hub.series(f"maintain.{op}.cost_usd").observe(
-            bill.total_cost_usd(), at_s=at_s
-        )
+        hub.series(f"maintain.{op}.modeled_s").observe(modeled_s, at_s=at_s)
+        hub.series(f"maintain.{op}.cost_usd").observe(cost_usd, at_s=at_s)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.obs.trace import Span
 from repro.storage.costs import CostModel
 from repro.storage.latency import LatencyModel
-from repro.storage.stats import IOStats
+from repro.storage.stats import IOStats, RequestTrace
 
 #: Canonical phase order for bills (spans tag themselves via the
 #: ``phase`` attribute; unknown phases are appended after these).
@@ -135,6 +135,24 @@ def price_iostats(stats: IOStats, costs: CostModel | None = None) -> float:
     return costs.request_cost(
         gets=stats.gets, puts=stats.puts, lists=stats.lists, heads=stats.heads
     )
+
+
+def price_trace(
+    trace: RequestTrace,
+    *,
+    latency: LatencyModel | None = None,
+    costs: CostModel | None = None,
+    instance_type: str = DEFAULT_INSTANCE,
+) -> tuple[float, float]:
+    """A run's trace priced without its span tree: ``(modeled seconds,
+    dollars)``, the dollars being its requests (:func:`price_iostats`)
+    plus the instance time spent waiting on them. What a run bills when
+    the tracer keeps no spans to :func:`attribute`."""
+    latency = latency or LatencyModel()
+    costs = costs or CostModel()
+    seconds = latency.trace_latency(trace)
+    compute = seconds * costs.instance_hourly(instance_type) / 3600.0
+    return seconds, price_iostats(IOStats().fold(trace), costs) + compute
 
 
 def attribute(

@@ -27,9 +27,6 @@ HELP = {
     "io_merged_gets_total": "Coalesced GETs dispatched by the batch scheduler",
     "io_coalesced_subranges_total": "Caller byte-ranges served through a coalesced GET",
     "io_coalesced_waste_bytes_total": "Gap bytes fetched by coalesced GETs that no caller asked for",
-    "io_budget_slots": "Configured IO-budget slots per shared budget",
-    "io_budget_in_use": "IO-budget slots currently held per shared budget",
-    "io_budget_waits_total": "Times a worker blocked waiting for an IO-budget slot",
     "cache_lookups_total": "Serving-cache lookups by outcome",
     "cache_evictions_total": "Serving-cache entries evicted by the byte budget",
     "cache_invalidations_total": "Serving-cache entries dropped by writes",

@@ -377,14 +377,7 @@ class CachingObjectStore(ObjectStore):
 
         return self._flights.do(("MEMO", key, name), fill)
 
-    def get_many(
-        self,
-        requests,
-        *,
-        gap_threshold: int | None = None,
-        budget=None,
-        return_exceptions: bool = False,
-    ) -> list[bytes]:
+    def get_many(self, requests) -> list[bytes]:
         """Batched reads that serve cache hits and coalesce only misses.
 
         Each requested sub-range is looked up individually first (a
@@ -394,7 +387,7 @@ class CachingObjectStore(ObjectStore):
         merged-request granularity and admission of the merged range,
         so a repeat of the same plan is served entirely from cache.
         """
-        from repro.storage import sched
+        from repro.storage.sched import execute_plan, plan_reads
 
         results: list[bytes | None] = [None] * len(requests)
         misses: list[tuple[int, object]] = []
@@ -406,18 +399,7 @@ class CachingObjectStore(ObjectStore):
                 misses.append((index, request))
         if misses:
             local = [request for _, request in misses]
-            gap = (
-                sched.DEFAULT_GAP_THRESHOLD
-                if gap_threshold is None
-                else gap_threshold
-            )
-            fetched = sched.execute_plan(
-                self,
-                local,
-                sched.plan_reads(local, gap),
-                budget=budget,
-                return_exceptions=return_exceptions,
-            )
+            fetched = execute_plan(self, local, plan_reads(local))
             for (index, _), data in zip(misses, fetched):
                 results[index] = data
         return results  # type: ignore[return-value]

@@ -19,7 +19,7 @@ from repro.core.queries import Query
 from repro.core.results import SearchResult
 from repro.core.search import run_search
 from repro.errors import RottnestIndexError
-from repro.storage.pool import IOBudget, TracedPool
+from repro.storage.pool import TracedPool
 
 
 class SearchExecutor:
@@ -35,7 +35,6 @@ class SearchExecutor:
         client: RottnestClient,
         *,
         max_searchers: int = 4,
-        budget: IOBudget | None = None,
     ) -> None:
         if max_searchers < 1:
             raise RottnestIndexError(
@@ -45,14 +44,12 @@ class SearchExecutor:
         self.max_searchers = max_searchers
         # The fan-out machinery (per-worker traces, deterministic
         # payload order) lives in TracedPool, shared with the
-        # maintenance pipeline. A shared ``budget`` caps combined
-        # in-flight tasks across everything holding it — the signal
-        # that lets maintenance overlap serving without starving it.
+        # maintenance pipeline; ``max_searchers`` is its one bound on
+        # in-flight tasks.
         self._pool = TracedPool(
             workers=max_searchers,
             thread_name_prefix="searcher",
             span_name="searcher:task",
-            budget=budget,
         )
 
     def close(self) -> None:

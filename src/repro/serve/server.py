@@ -35,7 +35,7 @@ from repro.errors import (
 from repro.indices.base import querier_for
 from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable
-from repro.obs.attribution import attribute
+from repro.obs.attribution import attribute, price_trace
 from repro.obs.flight import get_flight_recorder
 from repro.obs.timeseries import QuantileSketch, get_hub
 from repro.obs.trace import get_tracer
@@ -361,6 +361,7 @@ class SearchServer:
                 hub,
                 modeled_s,
                 root=flight["root"],
+                run=flight["run"],
                 degraded=result.degraded and not shared,
                 fresh_matches=fresh_matches,
             )
@@ -384,6 +385,7 @@ class SearchServer:
         modeled_s: float,
         *,
         root,
+        run,
         degraded: bool,
         fresh_matches: int = 0,
     ) -> None:
@@ -391,19 +393,21 @@ class SearchServer:
 
         Every caller (leader or deduplicated) contributes a latency
         observation and a query count — that is what it experienced.
-        Only the flight leader carries ``root`` (the finished span
-        tree; ``None`` marks a deduplicated caller), so only it is
-        attributed into dollars (``serve.cost_usd``, which the cost
-        ledger folds), the tail recorder, and the flight recorder: the
-        spend happened once. When the
+        Only the flight leader carries ``root`` and ``run`` (``None``
+        marks a deduplicated caller), so only it is billed into
+        ``serve.cost_usd``, which the cost ledger folds: the spend
+        happened once. The bill is attributed from the finished span
+        tree, or priced from the run's trace when the tracer kept no
+        spans; the tail and flight recorders need the spans. When the
         flight recorder retains the query, its trace id rides the
         latency observation as the sketch's exemplar.
         """
         at_s = self.client.store.clock.now()
         trace_id: str | None = None
-        bill = None
+        bill = cost_usd = None
         if root is not None and root.end_s is not None:
             bill = attribute(root, latency=self.latency_model)
+            cost_usd = bill.total_cost_usd()
             recorder = get_flight_recorder()
             if recorder is not None:
                 retained = recorder.record(
@@ -415,6 +419,8 @@ class SearchServer:
                 )
                 if retained is not None:
                     trace_id = retained.trace_id
+        elif run is not None:
+            _, cost_usd = price_trace(run.trace, latency=self.latency_model)
         hub.quantiles("serve.latency_s").observe(
             modeled_s, at_s=at_s, trace_id=trace_id
         )
@@ -427,9 +433,7 @@ class SearchServer:
             )
         if degraded:
             hub.series("serve.degraded").observe(1.0, at_s=at_s)
-        if bill is None:
-            return
-        hub.series("serve.cost_usd").observe(
-            bill.total_cost_usd(), at_s=at_s
-        )
-        hub.tail.record_bill(bill, modeled_s, at_s=at_s, degraded=degraded)
+        if cost_usd is not None:
+            hub.series("serve.cost_usd").observe(cost_usd, at_s=at_s)
+        if bill is not None:
+            hub.tail.record_bill(bill, modeled_s, at_s=at_s, degraded=degraded)

@@ -37,7 +37,7 @@ from repro.obs.trace import get_tracer
 from repro.shard.hedge import HedgePolicy
 from repro.shard.plan import ShardDeployment, ShardGroup, ShardReplica
 from repro.storage.costs import CostModel
-from repro.storage.pool import IOBudget, TracedPool
+from repro.storage.pool import TracedPool
 from repro.storage.stats import IOStats
 
 #: Instance type the per-shard searcher compute is priced on.
@@ -132,7 +132,6 @@ class QueryRouter:
         hedge: HedgePolicy | None = HedgePolicy(),
         prune: bool = True,
         on_shard_failure: str = "error",
-        budget: IOBudget | None = None,
         fresh_tier=None,
     ) -> None:
         if on_shard_failure not in ("error", "partial"):
@@ -169,7 +168,6 @@ class QueryRouter:
             workers=self.fanout,
             thread_name_prefix="router",
             span_name="router:shard",
-            budget=budget,
         )
 
     # -- lifecycle -----------------------------------------------------

@@ -51,18 +51,17 @@ class LatencyModel:
         extra = max(0, nbytes - self.free_bytes)
         return self.first_byte_s + extra / self.stream_bandwidth_bps
 
-    def round_latency(self, sizes: list[int], concurrency: int | None = None) -> float:
+    def round_latency(self, sizes: list[int]) -> float:
         """Latency of one parallel round of requests.
 
-        Requests are issued in waves of at most ``concurrency``; the round
-        finishes when the slowest wave finishes. Aggregate-bandwidth and
-        per-prefix-RPS floors are then applied, since neither can be
+        Requests are issued in waves of at most ``max_concurrency``; the
+        round finishes when the slowest wave finishes. Aggregate-bandwidth
+        and per-prefix-RPS floors are then applied, since neither can be
         beaten by adding connections.
         """
         if not sizes:
             return 0.0
-        cap = self.max_concurrency if concurrency is None else max(1, concurrency)
-        waves = -(-len(sizes) // cap)  # ceil division
+        waves = -(-len(sizes) // self.max_concurrency)  # ceil division
         slowest = max(sizes)
         wave_latency = self.request_latency(slowest)
         latency = waves * wave_latency
@@ -70,9 +69,7 @@ class LatencyModel:
         rps_floor = len(sizes) / self.prefix_get_rps
         return max(latency, bandwidth_floor, rps_floor)
 
-    def trace_latency(
-        self, trace: RequestTrace, concurrency: int | None = None
-    ) -> float:
+    def trace_latency(self, trace: RequestTrace) -> float:
         """Estimated wall-clock latency of an entire dependency trace."""
         total = 0.0
         for round_ in trace.rounds:
@@ -80,9 +77,7 @@ class LatencyModel:
                 continue
             lists = [r for r in round_ if r.op == "LIST"]
             others = [r for r in round_ if r.op != "LIST"]
-            round_total = self.round_latency(
-                [r.nbytes for r in others], concurrency=concurrency
-            )
+            round_total = self.round_latency([r.nbytes for r in others])
             # LIST pages are sequential per listing; approximate with one
             # page per recorded LIST request.
             round_total += len(lists) * self.list_latency_s

@@ -124,43 +124,26 @@ class ObjectStore(ABC):
         except ObjectNotFound:
             return False
 
-    def get_many(
-        self,
-        requests,
-        *,
-        gap_threshold: int | None = None,
-        budget=None,
-        return_exceptions: bool = False,
-    ) -> list[bytes]:
+    def get_many(self, requests) -> list[bytes]:
         """Batched ranged reads through the coalescing scheduler.
 
         ``requests`` is a sequence of :class:`repro.storage.sched.
         RangeRequest`; the scheduler sorts per-key ranges, merges those
-        closer than ``gap_threshold`` bytes into one GET, and slices
-        the merged payloads back out — byte-identical to issuing each
-        range as its own :meth:`get`, but with fewer wire requests. The
-        default implementation dispatches every merged request through
-        ``self.get``, so subclasses and wrappers (faults, retries,
-        caching) compose without overriding anything; stores that can
-        serve parts of the plan themselves (the caching store) override
-        this to coalesce only what they must fetch.
+        at most ``DEFAULT_GAP_THRESHOLD`` bytes apart into one GET, and
+        slices the merged payloads back out — byte-identical to issuing
+        each range as its own :meth:`get`, but with fewer wire
+        requests. The default implementation dispatches every merged
+        request through ``self.get``, so subclasses and wrappers
+        (faults, retries, caching) compose without overriding anything;
+        stores that can serve parts of the plan themselves (the caching
+        store) override this to coalesce only what they must fetch.
 
         See :mod:`repro.storage.sched` for the planning rules and the
         waste-byte accounting contract.
         """
-        from repro.storage import sched
+        from repro.storage.sched import execute_plan, plan_reads
 
-        return sched.get_many(
-            self,
-            requests,
-            gap_threshold=(
-                sched.DEFAULT_GAP_THRESHOLD
-                if gap_threshold is None
-                else gap_threshold
-            ),
-            budget=budget,
-            return_exceptions=return_exceptions,
-        )
+        return execute_plan(self, requests, plan_reads(requests))
 
 
 class InMemoryObjectStore(ObjectStore):

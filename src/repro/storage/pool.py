@@ -11,14 +11,9 @@ wave merge with ``merge_parallel`` (they really were in
 flight together), waves compose sequentially with ``then`` (only
 ``workers`` requests can be outstanding at once). Payloads come back
 in task order regardless of completion order — determinism of results
-never depends on scheduling.
-
-:class:`IOBudget` is the backpressure signal that lets a maintenance
-daemon overlap its ticks with live serving without starving it: both
-sides wrap their store-touching tasks in :meth:`IOBudget.slot`, so the
-*total* IO concurrency across pools is capped by one shared semaphore.
-Budget occupancy is exported through :mod:`repro.obs` gauges so an
-operator can see maintenance yielding to queries in real time.
+never depends on scheduling. A pool's ``workers`` is the one bound
+on its concurrency: pools share no semaphore, so a maintenance pool
+and a query executor each keep their own width.
 
 The trace of a *run* — one search, one maintenance verb — is built
 from its phases. :class:`Run` opens one on the calling thread;
@@ -32,13 +27,11 @@ traces, and a run only composes them.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Callable, Iterator, TypeVar
 
 from repro.errors import RottnestIndexError
-from repro.obs.timeseries import get_hub
 from repro.obs.trace import Span, get_tracer
 from repro.storage.stats import RequestTrace, _open, tracing
 
@@ -80,56 +73,6 @@ def end_phase(span: Span, trace: RequestTrace) -> None:
     stack = _open.runs
     if stack:
         stack[-1].trace = stack[-1].trace.then(trace)
-
-
-class IOBudget:
-    """A shared cap on concurrent store-touching tasks.
-
-    One budget can be handed to several :class:`TracedPool` instances
-    (e.g. a query executor and a maintenance pipeline); their combined
-    in-flight task count never exceeds ``slots``. Acquisition order is
-    the semaphore's (FIFO-ish) — neither side can starve the other
-    indefinitely, which is the backpressure contract the daemon relies
-    on when it overlaps maintenance with serving.
-    """
-
-    def __init__(self, slots: int, *, name: str = "shared") -> None:
-        """Create a budget of ``slots`` concurrent store-touching tasks."""
-        if slots < 1:
-            raise RottnestIndexError(f"IO budget slots must be >= 1, got {slots}")
-        self.slots = slots
-        self.name = name
-        self._sem = threading.Semaphore(slots)
-        self._lock = threading.Lock()
-        self._in_use = 0
-        # A budget owns no clock, so its series carry no windows: the
-        # all-time waits and the current occupancy only.
-        get_hub().series("io_budget_slots", budget=name).set(slots)
-        get_hub().series("io_budget_in_use", budget=name).set(0)
-
-    @property
-    def in_use(self) -> int:
-        """Slots currently held (for tests and dashboards)."""
-        with self._lock:
-            return self._in_use
-
-    @contextmanager
-    def slot(self) -> Iterator[None]:
-        """Hold one budget slot for the duration of the block."""
-        if not self._sem.acquire(blocking=False):
-            get_hub().series("io_budget_waits_total", budget=self.name).observe()
-            self._sem.acquire()
-        in_use = get_hub().series("io_budget_in_use", budget=self.name)
-        with self._lock:
-            self._in_use += 1
-        in_use.add(1)
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._in_use -= 1
-            in_use.add(-1)
-            self._sem.release()
 
 
 def run_inline(
@@ -203,19 +146,12 @@ class TracedPool:
         workers: int = 4,
         thread_name_prefix: str = "worker",
         span_name: str = "worker:task",
-        budget: IOBudget | None = None,
     ) -> None:
-        """Create a pool of ``workers`` threads.
-
-        ``budget`` (optional) wraps every task in a shared
-        :meth:`IOBudget.slot` so several pools can cap their combined
-        concurrency.
-        """
+        """Create a pool of ``workers`` threads."""
         if workers < 1:
             raise RottnestIndexError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.span_name = span_name
-        self.budget = budget
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix=thread_name_prefix
         )
@@ -245,26 +181,25 @@ class TracedPool:
         lands under the right root even though it runs on a pool
         thread.
         """
-        budget = self.budget
 
         def run() -> tuple[RequestTrace, T]:
             """Worker-side body: attach span, trace, run the task; a
             raising task's error carries its trace (:func:`spent`)."""
             tracer = get_tracer()
-            with tracer.attach(parent), tracer.span(span_name) as task_span:
-                with budget.slot() if budget is not None else nullcontext():
-                    with tracing() as trace:
-                        try:
-                            payload = fn()
-                        except BaseException as error:
-                            error.spent = trace
-                            raise
-                        finally:
-                            # Per-task trace for the timeline; the
-                            # *phase* span owns the merged wave trace,
-                            # so attribution counts each request once
-                            # (task spans carry no ``phase`` attr).
-                            task_span.trace = trace
+            with tracer.attach(parent), tracer.span(
+                span_name
+            ) as task_span, tracing() as trace:
+                try:
+                    payload = fn()
+                except BaseException as error:
+                    error.spent = trace
+                    raise
+                finally:
+                    # Per-task trace for the timeline; the *phase* span
+                    # owns the merged wave trace, so attribution counts
+                    # each request once (task spans carry no ``phase``
+                    # attr).
+                    task_span.trace = trace
             return trace, payload
 
         return run

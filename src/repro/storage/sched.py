@@ -40,7 +40,6 @@ from repro.obs.timeseries import get_hub
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.object_store import ObjectStore
-    from repro.storage.pool import IOBudget
 
 #: Ranges closer than this many bytes merge into one GET by default.
 #: Small relative to a data page (~2-64 KiB here, row-group sized in
@@ -155,9 +154,6 @@ def execute_plan(
     store: "ObjectStore",
     requests: Sequence[RangeRequest],
     plan: Iterable[MergedGet],
-    *,
-    budget: "IOBudget | None" = None,
-    return_exceptions: bool = False,
 ) -> list[bytes]:
     """Dispatch a read plan; return payloads in original request order.
 
@@ -167,20 +163,10 @@ def execute_plan(
     byte strings. All merged GETs live in the *same* trace round — no
     barrier is inserted — so the latency model prices them as one
     parallel wave, which is what a real batched dispatcher would do.
-
-    ``budget`` (optional) wraps each merged GET in an
-    ``IOBudget.slot()`` for cross-pool backpressure. Callers already
-    *holding* a slot — executor searcher tasks — must pass ``None``:
-    re-acquiring from inside the pool can deadlock when every worker
-    holds a slot.
-
-    With ``return_exceptions=True`` a failed merged GET does not raise;
-    instead the exception object is returned for **all and only** its
-    constituent sub-ranges (the fault really does fail the whole wire
-    request), and unrelated merged GETs still complete.
+    A failed merged GET raises: the fault really does fail the whole
+    wire request, and the caller's read with it.
     """
-    results: list[object] = [None] * len(requests)
-    first_error: BaseException | None = None
+    results: list[bytes] = [b""] * len(requests)
     hub = get_hub()
     for merged in plan:
         at_s = store.clock.now()
@@ -192,44 +178,7 @@ def execute_plan(
             hub.series("io_coalesced_waste_bytes_total").observe(
                 merged.waste, at_s=at_s
             )
-        try:
-            if budget is not None:
-                with budget.slot():
-                    data = store.get(merged.key, (merged.offset, merged.length))
-            else:
-                data = store.get(merged.key, (merged.offset, merged.length))
-        except Exception as exc:
-            if not return_exceptions:
-                raise
-            if first_error is None:
-                first_error = exc
-            for index, _ in merged.parts:
-                results[index] = exc
-            continue
+        data = store.get(merged.key, (merged.offset, merged.length))
         for position, (index, _) in enumerate(merged.parts):
             results[index] = merged.slice(position, data)
-    return results  # type: ignore[return-value]
-
-
-def get_many(
-    store: "ObjectStore",
-    requests: Sequence[RangeRequest],
-    *,
-    gap_threshold: int = DEFAULT_GAP_THRESHOLD,
-    budget: "IOBudget | None" = None,
-    return_exceptions: bool = False,
-) -> list[bytes]:
-    """Plan + dispatch in one call (the default ``ObjectStore.get_many``).
-
-    Returns one ``bytes`` per request, in request order, byte-identical
-    to issuing each range as its own ``store.get`` — coalescing only
-    changes *how many wire requests* carry them.
-    """
-    plan = plan_reads(requests, gap_threshold)
-    return execute_plan(
-        store,
-        requests,
-        plan,
-        budget=budget,
-        return_exceptions=return_exceptions,
-    )
+    return results

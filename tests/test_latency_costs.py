@@ -62,10 +62,10 @@ class TestRoundLatency:
         sizes = [10] * 5_000
         assert m.round_latency(sizes) >= 50.0
 
-    def test_custom_concurrency(self, model):
+    def test_custom_concurrency(self):
         sizes = [1000] * 10
-        serial = model.round_latency(sizes, concurrency=1)
-        parallel = model.round_latency(sizes, concurrency=10)
+        serial = LatencyModel(max_concurrency=1).round_latency(sizes)
+        parallel = LatencyModel(max_concurrency=10).round_latency(sizes)
         assert serial == pytest.approx(10 * parallel, rel=0.01)
 
 

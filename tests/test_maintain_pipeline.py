@@ -1,18 +1,17 @@
-"""repro.maintain: pipeline reports, IO budget, streaming merges.
+"""repro.maintain: pipeline reports, overlap with serving, streaming merges.
 
 The end-to-end guarantees (byte-identity of parallel maintenance, crash
 recovery) live in test_chaos_resume.py and test_conformance_matrix.py;
 this file unit-tests the pipeline machinery itself: reports reconcile
-with IOStats like query bills do, parallelism buys modeled latency, the
-shared IO budget really caps combined concurrency, and the streaming
-merges are byte-equal to the materialized ones.
+with IOStats like query bills do, parallelism buys modeled latency,
+maintenance overlaps serving without changing either's results, and
+the streaming merges are byte-equal to the materialized ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from repro.indices.minmax import MinMaxBuilder
 from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.indices.vector.ivf_pq import IvfPqBuilder
 from repro.lake.table import LakeTable, TableConfig
-from repro.maintain import IOBudget, MaintainReport, MaintenancePipeline
+from repro.maintain import MaintainReport, MaintenancePipeline
 from repro.obs.attribution import attribute, price_iostats
 from repro.obs.timeseries import TelemetryHub, use_hub
 from repro.obs.trace import Tracer, use_tracer
@@ -413,66 +412,26 @@ def test_aborted_index_is_billed_and_counted():
 
 
 # ---------------------------------------------------------------------
-# IO budget: the backpressure signal
+# overlap: maintenance beside serving, each on its own pool
 # ---------------------------------------------------------------------
 class TestIOBudget:
-    def test_rejects_non_positive_slots(self):
-        with pytest.raises(RottnestIndexError):
-            IOBudget(0)
-
-    def test_caps_combined_concurrency_across_pools(self):
-        """Two 4-wide pools sharing a 2-slot budget never have more
-        than 2 tasks inside their store sections at once."""
-        store = InMemoryObjectStore(clock=SimClock(start=0.0))
-        store.put("k", b"v")
-        budget = IOBudget(2, name="test-cap")
-        peak = 0
-        active = 0
-        lock = threading.Lock()
-
-        def task():
-            nonlocal peak, active
-            with lock:
-                active += 1
-                peak = max(peak, active)
-            time.sleep(0.005)  # hold the slot long enough to overlap
-            store.get("k")
-            with lock:
-                active -= 1
-
-        pools = [
-            TracedPool(workers=4, budget=budget) for _ in range(2)
-        ]
-        try:
-            threads = [
-                threading.Thread(target=pool.run, args=([task] * 6,))
-                for pool in pools
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            for pool in pools:
-                pool.close()
-        assert peak <= 2
-        assert budget.in_use == 0
+    """Each pool's ``workers`` is the one bound on its concurrency."""
 
     def test_maintenance_overlaps_serving_under_shared_budget(self):
-        """A pipeline and an executor sharing one budget both finish
-        correctly — the overlap changes scheduling, never results."""
+        """A pipeline and an executor running at once, each on its own
+        pool, both finish correctly — the overlap changes scheduling,
+        never results."""
         store, lake = _lake_store(files=4, rows=24)
         client = _client(store, lake)
         client.index("uuid", "uuid_trie")
         lake.append(event_batch(24, seed=99))
 
-        budget = IOBudget(2, name="test-overlap")
         errors: list[Exception] = []
         results: dict[str, object] = {}
 
         def serve():
             try:
-                with SearchExecutor(client, max_searchers=3, budget=budget) as ex:
+                with SearchExecutor(client, max_searchers=3) as ex:
                     results["search"] = ex.search(
                         "uuid", UuidQuery(event_uuid(1, 3)), k=5
                     )
@@ -481,7 +440,7 @@ class TestIOBudget:
 
         def maintain():
             try:
-                with MaintenancePipeline(client, workers=3, budget=budget) as pipe:
+                with MaintenancePipeline(client, workers=3) as pipe:
                     results["index"] = pipe.index("uuid", "uuid_trie")
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
@@ -490,11 +449,11 @@ class TestIOBudget:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         assert not errors
         assert results["search"].matches
         assert len(results["index"].records) == 1
-        assert budget.in_use == 0
 
 
 # ---------------------------------------------------------------------

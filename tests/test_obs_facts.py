@@ -33,9 +33,8 @@ from repro.serve import CachingObjectStore, SearchServer
 from repro.shard import QueryRouter, ShardPlan
 from repro.storage.faults import FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
-from repro.storage.pool import IOBudget
 from repro.storage.retry import RetryingObjectStore
-from repro.storage.sched import RangeRequest, get_many
+from repro.storage.sched import RangeRequest, execute_plan, plan_reads
 
 from tests.conftest import event_batch, event_uuid
 from tests.test_serve_server import _gate_executor, _serving_stack
@@ -213,7 +212,7 @@ class TestStorageAndCache:
         store.put("a", bytes(range(32)))
         before = store.stats.snapshot()
         requests = [RangeRequest("a", 0, 4), RangeRequest("a", 10, 4)]
-        assert get_many(store, requests, gap_threshold=8) == [
+        assert execute_plan(store, requests, plan_reads(requests, 8)) == [
             bytes(range(4)),
             bytes(range(10, 14)),
         ]
@@ -266,32 +265,6 @@ class TestStorageAndCache:
         assert hub.series("cache_evictions_total").total() == stats.evictions
         assert hub.series("cache_invalidations_total").total() == stats.invalidations
         assert hub.series("cache_cached_bytes").last == cached.cached_bytes == 0
-
-    def test_io_budget(self, hub):
-        budget = IOBudget(1, name="facts")
-        in_use = hub.series("io_budget_in_use", budget="facts")
-        assert hub.series("io_budget_slots", budget="facts").last == 1
-        done = threading.Event()
-
-        def contend() -> None:
-            with budget.slot():
-                done.set()
-
-        with budget.slot():
-            assert in_use.last == 1
-            waiter = threading.Thread(target=contend)
-            waiter.start()
-            deadline = time.monotonic() + 30
-            while (
-                _total(hub, "io_budget_waits_total", budget="facts") < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.001)
-        waiter.join(timeout=30)
-        assert done.is_set() and not waiter.is_alive()
-        assert _total(hub, "io_budget_waits_total", budget="facts") == 1
-        assert in_use.last == budget.in_use == 0
-        assert in_use.points() == []  # a budget owns no clock: no windows
 
 
 class TestWriteSide:

@@ -32,8 +32,10 @@ from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import MaintenancePipeline
 from repro.obs.export import explain, render_timeline
 from repro.obs.flight import FlightTrace
+from repro.obs.timeseries import TelemetryHub, use_hub
 from repro.obs.trace import _NULL_SPAN, Tracer, use_tracer
 from repro.serve.executor import SearchExecutor
+from repro.serve.server import SearchServer
 from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.pool import Run, TracedPool, phase
 from repro.util.clock import SimClock
@@ -162,6 +164,54 @@ class TestTracerOff:
             assert trace.total_bytes == delta.bytes_read + delta.bytes_written
             seen[enabled] = (_rounds(trace), tasks)
         assert seen[False] == seen[True]
+
+    def test_bills_are_the_same_with_the_tracer_off(self):
+        """Served queries and pipeline runs bill the same dollars and
+        modeled seconds with the tracer off: without a span tree, the
+        run's trace is priced."""
+        world = _client()
+        for seed in (1, 2):
+            world.lake.append(event_batch(300, seed=seed))
+        seen = {}
+        for enabled in (True, False):
+            client = _client(world.store.clone())
+            store = client.store
+            with use_hub(TelemetryHub()) as hub, use_tracer(
+                Tracer(clock=store.clock, enabled=enabled)
+            ):
+                before = store.stats.snapshot()
+                with MaintenancePipeline(client, workers=2) as pipe:
+                    report = pipe.index("uuid", "uuid_trie")
+                    pipe.plan(client.meta.records)
+                maintained = store.stats.snapshot().delta(before)
+                before = store.stats.snapshot()
+                with SearchServer(client) as server:
+                    for i in range(5):
+                        server.query("uuid", UuidQuery(event_uuid(1, i)), k=3)
+                served = store.stats.snapshot().delta(before)
+            assert report.trace.total_requests > 0
+            assert server.stats.total_requests == served.total_requests > 0
+            assert hub.series("serve.cost_usd").count() == 5
+            assert hub.series("maintain.index.cost_usd").count() == 1
+            assert hub.series("maintain.plan.cost_usd").count() == 1
+            seen[enabled] = (
+                (maintained.total_requests, served.total_requests),
+                [
+                    hub.series(name).total()
+                    for name in (
+                        "maintain.index.cost_usd",
+                        "maintain.index.modeled_s",
+                        "maintain.plan.cost_usd",
+                        "serve.cost_usd",
+                    )
+                ],
+                hub.ledger.cost_per_query_usd,
+            )
+        on, off = seen[True], seen[False]
+        assert off[0] == on[0]
+        assert all(total > 0 for total in on[1])
+        assert off[1] == pytest.approx(on[1])
+        assert off[2] == pytest.approx(on[2]) and on[2] > 0
 
 
 class TestRun:

@@ -45,20 +45,6 @@ class TestPageTable:
             cursor += e.num_values
         assert cursor == 500
 
-    def test_page_of_row(self, stored_file):
-        _, result, _, _ = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
-        for row in [0, 1, 149, 150, 499]:
-            pid = table.page_of_row(row)
-            e = table.entry(pid)
-            assert e.row_start <= row < e.row_start + e.num_values
-
-    def test_page_of_row_out_of_range(self, stored_file):
-        _, result, _, _ = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
-        with pytest.raises(FormatError):
-            table.page_of_row(500)
-
     def test_entry_out_of_range(self, stored_file):
         _, result, _, _ = stored_file
         table = build_page_table(result.metadata, "d.parquet", "text")

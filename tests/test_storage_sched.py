@@ -1,13 +1,13 @@
-"""Batch I/O scheduler: plan shape, byte-identity, and fault scoping.
+"""Batch I/O scheduler: plan shape, byte-identity, and failed merged GETs.
 
 The scheduler's contract (``repro.storage.sched``) is that coalescing
 is *invisible* except in wire-request counts: for any set of ``(key,
-range)`` requests, any gap threshold, and any cache state, ``get_many``
-returns bytes identical to issuing each range as its own ``get``.
-Hypothesis drives the identity property directly against that naive
-oracle — bare store, cache-wrapped store with arbitrary pre-warmed
-entries, and fault-injected store — plus the failure-scoping property:
-a failed merged GET fails **all and only** its constituent sub-ranges.
+range)`` requests, any gap threshold, and any cache state, a plan's
+dispatch returns bytes identical to issuing each range as its own
+``get``. Hypothesis drives the identity property directly against that
+naive oracle — bare store and cache-wrapped store with arbitrary
+pre-warmed entries — plus the failure property: killing any merged GET
+of a plan fails the whole read with the injected fault.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.storage.sched import (
     MergedGet,
     RangeRequest,
     execute_plan,
-    get_many,
     plan_reads,
 )
 
@@ -130,7 +129,7 @@ class TestPlanReads:
 
     def test_empty_plan(self):
         assert plan_reads([]) == []
-        assert get_many(_store(), []) == []
+        assert _store().get_many([]) == []
 
 
 class TestGetManyIdentity:
@@ -139,7 +138,8 @@ class TestGetManyIdentity:
     def test_byte_identical_to_naive_gets(self, requests, gap):
         store = _store()
         expected = _naive(store, requests)
-        assert get_many(store, requests, gap_threshold=gap) == expected
+        assert execute_plan(store, requests, plan_reads(requests, gap)) == expected
+        assert store.get_many(requests) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -157,9 +157,11 @@ class TestGetManyIdentity:
             cache.get(request.key, (request.offset, request.length))
         for key in warm_whole:
             cache.get(key)
-        expected = [bytearray(_OBJECTS[r.key][r.offset : r.end]) for r in requests]
-        got = cache.get_many(requests, gap_threshold=gap)
-        assert [bytes(e) for e in expected] == [bytes(g) for g in got]
+        expected = [_OBJECTS[r.key][r.offset : r.end] for r in requests]
+        planned = execute_plan(cache, requests, plan_reads(requests, gap))
+        assert [bytes(p) for p in planned] == expected
+        got = cache.get_many(requests)
+        assert [bytes(g) for g in got] == expected
         # Repeats converge: each repeat re-plans only its misses, so the
         # merged ranges shift for a few rounds while entries accumulate,
         # but within |requests| repeats a batch reaches a fixpoint that
@@ -167,9 +169,9 @@ class TestGetManyIdentity:
         # empty payloads are never admitted.)
         if all(r.length > 0 for r in requests):
             for _ in range(len(requests)):
-                assert cache.get_many(requests, gap_threshold=gap) == got
+                assert cache.get_many(requests) == got
             before = cache.inner.stats.snapshot().gets
-            assert cache.get_many(requests, gap_threshold=gap) == got
+            assert cache.get_many(requests) == got
             assert cache.inner.stats.snapshot().gets == before
 
     def test_requests_recorded_at_merged_granularity(self):
@@ -180,9 +182,18 @@ class TestGetManyIdentity:
             RangeRequest("b", 0, 8),
         ]
         before = store.stats.snapshot()
-        get_many(store, requests, gap_threshold=0)
+        execute_plan(store, requests, plan_reads(requests, gap_threshold=0))
         delta_gets = store.stats.snapshot().gets - before.gets
         assert delta_gets == 2  # one merged GET for "a", one for "b"
+
+    def test_get_many_coalesces_at_the_default_gap(self):
+        store = InMemoryObjectStore()
+        store.put("big", bytes(3 * DEFAULT_GAP_THRESHOLD))
+        for gap, gets in ((DEFAULT_GAP_THRESHOLD, 1), (DEFAULT_GAP_THRESHOLD + 1, 2)):
+            requests = [RangeRequest("big", 0, 4), RangeRequest("big", 4 + gap, 4)]
+            before = store.stats.snapshot().gets
+            store.get_many(requests)
+            assert store.stats.snapshot().gets - before == gets
 
     def test_waste_counter_reconciles_with_plan(self):
         requests = [RangeRequest("a", 0, 4), RangeRequest("a", 10, 4)]
@@ -210,24 +221,19 @@ class TestFaultScoping:
     def test_failed_merged_get_fails_exactly_its_subranges(
         self, requests, gap, data
     ):
-        """Kill the Nth merged GET: its parts all fail, nothing else."""
+        """Kill the Nth merged GET: the read raises the injected fault,
+        after dispatching exactly the merged GETs before it."""
         plan = plan_reads(requests, gap_threshold=gap)
         victim = data.draw(
             st.integers(min_value=0, max_value=len(plan) - 1), label="victim"
         )
-        doomed = {index for index, _ in plan[victim].parts}
-
-        faulty = FaultyObjectStore(_store())
+        store = _store()
+        faulty = FaultyObjectStore(store)
         faulty.fail_next("GET", countdown=victim)
-        results = faulty.get_many(
-            requests, gap_threshold=gap, return_exceptions=True
-        )
-        for index, request in enumerate(requests):
-            if index in doomed:
-                assert isinstance(results[index], InjectedFault)
-            else:
-                data_bytes = _OBJECTS[request.key]
-                assert results[index] == data_bytes[request.offset : request.end]
+        before = store.stats.snapshot().gets
+        with pytest.raises(InjectedFault):
+            execute_plan(faulty, requests, plan)
+        assert store.stats.snapshot().gets - before == victim
 
     def test_without_return_exceptions_the_fault_raises(self):
         faulty = FaultyObjectStore(_store())
