@@ -13,6 +13,19 @@ Three layers:
   :class:`~repro.chaos.fuzzer.ProtocolFuzzer` interleaves the whole
   protocol across simulated clients with seeded crash injection and an
   exact search oracle. Exposed as the ``repro chaos`` CLI subcommand.
+
+All three inject through :class:`~repro.storage.faults.FaultyObjectStore`,
+whose rules have three modes:
+
+* ``"fault"`` — the operation fails before it reaches the store (a lost
+  request); the fuzzer aims these at index reads to drive the serving
+  layer's brute-force degradation.
+* ``"crash_after"`` — the client dies right after a PUT or DELETE
+  landed; the crash matrix and the fuzzer enumerate these.
+* ``"corrupt"`` — one seeded bit of a GET's payload flips on its way
+  out (``corrupt_next``). A search must then answer as if the bytes
+  were intact or raise :class:`~repro.errors.FormatError`;
+  ``tests/test_conformance_matrix.py`` arms it on every data-page read.
 """
 
 from repro.chaos.fuzzer import (

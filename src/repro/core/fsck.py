@@ -9,6 +9,7 @@ Audits the §IV-D invariants against live state:
 * **Consistency** — every index file's embedded page tables match the
   real layout of each covered Parquet file that still exists (a
   violated page table would mean in-situ probes read the wrong bytes);
+  the pages' CRCs are the search's to check, not a footer's;
 * plus operational findings: orphan index files (uploaded but never
   committed — normal within the index timeout, vacuum fodder after)
   and stale records (covering no file of any retained snapshot).
@@ -122,6 +123,7 @@ def fsck(client: RottnestClient, *, verify_consistency: bool = True) -> FsckRepo
                     (record.index_key, table.file_key)
                 )
                 continue
+            # Entries compare by placement: a footer records no CRCs.
             if fresh.entries != table.entries:
                 report.page_table_mismatches.append(
                     (record.index_key, table.file_key)

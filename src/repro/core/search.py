@@ -2,9 +2,9 @@
 
 plan → fresh probe → one task per chosen index record → verification in
 submission order → brute-force fill → fresh/lazy merge. Exact queries
-run *probe → claim → coalesced page read → page check* as one task per
+run *probe → claim → coalesced page read → CRC check* as one task per
 record (a record's page reads depend on its own probe only); the
-verification then finds the hits in the inflated page bytes
+verification then inflates a page and finds the hits in its bytes
 (``query.page_hits``) page by page until K, and looks up deletion
 vectors for the hits alone. Scoring queries keep ``index_probe`` →
 ``page_read`` as separate phases because their global candidate sort
@@ -46,7 +46,7 @@ from repro.core.results import (
 )
 from repro.errors import ObjectStoreError, RottnestIndexError
 from repro.formats.encoding import decode_values
-from repro.formats.page_reader import PageEntry, fetch_pages
+from repro.formats.page_reader import PageEntry, fetch_pages, inflate
 from repro.indices.base import ExactQuerier, ScoringQuerier, querier_for
 from repro.lake.snapshot import Snapshot
 from repro.lake.table import LakeTable, live_rows, unmaterialized
@@ -243,7 +243,7 @@ class _LazySearch:
         yielding payloads in submission order; no further wave is
         launched once :meth:`_enough`. The phase's trace runs after the
         previous phase's (:func:`~repro.storage.pool.end_phase`), also
-        when a wave raises."""
+        when a wave or the consumer raises."""
         pool = self.pool
         if pool is None:
             # Inline: no thread, no future, one task per wave — and the
@@ -258,22 +258,26 @@ class _LazySearch:
             # waves compose sequentially.
             width, run, compose = pool.workers, pool.run, RequestTrace.then
         trace = RequestTrace()
-        for start in range(0, len(tasks), width):
-            if self._enough():
-                break
-            try:
-                wave_trace, payloads = run(tasks[start : start + width])
-            except BaseException as error:
-                # The failed wave's requests were made: bill them.
-                end_phase(span, compose(trace, spent(error)))
-                raise
-            trace = compose(trace, wave_trace)
-            yield from payloads
-        end_phase(span, trace)
+        try:
+            for start in range(0, len(tasks), width):
+                if self._enough():
+                    break
+                try:
+                    wave_trace, payloads = run(tasks[start : start + width])
+                except BaseException as error:
+                    # The failed wave's requests were made: bill them.
+                    trace = compose(trace, spent(error))
+                    raise
+                trace = compose(trace, wave_trace)
+                yield from payloads
+        finally:
+            # Also when a wave raises, or the consumer does on a payload
+            # (closing this generator).
+            end_phase(span, trace)
 
-    def _read_pages(self, entries: list[PageEntry], verify):
-        """In-situ read of ``entries`` as one coalesced batch, each
-        inflated page passed through ``verify(entry, raw)``, plus the
+    def _read_pages(self, entries: list[PageEntry]):
+        """In-situ read of ``entries`` as one coalesced batch, each page
+        CRC-checked and still stored (:func:`fetch_pages`), plus the
         deletion vector of each entry's file."""
         if not entries:
             return [], []
@@ -285,9 +289,8 @@ class _LazySearch:
             key = getattr(exc, "key", None)
             failed = key if isinstance(key, str) else entries[0].file_key
             raise unmaterialized(self.snap, failed) from exc
-        payloads = [verify(entry, raw) for entry, raw in zip(entries, pages)]
         dvs = [self.lake.deletion_vector(self.snap, e.file_key) for e in entries]
-        return payloads, dvs
+        return pages, dvs
 
     def _brute_force(self, uncovered: set[str]) -> None:
         """Scan the files no chosen index covers (paper §IV-B step 3):
@@ -330,9 +333,6 @@ class _LazySearch:
         seen_pages: set[tuple[str, int]] = set()
         claim_lock = threading.Lock()
 
-        def page_hits(entry: PageEntry, raw: bytes):
-            return query.page_hits(self.field, raw, entry.num_values)
-
         def search_record(record: IndexRecord):
             reader = IndexFileReader.open(store, record.index_key, size=record.size)
             querier = querier_for(record.index_type)(reader)
@@ -355,22 +355,26 @@ class _LazySearch:
             # Page reads depend on this record's probe — and only on
             # it, not on every other record's.
             barrier()
-            return claimed, *self._read_pages(claimed, page_hits)
+            return claimed, *self._read_pages(claimed)
 
         probed_files: set[str] = set()
         with get_tracer().span("probe", phase="probe") as span:
             tasks = [partial(search_record, record) for record in chosen]
-            for claimed, hits, dvs in self._waves(span, tasks):
+            for claimed, pages, dvs in self._waves(span, tasks):
                 stats.index_files_queried += 1
                 stats.candidates += len(claimed)
                 stats.pages_probed += len(claimed)
                 probed_files.update(entry.file_key for entry in claimed)
-                for entry, page, dv in zip(claimed, hits, dvs):
+                for entry, page, dv in zip(claimed, pages, dvs):
                     if self._enough():
                         break
                     page_hit = False
-                    # Checked in its task; the hits are found as read.
-                    for index, value in page:
+                    # CRC-checked in its task; inflated and searched
+                    # only here, so a page after the K-th row never is.
+                    raw = inflate(entry, page)
+                    for index, value in query.page_hits(
+                        self.field, raw, entry.num_values
+                    ):
                         row = entry.row_start + index
                         if row in dv:
                             continue
@@ -441,17 +445,17 @@ class _LazySearch:
         page_entries = [entry for entry, _ in pages.values()]
         stats.pages_probed = len(page_entries)
 
-        def decode(entry: PageEntry, raw: bytes):
-            return decode_values(self.field, raw, entry.num_values)
-
         with tracer.span("probe:pages", phase="page_read") as span:
             # One coalesced batch; nothing to launch without candidates.
-            tasks = [partial(self._read_pages, page_entries, decode)] if pages else []
-            for payloads, dvs in self._waves(span, tasks):
+            tasks = [partial(self._read_pages, page_entries)] if pages else []
+            for fetched, dvs in self._waves(span, tasks):
                 # Refine: exact distances of the full-precision rows.
-                for (entry, offsets), values, dv in zip(
-                    pages.values(), payloads, dvs
+                for (entry, offsets), page, dv in zip(
+                    pages.values(), fetched, dvs
                 ):
+                    values = decode_values(
+                        self.field, inflate(entry, page), entry.num_values
+                    )
                     for offset in offsets:
                         row, value = entry.row_start + offset, values[offset]
                         if row not in dv:

@@ -3,7 +3,7 @@
 Wraps any :class:`~repro.storage.object_store.ObjectStore` and fires a
 programmable trigger on a matching operation. Two trigger modes model
 the two failure families the Rottnest protocol (paper §IV-D) must
-survive:
+survive, and a third the read path must:
 
 * ``"fault"`` — raise :class:`~repro.errors.InjectedFault` *before*
   the operation reaches the inner store. Models an infrastructure
@@ -13,6 +13,11 @@ survive:
   store, then raise :class:`~repro.errors.SimulatedCrash`. Models the
   client process dying between protocol steps: the mutation is durable,
   everything the client would have done next never happens.
+* ``"corrupt"`` — let a GET complete, then flip one bit of its payload,
+  chosen by the rule's ``seed``. Models bit rot, or a torn read, that
+  the store itself does not detect: a reader must answer as if the
+  bytes were intact or raise :class:`~repro.errors.FormatError`, never
+  answer wrong.
 
 ``crash_after`` on the Nth matching PUT/DELETE is the primitive the
 :mod:`repro.chaos` harness uses to kill maintenance runs at every
@@ -23,6 +28,7 @@ crash schedule is fully reproducible from a fuzzer seed.
 
 from __future__ import annotations
 
+import random
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -48,8 +54,9 @@ class FaultRule:
     that silently never fires is the worst kind of test bug.
 
     ``mode`` selects what firing does: ``"fault"`` raises before the
-    inner operation runs, ``"crash_after"`` raises after it completed
-    (see the module docstring for the semantics of each).
+    inner operation runs, ``"crash_after"`` raises after it completed,
+    ``"corrupt"`` flips one ``seed``-chosen bit of a GET's payload (see the
+    module docstring for the semantics of each).
 
     Thread-safe: faulty stores sit under the serve executor's worker
     pool, where concurrent operations race on the countdown. The
@@ -60,7 +67,8 @@ class FaultRule:
     op: str  # "PUT" | "GET" | "DELETE" | "LIST" | "HEAD" | "*" | "MUTATE"
     key_predicate: Callable[[str], bool] = lambda key: True
     countdown: int = 0
-    mode: str = "fault"  # "fault" | "crash_after"
+    mode: str = "fault"  # "fault" | "crash_after" | "corrupt"
+    seed: int = 0  # ``"corrupt"``: picks the flipped bit
     fired: bool = field(default=False, init=False)
     #: Set when the rule fires: the (op, key) it triggered on.
     fired_on: tuple[str, str] | None = field(default=None, init=False)
@@ -68,12 +76,14 @@ class FaultRule:
     def __post_init__(self) -> None:
         """Normalize the operation name and validate the mode."""
         self.op = self.op.upper()
-        if self.mode not in ("fault", "crash_after"):
+        if self.mode not in ("fault", "crash_after", "corrupt"):
             raise ValueError(f"unknown fault mode {self.mode!r}")
         if self.mode == "crash_after" and self.op not in (*MUTATION_OPS, "MUTATE"):
             raise ValueError(
                 f"crash_after only makes sense on mutations, got {self.op!r}"
             )
+        if self.mode == "corrupt" and self.op != "GET":
+            raise ValueError(f"corrupt only makes sense on GET, got {self.op!r}")
         self._lock = threading.Lock()
 
     def _op_matches(self, op: str) -> bool:
@@ -139,6 +149,8 @@ class FaultyObjectStore(ObjectStore):
     atomic-PUT semantics. ``"crash_after"`` rules fire *after* the
     inner store applied the mutation, leaving it durable — the
     crash-between-protocol-steps scenario the §IV-D proofs are about.
+    ``"corrupt"`` rules fire on a GET's payload on its way out; the
+    stored object is untouched.
     """
 
     def __init__(self, inner: ObjectStore) -> None:
@@ -171,6 +183,21 @@ class FaultyObjectStore(ObjectStore):
                 op=op,
                 key_predicate=lambda key: key_substring in key,
                 countdown=countdown,
+            )
+        )
+
+    def corrupt_next(
+        self, key_substring: str = "", countdown: int = 0, seed: int = 0
+    ) -> FaultRule:
+        """Flip one ``seed``-chosen bit of the payload of the next (or
+        countdown-th) GET whose key contains ``key_substring``."""
+        return self.add_rule(
+            FaultRule(
+                op="GET",
+                key_predicate=lambda key: key_substring in key,
+                countdown=countdown,
+                mode="corrupt",
+                seed=seed,
             )
         )
 
@@ -235,6 +262,17 @@ class FaultyObjectStore(ObjectStore):
                 span.set("crash", f"{op} {key}")
             raise SimulatedCrash(op, key)
 
+    def _corrupt(self, op: str, key: str, data: bytes) -> bytes:
+        """``data`` with one bit flipped per ``"corrupt"`` rule that
+        fires on it (every in-scope rule counts the operation)."""
+        for rule in self.rules:
+            if rule.mode == "corrupt" and rule.matches(op, key) and data:
+                bit = random.Random(rule.seed).randrange(8 * len(data))
+                flipped = bytearray(data)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                data = bytes(flipped)
+        return data
+
     # -- delegated operations ----------------------------------------
     def put(self, key: str, data: bytes, *, if_none_match: bool = False) -> ObjectInfo:
         """PUT through the fault rules (crash-after fires post-write)."""
@@ -246,7 +284,7 @@ class FaultyObjectStore(ObjectStore):
     def get(self, key: str, byte_range: tuple[int, int] | None = None) -> bytes:
         """GET through the fault rules."""
         self._check_before("GET", key)
-        return self.inner.get(key, byte_range)
+        return self._corrupt("GET", key, self.inner.get(key, byte_range))
 
     def head(self, key: str) -> ObjectInfo:
         """HEAD through the fault rules."""

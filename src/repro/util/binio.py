@@ -77,6 +77,9 @@ class BinaryReader:
     def read_u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
 
+    def read_u32(self) -> int:
+        return struct.unpack("<I", self._take(4))[0]
+
     def read_uvarint(self) -> int:
         try:
             value, self._pos = decode_uvarint(self._data, self._pos)

@@ -10,13 +10,16 @@ and the whole matrix runs with both a serial and a parallel
 never changes *what* maintenance commits, only how fast. The cached
 column serves every state through a :class:`~repro.serve.SearchServer`
 whose cache keeps bytes *and* decoded index components, at budgets from
-nothing kept to everything kept.
+nothing kept to everything kept. The corrupt column flips one bit of
+one data-page read at a time: each answer equals the oracle or raises
+``FormatError``.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 from typing import Callable
 from unittest import mock
 
@@ -27,11 +30,13 @@ from repro.core.client import RottnestClient
 from repro.core.index_file import IndexFileReader
 from repro.core.maintenance import covering_records
 from repro.core.queries import Query, SubstringQuery, UuidQuery, VectorQuery
+from repro.errors import FormatError
 from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import MaintenancePipeline
 from repro.serve import SearchServer
 from repro.serve.executor import SearchExecutor
+from repro.storage.faults import FaultyObjectStore
 from repro.storage.object_store import InMemoryObjectStore
 from repro.util.clock import SimClock
 
@@ -396,6 +401,46 @@ def test_sharded_router_matches_single_server_oracle(workload, state, n_shards):
                     # Hash placement prunes exact-key queries on the
                     # shard key down to the single owning shard.
                     assert routed.shards_pruned == n_shards - 1
+
+
+# -- corrupt column: one flipped bit in a page read ---------------------
+#: States whose every query reads the data files through index pages
+#: only. A brute-force scan reads them as any writer left them, with
+#: no checksum to hold a flipped bit in a raw chunk against.
+CORRUPT_STATES = ("indexed", "half_compacted", "compacted_vacuumed")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("state", CORRUPT_STATES)
+@pytest.mark.parametrize("workload", WORKLOADS, ids=[w.name for w in WORKLOADS])
+def test_corrupt_page_reads_answer_like_the_oracle_or_raise(workload, state, workers):
+    """Under a ``corrupt`` fault on the n-th data-file GET of a query,
+    for every n the query makes, the answer equals the brute-force
+    oracle or the query raises :class:`FormatError`: none is silently
+    wrong."""
+    store, lake, client = _fresh(workload)
+    with MaintenancePipeline(client, workers=1) as pipe:
+        STATES[state](workload, store, lake, pipe)
+    faulty = FaultyObjectStore(store)
+    corrupted = RottnestClient(faulty, client.index_dir, lake)
+    raised = 0
+    with SearchExecutor(corrupted, max_searchers=workers) as ex:
+        for query, k in workload.queries(lake):
+            oracle = client.search(workload.column, query, k=k, use_indices=False)
+            for n in itertools.count():
+                rule = faulty.corrupt_next(f"{lake.root}/data/", countdown=n, seed=n)
+                try:
+                    answer = ex.search(workload.column, query, k=k)
+                except FormatError:
+                    raised += 1
+                else:
+                    assert _rowset(answer.matches) == _rowset(oracle.matches), (
+                        f"{workload.name}/{state}: GET {n} corrupt, {query!r}"
+                    )
+                faulty.clear_rules()
+                if not rule.fired:
+                    break
+    assert raised
 
 
 # -- fresh-tier axis: ingest states x workloads ------------------------
