@@ -10,7 +10,6 @@ safe to run concurrently with everything else. ``index`` itself,
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Callable
 
 from repro.errors import IndexAborted, RottnestIndexError
@@ -58,10 +57,11 @@ class RottnestClient:
         #: constructor-injected, to keep the core free of an ingest
         #: dependency.
         self.fresh_tier = None
-        # Salt source for fresh index keys. Injectable so the chaos
-        # fuzzer can make whole protocol histories bit-reproducible
-        # from one seed.
-        self._key_entropy = key_entropy or (lambda: os.urandom(4))
+        # Salt source for fresh index keys: by default four bytes of the
+        # lake's entropy, so one seeded source makes a deployment's names
+        # reproducible. Injectable so the chaos fuzzer can make whole
+        # protocol histories bit-reproducible from one seed.
+        self._key_entropy = key_entropy or (lambda: lake.entropy(4))
 
     # ------------------------------------------------------------------
     # index (§IV-A): repro.core.maintenance's build, run inline or pooled

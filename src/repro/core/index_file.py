@@ -25,7 +25,12 @@ from repro.core.componentize import ComponentFileReader, ComponentFileWriter
 from repro.storage.object_store import ObjectStore
 from repro.util.binio import BinaryReader, BinaryWriter
 
-FORMAT_VERSION = 1
+#: Format 2 lets page-directory entries carry a CRC32 (see
+#: :class:`~repro.formats.page_reader.PageEntry`); a reader of format 1
+#: would misread it, so a directory that carries one is written as 2 and
+#: one without (every entry from an older file) still as 1.
+FORMAT_VERSION = 2
+_READABLE_FORMATS = (1, 2)
 
 T = TypeVar("T")
 
@@ -53,6 +58,13 @@ class PageDirectory:
     @property
     def num_rows(self) -> int:
         return sum(t.num_rows for t in self.tables)
+
+    @property
+    def format_version(self) -> int:
+        """The index-file format that can hold this directory."""
+        if any(e.crc is not None for t in self.tables for e in t.entries):
+            return FORMAT_VERSION
+        return 1
 
     def locate(self, gid: int) -> PageEntry:
         """Global page id -> the page's entry (with its file key)."""
@@ -125,7 +137,7 @@ class IndexFileWriter:
 
     def finish(self) -> bytes:
         header = {
-            "format": FORMAT_VERSION,
+            "format": self.directory.format_version,
             "index_type": self.index_type,
             "column": self.column,
             "covered_files": self.directory.file_keys,
@@ -148,7 +160,7 @@ class IndexFileReader:
     def __init__(self, reader: ComponentFileReader) -> None:
         self._reader = reader
         header = reader.header
-        if header.get("format") != FORMAT_VERSION:
+        if header.get("format") not in _READABLE_FORMATS:
             raise FormatError(
                 f"unsupported index format {header.get('format')!r} in "
                 f"{reader.key!r}"

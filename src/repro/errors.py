@@ -71,6 +71,12 @@ class FormatError(ReproError):
     """Malformed file in the columnar format layer."""
 
 
+class CorruptPage(FormatError):
+    """A data page's stored bytes fail the CRC32 the index build took of
+    them. The damage is in the data file, not in an index, so a scan of
+    that file would read the same bytes: no reader may fall back to one."""
+
+
 class LakeError(ReproError):
     """Base class for data-lake failures."""
 

@@ -27,6 +27,7 @@ from repro.core.client import RottnestClient, SearchResult
 from repro.core.index_file import IndexFileReader
 from repro.core.queries import Query, VectorQuery
 from repro.errors import (
+    CorruptPage,
     FormatError,
     ObjectStoreError,
     ServeError,
@@ -275,7 +276,9 @@ class SearchServer:
         and every shared caller) and counted in
         :attr:`ServeStats.degraded` and the ``serve.degraded`` series so
         operators see an index-health regression as a rate, not an
-        outage.
+        outage. A data page that fails its CRC
+        (:class:`~repro.errors.CorruptPage`) is not degraded: the scan
+        would read the same damaged bytes, so it raises.
         """
         hub, clock = get_hub(), self.client.store.clock
         if self.shed_on_overload:
@@ -322,6 +325,11 @@ class SearchServer:
                             snapshot=snapshot,
                             partition=partition,
                         )
+                    except CorruptPage:
+                        # The data file itself is damaged: a scan reads
+                        # the same bytes, unchecked, and could answer
+                        # wrong without a sign.
+                        raise
                     except (ObjectStoreError, FormatError):
                         # Graceful degradation: an index component read
                         # failed (file vacuumed under us, corrupt blob,
@@ -329,7 +337,8 @@ class SearchServer:
                         # accelerate — the same answer is reachable by
                         # scanning, so serve it degraded rather than
                         # failing the query. Data-file losses surface
-                        # as SnapshotNotFound and still propagate.
+                        # as SnapshotNotFound, and damage as
+                        # CorruptPage, and still propagate.
                         with self._stats_lock:
                             self.stats.degraded += 1
                         with get_tracer().span(

@@ -16,6 +16,7 @@ from repro.core.componentize import ComponentFileReader, ComponentFileWriter
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.core.queries import VectorQuery
 from repro.formats import ColumnType, Field, ParquetFile, Schema, build_page_table
+from repro.formats.reader import chunk_values
 from repro.formats import compression
 from repro.formats.encoding import decode_values
 from repro.formats.page_reader import fetch_pages
@@ -123,7 +124,9 @@ def test_chunk_codec_is_none_exactly_when_deflate_does_not_pay(
     store.put("f", result.data)
     pf = ParquetFile(store, "f")
     scanned = [
-        v for i in range(len(pf.metadata.row_groups)) for v in pf.read_column_chunk(i, "c")
+        v
+        for i in range(len(pf.metadata.row_groups))
+        for v in chunk_values(pf.read_column_chunk(i, "c"))
     ]
     table = build_page_table(result.metadata, "f", "c")
     fetched = [
@@ -304,7 +307,10 @@ class TestLegacyZlibFixture:
         field = Field("emb", ColumnType.VECTOR, 8)
         pf = ParquetFile(store, LEGACY_DATA_KEY)
         scanned = np.concatenate(
-            [pf.read_column_chunk(i, "emb") for i in range(len(pf.metadata.row_groups))]
+            [
+                chunk_values(pf.read_column_chunk(i, "emb"))
+                for i in range(len(pf.metadata.row_groups))
+            ]
         )
         table = build_page_table(pf.metadata, LEGACY_DATA_KEY, "emb")
         fetched = np.concatenate(

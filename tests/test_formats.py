@@ -17,7 +17,7 @@ from repro.formats.encoding import (
 )
 from repro.formats.pages import build_page, decode_page, split_into_pages
 from repro.formats.parquet import parse_footer, write_parquet
-from repro.formats.reader import ParquetFile
+from repro.formats.reader import ParquetFile, chunk_values
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.storage.object_store import InMemoryObjectStore
 
@@ -289,7 +289,7 @@ def _read_column(pf: ParquetFile, column: str) -> list:
     return [
         value
         for rg_index in range(len(pf.metadata.row_groups))
-        for value in pf.read_column_chunk(rg_index, column)
+        for value in chunk_values(pf.read_column_chunk(rg_index, column))
     ]
 
 
@@ -331,7 +331,7 @@ class TestTraditionalReader:
     def test_int_column_roundtrip(self, text_file):
         store, _, _, columns = text_file
         pf = ParquetFile(store, "f.parquet")
-        assert pf.read_column_chunk(1, "id") == columns["id"][300:600]
+        assert chunk_values(pf.read_column_chunk(1, "id")) == columns["id"][300:600]
 
     def test_vector_file_roundtrip(self):
         schema = Schema.of(Field("v", ColumnType.VECTOR, vector_dim=8))
@@ -340,8 +340,8 @@ class TestTraditionalReader:
         store = InMemoryObjectStore()
         store.put("v.parquet", result.data)
         pf = ParquetFile(store, "v.parquet")
-        assert np.array_equal(pf.read_column_chunk(0, "v"), vecs[:4])
-        assert np.array_equal(pf.read_column_chunk(2, "v"), vecs[8:])
+        assert np.array_equal(chunk_values(pf.read_column_chunk(0, "v")), vecs[:4])
+        assert np.array_equal(chunk_values(pf.read_column_chunk(2, "v")), vecs[8:])
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,7 +9,7 @@ from repro.errors import FormatError
 from repro.formats.encoding import decode_values
 from repro.formats.page_reader import PageTable, build_page_table, fetch_pages
 from repro.formats.parquet import write_parquet
-from repro.formats.reader import ParquetFile
+from repro.formats.reader import ParquetFile, chunk_values
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.storage.object_store import InMemoryObjectStore
 from repro.util.binio import BinaryReader, BinaryWriter
@@ -144,7 +144,7 @@ def _chunk_values(pf: ParquetFile, column: str) -> list:
     return [
         value
         for rg_index in range(len(pf.metadata.row_groups))
-        for value in pf.read_column_chunk(rg_index, column)
+        for value in chunk_values(pf.read_column_chunk(rg_index, column))
     ]
 
 

@@ -11,9 +11,11 @@ import pytest
 from repro.core.client import RottnestClient
 from repro.core.index_file import IndexFileReader, IndexFileWriter
 from repro.core.queries import UuidQuery, VectorQuery
-from repro.errors import SimulatedCrash
+from repro.errors import CorruptPage, SimulatedCrash
 from repro.storage.faults import FaultyObjectStore
 from repro.errors import ServeError, ServerOverloaded
+from repro.formats.page_reader import build_page_table
+from repro.formats.reader import ParquetFile
 from repro.lake.table import LakeTable
 from repro.serve import CachingObjectStore, SearchServer, ServeStats, SingleFlight
 from repro.storage.object_store import InMemoryObjectStore
@@ -424,6 +426,25 @@ class TestDegradedServing:
             # Degraded mode planned no indices: pure scan.
             assert degraded.stats.index_files_queried == 0
             assert degraded.stats.files_brute_forced > 0
+
+    def test_corrupt_data_page_raises_instead_of_degrading(self, indexed_client):
+        """A data page that fails its CRC is damage in the data file. A
+        scan reads the same bytes, and a raw uuid page has no check of
+        its own, so a degraded answer would miss a present key without
+        a sign. The flipped bit is written into the store, so every read
+        of the page, the scan's too, sees it."""
+        store = indexed_client.store
+        path = indexed_client.lake.snapshot().file_paths[0]
+        entry = build_page_table(ParquetFile(store, path).metadata, path, "uuid").entry(0)
+        key = event_uuid(1, 0)
+        data = bytearray(store.get(path))
+        assert bytes(data[entry.offset + 1 : entry.offset + 17]) == key
+        data[entry.offset + 5] ^= 0x10
+        store.put(path, bytes(data))
+        with SearchServer(indexed_client, max_searchers=2) as server:
+            with pytest.raises(CorruptPage):
+                server.query("uuid", UuidQuery(key), k=1)
+            assert server.stats.degraded == 0
 
     def test_degraded_queries_counted_per_failure_not_forever(
         self, indexed_client
