@@ -25,9 +25,12 @@ exercised with injected index-read faults to cover the brute-force
 degradation path.
 
 Everything random flows from one ``random.Random(seed)`` (including
-index-key salt, via the client's ``key_entropy`` hook) and time is a
+index-key salt, via the client's ``key_entropy`` hook), the lake's
+data-file and deletion-vector nonces from a second stream of the same
+seed (:func:`~repro.lake.table.seeded_entropy`), and time is a
 :class:`~repro.util.clock.SimClock`, so a failing run is replayable
-bit-for-bit from the seed the report prints.
+bit-for-bit from the seed the report prints, down to the store's keys
+and bytes.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.core.queries import SubstringQuery, UuidQuery
 from repro.errors import IndexAborted, SimulatedCrash
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.ingest import IngestDrainer, IngestTier
-from repro.lake.table import LakeTable, TableConfig
+from repro.lake.table import LakeTable, TableConfig, seeded_entropy
 from repro.maintain.pipeline import MaintenancePipeline
 from repro.obs.export import render_timeline
 from repro.obs.trace import Tracer, use_tracer
@@ -192,6 +195,8 @@ class ProtocolFuzzer:
             LAKE_ROOT,
             schema,
             TableConfig(row_group_rows=128, page_target_bytes=1024),
+            # A stream of its own: ``self.rng``'s draws stay as they are.
+            entropy=seeded_entropy(self.config.seed),
         )
         # Each simulated client gets its own fault-injection layer, so
         # killing one never perturbs another's view of the store.
@@ -348,6 +353,7 @@ class ProtocolFuzzer:
     def _ingest_view(self, store) -> IngestTier:
         """A tier over ``store`` sharing the canonical WAL and lake."""
         lake = LakeTable.open(store, LAKE_ROOT, self.lake.config)
+        lake.entropy = self.lake.entropy  # drained files' names too
         return IngestTier(store, INGEST_ROOT, lake)
 
     def _batch(self) -> tuple[list[bytes], list[str]]:
