@@ -142,7 +142,7 @@ def test_ablation_fm_block_size(benchmark):
         )
         table = PageTable(
             "f", "text",
-            [PageEntry("f", i, 4 + i * 10, 10, 250, i * 250, 1) for i in range(3)],
+            [PageEntry("f", i, 4 + i * 10, 10, 250, i * 250, 1, crc=0) for i in range(3)],
         )
         writer = IndexFileWriter("fm", "text", PageDirectory([table]))
         builder.write(writer)

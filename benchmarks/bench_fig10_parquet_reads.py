@@ -10,10 +10,12 @@
   wall-clock decode time via pytest-benchmark.
 """
 
+import zlib
+
 import pytest
 
 from repro.formats.encoding import decode_values
-from repro.formats.page_reader import build_page_table, fetch_pages
+from repro.formats.page_reader import build_page_table, fetch_pages, inflate
 from repro.formats.parquet import write_parquet
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.storage.latency import LatencyModel
@@ -76,7 +78,10 @@ def page_corpus():
     )
     store = InMemoryObjectStore()
     store.put("c.parquet", result.data)
-    table = build_page_table(result.metadata, "c.parquet", "text")
+    # The CRCs an index build records, which ``fetch_pages`` checks.
+    pages = build_page_table(result.metadata, "c.parquet", "text").entries
+    crcs = [zlib.crc32(store.get("c.parquet", (e.offset, e.compressed_size))) for e in pages]
+    table = build_page_table(result.metadata, "c.parquet", "text", crcs)
     return store, schema, table
 
 
@@ -88,7 +93,7 @@ def test_fig10b_page_decode_vs_raw_range(page_corpus, benchmark):
 
     def read_page():
         (raw,) = fetch_pages(store, [entry])
-        return decode_values(field, raw, entry.num_values)
+        return decode_values(field, inflate(entry, raw), entry.num_values)
 
     benchmark(read_page)
     # Compare modeled request latency with and without decode cost.

@@ -10,6 +10,14 @@ back into ``(file, byte-range)`` for in-situ probing.
 Component 0 of every index file is the serialized page directory; the
 type-specific components follow and are addressed by *name* through the
 ``components`` map in the JSON header.
+
+A file is readable only if its header says ``"format": 2`` and every
+entry of its page directory carries its page's CRC32; anything else is a
+:class:`~repro.errors.FormatError` at open or at directory decode. An
+index derives from the data it covers, so a file of an older layout is
+rebuilt from that data, never decoded: a
+:class:`~repro.serve.SearchServer` answers by scan around it and
+``fsck`` lists it among the corrupt index files.
 """
 
 from __future__ import annotations
@@ -25,12 +33,9 @@ from repro.core.componentize import ComponentFileReader, ComponentFileWriter
 from repro.storage.object_store import ObjectStore
 from repro.util.binio import BinaryReader, BinaryWriter
 
-#: Format 2 lets page-directory entries carry a CRC32 (see
-#: :class:`~repro.formats.page_reader.PageEntry`); a reader of format 1
-#: would misread it, so a directory that carries one is written as 2 and
-#: one without (every entry from an older file) still as 1.
+#: The one format this build writes and reads: page-directory entries
+#: carry a CRC32 (see :class:`~repro.formats.page_reader.PageEntry`).
 FORMAT_VERSION = 2
-_READABLE_FORMATS = (1, 2)
 
 T = TypeVar("T")
 
@@ -58,13 +63,6 @@ class PageDirectory:
     @property
     def num_rows(self) -> int:
         return sum(t.num_rows for t in self.tables)
-
-    @property
-    def format_version(self) -> int:
-        """The index-file format that can hold this directory."""
-        if any(e.crc is not None for t in self.tables for e in t.entries):
-            return FORMAT_VERSION
-        return 1
 
     def locate(self, gid: int) -> PageEntry:
         """Global page id -> the page's entry (with its file key)."""
@@ -137,7 +135,7 @@ class IndexFileWriter:
 
     def finish(self) -> bytes:
         header = {
-            "format": self.directory.format_version,
+            "format": FORMAT_VERSION,
             "index_type": self.index_type,
             "column": self.column,
             "covered_files": self.directory.file_keys,
@@ -160,7 +158,7 @@ class IndexFileReader:
     def __init__(self, reader: ComponentFileReader) -> None:
         self._reader = reader
         header = reader.header
-        if header.get("format") not in _READABLE_FORMATS:
+        if header.get("format") != FORMAT_VERSION:
             raise FormatError(
                 f"unsupported index format {header.get('format')!r} in "
                 f"{reader.key!r}"

@@ -42,14 +42,15 @@ class PageEntry:
     row_start: int  # file-global row index of the first value
     codec: int
     #: CRC32 of the page's stored bytes, taken at index build over the
-    #: bytes the build decoded; ``None`` in a legacy index file. Not part
-    #: of equality: entries are equal when they place the same page, as
-    #: a page table read from a footer (which has no CRCs) does.
+    #: bytes the build decoded. ``None`` only in a table built from a
+    #: footer (which has no CRCs), to compare with: it cannot be written
+    #: into an index file. Not part of equality: entries are equal when
+    #: they place the same page.
     crc: int | None = field(default=None, compare=False)
 
 
-#: Set in a serialized entry's codec byte when a CRC32 (u32) follows.
-#: Codec ids are small, so a legacy entry never has it.
+#: Set in every serialized entry's codec byte: a CRC32 (u32) follows.
+#: Codec ids are small, so the flag never collides with one.
 _HAS_CRC = 0x80
 
 
@@ -88,11 +89,8 @@ class PageTable:
             writer.write_uvarint(e.compressed_size)
             writer.write_uvarint(e.num_values)
             writer.write_uvarint(e.row_start)
-            if e.crc is None:
-                writer.write_u8(e.codec)
-            else:
-                writer.write_u8(e.codec | _HAS_CRC)
-                writer.write_u32(e.crc)
+            writer.write_u8(e.codec | _HAS_CRC)
+            writer.write_u32(e.crc)
 
     @classmethod
     def deserialize(cls, reader: BinaryReader) -> "PageTable":
@@ -107,7 +105,11 @@ class PageTable:
             num_values = reader.read_uvarint()
             row_start = reader.read_uvarint()
             codec = reader.read_u8()
-            crc = reader.read_u32() if codec & _HAS_CRC else None
+            if not codec & _HAS_CRC:
+                raise FormatError(
+                    f"page {page_id} of {file_key!r} carries no CRC: "
+                    f"an index file this build does not read"
+                )
             entries.append(
                 PageEntry(
                     file_key=file_key,
@@ -117,7 +119,7 @@ class PageTable:
                     num_values=num_values,
                     row_start=row_start,
                     codec=codec & ~_HAS_CRC,
-                    crc=crc,
+                    crc=reader.read_u32(),
                 )
             )
         return cls(file_key=file_key, column=column, entries=entries)
@@ -168,9 +170,6 @@ def fetch_pages(store: ObjectStore, entries: list[PageEntry]) -> list[bytes]:
     decodes as it did then, and :func:`inflate` waits for a reader that
     gets to it. Every page is checked, read or not; a mismatch is a
     :class:`~repro.errors.CorruptPage`.
-
-    The one legacy branch: a page of an index file that recorded no CRC
-    is inflated here, zlib's own check being its only one.
     """
     from repro.storage.sched import RangeRequest
 
@@ -180,14 +179,11 @@ def fetch_pages(store: ObjectStore, entries: list[PageEntry]) -> list[bytes]:
     blobs = store.get_many(requests)
     pages = []
     for e, blob in zip(entries, blobs):
-        if e.crc is None:
-            pages.append(compression.decompress(blob, e.codec))
-        elif zlib.crc32(blob) != e.crc:
+        if zlib.crc32(blob) != e.crc:
             raise CorruptPage(
                 f"page {e.page_id} of {e.file_key!r} fails its CRC check"
             )
-        else:
-            pages.append(blob)
+        pages.append(blob)
     return pages
 
 
@@ -197,4 +193,4 @@ def inflate(entry: PageEntry, page: bytes) -> bytes:
     (:func:`~repro.formats.encoding.value_bounds`) and decodes only the
     rows it keeps; whoever wants every value calls
     :func:`~repro.formats.encoding.decode_values`."""
-    return page if entry.crc is None else compression.decompress(page, entry.codec)
+    return compression.decompress(page, entry.codec)

@@ -25,17 +25,11 @@ Conventions:
 * the suffix array has ``len(text) + 1`` entries; entry 0 is the
   sentinel suffix,
 * the BWT is returned as a byte array of the same length with the
-  sentinel's slot holding 0x00, plus the index of that slot.
-
-A *multi-string* BWT (what compaction wrote before merges became
-inversion plus one rebuild) has one sentinel row per text; rows
-``0..k-1`` are the texts' sentinel suffixes in collection order, and
-:func:`invert_bwt` recovers the concatenated texts of either kind.
+  sentinel's slot holding 0x00, plus the index of that slot;
+  :func:`invert_bwt` takes that index back to recover the text.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -192,17 +186,16 @@ def bwt_from_sa(text: bytes, sa: np.ndarray) -> tuple[bytes, int]:
     return arr.tobytes(), sentinel_index
 
 
-def lf_array(bwt: bytes, sentinels: Sequence[int]) -> np.ndarray:
-    """Full LF mapping of a (multi-string) BWT: one stable argsort.
+def lf_array(bwt: bytes, sentinel: int) -> np.ndarray:
+    """Full LF mapping of a BWT: one stable argsort.
 
     ``lf[i]`` is the BWT row of the suffix starting one character before
-    row ``i``'s suffix. Sentinel rows sort first, in row order, so they
-    map onto rows ``0..k-1`` — which text's sentinel suffix each one
-    reaches is not recorded, and nothing walks LF from a sentinel row.
+    row ``i``'s suffix. The sentinel's row sorts first, so it maps onto
+    row 0, the sentinel suffix; nothing walks LF from it.
     """
     key = np.frombuffer(bwt, dtype=np.uint8).astype(np.uint16)
     key += 1
-    key[list(sentinels)] = 0
+    key[sentinel] = 0
     order = np.argsort(key, kind="stable")  # a radix sort on 16 bits
     dtype = np.int32 if len(key) < 2**31 else np.int64
     lf = np.empty(len(key), dtype=dtype)
@@ -212,44 +205,35 @@ def lf_array(bwt: bytes, sentinels: Sequence[int]) -> np.ndarray:
 
 def invert_bwt(
     bwt: bytes,
-    sentinels: Sequence[int],
+    sentinel: int,
     sample_rows: np.ndarray,
     sample_positions: np.ndarray,
 ) -> bytes:
-    """The concatenated texts behind a (multi-string) BWT.
+    """The text behind a BWT whose sentinel is in row ``sentinel``.
 
-    Seeded from the sampled suffix array: every sampled row, and each
-    text's sentinel suffix (row ``t`` for text ``t``, at the text's
-    end), starts a backward LF walk that spells the characters before
-    its position until it reaches the next seed. All walks advance
-    together as one numpy frontier, so the loop runs as many times as
-    the widest gap between samples (the sample rate), not once per
-    character. Every text's first position must be sampled, which is
-    what locates the texts: a sentinel row's sample is where its text
-    starts.
+    Seeded from the sampled suffix array: every sampled row, and the
+    sentinel suffix (row 0, at the text's end), starts a backward LF
+    walk that spells the characters before its position until it
+    reaches the next seed. All walks advance together as one numpy
+    frontier, so the loop runs as many times as the widest gap between
+    samples (the sample rate), not once per character. The text's first
+    position must be sampled: it is the sentinel row's sample, and
+    nothing precedes it.
     """
-    n, k = len(bwt), len(sentinels)
-    if k == 0:
-        raise ValueError("need at least one sentinel")
-    sentinel_rows = np.asarray(sentinels, dtype=np.int64)
+    n = len(bwt)
     sample_rows = np.asarray(sample_rows, dtype=np.int64)
     sample_positions = np.asarray(sample_positions, dtype=np.int64)
-    starts = np.sort(sample_positions[np.isin(sample_rows, sentinel_rows)])
-    if len(starts) != k:
-        raise ValueError("every text's first position must be sampled")
-    ends = np.append(starts[1:], n - k)
-    rows, first = np.unique(
-        np.concatenate((np.arange(k), sample_rows)), return_index=True
-    )
-    positions = np.concatenate((ends, sample_positions))[first]
+    if not (sample_rows == sentinel).any():
+        raise ValueError("the text's first position must be sampled")
+    rows, first = np.unique(np.append(0, sample_rows), return_index=True)
+    positions = np.append(n - 1, sample_positions)[first]
     seeded = np.zeros(n, dtype=bool)
     seeded[rows] = True
-    # A sentinel row sits at its text's start: nothing precedes it.
-    walking = ~np.isin(rows, sentinel_rows)
+    walking = rows != sentinel
     rows, positions = rows[walking], positions[walking]
     chars = np.frombuffer(bwt, dtype=np.uint8)
-    lf = lf_array(bwt, sentinels)
-    text = np.empty(n - k, dtype=np.uint8)
+    lf = lf_array(bwt, sentinel)
+    text = np.empty(n - 1, dtype=np.uint8)
     spelled = 0
     while len(rows):
         positions -= 1
@@ -258,6 +242,6 @@ def invert_bwt(
         rows = lf[rows]
         walking = ~seeded[rows]
         rows, positions = rows[walking], positions[walking]
-    if spelled != n - k:
-        raise ValueError(f"samples spell {spelled} of {n - k} characters")
+    if spelled != n - 1:
+        raise ValueError(f"samples spell {spelled} of {n - 1} characters")
     return text.tobytes()

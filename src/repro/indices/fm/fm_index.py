@@ -31,19 +31,16 @@ query inflates only the ``RANK_STRIDE``-row sub-blocks it touches:
 * ``pg{i}`` — the page-map sub-blocks, one stream each (no table).
 
 ``Occ(c, pos)`` is then one checkpoint plus a count over at most one
-sub-block. Files written before the sub-blocks (no ``rank_stride``
-param: 256 u32 counts and the raw slice, deflated as one component)
-decode into the same (checkpoint table, sub-blocks) shape with a single
-sub-block, so the query has one code path.
+sub-block.
 
-A fresh build has one sentinel, and so does a merge: compaction
-inverts each part back to its text from its SA samples and builds once
-over the concatenation, giving a fresh build's exact bytes. Files that
-the earlier Holt-McMillan interleave merge wrote are **multi-string**
-(one sentinel per merged part); the querier keeps the sentinel list, so
-they answer unchanged, and merging them yields a single-sentinel file.
-Patterns never contain the 0x00 separator, so counting and locating
-behave exactly as over the concatenated text.
+Every file has one sentinel, a merged one too: compaction inverts each
+part back to its text from its SA samples and builds once over the
+concatenation, giving a fresh build's exact bytes. The params record
+the sentinel's row (``sentinels``, a list of one), the stride, the
+alphabet and the page map's presence and dtype; a file missing any of
+them is a :class:`~repro.errors.FormatError`. Patterns never contain
+the 0x00 separator, so counting and locating behave exactly as over the
+concatenated text.
 
 A substring query runs classic backward search: one dependent round of
 (at most two) block reads per pattern character, then a round resolving
@@ -92,8 +89,7 @@ def page_text(values: list[str]) -> bytes:
 
 
 class FmBuilder(IndexBuilder):
-    """In-memory FM-index state (multi-string only if loaded from a
-    file the interleave merge wrote)."""
+    """In-memory FM-index state."""
 
     type_name: ClassVar[str] = TYPE_NAME
     min_rows: ClassVar[int] = 1
@@ -101,7 +97,7 @@ class FmBuilder(IndexBuilder):
     def __init__(
         self,
         bwt: bytes,
-        sentinels: list[int],
+        sentinel: int,
         pagemap: np.ndarray,
         sample_rows: np.ndarray,
         sample_positions: np.ndarray,
@@ -112,7 +108,8 @@ class FmBuilder(IndexBuilder):
         store_pagemap: bool = True,
     ) -> None:
         self.bwt = bwt
-        self.sentinels = sorted(int(s) for s in sentinels)
+        #: The BWT row whose character is the sentinel (0x00 there).
+        self.sentinel = int(sentinel)
         # Page id per BWT row; empty when not stored, and when loaded
         # (a merge rebuilds it).
         self.pagemap = pagemap
@@ -127,18 +124,13 @@ class FmBuilder(IndexBuilder):
         self.store_pagemap = store_pagemap
 
     @property
-    def sentinel_index(self) -> int:
-        """First sentinel row (the only one for fresh builds)."""
-        return self.sentinels[0]
-
-    @property
     def n(self) -> int:
         return len(self.bwt)
 
     @property
     def text_length(self) -> int:
-        """Total characters across all texts (excludes sentinels)."""
-        return self.n - len(self.sentinels)
+        """Characters of the text (excludes the sentinel)."""
+        return self.n - 1
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -210,7 +202,7 @@ class FmBuilder(IndexBuilder):
         sample_rows = np.flatnonzero(sa % sample_rate == 0)
         return cls(
             bwt=bwt,
-            sentinels=[sentinel_index],
+            sentinel=sentinel_index,
             pagemap=pagemap,
             sample_rows=sample_rows,
             sample_positions=sa[sample_rows],
@@ -235,8 +227,8 @@ class FmBuilder(IndexBuilder):
         pg_dtype = _pagemap_dtype(max(self.page_gids))
         alphabet = np.flatnonzero(np.bincount(arr, minlength=256))
         # Absolute raw-byte counts of each alphabet symbol before each
-        # block (sentinel slots are counted as raw 0x00 here; queriers
-        # correct using the sentinel list in params).
+        # block (the sentinel's slot is counted as a raw 0x00 here;
+        # queriers correct using the sentinel row in params).
         counts = np.zeros(len(alphabet), dtype=np.int64)
         # Samples of block b are sample_*[cuts[b]:cuts[b + 1]].
         cuts = np.searchsorted(
@@ -288,7 +280,7 @@ class FmBuilder(IndexBuilder):
                 "block_size": block,
                 "num_blocks": num_blocks,
                 "sample_rate": self.sample_rate,
-                "sentinels": list(self.sentinels),
+                "sentinels": [self.sentinel],
                 "pg_dtype": pg_dtype,
                 "has_pagemap": self.store_pagemap,
                 "rank_stride": RANK_STRIDE,
@@ -301,9 +293,9 @@ class FmBuilder(IndexBuilder):
         """Merge input: the BWT, SA samples and page lengths. The page
         map is not read — a merge rebuilds it."""
         params = reader.params
-        num_blocks = params["num_blocks"]
-        block = params["block_size"]
         layout = BlockLayout(params)
+        num_blocks = params["num_blocks"]
+        block = layout.block_size
         chunks = []
         for b, blob in enumerate(
             reader.components([f"blk{b}" for b in range(num_blocks)])
@@ -331,7 +323,7 @@ class FmBuilder(IndexBuilder):
             page_gids.append(lens_reader.read_uvarint())
         return cls(
             bwt=bwt,
-            sentinels=params["sentinels"],
+            sentinel=layout.sentinel,
             pagemap=np.empty(0, dtype=np.uint32),
             sample_rows=np.concatenate(sample_rows),
             sample_positions=np.concatenate(sample_positions),
@@ -339,7 +331,7 @@ class FmBuilder(IndexBuilder):
             page_gids=page_gids,
             block_size=block,
             sample_rate=params["sample_rate"],
-            store_pagemap=params.get("has_pagemap", True),
+            store_pagemap=layout.has_pagemap,
         )
 
     # -- merging --------------------------------------------------------
@@ -347,7 +339,7 @@ class FmBuilder(IndexBuilder):
         """The concatenated page texts this index was built over,
         recovered from the BWT and its SA samples."""
         return invert_bwt(
-            self.bwt, self.sentinels, self.sample_rows, self.sample_positions
+            self.bwt, self.sentinel, self.sample_rows, self.sample_positions
         )
 
     @classmethod
@@ -400,9 +392,8 @@ class FmQuerier(ExactQuerier):
         self.n: int = params["n"]
         self.block_size: int = params["block_size"]
         self.num_blocks: int = params["num_blocks"]
-        self.sentinels: list[int] = sorted(params["sentinels"])
-        self._sentinel_arr = np.asarray(self.sentinels, dtype=np.int64)
         self._layout = BlockLayout(params)
+        self.sentinel = self._layout.sentinel
         self.stride = self._layout.stride
         #: This query's handles on the blocks and sub-blocks it touched,
         #: in front of the reader's (possibly shared) decoded cache.
@@ -443,11 +434,6 @@ class FmQuerier(ExactQuerier):
         for b in sorted(set(blocks) - self._blocks.keys()):
             self._block(b)
 
-    def _sentinels_before(self, pos: int) -> int:
-        # Sentinel positions are sorted: the count of those < pos is a
-        # binary search, not a Python scan.
-        return int(np.searchsorted(self._sentinel_arr, pos, side="left"))
-
     def _occ(self, char: int, pos: int) -> int:
         """Occurrences of ``char`` in BWT[0:pos), sentinel-corrected."""
         if pos <= 0:
@@ -464,13 +450,13 @@ class FmQuerier(ExactQuerier):
         occ = int(block.rank[s, column])
         if rest:
             occ += self._sub_chars(b, s).count(char, 0, rest)
-        if char == 0:
-            occ -= self._sentinels_before(pos)
+        if char == 0 and self.sentinel < pos:
+            occ -= 1  # the sentinel's slot, stored as 0x00
         return occ
 
     @property
     def c_array(self) -> np.ndarray:
-        """``C[c]`` = BWT characters (incl. sentinels) smaller than c."""
+        """``C[c]`` = BWT characters (incl. the sentinel) smaller than c."""
         if self._c_array is None:
             last = self.num_blocks - 1
             block = self._block(last)
@@ -479,10 +465,10 @@ class FmQuerier(ExactQuerier):
                 np.frombuffer(tail, dtype=np.uint8), minlength=256
             ).astype(np.int64)
             totals[self._layout.alphabet] += block.rank[-1]
-            totals[0] -= len(self.sentinels)
+            totals[0] -= 1
             c = np.empty(257, dtype=np.int64)
-            c[0] = len(self.sentinels)
-            c[1:] = len(self.sentinels) + np.cumsum(totals)
+            c[0] = 1
+            c[1:] = 1 + np.cumsum(totals)
             self._c_array = c
         return self._c_array
 
@@ -524,7 +510,7 @@ class FmQuerier(ExactQuerier):
         if lo >= hi:
             return []
         barrier()
-        if self.reader.params.get("has_pagemap", True):
+        if self._layout.has_pagemap:
             return self._pages_from_pagemap(lo, hi, limit)
         return self._pages_from_walks(lo, hi, limit)
 
@@ -533,7 +519,7 @@ class FmQuerier(ExactQuerier):
     ) -> list[int]:
         pages: set[int] = set()
         layout, stride = self._layout, self.stride
-        pg_dtype = np.dtype(self.reader.params.get("pg_dtype", "<u4"))
+        pg_dtype = layout.pg_dtype
         for b in range(lo // self.block_size, (hi - 1) // self.block_size + 1):
             block = self.reader.decoded(
                 f"pg{b}", lambda blob: layout.page_block(b, blob, pg_dtype.itemsize)
@@ -618,13 +604,12 @@ class StreamBlock(NamedTuple):
     #: Inflated bytes of a full sub-block, and of the whole block.
     unit: int
     total: int
-    deflated: bool
 
     def sub(self, s: int) -> bytes:
         """Sub-block ``s``, inflated and checked against its length."""
-        out = self.data[self.bounds[s] : self.bounds[s + 1]]
-        if self.deflated:
-            out = compression.decompress(out, compression.ZLIB)
+        out = compression.decompress(
+            self.data[self.bounds[s] : self.bounds[s + 1]], compression.ZLIB
+        )
         expected = min(self.unit, self.total - s * self.unit)
         if len(out) != expected:
             raise ValueError(
@@ -638,31 +623,35 @@ class StreamBlock(NamedTuple):
 
 class BlockLayout:
     """How one file's blocks decode, from its params: sub-blocks of
-    ``rank_stride`` rows over an ``alphabet``, or, for files written
-    before sub-blocks, one sub-block per block over all 256 bytes."""
+    ``rank_stride`` rows over an ``alphabet``, the sentinel's row, and
+    the page map's presence and dtype."""
 
     def __init__(self, params: dict) -> None:
-        self.n: int = params["n"]
-        self.block_size: int = params["block_size"]
-        self.legacy = "rank_stride" not in params
-        if self.legacy:
-            self.stride = self.block_size
-            self.alphabet = np.arange(256)
-        else:
+        try:
+            self.n: int = params["n"]
+            self.block_size: int = params["block_size"]
             self.stride = params["rank_stride"]
             self.alphabet = np.asarray(params["alphabet"], dtype=np.int64)
-            if not (
-                isinstance(self.stride, int)
-                and self.stride > 0
-                and len(self.alphabet)
-                and self.alphabet[0] >= 0
-                and self.alphabet[-1] < 256
-                and (np.diff(self.alphabet) > 0).all()
-            ):
-                raise FormatError(
-                    f"bad FM params: rank_stride {self.stride!r}, "
-                    f"alphabet {params['alphabet']!r}"
-                )
+            sentinels = list(params["sentinels"])
+            self.has_pagemap: bool = params["has_pagemap"]
+            self.pg_dtype = np.dtype(params["pg_dtype"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad FM params: {exc!r}") from None
+        if len(sentinels) != 1:
+            raise FormatError(f"an FM file has one sentinel, not {sentinels!r}")
+        self.sentinel = int(sentinels[0])
+        if not (
+            isinstance(self.stride, int)
+            and self.stride > 0
+            and len(self.alphabet)
+            and self.alphabet[0] >= 0
+            and self.alphabet[-1] < 256
+            and (np.diff(self.alphabet) > 0).all()
+        ):
+            raise FormatError(
+                f"bad FM params: rank_stride {self.stride!r}, "
+                f"alphabet {params['alphabet']!r}"
+            )
         #: Byte value -> its column in a checkpoint table, or -1.
         self.column = [-1] * 256
         for index, symbol in enumerate(self.alphabet.tolist()):
@@ -676,10 +665,6 @@ class BlockLayout:
         """``blk{b}``: the checkpoint table (stream 0), then the BWT
         sub-blocks."""
         rows = self.rows(b)
-        if self.legacy:
-            # 256 u32 counts before the block, then its raw BWT slice.
-            base = np.frombuffer(blob, dtype="<u4", count=256)
-            return StreamBlock(base[None], blob, [1024, len(blob)], rows, rows, False)
         count = -(-rows // self.stride)
         bounds = _unpack_streams(blob, count + 1)
         table = compression.decompress(blob[bounds[0] : bounds[1]], compression.ZLIB)
@@ -698,16 +683,14 @@ class BlockLayout:
         if (rank.sum(axis=1) != self.stride * np.arange(count)).any():
             raise ValueError("checkpoint rows do not count the rows before them")
         rank += np.frombuffer(table, dtype="<u4", count=width)
-        return StreamBlock(rank, blob, bounds[1:], self.stride, rows, True)
+        return StreamBlock(rank, blob, bounds[1:], self.stride, rows)
 
     def page_block(self, b: int, blob: bytes, itemsize: int) -> StreamBlock:
-        """``pg{b}``: the page-map sub-blocks (legacy: the whole map)."""
+        """``pg{b}``: the page-map sub-blocks."""
         total = self.rows(b) * itemsize
-        if self.legacy:
-            return StreamBlock(_NO_RANK, blob, [0, len(blob)], total, total, False)
         count = -(-self.rows(b) // self.stride)
         bounds = _unpack_streams(blob, count)
-        return StreamBlock(_NO_RANK, blob, bounds, self.stride * itemsize, total, True)
+        return StreamBlock(_NO_RANK, blob, bounds, self.stride * itemsize, total)
 
 
 _NO_RANK = np.zeros((0, 0), dtype=np.uint32)

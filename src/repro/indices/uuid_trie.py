@@ -24,14 +24,8 @@ Layout, per the componentization principle of Fig. 6:
 A lookup therefore costs: open (tail fetch, includes the LUT) → one
 dependent round fetching exactly one leaf component → parsing only the
 key's own bucket (its ``count`` entries), whatever else the leaf holds.
-
-Files written before ``lutb`` carry a ``lut`` of ``(leaf_id,
-entries_to_skip, count)`` rows instead, decoded the same way; the one
-legacy branch of :meth:`UuidTrieQuerier.candidate_pages` then walks the
-leaf's entries of earlier buckets instead of seeking, an older reader
-fails loudly on a new file (no component ``lut``), and since
-``UuidTrieBuilder.load`` reads leaves only, every compaction rewrites
-old files into the new layout.
+A file without a ``lutb`` is a :class:`~repro.errors.FormatError` at
+the first probe.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ TYPE_NAME = "uuid_trie"
 DEFAULT_EXTRA_BITS = 8
 DEFAULT_COMPONENT_TARGET_BYTES = 256 * 1024
 LUT_SIZE = 256
-LUT, LEGACY_LUT = "lutb", "lut"  # component names; see the module docstring
+LUT = "lutb"  # component name; see the module docstring
 
 
 @dataclass
@@ -214,20 +208,14 @@ class UuidTrieQuerier(ExactQuerier):
         if not key:
             raise RottnestIndexError("cannot search for an empty key")
         bucket = key[0]
-        rows, legacy = _lut(self.reader)
-        leaf_ids, lengths, counts = rows.T
+        leaf_ids, lengths, counts = _lut(self.reader).T
         leaf_id, count = int(leaf_ids[bucket]), int(counts[bucket])
-        if legacy:  # rows are (leaf_id, entries_to_skip, count)
-            skip, start = int(lengths[bucket]), 0
-        else:  # the bucket starts where the earlier buckets of its leaf end
-            same_leaf = leaf_ids[:bucket] == leaf_id
-            skip, start = 0, int(lengths[:bucket][same_leaf].sum())
         if count == 0:
             return []
+        # The bucket starts where the earlier buckets of its leaf end.
+        start = int(lengths[:bucket][leaf_ids[:bucket] == leaf_id].sum())
         barrier()  # leaf fetch depends on the LUT
         blob = BinaryReader(self.reader.component(f"leaf{leaf_id}"), start)
-        for _ in range(skip):
-            _read_entry(blob)  # legacy only: entries of earlier buckets
         gids: list[int] = []
         for _ in range(count):
             entry = _read_entry(blob)
@@ -236,11 +224,10 @@ class UuidTrieQuerier(ExactQuerier):
         return sorted(set(gids))
 
 
-def _lut(reader: IndexFileReader) -> tuple[np.ndarray, bool]:
-    """The decoded LUT — ``(LUT_SIZE, 3)`` varint rows, one vectorized
-    decode — and whether it is the legacy layout."""
-    legacy = not reader.has_component(LUT)
-    return reader.decoded(LEGACY_LUT if legacy else LUT, _lut_rows), legacy
+def _lut(reader: IndexFileReader) -> np.ndarray:
+    """The decoded LUT: ``(LUT_SIZE, 3)`` varint rows, one vectorized
+    decode."""
+    return reader.decoded(LUT, _lut_rows)
 
 
 def _lut_rows(blob: bytes) -> np.ndarray:

@@ -20,7 +20,9 @@ Versions are dense and immutable, so a tip entry that exists and
 equals the tail's last entry byte for byte, followed by a 404, *is*
 the tip, and the tail before it is the log's own. The hint is only
 ever a hint — when it is missing, unreadable, stale, ahead of the log
-or its tail disagrees with the tip, readers fall back to one LIST.
+or its tail disagrees with the tip, readers fall back to one LIST. A
+hint without a tail is no hint either: it costs that one LIST, and the
+next commit writes a whole one.
 
 The lake's log and Rottnest's metadata table are two
 :class:`LogFormat` configurations of this one class.
@@ -89,38 +91,23 @@ class Hint(NamedTuple):
 
     version: int
     checkpoint: int  # newest checkpoint at or before ``version``; -1: none
-    tail: list[bytes] | None
-    """Stored bytes of entries ``checkpoint+1 .. version``; None for a
-    hint written without them (by an older writer)."""
+    tail: list[bytes]
+    """Stored bytes of entries ``checkpoint+1 .. version``."""
 
 
 def _parse_hint(data: bytes) -> Hint | None:
     """The hint ``data`` holds, or None when it cannot serve a read:
-    not a hint, a checkpoint after the version, or a tail that is not
-    a list of exactly the entries between them."""
+    not a hint as commits write it (with its tail), a checkpoint after
+    the version, or a tail that is not a list of exactly the entries
+    between them."""
     match = _HINT_HEAD.match(data)
     if match is None:
-        return _tailless(data)
+        return None
     version, checkpoint = int(match[1]), int(match[2])
     tail = _elements(data, match.end())
     if tail is None or checkpoint > version or len(tail) != version - checkpoint:
         return None
     return Hint(version, checkpoint, tail)
-
-
-def _tailless(data: bytes) -> Hint | None:
-    """A hint with no tail, ``{"version": v, "checkpoint": c}``."""
-    try:
-        obj = json.loads(data)
-        version, checkpoint = obj["version"], obj["checkpoint"]
-    except (ValueError, TypeError, KeyError):
-        return None
-    if "tail" in obj or type(version) is not int or type(checkpoint) is not int:
-        return None  # a tail, but not laid out as commits write it
-    # Only a commit writes a hint, so it names a version >= 0.
-    if version < 0 or not -1 <= checkpoint <= version:
-        return None
-    return Hint(version, checkpoint, None)
 
 
 def _elements(data: bytes, pos: int) -> list[bytes] | None:
@@ -335,8 +322,7 @@ class TransactionLog:
         state), entry ``hi`` — which must equal the tail's entry byte
         for byte, proving the hint is not ahead of the log and its tail
         is the log's own — and, for the tip, probes the next version,
-        which must be missing. A hint without a tail has its tail read
-        from the log in the same round.
+        which must be missing.
         """
         hint = self.hint()
         barrier()  # every other read depends on the hint
@@ -349,12 +335,9 @@ class TransactionLog:
             return None  # before the hinted checkpoint, or past its tip
         try:
             start = self._load(base) if load else None
-            if stored is None:  # written without its tail: read it
-                entries = self._tail(base, hi)
-            else:
-                entries = stored[: hi - base]
-                if entries and self.entry_bytes(hi) != entries[-1]:
-                    return None  # not the log's entry: ahead of it, or foreign
+            entries = stored[: hi - base]
+            if entries and self.entry_bytes(hi) != entries[-1]:
+                return None  # not the log's entry: ahead of it, or foreign
             if not entries and not load:
                 self.entry_bytes(hi)  # proves the version exists
             found = self._found(hi, base, entries, start, load)

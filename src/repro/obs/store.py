@@ -159,7 +159,8 @@ def snapshot_payload(
 
 def validate_snapshot(payload: dict) -> dict:
     """``payload``, or a :class:`ReproError` unless it follows the
-    schema."""
+    schema, its hub included (a hub of another shape is a
+    :class:`~repro.errors.FormatError`)."""
     if payload.get("schema") != SNAPSHOT_SCHEMA:
         raise ReproError(
             f"bad snapshot schema {payload.get('schema')!r}; "
@@ -167,6 +168,8 @@ def validate_snapshot(payload: dict) -> dict:
         )
     if not isinstance(payload.get("sources"), list):
         raise ReproError("snapshot lacks a 'sources' list")
+    if payload.get("hub") is not None:
+        TelemetryHub.from_snapshot(payload["hub"])
     return payload
 
 

@@ -24,7 +24,10 @@ Members are addressed ``hub.series(name, **labels)``; the
 Prometheus exposition (:mod:`repro.obs.metrics`). A query's or a
 maintenance run's bill is stored once, as a cost series;
 :class:`CostLedger` is a read-only fold of those series that lets the
-dashboard place a deployment on the TCO phase diagram.
+dashboard place a deployment on the TCO phase diagram. A hub snapshot is
+read only in the shape :meth:`TelemetryHub.snapshot` writes; any other
+(a ledger section, windows as a list, a series without its all-time
+``count``/``total``) is a :class:`~repro.errors.FormatError`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import re
 import threading
 from dataclasses import dataclass
 
+from repro.errors import FormatError
 from repro.obs.critical_path import TailRecorder
 from repro.obs.trace import ProcessDefault
 
@@ -493,18 +497,12 @@ class _WindowRing:
         ring = cls(
             float(data["window_s"]), capacity=int(data["capacity"]), **kwargs
         )
-        rows = data["windows"]
-        if isinstance(rows, list):  # series written before the shared ring
-            rows = {row["index"]: row for row in rows}
-        for index, row in rows.items():
+        for index, row in data["windows"].items():
             ring._cells[int(index)] = cls._cell_type.from_dict(row)
-        cells = ring._cells.values()
         ring._newest = max(ring._cells, default=None)
         ring.late_dropped = int(data.get("late_dropped", 0))
-        # Older snapshots carry no all-time fields: what they retain is
-        # all that is known.
-        ring._count = int(data.get("count", sum(c.count for c in cells)))
-        ring._total = float(data.get("total", sum(c.total for c in cells)))
+        ring._count = int(data["count"])
+        ring._total = float(data["total"])
         ring.last = data.get("last")
         ring.first_at_s = data.get("first_at_s")
         ring.last_at_s = data.get("last_at_s")
@@ -832,33 +830,36 @@ class TelemetryHub:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "TelemetryHub":
-        hub = cls(
-            window_s=float(data["window_s"]),
-            capacity=int(data["capacity"]),
-            relative_accuracy=float(data["relative_accuracy"]),
-        )
-        for section, kind in (
-            ("series", WindowedSeries),
-            ("quantiles", WindowedQuantiles),
-        ):
-            for text, entry in data.get(section, {}).items():
-                name = text.partition("{")[0]
-                labels = tuple(sorted(entry.get("labels", {}).items()))
-                hub._members[name, labels] = kind.from_dict(entry)
-                hub._kinds[name] = (kind, tuple(label for label, _ in labels))
-        hub.tail = TailRecorder.from_dict(data.get("tail", {"samples": []}))
-        old = data.get("ledger")
-        if old:  # written when the ledger kept its own copy of the bill
-            serve = hub.series("serve.cost_usd")
-            serve.first_at_s, serve.last_at_s = old["first_at_s"], old["last_at_s"]
-            # The old ledger kept no verb for non-index spend.
-            maintain = old["maintain_request_usd"] + old["maintain_compute_usd"]
-            for op, usd in (("index", old["index_build_usd"]), ("unattributed", maintain)):
-                if usd:
-                    hub.series(f"maintain.{op}.cost_usd").observe(usd)
-            hub.series("storage.data_bytes").set(old["data_bytes"])
-            hub.series("storage.index_bytes").set(old["index_bytes"])
+        """The hub :meth:`snapshot` dumped, or a :class:`FormatError`
+        for data of any other shape."""
+        try:
+            unknown = set(data) - _HUB_SECTIONS
+            if unknown:
+                raise ValueError(f"unknown sections {sorted(unknown)}")
+            hub = cls(
+                window_s=float(data["window_s"]),
+                capacity=int(data["capacity"]),
+                relative_accuracy=float(data["relative_accuracy"]),
+            )
+            for section, kind in (
+                ("series", WindowedSeries),
+                ("quantiles", WindowedQuantiles),
+            ):
+                for text, entry in data.get(section, {}).items():
+                    name = text.partition("{")[0]
+                    labels = tuple(sorted(entry.get("labels", {}).items()))
+                    hub._members[name, labels] = kind.from_dict(entry)
+                    hub._kinds[name] = (kind, tuple(label for label, _ in labels))
+            hub.tail = TailRecorder.from_dict(data.get("tail", {"samples": []}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"not a hub snapshot: {exc!r}") from None
         return hub
+
+
+#: The sections :meth:`TelemetryHub.snapshot` writes.
+_HUB_SECTIONS = frozenset(
+    ("window_s", "capacity", "relative_accuracy", "series", "quantiles", "tail")
+)
 
 
 #: The process-wide default telemetry hub.

@@ -28,7 +28,7 @@ def store_bloom(builder, n_pages, **write_kwargs):
         "f.parquet",
         "uuid",
         [
-            PageEntry("f.parquet", i, 4 + i * 100, 100, 10, i * 10, 1)
+            PageEntry("f.parquet", i, 4 + i * 100, 100, 10, i * 10, 1, crc=0)
             for i in range(n_pages)
         ],
     )

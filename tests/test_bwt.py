@@ -26,7 +26,7 @@ def invert(text: bytes, sample_rate: int = 4) -> bytes:
     sa = suffix_array(text)
     bwt, si = bwt_from_sa(text, sa)
     rows = np.flatnonzero(sa % sample_rate == 0)
-    return invert_bwt(bwt, [si], rows, sa[rows])
+    return invert_bwt(bwt, si, rows, sa[rows])
 
 
 class TestSuffixArray:
@@ -63,7 +63,7 @@ class TestSuffixArray:
 
     def test_peak_memory_per_character(self):
         """One int64 scratch buffer for sorted keys and ranks and an
-        int32 dense rank keep the sort at about 29 bytes per character
+        int32 dense rank keep the sort at about 25 bytes per character
         (it was 65 with a padded symbol array and fresh buffers)."""
         from repro.indices.fm.fm_index import page_text
         from repro.workloads.text import TextWorkload
@@ -125,7 +125,7 @@ class TestBwt:
         text = b"mississippi"
         sa = suffix_array(text)
         bwt, si = bwt_from_sa(text, sa)
-        lf = lf_array(bwt, [si])
+        lf = lf_array(bwt, si)
         # Walking LF from row 0 spells the text backwards.
         out = []
         j = 0

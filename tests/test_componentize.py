@@ -27,6 +27,7 @@ def make_table(key: str, pages: int = 4, rows: int = 100) -> PageTable:
             num_values=rows,
             row_start=i * rows,
             codec=1,
+            crc=0,
         )
         for i in range(pages)
     ]

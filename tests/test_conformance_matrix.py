@@ -21,7 +21,6 @@ import collections
 import dataclasses
 import itertools
 from typing import Callable
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from repro.core.index_file import IndexFileReader
 from repro.core.maintenance import covering_records
 from repro.core.queries import Query, SubstringQuery, UuidQuery, VectorQuery
 from repro.errors import FormatError
-from repro.indices.uuid_trie import UuidTrieBuilder
 from repro.lake.table import LakeTable, TableConfig
 from repro.maintain import MaintenancePipeline
 from repro.serve import SearchServer
@@ -41,7 +39,6 @@ from repro.storage.object_store import InMemoryObjectStore
 from repro.util.clock import SimClock
 
 from tests.conftest import EVENT_SCHEMA, event_batch, event_uuid
-from tests.test_uuid_trie import write_legacy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,17 +182,12 @@ def state_cracked(w, store, lake, pipe):
 
 
 def state_mixed_layout(w, store, lake, pipe):
-    """A lake that outlived a layout change: the two older per-file
-    trie indices carry the legacy ``lut``, the two newer ones ``lutb``.
-    Only the trie has two layouts, so this state has its own test below
-    instead of a row in ``STATES``."""
+    """A trie index per file, each built as its file lands (the lake an
+    index layout change once left half old, half new). This state has
+    its own tests below instead of a row in ``STATES``."""
     for i in range(w.files):
         lake.append(event_batch(w.rows, seed=i + 1))
-        if i < 2:
-            with mock.patch.object(UuidTrieBuilder, "write", write_legacy):
-                _index(pipe, w)
-        else:
-            _index(pipe, w)
+        _index(pipe, w)
 
 
 STATES = {
@@ -308,15 +300,14 @@ def test_cached_server_matches_bruteforce_oracle(workload, state, budget):
 
 @pytest.mark.parametrize("budget", CACHE_BUDGETS)
 def test_cached_server_serves_a_mixed_layout_lake(budget):
-    """Legacy ``lut`` and ``lutb`` trie files decode side by side."""
+    """Per-file trie indices decode side by side."""
     _check_cached_column(WORKLOADS[0], state_mixed_layout, budget)
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_mixed_layout_lake_compacts_into_the_new_layout(workers):
-    """Old- and new-layout trie files answer side by side, and one
-    ``compact`` leaves no live index file with a legacy ``lut``
-    (``UuidTrieBuilder.load`` reads leaves only)."""
+    """Per-file trie indices answer side by side, and one ``compact``
+    leaves one live index file."""
     w = WORKLOADS[0]
     store, lake, client = _fresh(w)
 
@@ -338,7 +329,7 @@ def test_mixed_layout_lake_compacts_into_the_new_layout(workers):
 
     with MaintenancePipeline(client, workers=workers) as pipe:
         state_mixed_layout(w, store, lake, pipe)
-        assert live_luts() == ["lut", "lut", "lutb", "lutb"]
+        assert live_luts() == ["lutb"] * 4
         assert_oracle()
         pipe.compact(w.column, w.index_type)
     assert live_luts() == ["lutb"]

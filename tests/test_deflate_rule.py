@@ -1,6 +1,6 @@
 """Deflate only where it pays: one rule for column chunks and index
-components, queries that inflate nothing they do not have to, and files
-written before the rule (zlib everywhere) read and answered unchanged."""
+components, queries that inflate nothing they do not have to, and data
+files written before the rule (zlib everywhere) read unchanged."""
 
 import hashlib
 import zlib
@@ -13,23 +13,26 @@ from hypothesis import strategies as st
 
 from repro.core import RottnestClient
 from repro.core.componentize import ComponentFileReader, ComponentFileWriter
-from repro.core.index_file import IndexFileReader, IndexFileWriter
+from repro.core.fsck import fsck
+from repro.core.index_file import IndexFileReader
 from repro.core.queries import VectorQuery
-from repro.formats import ColumnType, Field, ParquetFile, Schema, build_page_table
+from repro.errors import FormatError
+from repro.formats import ColumnType, Field, ParquetFile, Schema
 from repro.formats.reader import chunk_values
 from repro.formats import compression
 from repro.formats.encoding import decode_values
-from repro.formats.page_reader import fetch_pages
+from repro.formats.page_reader import fetch_pages, inflate
 from repro.formats.parquet import write_parquet
 from repro.indices.fm import fm_index
-from repro.indices.vector.ivf_pq import IvfPqBuilder
 from repro.lake import LakeTable, TableConfig
 from repro.lake.actions import AddFile
-from repro.meta import IndexRecord
 from repro.storage import InMemoryObjectStore
 from repro.util.clock import SimClock
+from repro.serve import SearchServer
 from repro.workloads import TextWorkload, UuidWorkload, VectorWorkload
 from tests.test_fm_subblocks import unpack
+from tests.test_page_crc import rewritten, serving_only
+from tests.test_page_reader import checked_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,11 +131,11 @@ def test_chunk_codec_is_none_exactly_when_deflate_does_not_pay(
         for i in range(len(pf.metadata.row_groups))
         for v in chunk_values(pf.read_column_chunk(i, "c"))
     ]
-    table = build_page_table(result.metadata, "f", "c")
+    table = checked_table(store, result.metadata, "f", "c")
     fetched = [
         v
         for entry, raw in zip(table.entries, fetch_pages(store, table.entries))
-        for v in decode_values(field, raw, entry.num_values)
+        for v in decode_values(field, inflate(entry, raw), entry.num_values)
     ]
     if type_ is ColumnType.VECTOR:
         assert np.array_equal(np.asarray(scanned), values)
@@ -245,13 +248,13 @@ def test_cold_vector_query_raw_path_inflates_no_emb_page_nor_codebook(monkeypatc
         zlib.decompress(stream)
 
 
-# -- files written before the rule: zlib emb chunks, zlib pq --------------
+# -- files written before the rule: zlib emb chunks -----------------------
 #: Written by the writer before :func:`compression.deflate_pays` existed
 #: (it deflated everything deflate shrank at all): one data file of 260
-#: 8-d vectors under ``LEGACY_DATA_KEY`` and the IVF-PQ file
-#: (``nlist=4, m=4``) that covers it.
+#: 8-d vectors under ``LEGACY_DATA_KEY``. Its index is built fresh and
+#: its header edited to format 1, the format every index of that time
+#: had: such a file is never read, the data file always is.
 LEGACY_DATA_KEY = "lake/v/data/part-legacy.parquet"
-LEGACY_INDEX_KEY = "idx/v/files/3e275666ed-00000000.index"
 
 
 def legacy_vectors() -> np.ndarray:
@@ -273,34 +276,27 @@ class TestLegacyZlibFixture:
             TableConfig(row_group_rows=128, page_target_bytes=2048),
         )
         data = (DATA / "ivfpq_legacy_zlib.parquet").read_bytes()
-        index = (DATA / "ivfpq_legacy_zlib.index").read_bytes()
         store.put(LEGACY_DATA_KEY, data)
         lake.log.commit([AddFile(path=LEGACY_DATA_KEY, num_rows=260, size=len(data))])
-        store.put(LEGACY_INDEX_KEY, index)
-        client = RottnestClient(store, "idx/v", lake)
-        client.meta.insert(
-            [
-                IndexRecord(
-                    index_key=LEGACY_INDEX_KEY,
-                    index_type="ivf_pq",
-                    column="emb",
-                    covered_files=(LEGACY_DATA_KEY,),
-                    num_rows=260,
-                    size=len(index),
-                    created_at=store.clock.now(),
-                )
-            ]
-        )
-        return store, client
+        fresh = RottnestClient(store, "idx/fresh", lake)
+        record = fresh.index("emb", "ivf_pq", params={"nlist": 4, "m": 4})
+        index = rewritten(store.get(record.index_key), lambda header, _: header.update(format=1))
+        return store, serving_only(fresh, record, index)
+
+    @staticmethod
+    def query(i: int) -> VectorQuery:
+        return VectorQuery(legacy_vectors()[i] + 0.01, nprobe=4, refine=260)
 
     def test_legacy_zlib_files_are_what_the_old_writer_wrote(self, lake):
-        store, _ = lake
+        """Zlib on every chunk of the data file; format 1 on its index,
+        as on every index file of that time."""
+        store, client = lake
         meta = ParquetFile(store, LEGACY_DATA_KEY).metadata
         assert {c.codec for rg in meta.row_groups for c in rg.chunks} == {
             compression.ZLIB
         }
-        reader = IndexFileReader.open(store, LEGACY_INDEX_KEY)
-        assert reader._reader._entry(reader._names["pq"])[3] == compression.ZLIB
+        (record,) = client.meta.records()
+        assert ComponentFileReader.open(store, record.index_key).header["format"] == 1
 
     def test_legacy_zlib_data_reads_through_both_readers(self, lake):
         store, _ = lake
@@ -312,41 +308,39 @@ class TestLegacyZlibFixture:
                 for i in range(len(pf.metadata.row_groups))
             ]
         )
-        table = build_page_table(pf.metadata, LEGACY_DATA_KEY, "emb")
+        table = checked_table(store, pf.metadata, LEGACY_DATA_KEY, "emb")
         fetched = np.concatenate(
             [
-                decode_values(field, raw, entry.num_values)
+                decode_values(field, inflate(entry, raw), entry.num_values)
                 for entry, raw in zip(table.entries, fetch_pages(store, table.entries))
             ]
         )
         assert np.array_equal(scanned, legacy_vectors())
         assert np.array_equal(fetched, legacy_vectors())
 
-    def test_legacy_zlib_lake_answers_like_the_oracle(self, lake):
+    def test_client_search_over_a_format_1_index_is_a_format_error(self, lake):
         _, client = lake
-        vectors = legacy_vectors()
-        for i in (0, 77, 259):
-            query = VectorQuery(vectors[i] + 0.01, nprobe=4, refine=260)
-            indexed = client.search("emb", query, k=5)
-            assert indexed.stats.index_files_queried == 1
-            distances = ((vectors - query.vector) ** 2).sum(axis=1)
-            expected = np.argsort(distances, kind="stable")[:5]
-            assert [m.row for m in indexed.matches] == expected.tolist()
-            assert [m.score for m in indexed.matches] == pytest.approx(
-                distances[expected].tolist(), rel=1e-5
-            )
+        with pytest.raises(FormatError, match="format 1"):
+            client.search("emb", self.query(0), k=5)
 
-    def test_legacy_zlib_index_rewrites_under_the_rule(self, lake):
-        """Loading the old file and writing it again (what compaction
-        does) stores the codebook raw and keeps the lists deflated."""
-        store, _ = lake
-        old = IndexFileReader.open(store, LEGACY_INDEX_KEY)
-        writer = IndexFileWriter("ivf_pq", "emb", old.directory)
-        IvfPqBuilder.load(old).write(writer)
-        store.put("rewritten.index", writer.finish())
-        new = IndexFileReader.open(store, "rewritten.index")
-        codec = {n: new._reader._entry(new._names[n])[3] for n in ("pq", "list0")}
-        assert codec == {"pq": compression.NONE, "list0": compression.ZLIB}
-        assert [new.component(n) for n in new.component_names()] == [
-            old.component(n) for n in old.component_names()
-        ]
+    def test_legacy_zlib_lake_answers_like_the_oracle(self, lake):
+        """A server answers by scan around the format-1 index: the
+        brute-force answer, flagged degraded."""
+        store, client = lake
+        vectors = legacy_vectors()
+        with SearchServer.for_lake(store, client.index_dir, client.lake.root) as server:
+            for i in (0, 77, 259):
+                query = self.query(i)
+                served = server.query("emb", query, k=5)
+                assert served.degraded
+                distances = ((vectors - query.vector) ** 2).sum(axis=1)
+                expected = np.argsort(distances, kind="stable")[:5]
+                assert [m.row for m in served.matches] == expected.tolist()
+                assert [m.score for m in served.matches] == pytest.approx(
+                    distances[expected].tolist(), rel=1e-5
+                )
+
+    def test_fsck_lists_the_format_1_index_as_corrupt(self, lake):
+        _, client = lake
+        report = fsck(client)
+        assert report.corrupt_index_files == [client.meta.records()[0].index_key]

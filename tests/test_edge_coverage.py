@@ -17,7 +17,7 @@ from repro.storage.object_store import InMemoryObjectStore
 def trie_store(builder, n_pages=4):
     table = PageTable(
         "f", "uuid",
-        [PageEntry("f", i, 4 + i * 10, 10, 10, i * 10, 1) for i in range(n_pages)],
+        [PageEntry("f", i, 4 + i * 10, 10, 10, i * 10, 1, crc=0) for i in range(n_pages)],
     )
     w = IndexFileWriter("uuid_trie", "uuid", PageDirectory([table]))
     builder.write(w)

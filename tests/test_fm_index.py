@@ -33,7 +33,7 @@ def store_fm(builder, n_pages, rows_per_page=10):
         "text",
         [
             PageEntry("f.parquet", i, 4 + i * 100, 100, rows_per_page,
-                      i * rows_per_page, 1)
+                      i * rows_per_page, 1, crc=0)
             for i in range(n_pages)
         ],
     )
@@ -140,7 +140,7 @@ class TestSerialization:
         _, q = store_fm(builder, len(pages))
         loaded = FmBuilder.load(q.reader)
         assert loaded.bwt == builder.bwt
-        assert loaded.sentinel_index == builder.sentinel_index
+        assert loaded.sentinel == builder.sentinel
         # Merge input: the merge rebuilds the page map instead.
         assert not len(loaded.pagemap) and loaded.store_pagemap
         assert np.array_equal(loaded.sample_rows, builder.sample_rows)
@@ -161,7 +161,7 @@ class TestSerialization:
         merged = FmBuilder.merge_streaming([b1, b2], [0, 2])
         joint = FmBuilder.build(pages, block_size=1024, sample_rate=8)
         assert merged.bwt == joint.bwt
-        assert merged.sentinels == joint.sentinels
+        assert merged.sentinel == joint.sentinel
         assert merged.page_gids == joint.page_gids
         assert np.array_equal(merged.pagemap, joint.pagemap)
         assert np.array_equal(merged.sample_rows, joint.sample_rows)
@@ -177,7 +177,7 @@ class TestSerialization:
         )
         merged = FmBuilder.merge_streaming([b1, b2], [0, 2])
         joint = FmBuilder.build(pages, block_size=1024, sample_rate=8)
-        assert len(merged.sentinels) == 1
+        assert merged.sentinel == joint.sentinel
         assert merged.page_gids == joint.page_gids
         _, q_merged = store_fm(merged, len(pages))
         _, q_joint = store_fm(joint, len(pages))
@@ -199,7 +199,7 @@ class TestSerialization:
         ]
         merged = FmBuilder.merge_streaming(parts, [0, 1, 2])
         joint = FmBuilder.build(pages[:3], block_size=512, sample_rate=8)
-        assert len(merged.sentinels) == 1
+        assert merged.sentinel == joint.sentinel
         _, q_merged = store_fm(merged, 3)
         _, q_joint = store_fm(joint, 3)
         needle = pages[1][1][0][:6]

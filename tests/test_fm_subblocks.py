@@ -1,16 +1,12 @@
 """FM rank sub-blocks: a block is the fetch unit, a ``RANK_STRIDE``-row
 sub-block the inflate unit.
 
-Files written before sub-blocks (``blk{b}`` = 256 u32 counts + the raw
-BWT slice, ``pg{b}`` = the raw page ids, each deflated as one component)
-decode through the legacy branch; new files answer exactly like them
-and like a naive scan, reject corrupt blocks, and inflate only the
-sub-blocks a query touches.
+Files answer exactly like a naive scan at any stride and block size,
+reject corrupt blocks, and inflate only the sub-blocks a query touches.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 import zlib
 from contextlib import contextmanager
@@ -33,49 +29,20 @@ from repro.workloads.text import TextWorkload
 KEY = "i.index"
 
 
-class LegacyWriter(IndexFileWriter):
-    """Writes ``builder`` the way the writer did before sub-blocks."""
-
-    def __init__(self, builder: FmBuilder, directory: PageDirectory) -> None:
-        super().__init__("fm", "text", directory)
-        self.builder = builder
-
-    def add_component(self, name, data, *, rle=False, raw=False):
-        builder, block = self.builder, self.builder.block_size
-        if name.startswith(("blk", "pg")):
-            b = int(name.lstrip("blkpg"))
-            lo, hi = b * block, min((b + 1) * block, builder.n)
-            if name.startswith("blk"):
-                bwt = np.frombuffer(builder.bwt, dtype=np.uint8)
-                counts = np.bincount(bwt[:lo], minlength=256).astype("<u4")
-                data = counts.tobytes() + builder.bwt[lo:hi]
-            else:
-                pg_dtype = fm_index._pagemap_dtype(max(builder.page_gids))
-                data = builder.pagemap[lo:hi].astype(pg_dtype).tobytes()
-                rle = True
-            raw = False
-        return super().add_component(name, data, rle=rle, raw=raw)
-
-    def finish(self) -> bytes:
-        del self.params["rank_stride"], self.params["alphabet"]
-        return super().finish()
-
-
 def directory(n_pages: int) -> PageDirectory:
     table = PageTable(
         "f.parquet",
         "text",
-        [PageEntry("f.parquet", i, 4 + i * 100, 100, 12, i * 12, 1) for i in range(n_pages)],
+        [
+            PageEntry("f.parquet", i, 4 + i * 100, 100, 12, i * 12, 1, crc=0)
+            for i in range(n_pages)
+        ],
     )
     return PageDirectory([table])
 
 
-def file_bytes(builder: FmBuilder, *, legacy: bool = False) -> bytes:
-    n_pages = max(builder.page_gids) + 1
-    if legacy:
-        writer = LegacyWriter(builder, directory(n_pages))
-    else:
-        writer = IndexFileWriter("fm", "text", directory(n_pages))
+def file_bytes(builder: FmBuilder) -> bytes:
+    writer = IndexFileWriter("fm", "text", directory(max(builder.page_gids) + 1))
     builder.write(writer)
     return writer.finish()
 
@@ -122,46 +89,7 @@ def answers(querier: FmQuerier, needle: bytes):
     )
 
 
-# -- the legacy writer is the old writer ----------------------------------
-def test_legacy_writer_reproduces_the_old_pinned_bytes():
-    """The pins ``test_index_file_bytes_pinned`` held before sub-blocks:
-    so every legacy file these tests read is a real old file."""
-    gen = TextWorkload(seed=20, vocabulary_size=300)
-    parts = [
-        FmBuilder.build(
-            [
-                (0, gen.documents(12, avg_chars=90)),
-                (1, gen.documents(12, avg_chars=90)),
-            ],
-            block_size=1024,
-            sample_rate=8,
-        )
-        for _ in range(3)
-    ]
-    merged = FmBuilder.merge_streaming(iter(parts), [0, 2, 4])
-
-    def sha256(builder, n_pages):
-        table = PageTable(
-            "f.parquet",
-            "text",
-            [
-                PageEntry("f.parquet", i, 4 + i * 100, 100, 12, i * 12, 1)
-                for i in range(n_pages)
-            ],
-        )
-        writer = LegacyWriter(builder, PageDirectory([table]))
-        builder.write(writer)
-        return hashlib.sha256(writer.finish()).hexdigest()
-
-    assert sha256(parts[0], 2) == (
-        "43105f639a07aa319402ce6f396611807a6be868abbf54e900c9a8ab877b0c87"
-    )
-    assert sha256(merged, 6) == (
-        "0d15a83e54b6be6a00847d1fd9fea8575b0fcf40e3dd5b0fb71cf908aec87ac8"
-    )
-
-
-# -- old layout == new layout == naive scan --------------------------------
+# -- file == naive scan ------------------------------------------------------
 rows_strategy = st.lists(
     st.text(alphabet="abcn é", min_size=1, max_size=12), min_size=1, max_size=6
 )
@@ -177,7 +105,7 @@ rows_strategy = st.lists(
     st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_new_old_and_naive_agree_property(pages_rows, rows, ratio, pagemap, data):
+def test_answers_equal_naive_property(pages_rows, rows, ratio, pagemap, data):
     pages = list(enumerate(pages_rows))
     with stride(rows):
         builder = FmBuilder.build(
@@ -186,10 +114,8 @@ def test_new_old_and_naive_agree_property(pages_rows, rows, ratio, pagemap, data
             sample_rate=4,
             store_pagemap=pagemap,
         )
-        new = open_reader(file_bytes(builder))
-    old = open_reader(file_bytes(builder, legacy=True))
-    assert new.params["rank_stride"] == rows
-    assert "rank_stride" not in old.params
+        reader = open_reader(file_bytes(builder))
+    assert reader.params["rank_stride"] == rows
     full = b"".join(page_text(r) for _, r in pages)
     start = data.draw(st.integers(0, len(full) - 1))
     needles = [
@@ -198,37 +124,22 @@ def test_new_old_and_naive_agree_property(pages_rows, rows, ratio, pagemap, data
     ]
     for needle in needles:
         expected = naive_answers(pages, needle)
-        assert answers(FmQuerier(new), needle) == expected, needle
-        assert answers(FmQuerier(old), needle) == expected, needle
+        assert answers(FmQuerier(reader), needle) == expected, needle
 
 
 @pytest.mark.parametrize("block_size", [2048, 4096, 8192, 6000])
-def test_real_stride_agrees_with_legacy(block_size):
+def test_real_stride_agrees_with_naive(block_size):
     """At the shipped stride, over text spanning many sub-blocks."""
     gen = TextWorkload(seed=block_size, vocabulary_size=400)
     pages = [(g, gen.documents(40, avg_chars=120)) for g in range(6)]
     builder = FmBuilder.build(pages, block_size=block_size, sample_rate=16)
     assert builder.n > 4 * fm_index.RANK_STRIDE
-    new = open_reader(file_bytes(builder))
-    old = open_reader(file_bytes(builder, legacy=True))
+    reader = open_reader(file_bytes(builder))
     for rows, needle in [(pages[1][1], 0), (pages[4][1], 7), (pages[5][1], 3)]:
         for n in (2, 5, 11):
             text = rows[needle][:n].encode()
             expected = naive_answers(pages, text)
-            assert answers(FmQuerier(new), text) == expected
-            assert answers(FmQuerier(old), text) == expected
-
-
-def test_legacy_multi_sentinel_fixture_answers_through_the_legacy_branch():
-    from tests.test_fm_merge import LEGACY_FIXTURE, TestLegacyMultiSentinelFixture
-
-    reader = open_reader(LEGACY_FIXTURE.read_bytes())
-    assert "rank_stride" not in reader.params
-    querier = FmQuerier(reader)
-    assert querier.stride == reader.params["block_size"]
-    TestLegacyMultiSentinelFixture().test_legacy_multi_sentinel_answers_like_oracle(
-        reader
-    )
+            assert answers(FmQuerier(reader), text) == expected
 
 
 @given(st.lists(st.lists(rows_strategy, min_size=1, max_size=3), min_size=2, max_size=3))

@@ -375,23 +375,15 @@ def test_foreign_tail_falls_back(config):
     _assert_reads_the_tip(log, lists=1)
 
 
-def test_tailless_hint_is_still_served(config):
-    """A hint written without a tail: its entries are read from the
-    log in the second round, no LIST; the next commit adds the tail."""
+def test_tailless_hint_reads_the_tip_through_one_list(config):
+    """A hint without a tail, as builds before the tail wrote it, is no
+    hint: the read takes one LIST and still yields the tip's exact
+    state, and the next commit writes a whole hint."""
     log = _history(config)
     latest, checkpoint, _ = log.hint()
     log.store.put(log.hint_key, json_bytes({"version": latest, "checkpoint": checkpoint}))
-    assert log.hint() == (latest, checkpoint, None)
-    with tracing() as trace:
-        state = log.state()
-    key = f"{config.root}/{{}}/{{:020d}}.json".format
-    assert _rounds(trace) == [
-        [("GET", log.hint_key)],
-        [("GET", key(config.fmt.checkpoint_dir, checkpoint))]
-        + [("GET", key(config.fmt.log_dir, v)) for v in range(checkpoint + 1, latest + 1)],
-    ]
-    assert state == _full_replay(log, latest)
-    _assert_reads_the_tip(log, lists=0)
+    assert log.hint() is None
+    _assert_reads_the_tip(log, lists=1)
 
 
 def test_a_checkpoint_empties_the_tail(config):

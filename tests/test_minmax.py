@@ -23,7 +23,7 @@ def store_minmax(builder, n_pages, **write_kwargs):
         "f.parquet",
         "c",
         [
-            PageEntry("f.parquet", i, 4 + i * 100, 100, 10, i * 10, 1)
+            PageEntry("f.parquet", i, 4 + i * 100, 100, 10, i * 10, 1, crc=0)
             for i in range(n_pages)
         ],
     )

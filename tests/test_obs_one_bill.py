@@ -1,47 +1,48 @@
-"""One bill, stored once: a flight is its span tree, old ledgers still read.
+"""One bill, stored once: a flight is its span tree, and a snapshot that
+kept a separate ledger is not read.
 
 * **Round trip.** A span tree written as rows (``spans_to_jsonl``) or
   as a persisted :class:`FlightTrace` comes back with the same bill and
   the same critical path, field for field, so nothing derived needs to
   be stored beside the spans.
-* **Legacy telemetry.** A ``TELEMETRY_serving.json`` written when the
-  hub kept a separate cost ledger still loads, folds with a hub of
-  today's format, and places the deployment on the TCO diagram where
-  it did before.
+* **Retired telemetry.** A hub snapshot written when the hub kept a
+  separate cost ledger beside its series is a ``FormatError`` from
+  ``load_telemetry_json`` and an unreadable object to the snapshot
+  store, which skips it: its bill is never read as a partial one.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FormatError
 from repro.obs.attribution import attribute
 from repro.obs.critical_path import critical_path
-from repro.obs.dashboard import measured_deployment
 from repro.obs.export import (
+    TELEMETRY_SCHEMA,
     load_telemetry_json,
     span_to_dict,
     span_tree_from_dicts,
     spans_to_jsonl,
 )
 from repro.obs.flight import FlightTrace
-from repro.obs.store import SnapshotStore, snapshot_payload
+from repro.obs.store import (
+    SNAPSHOTS,
+    SnapshotStore,
+    canonical_json,
+    content_id,
+    load_snapshots,
+    snapshot_payload,
+)
 from repro.obs.timeseries import TelemetryHub
 from repro.obs.trace import Span
 from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.stats import Request, RequestTrace
 from repro.util.clock import SimClock
-
-#: ``benchmarks/results/TELEMETRY_serving.json`` as it was committed when
-#: the hub still kept a separate ledger (``bench_serving`` rewrites that
-#: file, so the test reads a frozen copy).
-LEGACY_TELEMETRY = os.path.join(
-    os.path.dirname(__file__), "data", "telemetry_legacy_ledger.json"
-)
 
 _request = st.tuples(
     st.sampled_from(["GET", "PUT", "LIST", "HEAD", "DELETE"]),
@@ -100,45 +101,42 @@ class TestSpanRoundTrip:
             assert critical_path(rebuilt) == critical_path(root)
 
 
-class TestLegacyTelemetry:
-    """Values captured by loading the file before the ledger became a
-    fold of the cost series."""
+def ledger_snapshot() -> dict:
+    """A hub snapshot in the shape written when the hub kept its own
+    cost ledger: series windows as a list, no all-time ``count`` or
+    ``total``, and the ``ledger`` section."""
+    hub = TelemetryHub()
+    hub.series("serve.cost_usd").observe(2e-6, at_s=0.0)
+    data = hub.snapshot()
+    for entry in data["series"].values():
+        entry["windows"] = [
+            {"index": int(index), **row} for index, row in entry.pop("windows").items()
+        ]
+        del entry["count"], entry["total"]
+    data["ledger"] = {"serve_queries": 1, "data_bytes": 1_000, "index_bytes": 100}
+    return data
 
-    def test_ledger_reads_from_the_old_payload(self):
-        with open(LEGACY_TELEMETRY) as f:
-            assert "ledger" in json.load(f)["hub"]  # still the old format
-        ledger = load_telemetry_json(LEGACY_TELEMETRY).ledger
-        assert ledger.serve_queries == 9
-        assert (ledger.data_bytes, ledger.index_bytes) == (2_343_099, 90_364)
-        assert (ledger.first_at_s, ledger.last_at_s) == (0.0, 0.0)
-        assert ledger.index_build_usd == ledger.maintain_usd == 0.0
 
-    def test_measured_deployment_is_unchanged(self):
-        measured = measured_deployment(load_telemetry_json(LEGACY_TELEMETRY))
-        approach = measured.approach
-        # serve.cost_usd summed per query vs. the old ledger's request
-        # and compute sums: the same dollars, added in another order.
-        assert approach.cost_per_query == pytest.approx(3.5345679012345683e-06, rel=1e-12)
-        assert approach.cost_per_month == pytest.approx(5.212579760700464e-05, rel=1e-12)
-        assert approach.index_cost == 0.0
-        assert measured.months == 2.2831050228310503e-05
-        assert measured.queries == 9.0
-        assert measured.trajectory == ((2.2831050228310503e-05, 19.0),)
-        assert measured.tco_usd == pytest.approx(3.181230119781447e-05, rel=1e-12)
+class TestRetiredTelemetry:
+    def test_a_ledger_snapshot_is_a_format_error(self, tmp_path):
+        path = tmp_path / "TELEMETRY_serving.json"
+        path.write_text(json.dumps({"schema": TELEMETRY_SCHEMA, "hub": ledger_snapshot()}))
+        with pytest.raises(FormatError, match="ledger"):
+            load_telemetry_json(str(path))
 
-    def test_folds_with_a_new_format_hub(self):
-        legacy = snapshot_payload(source="old")
-        with open(LEGACY_TELEMETRY) as f:
-            legacy["hub"] = json.load(f)["hub"]
+    def test_a_ledger_snapshot_is_skipped_by_the_store(self):
+        old = snapshot_payload(source="old")
+        old["hub"] = ledger_snapshot()
         fresh = TelemetryHub()
         fresh.series("serve.cost_usd").observe(1e-6, at_s=30.0)
-        fresh.series("maintain.index.cost_usd").observe(2e-6, at_s=10.0)
-        fresh.series("storage.data_bytes").set(1_000)
-        snapshots = SnapshotStore(InMemoryObjectStore(clock=SimClock(start=0.0)))
-        keys = [snapshots.commit_payload(legacy), snapshots.commit(fresh, source="new")]
-        folded = TelemetryHub.from_snapshot(snapshots.fold(keys)["hub"])
-        ledger = folded.ledger
-        assert ledger.serve_queries == 10
-        assert ledger.index_build_usd == 2e-6
-        assert ledger.data_bytes == 2_343_099
-        assert (ledger.first_at_s, ledger.last_at_s) == (0.0, 30.0)
+        store = InMemoryObjectStore(clock=SimClock(start=0.0))
+        snapshots = SnapshotStore(store)
+        with pytest.raises(FormatError):
+            snapshots.commit_payload(old)
+        body = canonical_json(old)
+        SNAPSHOTS.put(store, snapshots.root, content_id(body), body)
+        key = snapshots.commit(fresh, source="new")
+        payloads, skipped = load_snapshots(store, snapshots.root)
+        assert skipped == 1
+        assert payloads == [snapshots.load(key)]
+        assert snapshots.fold()["sources"] == ["new"]

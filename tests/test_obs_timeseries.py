@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FormatError
 from repro.obs.timeseries import (
     QuantileSketch,
     TelemetryHub,
@@ -341,19 +342,19 @@ class TestWindowedSeries:
         assert WindowedSeries(window_s=60.0).merge(b).last == 90
 
     def test_legacy_dict_without_all_time_fields(self):
-        """A series snapshot written before the shared ring: a window
-        list, no ``count``/``total``/``last``."""
-        legacy = {
-            "window_s": 60.0,
-            "capacity": 240,
-            "late_dropped": 0,
-            "windows": [
-                {"index": 0, "count": 2, "total": 5.0, "min": 2.0, "max": 3.0}
-            ],
-        }
-        series = WindowedSeries.from_dict(legacy)
-        assert series.count() == 2 and series.total() == 5.0
-        assert series.last is None
+        """A series snapshot written before the shared ring (a window
+        list, no ``count``/``total``) is not read as a partial series:
+        a hub holding one is a ``FormatError``."""
+        hub = TelemetryHub()
+        hub.series("serve.queries").observe(2.0, at_s=1.0)
+        current = hub.snapshot()
+        (entry,) = current["series"].values()
+        windowless = dict(entry, windows=[{"index": 0, **entry["windows"]["0"]}])
+        countless = {k: v for k, v in entry.items() if k not in ("count", "total")}
+        for old in (windowless, countless):
+            with pytest.raises(FormatError):
+                TelemetryHub.from_snapshot(dict(current, series={"serve.queries": old}))
+        assert TelemetryHub.from_snapshot(current).series("serve.queries").count() == 1
 
     def test_round_trip(self):
         series = WindowedSeries(window_s=30.0, capacity=5)

@@ -3,38 +3,32 @@
 The index build records the CRC32 of each data page's stored bytes in
 its page entry. ``fetch_pages`` checks every claimed page against it and
 hands it on still stored; the exact loop inflates a page only when it
-gets to it before K. Pages of index files written before the CRC (no
-``crc`` in their entries) take one legacy branch that inflates them at
-fetch. These tests pin all three halves: where the CRCs come from, what
-the read path does with them, and that legacy files answer as before.
+gets to it before K. These tests pin where the CRCs come from, what the
+read path does with them, and that an index file without them (or of
+any other retired layout) is a ``FormatError``.
 """
 
 from __future__ import annotations
 
 import collections
+import copy
+import dataclasses
 import zlib
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import maintenance, search
+from repro.core import search
 from repro.core.client import RottnestClient
 from repro.core.fsck import fsck
 from repro.core.componentize import ComponentFileReader, ComponentFileWriter
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
-from repro.core.maintenance import compact_indices, covering_records, refine_index
+from repro.core.maintenance import compact_indices, refine_index
 from repro.core.queries import SubstringQuery, UuidQuery, VectorQuery
 from repro.errors import FormatError
 from repro.formats import compression
-from repro.formats.page_reader import (
-    PageEntry,
-    PageTable,
-    build_page_table,
-    fetch_pages,
-    inflate,
-)
+from repro.formats.page_reader import PageEntry, PageTable, build_page_table
 from repro.formats.parquet import write_parquet
 from repro.formats.reader import ParquetFile
 from repro.lake.table import LakeTable, TableConfig
@@ -43,8 +37,6 @@ from repro.util.binio import BinaryReader, BinaryWriter
 from repro.util.clock import SimClock
 
 from tests.conftest import EVENT_SCHEMA, event_batch, event_uuid
-
-DATA = Path(__file__).parent / "data"
 
 #: column -> (index type, build params) of the event lake.
 SPECS = {
@@ -75,15 +67,9 @@ def assert_checked(client, records=None) -> None:
         assert entry.crc == zlib.crc32(stored(client.store, entry)), entry
 
 
-def without_crcs(metadata, file_key, column, crcs=None):
-    """The page table an index build wrote before pages had CRCs."""
-    return build_page_table(metadata, file_key, column)
-
-
-def per_file_lake(files: int, rows: int, *, legacy: int = 0):
+def per_file_lake(files: int, rows: int):
     """A lake of ``files`` appends, each indexed on its own for every
-    column; the first ``legacy`` of them by a build that records no
-    CRCs."""
+    column."""
     store = InMemoryObjectStore(clock=SimClock(start=1_000_000.0))
     config = TableConfig(row_group_rows=64, page_target_bytes=2048)
     lake = LakeTable.create(store, "lake/events", EVENT_SCHEMA, config)
@@ -91,29 +77,24 @@ def per_file_lake(files: int, rows: int, *, legacy: int = 0):
     for i in range(files):
         lake.append(event_batch(rows, seed=i + 1))
         store.clock.advance(1.0)
-        with mock.patch.object(
-            maintenance,
-            "build_page_table",
-            without_crcs if i < legacy else build_page_table,
-        ):
-            for column, (index_type, params) in SPECS.items():
-                client.index(column, index_type, params=params)
+        for column, (index_type, params) in SPECS.items():
+            client.index(column, index_type, params=params)
     return store, lake, client
 
 
 # -- the format ------------------------------------------------------------
 class TestFormat:
-    def test_entries_round_trip_with_and_without_crc(self):
+    def test_entries_round_trip_with_their_crcs(self):
         entries = [
             PageEntry("f", 0, 4, 100, 10, 0, compression.ZLIB, crc=0),
             PageEntry("f", 1, 104, 50, 10, 10, compression.NONE, crc=0xFFFFFFFF),
-            PageEntry("f", 2, 154, 70, 10, 20, compression.ZLIB),
+            PageEntry("f", 2, 154, 70, 10, 20, compression.ZLIB, crc=7),
         ]
         writer = BinaryWriter()
         PageTable("f", "c", entries).serialize(writer)
         back = PageTable.deserialize(BinaryReader(writer.getvalue())).entries
         assert back == entries
-        assert [e.crc for e in back] == [0, 0xFFFFFFFF, None]
+        assert [e.crc for e in back] == [0, 0xFFFFFFFF, 7]
 
     def test_entries_are_equal_by_placement(self):
         """What fsck compares against a footer's page table, which has
@@ -122,30 +103,18 @@ class TestFormat:
         assert PageEntry("f", 0, 4, 100, 10, 0, compression.ZLIB, crc=9) == entry
         assert PageEntry("f", 0, 4, 101, 10, 0, compression.ZLIB, crc=9) != entry
 
-    def test_a_crc_costs_four_bytes_and_a_legacy_entry_none(self):
-        def size(crc):
-            writer = BinaryWriter()
-            entry = PageEntry("f", 0, 4, 100, 10, 0, compression.ZLIB, crc=crc)
-            PageTable("f", "c", [entry]).serialize(writer)
-            return len(writer.getvalue())
-
-        assert size(0x12345678) == size(None) + 4
-        legacy = BinaryWriter()
-        PageTable("f", "c", [PageEntry("f", 0, 4, 100, 10, 0, 1)]).serialize(legacy)
-        assert legacy.getvalue()[-1] == compression.ZLIB  # the codec byte alone
-
     def test_a_directory_with_a_crc_is_written_as_format_2(self):
         """A reader from before the CRC would misread an entry that
-        carries one; it checks the header's format, so such a file says
-        2. A directory without a CRC is still written as 1."""
-        legacy = PageEntry("f", 0, 4, 100, 10, 0, compression.ZLIB)
-        checked = PageEntry("f", 1, 104, 50, 10, 10, compression.NONE, crc=7)
+        carries one; it checks the header's format, so the file says 2."""
+        entries = [
+            PageEntry("f", 0, 4, 100, 10, 0, compression.ZLIB, crc=3),
+            PageEntry("f", 1, 104, 50, 10, 10, compression.NONE, crc=7),
+        ]
         store = InMemoryObjectStore()
-        for key, entries, version in (("a", [legacy], 1), ("b", [legacy, checked], 2)):
-            directory = PageDirectory([PageTable("f", "c", entries)])
-            store.put(key, IndexFileWriter("uuid_trie", "c", directory).finish())
-            assert ComponentFileReader.open(store, key).header["format"] == version
-            assert IndexFileReader.open(store, key).directory.tables[0].entries == entries
+        directory = PageDirectory([PageTable("f", "c", entries)])
+        store.put("a", IndexFileWriter("uuid_trie", "c", directory).finish())
+        assert ComponentFileReader.open(store, "a").header["format"] == 2
+        assert IndexFileReader.open(store, "a").directory.tables[0].entries == entries
 
     def test_a_format_this_reader_does_not_know_is_rejected(self):
         store = InMemoryObjectStore()
@@ -312,88 +281,6 @@ class TestInflatedAsFarAsK:
             indexed_client.search("emb", query, k=5)
 
 
-# -- legacy files: no CRC, one branch ------------------------------------------
-class TestLegacy:
-    @pytest.mark.parametrize(
-        "name", sorted(p.name for p in DATA.glob("*.index")), ids=str
-    )
-    def test_fixtures_have_no_crcs_and_keep_their_directory_bytes(self, name):
-        store = InMemoryObjectStore()
-        store.put(name, (DATA / name).read_bytes())
-        reader = IndexFileReader.open(store, name)
-        directory = reader.directory
-        assert {e.crc for t in directory.tables for e in t.entries} == {None}
-        assert directory.serialize() == reader.component("__pages__")
-
-    def test_legacy_branch_inflates_at_fetch_and_zlib_still_checks(self):
-        result = write_parquet(EVENT_SCHEMA, event_batch(200, seed=9), page_target_bytes=2048)
-        store = InMemoryObjectStore()
-        store.put("d", result.data)
-        table = build_page_table(result.metadata, "d", "text")
-        assert table.entries[0].codec == compression.ZLIB
-        pages = fetch_pages(store, table.entries)
-        for entry, page in zip(table.entries, pages):
-            assert page == compression.decompress(stored(store, entry), entry.codec)
-            assert inflate(entry, page) is page
-        entry = table.entries[1]
-        data = bytearray(result.data)
-        data[entry.offset + entry.compressed_size // 2] ^= 0x04
-        store.put("d", bytes(data))
-        with pytest.raises(FormatError, match="zlib"):
-            fetch_pages(store, [entry])
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_mixed_lake_answers_before_and_after_compact(self, workers):
-        """Two files indexed before pages had CRCs, two after: queries
-        equal brute force; FM and trie merges carry both kinds of entry
-        into one directory, and the IVF-PQ raw rebuild checks all."""
-        from repro.serve.executor import SearchExecutor
-
-        store, lake, client = per_file_lake(4, 260, legacy=2)
-        docs = lake.to_pylist("text")
-        rng = np.random.default_rng(5)
-        queries = [
-            ("uuid", UuidQuery(event_uuid(1, 7)), 10),
-            ("uuid", UuidQuery(event_uuid(4, 100)), 10),
-            ("text", SubstringQuery(docs[3][:8]), 10_000),
-            ("text", SubstringQuery(docs[-3][:8]), 10_000),
-            (
-                "emb",
-                VectorQuery(rng.normal(size=16).astype(np.float32), nprobe=4, refine=1040),
-                5,
-            ),
-        ]
-
-        def crcs_recorded(column):
-            live = covering_records(client, column, SPECS[column][0])
-            return {e.crc is not None for e in entries_of(client, live)}
-
-        def assert_oracle():
-            with SearchExecutor(client, max_searchers=workers) as ex:
-                for column, query, k in queries:
-                    indexed = ex.search(column, query, k=k)
-                    oracle = ex.search(column, query, k=k, use_indices=False)
-                    assert {(m.file, m.row) for m in indexed.matches} == {
-                        (m.file, m.row) for m in oracle.matches
-                    }, query
-                    assert indexed.matches
-                    assert indexed.stats.index_files_queried > 0
-
-        for column in SPECS:
-            assert (crcs_recorded(column)) == {False, True}
-        assert_oracle()
-        for column, (index_type, _) in SPECS.items():
-            compact_indices(client, column, index_type)
-        assert_oracle()
-        for column in ("uuid", "text"):
-            assert (crcs_recorded(column)) == {False, True}
-        assert (crcs_recorded("emb")) == {True}
-        assert_checked(
-            client,
-            [r for r in client.meta.records() if r.index_type == "ivf_pq"][-1:],
-        )
-
-
 # -- fsck compares placement ---------------------------------------------------
 def test_fsck_compares_placement_and_still_flags_a_moved_page():
     store, lake, client = per_file_lake(4, 260)
@@ -413,33 +300,131 @@ def test_fsck_compares_placement_and_still_flags_a_moved_page():
 
 
 def test_directory_concat_keeps_each_parts_entries():
-    old = PageTable("a", "c", [PageEntry("a", 0, 4, 10, 1, 0, 1)])
-    new = PageTable("b", "c", [PageEntry("b", 0, 4, 10, 1, 0, 1, crc=7)])
+    first = PageTable("a", "c", [PageEntry("a", 0, 4, 10, 1, 0, 1, crc=3)])
+    second = PageTable("b", "c", [PageEntry("b", 0, 4, 10, 1, 0, 1, crc=7)])
     merged = PageDirectory.deserialize(
-        PageDirectory.concat([PageDirectory([old]), PageDirectory([new])]).serialize()
+        PageDirectory.concat([PageDirectory([first]), PageDirectory([second])]).serialize()
     )
-    assert [merged.locate(g).crc for g in range(2)] == [None, 7]
+    assert [(merged.locate(g).file_key, merged.locate(g).crc) for g in range(2)] == [
+        ("a", 3),
+        ("b", 7),
+    ]
 
 
-def test_a_page_rejected_as_read_still_bills_its_phase(client):
-    """A legacy raw page whose first length prefix is off by one passes
-    fetch (it has no CRC) and is rejected as the exact loop reads it,
-    outside any task: the query raises, and its run still bills every
-    request it made."""
+def test_a_page_rejected_as_read_still_bills_its_phase(client, monkeypatch):
+    """A raw page that passed its fetch check but whose first length
+    prefix is off by one (patched in after the check) is rejected as
+    the exact loop reads it, outside any task: the query raises, and its
+    run still bills every request it made."""
     from repro.storage.pool import Run
 
-    with mock.patch.object(maintenance, "build_page_table", without_crcs):
-        client.index("uuid", SPECS["uuid"][0])
+    client.index("uuid", SPECS["uuid"][0])
     store = client.store
     path = client.lake.snapshot().file_paths[0]
-    entry = build_page_table(ParquetFile(store, path).metadata, path, "uuid").entry(0)
-    data = bytearray(store.get(path))
-    assert data[entry.offset] == 16 and entry.codec == compression.NONE
-    data[entry.offset] = 17
-    store.put(path, bytes(data))
+    target = build_page_table(ParquetFile(store, path).metadata, path, "uuid").entry(0)
+    assert stored(store, target)[0] == 16 and target.codec == compression.NONE
+    real_fetch = search.fetch_pages
+
+    def fetch(store, entries):
+        pages = real_fetch(store, entries)
+        return [b"\x11" + page[1:] if e == target else page for e, page in zip(entries, pages)]
+
+    monkeypatch.setattr(search, "fetch_pages", fetch)
     before = store.stats.snapshot()
     with Run() as run:
         with pytest.raises(FormatError, match="truncated page"):
             client.search("uuid", UuidQuery(event_uuid(1, 5)), k=1)
     delta = store.stats.snapshot().delta(before)
     assert run.trace.total_requests == delta.total_requests > 0
+
+
+# -- one readable format ---------------------------------------------------------
+def rewritten(data: bytes, edit) -> bytes:
+    """The index file ``data`` written again after ``edit(header,
+    components)`` changed its JSON header or its inflated components."""
+    store = InMemoryObjectStore()
+    store.put("i", data)
+    reader = ComponentFileReader.open(store, "i")
+    header, components = copy.deepcopy(reader.header), reader.read_all()
+    edit(header, components)
+    writer = ComponentFileWriter()
+    for component in components:
+        writer.add(component)
+    return writer.finish(header)
+
+
+def serving_only(client: RottnestClient, record, data: bytes) -> RottnestClient:
+    """A client of the same lake whose one index file is ``data``,
+    covering what ``record`` covers."""
+    key = "idx/edited/files/" + record.index_key.rsplit("/", 1)[1]
+    client.store.put(key, data)
+    edited = RottnestClient(client.store, "idx/edited", client.lake)
+    edited.meta.insert([dataclasses.replace(record, index_key=key, size=len(data))])
+    return edited
+
+
+def crc_cleared(header: dict, components: list) -> None:
+    """The first page entry's CRC flag cleared and its CRC dropped: the
+    entry as a build wrote it before pages had CRCs."""
+    pages = components[0]
+    directory = PageDirectory.deserialize(pages)
+    table, entry = directory.tables[0], directory.tables[0].entries[0]
+    head = BinaryWriter()
+    head.write_uvarint(len(directory.tables))
+    head.write_str(table.file_key)
+    head.write_str(table.column)
+    for value in (
+        len(table), entry.offset, entry.compressed_size, entry.num_values, entry.row_start
+    ):
+        head.write_uvarint(value)
+    cut = len(head.getvalue())
+    assert pages[cut] == entry.codec | 0x80
+    components[0] = pages[:cut] + bytes([entry.codec]) + pages[cut + 5 :]
+
+
+def lut_renamed(header: dict, components: list) -> None:
+    header["components"]["lut"] = header["components"].pop("lutb")
+
+
+#: case -> (column, edit of a freshly built file, what the error names)
+RETIRED_LAYOUTS = {
+    "format_1": ("text", lambda header, _: header.update(format=1), "format 1"),
+    "entry_without_crc": ("uuid", crc_cleared, "carries no CRC"),
+    "fm_without_rank_stride": (
+        "text",
+        lambda header, _: header["params"].pop("rank_stride"),
+        "rank_stride",
+    ),
+    "fm_with_two_sentinels": (
+        "text",
+        lambda header, _: header["params"]["sentinels"].append(0),
+        "one sentinel",
+    ),
+    "trie_lut_named_lut": ("uuid", lut_renamed, "lutb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETIRED_LAYOUTS))
+def test_a_retired_layout_is_a_format_error(indexed_client, case):
+    """A freshly built file with its header edited into a layout an
+    older build wrote: a search over it raises a ``FormatError`` naming
+    what it found, and never answers."""
+    column, edit, named = RETIRED_LAYOUTS[case]
+    client = indexed_client
+    (record,) = [r for r in client.meta.records() if r.column == column]
+    data = rewritten(client.store.get(record.index_key), edit)
+    edited = serving_only(client, record, data)
+    query = {
+        "uuid": UuidQuery(event_uuid(1, 5)),
+        "text": SubstringQuery(common_word(client)),
+    }[column]
+    assert client.search(column, query, k=1).matches
+    with pytest.raises(FormatError, match=named):
+        edited.search(column, query, k=1)
+    if case in ("format_1", "entry_without_crc"):
+        # A native merge (FM, trie) opens every part's header and
+        # directory, so compacting the file with a newer one fails too.
+        client.lake.append(event_batch(260, seed=9))
+        edited.index(column, record.index_type, params=SPECS[column][1])
+        with pytest.raises(FormatError, match=named):
+            compact_indices(edited, column, record.index_type)

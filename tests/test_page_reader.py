@@ -1,5 +1,7 @@
 """Rottnest's page-granular reader and page tables (§V-A)."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,21 @@ from hypothesis import strategies as st
 
 from repro.errors import FormatError
 from repro.formats.encoding import decode_values
-from repro.formats.page_reader import PageTable, build_page_table, fetch_pages
+from repro.formats.page_reader import PageTable, build_page_table, fetch_pages, inflate
 from repro.formats.parquet import write_parquet
 from repro.formats.reader import ParquetFile, chunk_values
 from repro.formats.schema import ColumnType, Field, Schema
 from repro.storage.object_store import InMemoryObjectStore
 from repro.util.binio import BinaryReader, BinaryWriter
+
+
+def checked_table(store, metadata, key: str, column: str) -> PageTable:
+    """The page table an index build records for ``column`` of ``key``:
+    each entry with the CRC32 of its page's stored bytes, which
+    :func:`fetch_pages` checks (a footer alone has no CRCs)."""
+    pages = build_page_table(metadata, key, column).entries
+    crcs = [zlib.crc32(store.get(key, (e.offset, e.compressed_size))) for e in pages]
+    return build_page_table(metadata, key, column, crcs)
 
 
 @pytest.fixture
@@ -57,30 +68,31 @@ class TestPageTable:
             build_page_table(result.metadata, "d.parquet", "nope")
 
     def test_serialize_roundtrip(self, stored_file):
-        _, result, _, _ = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
+        store, result, _, _ = stored_file
+        table = checked_table(store, result.metadata, "d.parquet", "text")
         w = BinaryWriter()
         table.serialize(w)
         back = PageTable.deserialize(BinaryReader(w.getvalue()))
         assert back.file_key == table.file_key
         assert back.column == table.column
         assert back.entries == table.entries
+        assert [e.crc for e in back.entries] == [e.crc for e in table.entries]
 
 
 class TestPageReads:
     def test_read_page_values(self, stored_file):
         store, result, schema, columns = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
+        table = checked_table(store, result.metadata, "d.parquet", "text")
         entry = table.entry(2)
         (raw,) = fetch_pages(store, [entry])
-        values = decode_values(schema.field("text"), raw, entry.num_values)
+        values = decode_values(schema.field("text"), inflate(entry, raw), entry.num_values)
         start = entry.row_start
         assert values == columns["text"][start : start + entry.num_values]
 
     def test_read_page_bypasses_footer(self, stored_file):
         """One byte-range GET of exactly the page, nothing else."""
         store, result, _, _ = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
+        table = checked_table(store, result.metadata, "d.parquet", "text")
         entry = table.entry(1)
         before = store.stats.snapshot()
         fetch_pages(store, [entry])
@@ -98,7 +110,7 @@ class TestPageReads:
 
     def test_page_values_match_chunk_values(self, stored_file):
         store, result, schema, _ = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
+        table = checked_table(store, result.metadata, "d.parquet", "text")
         assert _page_values(store, schema.field("text"), table) == _chunk_values(
             ParquetFile(store, "d.parquet"), "text"
         )
@@ -111,7 +123,7 @@ class TestPageReads:
 
     def test_adjacent_pages_read_in_one_get(self, stored_file):
         store, result, _, _ = stored_file
-        table = build_page_table(result.metadata, "d.parquet", "text")
+        table = checked_table(store, result.metadata, "d.parquet", "text")
         before = store.stats.snapshot()
         fetch_pages(store, [table.entry(0), table.entry(1)])
         assert store.stats.delta(before).gets == 1
@@ -124,7 +136,7 @@ class TestPageReads:
         )
         store = InMemoryObjectStore()
         store.put("v.parquet", result.data)
-        table = build_page_table(result.metadata, "v.parquet", "v")
+        table = checked_table(store, result.metadata, "v.parquet", "v")
         got = _page_values(store, schema.field("v"), table)
         assert np.array_equal(np.stack(got), vecs)
 
@@ -135,7 +147,7 @@ def _page_values(store, field, table) -> list:
     return [
         value
         for entry, raw in zip(table.entries, pages)
-        for value in decode_values(field, raw, entry.num_values)
+        for value in decode_values(field, inflate(entry, raw), entry.num_values)
     ]
 
 
@@ -162,7 +174,7 @@ def test_page_reads_equal_chunk_reads_property(pages, page_bytes):
     )
     store = InMemoryObjectStore()
     store.put("f", result.data)
-    table = build_page_table(result.metadata, "f", "t")
+    table = checked_table(store, result.metadata, "f", "t")
     assert _page_values(store, schema.field("t"), table) == _chunk_values(
         ParquetFile(store, "f"), "t"
     )
@@ -170,6 +182,6 @@ def test_page_reads_equal_chunk_reads_property(pages, page_bytes):
     field = schema.field("t")
     for entry, raw in zip(entries, fetch_pages(store, entries)):
         start = entry.row_start
-        assert decode_values(field, raw, entry.num_values) == values[
+        assert decode_values(field, inflate(entry, raw), entry.num_values) == values[
             start : start + entry.num_values
         ]

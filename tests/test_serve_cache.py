@@ -290,7 +290,7 @@ def test_budget_validation():
 
 def _index_file(store, key: str) -> bytes:
     """A small index file with one ``data`` component; returns the payload."""
-    table = PageTable("a", "text", [PageEntry("a", 0, 0, 10, 1, 0, 0)])
+    table = PageTable("a", "text", [PageEntry("a", 0, 0, 10, 1, 0, 0, crc=0)])
     writer = IndexFileWriter("fm", "text", PageDirectory([table]))
     payload = bytes(range(256)) * 4
     writer.add_component("data", payload)

@@ -332,28 +332,21 @@ class TestSearchServer:
         assert len(result.matches) == 1
         assert [name.split(":")[0] for name in built] == ["leaf0"]
 
-    @pytest.mark.parametrize("layout", ["lutb", "lut"])
-    def test_warmup_covers_the_trie_lut_of_either_layout(
-        self, client, layout, monkeypatch
-    ):
+    def test_warmup_covers_the_trie_lut(self, client, monkeypatch):
         """With a tail too small to carry anything, the tail, directory,
         page directory and LUT are four separate ranges of an index
         file. ``warmup`` reads them through the index type's ``warm``
         hook, so a UUID query afterwards GETs leaves only."""
         from repro.core import componentize
-        from repro.indices.uuid_trie import UuidTrieBuilder
-        from tests.test_uuid_trie import write_legacy
 
         monkeypatch.setattr(componentize, "TAIL_SPECULATIVE_BYTES", 16)
-        if layout == "lut":
-            monkeypatch.setattr(UuidTrieBuilder, "write", write_legacy)
         record = client.index("uuid", "uuid_trie")
         reader = IndexFileReader.open(client.store, record.index_key)
         sizes = {
             name: reader._reader.component_size(reader._names[name])
             for name in reader.component_names()
         }
-        assert layout in sizes and sizes[layout] != sizes["leaf0"]
+        assert sizes["lutb"] != sizes["leaf0"]
         with _serving_stack(client) as server:
             assert server.warmup() == 1
             result = server.query("uuid", UuidQuery(event_uuid(1, 5)), k=3)

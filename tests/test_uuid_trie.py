@@ -1,7 +1,6 @@
 """Binary trie index: correctness vs a hash-map reference (§V-C1)."""
 
 import hashlib
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,10 +10,9 @@ from repro.errors import FormatError, RottnestIndexError
 from repro.core.index_file import IndexFileReader, IndexFileWriter, PageDirectory
 from repro.formats.page_reader import PageEntry, PageTable
 from repro.indices.bits import lcp_bits, prefix_matches, truncate_bits
-from repro.indices.uuid_trie import UuidTrieBuilder, UuidTrieQuerier, _write_entry
+from repro.indices.uuid_trie import UuidTrieBuilder, UuidTrieQuerier
 from repro.storage.object_store import InMemoryObjectStore
 from repro.storage.stats import tracing
-from repro.util.binio import BinaryWriter
 
 
 class TestBitHelpers:
@@ -73,36 +71,17 @@ def build_pages(n_keys: int, n_pages: int):
     return list(pages.items()), truth
 
 
-def write_legacy(builder, writer, *, component_target_bytes=256 * 1024):
-    """The layout of files written before ``lutb``: same leaves, and a
-    ``lut`` whose rows are (leaf, entries to skip in it, count). Lives
-    here only — ``src`` keeps the reader for it, not the writer."""
-    lut, leaf, num_leaves, in_leaf = BinaryWriter(), BinaryWriter(), 0, 0
-    for b in range(256):
-        bucket = [e for e in builder.entries if e.prefix[0] == b]
-        for e in bucket:
-            _write_entry(leaf, e)
-        for field in (num_leaves, in_leaf, len(bucket)):
-            lut.write_uvarint(field)
-        in_leaf += len(bucket)
-        if len(leaf) >= component_target_bytes or b == 255:
-            writer.add_component(f"leaf{num_leaves}", leaf.getvalue())
-            leaf, num_leaves, in_leaf = BinaryWriter(), num_leaves + 1, 0
-    writer.add_component("lut", lut.getvalue())
-    writer.params.update(num_leaves=num_leaves, extra_bits=builder.extra_bits)
-
-
-def store_index(builder, n_pages, *, write=UuidTrieBuilder.write, **write_kwargs):
+def store_index(builder, n_pages, **write_kwargs):
     table = PageTable(
         "f.parquet",
         "uuid",
         [
-            PageEntry("f.parquet", i, 4 + i * 100, 100, 10, i * 10, 1)
+            PageEntry("f.parquet", i, 4 + i * 100, 100, 10, i * 10, 1, crc=0)
             for i in range(n_pages)
         ],
     )
     w = IndexFileWriter("uuid_trie", "uuid", PageDirectory([table]))
-    write(builder, w, **write_kwargs)
+    builder.write(w, **write_kwargs)
     store = InMemoryObjectStore()
     store.put("i.index", w.finish())
     return store, IndexFileReader.open(store, "i.index")
@@ -249,7 +228,7 @@ def brute_force(builder, key):
 @example(keys=[b"\x00", b"\xff", b"\x00", b"\x7f\x01"], shape="any", target=1)
 @example(keys=[b"a", b"ab", b"ab", b"abc"], shape="one_bucket", target=1)
 def test_layouts_agree_with_prefix_scan(keys, shape, target):
-    """New layout == legacy layout == brute force, on key sets with
+    """Every leaf layout == brute force, on key sets with
     1-byte and duplicate keys, everything in one bucket, empty buckets
     at 0x00 / 0xFF, and a leaf target small enough that every non-empty
     bucket closes its own leaf."""
@@ -260,57 +239,16 @@ def test_layouts_agree_with_prefix_scan(keys, shape, target):
     n_pages = 3
     pages = [(g, keys[g::n_pages]) for g in range(n_pages) if keys[g::n_pages]]
     builder = UuidTrieBuilder.build(pages)
-    _, new = store_index(builder, n_pages, component_target_bytes=target)
-    _, old = store_index(
-        builder, n_pages, write=write_legacy, component_target_bytes=target
-    )
-    assert new.has_component("lutb") and not new.has_component("lut")
-    assert old.has_component("lut") and not old.has_component("lutb")
-    assert new.params == old.params
+    _, reader = store_index(builder, n_pages, component_target_bytes=target)
+    assert reader.has_component("lutb")
     probes = set(keys) | {k[:-1] + bytes([k[-1] ^ 1]) for k in keys}
     probes |= {b"\x00", b"\xff", b"\x7f"}
     for key in sorted(probes):
         expected = brute_force(builder, key)
-        assert UuidTrieQuerier(new).candidate_pages(key) == expected, key
-        assert UuidTrieQuerier(old).candidate_pages(key) == expected, key
+        assert UuidTrieQuerier(reader).candidate_pages(key) == expected, key
 
 
 class TestLutLayouts:
-    #: A file with the legacy ``lut``, written for ``build_pages(3000, 4)``
-    #: at ``component_target_bytes=1024`` before components that deflate
-    #: by under 10% were stored raw; ``LEGACY_SHA256`` is its sha256.
-    LEGACY_FIXTURE = Path(__file__).parent / "data" / "trie_legacy_lut.index"
-    LEGACY_SHA256 = "b656dbc023f533a083177ec8fecacd0886830b140969b0f49c4e619ab9c2ffe1"
-
-    def test_parent_written_lut_file_answers_like_brute_force(self):
-        blob = self.LEGACY_FIXTURE.read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == self.LEGACY_SHA256
-        store = InMemoryObjectStore()
-        store.put("i.index", blob)
-        reader = IndexFileReader.open(store, "i.index")
-        assert reader.has_component("lut") and not reader.has_component("lutb")
-        pages, truth = build_pages(3000, 4)
-        builder = UuidTrieBuilder.build(pages)
-        # The legacy writer, run today, lays out the same components.
-        _, rewritten = store_index(
-            builder, 4, write=write_legacy, component_target_bytes=1024
-        )
-        assert rewritten.component_names() == reader.component_names()
-        for name in reader.component_names():
-            assert rewritten.component(name) == reader.component(name), name
-        q = UuidTrieQuerier(reader)
-        for i in range(0, 3000, 37):
-            assert q.candidate_pages(key_of(i)) == brute_force(builder, key_of(i))
-            assert truth[key_of(i)] in q.candidate_pages(key_of(i))
-
-    def test_load_and_rewrite_moves_to_new_layout(self):
-        pages, truth = build_pages(500, 4)
-        builder = UuidTrieBuilder.build(pages)
-        _, old = store_index(builder, 4, write=write_legacy)
-        _, new = store_index(UuidTrieBuilder.load(old), 4)
-        assert new.component_names() == ["__pages__", "leaf0", "lutb"]
-        assert UuidTrieQuerier(new).candidate_pages(key_of(7)) == [truth[key_of(7)]]
-
     def test_truncated_lut_is_a_format_error(self):
         pages, _ = build_pages(50, 2)
         _, reader = store_index(UuidTrieBuilder.build(pages), 2)
@@ -319,17 +257,15 @@ class TestLutLayouts:
         with pytest.raises(FormatError, match="lutb"):
             UuidTrieQuerier(reader).candidate_pages(key_of(1))
 
-    @pytest.mark.parametrize("write", [UuidTrieBuilder.write, write_legacy])
-    def test_probe_issues_the_parents_requests(self, write, monkeypatch):
+    def test_probe_issues_the_parents_requests(self, monkeypatch):
         """Open at the record's size = one tail GET (LUT inside it);
-        probe = one dependent GET of exactly one leaf — for both
-        layouts, so the modeled clock cannot tell them apart."""
+        probe = one dependent GET of exactly one leaf."""
         from repro.core import componentize
 
         monkeypatch.setattr(componentize, "TAIL_SPECULATIVE_BYTES", 4096)
         pages, truth = build_pages(3000, 4)
         builder = UuidTrieBuilder.build(pages)
-        store, _ = store_index(builder, 4, write=write, component_target_bytes=2048)
+        store, _ = store_index(builder, 4, component_target_bytes=2048)
         key = key_of(123)
         size = store.head("i.index").size
         with tracing() as trace:

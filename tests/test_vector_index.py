@@ -221,13 +221,15 @@ class TestAssignKernel:
 
     def test_ivfpq_file_bytes_pinned(self):
         """An IVF-PQ file built with the kernel: the same bytes as with
-        the fresh-block formula it replaced."""
+        the fresh-block formula it replaced. Re-pinned when the page
+        directory's entries began to carry CRCs (format 2; every other
+        component kept its bytes)."""
         data = VectorWorkload(dim=16, n_clusters=10, seed=5).batch(3000)
         pages = [(g, data[g * 250 : (g + 1) * 250]) for g in range(12)]
         builder = IvfPqBuilder.build(pages, nlist=24, m=8, seed=0)
         store, _ = store_ivf(builder, len(pages), 250)
         assert hashlib.sha256(store.get("v.index")).hexdigest() == (
-            "d8ab48dae7aba8ca117460854665910117b8e63eba9bf7b6d082ae0768f1411b"
+            "d7a23d63b80aa20afe5757297fb6924af5abc0602e49d84c105c128c0a2fddb0"
         )
 
 
@@ -490,7 +492,7 @@ def store_ivf(builder, n_pages, rows_per_page):
         "emb",
         [
             PageEntry("v.parquet", i, 4 + i * 100, 100, rows_per_page,
-                      i * rows_per_page, 1)
+                      i * rows_per_page, 1, crc=0)
             for i in range(n_pages)
         ],
     )
